@@ -9,7 +9,6 @@ certificates produced when fiber sizes over M grow without bound.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DomainError, SearchExhaustedError, UnsupportedError
@@ -19,6 +18,7 @@ from .index_domain import (
     IndexMap,
     Verdict,
     WindowOnly,
+    scan_window,
 )
 from .sparse_vec import SparseVector
 
@@ -27,10 +27,13 @@ def in_domain(m: IndexMap, z: SparseVector) -> bool:
     """Whether the image of z is square-summable.
 
     For finitely supported z this holds exactly when every support index has
-    a finite fiber, and agrees with apply(m, z) returning a vector.
+    a finite fiber, and agrees with apply(m, z) returning a vector. Every
+    fiber of a map on {1..n} is finite, so there the answer is always True.
     """
     if m.domain != z.domain:
         raise DomainError("map and vector domains differ")
+    if m.is_finite:
+        return True
     return all(not m.fiber_card(theta).is_infinite for theta in z.entries)
 
 
@@ -48,7 +51,8 @@ def m_set(m: IndexMap, window: int = DEFAULT_WINDOW) -> MDescription:
         raise ValueError(f"window must be >= 1, got {window}")
     if m.is_finite:
         return MDescription(frozenset(m.domain.indices()), None, frozenset())
-    members = frozenset(a for a in range(1, window + 1) if m.rule.card_fn(a) is not None)
+    sizes = scan_window(m.rule, window)
+    members = frozenset(a for a, c in enumerate(sizes, start=1) if c is not None)
     return MDescription(members, window, m.rule.infinite_fibers)
 
 
@@ -71,12 +75,7 @@ def domain_closed(m: IndexMap, window: int = DEFAULT_WINDOW) -> Verdict:
 
 
 def _window_m_bound(m: IndexMap, window: int) -> int:
-    best = 0
-    for a in range(1, window + 1):
-        c = m.rule.card_fn(a)
-        if c is not None and c > best:
-            best = c
-    return best
+    return max(filter(None, scan_window(m.rule, window)), default=0)
 
 
 def fiber_records(m: IndexMap, count: int, search_cap: int | None = None) -> tuple[tuple[int, int], ...]:
@@ -92,8 +91,8 @@ def fiber_records(m: IndexMap, count: int, search_cap: int | None = None) -> tup
     records: list[tuple[int, int]] = []
     best = 0
     if m.is_finite:
-        counts = Counter(m.table)
-        source = ((a, counts.get(a, 0)) for a in m.domain.indices())
+        counts = m.fiber_counts
+        source = ((a, counts[a]) for a in m.domain.indices())
     else:
         card_fn = m.rule.card_fn
         source = ((a, card_fn(a)) for a in range(1, cap + 1))
@@ -168,7 +167,7 @@ def domain_report(m: IndexMap, window: int = DEFAULT_WINDOW) -> DomainReport:
     closed = domain_closed(m, window)
     witness = None
     if m.is_finite:
-        bound = FiberCard(max(Counter(m.table).values()))
+        bound = FiberCard(max(m.fiber_counts))
     elif m.rule.m_sup is not None:
         bound = m.rule.m_sup
         if bound.is_infinite:

@@ -2,18 +2,21 @@
 
 Everything downstream (norms, classification, domain analysis) reduces to
 questions about fibers, the preimage sets of single indices. Maps therefore
-carry an exact fiber oracle: finite maps answer by scanning their image
-table, while symbolic maps on the unbounded index set {1, 2, ...} ship
-closed-form fiber enumeration plus optional self-certificates (global fiber
-bound, injectivity, surjectivity). A rule without certificates can still be
-analysed, but only on finite windows.
+carry an exact fiber oracle. A finite map counts its image table once, in a
+single pass, into a cached fiber-count profile (``IndexMap.fiber_counts``)
+that answers every fiber size in constant time. Symbolic maps on the
+unbounded index set {1, 2, ...} ship closed-form fiber enumeration plus
+optional self-certificates (global fiber bound, bound over finite fibers,
+injectivity, surjectivity, infinite-fiber set), each checked against the
+exact fiber sizes of every window a report scans. A rule without
+certificates can still be analysed, but only on finite windows.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConstructionError, DomainError, IntegrityError, ParseError
@@ -108,7 +111,7 @@ class SymbolicRule:
     ``card_fn`` and ``members_fn`` must be exact: ``members_fn(a)`` is None
     exactly when the fiber over ``a`` is infinite, otherwise the complete
     preimage set. Certificate fields are optional; when present they must be
-    truthful (``fiber_report`` validates them against a window and raises
+    truthful (every window scan, ``scan_window``, validates them and raises
     IntegrityError on contradiction).
     """
 
@@ -160,10 +163,25 @@ class IndexMap:
             return self.table[alpha - 1]
         return self.rule.eval_fn(alpha)
 
+    @cached_property
+    def fiber_counts(self) -> tuple[int, ...]:
+        """Fiber-count profile of a finite map: ``counts[a] == |fiber(a)|``.
+
+        Built in one pass over the image table on first use and cached on the
+        instance (outside the dataclass fields, so equality, hashing and repr
+        ignore it). ``counts[0]`` is always 0, so positions match indices.
+        """
+        if self.table is None:
+            raise DomainError("fiber counts need a finite domain")
+        counts = [0] * (self.domain.size + 1)
+        for img in self.table:
+            counts[img] += 1
+        return tuple(counts)
+
     def fiber_card(self, alpha: int) -> FiberCard:
         self._check_index(alpha)
         if self.table is not None:
-            return FiberCard(self.table.count(alpha))
+            return FiberCard(self.fiber_counts[alpha])
         c = self.rule.card_fn(alpha)
         return INFINITE if c is None else FiberCard(c)
 
@@ -438,40 +456,80 @@ class FiberReport:
     m_set: frozenset[int]  # reported indices whose fiber is finite
 
 
+def scan_window(rule: SymbolicRule, window: int) -> list[int | None]:
+    """Exact fiber sizes over targets 1..window: ``sizes[a - 1] == |fiber(a)|``.
+
+    None marks an infinite fiber. Every certificate the rule carries is
+    checked against these sizes before they are returned, so no caller can
+    read a window that contradicts its rule.
+    """
+    card_fn = rule.card_fn
+    sizes = [card_fn(a) for a in range(1, window + 1)]
+    _check_certificates(rule, sizes)
+    return sizes
+
+
+def _check_certificates(rule: SymbolicRule, sizes: list[int | None]) -> None:
+    """Raise IntegrityError when a certificate contradicts a window scan.
+
+    A window can refute a finite bound (``sup_card``, ``m_sup``), a claim of
+    injectivity or surjectivity, and the infinite-fiber set restricted to
+    the window; it can never refute an unbounded or a negative certificate.
+    """
+    infinite_count = sizes.count(None)
+    largest = max(filter(None, sizes), default=0)  # skips infinite and empty fibers
+
+    def refute(claim: str, bad: Callable[[int, int | None], bool]) -> None:
+        a, c = next((a, c) for a, c in enumerate(sizes, start=1) if bad(a, c))
+        size = "infinite" if c is None else c
+        raise IntegrityError(f"rule {rule.name!r} declares {claim} but fiber({a}) has size {size}")
+
+    if rule.sup_card is not None and not rule.sup_card.is_infinite:
+        bound = rule.sup_card.count
+        if infinite_count or largest > bound:
+            refute(f"fiber bound {bound}", lambda a, c: c is None or c > bound)
+    if rule.m_sup is not None and not rule.m_sup.is_infinite:
+        m_bound = rule.m_sup.count
+        if largest > m_bound:
+            refute(f"finite-fiber bound {m_bound}", lambda a, c: c is not None and c > m_bound)
+    if rule.injective and (infinite_count or largest > 1):
+        refute("the map one-to-one", lambda a, c: c is None or c > 1)
+    if rule.surjective and 0 in sizes:
+        refute("the map onto", lambda a, c: c == 0)
+    if rule.infinite_fibers is not None:
+        declared = {a for a in rule.infinite_fibers if a <= len(sizes)}
+        if infinite_count != len(declared) or any(sizes[a - 1] is not None for a in declared):
+            refute(
+                f"infinite fibers exactly over {sorted(rule.infinite_fibers)}",
+                lambda a, c: (c is None) != (a in declared),
+            )
+
+
 def fiber_report(m: IndexMap, window: int = DEFAULT_WINDOW) -> FiberReport:
     """Per-index fiber sizes and a boundedness verdict.
 
-    Finite domains are scanned in full and always come back Certified. On the
-    unbounded domain the rule's certificate decides, after being validated
-    against the window; without a certificate the verdict is WindowBound,
+    Finite domains are read off the map's fiber-count profile in full and
+    always come back Certified. On the unbounded domain the rule's
+    certificate decides, after every certificate has been validated against
+    the window; without a bound certificate the verdict is WindowBound,
     unless an infinite fiber inside the window settles unboundedness exactly.
     """
     if window < 1:
         raise ConstructionError(f"window must be >= 1, got {window}")
     if m.is_finite:
-        counts = Counter(m.table)
-        cards = {a: FiberCard(counts.get(a, 0)) for a in m.domain.indices()}
-        sup = sup_card(cards.values())
+        counts = m.fiber_counts
+        cards = {a: FiberCard(counts[a]) for a in m.domain.indices()}
+        sup = FiberCard(max(counts))
         return FiberReport(cards, sup, Certified(sup.count), frozenset(cards))
     rule = m.rule
-    cards = {}
-    for a in range(1, window + 1):
-        c = rule.card_fn(a)
-        cards[a] = INFINITE if c is None else FiberCard(c)
-    sup = sup_card(cards.values())
+    sizes = scan_window(rule, window)
+    cards = {a: INFINITE if c is None else FiberCard(c) for a, c in enumerate(sizes, start=1)}
+    sup = INFINITE if None in sizes else FiberCard(max(sizes))
     m_window = frozenset(a for a, c in cards.items() if not c.is_infinite)
     if rule.sup_card is not None:
         if rule.sup_card.is_infinite:
             return FiberReport(cards, sup, CertifiedUnbounded(), m_window)
-        bound = rule.sup_card.count
-        for a, c in cards.items():
-            if c.is_infinite or c.count > bound:
-                size = "infinite" if c.is_infinite else c.count
-                raise IntegrityError(
-                    f"rule {rule.name!r} declares fiber bound {bound} "
-                    f"but fiber({a}) has size {size}"
-                )
-        return FiberReport(cards, sup, Certified(bound), m_window)
+        return FiberReport(cards, sup, Certified(rule.sup_card.count), m_window)
     if sup.is_infinite:
         return FiberReport(cards, sup, CertifiedUnbounded(), m_window)
     return FiberReport(cards, sup, WindowBound(sup.count, window), m_window)

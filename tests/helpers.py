@@ -71,3 +71,22 @@ def liar_rule() -> SymbolicRule:
         surjective=True,
         infinite_fibers=frozenset(),
     )
+
+
+def clamp_liar_rule() -> SymbolicRule:
+    """clamp_pred's formulas with false injectivity and finite-fiber bound certificates.
+
+    Its global bound ``sup_card`` is true (the fiber over 1 is {1, 2}), so
+    only the ``injective`` and ``m_sup`` claims are lies.
+    """
+    return SymbolicRule(
+        name="clamp_liar",
+        eval_fn=lambda k: 1 if k == 1 else k - 1,
+        card_fn=lambda a: 2 if a == 1 else 1,
+        members_fn=lambda a: frozenset((1, 2)) if a == 1 else frozenset((a + 1,)),
+        sup_card=FiberCard(2),
+        m_sup=FiberCard(1),
+        injective=True,
+        surjective=True,
+        infinite_fibers=frozenset(),
+    )

@@ -31,6 +31,7 @@ from genshift import (
     in_domain,
     is_compact,
     m_set,
+    make_symbolic_map,
     norm,
     norm_sq,
     operator_norm,
@@ -43,6 +44,7 @@ from genshift import (
     unit_vector,
     witness_sequence,
 )
+from helpers import parity_rule
 
 BOUNDED_RULES = [("successor", None), ("clamp_pred", None), ("block", 2),
                  ("block", 5), ("doubling", None)]
@@ -208,6 +210,26 @@ def test_criterion_6_domain_theorem():
         assert domain_report(block3).uniform_bound_on_m.count == 3
 
     _run(6, "natural domain characterization", body)
+
+
+def test_criterion_6_domain_theorem_infinite_fibers():
+    # On {1..n} every fiber is finite, so M is the whole index set there; this
+    # companion checks the characterization where M is a proper subset.
+    def body():
+        window = 12
+        cases = [
+            (symbolic_map("odd_collapse"), frozenset(range(2, window + 1))),
+            (make_symbolic_map(parity_rule()), frozenset(range(3, window + 1))),
+        ]
+        for m, expected_members in cases:
+            members = m_set(m, window).members
+            assert members == expected_members  # closed-form finite-fiber set
+            for r in range(4):
+                for support in itertools.combinations(range(1, window + 1), r):
+                    z = from_entries(COUNTABLE, {i: 1.0 for i in support})
+                    assert in_domain(m, z) == frozenset(support).issubset(members)
+
+    _run(6, "natural domain characterization, infinite fibers", body)
 
 
 def test_criterion_7_compactness():

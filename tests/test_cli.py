@@ -4,8 +4,9 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from genshift import apply, make_finite_map, parse_vector
+from genshift import apply, index_domain, make_finite_map, parse_vector
 from genshift.cli import main
+from helpers import clamp_liar_rule
 
 
 @pytest.fixture
@@ -60,6 +61,14 @@ def test_analyze_malformed_file_exits_2(runner, tmp_path):
     assert result.exit_code == 2
     path.write_text(json.dumps({"kind": "finite", "images": [1, 7]}))
     assert runner.invoke(main, ["analyze", str(path)]).exit_code == 2
+
+
+def test_analyze_false_certificate_exits_3(runner, tmp_path, monkeypatch):
+    monkeypatch.setitem(index_domain.BUILTIN_RULES, "clamp_liar", clamp_liar_rule)
+    doc = {"kind": "symbolic", "name": "clamp_liar"}
+    result = runner.invoke(main, ["analyze", write(tmp_path, "m.json", doc)])
+    assert result.exit_code == 3
+    assert result.output.startswith("integrity error: rule 'clamp_liar' declares")
 
 
 def test_apply_identity_round_trip(runner, tmp_path):

@@ -9,6 +9,7 @@ from genshift import (
     COUNTABLE,
     FiberCard,
     IndexSet,
+    IntegrityError,
     NotInL2,
     SearchExhaustedError,
     UnsupportedError,
@@ -31,7 +32,7 @@ from genshift import (
     unit_vector,
     zero,
 )
-from helpers import parity_rule, uncertified_successor_rule, vectors_on
+from helpers import clamp_liar_rule, parity_rule, uncertified_successor_rule, vectors_on
 
 
 # --- in_domain ---------------------------------------------------------------
@@ -94,6 +95,11 @@ def test_m_set_uncertified_rule_has_unknown_complement():
     assert md.infinite_fibers is None
 
 
+def test_m_set_refutes_false_certificates():
+    with pytest.raises(IntegrityError, match="finite-fiber bound 1"):
+        m_set(make_symbolic_map(clamp_liar_rule()), window=8)
+
+
 # --- domain_closed ---------------------------------------------------------------
 
 def test_domain_closed_finite_always_true():
@@ -136,6 +142,12 @@ def test_domain_report_equivalence_of_verdicts():
             assert not rep.uniform_bound_on_m.is_infinite
         if rep.closed is False:
             assert rep.uniform_bound_on_m.is_infinite
+
+
+def test_domain_report_clamp_liar_integrity_error():
+    # without the check: closed=True and uniform_bound_on_m=1 over a fiber of size 2
+    with pytest.raises(IntegrityError):
+        domain_report(make_symbolic_map(clamp_liar_rule()))
 
 
 # --- fiber_records -----------------------------------------------------------------

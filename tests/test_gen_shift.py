@@ -9,6 +9,7 @@ from genshift import (
     COUNTABLE,
     DomainError,
     IndexSet,
+    IntegrityError,
     NotInL2,
     UnsupportedError,
     WindowOnly,
@@ -33,6 +34,7 @@ from genshift import (
     unit_vector,
 )
 from helpers import (
+    clamp_liar_rule,
     finite_maps,
     map_and_vector,
     parity_rule,
@@ -104,6 +106,13 @@ def test_apply_norm_sq_clamp_table_e1():
     m = make_finite_map(images, 10)
     assert images.count(1) == 2  # brute preimage count
     assert apply_norm_sq(m, unit_vector(m.domain, 1)) == 2.0
+
+
+def test_apply_norm_sq_empty_fiber_contributes_nothing():
+    # |x_1|^2 overflows to inf, but the fiber over 1 is empty: 0 * inf = 0
+    m = make_finite_map([2, 2], 2)
+    assert apply_norm_sq(m, from_entries(m.domain, {1: 1e200, 2: 3})) == 18.0
+    assert norm_sq(apply(m, from_entries(m.domain, {1: 1e200, 2: 3}))) == 18.0
 
 
 def test_apply_norm_sq_triangular_unit_vectors():
@@ -199,6 +208,12 @@ def test_classify_clamp_pred():
     assert rep.sigma_injective is True     # the index map is onto
     assert rep.sigma_surjective is False   # fiber over 1 has two elements
     assert rep.operator_norm == math.sqrt(2)
+
+
+def test_classify_clamp_liar_integrity_error():
+    # without the check, the false injectivity claim reads as sigma_surjective=True
+    with pytest.raises(IntegrityError):
+        classify(make_symbolic_map(clamp_liar_rule()))
 
 
 def test_classify_triangular_not_into_l2():

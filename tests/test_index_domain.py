@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -13,22 +15,32 @@ from genshift import (
     DomainError,
     FiberCard,
     INFINITE,
+    IndexMap,
     IndexSet,
     IntegrityError,
     ParseError,
     WindowBound,
     block_rule,
+    clamp_pred_rule,
     compose_finite,
     fiber_report,
     make_finite_map,
     make_symbolic_map,
     map_to_json,
+    odd_collapse_rule,
     parse_map,
+    successor_rule,
     sup_card,
     symbolic_map,
     verify_fiber_soundness,
 )
-from helpers import finite_maps, liar_rule, parity_rule, uncertified_successor_rule
+from helpers import (
+    clamp_liar_rule,
+    finite_maps,
+    liar_rule,
+    parity_rule,
+    uncertified_successor_rule,
+)
 
 
 def brute_fiber(images, alpha):
@@ -247,9 +259,68 @@ def test_fiber_report_liar_rule_integrity_error():
         fiber_report(make_symbolic_map(liar_rule()), window=8)
 
 
+@pytest.mark.parametrize("rule, claim", [
+    (clamp_liar_rule(), r"fiber\(1\) has size 2"),
+    (dataclasses.replace(clamp_pred_rule(), injective=True), "one-to-one"),
+    (dataclasses.replace(successor_rule(), surjective=True), "onto"),
+    (dataclasses.replace(clamp_pred_rule(), m_sup=FiberCard(1)), "finite-fiber bound 1"),
+    (dataclasses.replace(odd_collapse_rule(), infinite_fibers=frozenset()), "infinite fibers"),
+    (dataclasses.replace(successor_rule(), infinite_fibers=frozenset({3})), "infinite fibers"),
+    (dataclasses.replace(odd_collapse_rule(), sup_card=FiberCard(1)), "fiber bound 1"),
+])
+def test_fiber_report_refutes_each_false_certificate(rule, claim):
+    with pytest.raises(IntegrityError, match=claim):
+        fiber_report(make_symbolic_map(rule), window=8)
+
+
+def test_certificates_beyond_the_window_are_not_refuted():
+    # the declared infinite fiber over 100 lies outside the window 1..8
+    rule = dataclasses.replace(successor_rule(), infinite_fibers=frozenset({100}))
+    assert fiber_report(make_symbolic_map(rule), window=8).verdict == Certified(1)
+
+
 def test_fiber_report_rejects_bad_window():
     with pytest.raises(ConstructionError):
         fiber_report(symbolic_map("successor"), window=0)
+
+
+# --- fiber-count profile --------------------------------------------------
+
+def _check_profile(m):
+    counts = m.fiber_counts
+    assert counts[0] == 0 and len(counts) == m.domain.size + 1
+    tally = Counter(m.table)
+    assert {a: c for a, c in enumerate(counts) if c} == dict(tally)
+    for a in m.domain.indices():
+        assert m.fiber_card(a).count == m.table.count(a)
+
+
+@given(finite_maps(max_n=12))
+def test_fiber_counts_agree_with_counter(m):
+    _check_profile(m)
+
+
+@given(st.integers(2, 12).flatmap(
+    lambda n: st.lists(st.integers(1, n), min_size=n, max_size=n).map(tuple)))
+def test_fiber_counts_on_directly_built_maps(table):
+    m = IndexMap(IndexSet.finite(len(table)), table=table)
+    _check_profile(m)
+
+
+@given(finite_maps())
+def test_fiber_counts_cache_is_not_part_of_identity(m):
+    fresh = IndexMap(m.domain, table=m.table)
+    before = (hash(m), repr(m))
+    m.fiber_counts  # fill the cache on one of two equal maps
+    assert "fiber_counts" in vars(m) and "fiber_counts" not in vars(fresh)
+    assert m == fresh and fresh == m
+    assert hash(m) == hash(fresh) == before[0]
+    assert repr(m) == repr(fresh) == before[1]
+
+
+def test_fiber_counts_need_a_finite_domain():
+    with pytest.raises(DomainError):
+        symbolic_map("successor").fiber_counts
 
 
 # --- composition ----------------------------------------------------------
