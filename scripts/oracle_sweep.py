@@ -10,27 +10,17 @@ import time
 
 import numpy as np
 
-from genshift import (
-    IndexMap,
-    IndexSet,
-    PowerIterationConfig,
-    check_map_agreement,
-    exhaustive_maps,
-    random_tables,
-)
+from genshift import IndexMap, IndexSet, exhaustive_maps, random_tables, sweep
 
 
-def sweep(maps, config, rng):
-    checked = 0
-    worst = 0.0
-    bad = []
-    for m in maps:
-        res = check_map_agreement(m, config=config, rng=rng)
-        checked += 1
-        worst = max(worst, res.norm_error)
-        if not res.ok:
-            bad.append(res.table)
-    return checked, worst, bad
+def report(label, maps):
+    t0 = time.monotonic()
+    checked, worst, bad = sweep(maps)
+    dt = time.monotonic() - t0
+    print(f"{label}: {checked} maps, worst norm error {worst:.3e}, "
+          f"{len(bad)} disagreements, {dt:.2f}s")
+    for res in bad:
+        print(f"  disagreement: {list(res.table)}")
 
 
 def main():
@@ -41,27 +31,13 @@ def main():
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
 
-    config = PowerIterationConfig(seed=args.seed)
-    rng = np.random.default_rng(args.seed)
-
     for n in range(2, args.max_exhaustive + 1):
-        t0 = time.monotonic()
-        checked, worst, bad = sweep(exhaustive_maps(n), config, rng)
-        dt = time.monotonic() - t0
-        print(f"n={n} exhaustive: {checked} maps, worst norm error {worst:.3e}, "
-              f"{len(bad)} disagreements, {dt:.2f}s")
-        for table in bad:
-            print(f"  disagreement: {list(table)}")
+        report(f"n={n} exhaustive", exhaustive_maps(n))
 
     dom = IndexSet.finite(args.random_n)
-    maps = (IndexMap(dom, table=t) for t in random_tables(args.random_n, args.random_count, rng))
-    t0 = time.monotonic()
-    checked, worst, bad = sweep(maps, config, rng)
-    dt = time.monotonic() - t0
-    print(f"n={args.random_n} random: {checked} maps, worst norm error {worst:.3e}, "
-          f"{len(bad)} disagreements, {dt:.2f}s")
-    for table in bad:
-        print(f"  disagreement: {list(table)}")
+    rng = np.random.default_rng(args.seed)
+    tables = random_tables(args.random_n, args.random_count, rng)
+    report(f"n={args.random_n} random", (IndexMap(dom, table=t) for t in tables))
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from .errors import (
     DomainError,
     GenShiftError,
     IntegrityError,
-    NumericError,
     ParseError,
     SearchExhaustedError,
     UnsupportedError,
@@ -86,17 +85,16 @@ from .domain_analysis import (
 )
 from .compact_witness import WitnessSequence, is_compact, witness_sequence
 from .dense_oracle import (
-    DEFAULT_POWER_CONFIG,
     EXHAUSTIVE_CAP,
     DenseOperator,
     MapAgreement,
-    PowerIterationConfig,
     StructuralReport,
     check_map_agreement,
     exhaustive_maps,
     random_tables,
     spectral_norm,
     structural_check,
+    sweep,
     to_dense,
 )
 

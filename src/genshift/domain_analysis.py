@@ -154,12 +154,15 @@ def divergence_witness(m: IndexMap, K: int, search_cap: int | None = None) -> Di
 @dataclass(frozen=True)
 class DomainReport:
     """Aggregate domain analysis: M, closedness, the uniform bound over M,
-    and the record witness when closedness fails."""
+    and the record witness when closedness fails.
+
+    The domain is closed exactly when it equals the vectors vanishing off M,
+    so ``closed`` also answers whether that characterization holds.
+    """
 
     m: MDescription
     closed: Verdict
     uniform_bound_on_m: FiberCard
-    characterization_holds: Verdict  # domain == vectors vanishing off M
     unbounded_witness: tuple[tuple[int, int], ...] | None
 
 
@@ -178,6 +181,5 @@ def domain_report(m: IndexMap, window: int = DEFAULT_WINDOW) -> DomainReport:
         m=m_set(m, window),
         closed=closed,
         uniform_bound_on_m=bound,
-        characterization_holds=closed,
         unbounded_witness=witness,
     )

