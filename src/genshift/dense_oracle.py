@@ -25,7 +25,7 @@ from .index_domain import IndexMap, IndexSet
 EXHAUSTIVE_CAP = 7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity: an array has no truth value and no hash
 class DenseOperator:
     """n x n 0/1 matrix with a 1 in row a at column eval(a).
 

@@ -18,7 +18,6 @@ from .index_domain import (
     IndexMap,
     Verdict,
     WindowOnly,
-    scan_window,
 )
 from .sparse_vec import SparseVector
 
@@ -51,7 +50,7 @@ def m_set(m: IndexMap, window: int = DEFAULT_WINDOW) -> MDescription:
         raise ValueError(f"window must be >= 1, got {window}")
     if m.is_finite:
         return MDescription(frozenset(m.domain.indices()), None, frozenset())
-    sizes = scan_window(m.rule, window)
+    sizes = m.window_sizes(window)
     members = frozenset(a for a, c in enumerate(sizes, start=1) if c is not None)
     return MDescription(members, window, m.rule.infinite_fibers)
 
@@ -65,17 +64,14 @@ def domain_closed(m: IndexMap, window: int = DEFAULT_WINDOW) -> Verdict:
     """
     if m.is_finite:
         return True
+    sizes = m.window_sizes(window)
     certified = m.rule.m_sup
     if certified is not None:
         return not certified.is_infinite
-    bound = _window_m_bound(m, window)
+    bound = max(filter(None, sizes), default=0)
     return WindowOnly(
         f"fibers over M bounded by {bound} on window 1..{window}", value=float(bound)
     )
-
-
-def _window_m_bound(m: IndexMap, window: int) -> int:
-    return max(filter(None, scan_window(m.rule, window)), default=0)
 
 
 def fiber_records(m: IndexMap, count: int, search_cap: int | None = None) -> tuple[tuple[int, int], ...]:
@@ -176,7 +172,7 @@ def domain_report(m: IndexMap, window: int = DEFAULT_WINDOW) -> DomainReport:
         if bound.is_infinite:
             witness = fiber_records(m, 8)
     else:
-        bound = FiberCard(_window_m_bound(m, window))
+        bound = FiberCard(int(closed.value))  # the largest finite fiber on the window
     return DomainReport(
         m=m_set(m, window),
         closed=closed,

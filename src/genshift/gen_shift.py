@@ -126,13 +126,11 @@ def phi_injective(m: IndexMap, window: int = DEFAULT_WINDOW) -> Verdict:
     """
     if m.is_finite:
         return max(m.fiber_counts) <= 1
-    rule = m.rule
-    if rule.injective is not None:
-        return rule.injective
-    for a in range(1, window + 1):
-        c = rule.card_fn(a)
-        if c is None or c >= 2:
-            return False
+    sizes = m.window_sizes(window)
+    if m.rule.injective is not None:
+        return m.rule.injective
+    if None in sizes or max(sizes) >= 2:
+        return False
     return WindowOnly(f"no fiber of size >= 2 over targets 1..{window}")
 
 
@@ -140,12 +138,11 @@ def phi_surjective(m: IndexMap, window: int = DEFAULT_WINDOW) -> Verdict:
     """Does the index map cover every index? An empty fiber refutes exactly."""
     if m.is_finite:
         return 0 not in m.fiber_counts[1:]
-    rule = m.rule
-    if rule.surjective is not None:
-        return rule.surjective
-    for a in range(1, window + 1):
-        if rule.card_fn(a) == 0:
-            return False
+    sizes = m.window_sizes(window)
+    if m.rule.surjective is not None:
+        return m.rule.surjective
+    if 0 in sizes:
+        return False
     return WindowOnly(f"all targets 1..{window} have nonempty fibers")
 
 

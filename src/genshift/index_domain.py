@@ -2,13 +2,16 @@
 
 Everything downstream (norms, classification, domain analysis) reduces to
 questions about fibers, the preimage sets of single indices. Maps therefore
-carry an exact fiber oracle. A finite map counts its image table once, in a
-single pass, into a cached fiber-count profile (``IndexMap.fiber_counts``)
-that answers every fiber size in constant time. Symbolic maps on the
-unbounded index set {1, 2, ...} ship closed-form fiber enumeration plus
-optional self-certificates (global fiber bound, bound over finite fibers,
-injectivity, surjectivity, infinite-fiber set), each checked against the
-exact fiber sizes of every window a report scans. A rule without
+carry an exact fiber oracle. A finite map counts its image table once into a
+cached fiber-count profile (``IndexMap.fiber_counts``). A symbolic map on
+{1, 2, ...} has closed-form fibers plus three optional, independent
+certificates: ``m_sup`` (the bound over finite fibers), ``surjective`` and
+``infinite_fibers``. The global bound ``sup_card`` is derived from them: it
+is infinite when some fiber or ``m_sup`` is, and ``m_sup`` when no fiber is.
+So is ``injective``: False when some fiber is infinite or ``m_sup > 1``, True
+when none is and ``m_sup <= 1``. Both are None (unknown) otherwise. Windows
+are scanned in one place, ``IndexMap.window_sizes``, which validates every
+certificate and caches the largest validated scan. A rule without
 certificates can still be analysed, but only on finite windows.
 """
 
@@ -110,21 +113,34 @@ class SymbolicRule:
 
     ``card_fn`` and ``members_fn`` must be exact: ``members_fn(a)`` is None
     exactly when the fiber over ``a`` is infinite, otherwise the complete
-    preimage set. Certificate fields are optional; when present they must be
-    truthful (every window scan, ``scan_window``, validates them and raises
-    IntegrityError on contradiction).
+    preimage set. The certificates are optional; when present they must be
+    truthful (``IndexMap.window_sizes`` checks them on every window it scans
+    and raises IntegrityError on contradiction). ``sup_card`` and
+    ``injective`` are derived from them, so they cannot contradict them.
     """
 
     name: str
     eval_fn: Callable[[int], int]
     card_fn: Callable[[int], int | None]
     members_fn: Callable[[int], frozenset[int] | None]
-    sup_card: FiberCard | None = None  # certified sup of fiber sizes over all indices
-    m_sup: FiberCard | None = None     # certified sup over finite fibers only
-    injective: bool | None = None
+    m_sup: FiberCard | None = None  # certified sup over finite fibers only
     surjective: bool | None = None
     infinite_fibers: frozenset[int] | None = None  # certified infinite-fiber indices
     param: int | None = None
+
+    @property
+    def sup_card(self) -> FiberCard | None:
+        """Certified sup of all fiber sizes, derived from the certificates; None if unknown."""
+        if self.infinite_fibers or self.m_sup == INFINITE:
+            return INFINITE
+        return None if self.infinite_fibers is None else self.m_sup
+
+    @property
+    def injective(self) -> bool | None:
+        """Certified injectivity, derived from the certificates; None if unknown."""
+        if self.infinite_fibers or (self.m_sup is not None and self.m_sup.as_float() > 1):
+            return False
+        return None if self.sup_card is None else True
 
 
 @dataclass(frozen=True)
@@ -177,6 +193,25 @@ class IndexMap:
         for img in self.table:
             counts[img] += 1
         return tuple(counts)
+
+    def window_sizes(self, window: int) -> tuple[int | None, ...]:
+        """Fiber sizes of a symbolic map over targets 1..window, None if infinite.
+
+        Every certificate is checked against them first. Only the largest
+        validated scan is cached (outside the dataclass fields): a smaller
+        window is its prefix, a larger one scans only the targets beyond it.
+        """
+        if self.rule is None:
+            raise DomainError("window scans need a symbolic map")
+        if window < 1:
+            raise ConstructionError(f"window must be >= 1, got {window}")
+        scanned = self.__dict__.get("_window_sizes", ())
+        if window <= len(scanned):
+            return scanned[:window]
+        sizes = scanned + tuple(map(self.rule.card_fn, range(len(scanned) + 1, window + 1)))
+        _check_certificates(self.rule, sizes)
+        self.__dict__["_window_sizes"] = sizes
+        return sizes
 
     def fiber_card(self, alpha: int) -> FiberCard:
         self._check_index(alpha)
@@ -232,9 +267,7 @@ def successor_rule() -> SymbolicRule:
         eval_fn=lambda k: k + 1,
         card_fn=lambda a: 0 if a == 1 else 1,
         members_fn=lambda a: frozenset() if a == 1 else frozenset((a - 1,)),
-        sup_card=FiberCard(1),
         m_sup=FiberCard(1),
-        injective=True,
         surjective=False,
         infinite_fibers=frozenset(),
     )
@@ -247,9 +280,7 @@ def clamp_pred_rule() -> SymbolicRule:
         eval_fn=lambda k: 1 if k == 1 else k - 1,
         card_fn=lambda a: 2 if a == 1 else 1,
         members_fn=lambda a: frozenset((1, 2)) if a == 1 else frozenset((a + 1,)),
-        sup_card=FiberCard(2),
         m_sup=FiberCard(2),
-        injective=False,
         surjective=True,
         infinite_fibers=frozenset(),
     )
@@ -269,9 +300,7 @@ def block_rule(b: int) -> SymbolicRule:
         eval_fn=lambda k: (k - 1) // b + 1,
         card_fn=lambda a: b,
         members_fn=members,
-        sup_card=FiberCard(b),
         m_sup=FiberCard(b),
-        injective=b == 1,
         surjective=True,
         infinite_fibers=frozenset(),
         param=b,
@@ -298,9 +327,7 @@ def triangular_rule() -> SymbolicRule:
         eval_fn=block_of,
         card_fn=lambda a: a,
         members_fn=members,
-        sup_card=INFINITE,
         m_sup=INFINITE,
-        injective=False,
         surjective=True,
         infinite_fibers=frozenset(),
     )
@@ -313,9 +340,7 @@ def doubling_rule() -> SymbolicRule:
         eval_fn=lambda k: 2 * k,
         card_fn=lambda a: 1 if a % 2 == 0 else 0,
         members_fn=lambda a: frozenset((a // 2,)) if a % 2 == 0 else frozenset(),
-        sup_card=FiberCard(1),
         m_sup=FiberCard(1),
-        injective=True,
         surjective=False,
         infinite_fibers=frozenset(),
     )
@@ -339,9 +364,7 @@ def odd_collapse_rule() -> SymbolicRule:
         eval_fn=lambda k: 1 if k % 2 == 1 else k // 2 + 1,
         card_fn=card,
         members_fn=members,
-        sup_card=INFINITE,
         m_sup=FiberCard(1),
-        injective=False,
         surjective=True,
         infinite_fibers=frozenset((1,)),
     )
@@ -456,49 +479,29 @@ class FiberReport:
     m_set: frozenset[int]  # reported indices whose fiber is finite
 
 
-def scan_window(rule: SymbolicRule, window: int) -> list[int | None]:
-    """Exact fiber sizes over targets 1..window: ``sizes[a - 1] == |fiber(a)|``.
-
-    None marks an infinite fiber. Every certificate the rule carries is
-    checked against these sizes before they are returned, so no caller can
-    read a window that contradicts its rule.
-    """
-    card_fn = rule.card_fn
-    sizes = [card_fn(a) for a in range(1, window + 1)]
-    _check_certificates(rule, sizes)
-    return sizes
-
-
-def _check_certificates(rule: SymbolicRule, sizes: list[int | None]) -> None:
+def _check_certificates(rule: SymbolicRule, sizes: tuple[int | None, ...]) -> None:
     """Raise IntegrityError when a certificate contradicts a window scan.
 
-    A window can refute a finite bound (``sup_card``, ``m_sup``), a claim of
-    injectivity or surjectivity, and the infinite-fiber set restricted to
-    the window; it can never refute an unbounded or a negative certificate.
+    A window can refute a finite ``m_sup``, a claim of surjectivity, and the
+    infinite-fiber set restricted to the window, never an unbounded or a
+    negative certificate. A window that refutes the derived ``sup_card`` or
+    ``injective`` refutes ``m_sup`` or ``infinite_fibers``.
     """
-    infinite_count = sizes.count(None)
-    largest = max(filter(None, sizes), default=0)  # skips infinite and empty fibers
 
     def refute(claim: str, bad: Callable[[int, int | None], bool]) -> None:
         a, c = next((a, c) for a, c in enumerate(sizes, start=1) if bad(a, c))
         size = "infinite" if c is None else c
         raise IntegrityError(f"rule {rule.name!r} declares {claim} but fiber({a}) has size {size}")
 
-    if rule.sup_card is not None and not rule.sup_card.is_infinite:
-        bound = rule.sup_card.count
-        if infinite_count or largest > bound:
-            refute(f"fiber bound {bound}", lambda a, c: c is None or c > bound)
     if rule.m_sup is not None and not rule.m_sup.is_infinite:
         m_bound = rule.m_sup.count
-        if largest > m_bound:
+        if max(filter(None, sizes), default=0) > m_bound:  # skips infinite and empty fibers
             refute(f"finite-fiber bound {m_bound}", lambda a, c: c is not None and c > m_bound)
-    if rule.injective and (infinite_count or largest > 1):
-        refute("the map one-to-one", lambda a, c: c is None or c > 1)
     if rule.surjective and 0 in sizes:
         refute("the map onto", lambda a, c: c == 0)
     if rule.infinite_fibers is not None:
         declared = {a for a in rule.infinite_fibers if a <= len(sizes)}
-        if infinite_count != len(declared) or any(sizes[a - 1] is not None for a in declared):
+        if sizes.count(None) != len(declared) or any(sizes[a - 1] is not None for a in declared):
             refute(
                 f"infinite fibers exactly over {sorted(rule.infinite_fibers)}",
                 lambda a, c: (c is None) != (a in declared),
@@ -521,18 +524,16 @@ def fiber_report(m: IndexMap, window: int = DEFAULT_WINDOW) -> FiberReport:
         cards = {a: FiberCard(counts[a]) for a in m.domain.indices()}
         sup = FiberCard(max(counts))
         return FiberReport(cards, sup, Certified(sup.count), frozenset(cards))
-    rule = m.rule
-    sizes = scan_window(rule, window)
+    sizes = m.window_sizes(window)
     cards = {a: INFINITE if c is None else FiberCard(c) for a, c in enumerate(sizes, start=1)}
     sup = INFINITE if None in sizes else FiberCard(max(sizes))
     m_window = frozenset(a for a, c in cards.items() if not c.is_infinite)
-    if rule.sup_card is not None:
-        if rule.sup_card.is_infinite:
-            return FiberReport(cards, sup, CertifiedUnbounded(), m_window)
-        return FiberReport(cards, sup, Certified(rule.sup_card.count), m_window)
-    if sup.is_infinite:
-        return FiberReport(cards, sup, CertifiedUnbounded(), m_window)
-    return FiberReport(cards, sup, WindowBound(sup.count, window), m_window)
+    certified = m.rule.sup_card
+    if certified is None:
+        verdict = CertifiedUnbounded() if sup.is_infinite else WindowBound(sup.count, window)
+    else:
+        verdict = CertifiedUnbounded() if certified.is_infinite else Certified(certified.count)
+    return FiberReport(cards, sup, verdict, m_window)
 
 
 def verify_fiber_soundness(m: IndexMap, window: int = DEFAULT_WINDOW) -> None:

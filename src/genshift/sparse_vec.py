@@ -9,6 +9,7 @@ in storage.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import DomainError, ParseError
@@ -118,7 +119,8 @@ def parse_vector(doc: object, domain: IndexSet) -> SparseVector:
     """Parse the vector file format: a JSON array of {"i", "re", "im"} objects.
 
     Exact-zero entries are dropped on the way in, so parsing the output of
-    vector_to_json reproduces the original vector entry for entry.
+    vector_to_json reproduces the original vector entry for entry. NaN,
+    infinities and numbers beyond the float range raise ParseError.
     """
     if not isinstance(doc, list):
         raise ParseError("vector document must be a JSON array")
@@ -138,6 +140,8 @@ def parse_vector(doc: object, domain: IndexSet) -> SparseVector:
         for component in (re, im):
             if not isinstance(component, (int, float)) or isinstance(component, bool):
                 raise ParseError(f"non-numeric component at index {alpha}")
+            if not abs(component) <= sys.float_info.max:  # exact for ints; False for NaN
+                raise ParseError(f"non-finite or out-of-range component at index {alpha}")
         v = complex(re, im)
         if v != 0:
             out[alpha] = v

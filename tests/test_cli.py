@@ -102,6 +102,20 @@ def test_apply_duplicate_vector_index_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("text", [
+    '[{"i": 1, "re": NaN}]',
+    '[{"i": 1, "im": -Infinity}]',
+    '[{"i": 1, "re": 1e400}]',
+    '[{"i": 1, "re": ' + "9" * 400 + "}]",
+], ids=["nan", "infinity", "float_overflow", "int_400_digits"])
+def test_apply_non_finite_entry_exits_2(runner, tmp_path, text):
+    vec = tmp_path / "v.json"
+    vec.write_text(text)
+    result = runner.invoke(main, ["apply", write(tmp_path, "m.json", IDENTITY5), str(vec)])
+    assert result.exit_code == 2
+    assert result.output == "parse error: non-finite or out-of-range component at index 1\n"
+
+
 def test_witness_compact_successor(runner, tmp_path):
     result = runner.invoke(main, ["witness", write(tmp_path, "m.json", SUCCESSOR),
                                   "--kind", "compact", "--count", "3"])

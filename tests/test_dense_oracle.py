@@ -63,6 +63,13 @@ def test_matvec_agrees_with_apply_on_basis_vectors(m):
         assert [y[k].real for k in range(1, n + 1)] == dense.tolist()
 
 
+def test_dense_operators_compare_and_hash_by_identity():
+    m = make_finite_map([2, 1, 2], 3)
+    a, b = to_dense(m), to_dense(m)
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
 def test_spectral_norm_identity():
     assert abs(spectral_norm(to_dense(make_finite_map([1, 2, 3], 3))) - 1.0) <= 1e-9
 

@@ -19,19 +19,25 @@ from genshift import (
     IndexSet,
     IntegrityError,
     ParseError,
+    SymbolicRule,
     WindowBound,
     block_rule,
     clamp_pred_rule,
+    classify,
     compose_finite,
+    domain_report,
+    doubling_rule,
     fiber_report,
     make_finite_map,
     make_symbolic_map,
     map_to_json,
     odd_collapse_rule,
     parse_map,
+    phi_surjective,
     successor_rule,
     sup_card,
     symbolic_map,
+    triangular_rule,
     verify_fiber_soundness,
 )
 from helpers import (
@@ -261,12 +267,11 @@ def test_fiber_report_liar_rule_integrity_error():
 
 @pytest.mark.parametrize("rule, claim", [
     (clamp_liar_rule(), r"fiber\(1\) has size 2"),
-    (dataclasses.replace(clamp_pred_rule(), injective=True), "one-to-one"),
+    (dataclasses.replace(triangular_rule(), m_sup=FiberCard(3)), r"fiber\(4\) has size 4"),
     (dataclasses.replace(successor_rule(), surjective=True), "onto"),
     (dataclasses.replace(clamp_pred_rule(), m_sup=FiberCard(1)), "finite-fiber bound 1"),
     (dataclasses.replace(odd_collapse_rule(), infinite_fibers=frozenset()), "infinite fibers"),
     (dataclasses.replace(successor_rule(), infinite_fibers=frozenset({3})), "infinite fibers"),
-    (dataclasses.replace(odd_collapse_rule(), sup_card=FiberCard(1)), "fiber bound 1"),
 ])
 def test_fiber_report_refutes_each_false_certificate(rule, claim):
     with pytest.raises(IntegrityError, match=claim):
@@ -274,9 +279,94 @@ def test_fiber_report_refutes_each_false_certificate(rule, claim):
 
 
 def test_certificates_beyond_the_window_are_not_refuted():
-    # the declared infinite fiber over 100 lies outside the window 1..8
+    # the declared infinite fiber over 100 lies outside the window 1..8; it
+    # makes the derived global bound infinite
     rule = dataclasses.replace(successor_rule(), infinite_fibers=frozenset({100}))
-    assert fiber_report(make_symbolic_map(rule), window=8).verdict == Certified(1)
+    assert fiber_report(make_symbolic_map(rule), window=8).verdict == CertifiedUnbounded()
+
+
+# --- derived certificates -------------------------------------------------
+
+succ = uncertified_successor_rule()
+
+
+@pytest.mark.parametrize("rule, sup, injective", [
+    # the values every shipped rule declared before the two became derived
+    (successor_rule(), FiberCard(1), True),
+    (clamp_pred_rule(), FiberCard(2), False),
+    (block_rule(1), FiberCard(1), True),
+    (block_rule(2), FiberCard(2), False),
+    (block_rule(3), FiberCard(3), False),
+    (block_rule(4), FiberCard(4), False),
+    (triangular_rule(), INFINITE, False),
+    (doubling_rule(), FiberCard(1), True),
+    (odd_collapse_rule(), INFINITE, False),
+    # partial certificates
+    (succ, None, None),
+    (dataclasses.replace(succ, m_sup=FiberCard(1)), None, None),
+    (dataclasses.replace(succ, m_sup=FiberCard(2)), None, False),
+    (dataclasses.replace(succ, m_sup=INFINITE), INFINITE, False),
+    (dataclasses.replace(succ, infinite_fibers=frozenset()), None, None),
+    (dataclasses.replace(succ, infinite_fibers=frozenset({1})), INFINITE, False),
+], ids=["successor", "clamp_pred", "block1", "block2", "block3", "block4", "triangular",
+        "doubling", "odd_collapse", "uncertified", "m_sup_1", "m_sup_2", "m_sup_infinite",
+        "no_infinite_fibers", "infinite_fiber_over_1"])
+def test_derived_sup_card_and_injective(rule, sup, injective):
+    assert rule.sup_card == sup
+    assert rule.injective is injective
+
+
+def test_symbolic_rule_has_three_certificate_fields():
+    fields = {f.name for f in dataclasses.fields(SymbolicRule)}
+    assert fields == {"name", "eval_fn", "card_fn", "members_fn",
+                      "m_sup", "surjective", "infinite_fibers", "param"}
+
+
+# --- window scans ---------------------------------------------------------
+
+def _counting(rule):
+    """The rule with its card_fn wrapped to record every target it is asked about."""
+    calls = []
+
+    def card(a):
+        calls.append(a)
+        return rule.card_fn(a)
+
+    return dataclasses.replace(rule, card_fn=card), calls
+
+
+@pytest.mark.parametrize("rule", [successor_rule(), uncertified_successor_rule()],
+                         ids=["certified", "uncertified"])
+def test_analyze_scans_each_window_once(rule):
+    counted, calls = _counting(rule)
+    m = make_symbolic_map(counted)
+    for _ in range(2):  # fiber report, classification and domain report, as `analyze` runs them
+        fiber_report(m, 40)
+        classify(m, 40, 40)
+        domain_report(m, 40)
+    assert calls == list(range(1, 41))
+    fiber_report(m, 12)
+    assert len(calls) == 40  # a smaller window is a prefix of the cached scan
+    phi_surjective(m, 100)
+    assert calls == list(range(1, 101))  # a larger one scans the targets beyond it
+    assert m.window_sizes(100) == tuple(rule.card_fn(a) for a in range(1, 101))
+
+
+def test_window_cache_keeps_refuting_beyond_it():
+    rule = dataclasses.replace(successor_rule(), infinite_fibers=frozenset({100}))
+    m = make_symbolic_map(rule)
+    assert m.window_sizes(8) == (0,) + (1,) * 7
+    for _ in range(2):  # a failed scan is not cached
+        with pytest.raises(IntegrityError, match=r"fiber\(100\) has size 1"):
+            fiber_report(m, 200)
+    assert fiber_report(m, 8).verdict == CertifiedUnbounded()
+
+
+def test_window_sizes_need_a_symbolic_map():
+    with pytest.raises(DomainError):
+        make_finite_map([1, 2], 2).window_sizes(2)
+    with pytest.raises(ConstructionError):
+        symbolic_map("successor").window_sizes(0)
 
 
 def test_fiber_report_rejects_bad_window():
@@ -375,8 +465,6 @@ def test_parse_map_rejects_malformed(doc):
 # --- soundness spot check -------------------------------------------------
 
 def test_verify_fiber_soundness_catches_bad_members():
-    from genshift import SymbolicRule
-
     broken = SymbolicRule(
         name="broken",
         eval_fn=lambda k: k + 1,

@@ -124,6 +124,11 @@ def test_parse_vector_drops_zeros():
     assert parse_vector(doc, DOM5).entries == {2: 1.5 - 2j}
 
 
+def test_parse_vector_keeps_the_largest_finite_values():
+    doc = [{"i": 1, "re": 10 ** 308, "im": -1.7e308}]
+    assert parse_vector(doc, DOM5).entries == {1: complex(1e308, -1.7e308)}
+
+
 def test_parse_vector_missing_im_defaults_to_zero():
     assert parse_vector([{"i": 3, "re": 2.0}], DOM5).entries == {3: 2 + 0j}
 
@@ -136,6 +141,11 @@ def test_parse_vector_missing_im_defaults_to_zero():
     [{"i": 9, "re": 1.0}],
     [{"i": 1, "re": "big"}],
     [{"i": 1, "re": 1.0}, {"i": 1, "re": 2.0}],
+    [{"i": 1, "re": math.nan}],
+    [{"i": 1, "im": math.inf}],
+    [{"i": 1, "re": -math.inf}],
+    [{"i": 1, "re": 10 ** 400}],
+    [{"i": 1, "im": -(10 ** 400)}],
 ])
 def test_parse_vector_rejects_malformed(doc):
     with pytest.raises(ParseError):
