@@ -206,8 +206,6 @@ def apply_cmd(map_file, vector_file):
         x = sparse_vec.parse_vector(_load_json(vector_file), m.domain)
     except ParseError as exc:
         _fail(EXIT_PARSE, f"parse error: {exc}")
-    except IntegrityError as exc:
-        _fail(EXIT_INTEGRITY, f"integrity error: {exc}")
     y = gen_shift.apply(m, x)
     if isinstance(y, gen_shift.NotInL2):
         _fail(
@@ -224,9 +222,7 @@ def apply_cmd(map_file, vector_file):
               help="number of vectors for the compact witness")
 @click.option("--K", "truncation", type=click.IntRange(min=1), default=16, show_default=True,
               help="truncation length for the divergence witness")
-@click.option("--window", type=click.IntRange(min=1), default=index_domain.DEFAULT_WINDOW,
-              show_default=True)
-def witness(map_file, kind, count, truncation, window):
+def witness(map_file, kind, count, truncation):
     """Non-compactness or norm-divergence certificate for a map."""
     try:
         m = _load_map(map_file)
@@ -234,7 +230,7 @@ def witness(map_file, kind, count, truncation, window):
         _fail(EXIT_PARSE, f"parse error: {exc}")
     try:
         if kind == "compact":
-            w = compact_witness.witness_sequence(m, count, window=window)
+            w = compact_witness.witness_sequence(m, count)
             doc = {
                 "schema_version": SCHEMA_VERSION,
                 "kind": "compact",
@@ -260,6 +256,8 @@ def witness(map_file, kind, count, truncation, window):
                 "image_norm_sq_lower_bound": w.image_norm_sq_lower_bound,
                 "vector": sparse_vec.vector_to_json(w.vector),
             }
+    except IntegrityError as exc:
+        _fail(EXIT_INTEGRITY, f"integrity error: {exc}")
     except (UnsupportedError, SearchExhaustedError, ValueError) as exc:
         _fail(EXIT_WITNESS, f"witness precondition failed: {exc}")
     click.echo(_render(doc))

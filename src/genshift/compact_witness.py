@@ -8,12 +8,13 @@ with no convergent subsequence.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SearchExhaustedError, UnsupportedError
-from .index_domain import DEFAULT_WINDOW, IndexMap
+from .index_domain import IndexMap
 from .sparse_vec import SparseVector, scale, unit_vector
 
 
@@ -39,16 +40,12 @@ def is_compact(m: IndexMap) -> bool:
     return m.domain.is_finite
 
 
-def witness_sequence(
-    m: IndexMap,
-    count: int,
-    window: int = DEFAULT_WINDOW,
-    search_cap: int = 1 << 20,
-) -> WitnessSequence:
+def witness_sequence(m: IndexMap, count: int, search_cap: int = 1 << 20) -> WitnessSequence:
     """Non-compactness certificate on the unbounded index set.
 
-    Collects the ``count`` smallest indices with nonempty fibers, extending
-    the initial ``window`` as needed up to ``search_cap``. Requires a map
+    Collects the ``count`` smallest indices with nonempty fibers, reading
+    fiber sizes through ``IndexMap.scan`` (so every window read is checked
+    against the certificates) up to ``search_cap`` targets. Requires a map
     with a certified finite fiber bound (for unbounded maps the operator
     does not even act within the square-summable family).
     """
@@ -56,24 +53,17 @@ def witness_sequence(
         raise UnsupportedError("finite index set: the operator is compact, no witness exists")
     if count < 2:
         raise UnsupportedError(f"need at least 2 witness vectors, got {count}")
-    rule = m.rule
-    if rule.sup_card is None or rule.sup_card.is_infinite:
+    bound = m.certificates.sup_card
+    if bound is None or bound.is_infinite:
         raise UnsupportedError("witness needs a map with a certified finite fiber bound")
-    cap = max(window, search_cap)
-    found: list[tuple[int, int]] = []
-    for alpha in range(1, cap + 1):
-        c = rule.card_fn(alpha)
-        if c is not None and c >= 1:
-            found.append((alpha, c))
-            if len(found) == count:
-                break
+    # bounded fibers are finite, so this skips exactly the empty ones
+    found = list(itertools.islice(((a, c) for a, c in m.scan(count, search_cap) if c), count))
     if len(found) < count:
         # cannot happen for a total map with bounded fibers; defensive only
         raise SearchExhaustedError(
-            f"only {len(found)} nonempty fibers below {cap}; need {count}"
+            f"only {len(found)} nonempty fibers below {search_cap}; need {count}"
         )
-    indices = tuple(a for a, _ in found)
-    sizes = tuple(c for _, c in found)
+    indices, sizes = zip(*found)
     vectors = tuple(scale(0.5, unit_vector(m.domain, a)) for a in indices)
     smallest_two = sorted(sizes)[:2]
     min_sq = Fraction(smallest_two[0] + smallest_two[1], 4)

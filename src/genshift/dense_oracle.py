@@ -4,9 +4,9 @@ An independent numerical route used to validate the fiber-based analysis.
 The matrix A has a single 1 per row, at the image column, so A^T A is the
 diagonal matrix of fiber sizes and every nonzero singular value of A is the
 square root of a positive integer. One LAPACK SVD per matrix therefore gives
-the norm (the largest singular value) and the exact rank (the number of
-singular values above 1/2), with no reference to fibers; `sweep` runs that
-check over many maps.
+the norm (the largest singular value), the exact rank (the number of
+singular values above 1/2) and unitarity (full rank and a norm below 5/4),
+with no reference to fibers; `sweep` runs that check over many maps.
 """
 
 from __future__ import annotations
@@ -68,21 +68,22 @@ class StructuralReport:
 
 
 def structural_check(op: DenseOperator) -> StructuralReport:
-    """Exact verdicts for the dense matrix.
+    """Exact verdicts for the dense matrix, read from its singular values.
 
-    The rank counts singular values above 1/2. That count is exact: every
-    singular value is 0 or the square root of an integer >= 1, and LAPACK
-    returns each one within p(n)*eps*||A|| <= p(n)*eps*sqrt(n) of the true
-    value (a modest polynomial p), far below 1/2 at any n a dense matrix can
-    hold. A square matrix is injective iff surjective iff full rank;
-    unitarity compares A^T A with the identity. That comparison is exact in
-    float64 too: every entry of A^T A is an integer <= n, and every partial
-    sum of 0/1 products is one, so no rounding occurs in any summation order.
+    A^T A is the diagonal matrix of fiber sizes, so every singular value is
+    0 or the square root of an integer >= 1. LAPACK returns each within
+    p(n)*eps*||A|| <= p(n)*eps*sqrt(n) of the true value (a modest
+    polynomial p), far below 0.16 at any n a dense matrix can hold, and
+    0.16 is less than the distance from the thresholds 1/2 and 5/4 to any
+    of 0, 1 and sqrt(2). So the rank is the number of singular values above
+    1/2, a square matrix is injective iff surjective iff of full rank, and
+    it is unitary iff it has full rank and sigma_max < 5/4 (every fiber
+    has exactly one element).
     """
     n = op.n
-    rank = int(np.count_nonzero(op.singular_values > 0.5))
-    A = op.matrix.astype(np.float64)
-    unitary = bool(np.array_equal(A.T @ A, np.eye(n)))
+    sv = op.singular_values
+    rank = int(np.count_nonzero(sv > 0.5))
+    unitary = bool(rank == n and sv[0] < 1.25)
     return StructuralReport(rank=rank, injective=rank == n, surjective=rank == n, unitary=unitary)
 
 

@@ -46,13 +46,9 @@ class MDescription:
 
 
 def m_set(m: IndexMap, window: int = DEFAULT_WINDOW) -> MDescription:
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if m.is_finite:
-        return MDescription(frozenset(m.domain.indices()), None, frozenset())
     sizes = m.window_sizes(window)
     members = frozenset(a for a, c in enumerate(sizes, start=1) if c is not None)
-    return MDescription(members, window, m.rule.infinite_fibers)
+    return MDescription(members, None if m.is_finite else window, m.certificates.infinite_fibers)
 
 
 def domain_closed(m: IndexMap, window: int = DEFAULT_WINDOW) -> Verdict:
@@ -62,10 +58,8 @@ def domain_closed(m: IndexMap, window: int = DEFAULT_WINDOW) -> Verdict:
     fibers (see fiber_records for the witness); uncertified rules get a
     WindowOnly verdict carrying the bound seen on the window.
     """
-    if m.is_finite:
-        return True
     sizes = m.window_sizes(window)
-    certified = m.rule.m_sup
+    certified = m.certificates.m_sup
     if certified is not None:
         return not certified.is_infinite
     bound = max(filter(None, sizes), default=0)
@@ -79,20 +73,15 @@ def fiber_records(m: IndexMap, count: int, search_cap: int | None = None) -> tup
 
     Returns up to ``count`` pairs (index, fiber size), smallest index first,
     where each fiber size strictly exceeds every earlier one. Indices with
-    infinite fibers are skipped, so all records lie in M.
+    infinite fibers are skipped, so all records lie in M. A symbolic map is
+    scanned up to ``search_cap`` targets, a finite one in full.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     cap = search_cap if search_cap is not None else 16 * count + 1024
     records: list[tuple[int, int]] = []
     best = 0
-    if m.is_finite:
-        counts = m.fiber_counts
-        source = ((a, counts[a]) for a in m.domain.indices())
-    else:
-        card_fn = m.rule.card_fn
-        source = ((a, card_fn(a)) for a in range(1, cap + 1))
-    for a, c in source:
+    for a, c in m.scan(count, cap):
         if c is not None and c > best:
             records.append((a, c))
             best = c
@@ -125,9 +114,7 @@ def divergence_witness(m: IndexMap, K: int, search_cap: int | None = None) -> Di
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    if m.is_finite:
-        raise UnsupportedError("map is certified bounded (finite domain)")
-    certified = m.rule.m_sup
+    certified = m.certificates.m_sup
     if certified is not None and not certified.is_infinite:
         raise UnsupportedError(f"map is certified bounded over M (fiber bound {certified.count})")
     records = fiber_records(m, K, search_cap)
@@ -164,15 +151,12 @@ class DomainReport:
 
 def domain_report(m: IndexMap, window: int = DEFAULT_WINDOW) -> DomainReport:
     closed = domain_closed(m, window)
+    bound = m.certificates.m_sup
     witness = None
-    if m.is_finite:
-        bound = FiberCard(max(m.fiber_counts))
-    elif m.rule.m_sup is not None:
-        bound = m.rule.m_sup
-        if bound.is_infinite:
-            witness = fiber_records(m, 8)
-    else:
+    if bound is None:
         bound = FiberCard(int(closed.value))  # the largest finite fiber on the window
+    elif bound.is_infinite:
+        witness = fiber_records(m, 8)
     return DomainReport(
         m=m_set(m, window),
         closed=closed,

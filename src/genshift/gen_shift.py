@@ -124,11 +124,10 @@ def phi_injective(m: IndexMap, window: int = DEFAULT_WINDOW) -> Verdict:
     Exact on finite domains and for rules carrying a certificate. A window
     can refute exactly (a fiber of size >= 2 is a witness) but never prove.
     """
-    if m.is_finite:
-        return max(m.fiber_counts) <= 1
     sizes = m.window_sizes(window)
-    if m.rule.injective is not None:
-        return m.rule.injective
+    certified = m.certificates.injective
+    if certified is not None:
+        return certified
     if None in sizes or max(sizes) >= 2:
         return False
     return WindowOnly(f"no fiber of size >= 2 over targets 1..{window}")
@@ -136,11 +135,10 @@ def phi_injective(m: IndexMap, window: int = DEFAULT_WINDOW) -> Verdict:
 
 def phi_surjective(m: IndexMap, window: int = DEFAULT_WINDOW) -> Verdict:
     """Does the index map cover every index? An empty fiber refutes exactly."""
-    if m.is_finite:
-        return 0 not in m.fiber_counts[1:]
     sizes = m.window_sizes(window)
-    if m.rule.surjective is not None:
-        return m.rule.surjective
+    certified = m.certificates.surjective
+    if certified is not None:
+        return certified
     if 0 in sizes:
         return False
     return WindowOnly(f"all targets 1..{window} have nonempty fibers")

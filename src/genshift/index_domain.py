@@ -1,26 +1,22 @@
 """Index sets and total self-maps with exact preimage structure.
 
 Everything downstream (norms, classification, domain analysis) reduces to
-questions about fibers, the preimage sets of single indices. Maps therefore
-carry an exact fiber oracle. A finite map counts its image table once into a
-cached fiber-count profile (``IndexMap.fiber_counts``). A symbolic map on
-{1, 2, ...} has closed-form fibers plus three optional, independent
-certificates: ``m_sup`` (the bound over finite fibers), ``surjective`` and
-``infinite_fibers``. The global bound ``sup_card`` is derived from them: it
-is infinite when some fiber or ``m_sup`` is, and ``m_sup`` when no fiber is.
-So is ``injective``: False when some fiber is infinite or ``m_sup > 1``, True
-when none is and ``m_sup <= 1``. Both are None (unknown) otherwise. Windows
-are scanned in one place, ``IndexMap.window_sizes``, which validates every
-certificate and caches the largest validated scan. A rule without
-certificates can still be analysed, but only on finite windows.
+questions about fibers, the preimage sets of single indices. Every map
+carries an exact fiber oracle and one certificate record,
+``IndexMap.certificates``: a symbolic rule on {1, 2, ...} declares its own
+(any may be None), and a finite map reads exact ones off its fiber-count
+profile (``IndexMap.fiber_counts``, one pass over the image table). Fiber
+sizes are read in one place, ``IndexMap.window_sizes``: a table answers any
+window with all n sizes; a rule's window is scanned once and validated
+against every certificate, and the largest validated scan is cached. A rule
+without certificates can still be analysed, but only on finite windows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ConstructionError, DomainError, IntegrityError, ParseError
 
@@ -107,26 +103,21 @@ class Fiber:
     members: frozenset[int] | None  # None exactly when the fiber is infinite
 
 
-@dataclass(frozen=True)
-class SymbolicRule:
-    """A self-map of the positive integers with closed-form fiber structure.
+@dataclass(frozen=True, kw_only=True)
+class Certificates:
+    """What is proved about every fiber of a map; None where nothing is.
 
-    ``card_fn`` and ``members_fn`` must be exact: ``members_fn(a)`` is None
-    exactly when the fiber over ``a`` is infinite, otherwise the complete
-    preimage set. The certificates are optional; when present they must be
-    truthful (``IndexMap.window_sizes`` checks them on every window it scans
-    and raises IntegrityError on contradiction). ``sup_card`` and
-    ``injective`` are derived from them, so they cannot contradict them.
+    ``m_sup`` bounds the finite fibers, ``surjective`` says no fiber is
+    empty and ``infinite_fibers`` is the exact set of indices with an
+    infinite fiber. The global bound ``sup_card`` is infinite when some
+    fiber or ``m_sup`` is, and ``m_sup`` when no fiber is. ``injective`` is
+    False when some fiber is infinite or ``m_sup > 1``, True when none is
+    and ``m_sup <= 1``. Being derived, neither can contradict the others.
     """
 
-    name: str
-    eval_fn: Callable[[int], int]
-    card_fn: Callable[[int], int | None]
-    members_fn: Callable[[int], frozenset[int] | None]
-    m_sup: FiberCard | None = None  # certified sup over finite fibers only
+    m_sup: FiberCard | None = None
     surjective: bool | None = None
-    infinite_fibers: frozenset[int] | None = None  # certified infinite-fiber indices
-    param: int | None = None
+    infinite_fibers: frozenset[int] | None = None
 
     @property
     def sup_card(self) -> FiberCard | None:
@@ -141,6 +132,24 @@ class SymbolicRule:
         if self.infinite_fibers or (self.m_sup is not None and self.m_sup.as_float() > 1):
             return False
         return None if self.sup_card is None else True
+
+
+@dataclass(frozen=True)
+class SymbolicRule(Certificates):
+    """A self-map of the positive integers with closed-form fiber structure.
+
+    ``card_fn`` and ``members_fn`` must be exact: ``members_fn(a)`` is None
+    exactly when the fiber over ``a`` is infinite, otherwise the complete
+    preimage set. The certificates are optional keywords; when present they
+    must be truthful (``IndexMap.window_sizes`` raises IntegrityError when
+    a scanned window contradicts one).
+    """
+
+    name: str
+    eval_fn: Callable[[int], int]
+    card_fn: Callable[[int], int | None]
+    members_fn: Callable[[int], frozenset[int] | None]
+    param: int | None = None
 
 
 @dataclass(frozen=True)
@@ -179,32 +188,46 @@ class IndexMap:
             return self.table[alpha - 1]
         return self.rule.eval_fn(alpha)
 
-    @cached_property
-    def fiber_counts(self) -> tuple[int, ...]:
-        """Fiber-count profile of a finite map: ``counts[a] == |fiber(a)|``.
+    # Caches live in __dict__, outside the fields, so ==, hash and repr ignore
+    # them; filled by hand, as cached_property locks on first use before 3.12.
 
-        Built in one pass over the image table on first use and cached on the
-        instance (outside the dataclass fields, so equality, hashing and repr
-        ignore it). ``counts[0]`` is always 0, so positions match indices.
-        """
-        if self.table is None:
-            raise DomainError("fiber counts need a finite domain")
-        counts = [0] * (self.domain.size + 1)
-        for img in self.table:
-            counts[img] += 1
-        return tuple(counts)
+    @property
+    def fiber_counts(self) -> tuple[int, ...]:
+        """Fiber-count profile of a finite map: ``counts[a] == |fiber(a)|``, ``counts[0] == 0``."""
+        counts = self.__dict__.get("fiber_counts")
+        if counts is None:
+            if self.table is None:
+                raise DomainError("fiber counts need a finite domain")
+            tally = [0] * (self.domain.size + 1)
+            for img in self.table:
+                tally[img] += 1
+            counts = self.__dict__["fiber_counts"] = tuple(tally)
+        return counts
+
+    @property
+    def certificates(self) -> Certificates:
+        """What is proved about every fiber: the rule itself, or exact values for a table."""
+        if self.rule is not None:
+            return self.rule
+        certs = self.__dict__.get("certificates")
+        if certs is None:
+            counts = self.fiber_counts
+            certs = self.__dict__["certificates"] = Certificates(
+                m_sup=FiberCard(max(counts)), surjective=0 not in counts[1:], infinite_fibers=frozenset()
+            )
+        return certs
 
     def window_sizes(self, window: int) -> tuple[int | None, ...]:
-        """Fiber sizes of a symbolic map over targets 1..window, None if infinite.
+        """Fiber sizes over targets 1..window (None if infinite); all n for a table.
 
-        Every certificate is checked against them first. Only the largest
-        validated scan is cached (outside the dataclass fields): a smaller
-        window is its prefix, a larger one scans only the targets beyond it.
+        The one check that a window is at least 1. A rule's scan is checked
+        against its certificates, then cached if it is the largest so far: a
+        smaller window is its prefix, a larger one scans only the new targets.
         """
-        if self.rule is None:
-            raise DomainError("window scans need a symbolic map")
         if window < 1:
             raise ConstructionError(f"window must be >= 1, got {window}")
+        if self.table is not None:
+            return self.fiber_counts[1:]
         scanned = self.__dict__.get("_window_sizes", ())
         if window <= len(scanned):
             return scanned[:window]
@@ -212,6 +235,20 @@ class IndexMap:
         _check_certificates(self.rule, sizes)
         self.__dict__["_window_sizes"] = sizes
         return sizes
+
+    def scan(self, first: int, cap: int) -> Iterator[tuple[int, int | None]]:
+        """Targets 1, 2, ... with their fiber sizes, up to ``cap`` (all n for a table).
+
+        Reads ``window_sizes`` over windows first, 2*first, 4*first, ..., so a
+        caller that stops early has scanned at most twice what it used.
+        """
+        seen, window = 0, first
+        while seen < cap:
+            sizes = self.window_sizes(min(window, cap))
+            if len(sizes) == seen:  # a table has no targets beyond n
+                return
+            yield from enumerate(sizes[seen:], start=seen + 1)
+            seen, window = len(sizes), 2 * window
 
     def fiber_card(self, alpha: int) -> FiberCard:
         self._check_index(alpha)
@@ -509,26 +546,17 @@ def _check_certificates(rule: SymbolicRule, sizes: tuple[int | None, ...]) -> No
 
 
 def fiber_report(m: IndexMap, window: int = DEFAULT_WINDOW) -> FiberReport:
-    """Per-index fiber sizes and a boundedness verdict.
+    """Per-index fiber sizes (``m.window_sizes``) and a boundedness verdict.
 
-    Finite domains are read off the map's fiber-count profile in full and
-    always come back Certified. On the unbounded domain the rule's
-    certificate decides, after every certificate has been validated against
-    the window; without a bound certificate the verdict is WindowBound,
-    unless an infinite fiber inside the window settles unboundedness exactly.
+    The certified bound decides the verdict, so a finite map always comes
+    back Certified. Without one it is WindowBound, unless an infinite fiber
+    inside the window settles unboundedness exactly.
     """
-    if window < 1:
-        raise ConstructionError(f"window must be >= 1, got {window}")
-    if m.is_finite:
-        counts = m.fiber_counts
-        cards = {a: FiberCard(counts[a]) for a in m.domain.indices()}
-        sup = FiberCard(max(counts))
-        return FiberReport(cards, sup, Certified(sup.count), frozenset(cards))
     sizes = m.window_sizes(window)
     cards = {a: INFINITE if c is None else FiberCard(c) for a, c in enumerate(sizes, start=1)}
     sup = INFINITE if None in sizes else FiberCard(max(sizes))
     m_window = frozenset(a for a, c in cards.items() if not c.is_infinite)
-    certified = m.rule.sup_card
+    certified = m.certificates.sup_card
     if certified is None:
         verdict = CertifiedUnbounded() if sup.is_infinite else WindowBound(sup.count, window)
     else:

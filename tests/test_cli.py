@@ -144,6 +144,15 @@ def test_witness_compact_on_finite_map_exits_5(runner, tmp_path):
     assert result.exit_code == 5
 
 
+def test_witness_false_certificate_exits_3(runner, tmp_path, monkeypatch):
+    monkeypatch.setitem(index_domain.BUILTIN_RULES, "clamp_liar", clamp_liar_rule)
+    doc = {"kind": "symbolic", "name": "clamp_liar"}
+    result = runner.invoke(main, ["witness", write(tmp_path, "m.json", doc), "--kind", "compact"])
+    assert result.exit_code == 3
+    assert result.output == ("integrity error: rule 'clamp_liar' declares finite-fiber bound 1"
+                             " but fiber(1) has size 2\n")
+
+
 def test_witness_divergence_on_bounded_map_exits_5(runner, tmp_path):
     result = runner.invoke(main, ["witness", write(tmp_path, "m.json", SUCCESSOR),
                                   "--kind", "divergence", "--K", "4"])

@@ -6,6 +6,7 @@ from hypothesis import given
 
 from genshift import (
     COUNTABLE,
+    IntegrityError,
     SearchExhaustedError,
     UnsupportedError,
     add,
@@ -19,7 +20,7 @@ from genshift import (
     unit_vector,
     witness_sequence,
 )
-from helpers import finite_maps, uncertified_successor_rule
+from helpers import clamp_liar_rule, finite_maps, liar_rule, uncertified_successor_rule
 
 SQRT2_OVER_2 = math.sqrt(2) / 2
 
@@ -98,4 +99,11 @@ def test_witness_rejects_tiny_count():
 
 def test_witness_search_cap_exhaustion_is_defensive():
     with pytest.raises(SearchExhaustedError):
-        witness_sequence(symbolic_map("successor"), 50, window=4, search_cap=10)
+        witness_sequence(symbolic_map("successor"), 50, search_cap=10)
+
+
+@pytest.mark.parametrize("rule", [clamp_liar_rule, liar_rule])
+def test_witness_refutes_a_false_bound_certificate(rule):
+    # both claim m_sup = 1, hence a finite fiber bound; fiber(1) has size 2
+    with pytest.raises(IntegrityError, match=r"fiber\(1\) has size 2"):
+        witness_sequence(make_symbolic_map(rule()), 3)

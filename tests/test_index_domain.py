@@ -25,20 +25,25 @@ from genshift import (
     clamp_pred_rule,
     classify,
     compose_finite,
+    divergence_witness,
+    domain_closed,
     domain_report,
     doubling_rule,
     fiber_report,
     make_finite_map,
+    m_set,
     make_symbolic_map,
     map_to_json,
     odd_collapse_rule,
     parse_map,
+    phi_injective,
     phi_surjective,
     successor_rule,
     sup_card,
     symbolic_map,
     triangular_rule,
     verify_fiber_soundness,
+    witness_sequence,
 )
 from helpers import (
     clamp_liar_rule,
@@ -362,11 +367,39 @@ def test_window_cache_keeps_refuting_beyond_it():
     assert fiber_report(m, 8).verdict == CertifiedUnbounded()
 
 
-def test_window_sizes_need_a_symbolic_map():
-    with pytest.raises(DomainError):
-        make_finite_map([1, 2], 2).window_sizes(2)
-    with pytest.raises(ConstructionError):
-        symbolic_map("successor").window_sizes(0)
+@given(finite_maps(max_n=12), st.integers(1, 100))
+def test_table_window_sizes_and_certificates_are_exact(m, window):
+    tally = Counter(m.table)
+    sizes = tuple(tally[a] for a in m.domain.indices())
+    assert m.window_sizes(window) == sizes  # all n targets, whatever the window
+    certs = m.certificates
+    assert certs.m_sup == certs.sup_card == FiberCard(max(sizes))
+    assert certs.surjective is (0 not in sizes)
+    assert certs.infinite_fibers == frozenset()
+    assert certs.injective is (max(sizes) == 1)
+
+
+def test_witnesses_read_each_target_once():
+    counted, calls = _counting(triangular_rule())
+    m = make_symbolic_map(counted)
+    assert len(divergence_witness(m, 100).records) == 100
+    assert calls == list(range(1, 101))
+    counted, calls = _counting(doubling_rule())
+    m = make_symbolic_map(counted)
+    assert witness_sequence(m, 30).indices == tuple(range(2, 61, 2))
+    assert calls == list(range(1, 61))  # windows 1..30, then 31..60
+    fiber_report(m, 40)
+    assert len(calls) == 60  # a smaller window is a prefix of the cached scan
+
+
+@pytest.mark.parametrize("verdict", [IndexMap.window_sizes, fiber_report, phi_injective,
+                                     phi_surjective, m_set, domain_closed, domain_report],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("m", [make_finite_map([2, 2, 1], 3), symbolic_map("successor")],
+                         ids=["table", "rule"])
+def test_windowed_verdicts_reject_window_0(verdict, m):
+    with pytest.raises(ConstructionError, match="window must be >= 1"):
+        verdict(m, 0)
 
 
 def test_fiber_report_rejects_bad_window():
