@@ -43,7 +43,6 @@ from .index_domain import (
     odd_collapse_rule,
     parse_map,
     successor_rule,
-    sup_card,
     symbolic_map,
     triangular_rule,
     verify_fiber_soundness,

@@ -2,8 +2,12 @@
 
 Exit codes are stable: 0 ok, 2 parse error, 3 integrity error, 4 image not
 square-summable, 5 witness precondition failure, 6 oracle disagreement.
-Every float in the output is rendered with 17 significant digits so that
-reruns diff exactly; infinities are rendered as the string "infinite".
+One float rule, ``_float``, holds everywhere: 17 significant digits so that
+reruns diff exactly, and the string "infinite" for infinities. ``_render``
+walks each document's small skeleton value by value; the arrays that grow
+with the window or the witness arrive as ``Rendered`` text, each built with
+one join by a helper that knows its shape (``_ints``, ``_sizes``,
+``_vector``).
 """
 
 from __future__ import annotations
@@ -43,7 +47,34 @@ DEFAULT_SEED = 74
 # ---------------------------------------------------------------------------
 # JSON rendering with fixed float formatting
 
+class Rendered(str):
+    """JSON text built by a shaped helper below; ``_render`` emits it verbatim."""
+
+
+def _float(x: float) -> str:
+    return '"infinite"' if math.isinf(x) else format(x, ".17g")
+
+
+def _ints(xs) -> Rendered:
+    """An array of ints, or of int arrays such as (index, size) records."""
+    return Rendered(json.dumps(xs, separators=(",", ":")))
+
+
+def _sizes(sizes: tuple[int | None, ...]) -> Rendered:
+    """The object {"a": size of fiber(a)} over targets 1..len(sizes)."""
+    return Rendered("{" + ",".join(f'"{a}":{c}' if c is not None else f'"{a}":"infinite"'
+                                   for a, c in enumerate(sizes, start=1)) + "}")
+
+
+def _vector(x: sparse_vec.SparseVector) -> Rendered:
+    """``vector_to_json(x)`` rendered straight from the entries."""
+    return Rendered("[" + ",".join(f'{{"i":{a},"re":{_float(v.real)},"im":{_float(v.imag)}}}'
+                                   for a, v in sorted(x.entries.items())) + "]")
+
+
 def _render(doc) -> str:
+    if isinstance(doc, Rendered):
+        return doc
     if doc is None:
         return "null"
     if doc is True:
@@ -55,9 +86,7 @@ def _render(doc) -> str:
     if isinstance(doc, int):
         return str(doc)
     if isinstance(doc, float):
-        if math.isinf(doc):
-            return '"infinite"'
-        return format(doc, ".17g")
+        return _float(doc)
     if isinstance(doc, dict):
         body = ",".join(f"{json.dumps(str(k))}:{_render(v)}" for k, v in doc.items())
         return "{" + body + "}"
@@ -93,10 +122,10 @@ def _bound_verdict_doc(v):
 
 def _fiber_report_doc(rep: index_domain.FiberReport) -> dict:
     return {
-        "cardinalities": {str(a): _card_doc(rep.cardinalities[a]) for a in sorted(rep.cardinalities)},
+        "cardinalities": _sizes(rep.sizes),
         "sup": _card_doc(rep.sup),
         "verdict": _bound_verdict_doc(rep.verdict),
-        "m_set": sorted(rep.m_set),
+        "m_set": _ints(sorted(rep.m_set)),
     }
 
 
@@ -115,14 +144,14 @@ def _domain_doc(rep: domain_analysis.DomainReport) -> dict:
     m = rep.m
     return {
         "m_set": {
-            "members": sorted(m.members),
+            "members": _ints(sorted(m.members)),
             "window": m.window,
             "certified_infinite_fibers": None if m.infinite_fibers is None else sorted(m.infinite_fibers),
         },
         "closed": _verdict_doc(rep.closed),
         "uniform_bound_on_m": _card_doc(rep.uniform_bound_on_m),
         "characterization_holds": _verdict_doc(rep.closed),
-        "unbounded_witness": None if rep.unbounded_witness is None else [list(r) for r in rep.unbounded_witness],
+        "unbounded_witness": None if rep.unbounded_witness is None else _ints(rep.unbounded_witness),
     }
 
 
@@ -212,7 +241,7 @@ def apply_cmd(map_file, vector_file):
             EXIT_NOT_IN_L2,
             f"image not square-summable: support index {y.index} has an infinite fiber",
         )
-    click.echo(_render(sparse_vec.vector_to_json(y)))
+    click.echo(_vector(y))
 
 
 @main.command()
@@ -235,26 +264,27 @@ def witness(map_file, kind, count, truncation):
                 "schema_version": SCHEMA_VERSION,
                 "kind": "compact",
                 "map": index_domain.map_to_json(m),
-                "indices": list(w.indices),
-                "fiber_sizes": list(w.fiber_sizes),
+                "indices": _ints(w.indices),
+                "fiber_sizes": _ints(w.fiber_sizes),
                 "min_distance_sq": {
                     "num": w.min_distance_sq.numerator,
                     "den": w.min_distance_sq.denominator,
                 },
                 "pairwise_separation": w.pairwise_separation,
-                "vectors": [sparse_vec.vector_to_json(v) for v in w.vectors],
+                "vectors": [_vector(v) for v in w.vectors],
             }
         else:
             w = domain_analysis.divergence_witness(m, truncation)
+            vector = w.vector
             doc = {
                 "schema_version": SCHEMA_VERSION,
                 "kind": "divergence",
                 "map": index_domain.map_to_json(m),
                 "K": truncation,
-                "records": [list(r) for r in w.records],
-                "vector_norm_sq": sparse_vec.norm_sq(w.vector),
+                "records": _ints(w.records),
+                "vector_norm_sq": sparse_vec.norm_sq(vector),
                 "image_norm_sq_lower_bound": w.image_norm_sq_lower_bound,
-                "vector": sparse_vec.vector_to_json(w.vector),
+                "vector": _vector(vector),
             }
     except IntegrityError as exc:
         _fail(EXIT_INTEGRITY, f"integrity error: {exc}")

@@ -13,11 +13,13 @@ from dataclasses import dataclass
 
 from .errors import DomainError, SearchExhaustedError, UnsupportedError
 from .index_domain import (
+    COUNTABLE,
     DEFAULT_WINDOW,
     FiberCard,
     IndexMap,
     Verdict,
     WindowOnly,
+    finite_targets,
 )
 from .sparse_vec import SparseVector
 
@@ -46,8 +48,7 @@ class MDescription:
 
 
 def m_set(m: IndexMap, window: int = DEFAULT_WINDOW) -> MDescription:
-    sizes = m.window_sizes(window)
-    members = frozenset(a for a, c in enumerate(sizes, start=1) if c is not None)
+    members = finite_targets(m.window_sizes(window))
     return MDescription(members, None if m.is_finite else window, m.certificates.infinite_fibers)
 
 
@@ -97,12 +98,17 @@ class DivergenceWitness:
     The entry 1/k sits at the k-th record index, whose fiber size n_k is
     strictly increasing, hence n_k >= k. The image norm squared is therefore
     at least sum of n_k / k^2 >= sum of 1/k, the K-th harmonic number, while
-    the vector norm squared stays below pi^2 / 6.
+    the vector norm squared stays below pi^2 / 6. Only the records are
+    kept; ``vector`` is built from them on each read.
     """
 
-    vector: SparseVector
-    image_norm_sq_lower_bound: float
     records: tuple[tuple[int, int], ...]
+    image_norm_sq_lower_bound: float
+
+    @property
+    def vector(self) -> SparseVector:
+        entries = {alpha: complex(1.0 / k) for k, (alpha, _) in enumerate(self.records, start=1)}
+        return SparseVector(COUNTABLE, entries)
 
 
 def divergence_witness(m: IndexMap, K: int, search_cap: int | None = None) -> DivergenceWitness:
@@ -122,16 +128,8 @@ def divergence_witness(m: IndexMap, K: int, search_cap: int | None = None) -> Di
         raise SearchExhaustedError(
             f"found only {len(records)} fiber-size records within the search cap"
         )
-    entries: dict[int, complex] = {}
-    terms = []
-    for k, (alpha, size) in enumerate(records, start=1):
-        entries[alpha] = complex(1.0 / k)
-        terms.append(size / (k * k))
-    return DivergenceWitness(
-        vector=SparseVector(m.domain, entries),
-        image_norm_sq_lower_bound=math.fsum(terms),
-        records=records,
-    )
+    terms = (size / (k * k) for k, (_, size) in enumerate(records, start=1))
+    return DivergenceWitness(records, math.fsum(terms))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import ConstructionError, DomainError, IntegrityError, ParseError
 
@@ -50,17 +50,6 @@ class FiberCard:
 
 
 INFINITE = FiberCard(None)
-
-
-def sup_card(cards: Iterable[FiberCard]) -> FiberCard:
-    """Largest of finitely many fiber cardinalities; infinite dominates."""
-    best = 0
-    for c in cards:
-        if c.count is None:
-            return INFINITE
-        if c.count > best:
-            best = c.count
-    return FiberCard(best)
 
 
 @dataclass(frozen=True)
@@ -172,12 +161,6 @@ class IndexMap:
     def is_finite(self) -> bool:
         return self.domain.is_finite
 
-    @property
-    def name(self) -> str:
-        if self.table is not None:
-            return f"table{list(self.table)}"
-        return self.rule.name
-
     def _check_index(self, alpha: int) -> None:
         if alpha not in self.domain:
             raise DomainError(f"index {alpha!r} outside the domain")
@@ -203,6 +186,16 @@ class IndexMap:
                 tally[img] += 1
             counts = self.__dict__["fiber_counts"] = tuple(tally)
         return counts
+
+    @property
+    def preimages(self) -> tuple[list[int], ...]:
+        """Fibers of a finite map as increasing lists, one pass: ``pre[a]`` is fiber(a)."""
+        pre = self.__dict__.get("preimages")
+        if pre is None:
+            pre = self.__dict__["preimages"] = tuple([] for _ in self.fiber_counts)
+            for beta, img in enumerate(self.table, start=1):
+                pre[img].append(beta)
+        return pre
 
     @property
     def certificates(self) -> Certificates:
@@ -260,10 +253,7 @@ class IndexMap:
     def fiber(self, alpha: int) -> Fiber:
         """Exact preimage of alpha: {beta : eval(beta) == alpha}."""
         self._check_index(alpha)
-        if self.table is not None:
-            members = frozenset(i for i, img in enumerate(self.table, start=1) if img == alpha)
-            return Fiber(FiberCard(len(members)), members)
-        members = self.rule.members_fn(alpha)
+        members = self.preimages[alpha] if self.table is not None else self.rule.members_fn(alpha)
         if members is None:
             return Fiber(INFINITE, None)
         return Fiber(FiberCard(len(members)), frozenset(members))
@@ -327,16 +317,11 @@ def block_rule(b: int) -> SymbolicRule:
     """Compress consecutive blocks of length b: every fiber has size exactly b."""
     if not isinstance(b, int) or isinstance(b, bool) or b < 1:
         raise ConstructionError(f"block size must be an integer >= 1, got {b!r}")
-
-    def members(a: int) -> frozenset[int]:
-        lo = b * (a - 1) + 1
-        return frozenset(range(lo, lo + b))
-
     return SymbolicRule(
         name="block",
         eval_fn=lambda k: (k - 1) // b + 1,
         card_fn=lambda a: b,
-        members_fn=members,
+        members_fn=lambda a: frozenset(range(b * (a - 1) + 1, b * a + 1)),
         m_sup=FiberCard(b),
         surjective=True,
         infinite_fibers=frozenset(),
@@ -351,19 +336,11 @@ def triangular_rule() -> SymbolicRule:
     sizes admit no uniform bound. This is the canonical example separating
     "all fibers finite" from "fibers uniformly bounded".
     """
-
-    def block_of(j: int) -> int:
-        return (1 + math.isqrt(8 * j - 7)) // 2
-
-    def members(a: int) -> frozenset[int]:
-        lo = a * (a - 1) // 2 + 1
-        return frozenset(range(lo, lo + a))
-
     return SymbolicRule(
         name="triangular",
-        eval_fn=block_of,
+        eval_fn=lambda j: (1 + math.isqrt(8 * j - 7)) // 2,
         card_fn=lambda a: a,
-        members_fn=members,
+        members_fn=lambda a: frozenset(range(a * (a - 1) // 2 + 1, a * (a + 1) // 2 + 1)),
         m_sup=INFINITE,
         surjective=True,
         infinite_fibers=frozenset(),
@@ -389,18 +366,11 @@ def odd_collapse_rule() -> SymbolicRule:
     Away from index 1 every fiber is the singleton {2(a - 1)}, so the map is
     wildly unbounded globally yet uniformly bounded over its finite-fiber set.
     """
-
-    def card(a: int) -> int | None:
-        return None if a == 1 else 1
-
-    def members(a: int) -> frozenset[int] | None:
-        return None if a == 1 else frozenset((2 * (a - 1),))
-
     return SymbolicRule(
         name="odd_collapse",
         eval_fn=lambda k: 1 if k % 2 == 1 else k // 2 + 1,
-        card_fn=card,
-        members_fn=members,
+        card_fn=lambda a: None if a == 1 else 1,
+        members_fn=lambda a: None if a == 1 else frozenset((2 * (a - 1),)),
         m_sup=FiberCard(1),
         surjective=True,
         infinite_fibers=frozenset((1,)),
@@ -510,10 +480,19 @@ Verdict = bool | WindowOnly
 
 @dataclass(frozen=True)
 class FiberReport:
-    cardinalities: dict[int, FiberCard]
-    sup: FiberCard  # max over the reported cardinalities, infinite dominating
+    """Fiber sizes over a window, kept as the ``window_sizes`` tuple, and a bound verdict."""
+
+    sizes: tuple[int | None, ...]  # sizes[a - 1] = |fiber(a)|, None if infinite
+    sup: FiberCard  # max over the reported sizes, infinite dominating
     verdict: BoundVerdict
     m_set: frozenset[int]  # reported indices whose fiber is finite
+
+
+def finite_targets(sizes: tuple[int | None, ...]) -> frozenset[int]:
+    """Targets 1..len(sizes) whose fiber is finite (size not None)."""
+    if None not in sizes:
+        return frozenset(range(1, len(sizes) + 1))
+    return frozenset(a for a, c in enumerate(sizes, start=1) if c is not None)
 
 
 def _check_certificates(rule: SymbolicRule, sizes: tuple[int | None, ...]) -> None:
@@ -546,46 +525,45 @@ def _check_certificates(rule: SymbolicRule, sizes: tuple[int | None, ...]) -> No
 
 
 def fiber_report(m: IndexMap, window: int = DEFAULT_WINDOW) -> FiberReport:
-    """Per-index fiber sizes (``m.window_sizes``) and a boundedness verdict.
+    """Fiber sizes over the window (the ``m.window_sizes`` tuple) and a boundedness verdict.
 
     The certified bound decides the verdict, so a finite map always comes
     back Certified. Without one it is WindowBound, unless an infinite fiber
     inside the window settles unboundedness exactly.
     """
     sizes = m.window_sizes(window)
-    cards = {a: INFINITE if c is None else FiberCard(c) for a, c in enumerate(sizes, start=1)}
     sup = INFINITE if None in sizes else FiberCard(max(sizes))
-    m_window = frozenset(a for a, c in cards.items() if not c.is_infinite)
     certified = m.certificates.sup_card
     if certified is None:
         verdict = CertifiedUnbounded() if sup.is_infinite else WindowBound(sup.count, window)
     else:
         verdict = CertifiedUnbounded() if certified.is_infinite else Certified(certified.count)
-    return FiberReport(cards, sup, verdict, m_window)
+    return FiberReport(sizes, sup, verdict, finite_targets(sizes))
 
 
 def verify_fiber_soundness(m: IndexMap, window: int = DEFAULT_WINDOW) -> None:
     """Spot-check eval/fiber consistency on a window; raises IntegrityError.
 
-    Checks both directions: every beta lies in the fiber of its image, and
-    every enumerated fiber member maps back onto the fiber's index.
+    Checks both directions: every beta in the window lies in the fiber of its
+    image, and every enumerated fiber member maps back onto the fiber's
+    index. One pass inverts eval over the window, so each beta there is
+    evaluated once and each target's fiber is read once.
     """
     hi = min(window, m.domain.size) if m.is_finite else window
-    for beta in range(1, hi + 1):
-        fib = m.fiber(m.eval(beta))
-        if fib.members is not None and beta not in fib.members:
-            raise IntegrityError(f"{beta} missing from fiber({m.eval(beta)})")
-    for alpha in range(1, hi + 1):
+    images = [m.eval(beta) for beta in range(1, hi + 1)]
+    seen: dict[int, set[int]] = {alpha: set() for alpha in range(1, hi + 1)}
+    for beta, alpha in enumerate(images, start=1):
+        seen.setdefault(alpha, set()).add(beta)
+    for alpha, betas in seen.items():
         fib = m.fiber(alpha)
-        if fib.members is None:
+        members = fib.members
+        if members is None:
             continue
-        if fib.card.count != len(fib.members):
+        if fib.card.count != len(members):
             raise IntegrityError(f"fiber({alpha}) cardinality disagrees with its member set")
-        for beta in fib.members:
-            if m.eval(beta) != alpha:
-                raise IntegrityError(
-                    f"fiber({alpha}) contains {beta} but eval({beta}) = {m.eval(beta)}"
-                )
-        stray = [b for b in range(1, hi + 1) if m.eval(b) == alpha and b not in fib.members]
-        if stray:
-            raise IntegrityError(f"fiber({alpha}) is missing {stray}")
+        for beta in members:
+            image = images[beta - 1] if beta <= hi else m.eval(beta)
+            if image != alpha:
+                raise IntegrityError(f"fiber({alpha}) contains {beta} but eval({beta}) = {image}")
+        if not betas <= members:
+            raise IntegrityError(f"fiber({alpha}) is missing {sorted(betas - members)}")

@@ -109,10 +109,7 @@ def norm(x: SparseVector) -> float:
 
 
 def vector_to_json(x: SparseVector) -> list[dict]:
-    return [
-        {"i": alpha, "re": x.entries[alpha].real, "im": x.entries[alpha].imag}
-        for alpha in sorted(x.entries)
-    ]
+    return [{"i": alpha, "re": v.real, "im": v.imag} for alpha, v in sorted(x.entries.items())]
 
 
 def parse_vector(doc: object, domain: IndexSet) -> SparseVector:

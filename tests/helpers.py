@@ -1,8 +1,19 @@
-"""Shared strategies and hand-rolled test rules."""
+"""Shared strategies, reference functions and hand-rolled test rules."""
 
 from hypothesis import strategies as st
 
-from genshift import FiberCard, SymbolicRule, from_entries, make_finite_map
+from genshift import INFINITE, FiberCard, SymbolicRule, from_entries, make_finite_map
+
+
+def sup_card(cards) -> FiberCard:
+    """Reference sup of finitely many fiber cardinalities; infinite dominates."""
+    best = 0
+    for c in cards:
+        if c.count is None:
+            return INFINITE
+        best = max(best, c.count)
+    return FiberCard(best)
+
 
 scalars = st.complex_numbers(max_magnitude=100.0, allow_nan=False, allow_infinity=False)
 

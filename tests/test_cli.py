@@ -3,8 +3,12 @@ import math
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
-from genshift import apply, index_domain, make_finite_map, parse_vector
+from genshift import (
+    COUNTABLE, apply, cli, from_entries, index_domain, make_finite_map, parse_vector, vector_to_json,
+)
 from genshift.cli import main
 from helpers import clamp_liar_rule
 
@@ -217,3 +221,48 @@ def test_floats_are_rendered_with_17_digits(runner, tmp_path):
     m = {"kind": "finite", "images": [1, 1, 2]}  # norm sqrt(2)
     result = runner.invoke(main, ["analyze", write(tmp_path, "m.json", m)])
     assert "1.4142135623730951" in result.output
+
+
+# --- shaped rendering -----------------------------------------------------
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-07, 0.1, 123456789.125,
+               1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+edge_floats = st.sampled_from(EDGE_FLOATS) | st.floats()
+
+
+@given(st.dictionaries(st.integers(1, 10**9), st.tuples(edge_floats, edge_floats), max_size=12))
+def test_vector_helper_renders_like_the_generic_walker(parts):
+    x = from_entries(COUNTABLE, {a: complex(re, im) for a, (re, im) in parts.items()})
+    assert cli._vector(x) == cli._render(vector_to_json(x))
+
+
+@given(st.lists(st.none() | st.integers(0, 10**12), max_size=40))
+def test_size_map_helper_renders_like_the_generic_walker(sizes):
+    sizes = tuple(sizes)
+    plain = {str(a): "infinite" if c is None else c for a, c in enumerate(sizes, start=1)}
+    assert cli._sizes(sizes) == cli._render(plain)
+
+
+@given(st.lists(st.integers()) | st.lists(st.tuples(st.integers(1, 10**12), st.integers(0, 10**12))))
+def test_int_array_helper_renders_like_the_generic_walker(xs):
+    assert cli._ints(xs) == cli._render(xs)
+    assert cli._render({"k": cli._ints(xs)}) == cli._render({"k": xs})
+
+
+@pytest.mark.parametrize("doc, args", [
+    (SUCCESSOR, ["analyze", "--window", "10000"]),
+    (TRIANGULAR, ["witness", "--kind", "divergence", "--K", "4096"]),
+], ids=["analyze", "divergence"])
+def test_large_outputs_are_rendered_by_shape(runner, tmp_path, monkeypatch, doc, args):
+    calls = 0
+    render = cli._render
+
+    def counting(value):
+        nonlocal calls
+        calls += 1
+        return render(value)
+
+    monkeypatch.setattr(cli, "_render", counting)
+    result = runner.invoke(main, [args[0], write(tmp_path, "m.json", doc), *args[1:]])
+    assert result.exit_code == 0
+    assert calls < 200

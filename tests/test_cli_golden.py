@@ -27,17 +27,29 @@ RULES = {
 }
 TABLE = {"kind": "finite", "images": [2, 2, 5, 1, 5, 5, 3, 2]}
 VECTOR = [{"i": 1, "re": 0.5, "im": -1.25}, {"i": 2, "re": 3.0}, {"i": 5, "im": 0.1}]
-FILES = {**RULES, "table": TABLE, "vector": VECTOR}
+# float edge cases for the renderer: signed zeros beside a nonzero part, the
+# smallest subnormal, short and long decimals and the largest finite float
+EDGE_VECTOR = [
+    {"i": 1, "re": -0.0, "im": 5e-324},
+    {"i": 2, "re": 1e-07, "im": -0.0},
+    {"i": 3, "re": 0.1, "im": -123456789.125},
+    {"i": 5, "re": -1.7976931348623157e308, "im": 1.7976931348623157e308},
+]
+FILES = {**RULES, "table": TABLE, "vector": VECTOR, "edge_vector": EDGE_VECTOR}
 
 # CLI arguments; a word that names a FILES entry stands for that file
 COMMANDS = [
     *[("analyze", name, "--window", str(w)) for name in RULES for w in (1, 64, 1000)],
     ("analyze", "table"),
     ("apply", "table", "vector"),
+    ("apply", "table", "edge_vector"),
+    ("analyze", "odd_collapse", "--window", "5000"),
     ("witness", "successor", "--kind", "compact"),
     ("witness", "doubling", "--kind", "compact", "--count", "7"),
+    ("witness", "clamp_pred", "--kind", "compact", "--count", "1000"),
     ("witness", "triangular", "--kind", "divergence"),
     ("witness", "triangular", "--kind", "divergence", "--K", "100"),
+    ("witness", "triangular", "--kind", "divergence", "--K", "4096"),
     ("witness", "table", "--kind", "compact"),
     ("witness", "table", "--kind", "divergence"),
     ("oracle-check", "--n", "4", "--exhaustive"),
@@ -71,10 +83,14 @@ GOLDEN = {
     "analyze block4 --window 1000": ("0f780ca759ab5e8206adf43b948a8c599e9faf80a4d5e2bbb0e004786c1bee5d", 0),
     "analyze table": ("c83ffaac88abaef458af592d7d013af1610d842452c5cfdd9724483d84f7e4e8", 0),
     "apply table vector": ("c5f81050eca35f26f71db3a06a2be16fae6248378b109c414f884a312c8fcd06", 0),
+    "apply table edge_vector": ("9f3c40bf2fa9f455bc63b27f26d802dfa41aa4d2d34eb2471febaf8c2e888044", 0),
+    "analyze odd_collapse --window 5000": ("b1c1597c5aa3d4379d6fba654dd32ff0f8dc9df128c45ad008dcd2762b3a9265", 0),
     "witness successor --kind compact": ("7a283b7637e65131e3301a2e6fb4d54b237d37e564fb3dfbfdf59896b2d28bcb", 0),
     "witness doubling --kind compact --count 7": ("0666855bf12a06a1ae0270fc217ee8b9da2b84d4755f2f631fe86bde9aeb1293", 0),
+    "witness clamp_pred --kind compact --count 1000": ("533fe8d22e4fc5628c2cd588f481f54a4c1c7b20d826ba65672bf9ef09ca2b0e", 0),
     "witness triangular --kind divergence": ("7ab8cfea4bfd0d55b5228dbd03bab939b08d3fa75bcf952e6035b8b03f4f4fa7", 0),
     "witness triangular --kind divergence --K 100": ("968e52c6afddb26e398df9a930df3b29dbfba8951f5c9f6e455e9b127ca61586", 0),
+    "witness triangular --kind divergence --K 4096": ("6f85aefa366949356525be22e2e4817f869ed605bf6a301419165727fb4f2a46", 0),
     "witness table --kind compact": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 5),
     "witness table --kind divergence": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 5),
     "oracle-check --n 4 --exhaustive": ("d8a78b5f0269bbb8ce50bc63e72f84192af05bd7c13b6dc3fcbfa1e234222d09", 0),

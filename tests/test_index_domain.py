@@ -39,7 +39,6 @@ from genshift import (
     phi_injective,
     phi_surjective,
     successor_rule,
-    sup_card,
     symbolic_map,
     triangular_rule,
     verify_fiber_soundness,
@@ -50,6 +49,7 @@ from helpers import (
     finite_maps,
     liar_rule,
     parity_rule,
+    sup_card,
     uncertified_successor_rule,
 )
 
@@ -225,7 +225,7 @@ def test_fiber_report_clamp_table():
 
 def test_fiber_report_sum_of_cards_is_domain_size():
     rep = fiber_report(make_finite_map([2, 2, 4, 4, 4, 1], 6))
-    assert sum(c.count for c in rep.cardinalities.values()) == 6
+    assert sum(rep.sizes) == 6
 
 
 @given(finite_maps())
@@ -233,13 +233,24 @@ def test_fiber_report_sup_matches_exhaustive(m):
     rep = fiber_report(m)
     per_index = [m.fiber_card(a) for a in m.domain.indices()]
     assert rep.sup == sup_card(per_index)
-    assert rep.sup == max(rep.cardinalities.values(), key=lambda c: c.as_float())
+    assert rep.sup == sup_card(INFINITE if c is None else FiberCard(c) for c in rep.sizes)
 
 
 def test_fiber_report_triangular_certified_unbounded():
     rep = fiber_report(symbolic_map("triangular"), window=12)
     assert rep.verdict == CertifiedUnbounded()
-    assert rep.cardinalities[7] == FiberCard(7)
+    assert rep.sizes[7 - 1] == 7
+
+
+def test_fiber_report_keeps_the_size_tuple(monkeypatch):
+    maps = [symbolic_map("successor"), symbolic_map("odd_collapse"), make_finite_map([2, 2, 3, 1], 4)]
+    made = []
+    monkeypatch.setattr(FiberCard, "__post_init__", lambda card: made.append(card.count))
+    for m in maps:
+        rep = fiber_report(m, 500)
+        assert rep.sizes == m.window_sizes(500)
+    # each report's sup and the table's certificate; never one card per target
+    assert len(made) <= 4
 
 
 def test_fiber_report_certified_rules():
@@ -496,6 +507,32 @@ def test_parse_map_rejects_malformed(doc):
 
 
 # --- soundness spot check -------------------------------------------------
+
+def test_verify_fiber_soundness_reads_each_beta_and_fiber_once():
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapper
+
+    succ = successor_rule()
+    rule = dataclasses.replace(
+        succ, eval_fn=counted("eval", succ.eval_fn), members_fn=counted("members", succ.members_fn)
+    )
+    verify_fiber_soundness(make_symbolic_map(rule), window=1000)
+    # targets 1..1001: the window and the image of 1000
+    assert calls == {"eval": 1000, "members": 1001}
+
+
+@given(finite_maps())
+def test_table_preimages_are_the_fibers(m):
+    for a in m.domain.indices():
+        assert m.preimages[a] == sorted(brute_fiber(m.table, a))
+        assert m.fiber(a).members == frozenset(m.preimages[a])
+    verify_fiber_soundness(m, window=m.domain.size)
+
 
 def test_verify_fiber_soundness_catches_bad_members():
     broken = SymbolicRule(
