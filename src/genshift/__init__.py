@@ -21,11 +21,9 @@ from .index_domain import (
     BUILTIN_RULES,
     COUNTABLE,
     DEFAULT_WINDOW,
-    INFINITE,
     Certified,
     CertifiedUnbounded,
     Fiber,
-    FiberCard,
     FiberReport,
     IndexMap,
     IndexSet,

@@ -7,7 +7,7 @@ reruns diff exactly, and the string "infinite" for infinities. ``_render``
 walks each document's small skeleton value by value; the arrays that grow
 with the window or the witness arrive as ``Rendered`` text, each built with
 one join by a helper that knows its shape (``_ints``, ``_sizes``,
-``_vector``).
+``_vector``, ``_half_units``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import IntegrityError, ParseError, SearchExhaustedError, Unsupporte
 from .index_domain import (
     Certified,
     CertifiedUnbounded,
-    FiberCard,
     IndexMap,
     WindowBound,
     WindowOnly,
@@ -60,16 +59,21 @@ def _ints(xs) -> Rendered:
     return Rendered(json.dumps(xs, separators=(",", ":")))
 
 
-def _sizes(sizes: tuple[int | None, ...]) -> Rendered:
+def _sizes(sizes: tuple[int | float, ...]) -> Rendered:
     """The object {"a": size of fiber(a)} over targets 1..len(sizes)."""
-    return Rendered("{" + ",".join(f'"{a}":{c}' if c is not None else f'"{a}":"infinite"'
-                                   for a, c in enumerate(sizes, start=1)) + "}")
+    body = ",".join(f'"{a}":{c}' for a, c in enumerate(sizes, start=1))
+    return Rendered("{" + body.replace(":inf", ':"infinite"') + "}")  # math.inf formats as inf
 
 
 def _vector(x: sparse_vec.SparseVector) -> Rendered:
     """``vector_to_json(x)`` rendered straight from the entries."""
     return Rendered("[" + ",".join(f'{{"i":{a},"re":{_float(v.real)},"im":{_float(v.imag)}}}'
                                    for a, v in sorted(x.entries.items())) + "]")
+
+
+def _half_units(indices) -> Rendered:
+    """The vectors (1/2) e_a, one per index, as ``_vector`` renders each."""
+    return Rendered("[" + ",".join(f'[{{"i":{a},"re":0.5,"im":0}}]' for a in indices) + "]")
 
 
 def _render(doc) -> str:
@@ -93,10 +97,6 @@ def _render(doc) -> str:
     if isinstance(doc, (list, tuple)):
         return "[" + ",".join(_render(v) for v in doc) + "]"
     raise TypeError(f"cannot render {type(doc).__name__}")
-
-
-def _card_doc(c: FiberCard):
-    return "infinite" if c.is_infinite else c.count
 
 
 def _verdict_doc(v):
@@ -123,7 +123,7 @@ def _bound_verdict_doc(v):
 def _fiber_report_doc(rep: index_domain.FiberReport) -> dict:
     return {
         "cardinalities": _sizes(rep.sizes),
-        "sup": _card_doc(rep.sup),
+        "sup": rep.sup,
         "verdict": _bound_verdict_doc(rep.verdict),
         "m_set": _ints(sorted(rep.m_set)),
     }
@@ -149,7 +149,7 @@ def _domain_doc(rep: domain_analysis.DomainReport) -> dict:
             "certified_infinite_fibers": None if m.infinite_fibers is None else sorted(m.infinite_fibers),
         },
         "closed": _verdict_doc(rep.closed),
-        "uniform_bound_on_m": _card_doc(rep.uniform_bound_on_m),
+        "uniform_bound_on_m": rep.uniform_bound_on_m,
         "characterization_holds": _verdict_doc(rep.closed),
         "unbounded_witness": None if rep.unbounded_witness is None else _ints(rep.unbounded_witness),
     }
@@ -208,7 +208,7 @@ def analyze(map_file, window):
     try:
         m = _load_map(map_file)
         fibers = index_domain.fiber_report(m, window)
-        classification = gen_shift.classify(m, window, window)
+        classification = gen_shift.classify(m, window)
         domain = domain_analysis.domain_report(m, window)
     except ParseError as exc:
         _fail(EXIT_PARSE, f"parse error: {exc}")
@@ -271,7 +271,7 @@ def witness(map_file, kind, count, truncation):
                     "den": w.min_distance_sq.denominator,
                 },
                 "pairwise_separation": w.pairwise_separation,
-                "vectors": [_vector(v) for v in w.vectors],
+                "vectors": _half_units(w.indices),
             }
         else:
             w = domain_analysis.divergence_witness(m, truncation)

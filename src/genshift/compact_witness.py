@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SearchExhaustedError, UnsupportedError
-from .index_domain import IndexMap
-from .sparse_vec import SparseVector, scale, unit_vector
+from .index_domain import COUNTABLE, IndexMap
+from .sparse_vec import SparseVector
 
 
 @dataclass(frozen=True)
@@ -25,14 +25,18 @@ class WitnessSequence:
     Distinct indices have disjoint fibers, so the image distance between
     items i and j is exactly sqrt(c_i + c_j) / 2 with c the fiber sizes.
     Nonempty fibers make that at least sqrt(2)/2; the minimum over all pairs
-    is computed in exact rationals before taking the root.
+    is computed in exact rationals before taking the root. Only the indices
+    are kept; ``vectors`` is built from them on each read.
     """
 
     indices: tuple[int, ...]
     fiber_sizes: tuple[int, ...]
-    vectors: tuple[SparseVector, ...]
     min_distance_sq: Fraction
     pairwise_separation: float
+
+    @property
+    def vectors(self) -> tuple[SparseVector, ...]:
+        return tuple(SparseVector(COUNTABLE, {a: complex(0.5)}) for a in self.indices)
 
 
 def is_compact(m: IndexMap) -> bool:
@@ -53,8 +57,7 @@ def witness_sequence(m: IndexMap, count: int, search_cap: int = 1 << 20) -> Witn
         raise UnsupportedError("finite index set: the operator is compact, no witness exists")
     if count < 2:
         raise UnsupportedError(f"need at least 2 witness vectors, got {count}")
-    bound = m.certificates.sup_card
-    if bound is None or bound.is_infinite:
+    if m.certificates.sup_card in (None, math.inf):
         raise UnsupportedError("witness needs a map with a certified finite fiber bound")
     # bounded fibers are finite, so this skips exactly the empty ones
     found = list(itertools.islice(((a, c) for a, c in m.scan(count, search_cap) if c), count))
@@ -64,13 +67,11 @@ def witness_sequence(m: IndexMap, count: int, search_cap: int = 1 << 20) -> Witn
             f"only {len(found)} nonempty fibers below {search_cap}; need {count}"
         )
     indices, sizes = zip(*found)
-    vectors = tuple(scale(0.5, unit_vector(m.domain, a)) for a in indices)
     smallest_two = sorted(sizes)[:2]
     min_sq = Fraction(smallest_two[0] + smallest_two[1], 4)
     return WitnessSequence(
         indices=indices,
         fiber_sizes=sizes,
-        vectors=vectors,
         min_distance_sq=min_sq,
         pairwise_separation=math.sqrt(min_sq),
     )

@@ -15,10 +15,10 @@ from .errors import DomainError, SearchExhaustedError, UnsupportedError
 from .index_domain import (
     COUNTABLE,
     DEFAULT_WINDOW,
-    FiberCard,
     IndexMap,
     Verdict,
     WindowOnly,
+    finite_sup,
     finite_targets,
 )
 from .sparse_vec import SparseVector
@@ -35,7 +35,7 @@ def in_domain(m: IndexMap, z: SparseVector) -> bool:
         raise DomainError("map and vector domains differ")
     if m.is_finite:
         return True
-    return all(not m.fiber_card(theta).is_infinite for theta in z.entries)
+    return all(m.fiber_card(theta) != math.inf for theta in z.entries)
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,9 @@ def domain_closed(m: IndexMap, window: int = DEFAULT_WINDOW) -> Verdict:
     sizes = m.window_sizes(window)
     certified = m.certificates.m_sup
     if certified is not None:
-        return not certified.is_infinite
-    bound = max(filter(None, sizes), default=0)
-    return WindowOnly(
-        f"fibers over M bounded by {bound} on window 1..{window}", value=float(bound)
-    )
+        return certified != math.inf
+    bound = finite_sup(sizes)
+    return WindowOnly(f"fibers over M bounded by {bound} on window 1..{window}", value=bound)
 
 
 def fiber_records(m: IndexMap, count: int, search_cap: int | None = None) -> tuple[tuple[int, int], ...]:
@@ -83,7 +81,7 @@ def fiber_records(m: IndexMap, count: int, search_cap: int | None = None) -> tup
     records: list[tuple[int, int]] = []
     best = 0
     for a, c in m.scan(count, cap):
-        if c is not None and c > best:
+        if c > best and c != math.inf:
             records.append((a, c))
             best = c
             if len(records) == count:
@@ -121,8 +119,8 @@ def divergence_witness(m: IndexMap, K: int, search_cap: int | None = None) -> Di
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     certified = m.certificates.m_sup
-    if certified is not None and not certified.is_infinite:
-        raise UnsupportedError(f"map is certified bounded over M (fiber bound {certified.count})")
+    if certified is not None and certified != math.inf:
+        raise UnsupportedError(f"map is certified bounded over M (fiber bound {certified})")
     records = fiber_records(m, K, search_cap)
     if len(records) < K:
         raise SearchExhaustedError(
@@ -143,7 +141,7 @@ class DomainReport:
 
     m: MDescription
     closed: Verdict
-    uniform_bound_on_m: FiberCard
+    uniform_bound_on_m: int | float  # math.inf when certified unbounded
     unbounded_witness: tuple[tuple[int, int], ...] | None
 
 
@@ -152,8 +150,8 @@ def domain_report(m: IndexMap, window: int = DEFAULT_WINDOW) -> DomainReport:
     bound = m.certificates.m_sup
     witness = None
     if bound is None:
-        bound = FiberCard(int(closed.value))  # the largest finite fiber on the window
-    elif bound.is_infinite:
+        bound = closed.value  # the largest finite fiber on the window
+    elif bound == math.inf:
         witness = fiber_records(m, 8)
     return DomainReport(
         m=m_set(m, window),

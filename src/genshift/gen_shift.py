@@ -79,25 +79,28 @@ def apply(m: IndexMap, x: SparseVector) -> SparseVector | NotInL2:
 def apply_norm_sq(m: IndexMap, x: SparseVector) -> float:
     """Image norm squared computed from fiber sizes alone.
 
-    Returns math.inf exactly when some nonzero entry sits on an infinite
-    fiber (the 0 * inf = 0 convention never fires on canonical vectors, which
-    store no zeros). Agrees with norm(apply(m, x)) ** 2 whenever apply
-    returns a vector.
+    Two rules settle 0 * inf: an entry on an empty fiber adds 0, even when
+    its |v|^2 overflows to inf, and an entry on an infinite fiber gives
+    math.inf, even when its |v|^2 underflows to 0 (canonical vectors store
+    no zeros). So the result is math.inf exactly when apply returns NotInL2,
+    and otherwise agrees with norm(apply(m, x)) ** 2.
     """
     _check_domains(m, x)
     if m.is_finite:
         counts = m.fiber_counts
-        return math.fsum(  # entries on empty fibers are skipped: 0 * inf = 0
+        return math.fsum(
             c * (v.real * v.real + v.imag * v.imag)
             for theta, v in x.entries.items()
             if (c := counts[theta])
         )
+    card = m.rule.card_fn
     terms = []
     for theta, v in x.entries.items():
-        w = m.fiber_card(theta).weight(v.real * v.real + v.imag * v.imag)
-        if math.isinf(w):
+        c = card(theta)
+        if c == math.inf:
             return math.inf
-        terms.append(w)
+        if c:
+            terms.append(c * (v.real * v.real + v.imag * v.imag))
     return math.fsum(terms)
 
 
@@ -128,7 +131,7 @@ def phi_injective(m: IndexMap, window: int = DEFAULT_WINDOW) -> Verdict:
     certified = m.certificates.injective
     if certified is not None:
         return certified
-    if None in sizes or max(sizes) >= 2:
+    if max(sizes) >= 2:
         return False
     return WindowOnly(f"no fiber of size >= 2 over targets 1..{window}")
 
@@ -153,24 +156,19 @@ def _both(a: Verdict, b: Verdict) -> Verdict:
     return WindowOnly("; ".join(notes))
 
 
-def classify(
-    m: IndexMap,
-    injectivity_window: int = DEFAULT_WINDOW,
-    surjectivity_window: int = DEFAULT_WINDOW,
-) -> ClassificationReport:
+def classify(m: IndexMap, window: int = DEFAULT_WINDOW) -> ClassificationReport:
     """Structural verdicts for the induced operator.
 
     Surjectivity of the operator mirrors injectivity of the index map and
     vice versa; the isometry verdict needs both; compactness holds exactly on
-    finite domains. Window sizes only matter for uncertified symbolic rules.
+    finite domains. The window only matters for uncertified symbolic rules.
     """
-    inj = phi_injective(m, injectivity_window)
-    surj = phi_surjective(m, surjectivity_window)
-    report_window = max(injectivity_window, surjectivity_window)
-    nrm = operator_norm(m, report_window)
+    inj = phi_injective(m, window)
+    surj = phi_surjective(m, window)
+    nrm = operator_norm(m, window)
     into: Verdict
     if isinstance(nrm, WindowOnly):
-        into = WindowOnly(f"fiber bound unknown beyond window 1..{report_window}")
+        into = WindowOnly(f"fiber bound unknown beyond window 1..{window}")
     else:
         into = not math.isinf(nrm)
     return ClassificationReport(

@@ -1,15 +1,16 @@
 """Index sets and total self-maps with exact preimage structure.
 
 Everything downstream (norms, classification, domain analysis) reduces to
-questions about fibers, the preimage sets of single indices. Every map
-carries an exact fiber oracle and one certificate record,
-``IndexMap.certificates``: a symbolic rule on {1, 2, ...} declares its own
-(any may be None), and a finite map reads exact ones off its fiber-count
-profile (``IndexMap.fiber_counts``, one pass over the image table). Fiber
-sizes are read in one place, ``IndexMap.window_sizes``: a table answers any
-window with all n sizes; a rule's window is scanned once and validated
-against every certificate, and the largest validated scan is cached. A rule
-without certificates can still be analysed, but only on finite windows.
+questions about fibers, the preimage sets of single indices. A fiber size is
+an int, or math.inf for an infinite fiber. Every map carries an exact fiber
+oracle and one certificate record, ``IndexMap.certificates``: a symbolic
+rule on {1, 2, ...} declares its own (None, here only ever "not certified"),
+and a finite map reads exact ones off its fiber-count profile
+(``IndexMap.fiber_counts``, one pass over the image table). Fiber sizes are
+read in one place, ``IndexMap.window_sizes``: a table answers any window
+with all n sizes; a rule's window is scanned once and validated against
+every certificate, and the largest validated scan is cached. A rule without
+certificates can still be analysed, but only on finite windows.
 """
 
 from __future__ import annotations
@@ -21,35 +22,6 @@ from typing import Callable, Iterator, Sequence
 from .errors import ConstructionError, DomainError, IntegrityError, ParseError
 
 DEFAULT_WINDOW = 64
-
-
-@dataclass(frozen=True)
-class FiberCard:
-    """Cardinality of a fiber: a non-negative integer, or infinite (count=None)."""
-
-    count: int | None
-
-    def __post_init__(self):
-        if self.count is not None and self.count < 0:
-            raise ConstructionError(f"negative cardinality {self.count}")
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.count is None
-
-    def as_float(self) -> float:
-        return math.inf if self.count is None else float(self.count)
-
-    def weight(self, mag_sq: float) -> float:
-        """Product against a squared magnitude, using 0 * inf = inf * 0 = 0."""
-        if mag_sq == 0.0:
-            return 0.0
-        if self.count is None:
-            return math.inf
-        return self.count * mag_sq
-
-
-INFINITE = FiberCard(None)
 
 
 @dataclass(frozen=True)
@@ -86,9 +58,9 @@ COUNTABLE = IndexSet()
 
 @dataclass(frozen=True)
 class Fiber:
-    """A preimage set: exact cardinality plus the member set when finite."""
+    """A preimage set: exact cardinality (math.inf if infinite) plus the member set when finite."""
 
-    card: FiberCard
+    card: int | float
     members: frozenset[int] | None  # None exactly when the fiber is infinite
 
 
@@ -104,21 +76,21 @@ class Certificates:
     and ``m_sup <= 1``. Being derived, neither can contradict the others.
     """
 
-    m_sup: FiberCard | None = None
+    m_sup: int | float | None = None
     surjective: bool | None = None
     infinite_fibers: frozenset[int] | None = None
 
     @property
-    def sup_card(self) -> FiberCard | None:
+    def sup_card(self) -> int | float | None:
         """Certified sup of all fiber sizes, derived from the certificates; None if unknown."""
-        if self.infinite_fibers or self.m_sup == INFINITE:
-            return INFINITE
+        if self.infinite_fibers or self.m_sup == math.inf:
+            return math.inf
         return None if self.infinite_fibers is None else self.m_sup
 
     @property
     def injective(self) -> bool | None:
         """Certified injectivity, derived from the certificates; None if unknown."""
-        if self.infinite_fibers or (self.m_sup is not None and self.m_sup.as_float() > 1):
+        if self.infinite_fibers or (self.m_sup is not None and self.m_sup > 1):
             return False
         return None if self.sup_card is None else True
 
@@ -127,16 +99,16 @@ class Certificates:
 class SymbolicRule(Certificates):
     """A self-map of the positive integers with closed-form fiber structure.
 
-    ``card_fn`` and ``members_fn`` must be exact: ``members_fn(a)`` is None
-    exactly when the fiber over ``a`` is infinite, otherwise the complete
-    preimage set. The certificates are optional keywords; when present they
-    must be truthful (``IndexMap.window_sizes`` raises IntegrityError when
+    ``card_fn`` and ``members_fn`` must be exact: over an infinite fiber they
+    return math.inf and None, otherwise its size and complete preimage set.
+    The certificates are optional keywords; when present they must be
+    truthful (``IndexMap.window_sizes`` raises IntegrityError when
     a scanned window contradicts one).
     """
 
     name: str
     eval_fn: Callable[[int], int]
-    card_fn: Callable[[int], int | None]
+    card_fn: Callable[[int], int | float]
     members_fn: Callable[[int], frozenset[int] | None]
     param: int | None = None
 
@@ -206,12 +178,12 @@ class IndexMap:
         if certs is None:
             counts = self.fiber_counts
             certs = self.__dict__["certificates"] = Certificates(
-                m_sup=FiberCard(max(counts)), surjective=0 not in counts[1:], infinite_fibers=frozenset()
+                m_sup=max(counts), surjective=0 not in counts[1:], infinite_fibers=frozenset()
             )
         return certs
 
-    def window_sizes(self, window: int) -> tuple[int | None, ...]:
-        """Fiber sizes over targets 1..window (None if infinite); all n for a table.
+    def window_sizes(self, window: int) -> tuple[int | float, ...]:
+        """Fiber sizes over targets 1..window (math.inf if infinite); all n for a table.
 
         The one check that a window is at least 1. A rule's scan is checked
         against its certificates, then cached if it is the largest so far: a
@@ -229,7 +201,7 @@ class IndexMap:
         self.__dict__["_window_sizes"] = sizes
         return sizes
 
-    def scan(self, first: int, cap: int) -> Iterator[tuple[int, int | None]]:
+    def scan(self, first: int, cap: int) -> Iterator[tuple[int, int | float]]:
         """Targets 1, 2, ... with their fiber sizes, up to ``cap`` (all n for a table).
 
         Reads ``window_sizes`` over windows first, 2*first, 4*first, ..., so a
@@ -243,20 +215,19 @@ class IndexMap:
             yield from enumerate(sizes[seen:], start=seen + 1)
             seen, window = len(sizes), 2 * window
 
-    def fiber_card(self, alpha: int) -> FiberCard:
+    def fiber_card(self, alpha: int) -> int | float:
         self._check_index(alpha)
         if self.table is not None:
-            return FiberCard(self.fiber_counts[alpha])
-        c = self.rule.card_fn(alpha)
-        return INFINITE if c is None else FiberCard(c)
+            return self.fiber_counts[alpha]
+        return self.rule.card_fn(alpha)
 
     def fiber(self, alpha: int) -> Fiber:
         """Exact preimage of alpha: {beta : eval(beta) == alpha}."""
         self._check_index(alpha)
         members = self.preimages[alpha] if self.table is not None else self.rule.members_fn(alpha)
         if members is None:
-            return Fiber(INFINITE, None)
-        return Fiber(FiberCard(len(members)), frozenset(members))
+            return Fiber(math.inf, None)
+        return Fiber(len(members), frozenset(members))
 
 
 def make_finite_map(images: Sequence[int], n: int) -> IndexMap:
@@ -294,7 +265,7 @@ def successor_rule() -> SymbolicRule:
         eval_fn=lambda k: k + 1,
         card_fn=lambda a: 0 if a == 1 else 1,
         members_fn=lambda a: frozenset() if a == 1 else frozenset((a - 1,)),
-        m_sup=FiberCard(1),
+        m_sup=1,
         surjective=False,
         infinite_fibers=frozenset(),
     )
@@ -307,7 +278,7 @@ def clamp_pred_rule() -> SymbolicRule:
         eval_fn=lambda k: 1 if k == 1 else k - 1,
         card_fn=lambda a: 2 if a == 1 else 1,
         members_fn=lambda a: frozenset((1, 2)) if a == 1 else frozenset((a + 1,)),
-        m_sup=FiberCard(2),
+        m_sup=2,
         surjective=True,
         infinite_fibers=frozenset(),
     )
@@ -322,7 +293,7 @@ def block_rule(b: int) -> SymbolicRule:
         eval_fn=lambda k: (k - 1) // b + 1,
         card_fn=lambda a: b,
         members_fn=lambda a: frozenset(range(b * (a - 1) + 1, b * a + 1)),
-        m_sup=FiberCard(b),
+        m_sup=b,
         surjective=True,
         infinite_fibers=frozenset(),
         param=b,
@@ -341,7 +312,7 @@ def triangular_rule() -> SymbolicRule:
         eval_fn=lambda j: (1 + math.isqrt(8 * j - 7)) // 2,
         card_fn=lambda a: a,
         members_fn=lambda a: frozenset(range(a * (a - 1) // 2 + 1, a * (a + 1) // 2 + 1)),
-        m_sup=INFINITE,
+        m_sup=math.inf,
         surjective=True,
         infinite_fibers=frozenset(),
     )
@@ -354,7 +325,7 @@ def doubling_rule() -> SymbolicRule:
         eval_fn=lambda k: 2 * k,
         card_fn=lambda a: 1 if a % 2 == 0 else 0,
         members_fn=lambda a: frozenset((a // 2,)) if a % 2 == 0 else frozenset(),
-        m_sup=FiberCard(1),
+        m_sup=1,
         surjective=False,
         infinite_fibers=frozenset(),
     )
@@ -369,9 +340,9 @@ def odd_collapse_rule() -> SymbolicRule:
     return SymbolicRule(
         name="odd_collapse",
         eval_fn=lambda k: 1 if k % 2 == 1 else k // 2 + 1,
-        card_fn=lambda a: None if a == 1 else 1,
+        card_fn=lambda a: math.inf if a == 1 else 1,
         members_fn=lambda a: None if a == 1 else frozenset((2 * (a - 1),)),
-        m_sup=FiberCard(1),
+        m_sup=1,
         surjective=True,
         infinite_fibers=frozenset((1,)),
     )
@@ -469,10 +440,10 @@ BoundVerdict = Certified | CertifiedUnbounded | WindowBound
 
 @dataclass(frozen=True)
 class WindowOnly:
-    """A truth value established on a finite window only."""
+    """A truth value established on a finite window only, with the number seen there if any."""
 
     note: str
-    value: float | None = None
+    value: int | float | None = None
 
 
 Verdict = bool | WindowOnly
@@ -480,22 +451,36 @@ Verdict = bool | WindowOnly
 
 @dataclass(frozen=True)
 class FiberReport:
-    """Fiber sizes over a window, kept as the ``window_sizes`` tuple, and a bound verdict."""
+    """Fiber sizes over a window, kept as the ``window_sizes`` tuple, and a bound verdict.
 
-    sizes: tuple[int | None, ...]  # sizes[a - 1] = |fiber(a)|, None if infinite
-    sup: FiberCard  # max over the reported sizes, infinite dominating
+    ``sup`` and ``m_set`` are computed on read: a report made for its verdict scans no sizes.
+    """
+
+    sizes: tuple[int | float, ...]  # sizes[a - 1] = |fiber(a)|, math.inf if infinite
     verdict: BoundVerdict
-    m_set: frozenset[int]  # reported indices whose fiber is finite
+
+    @property
+    def sup(self) -> int | float:  # max over the reported sizes, infinite dominating
+        return max(self.sizes)
+
+    @property
+    def m_set(self) -> frozenset[int]:  # reported indices whose fiber is finite
+        return finite_targets(self.sizes)
 
 
-def finite_targets(sizes: tuple[int | None, ...]) -> frozenset[int]:
-    """Targets 1..len(sizes) whose fiber is finite (size not None)."""
-    if None not in sizes:
+def finite_targets(sizes: tuple[int | float, ...]) -> frozenset[int]:
+    """Targets 1..len(sizes) whose fiber is finite (size not math.inf)."""
+    if math.inf not in sizes:
         return frozenset(range(1, len(sizes) + 1))
-    return frozenset(a for a, c in enumerate(sizes, start=1) if c is not None)
+    return frozenset(a for a, c in enumerate(sizes, start=1) if c != math.inf)
 
 
-def _check_certificates(rule: SymbolicRule, sizes: tuple[int | None, ...]) -> None:
+def finite_sup(sizes: tuple[int | float, ...]) -> int:
+    """Largest finite size in ``sizes``; 0 when there is none."""
+    return max(set(sizes) - {math.inf}, default=0)
+
+
+def _check_certificates(rule: SymbolicRule, sizes: tuple[int | float, ...]) -> None:
     """Raise IntegrityError when a certificate contradicts a window scan.
 
     A window can refute a finite ``m_sup``, a claim of surjectivity, and the
@@ -504,23 +489,22 @@ def _check_certificates(rule: SymbolicRule, sizes: tuple[int | None, ...]) -> No
     ``injective`` refutes ``m_sup`` or ``infinite_fibers``.
     """
 
-    def refute(claim: str, bad: Callable[[int, int | None], bool]) -> None:
+    def refute(claim: str, bad: Callable[[int, int | float], bool]) -> None:
         a, c = next((a, c) for a, c in enumerate(sizes, start=1) if bad(a, c))
-        size = "infinite" if c is None else c
+        size = "infinite" if c == math.inf else c
         raise IntegrityError(f"rule {rule.name!r} declares {claim} but fiber({a}) has size {size}")
 
-    if rule.m_sup is not None and not rule.m_sup.is_infinite:
-        m_bound = rule.m_sup.count
-        if max(filter(None, sizes), default=0) > m_bound:  # skips infinite and empty fibers
-            refute(f"finite-fiber bound {m_bound}", lambda a, c: c is not None and c > m_bound)
+    m_bound = rule.m_sup
+    if m_bound not in (None, math.inf) and finite_sup(sizes) > m_bound:
+        refute(f"finite-fiber bound {m_bound}", lambda a, c: m_bound < c < math.inf)
     if rule.surjective and 0 in sizes:
         refute("the map onto", lambda a, c: c == 0)
     if rule.infinite_fibers is not None:
         declared = {a for a in rule.infinite_fibers if a <= len(sizes)}
-        if sizes.count(None) != len(declared) or any(sizes[a - 1] is not None for a in declared):
+        if sizes.count(math.inf) != len(declared) or any(sizes[a - 1] != math.inf for a in declared):
             refute(
                 f"infinite fibers exactly over {sorted(rule.infinite_fibers)}",
-                lambda a, c: (c is None) != (a in declared),
+                lambda a, c: (c == math.inf) != (a in declared),
             )
 
 
@@ -529,24 +513,26 @@ def fiber_report(m: IndexMap, window: int = DEFAULT_WINDOW) -> FiberReport:
 
     The certified bound decides the verdict, so a finite map always comes
     back Certified. Without one it is WindowBound, unless an infinite fiber
-    inside the window settles unboundedness exactly.
+    inside the window settles unboundedness exactly. Only a map without a
+    certified bound has its sizes scanned for their maximum.
     """
     sizes = m.window_sizes(window)
-    sup = INFINITE if None in sizes else FiberCard(max(sizes))
     certified = m.certificates.sup_card
-    if certified is None:
-        verdict = CertifiedUnbounded() if sup.is_infinite else WindowBound(sup.count, window)
+    if certified is not None:
+        verdict = CertifiedUnbounded() if certified == math.inf else Certified(certified)
     else:
-        verdict = CertifiedUnbounded() if certified.is_infinite else Certified(certified.count)
-    return FiberReport(sizes, sup, verdict, finite_targets(sizes))
+        bound = max(sizes)
+        verdict = CertifiedUnbounded() if bound == math.inf else WindowBound(bound, window)
+    return FiberReport(sizes, verdict)
 
 
 def verify_fiber_soundness(m: IndexMap, window: int = DEFAULT_WINDOW) -> None:
     """Spot-check eval/fiber consistency on a window; raises IntegrityError.
 
-    Checks both directions: every beta in the window lies in the fiber of its
-    image, and every enumerated fiber member maps back onto the fiber's
-    index. One pass inverts eval over the window, so each beta there is
+    Checks that every beta in the window lies in the fiber of its image,
+    that every enumerated fiber member maps back onto the fiber's index, and
+    that ``fiber_card`` agrees with the member set (math.inf when there is
+    none). One pass inverts eval over the window, so each beta there is
     evaluated once and each target's fiber is read once.
     """
     hi = min(window, m.domain.size) if m.is_finite else window
@@ -557,10 +543,10 @@ def verify_fiber_soundness(m: IndexMap, window: int = DEFAULT_WINDOW) -> None:
     for alpha, betas in seen.items():
         fib = m.fiber(alpha)
         members = fib.members
+        if m.fiber_card(alpha) != fib.card:  # fib.card is the size of the member set
+            raise IntegrityError(f"fiber({alpha}) has size {m.fiber_card(alpha)} but {fib.card} members")
         if members is None:
             continue
-        if fib.card.count != len(members):
-            raise IntegrityError(f"fiber({alpha}) cardinality disagrees with its member set")
         for beta in members:
             image = images[beta - 1] if beta <= hi else m.eval(beta)
             if image != alpha:

@@ -1,18 +1,20 @@
 """Shared strategies, reference functions and hand-rolled test rules."""
 
+import math
+
 from hypothesis import strategies as st
 
-from genshift import INFINITE, FiberCard, SymbolicRule, from_entries, make_finite_map
+from genshift import SymbolicRule, from_entries, make_finite_map
 
 
-def sup_card(cards) -> FiberCard:
+def sup_card(cards) -> int | float:
     """Reference sup of finitely many fiber cardinalities; infinite dominates."""
     best = 0
     for c in cards:
-        if c.count is None:
-            return INFINITE
-        best = max(best, c.count)
-    return FiberCard(best)
+        if c == math.inf:
+            return math.inf
+        best = max(best, c)
+    return best
 
 
 scalars = st.complex_numbers(max_magnitude=100.0, allow_nan=False, allow_infinity=False)
@@ -64,7 +66,7 @@ def parity_rule() -> SymbolicRule:
     return SymbolicRule(
         name="parity",
         eval_fn=lambda k: 1 if k % 2 == 1 else 2,
-        card_fn=lambda a: None if a in (1, 2) else 0,
+        card_fn=lambda a: math.inf if a in (1, 2) else 0,
         members_fn=lambda a: None if a in (1, 2) else frozenset(),
     )
 
@@ -76,7 +78,7 @@ def liar_rule() -> SymbolicRule:
         eval_fn=lambda k: (k + 1) // 2,
         card_fn=lambda a: 2,
         members_fn=lambda a: frozenset((2 * a - 1, 2 * a)),
-        m_sup=FiberCard(1),
+        m_sup=1,
         surjective=True,
         infinite_fibers=frozenset(),
     )
@@ -94,7 +96,7 @@ def clamp_liar_rule() -> SymbolicRule:
         eval_fn=lambda k: 1 if k == 1 else k - 1,
         card_fn=lambda a: 2 if a == 1 else 1,
         members_fn=lambda a: frozenset((1, 2)) if a == 1 else frozenset((a + 1,)),
-        m_sup=FiberCard(1),
+        m_sup=1,
         surjective=True,
         infinite_fibers=frozenset(),
     )

@@ -204,7 +204,7 @@ def test_criterion_6_domain_theorem():
         assert all(b > a for a, b in zip(sizes, sizes[1:]))  # strictly increasing
         block3 = symbolic_map("block", 3)
         assert domain_closed(block3) is True
-        assert domain_report(block3).uniform_bound_on_m.count == 3
+        assert domain_report(block3).uniform_bound_on_m == 3
 
     _run(6, "natural domain characterization", body)
 

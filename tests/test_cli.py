@@ -236,10 +236,16 @@ def test_vector_helper_renders_like_the_generic_walker(parts):
     assert cli._vector(x) == cli._render(vector_to_json(x))
 
 
-@given(st.lists(st.none() | st.integers(0, 10**12), max_size=40))
+@given(st.lists(st.integers(1, 10**12), max_size=40))
+def test_half_unit_vectors_render_like_the_vector_helper(indices):
+    halves = [from_entries(COUNTABLE, {a: 0.5}) for a in indices]
+    assert cli._half_units(indices) == cli._render([cli._vector(x) for x in halves])
+
+
+@given(st.lists(st.just(math.inf) | st.integers(0, 10**12), max_size=40))
 def test_size_map_helper_renders_like_the_generic_walker(sizes):
     sizes = tuple(sizes)
-    plain = {str(a): "infinite" if c is None else c for a, c in enumerate(sizes, start=1)}
+    plain = {str(a): "infinite" if c == math.inf else c for a, c in enumerate(sizes, start=1)}
     assert cli._sizes(sizes) == cli._render(plain)
 
 

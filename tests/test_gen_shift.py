@@ -110,9 +110,10 @@ def test_apply_norm_sq_clamp_table_e1():
 
 def test_apply_norm_sq_empty_fiber_contributes_nothing():
     # |x_1|^2 overflows to inf, but the fiber over 1 is empty: 0 * inf = 0
-    m = make_finite_map([2, 2], 2)
-    assert apply_norm_sq(m, from_entries(m.domain, {1: 1e200, 2: 3})) == 18.0
-    assert norm_sq(apply(m, from_entries(m.domain, {1: 1e200, 2: 3}))) == 18.0
+    for m, expected in ((make_finite_map([2, 2], 2), 18.0), (symbolic_map("successor"), 9.0)):
+        x = from_entries(m.domain, {1: 1e200, 2: 3})
+        assert apply_norm_sq(m, x) == expected
+        assert norm_sq(apply(m, x)) == expected
 
 
 def test_apply_norm_sq_triangular_unit_vectors():
@@ -125,6 +126,10 @@ def test_apply_norm_sq_infinite_fiber():
     oc = symbolic_map("odd_collapse")
     assert apply_norm_sq(oc, unit_vector(COUNTABLE, 1)) == math.inf
     assert apply_norm_sq(oc, unit_vector(COUNTABLE, 2)) == 1.0
+    # |x_1|^2 underflows to 0, yet x_1 != 0 sits on an infinite fiber: inf * 0 = inf
+    tiny = from_entries(COUNTABLE, {1: 1e-200})
+    assert isinstance(apply(oc, tiny), NotInL2)
+    assert apply_norm_sq(oc, tiny) == math.inf
 
 
 @given(map_and_vector())
@@ -224,7 +229,7 @@ def test_classify_triangular_not_into_l2():
 
 
 def test_classify_uncertified_rule_gives_window_verdicts():
-    rep = classify(make_symbolic_map(uncertified_successor_rule()), 16, 16)
+    rep = classify(make_symbolic_map(uncertified_successor_rule()), 16)
     assert isinstance(rep.maps_into_l2, WindowOnly)
     assert isinstance(rep.sigma_surjective, WindowOnly)  # injectivity unprovable by window
     assert rep.sigma_injective is False                  # empty fiber over 1 refutes onto
@@ -241,7 +246,7 @@ def test_classify_window_refutes_injectivity_exactly():
         card_fn=lambda a: 2,
         members_fn=lambda a: frozenset((2 * a - 1, 2 * a)),
     )
-    rep = classify(make_symbolic_map(honest), 8, 8)
+    rep = classify(make_symbolic_map(honest), 8)
     assert rep.sigma_surjective is False
 
 

@@ -13,8 +13,6 @@ from genshift import (
     CertifiedUnbounded,
     ConstructionError,
     DomainError,
-    FiberCard,
-    INFINITE,
     IndexMap,
     IndexSet,
     IntegrityError,
@@ -73,18 +71,11 @@ def test_index_set_membership():
     assert 10**9 in COUNTABLE and 0 not in COUNTABLE
 
 
-# --- FiberCard ------------------------------------------------------------
-
-def test_fiber_card_weight_convention():
-    assert INFINITE.weight(0.0) == 0.0
-    assert INFINITE.weight(2.5) == math.inf
-    assert FiberCard(3).weight(2.0) == 6.0
-    assert FiberCard(0).weight(7.0) == 0.0
-
+# --- fiber sizes ----------------------------------------------------------
 
 def test_sup_card():
-    assert sup_card([FiberCard(1), FiberCard(4), FiberCard(2)]) == FiberCard(4)
-    assert sup_card([FiberCard(1), INFINITE]) == INFINITE
+    assert sup_card([1, 4, 2]) == 4
+    assert sup_card([1, math.inf]) == math.inf
 
 
 # --- construction ---------------------------------------------------------
@@ -105,7 +96,7 @@ def test_make_finite_map_constant_fiber():
     m = make_finite_map(images, 4)
     fib = m.fiber(1)
     assert fib.members == frozenset(brute_fiber(images, 1))
-    assert fib.card == FiberCard(4)
+    assert fib.card == 4
 
 
 def test_make_finite_map_errors_name_position():
@@ -131,7 +122,7 @@ def test_fiber_identity():
 def test_fiber_successor_over_one_is_empty():
     m = symbolic_map("successor")
     fib = m.fiber(1)
-    assert fib.card == FiberCard(0) and fib.members == frozenset()
+    assert fib.card == 0 and fib.members == frozenset()
 
 
 def test_fiber_outside_domain():
@@ -170,6 +161,8 @@ def test_round_trip_beta_in_fiber_of_its_image(m):
 def test_builtin_rules_fiber_soundness(name, param):
     m = symbolic_map(name, param)
     verify_fiber_soundness(m, window=80)
+    # a size is an int, or math.inf for an infinite fiber; never None or a float count
+    assert all(type(c) is int or c == math.inf for c in map(m.rule.card_fn, range(1, 1001)))
     # independent brute-force cross-check on a window that covers all members
     for alpha in range(1, 41):
         members = m.fiber(alpha).members
@@ -191,7 +184,7 @@ def test_round_trip_countable_rules():
 def test_triangular_fiber_sizes_grow_linearly():
     m = symbolic_map("triangular")
     for k in range(1, 30):
-        assert m.fiber_card(k) == FiberCard(k)
+        assert m.fiber_card(k) == k
 
 
 def test_block_rule_rejects_bad_sizes():
@@ -209,7 +202,7 @@ def test_block_rule_rejects_bad_sizes():
 
 def test_fiber_report_identity():
     rep = fiber_report(make_finite_map([1, 2, 3, 4, 5], 5))
-    assert rep.sup == FiberCard(1)
+    assert rep.sup == 1
     assert rep.verdict == Certified(1)
     assert rep.m_set == frozenset(range(1, 6))
 
@@ -219,7 +212,7 @@ def test_fiber_report_clamp_table():
     brute_sup = max(images.count(a) for a in range(1, 11))
     assert brute_sup == 2
     rep = fiber_report(make_finite_map(images, 10))
-    assert rep.sup == FiberCard(2)
+    assert rep.sup == 2
     assert rep.verdict == Certified(2)
 
 
@@ -233,7 +226,7 @@ def test_fiber_report_sup_matches_exhaustive(m):
     rep = fiber_report(m)
     per_index = [m.fiber_card(a) for a in m.domain.indices()]
     assert rep.sup == sup_card(per_index)
-    assert rep.sup == sup_card(INFINITE if c is None else FiberCard(c) for c in rep.sizes)
+    assert rep.sup == sup_card(rep.sizes)
 
 
 def test_fiber_report_triangular_certified_unbounded():
@@ -242,15 +235,11 @@ def test_fiber_report_triangular_certified_unbounded():
     assert rep.sizes[7 - 1] == 7
 
 
-def test_fiber_report_keeps_the_size_tuple(monkeypatch):
+def test_fiber_report_keeps_the_size_tuple():
     maps = [symbolic_map("successor"), symbolic_map("odd_collapse"), make_finite_map([2, 2, 3, 1], 4)]
-    made = []
-    monkeypatch.setattr(FiberCard, "__post_init__", lambda card: made.append(card.count))
     for m in maps:
         rep = fiber_report(m, 500)
         assert rep.sizes == m.window_sizes(500)
-    # each report's sup and the table's certificate; never one card per target
-    assert len(made) <= 4
 
 
 def test_fiber_report_certified_rules():
@@ -263,7 +252,7 @@ def test_fiber_report_certified_rules():
 def test_fiber_report_odd_collapse_m_set_omits_one():
     rep = fiber_report(symbolic_map("odd_collapse"), window=10)
     assert rep.m_set == frozenset(range(2, 11))
-    assert rep.sup == INFINITE
+    assert rep.sup == math.inf
 
 
 def test_fiber_report_uncertified_rule_window_only():
@@ -283,9 +272,9 @@ def test_fiber_report_liar_rule_integrity_error():
 
 @pytest.mark.parametrize("rule, claim", [
     (clamp_liar_rule(), r"fiber\(1\) has size 2"),
-    (dataclasses.replace(triangular_rule(), m_sup=FiberCard(3)), r"fiber\(4\) has size 4"),
+    (dataclasses.replace(triangular_rule(), m_sup=3), r"fiber\(4\) has size 4"),
     (dataclasses.replace(successor_rule(), surjective=True), "onto"),
-    (dataclasses.replace(clamp_pred_rule(), m_sup=FiberCard(1)), "finite-fiber bound 1"),
+    (dataclasses.replace(clamp_pred_rule(), m_sup=1), "finite-fiber bound 1"),
     (dataclasses.replace(odd_collapse_rule(), infinite_fibers=frozenset()), "infinite fibers"),
     (dataclasses.replace(successor_rule(), infinite_fibers=frozenset({3})), "infinite fibers"),
 ])
@@ -308,22 +297,22 @@ succ = uncertified_successor_rule()
 
 @pytest.mark.parametrize("rule, sup, injective", [
     # the values every shipped rule declared before the two became derived
-    (successor_rule(), FiberCard(1), True),
-    (clamp_pred_rule(), FiberCard(2), False),
-    (block_rule(1), FiberCard(1), True),
-    (block_rule(2), FiberCard(2), False),
-    (block_rule(3), FiberCard(3), False),
-    (block_rule(4), FiberCard(4), False),
-    (triangular_rule(), INFINITE, False),
-    (doubling_rule(), FiberCard(1), True),
-    (odd_collapse_rule(), INFINITE, False),
+    (successor_rule(), 1, True),
+    (clamp_pred_rule(), 2, False),
+    (block_rule(1), 1, True),
+    (block_rule(2), 2, False),
+    (block_rule(3), 3, False),
+    (block_rule(4), 4, False),
+    (triangular_rule(), math.inf, False),
+    (doubling_rule(), 1, True),
+    (odd_collapse_rule(), math.inf, False),
     # partial certificates
     (succ, None, None),
-    (dataclasses.replace(succ, m_sup=FiberCard(1)), None, None),
-    (dataclasses.replace(succ, m_sup=FiberCard(2)), None, False),
-    (dataclasses.replace(succ, m_sup=INFINITE), INFINITE, False),
+    (dataclasses.replace(succ, m_sup=1), None, None),
+    (dataclasses.replace(succ, m_sup=2), None, False),
+    (dataclasses.replace(succ, m_sup=math.inf), math.inf, False),
     (dataclasses.replace(succ, infinite_fibers=frozenset()), None, None),
-    (dataclasses.replace(succ, infinite_fibers=frozenset({1})), INFINITE, False),
+    (dataclasses.replace(succ, infinite_fibers=frozenset({1})), math.inf, False),
 ], ids=["successor", "clamp_pred", "block1", "block2", "block3", "block4", "triangular",
         "doubling", "odd_collapse", "uncertified", "m_sup_1", "m_sup_2", "m_sup_infinite",
         "no_infinite_fibers", "infinite_fiber_over_1"])
@@ -358,7 +347,7 @@ def test_analyze_scans_each_window_once(rule):
     m = make_symbolic_map(counted)
     for _ in range(2):  # fiber report, classification and domain report, as `analyze` runs them
         fiber_report(m, 40)
-        classify(m, 40, 40)
+        classify(m, 40)
         domain_report(m, 40)
     assert calls == list(range(1, 41))
     fiber_report(m, 12)
@@ -384,7 +373,7 @@ def test_table_window_sizes_and_certificates_are_exact(m, window):
     sizes = tuple(tally[a] for a in m.domain.indices())
     assert m.window_sizes(window) == sizes  # all n targets, whatever the window
     certs = m.certificates
-    assert certs.m_sup == certs.sup_card == FiberCard(max(sizes))
+    assert certs.m_sup == certs.sup_card == max(sizes)
     assert certs.surjective is (0 not in sizes)
     assert certs.infinite_fibers == frozenset()
     assert certs.injective is (max(sizes) == 1)
@@ -426,7 +415,7 @@ def _check_profile(m):
     tally = Counter(m.table)
     assert {a: c for a, c in enumerate(counts) if c} == dict(tally)
     for a in m.domain.indices():
-        assert m.fiber_card(a).count == m.table.count(a)
+        assert m.fiber_card(a) == m.table.count(a)
 
 
 @given(finite_maps(max_n=12))
@@ -541,5 +530,11 @@ def test_verify_fiber_soundness_catches_bad_members():
         card_fn=lambda a: 1,
         members_fn=lambda a: frozenset((a,)),  # wrong: claims a maps to itself
     )
-    with pytest.raises(IntegrityError):
-        verify_fiber_soundness(make_symbolic_map(broken), window=5)
+    # card_fn disagreeing with the member set: a finite size, then an infinite fiber
+    wrong_size = dataclasses.replace(successor_rule(), card_fn=lambda a: 2)
+    finite_for_infinite = dataclasses.replace(odd_collapse_rule(), card_fn=lambda a: 1)
+    for rule, window, error in ((broken, 5, "contains"),
+                                (wrong_size, 100, r"fiber\(1\) has size 2"),
+                                (finite_for_infinite, 5, r"fiber\(1\) has size 1")):
+        with pytest.raises(IntegrityError, match=error):
+            verify_fiber_soundness(make_symbolic_map(rule), window=window)
