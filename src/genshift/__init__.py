@@ -21,14 +21,10 @@ from .index_domain import (
     BUILTIN_RULES,
     COUNTABLE,
     DEFAULT_WINDOW,
-    Certified,
-    CertifiedUnbounded,
-    Fiber,
     FiberReport,
     IndexMap,
     IndexSet,
     SymbolicRule,
-    WindowBound,
     WindowOnly,
     block_rule,
     clamp_pred_rule,

@@ -22,13 +22,7 @@ import numpy as np
 
 from . import compact_witness, dense_oracle, domain_analysis, gen_shift, index_domain, sparse_vec
 from .errors import IntegrityError, ParseError, SearchExhaustedError, UnsupportedError
-from .index_domain import (
-    Certified,
-    CertifiedUnbounded,
-    IndexMap,
-    WindowBound,
-    WindowOnly,
-)
+from .index_domain import IndexMap, WindowOnly
 
 SCHEMA_VERSION = 1
 
@@ -111,21 +105,20 @@ def _norm_doc(v):
     return float(v)
 
 
-def _bound_verdict_doc(v):
-    if isinstance(v, Certified):
-        return {"kind": "certified", "bound": v.bound}
-    if isinstance(v, CertifiedUnbounded):
+def _bound_verdict_doc(v, window: int):
+    if isinstance(v, WindowOnly):
+        return {"kind": "window_only", "bound": v.value, "window": window}
+    if v == math.inf:
         return {"kind": "certified_unbounded"}
-    assert isinstance(v, WindowBound)
-    return {"kind": "window_only", "bound": v.bound, "window": v.window}
+    return {"kind": "certified", "bound": v}
 
 
-def _fiber_report_doc(rep: index_domain.FiberReport) -> dict:
+def _fiber_report_doc(rep: index_domain.FiberReport, window: int, m_set: Rendered) -> dict:
     return {
         "cardinalities": _sizes(rep.sizes),
         "sup": rep.sup,
-        "verdict": _bound_verdict_doc(rep.verdict),
-        "m_set": _ints(sorted(rep.m_set)),
+        "verdict": _bound_verdict_doc(rep.verdict, window),
+        "m_set": m_set,
     }
 
 
@@ -140,11 +133,11 @@ def _classification_doc(rep: gen_shift.ClassificationReport) -> dict:
     }
 
 
-def _domain_doc(rep: domain_analysis.DomainReport) -> dict:
+def _domain_doc(rep: domain_analysis.DomainReport, m_set: Rendered) -> dict:
     m = rep.m
     return {
         "m_set": {
-            "members": _ints(sorted(m.members)),
+            "members": m_set,
             "window": m.window,
             "certified_infinite_fibers": None if m.infinite_fibers is None else sorted(m.infinite_fibers),
         },
@@ -162,7 +155,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON, UTF-8 or int
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -214,13 +207,14 @@ def analyze(map_file, window):
         _fail(EXIT_PARSE, f"parse error: {exc}")
     except IntegrityError as exc:
         _fail(EXIT_INTEGRITY, f"integrity error: {exc}")
+    m_members = _ints(sorted(domain.m.members))  # M, rendered once for both m_set keys
     doc = {
         "schema_version": SCHEMA_VERSION,
         "map": index_domain.map_to_json(m),
         "window": window,
-        "fiber_report": _fiber_report_doc(fibers),
+        "fiber_report": _fiber_report_doc(fibers, window, m_members),
         "classification": _classification_doc(classification),
-        "domain": _domain_doc(domain),
+        "domain": _domain_doc(domain, m_members),
     }
     click.echo(_render(doc))
 

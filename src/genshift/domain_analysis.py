@@ -19,7 +19,6 @@ from .index_domain import (
     Verdict,
     WindowOnly,
     finite_sup,
-    finite_targets,
 )
 from .sparse_vec import SparseVector
 
@@ -48,7 +47,12 @@ class MDescription:
 
 
 def m_set(m: IndexMap, window: int = DEFAULT_WINDOW) -> MDescription:
-    members = finite_targets(m.window_sizes(window))
+    """Targets 1..window (all n for a table) whose fiber is finite, and what is certified beyond."""
+    sizes = m.window_sizes(window)
+    if math.inf in sizes:
+        members = frozenset(a for a, c in enumerate(sizes, start=1) if c != math.inf)
+    else:
+        members = frozenset(range(1, len(sizes) + 1))
     return MDescription(members, None if m.is_finite else window, m.certificates.infinite_fibers)
 
 

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from .errors import DomainError, UnsupportedError
 from .index_domain import (
     DEFAULT_WINDOW,
-    Certified,
-    CertifiedUnbounded,
     IndexMap,
     Verdict,
     WindowOnly,
@@ -67,11 +65,11 @@ def apply(m: IndexMap, x: SparseVector) -> SparseVector | NotInL2:
         return SparseVector(m.domain, out)
     out = {}
     for theta in sorted(x.entries):
-        fib = m.fiber(theta)
-        if fib.members is None:
+        members = m.fiber(theta)
+        if members is None:
             return NotInL2(theta)
         v = x.entries[theta]
-        for beta in fib.members:
+        for beta in members:
             out[beta] = v
     return SparseVector(m.domain, out)
 
@@ -105,20 +103,16 @@ def apply_norm_sq(m: IndexMap, x: SparseVector) -> float:
 
 
 def operator_norm(m: IndexMap, window: int = DEFAULT_WINDOW) -> float | WindowOnly:
-    """Square root of the sup of fiber sizes.
+    """Square root of the sup of fiber sizes, the fiber report's verdict.
 
-    math.inf when the sup is certified infinite; a WindowOnly lower bound
-    when the map carries no certificate.
+    math.inf when the sup is proved infinite; a WindowOnly lower bound
+    when it is known only on the window.
     """
     verdict = fiber_report(m, window).verdict
-    if isinstance(verdict, Certified):
-        return math.sqrt(verdict.bound)
-    if isinstance(verdict, CertifiedUnbounded):
-        return math.inf
-    return WindowOnly(
-        note=f"lower bound from fiber sizes on window 1..{verdict.window}",
-        value=math.sqrt(verdict.bound),
-    )
+    if isinstance(verdict, WindowOnly):
+        note = f"lower bound from fiber sizes on window 1..{window}"
+        return WindowOnly(note, math.sqrt(verdict.value))
+    return math.sqrt(verdict)
 
 
 def phi_injective(m: IndexMap, window: int = DEFAULT_WINDOW) -> Verdict:

@@ -10,12 +10,17 @@ and a finite map reads exact ones off its fiber-count profile
 read in one place, ``IndexMap.window_sizes``: a table answers any window
 with all n sizes; a rule's window is scanned once and validated against
 every certificate, and the largest validated scan is cached. A rule without
-certificates can still be analysed, but only on finite windows.
+certificates can still be analysed, but only on finite windows. A fiber
+report states the sup of all sizes as every verdict is stated: a proved
+value, or a WindowOnly carrying the value the window shows. It holds the
+sizes and that verdict only; M, the finite-fiber set, is read off the same
+sizes by ``domain_analysis.m_set``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -54,14 +59,6 @@ class IndexSet:
 
 
 COUNTABLE = IndexSet()
-
-
-@dataclass(frozen=True)
-class Fiber:
-    """A preimage set: exact cardinality (math.inf if infinite) plus the member set when finite."""
-
-    card: int | float
-    members: frozenset[int] | None  # None exactly when the fiber is infinite
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -221,13 +218,11 @@ class IndexMap:
             return self.fiber_counts[alpha]
         return self.rule.card_fn(alpha)
 
-    def fiber(self, alpha: int) -> Fiber:
-        """Exact preimage of alpha: {beta : eval(beta) == alpha}."""
+    def fiber(self, alpha: int) -> frozenset[int] | None:
+        """Exact preimage of alpha, {beta : eval(beta) == alpha}; None when it is infinite."""
         self._check_index(alpha)
         members = self.preimages[alpha] if self.table is not None else self.rule.members_fn(alpha)
-        if members is None:
-            return Fiber(math.inf, None)
-        return Fiber(len(members), frozenset(members))
+        return None if members is None else frozenset(members)
 
 
 def make_finite_map(images: Sequence[int], n: int) -> IndexMap:
@@ -288,6 +283,8 @@ def block_rule(b: int) -> SymbolicRule:
     """Compress consecutive blocks of length b: every fiber has size exactly b."""
     if not isinstance(b, int) or isinstance(b, bool) or b < 1:
         raise ConstructionError(f"block size must be an integer >= 1, got {b!r}")
+    if b > sys.float_info.max:  # exact for ints; the norm sqrt(b) must be a float
+        raise ConstructionError(f"block size {b} exceeds the float range")
     return SymbolicRule(
         name="block",
         eval_fn=lambda k: (k - 1) // b + 1,
@@ -416,31 +413,8 @@ def parse_map(doc: object) -> IndexMap:
 # fiber reports
 
 @dataclass(frozen=True)
-class Certified:
-    """Fiber sizes are uniformly bounded by ``bound``, proved for the whole domain."""
-
-    bound: int
-
-
-@dataclass(frozen=True)
-class CertifiedUnbounded:
-    """Fiber sizes certified to admit no finite uniform bound."""
-
-
-@dataclass(frozen=True)
-class WindowBound:
-    """Largest fiber size seen on a finite window; nothing proved beyond it."""
-
-    bound: int
-    window: int
-
-
-BoundVerdict = Certified | CertifiedUnbounded | WindowBound
-
-
-@dataclass(frozen=True)
 class WindowOnly:
-    """A truth value established on a finite window only, with the number seen there if any."""
+    """A truth value or a sup known on a finite window only, with the number seen there if any."""
 
     note: str
     value: int | float | None = None
@@ -451,28 +425,21 @@ Verdict = bool | WindowOnly
 
 @dataclass(frozen=True)
 class FiberReport:
-    """Fiber sizes over a window, kept as the ``window_sizes`` tuple, and a bound verdict.
+    """Fiber sizes over a window, kept as the ``window_sizes`` tuple, and the sup of all sizes.
 
-    ``sup`` and ``m_set`` are computed on read: a report made for its verdict scans no sizes.
+    ``verdict`` is in the vocabulary of every other verdict: the proved sup
+    (an int, or math.inf when unbounded), or a WindowOnly carrying the
+    largest size on the window. ``sup`` is computed on read, so a report
+    made for its verdict scans no sizes. M is not on the report; see
+    ``domain_analysis.m_set``.
     """
 
     sizes: tuple[int | float, ...]  # sizes[a - 1] = |fiber(a)|, math.inf if infinite
-    verdict: BoundVerdict
+    verdict: int | float | WindowOnly
 
     @property
     def sup(self) -> int | float:  # max over the reported sizes, infinite dominating
         return max(self.sizes)
-
-    @property
-    def m_set(self) -> frozenset[int]:  # reported indices whose fiber is finite
-        return finite_targets(self.sizes)
-
-
-def finite_targets(sizes: tuple[int | float, ...]) -> frozenset[int]:
-    """Targets 1..len(sizes) whose fiber is finite (size not math.inf)."""
-    if math.inf not in sizes:
-        return frozenset(range(1, len(sizes) + 1))
-    return frozenset(a for a, c in enumerate(sizes, start=1) if c != math.inf)
 
 
 def finite_sup(sizes: tuple[int | float, ...]) -> int:
@@ -509,20 +476,19 @@ def _check_certificates(rule: SymbolicRule, sizes: tuple[int | float, ...]) -> N
 
 
 def fiber_report(m: IndexMap, window: int = DEFAULT_WINDOW) -> FiberReport:
-    """Fiber sizes over the window (the ``m.window_sizes`` tuple) and a boundedness verdict.
+    """Fiber sizes over the window (the ``m.window_sizes`` tuple) and the sup verdict.
 
-    The certified bound decides the verdict, so a finite map always comes
-    back Certified. Without one it is WindowBound, unless an infinite fiber
-    inside the window settles unboundedness exactly. Only a map without a
-    certified bound has its sizes scanned for their maximum.
+    The certified sup decides the verdict, so a finite map always comes
+    back with its exact sup. Without one the verdict is WindowOnly, unless
+    an infinite fiber inside the window proves the sup infinite. Only a map
+    without a certified sup has its sizes scanned for their maximum.
     """
     sizes = m.window_sizes(window)
-    certified = m.certificates.sup_card
-    if certified is not None:
-        verdict = CertifiedUnbounded() if certified == math.inf else Certified(certified)
-    else:
+    verdict = m.certificates.sup_card
+    if verdict is None:
         bound = max(sizes)
-        verdict = CertifiedUnbounded() if bound == math.inf else WindowBound(bound, window)
+        note = f"fiber sizes bounded by {bound} on window 1..{window}"
+        verdict = bound if bound == math.inf else WindowOnly(note, bound)
     return FiberReport(sizes, verdict)
 
 
@@ -541,10 +507,10 @@ def verify_fiber_soundness(m: IndexMap, window: int = DEFAULT_WINDOW) -> None:
     for beta, alpha in enumerate(images, start=1):
         seen.setdefault(alpha, set()).add(beta)
     for alpha, betas in seen.items():
-        fib = m.fiber(alpha)
-        members = fib.members
-        if m.fiber_card(alpha) != fib.card:  # fib.card is the size of the member set
-            raise IntegrityError(f"fiber({alpha}) has size {m.fiber_card(alpha)} but {fib.card} members")
+        members = m.fiber(alpha)
+        count = math.inf if members is None else len(members)
+        if m.fiber_card(alpha) != count:
+            raise IntegrityError(f"fiber({alpha}) has size {m.fiber_card(alpha)} but {count} members")
         if members is None:
             continue
         for beta in members:

@@ -7,10 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from genshift import (
-    COUNTABLE, apply, cli, from_entries, index_domain, make_finite_map, parse_vector, vector_to_json,
+    COUNTABLE, apply, cli, from_entries, index_domain, make_finite_map, make_symbolic_map,
+    parse_vector, vector_to_json,
 )
 from genshift.cli import main
-from helpers import clamp_liar_rule
+from helpers import clamp_liar_rule, parity_rule, uncertified_successor_rule
 
 
 @pytest.fixture
@@ -66,6 +67,34 @@ def test_analyze_malformed_file_exits_2(runner, tmp_path):
     assert result.exit_code == 2
     path.write_text(json.dumps({"kind": "finite", "images": [1, 7]}))
     assert runner.invoke(main, ["analyze", str(path)]).exit_code == 2
+    # a block size beyond the float range has no float norm sqrt(b)
+    path.write_text(json.dumps({"kind": "symbolic", "name": "block", "param": 10**400}))
+    for args in (["analyze", str(path)], ["witness", str(path), "--kind", "compact"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.output.startswith("parse error: block size")
+    path.write_text(json.dumps({"kind": "symbolic", "name": "block", "param": 10**300}))
+    result = runner.invoke(main, ["analyze", str(path)])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["classification"]["operator_norm"] == 1e150
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe[]",
+    b"[" + b"9" * 5000 + b"]",
+    b"[" * 100_000,
+], ids=["not_utf8", "int_5000_digits", "nested_100000"])
+@pytest.mark.parametrize("command", ["analyze", "apply"])
+def test_undecodable_or_overlong_file_exits_2(runner, tmp_path, command, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    if command == "analyze":
+        args = ["analyze", str(bad)]
+    else:
+        args = ["apply", write(tmp_path, "m.json", IDENTITY5), str(bad)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.output.startswith("parse error: ")
 
 
 def test_analyze_false_certificate_exits_3(runner, tmp_path, monkeypatch):
@@ -272,3 +301,70 @@ def test_large_outputs_are_rendered_by_shape(runner, tmp_path, monkeypatch, doc,
     result = runner.invoke(main, [args[0], write(tmp_path, "m.json", doc), *args[1:]])
     assert result.exit_code == 0
     assert calls < 200
+
+
+# Every map file the CLI accepts is certified, so the window-only verdicts
+# (fiber bound, norm lower bound, closedness) are pinned with rules loaded
+# in place of the file.
+WINDOW_ONLY_ANALYSES = [
+    (uncertified_successor_rule, 1,
+     ('{"schema_version":1,"map":{"kind":"symbolic","name":"succ_nocert"},"window":1,'
+      '"fiber_report":{"cardinalities":{"1":0},"sup":0,"verdict":{"kind":"window_only",'
+      '"bound":0,"window":1},"m_set":[1]},'
+      '"classification":{"maps_into_l2":{"window_only":"fiber bound unknown beyond window 1..1"},'
+      '"operator_norm":{"window_only":"lower bound from fiber sizes on window 1..1",'
+      '"lower_bound":0},"sigma_injective":false,'
+      '"sigma_surjective":{"window_only":"no fiber of size >= 2 over targets 1..1"},'
+      '"isometry":false,"compact":false},"domain":{"m_set":{"members":[1],"window":1,'
+      '"certified_infinite_fibers":null},'
+      '"closed":{"window_only":"fibers over M bounded by 0 on window 1..1"},'
+      '"uniform_bound_on_m":0,'
+      '"characterization_holds":{"window_only":"fibers over M bounded by 0 on window 1..1"},'
+      '"unbounded_witness":null}}\n')),
+    (uncertified_successor_rule, 4,
+     ('{"schema_version":1,"map":{"kind":"symbolic","name":"succ_nocert"},"window":4,'
+      '"fiber_report":{"cardinalities":{"1":0,"2":1,"3":1,"4":1},"sup":1,'
+      '"verdict":{"kind":"window_only","bound":1,"window":4},"m_set":[1,2,3,4]},'
+      '"classification":{"maps_into_l2":{"window_only":"fiber bound unknown beyond window 1..4"},'
+      '"operator_norm":{"window_only":"lower bound from fiber sizes on window 1..4",'
+      '"lower_bound":1},"sigma_injective":false,'
+      '"sigma_surjective":{"window_only":"no fiber of size >= 2 over targets 1..4"},'
+      '"isometry":false,"compact":false},"domain":{"m_set":{"members":[1,2,3,4],"window":4,'
+      '"certified_infinite_fibers":null},'
+      '"closed":{"window_only":"fibers over M bounded by 1 on window 1..4"},'
+      '"uniform_bound_on_m":1,'
+      '"characterization_holds":{"window_only":"fibers over M bounded by 1 on window 1..4"},'
+      '"unbounded_witness":null}}\n')),
+    (parity_rule, 1,
+     ('{"schema_version":1,"map":{"kind":"symbolic","name":"parity"},"window":1,'
+      '"fiber_report":{"cardinalities":{"1":"infinite"},"sup":"infinite",'
+      '"verdict":{"kind":"certified_unbounded"},"m_set":[]},'
+      '"classification":{"maps_into_l2":false,"operator_norm":"infinite",'
+      '"sigma_injective":{"window_only":"all targets 1..1 have nonempty fibers"},'
+      '"sigma_surjective":false,"isometry":false,"compact":false},'
+      '"domain":{"m_set":{"members":[],"window":1,"certified_infinite_fibers":null},'
+      '"closed":{"window_only":"fibers over M bounded by 0 on window 1..1"},'
+      '"uniform_bound_on_m":0,'
+      '"characterization_holds":{"window_only":"fibers over M bounded by 0 on window 1..1"},'
+      '"unbounded_witness":null}}\n')),
+    (parity_rule, 4,
+     ('{"schema_version":1,"map":{"kind":"symbolic","name":"parity"},"window":4,'
+      '"fiber_report":{"cardinalities":{"1":"infinite","2":"infinite","3":0,"4":0},'
+      '"sup":"infinite","verdict":{"kind":"certified_unbounded"},"m_set":[3,4]},'
+      '"classification":{"maps_into_l2":false,"operator_norm":"infinite",'
+      '"sigma_injective":false,"sigma_surjective":false,"isometry":false,"compact":false},'
+      '"domain":{"m_set":{"members":[3,4],"window":4,"certified_infinite_fibers":null},'
+      '"closed":{"window_only":"fibers over M bounded by 0 on window 1..4"},'
+      '"uniform_bound_on_m":0,'
+      '"characterization_holds":{"window_only":"fibers over M bounded by 0 on window 1..4"},'
+      '"unbounded_witness":null}}\n')),
+]
+
+
+@pytest.mark.parametrize("rule, window, expected", WINDOW_ONLY_ANALYSES,
+                         ids=["succ_nocert_w1", "succ_nocert_w4", "parity_w1", "parity_w4"])
+def test_analyze_window_only_document(runner, tmp_path, monkeypatch, rule, window, expected):
+    monkeypatch.setattr(cli, "_load_map", lambda path: make_symbolic_map(rule()))
+    result = runner.invoke(main, ["analyze", write(tmp_path, "m.json", {}), "--window", str(window)])
+    assert result.exit_code == 0
+    assert result.output == expected

@@ -89,7 +89,7 @@ def test_apply_support_is_union_of_fibers(mv):
     y = apply(m, x)
     expected = set()
     for theta in x.entries:
-        expected |= m.fiber(theta).members
+        expected |= m.fiber(theta)
     assert set(y.entries) == expected
 
 

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from genshift import (
     BUILTIN_RULES,
     COUNTABLE,
-    Certified,
-    CertifiedUnbounded,
     ConstructionError,
     DomainError,
     IndexMap,
@@ -18,7 +16,7 @@ from genshift import (
     IntegrityError,
     ParseError,
     SymbolicRule,
-    WindowBound,
+    WindowOnly,
     block_rule,
     clamp_pred_rule,
     classify,
@@ -95,8 +93,8 @@ def test_make_finite_map_constant_fiber():
     images = [1, 1, 1, 1]
     m = make_finite_map(images, 4)
     fib = m.fiber(1)
-    assert fib.members == frozenset(brute_fiber(images, 1))
-    assert fib.card == 4
+    assert fib == frozenset(brute_fiber(images, 1))
+    assert len(fib) == 4
 
 
 def test_make_finite_map_errors_name_position():
@@ -116,13 +114,13 @@ def test_make_finite_map_errors_name_position():
 
 def test_fiber_identity():
     m = make_finite_map([1, 2, 3], 3)
-    assert m.fiber(2).members == frozenset({2})
+    assert m.fiber(2) == frozenset({2})
 
 
 def test_fiber_successor_over_one_is_empty():
     m = symbolic_map("successor")
     fib = m.fiber(1)
-    assert fib.card == 0 and fib.members == frozenset()
+    assert len(fib) == 0 and fib == frozenset()
 
 
 def test_fiber_outside_domain():
@@ -141,7 +139,7 @@ def test_fibers_partition_domain(m):
     total = 0
     seen = set()
     for a in m.domain.indices():
-        members = m.fiber(a).members
+        members = m.fiber(a)
         assert not (members & seen)
         seen |= members
         total += len(members)
@@ -151,7 +149,7 @@ def test_fibers_partition_domain(m):
 @given(finite_maps())
 def test_round_trip_beta_in_fiber_of_its_image(m):
     for beta in m.domain.indices():
-        assert beta in m.fiber(m.eval(beta)).members
+        assert beta in m.fiber(m.eval(beta))
 
 
 @pytest.mark.parametrize("name,param", [
@@ -165,7 +163,7 @@ def test_builtin_rules_fiber_soundness(name, param):
     assert all(type(c) is int or c == math.inf for c in map(m.rule.card_fn, range(1, 1001)))
     # independent brute-force cross-check on a window that covers all members
     for alpha in range(1, 41):
-        members = m.fiber(alpha).members
+        members = m.fiber(alpha)
         brute = {b for b in range(1, 2000) if m.eval(b) == alpha}
         if members is None:
             assert len(brute) > 100  # infinite fiber: the window view keeps growing
@@ -178,7 +176,7 @@ def test_round_trip_countable_rules():
         m = symbolic_map(name, 2 if name == "block" else None)
         for beta in range(1, 101):
             fib = m.fiber(m.eval(beta))
-            assert fib.members is None or beta in fib.members
+            assert fib is None or beta in fib
 
 
 def test_triangular_fiber_sizes_grow_linearly():
@@ -190,6 +188,9 @@ def test_triangular_fiber_sizes_grow_linearly():
 def test_block_rule_rejects_bad_sizes():
     with pytest.raises(ConstructionError):
         block_rule(0)
+    with pytest.raises(ConstructionError, match="float range"):
+        block_rule(10**400)
+    assert block_rule(10**300).m_sup == 10**300
     with pytest.raises(ConstructionError):
         symbolic_map("block")  # missing param
     with pytest.raises(ConstructionError):
@@ -201,10 +202,11 @@ def test_block_rule_rejects_bad_sizes():
 # --- fiber_report ---------------------------------------------------------
 
 def test_fiber_report_identity():
-    rep = fiber_report(make_finite_map([1, 2, 3, 4, 5], 5))
+    m = make_finite_map([1, 2, 3, 4, 5], 5)
+    rep = fiber_report(m)
     assert rep.sup == 1
-    assert rep.verdict == Certified(1)
-    assert rep.m_set == frozenset(range(1, 6))
+    assert rep.verdict == 1
+    assert m_set(m).members == frozenset(range(1, 6))
 
 
 def test_fiber_report_clamp_table():
@@ -213,7 +215,7 @@ def test_fiber_report_clamp_table():
     assert brute_sup == 2
     rep = fiber_report(make_finite_map(images, 10))
     assert rep.sup == 2
-    assert rep.verdict == Certified(2)
+    assert rep.verdict == 2
 
 
 def test_fiber_report_sum_of_cards_is_domain_size():
@@ -231,7 +233,7 @@ def test_fiber_report_sup_matches_exhaustive(m):
 
 def test_fiber_report_triangular_certified_unbounded():
     rep = fiber_report(symbolic_map("triangular"), window=12)
-    assert rep.verdict == CertifiedUnbounded()
+    assert rep.verdict == math.inf
     assert rep.sizes[7 - 1] == 7
 
 
@@ -243,26 +245,27 @@ def test_fiber_report_keeps_the_size_tuple():
 
 
 def test_fiber_report_certified_rules():
-    assert fiber_report(symbolic_map("successor")).verdict == Certified(1)
-    assert fiber_report(symbolic_map("clamp_pred")).verdict == Certified(2)
-    assert fiber_report(symbolic_map("block", 5)).verdict == Certified(5)
-    assert fiber_report(symbolic_map("odd_collapse")).verdict == CertifiedUnbounded()
+    assert fiber_report(symbolic_map("successor")).verdict == 1
+    assert fiber_report(symbolic_map("clamp_pred")).verdict == 2
+    assert fiber_report(symbolic_map("block", 5)).verdict == 5
+    assert fiber_report(symbolic_map("odd_collapse")).verdict == math.inf
 
 
 def test_fiber_report_odd_collapse_m_set_omits_one():
-    rep = fiber_report(symbolic_map("odd_collapse"), window=10)
-    assert rep.m_set == frozenset(range(2, 11))
+    m = symbolic_map("odd_collapse")
+    rep = fiber_report(m, window=10)
+    assert m_set(m, window=10).members == frozenset(range(2, 11))
     assert rep.sup == math.inf
 
 
 def test_fiber_report_uncertified_rule_window_only():
     rep = fiber_report(make_symbolic_map(uncertified_successor_rule()), window=16)
-    assert rep.verdict == WindowBound(1, 16)
+    assert rep.verdict == WindowOnly("fiber sizes bounded by 1 on window 1..16", 1)
 
 
 def test_fiber_report_observed_infinite_fiber_certifies_unbounded():
     rep = fiber_report(make_symbolic_map(parity_rule()), window=8)
-    assert rep.verdict == CertifiedUnbounded()
+    assert rep.verdict == math.inf
 
 
 def test_fiber_report_liar_rule_integrity_error():
@@ -287,7 +290,7 @@ def test_certificates_beyond_the_window_are_not_refuted():
     # the declared infinite fiber over 100 lies outside the window 1..8; it
     # makes the derived global bound infinite
     rule = dataclasses.replace(successor_rule(), infinite_fibers=frozenset({100}))
-    assert fiber_report(make_symbolic_map(rule), window=8).verdict == CertifiedUnbounded()
+    assert fiber_report(make_symbolic_map(rule), window=8).verdict == math.inf
 
 
 # --- derived certificates -------------------------------------------------
@@ -364,7 +367,7 @@ def test_window_cache_keeps_refuting_beyond_it():
     for _ in range(2):  # a failed scan is not cached
         with pytest.raises(IntegrityError, match=r"fiber\(100\) has size 1"):
             fiber_report(m, 200)
-    assert fiber_report(m, 8).verdict == CertifiedUnbounded()
+    assert fiber_report(m, 8).verdict == math.inf
 
 
 @given(finite_maps(max_n=12), st.integers(1, 100))
@@ -519,7 +522,7 @@ def test_verify_fiber_soundness_reads_each_beta_and_fiber_once():
 def test_table_preimages_are_the_fibers(m):
     for a in m.domain.indices():
         assert m.preimages[a] == sorted(brute_fiber(m.table, a))
-        assert m.fiber(a).members == frozenset(m.preimages[a])
+        assert m.fiber(a) == frozenset(m.preimages[a])
     verify_fiber_soundness(m, window=m.domain.size)
 
 
