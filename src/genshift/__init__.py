@@ -5,7 +5,7 @@ total self-maps with exact fiber oracles, and finitely supported complex
 vectors, then answers every structural question about the induced operator
 (boundedness, norm, injectivity, surjectivity, isometry, natural domain,
 compactness) with certificates, cross-checked by a dense brute-force oracle
-at small sizes.
+at small sizes. The oracle, and numpy with it, is imported on first use.
 """
 
 from .errors import (
@@ -77,18 +77,17 @@ from .domain_analysis import (
     m_set,
 )
 from .compact_witness import WitnessSequence, is_compact, witness_sequence
-from .dense_oracle import (
-    EXHAUSTIVE_CAP,
-    DenseOperator,
-    MapAgreement,
-    StructuralReport,
-    check_map_agreement,
-    exhaustive_maps,
-    random_tables,
-    spectral_norm,
-    structural_check,
-    sweep,
-    to_dense,
-)
 
 __version__ = "0.1.0"
+
+# The dense oracle needs numpy, so its names are resolved on first use (PEP 562).
+_DENSE_ORACLE = frozenset((
+    "EXHAUSTIVE_CAP", "DenseOperator", "MapAgreement", "StructuralReport", "check_map_agreement",
+    "exhaustive_maps", "random_tables", "spectral_norm", "structural_check", "sweep", "to_dense"))
+
+
+def __getattr__(name: str):
+    if name in _DENSE_ORACLE:
+        from . import dense_oracle
+        return getattr(dense_oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,9 +18,8 @@ import os
 import sys
 
 import click
-import numpy as np
 
-from . import compact_witness, dense_oracle, domain_analysis, gen_shift, index_domain, sparse_vec
+from . import compact_witness, domain_analysis, gen_shift, index_domain, sparse_vec
 from .errors import IntegrityError, ParseError, SearchExhaustedError, UnsupportedError
 from .index_domain import IndexMap, WindowOnly
 
@@ -298,6 +297,8 @@ def oracle_check(n, exhaustive, random_count, seed):
     """Agreement sweep between the fiber analysis and the dense oracle."""
     if exhaustive == (random_count is not None):
         raise click.UsageError("pass exactly one of --exhaustive or --random R")
+    import numpy as np  # only this command needs numpy, so the others start without it
+    from . import dense_oracle
     try:
         seed = _resolve_seed(seed)
     except ParseError as exc:

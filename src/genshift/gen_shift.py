@@ -16,14 +16,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, UnsupportedError
-from .index_domain import (
-    DEFAULT_WINDOW,
-    IndexMap,
-    Verdict,
-    WindowOnly,
-    fiber_report,
-)
-from .sparse_vec import SparseVector
+from .index_domain import DEFAULT_WINDOW, IndexMap, Verdict, WindowOnly, fiber_report
+from .sparse_vec import SparseVector, fsum_or_inf
 
 
 @dataclass(frozen=True)
@@ -52,18 +46,19 @@ def apply(m: IndexMap, x: SparseVector) -> SparseVector | NotInL2:
     """Image vector beta -> x[eval(beta)].
 
     The support of the result is the union of the fibers of x's support
-    indices. When some support index has an infinite fiber the image is not
-    square-summable; the smallest such index is reported via NotInL2.
+    indices, read on a table from its fiber index ``m.preimages``: O(support
+    + image) after the index's one-time O(n) build. An infinite fiber over a
+    support index makes the image not square-summable; NotInL2 reports the
+    smallest such index.
     """
     _check_domains(m, x)
+    out = {}
     if m.is_finite:
-        out = {}
-        for beta, alpha in enumerate(m.table, start=1):
-            v = x.entries.get(alpha)
-            if v is not None:
+        pre = m.preimages
+        for theta, v in x.entries.items():
+            for beta in pre[theta]:
                 out[beta] = v
         return SparseVector(m.domain, out)
-    out = {}
     for theta in sorted(x.entries):
         members = m.fiber(theta)
         if members is None:
@@ -80,17 +75,18 @@ def apply_norm_sq(m: IndexMap, x: SparseVector) -> float:
     Two rules settle 0 * inf: an entry on an empty fiber adds 0, even when
     its |v|^2 overflows to inf, and an entry on an infinite fiber gives
     math.inf, even when its |v|^2 underflows to 0 (canonical vectors store
-    no zeros). So the result is math.inf exactly when apply returns NotInL2,
-    and otherwise agrees with norm(apply(m, x)) ** 2.
+    no zeros). So the result is math.inf when apply returns NotInL2, and
+    otherwise agrees with norm_sq(apply(m, x)), math.inf included when the
+    sum passes the float range.
     """
     _check_domains(m, x)
     if m.is_finite:
         counts = m.fiber_counts
-        return math.fsum(
+        return fsum_or_inf([
             c * (v.real * v.real + v.imag * v.imag)
             for theta, v in x.entries.items()
             if (c := counts[theta])
-        )
+        ])
     card = m.rule.card_fn
     terms = []
     for theta, v in x.entries.items():
@@ -99,7 +95,7 @@ def apply_norm_sq(m: IndexMap, x: SparseVector) -> float:
             return math.inf
         if c:
             terms.append(c * (v.real * v.real + v.imag * v.imag))
-    return math.fsum(terms)
+    return fsum_or_inf(terms)
 
 
 def operator_norm(m: IndexMap, window: int = DEFAULT_WINDOW) -> float | WindowOnly:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 from .errors import ConstructionError, DomainError, IntegrityError, ParseError
@@ -157,13 +158,21 @@ class IndexMap:
         return counts
 
     @property
-    def preimages(self) -> tuple[list[int], ...]:
-        """Fibers of a finite map as increasing lists, one pass: ``pre[a]`` is fiber(a)."""
+    def preimages(self) -> tuple[tuple[int, ...], ...]:
+        """A table's fiber index, built once by a counting sort into one flat list cut into
+        runs: ``pre[a]`` is fiber(a) as an increasing tuple, and every empty fiber is ``()``."""
         pre = self.__dict__.get("preimages")
         if pre is None:
-            pre = self.__dict__["preimages"] = tuple([] for _ in self.fiber_counts)
+            counts = self.fiber_counts
+            nxt = [0, *accumulate(counts[:-1])]  # the next free slot in each fiber's run
+            flat = [0] * len(self.table)
             for beta, img in enumerate(self.table, start=1):
-                pre[img].append(beta)
+                slot = nxt[img]
+                flat[slot] = beta
+                nxt[img] = slot + 1
+            flat = tuple(flat)  # nxt[a] now ends the run of fiber(a)
+            runs = [flat[end - c:end] if c else () for end, c in zip(nxt, counts)]
+            pre = self.__dict__["preimages"] = tuple(runs)
         return pre
 
     @property

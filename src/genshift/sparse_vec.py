@@ -99,13 +99,24 @@ def inner(x: SparseVector, y: SparseVector) -> complex:
     return complex(math.fsum(re_parts), math.fsum(im_parts))
 
 
+def fsum_or_inf(terms: list[float]) -> float:
+    """math.fsum of nonnegative terms; math.inf when their sum passes the float range."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:  # finite terms whose partial sum overflows
+        return math.inf
+
+
 def norm_sq(x: SparseVector) -> float:
-    return math.fsum(v.real * v.real + v.imag * v.imag for v in x.entries.values())
+    return fsum_or_inf([v.real * v.real + v.imag * v.imag for v in x.entries.values()])
 
 
 def norm(x: SparseVector) -> float:
-    """Square root of the sum of squared entry magnitudes."""
-    return math.sqrt(norm_sq(x))
+    """Square root of the square-sum; math.hypot of the components if that under- or overflows."""
+    sq = norm_sq(x)
+    if (sq == 0 or sq == math.inf) and x.entries:
+        return math.hypot(*(c for v in x.entries.values() for c in (v.real, v.imag)))
+    return math.sqrt(sq)
 
 
 def vector_to_json(x: SparseVector) -> list[dict]:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -368,3 +371,21 @@ def test_analyze_window_only_document(runner, tmp_path, monkeypatch, rule, windo
     result = runner.invoke(main, ["analyze", write(tmp_path, "m.json", {}), "--window", str(window)])
     assert result.exit_code == 0
     assert result.output == expected
+
+
+@pytest.mark.parametrize("module", ["genshift", "genshift.cli"])
+def test_import_leaves_numpy_out(module):
+    src = os.path.dirname(os.path.dirname(cli.__file__))  # import this same genshift
+    code = f"import sys, {module}; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_dense_oracle_names_resolve_from_the_package():
+    import genshift
+    from genshift import dense_oracle
+
+    assert genshift.check_map_agreement is dense_oracle.check_map_agreement
+    assert genshift.EXHAUSTIVE_CAP == dense_oracle.EXHAUSTIVE_CAP
+    with pytest.raises(AttributeError):
+        genshift.no_such_name

@@ -93,6 +93,19 @@ def test_apply_support_is_union_of_fibers(mv):
     assert set(y.entries) == expected
 
 
+nonzero_scalars = st.complex_numbers(min_magnitude=1e-3, max_magnitude=100.0,
+                                     allow_nan=False, allow_infinity=False)
+
+
+@given(finite_maps(max_n=40), st.booleans(), st.data())
+def test_table_apply_is_the_brute_reindex(m, full, data):
+    n = m.domain.size
+    support = range(1, n + 1) if full else data.draw(st.sets(st.integers(1, n), max_size=3))
+    x = from_entries(m.domain, {a: data.draw(nonzero_scalars) for a in support})
+    expected = {b: x.entries[a] for b, a in enumerate(m.table, start=1) if a in x.entries}
+    assert apply(m, x).entries == expected
+
+
 # --- apply_norm_sq ----------------------------------------------------------
 
 def test_apply_norm_sq_identity_is_norm_sq():
@@ -114,6 +127,15 @@ def test_apply_norm_sq_empty_fiber_contributes_nothing():
         x = from_entries(m.domain, {1: 1e200, 2: 3})
         assert apply_norm_sq(m, x) == expected
         assert norm_sq(apply(m, x)) == expected
+
+
+def test_apply_norm_sq_past_the_float_range_is_inf():
+    # finite terms whose sum overflows: math.fsum raises, the norms give inf
+    for m, x in ((make_finite_map([1, 2, 1], 3), {1: 1e154, 2: 1e154}),
+                 (symbolic_map("successor"), {1: 1e154, 2: 1e154, 3: 1e154})):
+        x = from_entries(m.domain, x)
+        assert apply_norm_sq(m, x) == math.inf
+        assert norm_sq(apply(m, x)) == math.inf
 
 
 def test_apply_norm_sq_triangular_unit_vectors():

@@ -521,9 +521,34 @@ def test_verify_fiber_soundness_reads_each_beta_and_fiber_once():
 @given(finite_maps())
 def test_table_preimages_are_the_fibers(m):
     for a in m.domain.indices():
-        assert m.preimages[a] == sorted(brute_fiber(m.table, a))
+        assert m.preimages[a] == tuple(sorted(brute_fiber(m.table, a)))
         assert m.fiber(a) == frozenset(m.preimages[a])
     verify_fiber_soundness(m, window=m.domain.size)
+
+
+@given(finite_maps(max_n=40))
+def test_preimages_are_increasing_tuples_sharing_the_empty_one(m):
+    pre = m.preimages
+    assert type(pre) is tuple and len(pre) == m.domain.size + 1
+    assert pre[0] == ()
+    for a, fiber in enumerate(pre):
+        assert type(fiber) is tuple
+        assert list(fiber) == sorted(set(fiber))
+        assert len(fiber) == m.fiber_counts[a]
+        if not fiber:
+            assert fiber is pre[0]
+
+
+@given(finite_maps())
+def test_preimages_cache_is_built_once_and_not_part_of_identity(m):
+    fresh = IndexMap(m.domain, table=m.table)
+    before = (hash(m), repr(m))
+    pre = m.preimages
+    assert m.preimages is pre and vars(m)["preimages"] is pre
+    assert "preimages" not in vars(fresh)
+    assert m == fresh and fresh == m
+    assert hash(m) == hash(fresh) == before[0]
+    assert repr(m) == repr(fresh) == before[1]
 
 
 def test_verify_fiber_soundness_catches_bad_members():

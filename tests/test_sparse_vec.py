@@ -40,6 +40,24 @@ def test_unit_vector_outside_domain():
         unit_vector(COUNTABLE, 0)
 
 
+def test_norms_past_the_float_range():
+    big = from_entries(COUNTABLE, {1: 1e154, 2: 1e154})
+    assert norm_sq(big) == math.inf  # the partial sum overflows
+    assert norm(big) == math.hypot(1e154, 1e154)
+    assert norm(from_entries(COUNTABLE, {1: 1e200})) == 1e200  # |v|^2 overflows
+    assert norm(from_entries(COUNTABLE, {1: 1e-200})) == 1e-200  # |v|^2 underflows
+    assert norm(from_entries(COUNTABLE, {1: 3e-200, 2: 4e-200j})) == math.hypot(3e-200, 4e-200)
+    assert norm(from_entries(COUNTABLE, {1: 1.5e308, 2: 1.5e308j})) == math.inf
+    assert norm(zero(COUNTABLE)) == 0.0
+
+
+@given(vectors_on(COUNTABLE))
+def test_norm_is_the_root_of_norm_sq_inside_the_float_range(x):
+    sq = norm_sq(x)
+    if 0 < sq < math.inf:
+        assert norm(x) == math.sqrt(sq)
+
+
 def test_add_cancellation_gives_empty_support():
     e1 = unit_vector(DOM5, 1)
     assert add(e1, scale(-1, e1)) == zero(DOM5)
