@@ -9,14 +9,18 @@ tracks the harmonic numbers, so it grows without bound.
 import argparse
 import math
 
-from genshift import divergence_witness, norm_sq, symbolic_map
+from genshift import SEARCH_CAP, divergence_witness, norm_sq, symbolic_map
+
+MAX_EXP = SEARCH_CAP.bit_length() - 1  # a witness at K = 2**MAX_EXP fits the search budget
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-exp", type=int, default=16,
-                        help="largest K is 2**max_exp")
+                        help=f"largest K is 2**max_exp, at most 2**{MAX_EXP}")
     args = parser.parse_args()
+    if args.max_exp > MAX_EXP:
+        parser.error(f"--max-exp must be at most {MAX_EXP}: the search budget is {SEARCH_CAP} targets")
 
     tri = symbolic_map("triangular")
     print(f"{'K':>10} {'|x|^2':>12} {'bound on |image|^2':>20} {'H_K':>12}")

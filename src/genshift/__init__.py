@@ -21,6 +21,7 @@ from .index_domain import (
     BUILTIN_RULES,
     COUNTABLE,
     DEFAULT_WINDOW,
+    SEARCH_CAP,
     FiberReport,
     IndexMap,
     IndexSet,

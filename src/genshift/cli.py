@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 
 import click
@@ -32,7 +31,6 @@ EXIT_NOT_IN_L2 = 4
 EXIT_WITNESS = 5
 EXIT_DISAGREEMENT = 6
 
-SEED_ENV_VAR = "GENSHIFT_SEED"
 DEFAULT_SEED = 74
 
 
@@ -167,22 +165,6 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _resolve_seed(seed: int | None) -> int:
-    if seed is not None:
-        return seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return DEFAULT_SEED
-    error = ParseError(f"{SEED_ENV_VAR} must be a non-negative integer, got {env!r}")
-    try:
-        seed = int(env)
-    except ValueError:
-        raise error from None
-    if seed < 0:
-        raise error
-    return seed
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -291,18 +273,14 @@ def witness(map_file, kind, count, truncation):
 @click.option("--exhaustive", "exhaustive", is_flag=True, help="sweep all n^n image tables")
 @click.option("--random", "random_count", type=click.IntRange(min=1), default=None,
               help="check this many random image tables instead")
-@click.option("--seed", type=click.IntRange(min=0), default=None,
-              help=f"seed for --random tables; falls back to ${SEED_ENV_VAR}, then {DEFAULT_SEED}")
+@click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED, show_default=True,
+              envvar="GENSHIFT_SEED", show_envvar=True, help="seed for --random tables")
 def oracle_check(n, exhaustive, random_count, seed):
     """Agreement sweep between the fiber analysis and the dense oracle."""
     if exhaustive == (random_count is not None):
         raise click.UsageError("pass exactly one of --exhaustive or --random R")
     import numpy as np  # only this command needs numpy, so the others start without it
     from . import dense_oracle
-    try:
-        seed = _resolve_seed(seed)
-    except ParseError as exc:
-        _fail(EXIT_PARSE, f"parse error: {exc}")
     if exhaustive:
         if n > dense_oracle.EXHAUSTIVE_CAP:
             raise click.UsageError(f"--exhaustive needs n <= {dense_oracle.EXHAUSTIVE_CAP}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SearchExhaustedError, UnsupportedError
-from .index_domain import COUNTABLE, IndexMap
+from .index_domain import COUNTABLE, SEARCH_CAP, IndexMap
 from .sparse_vec import SparseVector
 
 
@@ -44,12 +44,12 @@ def is_compact(m: IndexMap) -> bool:
     return m.domain.is_finite
 
 
-def witness_sequence(m: IndexMap, count: int, search_cap: int = 1 << 20) -> WitnessSequence:
+def witness_sequence(m: IndexMap, count: int) -> WitnessSequence:
     """Non-compactness certificate on the unbounded index set.
 
     Collects the ``count`` smallest indices with nonempty fibers, reading
     fiber sizes through ``IndexMap.scan`` (so every window read is checked
-    against the certificates) up to ``search_cap`` targets. Requires a map
+    against the certificates) up to ``SEARCH_CAP`` targets. Requires a map
     with a certified finite fiber bound (for unbounded maps the operator
     does not even act within the square-summable family).
     """
@@ -60,11 +60,11 @@ def witness_sequence(m: IndexMap, count: int, search_cap: int = 1 << 20) -> Witn
     if m.certificates.sup_card in (None, math.inf):
         raise UnsupportedError("witness needs a map with a certified finite fiber bound")
     # bounded fibers are finite, so this skips exactly the empty ones
-    found = list(itertools.islice(((a, c) for a, c in m.scan(count, search_cap) if c), count))
+    found = list(itertools.islice(((a, c) for a, c in m.scan(count) if c), count))
     if len(found) < count:
-        # cannot happen for a total map with bounded fibers; defensive only
+        # the search budget: SEARCH_CAP targets may hold fewer than count nonempty fibers
         raise SearchExhaustedError(
-            f"only {len(found)} nonempty fibers below {search_cap}; need {count}"
+            f"only {len(found)} nonempty fibers within {SEARCH_CAP} targets; need {count}"
         )
     indices, sizes = zip(*found)
     smallest_two = sorted(sizes)[:2]

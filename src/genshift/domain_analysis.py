@@ -15,6 +15,7 @@ from .errors import DomainError, SearchExhaustedError, UnsupportedError
 from .index_domain import (
     COUNTABLE,
     DEFAULT_WINDOW,
+    SEARCH_CAP,
     IndexMap,
     Verdict,
     WindowOnly,
@@ -71,20 +72,19 @@ def domain_closed(m: IndexMap, window: int = DEFAULT_WINDOW) -> Verdict:
     return WindowOnly(f"fibers over M bounded by {bound} on window 1..{window}", value=bound)
 
 
-def fiber_records(m: IndexMap, count: int, search_cap: int | None = None) -> tuple[tuple[int, int], ...]:
+def fiber_records(m: IndexMap, count: int) -> tuple[tuple[int, int], ...]:
     """Greedy record scan over the finite fibers.
 
     Returns up to ``count`` pairs (index, fiber size), smallest index first,
     where each fiber size strictly exceeds every earlier one. Indices with
     infinite fibers are skipped, so all records lie in M. A symbolic map is
-    scanned up to ``search_cap`` targets, a finite one in full.
+    scanned up to ``SEARCH_CAP`` targets, a finite one in full.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    cap = search_cap if search_cap is not None else 16 * count + 1024
     records: list[tuple[int, int]] = []
     best = 0
-    for a, c in m.scan(count, cap):
+    for a, c in m.scan(count):
         if c > best and c != math.inf:
             records.append((a, c))
             best = c
@@ -113,22 +113,23 @@ class DivergenceWitness:
         return SparseVector(COUNTABLE, entries)
 
 
-def divergence_witness(m: IndexMap, K: int, search_cap: int | None = None) -> DivergenceWitness:
+def divergence_witness(m: IndexMap, K: int) -> DivergenceWitness:
     """Truncated divergence certificate with K harmonic terms.
 
     Requires fibers over M to be unbounded; maps certified bounded (every
     finite-domain map, and symbolic rules with a finite certified bound over
-    M) are rejected.
+    M) are rejected. A search that finds fewer than K records within
+    ``SEARCH_CAP`` targets raises SearchExhaustedError.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     certified = m.certificates.m_sup
     if certified is not None and certified != math.inf:
         raise UnsupportedError(f"map is certified bounded over M (fiber bound {certified})")
-    records = fiber_records(m, K, search_cap)
+    records = fiber_records(m, K)
     if len(records) < K:
         raise SearchExhaustedError(
-            f"found only {len(records)} fiber-size records within the search cap"
+            f"found only {len(records)} fiber-size records within {SEARCH_CAP} targets"
         )
     terms = (size / (k * k) for k, (_, size) in enumerate(records, start=1))
     return DivergenceWitness(records, math.fsum(terms))

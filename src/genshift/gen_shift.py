@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, UnsupportedError
-from .index_domain import DEFAULT_WINDOW, IndexMap, Verdict, WindowOnly, fiber_report
+from .index_domain import DEFAULT_WINDOW, SEARCH_CAP, IndexMap, Verdict, WindowOnly, fiber_report
 from .sparse_vec import SparseVector, fsum_or_inf
 
 
@@ -171,9 +171,9 @@ def classify(m: IndexMap, window: int = DEFAULT_WINDOW) -> ClassificationReport:
     )
 
 
-def _collision_pair(m: IndexMap, cap: int = 4096) -> tuple[int, int] | None:
+def _collision_pair(m: IndexMap) -> tuple[int, int] | None:
     seen: dict[int, int] = {}
-    hi = m.domain.size if m.is_finite else cap
+    hi = m.domain.size if m.is_finite else SEARCH_CAP
     for beta in range(1, hi + 1):
         alpha = m.eval(beta)
         if alpha in seen:
@@ -182,13 +182,7 @@ def _collision_pair(m: IndexMap, cap: int = 4096) -> tuple[int, int] | None:
     return None
 
 
-def solve(
-    m: IndexMap,
-    y: SparseVector,
-    *,
-    accept_window_injectivity: bool = False,
-    injectivity_window: int = DEFAULT_WINDOW,
-) -> SparseVector:
+def solve(m: IndexMap, y: SparseVector, *, accept_window_injectivity: bool = False) -> SparseVector:
     """Preimage under the shift: x with x[eval(beta)] = y[beta], zero elsewhere.
 
     Requires the index map to be one-to-one; the entries of y are then merely
@@ -197,7 +191,7 @@ def solve(
     unless ``accept_window_injectivity`` acknowledges the limitation.
     """
     _check_domains(m, y)
-    inj = phi_injective(m, injectivity_window)
+    inj = phi_injective(m)
     if inj is False:
         pair = _collision_pair(m)
         detail = f": eval({pair[0]}) == eval({pair[1]})" if pair else ""

@@ -28,6 +28,7 @@ from typing import Callable, Iterator, Sequence
 from .errors import ConstructionError, DomainError, IntegrityError, ParseError
 
 DEFAULT_WINDOW = 64
+SEARCH_CAP = 1 << 20  # targets any search past a window may read: the one search budget
 
 
 @dataclass(frozen=True)
@@ -207,15 +208,15 @@ class IndexMap:
         self.__dict__["_window_sizes"] = sizes
         return sizes
 
-    def scan(self, first: int, cap: int) -> Iterator[tuple[int, int | float]]:
-        """Targets 1, 2, ... with their fiber sizes, up to ``cap`` (all n for a table).
+    def scan(self, first: int) -> Iterator[tuple[int, int | float]]:
+        """Targets 1, 2, ... with their fiber sizes, up to ``SEARCH_CAP`` (all n for a table).
 
         Reads ``window_sizes`` over windows first, 2*first, 4*first, ..., so a
         caller that stops early has scanned at most twice what it used.
         """
         seen, window = 0, first
-        while seen < cap:
-            sizes = self.window_sizes(min(window, cap))
+        while seen < SEARCH_CAP:
+            sizes = self.window_sizes(min(window, SEARCH_CAP))
             if len(sizes) == seen:  # a table has no targets beyond n
                 return
             yield from enumerate(sizes[seen:], start=seen + 1)

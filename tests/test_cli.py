@@ -216,6 +216,10 @@ def test_oracle_check_seed_env_fallback(runner, monkeypatch):
     result = runner.invoke(main, ["oracle-check", "--n", "4", "--random", "5"])
     assert result.exit_code == 0
     assert json.loads(result.output)["seed"] == 99
+    monkeypatch.setenv("GENSHIFT_SEED", "")  # empty means unset: the default seed
+    result = runner.invoke(main, ["oracle-check", "--n", "4", "--random", "5"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["seed"] == 74
 
 
 @pytest.mark.parametrize("mode", [["--exhaustive"], ["--random", "5"]])

@@ -6,6 +6,7 @@ from hypothesis import given
 
 from genshift import (
     COUNTABLE,
+    SEARCH_CAP,
     IntegrityError,
     SearchExhaustedError,
     UnsupportedError,
@@ -97,9 +98,10 @@ def test_witness_rejects_tiny_count():
         witness_sequence(symbolic_map("successor"), 1)
 
 
-def test_witness_search_cap_exhaustion_is_defensive():
+def test_witness_search_cap_exhaustion_at_the_budget():
+    # doubling's nonempty fibers are the even targets: half of the searched ones
     with pytest.raises(SearchExhaustedError):
-        witness_sequence(symbolic_map("successor"), 50, search_cap=10)
+        witness_sequence(symbolic_map("doubling"), SEARCH_CAP // 2 + 1)
 
 
 @pytest.mark.parametrize("rule", [clamp_liar_rule, liar_rule])

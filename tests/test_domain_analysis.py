@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from genshift import (
     COUNTABLE,
+    SEARCH_CAP,
     IndexSet,
     IntegrityError,
     NotInL2,
@@ -162,7 +163,7 @@ def test_fiber_records_finite_map_greedy_smallest_first():
 
 
 def test_fiber_records_skip_infinite_fibers():
-    records = fiber_records(symbolic_map("odd_collapse"), 3, search_cap=100)
+    records = fiber_records(symbolic_map("odd_collapse"), 3)
     assert records == ((2, 1),)  # all finite fibers are singletons
 
 
@@ -205,7 +206,13 @@ def test_divergence_witness_rejects_bounded_maps():
 
 def test_divergence_witness_uncertified_rule_exhausts_search():
     with pytest.raises(SearchExhaustedError):
-        divergence_witness(make_symbolic_map(uncertified_successor_rule()), 3, search_cap=200)
+        divergence_witness(make_symbolic_map(uncertified_successor_rule()), 3)
+
+
+def test_divergence_witness_stops_at_the_search_budget():
+    # the triangular rule has one record per target, so the budget holds SEARCH_CAP of them
+    with pytest.raises(SearchExhaustedError):
+        divergence_witness(symbolic_map("triangular"), SEARCH_CAP + 1)
 
 
 def test_divergence_witness_rejects_bad_k():
