@@ -18,7 +18,6 @@ from .errors import (
     UnsupportedError,
 )
 from .index_domain import (
-    BUILTIN_RULES,
     COUNTABLE,
     DEFAULT_WINDOW,
     SEARCH_CAP,
@@ -27,33 +26,18 @@ from .index_domain import (
     IndexSet,
     SymbolicRule,
     WindowOnly,
-    block_rule,
-    clamp_pred_rule,
-    compose_finite,
-    doubling_rule,
     fiber_report,
     make_finite_map,
-    make_symbolic_map,
     map_to_json,
-    odd_collapse_rule,
     parse_map,
-    successor_rule,
     symbolic_map,
-    triangular_rule,
-    verify_fiber_soundness,
 )
 from .sparse_vec import (
     SparseVector,
-    add,
     from_entries,
-    inner,
-    norm,
     norm_sq,
     parse_vector,
-    scale,
-    unit_vector,
     vector_to_json,
-    zero,
 )
 from .gen_shift import (
     ClassificationReport,
@@ -62,22 +46,17 @@ from .gen_shift import (
     apply_norm_sq,
     classify,
     operator_norm,
-    phi_injective,
-    phi_surjective,
     solve,
 )
 from .domain_analysis import (
     DivergenceWitness,
     DomainReport,
-    MDescription,
     divergence_witness,
-    domain_closed,
     domain_report,
     fiber_records,
     in_domain,
-    m_set,
 )
-from .compact_witness import WitnessSequence, is_compact, witness_sequence
+from .compact_witness import WitnessSequence, witness_sequence
 
 __version__ = "0.1.0"
 

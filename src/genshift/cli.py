@@ -130,13 +130,13 @@ def _classification_doc(rep: gen_shift.ClassificationReport) -> dict:
     }
 
 
-def _domain_doc(rep: domain_analysis.DomainReport, m_set: Rendered) -> dict:
-    m = rep.m
+def _domain_doc(rep: domain_analysis.DomainReport, m: IndexMap, window: int, m_set: Rendered) -> dict:
+    infinite = m.certificates.infinite_fibers
     return {
         "m_set": {
             "members": m_set,
-            "window": m.window,
-            "certified_infinite_fibers": None if m.infinite_fibers is None else sorted(m.infinite_fibers),
+            "window": None if m.is_finite else window,  # a table's M covers the whole domain
+            "certified_infinite_fibers": None if infinite is None else sorted(infinite),
         },
         "closed": _verdict_doc(rep.closed),
         "uniform_bound_on_m": rep.uniform_bound_on_m,
@@ -175,8 +175,8 @@ def main():
 
 @main.command()
 @click.argument("map_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--window", type=click.IntRange(min=1), default=index_domain.DEFAULT_WINDOW,
-              show_default=True, help="scan window for symbolic maps")
+@click.option("--window", type=click.IntRange(1, index_domain.SEARCH_CAP), show_default=True,
+              default=index_domain.DEFAULT_WINDOW, help="scan window for symbolic maps")
 def analyze(map_file, window):
     """Fiber report, operator classification and domain analysis for a map."""
     try:
@@ -188,14 +188,14 @@ def analyze(map_file, window):
         _fail(EXIT_PARSE, f"parse error: {exc}")
     except IntegrityError as exc:
         _fail(EXIT_INTEGRITY, f"integrity error: {exc}")
-    m_members = _ints(sorted(domain.m.members))  # M, rendered once for both m_set keys
+    m_members = _ints(sorted(domain.m_set))  # M, rendered once for both m_set keys
     doc = {
         "schema_version": SCHEMA_VERSION,
         "map": index_domain.map_to_json(m),
         "window": window,
         "fiber_report": _fiber_report_doc(fibers, window, m_members),
         "classification": _classification_doc(classification),
-        "domain": _domain_doc(domain, m_members),
+        "domain": _domain_doc(domain, m, window, m_members),
     }
     click.echo(_render(doc))
 
@@ -269,7 +269,7 @@ def witness(map_file, kind, count, truncation):
 
 
 @main.command("oracle-check")
-@click.option("--n", "n", type=click.IntRange(min=2), required=True)
+@click.option("--n", "n", type=click.IntRange(2, index_domain.DENSE_CAP), required=True)
 @click.option("--exhaustive", "exhaustive", is_flag=True, help="sweep all n^n image tables")
 @click.option("--random", "random_count", type=click.IntRange(min=1), default=None,
               help="check this many random image tables instead")

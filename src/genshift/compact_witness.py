@@ -1,9 +1,10 @@
-"""Compactness of the shift operator and explicit non-compactness witnesses.
+"""Explicit non-compactness witnesses for the shift operator.
 
-On a finite index set every linear operator is compact. On the unbounded
-index set the scaled basis vectors at indices with nonempty fibers have
-pairwise-separated images, so the image of the unit ball contains a sequence
-with no convergent subsequence.
+On a finite index set every linear operator is compact (the verdict is
+``classify(m).compact``). On the unbounded index set the scaled basis
+vectors at indices with nonempty fibers have pairwise-separated images, so
+the image of the unit ball contains a sequence with no convergent
+subsequence.
 """
 
 from __future__ import annotations
@@ -37,11 +38,6 @@ class WitnessSequence:
     @property
     def vectors(self) -> tuple[SparseVector, ...]:
         return tuple(SparseVector(COUNTABLE, {a: complex(0.5)}) for a in self.indices)
-
-
-def is_compact(m: IndexMap) -> bool:
-    """The operator is compact exactly when the index set is finite."""
-    return m.domain.is_finite
 
 
 def witness_sequence(m: IndexMap, count: int) -> WitnessSequence:

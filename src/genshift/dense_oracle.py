@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import UnsupportedError
 from .gen_shift import classify, operator_norm
-from .index_domain import IndexMap, IndexSet
+from .index_domain import DENSE_CAP, IndexMap, IndexSet
 
 EXHAUSTIVE_CAP = 7
 
@@ -46,9 +46,12 @@ class DenseOperator:
 
 
 def to_dense(m: IndexMap) -> DenseOperator:
+    """The matrix of ``m``; n above ``DENSE_CAP`` is refused before anything is allocated."""
     if not m.is_finite:
         raise UnsupportedError("dense realisation needs a finite domain")
     n = m.domain.size
+    if n > DENSE_CAP:
+        raise UnsupportedError(f"dense realisation capped at n = {DENSE_CAP}, got {n}")
     A = np.zeros((n, n), dtype=np.int64)
     A[np.arange(n), np.asarray(m.table) - 1] = 1
     return DenseOperator(A)

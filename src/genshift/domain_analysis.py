@@ -38,40 +38,6 @@ def in_domain(m: IndexMap, z: SparseVector) -> bool:
     return all(m.fiber_card(theta) != math.inf for theta in z.entries)
 
 
-@dataclass(frozen=True)
-class MDescription:
-    """The finite-fiber index set M, exactly (finite domains) or windowed."""
-
-    members: frozenset[int]
-    window: int | None  # None when the scan covered the whole domain
-    infinite_fibers: frozenset[int] | None  # certified complement; None = unknown beyond window
-
-
-def m_set(m: IndexMap, window: int = DEFAULT_WINDOW) -> MDescription:
-    """Targets 1..window (all n for a table) whose fiber is finite, and what is certified beyond."""
-    sizes = m.window_sizes(window)
-    if math.inf in sizes:
-        members = frozenset(a for a, c in enumerate(sizes, start=1) if c != math.inf)
-    else:
-        members = frozenset(range(1, len(sizes) + 1))
-    return MDescription(members, None if m.is_finite else window, m.certificates.infinite_fibers)
-
-
-def domain_closed(m: IndexMap, window: int = DEFAULT_WINDOW) -> Verdict:
-    """True when fiber sizes over M admit a finite uniform bound.
-
-    Always True on finite domains. False comes with arbitrarily large finite
-    fibers (see fiber_records for the witness); uncertified rules get a
-    WindowOnly verdict carrying the bound seen on the window.
-    """
-    sizes = m.window_sizes(window)
-    certified = m.certificates.m_sup
-    if certified is not None:
-        return certified != math.inf
-    bound = finite_sup(sizes)
-    return WindowOnly(f"fibers over M bounded by {bound} on window 1..{window}", value=bound)
-
-
 def fiber_records(m: IndexMap, count: int) -> tuple[tuple[int, int], ...]:
     """Greedy record scan over the finite fibers.
 
@@ -140,26 +106,34 @@ class DomainReport:
     """Aggregate domain analysis: M, closedness, the uniform bound over M,
     and the record witness when closedness fails.
 
-    The domain is closed exactly when it equals the vectors vanishing off M,
-    so ``closed`` also answers whether that characterization holds.
+    ``m_set`` is M on the window (all of a table's indices). The domain is
+    closed exactly when it equals the vectors vanishing off M, so ``closed``
+    also answers whether that characterization holds.
     """
 
-    m: MDescription
+    m_set: frozenset[int]
     closed: Verdict
     uniform_bound_on_m: int | float  # math.inf when certified unbounded
     unbounded_witness: tuple[tuple[int, int], ...] | None
 
 
 def domain_report(m: IndexMap, window: int = DEFAULT_WINDOW) -> DomainReport:
-    closed = domain_closed(m, window)
+    sizes = m.window_sizes(window)
+    if math.inf in sizes:
+        members = frozenset(a for a, c in enumerate(sizes, start=1) if c != math.inf)
+    else:
+        members = frozenset(range(1, len(sizes) + 1))
     bound = m.certificates.m_sup
     witness = None
     if bound is None:
-        bound = closed.value  # the largest finite fiber on the window
-    elif bound == math.inf:
-        witness = fiber_records(m, 8)
+        bound = finite_sup(sizes)
+        closed = WindowOnly(f"fibers over M bounded by {bound} on window 1..{window}", value=bound)
+    else:
+        closed = bound != math.inf
+        if not closed:
+            witness = fiber_records(m, 8)
     return DomainReport(
-        m=m_set(m, window),
+        m_set=members,
         closed=closed,
         uniform_bound_on_m=bound,
         unbounded_witness=witness,

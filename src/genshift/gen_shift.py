@@ -111,32 +111,6 @@ def operator_norm(m: IndexMap, window: int = DEFAULT_WINDOW) -> float | WindowOn
     return math.sqrt(verdict)
 
 
-def phi_injective(m: IndexMap, window: int = DEFAULT_WINDOW) -> Verdict:
-    """Is the index map one-to-one?
-
-    Exact on finite domains and for rules carrying a certificate. A window
-    can refute exactly (a fiber of size >= 2 is a witness) but never prove.
-    """
-    sizes = m.window_sizes(window)
-    certified = m.certificates.injective
-    if certified is not None:
-        return certified
-    if max(sizes) >= 2:
-        return False
-    return WindowOnly(f"no fiber of size >= 2 over targets 1..{window}")
-
-
-def phi_surjective(m: IndexMap, window: int = DEFAULT_WINDOW) -> Verdict:
-    """Does the index map cover every index? An empty fiber refutes exactly."""
-    sizes = m.window_sizes(window)
-    certified = m.certificates.surjective
-    if certified is not None:
-        return certified
-    if 0 in sizes:
-        return False
-    return WindowOnly(f"all targets 1..{window} have nonempty fibers")
-
-
 def _both(a: Verdict, b: Verdict) -> Verdict:
     if a is False or b is False:
         return False
@@ -151,10 +125,17 @@ def classify(m: IndexMap, window: int = DEFAULT_WINDOW) -> ClassificationReport:
 
     Surjectivity of the operator mirrors injectivity of the index map and
     vice versa; the isometry verdict needs both; compactness holds exactly on
-    finite domains. The window only matters for uncertified symbolic rules.
+    finite domains. The window only matters for uncertified symbolic rules,
+    where one scan can refute (a fiber of size >= 2, an empty fiber) but
+    never prove.
     """
-    inj = phi_injective(m, window)
-    surj = phi_surjective(m, window)
+    sizes = m.window_sizes(window)
+    inj = m.certificates.injective
+    if inj is None:
+        inj = False if max(sizes) >= 2 else WindowOnly(f"no fiber of size >= 2 over targets 1..{window}")
+    surj = m.certificates.surjective
+    if surj is None:
+        surj = False if 0 in sizes else WindowOnly(f"all targets 1..{window} have nonempty fibers")
     nrm = operator_norm(m, window)
     into: Verdict
     if isinstance(nrm, WindowOnly):
@@ -191,7 +172,7 @@ def solve(m: IndexMap, y: SparseVector, *, accept_window_injectivity: bool = Fal
     unless ``accept_window_injectivity`` acknowledges the limitation.
     """
     _check_domains(m, y)
-    inj = phi_injective(m)
+    inj = classify(m).sigma_surjective  # sigma is onto iff the index map is one-to-one
     if inj is False:
         pair = _collision_pair(m)
         detail = f": eval({pair[0]}) == eval({pair[1]})" if pair else ""

@@ -14,7 +14,7 @@ certificates can still be analysed, but only on finite windows. A fiber
 report states the sup of all sizes as every verdict is stated: a proved
 value, or a WindowOnly carrying the value the window shows. It holds the
 sizes and that verdict only; M, the finite-fiber set, is read off the same
-sizes by ``domain_analysis.m_set``.
+sizes by ``domain_analysis.domain_report``.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import ConstructionError, DomainError, IntegrityError, ParseError
 
 DEFAULT_WINDOW = 64
 SEARCH_CAP = 1 << 20  # targets any search past a window may read: the one search budget
+DENSE_CAP = 2048  # largest n the dense oracle realises; here so the CLI can bound --n without numpy
 
 
 @dataclass(frozen=True)
@@ -192,12 +193,12 @@ class IndexMap:
     def window_sizes(self, window: int) -> tuple[int | float, ...]:
         """Fiber sizes over targets 1..window (math.inf if infinite); all n for a table.
 
-        The one check that a window is at least 1. A rule's scan is checked
+        The one check that a window is in 1..SEARCH_CAP. A rule's scan is checked
         against its certificates, then cached if it is the largest so far: a
         smaller window is its prefix, a larger one scans only the new targets.
         """
-        if window < 1:
-            raise ConstructionError(f"window must be >= 1, got {window}")
+        if not 1 <= window <= SEARCH_CAP:
+            raise ConstructionError(f"window must be in 1..{SEARCH_CAP}, got {window}")
         if self.table is not None:
             return self.fiber_counts[1:]
         scanned = self.__dict__.get("_window_sizes", ())
@@ -245,18 +246,6 @@ def make_finite_map(images: Sequence[int], n: int) -> IndexMap:
         if not isinstance(img, int) or isinstance(img, bool) or not 1 <= img <= n:
             raise ConstructionError(f"image at position {pos} is {img!r}, not in 1..{n}")
     return IndexMap(IndexSet.finite(n), table=tuple(images))
-
-
-def make_symbolic_map(rule: SymbolicRule) -> IndexMap:
-    """Wrap a symbolic rule as a map on the unbounded index set."""
-    return IndexMap(COUNTABLE, rule=rule)
-
-
-def compose_finite(outer: IndexMap, inner: IndexMap) -> IndexMap:
-    """The map alpha -> outer(inner(alpha)) on a shared finite domain."""
-    if not (outer.is_finite and inner.is_finite) or outer.domain != inner.domain:
-        raise DomainError("composition needs matching finite domains")
-    return IndexMap(outer.domain, table=tuple(outer.table[i - 1] for i in inner.table))
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +363,10 @@ def symbolic_map(name: str, param: int | None = None) -> IndexMap:
     if name == "block":
         if param is None:
             raise ConstructionError('rule "block" needs an integer param')
-        return make_symbolic_map(ctor(param))
+        return IndexMap(COUNTABLE, rule=ctor(param))
     if param is not None:
         raise ConstructionError(f"rule {name!r} takes no param")
-    return make_symbolic_map(ctor())
+    return IndexMap(COUNTABLE, rule=ctor())
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +430,7 @@ class FiberReport:
     (an int, or math.inf when unbounded), or a WindowOnly carrying the
     largest size on the window. ``sup`` is computed on read, so a report
     made for its verdict scans no sizes. M is not on the report; see
-    ``domain_analysis.m_set``.
+    ``domain_analysis.domain_report``.
     """
 
     sizes: tuple[int | float, ...]  # sizes[a - 1] = |fiber(a)|, math.inf if infinite
@@ -501,31 +490,3 @@ def fiber_report(m: IndexMap, window: int = DEFAULT_WINDOW) -> FiberReport:
         verdict = bound if bound == math.inf else WindowOnly(note, bound)
     return FiberReport(sizes, verdict)
 
-
-def verify_fiber_soundness(m: IndexMap, window: int = DEFAULT_WINDOW) -> None:
-    """Spot-check eval/fiber consistency on a window; raises IntegrityError.
-
-    Checks that every beta in the window lies in the fiber of its image,
-    that every enumerated fiber member maps back onto the fiber's index, and
-    that ``fiber_card`` agrees with the member set (math.inf when there is
-    none). One pass inverts eval over the window, so each beta there is
-    evaluated once and each target's fiber is read once.
-    """
-    hi = min(window, m.domain.size) if m.is_finite else window
-    images = [m.eval(beta) for beta in range(1, hi + 1)]
-    seen: dict[int, set[int]] = {alpha: set() for alpha in range(1, hi + 1)}
-    for beta, alpha in enumerate(images, start=1):
-        seen.setdefault(alpha, set()).add(beta)
-    for alpha, betas in seen.items():
-        members = m.fiber(alpha)
-        count = math.inf if members is None else len(members)
-        if m.fiber_card(alpha) != count:
-            raise IntegrityError(f"fiber({alpha}) has size {m.fiber_card(alpha)} but {count} members")
-        if members is None:
-            continue
-        for beta in members:
-            image = images[beta - 1] if beta <= hi else m.eval(beta)
-            if image != alpha:
-                raise IntegrityError(f"fiber({alpha}) contains {beta} but eval({beta}) = {image}")
-        if not betas <= members:
-            raise IntegrityError(f"fiber({alpha}) is missing {sorted(betas - members)}")

@@ -23,16 +23,8 @@ class SparseVector:
     domain: IndexSet
     entries: dict[int, complex] = field(default_factory=dict)
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.entries))
-
     def __getitem__(self, alpha: int) -> complex:
         return self.entries.get(alpha, 0j)
-
-
-def zero(domain: IndexSet) -> SparseVector:
-    return SparseVector(domain, {})
 
 
 def from_entries(domain: IndexSet, entries) -> SparseVector:
@@ -48,57 +40,6 @@ def from_entries(domain: IndexSet, entries) -> SparseVector:
     return SparseVector(domain, out)
 
 
-def unit_vector(domain: IndexSet, theta: int) -> SparseVector:
-    """The standard basis vector with a single 1 at theta."""
-    if theta not in domain:
-        raise DomainError(f"index {theta!r} outside the domain")
-    return SparseVector(domain, {theta: 1 + 0j})
-
-
-def _same_domain(x: SparseVector, y: SparseVector) -> None:
-    if x.domain != y.domain:
-        raise DomainError("vector domains differ")
-
-
-def add(x: SparseVector, y: SparseVector) -> SparseVector:
-    _same_domain(x, y)
-    out = dict(x.entries)
-    for alpha, v in y.entries.items():
-        s = out.get(alpha, 0j) + v
-        if s == 0:
-            out.pop(alpha, None)
-        else:
-            out[alpha] = s
-    return SparseVector(x.domain, out)
-
-
-def scale(c, x: SparseVector) -> SparseVector:
-    c = complex(c)
-    if c == 0:
-        return SparseVector(x.domain, {})
-    out = {}
-    for alpha, v in x.entries.items():
-        w = c * v
-        if w != 0:
-            out[alpha] = w
-    return SparseVector(x.domain, out)
-
-
-def inner(x: SparseVector, y: SparseVector) -> complex:
-    """Sum over the common support of x_a * conj(y_a)."""
-    _same_domain(x, y)
-    re_parts = []
-    im_parts = []
-    for alpha, xv in x.entries.items():
-        yv = y.entries.get(alpha)
-        if yv is None:
-            continue
-        p = xv * yv.conjugate()
-        re_parts.append(p.real)
-        im_parts.append(p.imag)
-    return complex(math.fsum(re_parts), math.fsum(im_parts))
-
-
 def fsum_or_inf(terms: list[float]) -> float:
     """math.fsum of nonnegative terms; math.inf when their sum passes the float range."""
     try:
@@ -109,14 +50,6 @@ def fsum_or_inf(terms: list[float]) -> float:
 
 def norm_sq(x: SparseVector) -> float:
     return fsum_or_inf([v.real * v.real + v.imag * v.imag for v in x.entries.values()])
-
-
-def norm(x: SparseVector) -> float:
-    """Square root of the square-sum; math.hypot of the components if that under- or overflows."""
-    sq = norm_sq(x)
-    if (sq == 0 or sq == math.inf) and x.entries:
-        return math.hypot(*(c for v in x.entries.values() for c in (v.real, v.imag)))
-    return math.sqrt(sq)
 
 
 def vector_to_json(x: SparseVector) -> list[dict]:

@@ -1,10 +1,21 @@
-"""Shared strategies, reference functions and hand-rolled test rules."""
+"""Shared strategies, reference functions, vector algebra and hand-rolled test rules."""
 
 import math
 
 from hypothesis import strategies as st
 
-from genshift import SymbolicRule, from_entries, make_finite_map
+from genshift import (
+    DEFAULT_WINDOW,
+    DomainError,
+    IndexMap,
+    IndexSet,
+    IntegrityError,
+    SparseVector,
+    SymbolicRule,
+    from_entries,
+    make_finite_map,
+    norm_sq,
+)
 
 
 def sup_card(cards) -> int | float:
@@ -15,6 +26,77 @@ def sup_card(cards) -> int | float:
             return math.inf
         best = max(best, c)
     return best
+
+
+# ---------------------------------------------------------------------------
+# vector algebra: canonical results, exact zeros dropped
+
+
+def zero(domain: IndexSet) -> SparseVector:
+    return SparseVector(domain, {})
+
+
+def unit_vector(domain: IndexSet, theta: int) -> SparseVector:
+    """The standard basis vector with a single 1 at theta."""
+    if theta not in domain:
+        raise DomainError(f"index {theta!r} outside the domain")
+    return SparseVector(domain, {theta: 1 + 0j})
+
+
+def _same_domain(x: SparseVector, y: SparseVector) -> None:
+    if x.domain != y.domain:
+        raise DomainError("vector domains differ")
+
+
+def add(x: SparseVector, y: SparseVector) -> SparseVector:
+    _same_domain(x, y)
+    out = dict(x.entries)
+    for alpha, v in y.entries.items():
+        s = out.get(alpha, 0j) + v
+        if s == 0:
+            out.pop(alpha, None)
+        else:
+            out[alpha] = s
+    return SparseVector(x.domain, out)
+
+
+def scale(c, x: SparseVector) -> SparseVector:
+    c = complex(c)
+    if c == 0:
+        return SparseVector(x.domain, {})
+    out = {}
+    for alpha, v in x.entries.items():
+        w = c * v
+        if w != 0:
+            out[alpha] = w
+    return SparseVector(x.domain, out)
+
+
+def inner(x: SparseVector, y: SparseVector) -> complex:
+    """Sum over the common support of x_a * conj(y_a)."""
+    _same_domain(x, y)
+    re_parts = []
+    im_parts = []
+    for alpha, xv in x.entries.items():
+        yv = y.entries.get(alpha)
+        if yv is None:
+            continue
+        p = xv * yv.conjugate()
+        re_parts.append(p.real)
+        im_parts.append(p.imag)
+    return complex(math.fsum(re_parts), math.fsum(im_parts))
+
+
+def norm(x: SparseVector) -> float:
+    """Square root of the square-sum; math.hypot of the components if that under- or overflows."""
+    sq = norm_sq(x)
+    if (sq == 0 or sq == math.inf) and x.entries:
+        return math.hypot(*(c for v in x.entries.values() for c in (v.real, v.imag)))
+    return math.sqrt(sq)
+
+
+# ---------------------------------------------------------------------------
+# strategies
 
 
 scalars = st.complex_numbers(max_magnitude=100.0, allow_nan=False, allow_infinity=False)
@@ -100,3 +182,32 @@ def clamp_liar_rule() -> SymbolicRule:
         surjective=True,
         infinite_fibers=frozenset(),
     )
+
+
+def verify_fiber_soundness(m: IndexMap, window: int = DEFAULT_WINDOW) -> None:
+    """Spot-check eval/fiber consistency on a window; raises IntegrityError.
+
+    Checks that every beta in the window lies in the fiber of its image,
+    that every enumerated fiber member maps back onto the fiber's index, and
+    that ``fiber_card`` agrees with the member set (math.inf when there is
+    none). One pass inverts eval over the window, so each beta there is
+    evaluated once and each target's fiber is read once.
+    """
+    hi = min(window, m.domain.size) if m.is_finite else window
+    images = [m.eval(beta) for beta in range(1, hi + 1)]
+    seen: dict[int, set[int]] = {alpha: set() for alpha in range(1, hi + 1)}
+    for beta, alpha in enumerate(images, start=1):
+        seen.setdefault(alpha, set()).add(beta)
+    for alpha, betas in seen.items():
+        members = m.fiber(alpha)
+        count = math.inf if members is None else len(members)
+        if m.fiber_card(alpha) != count:
+            raise IntegrityError(f"fiber({alpha}) has size {m.fiber_card(alpha)} but {count} members")
+        if members is None:
+            continue
+        for beta in members:
+            image = images[beta - 1] if beta <= hi else m.eval(beta)
+            if image != alpha:
+                raise IntegrityError(f"fiber({alpha}) contains {beta} but eval({beta}) = {image}")
+        if not betas <= members:
+            raise IntegrityError(f"fiber({alpha}) is missing {sorted(betas - members)}")

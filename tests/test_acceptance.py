@@ -22,16 +22,11 @@ from genshift import (
     apply_norm_sq,
     classify,
     divergence_witness,
-    domain_closed,
     domain_report,
     exhaustive_maps,
     fiber_records,
     from_entries,
     in_domain,
-    is_compact,
-    m_set,
-    make_symbolic_map,
-    norm,
     norm_sq,
     operator_norm,
     random_tables,
@@ -40,10 +35,9 @@ from genshift import (
     structural_check,
     symbolic_map,
     to_dense,
-    unit_vector,
     witness_sequence,
 )
-from helpers import parity_rule
+from helpers import norm, parity_rule, unit_vector
 
 BOUNDED_RULES = [("successor", None), ("clamp_pred", None), ("block", 2),
                  ("block", 5), ("doubling", None)]
@@ -194,17 +188,18 @@ def test_criterion_6_domain_theorem():
         ]
         vectors = [(s, from_entries(dom, {i: 1.0 for i in s})) for s in supports]
         for m in exhaustive_maps(6):
-            members = m_set(m).members
+            members = domain_report(m).m_set
             for support, z in vectors:
                 assert in_domain(m, z) == support.issubset(members)
         tri = symbolic_map("triangular")
-        assert domain_closed(tri) is False
+        assert domain_report(tri).closed is False
         records = fiber_records(tri, 10)
         sizes = [s for _, s in records]
         assert all(b > a for a, b in zip(sizes, sizes[1:]))  # strictly increasing
         block3 = symbolic_map("block", 3)
-        assert domain_closed(block3) is True
-        assert domain_report(block3).uniform_bound_on_m == 3
+        rep = domain_report(block3)
+        assert rep.closed is True
+        assert rep.uniform_bound_on_m == 3
 
     _run(6, "natural domain characterization", body)
 
@@ -216,10 +211,10 @@ def test_criterion_6_domain_theorem_infinite_fibers():
         window = 12
         cases = [
             (symbolic_map("odd_collapse"), frozenset(range(2, window + 1))),
-            (make_symbolic_map(parity_rule()), frozenset(range(3, window + 1))),
+            (IndexMap(COUNTABLE, rule=parity_rule()), frozenset(range(3, window + 1))),
         ]
         for m, expected_members in cases:
-            members = m_set(m, window).members
+            members = domain_report(m, window).m_set
             assert members == expected_members  # closed-form finite-fiber set
             for r in range(4):
                 for support in itertools.combinations(range(1, window + 1), r):
@@ -234,9 +229,9 @@ def test_criterion_7_compactness():
         rng = np.random.default_rng(7)
         for n in range(2, 8):
             for table in random_tables(n, 40, rng):
-                assert is_compact(IndexMap(IndexSet.finite(n), table=table)) is True
+                assert classify(IndexMap(IndexSet.finite(n), table=table)).compact is True
         for name, param in BOUNDED_RULES + [("triangular", None), ("odd_collapse", None)]:
-            assert is_compact(symbolic_map(name, param)) is False
+            assert classify(symbolic_map(name, param)).compact is False
         w = witness_sequence(symbolic_map("successor"), 100)
         assert len(w.indices) == 100
         # exact rational pairwise distances from fiber sizes

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 from click.testing import CliRunner
@@ -10,8 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from genshift import (
-    COUNTABLE, apply, cli, from_entries, index_domain, make_finite_map, make_symbolic_map,
-    parse_vector, vector_to_json,
+    COUNTABLE, IndexMap, apply, cli, from_entries, index_domain, make_finite_map, parse_vector,
+    vector_to_json,
 )
 from genshift.cli import main
 from helpers import clamp_liar_rule, parity_rule, uncertified_successor_rule
@@ -239,6 +240,20 @@ def test_oracle_check_bad_seed_env_exits_2(runner, monkeypatch, mode, env):
     assert "GENSHIFT_SEED" in result.output
 
 
+@pytest.mark.parametrize("args", [
+    ["analyze", "MAP", "--window", str(index_domain.SEARCH_CAP + 1)],
+    ["oracle-check", "--n", str(index_domain.DENSE_CAP + 1), "--random", "1"],
+], ids=["window", "dense_n"])
+def test_options_past_their_budget_exit_2(runner, tmp_path, monkeypatch, args):
+    # click rejects the value before the command runs: no window is scanned, no table drawn
+    monkeypatch.setattr(index_domain.IndexMap, "window_sizes", None)
+    args = [write(tmp_path, "m.json", SUCCESSOR) if a == "MAP" else a for a in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "is not in the range" in result.output
+
+
 def test_oracle_check_requires_exactly_one_mode(runner):
     assert runner.invoke(main, ["oracle-check", "--n", "3"]).exit_code == 2
     assert runner.invoke(
@@ -371,7 +386,7 @@ WINDOW_ONLY_ANALYSES = [
 @pytest.mark.parametrize("rule, window, expected", WINDOW_ONLY_ANALYSES,
                          ids=["succ_nocert_w1", "succ_nocert_w4", "parity_w1", "parity_w4"])
 def test_analyze_window_only_document(runner, tmp_path, monkeypatch, rule, window, expected):
-    monkeypatch.setattr(cli, "_load_map", lambda path: make_symbolic_map(rule()))
+    monkeypatch.setattr(cli, "_load_map", lambda path: IndexMap(COUNTABLE, rule=rule()))
     result = runner.invoke(main, ["analyze", write(tmp_path, "m.json", {}), "--window", str(window)])
     assert result.exit_code == 0
     assert result.output == expected
@@ -383,6 +398,34 @@ def test_import_leaves_numpy_out(module):
     code = f"import sys, {module}; sys.exit('numpy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+PUBLIC_NAMES = sorted([
+    "COUNTABLE", "ClassificationReport", "ConstructionError", "DEFAULT_WINDOW", "DivergenceWitness",
+    "DomainError", "DomainReport", "FiberReport", "GenShiftError", "IndexMap", "IndexSet",
+    "IntegrityError", "NotInL2", "ParseError", "SEARCH_CAP", "SearchExhaustedError", "SparseVector",
+    "SymbolicRule", "UnsupportedError", "WindowOnly", "WitnessSequence", "apply", "apply_norm_sq",
+    "classify", "divergence_witness", "domain_report", "fiber_records", "fiber_report",
+    "from_entries", "in_domain", "make_finite_map", "map_to_json", "norm_sq", "operator_norm",
+    "parse_map", "parse_vector", "solve", "symbolic_map", "vector_to_json", "witness_sequence",
+])
+DENSE_ORACLE_NAMES = sorted([
+    "DenseOperator", "EXHAUSTIVE_CAP", "MapAgreement", "StructuralReport", "check_map_agreement",
+    "exhaustive_maps", "random_tables", "spectral_norm", "structural_check", "sweep", "to_dense",
+])
+
+
+def test_public_surface_is_pinned():
+    # a name joins or leaves the package only by editing these lists
+    import genshift
+    from genshift import dense_oracle
+
+    eager = sorted(name for name, value in vars(genshift).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert eager == PUBLIC_NAMES
+    assert sorted(genshift._DENSE_ORACLE) == DENSE_ORACLE_NAMES
+    for name in DENSE_ORACLE_NAMES:
+        assert getattr(genshift, name) is getattr(dense_oracle, name)
 
 
 def test_dense_oracle_names_resolve_from_the_package():

@@ -7,34 +7,39 @@ from hypothesis import given
 from genshift import (
     COUNTABLE,
     SEARCH_CAP,
+    IndexMap,
     IntegrityError,
     SearchExhaustedError,
     UnsupportedError,
-    add,
     apply,
-    is_compact,
+    classify,
     make_finite_map,
-    make_symbolic_map,
-    norm,
-    scale,
     symbolic_map,
-    unit_vector,
     witness_sequence,
 )
-from helpers import clamp_liar_rule, finite_maps, liar_rule, uncertified_successor_rule
+from helpers import (
+    add,
+    clamp_liar_rule,
+    finite_maps,
+    liar_rule,
+    norm,
+    scale,
+    uncertified_successor_rule,
+    unit_vector,
+)
 
 SQRT2_OVER_2 = math.sqrt(2) / 2
 
 
 @given(finite_maps())
 def test_finite_maps_are_compact(m):
-    assert is_compact(m) is True
+    assert classify(m).compact is True
 
 
 def test_countable_rules_are_not_compact():
-    assert is_compact(symbolic_map("successor")) is False
-    assert is_compact(symbolic_map("doubling")) is False
-    assert is_compact(symbolic_map("block", 3)) is False
+    assert classify(symbolic_map("successor")).compact is False
+    assert classify(symbolic_map("doubling")).compact is False
+    assert classify(symbolic_map("block", 3)).compact is False
 
 
 def test_witness_successor_three_vectors():
@@ -90,7 +95,7 @@ def test_witness_rejects_unbounded_maps():
     with pytest.raises(UnsupportedError):
         witness_sequence(symbolic_map("odd_collapse"), 2)
     with pytest.raises(UnsupportedError):
-        witness_sequence(make_symbolic_map(uncertified_successor_rule()), 2)
+        witness_sequence(IndexMap(COUNTABLE, rule=uncertified_successor_rule()), 2)
 
 
 def test_witness_rejects_tiny_count():
@@ -108,4 +113,4 @@ def test_witness_search_cap_exhaustion_at_the_budget():
 def test_witness_refutes_a_false_bound_certificate(rule):
     # both claim m_sup = 1, hence a finite fiber bound; fiber(1) has size 2
     with pytest.raises(IntegrityError, match=r"fiber\(1\) has size 2"):
-        witness_sequence(make_symbolic_map(rule()), 3)
+        witness_sequence(IndexMap(COUNTABLE, rule=rule()), 3)

@@ -18,9 +18,9 @@ from genshift import (
     sweep,
     symbolic_map,
     to_dense,
-    unit_vector,
 )
-from helpers import finite_maps
+from genshift import dense_oracle
+from helpers import finite_maps, unit_vector
 
 
 def test_to_dense_identity():
@@ -43,6 +43,14 @@ def test_to_dense_three_cycle_is_permutation_matrix():
 def test_to_dense_rejects_countable():
     with pytest.raises(UnsupportedError):
         to_dense(symbolic_map("successor"))
+
+
+def test_to_dense_refuses_past_the_dense_cap_before_allocating(monkeypatch):
+    n = dense_oracle.DENSE_CAP + 1
+    m = make_finite_map([1] * n, n)
+    monkeypatch.setattr(dense_oracle.np, "zeros", None)  # any allocation attempt would fail here
+    with pytest.raises(UnsupportedError, match=f"capped at n = {dense_oracle.DENSE_CAP}, got {n}"):
+        to_dense(m)
 
 
 @given(finite_maps())

@@ -8,32 +8,36 @@ from hypothesis import strategies as st
 
 from genshift import (
     COUNTABLE,
+    DEFAULT_WINDOW,
     SEARCH_CAP,
+    IndexMap,
     IndexSet,
     IntegrityError,
     NotInL2,
     SearchExhaustedError,
     UnsupportedError,
     WindowOnly,
-    add,
     apply,
     divergence_witness,
-    domain_closed,
     domain_report,
     exhaustive_maps,
     fiber_records,
     from_entries,
     in_domain,
-    m_set,
     make_finite_map,
-    make_symbolic_map,
     norm_sq,
-    scale,
     symbolic_map,
+)
+from helpers import (
+    add,
+    clamp_liar_rule,
+    parity_rule,
+    scale,
+    uncertified_successor_rule,
     unit_vector,
+    vectors_on,
     zero,
 )
-from helpers import clamp_liar_rule, parity_rule, uncertified_successor_rule, vectors_on
 
 
 # --- in_domain ---------------------------------------------------------------
@@ -53,7 +57,7 @@ def test_odd_collapse_membership():
 
 @given(vectors_on(COUNTABLE, max_index=20))
 def test_in_domain_consistent_with_apply(z):
-    for m in (symbolic_map("odd_collapse"), make_symbolic_map(parity_rule()),
+    for m in (symbolic_map("odd_collapse"), IndexMap(COUNTABLE, rule=parity_rule()),
               symbolic_map("successor")):
         assert in_domain(m, z) == (not isinstance(apply(m, z), NotInL2))
 
@@ -69,69 +73,70 @@ def test_domain_is_a_subspace(data):
     assert in_domain(oc, combo)
 
 
-# --- m_set ---------------------------------------------------------------------
+# --- M: DomainReport.m_set, with the certified complement on the map ------------
 
 def test_m_set_bounded_rules_cover_everything():
-    md = m_set(symbolic_map("block", 3), window=12)
-    assert md.members == frozenset(range(1, 13))
-    assert md.infinite_fibers == frozenset()
+    m = symbolic_map("block", 3)
+    assert domain_report(m, window=12).m_set == frozenset(range(1, 13))
+    assert m.certificates.infinite_fibers == frozenset()
 
 
 def test_m_set_odd_collapse_excludes_one():
-    md = m_set(symbolic_map("odd_collapse"), window=10)
-    assert md.members == frozenset(range(2, 11))
-    assert md.infinite_fibers == frozenset({1})
-    assert md.window == 10
+    m = symbolic_map("odd_collapse")
+    assert domain_report(m, window=10).m_set == frozenset(range(2, 11))
+    assert m.certificates.infinite_fibers == frozenset({1})
 
 
 def test_m_set_finite_is_exact():
-    md = m_set(make_finite_map([1, 1, 1, 1], 4))
-    assert md.members == frozenset({1, 2, 3, 4})
-    assert md.window is None and md.infinite_fibers == frozenset()
+    m = make_finite_map([1, 1, 1, 1], 4)
+    assert domain_report(m, window=2).m_set == frozenset({1, 2, 3, 4})  # a table ignores the window
+    assert m.certificates.infinite_fibers == frozenset()
 
 
 def test_m_set_uncertified_rule_has_unknown_complement():
-    md = m_set(make_symbolic_map(uncertified_successor_rule()), window=6)
-    assert md.members == frozenset(range(1, 7))
-    assert md.infinite_fibers is None
+    m = IndexMap(COUNTABLE, rule=uncertified_successor_rule())
+    assert domain_report(m, window=6).m_set == frozenset(range(1, 7))
+    assert m.certificates.infinite_fibers is None
 
 
 def test_m_set_refutes_false_certificates():
     with pytest.raises(IntegrityError, match="finite-fiber bound 1"):
-        m_set(make_symbolic_map(clamp_liar_rule()), window=8)
+        domain_report(IndexMap(COUNTABLE, rule=clamp_liar_rule()), window=8)
 
 
-# --- domain_closed ---------------------------------------------------------------
+# --- closedness: DomainReport.closed ----------------------------------------------
 
 def test_domain_closed_finite_always_true():
-    assert domain_closed(make_finite_map([2, 2, 2], 3)) is True
+    assert domain_report(make_finite_map([2, 2, 2], 3)).closed is True
 
 
 def test_domain_closed_block_rule():
-    assert domain_closed(symbolic_map("block", 3)) is True
     rep = domain_report(symbolic_map("block", 3))
+    assert rep.closed is True
     assert rep.uniform_bound_on_m == 3
 
 
 def test_domain_closed_triangular_false_with_witness():
-    assert domain_closed(symbolic_map("triangular")) is False
     rep = domain_report(symbolic_map("triangular"))
+    assert rep.closed is False
     assert rep.unbounded_witness is not None
     sizes = [s for _, s in rep.unbounded_witness]
     assert sizes == sorted(set(sizes)) and len(sizes) >= 2  # strictly increasing
-    assert all(a in rep.m.members or a > rep.m.window for a, _ in rep.unbounded_witness[:3])
+    assert all(a in rep.m_set or a > DEFAULT_WINDOW for a, _ in rep.unbounded_witness[:3])
 
 
 def test_domain_closed_odd_collapse_true_over_m():
-    assert domain_closed(symbolic_map("odd_collapse")) is True
     rep = domain_report(symbolic_map("odd_collapse"))
+    assert rep.closed is True
     assert rep.uniform_bound_on_m == 1
 
 
 def test_domain_closed_uncertified_window_only():
-    verdict = domain_closed(make_symbolic_map(uncertified_successor_rule()), window=8)
-    assert isinstance(verdict, WindowOnly)
-    assert verdict.value == 1.0
+    rep = domain_report(IndexMap(COUNTABLE, rule=uncertified_successor_rule()), window=8)
+    assert isinstance(rep.closed, WindowOnly)
+    assert rep.closed.value == 1.0
+    assert rep.closed.note == "fibers over M bounded by 1 on window 1..8"
+    assert rep.uniform_bound_on_m == 1
 
 
 def test_domain_report_equivalence_of_verdicts():
@@ -147,7 +152,7 @@ def test_domain_report_equivalence_of_verdicts():
 def test_domain_report_clamp_liar_integrity_error():
     # without the check: closed=True and uniform_bound_on_m=1 over a fiber of size 2
     with pytest.raises(IntegrityError):
-        domain_report(make_symbolic_map(clamp_liar_rule()))
+        domain_report(IndexMap(COUNTABLE, rule=clamp_liar_rule()))
 
 
 # --- fiber_records -----------------------------------------------------------------
@@ -206,7 +211,7 @@ def test_divergence_witness_rejects_bounded_maps():
 
 def test_divergence_witness_uncertified_rule_exhausts_search():
     with pytest.raises(SearchExhaustedError):
-        divergence_witness(make_symbolic_map(uncertified_successor_rule()), 3)
+        divergence_witness(IndexMap(COUNTABLE, rule=uncertified_successor_rule()), 3)
 
 
 def test_divergence_witness_stops_at_the_search_budget():
@@ -227,6 +232,6 @@ def test_characterization_exhaustive_on_finite_4():
     supports = [frozenset(s) for r in range(5) for s in itertools.combinations(range(1, 5), r)]
     vectors = [(s, from_entries(dom, {i: 1.0 for i in s})) for s in supports]
     for m in exhaustive_maps(4):
-        members = m_set(m).members
+        members = domain_report(m).m_set
         for support, z in vectors:
             assert in_domain(m, z) == support.issubset(members)

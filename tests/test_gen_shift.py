@@ -8,38 +8,37 @@ from hypothesis import strategies as st
 from genshift import (
     COUNTABLE,
     DomainError,
+    IndexMap,
     IndexSet,
     IntegrityError,
     NotInL2,
     UnsupportedError,
     WindowOnly,
-    add,
     apply,
     apply_norm_sq,
     classify,
-    compose_finite,
     exhaustive_maps,
     from_entries,
     make_finite_map,
-    make_symbolic_map,
-    norm,
     norm_sq,
     operator_norm,
-    scale,
     solve,
     spectral_norm,
     structural_check,
     symbolic_map,
     to_dense,
-    unit_vector,
 )
 from helpers import (
+    add,
     clamp_liar_rule,
     finite_maps,
     map_and_vector,
+    norm,
     parity_rule,
     permutation_maps,
+    scale,
     uncertified_successor_rule,
+    unit_vector,
     vectors_on,
 )
 
@@ -73,7 +72,7 @@ def test_apply_constant_map_copies_everywhere():
 def test_apply_not_in_l2_reports_smallest_offender():
     oc = symbolic_map("odd_collapse")
     assert apply(oc, from_entries(COUNTABLE, {1: 1, 4: 2})) == NotInL2(1)
-    par = make_symbolic_map(parity_rule())
+    par = IndexMap(COUNTABLE, rule=parity_rule())
     assert apply(par, from_entries(COUNTABLE, {2: 1, 1: 1})) == NotInL2(1)
     assert apply(par, from_entries(COUNTABLE, {2: 1, 5: 1})) == NotInL2(2)
 
@@ -196,7 +195,7 @@ def test_operator_norm_unbounded_rules():
 
 
 def test_operator_norm_uncertified_rule_is_window_only():
-    nrm = operator_norm(make_symbolic_map(uncertified_successor_rule()), window=12)
+    nrm = operator_norm(IndexMap(COUNTABLE, rule=uncertified_successor_rule()), window=12)
     assert isinstance(nrm, WindowOnly)
     assert nrm.value == 1.0
 
@@ -240,7 +239,7 @@ def test_classify_clamp_pred():
 def test_classify_clamp_liar_integrity_error():
     # without the check, the false injectivity claim reads as sigma_surjective=True
     with pytest.raises(IntegrityError):
-        classify(make_symbolic_map(clamp_liar_rule()))
+        classify(IndexMap(COUNTABLE, rule=clamp_liar_rule()))
 
 
 def test_classify_triangular_not_into_l2():
@@ -251,7 +250,7 @@ def test_classify_triangular_not_into_l2():
 
 
 def test_classify_uncertified_rule_gives_window_verdicts():
-    rep = classify(make_symbolic_map(uncertified_successor_rule()), 16)
+    rep = classify(IndexMap(COUNTABLE, rule=uncertified_successor_rule()), 16)
     assert isinstance(rep.maps_into_l2, WindowOnly)
     assert isinstance(rep.sigma_surjective, WindowOnly)  # injectivity unprovable by window
     assert rep.sigma_injective is False                  # empty fiber over 1 refutes onto
@@ -268,7 +267,7 @@ def test_classify_window_refutes_injectivity_exactly():
         card_fn=lambda a: 2,
         members_fn=lambda a: frozenset((2 * a - 1, 2 * a)),
     )
-    rep = classify(make_symbolic_map(honest), 8)
+    rep = classify(IndexMap(COUNTABLE, rule=honest), 8)
     assert rep.sigma_surjective is False
 
 
@@ -324,7 +323,8 @@ def test_contravariant_composition(data):
     m2 = make_finite_map(t2, n)
     x = data.draw(vectors_on(dom))
     # applying m2's shift then m1's equals the shift of the pointwise composite m2(m1(.))
-    assert apply(m1, apply(m2, x)) == apply(compose_finite(m2, m1), x)
+    composite = make_finite_map([t2[i - 1] for i in t1], n)
+    assert apply(m1, apply(m2, x)) == apply(composite, x)
 
 
 # --- solve --------------------------------------------------------------------
@@ -360,7 +360,7 @@ def test_solve_rejects_non_injective_naming_pair():
 
 
 def test_solve_window_certified_injectivity_needs_override():
-    m = make_symbolic_map(uncertified_successor_rule())
+    m = IndexMap(COUNTABLE, rule=uncertified_successor_rule())
     y = from_entries(COUNTABLE, {4: 2j})
     with pytest.raises(UnsupportedError, match="window"):
         solve(m, y)

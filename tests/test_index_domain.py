@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from genshift import (
-    BUILTIN_RULES,
     COUNTABLE,
+    SEARCH_CAP,
     ConstructionError,
     DomainError,
     IndexMap,
@@ -17,28 +17,25 @@ from genshift import (
     ParseError,
     SymbolicRule,
     WindowOnly,
-    block_rule,
-    clamp_pred_rule,
     classify,
-    compose_finite,
     divergence_witness,
-    domain_closed,
     domain_report,
-    doubling_rule,
     fiber_report,
     make_finite_map,
-    m_set,
-    make_symbolic_map,
     map_to_json,
-    odd_collapse_rule,
+    operator_norm,
     parse_map,
-    phi_injective,
-    phi_surjective,
-    successor_rule,
     symbolic_map,
-    triangular_rule,
-    verify_fiber_soundness,
     witness_sequence,
+)
+from genshift.index_domain import (
+    BUILTIN_RULES,
+    block_rule,
+    clamp_pred_rule,
+    doubling_rule,
+    odd_collapse_rule,
+    successor_rule,
+    triangular_rule,
 )
 from helpers import (
     clamp_liar_rule,
@@ -47,6 +44,7 @@ from helpers import (
     parity_rule,
     sup_card,
     uncertified_successor_rule,
+    verify_fiber_soundness,
 )
 
 
@@ -206,7 +204,7 @@ def test_fiber_report_identity():
     rep = fiber_report(m)
     assert rep.sup == 1
     assert rep.verdict == 1
-    assert m_set(m).members == frozenset(range(1, 6))
+    assert domain_report(m).m_set == frozenset(range(1, 6))
 
 
 def test_fiber_report_clamp_table():
@@ -254,23 +252,23 @@ def test_fiber_report_certified_rules():
 def test_fiber_report_odd_collapse_m_set_omits_one():
     m = symbolic_map("odd_collapse")
     rep = fiber_report(m, window=10)
-    assert m_set(m, window=10).members == frozenset(range(2, 11))
+    assert domain_report(m, window=10).m_set == frozenset(range(2, 11))
     assert rep.sup == math.inf
 
 
 def test_fiber_report_uncertified_rule_window_only():
-    rep = fiber_report(make_symbolic_map(uncertified_successor_rule()), window=16)
+    rep = fiber_report(IndexMap(COUNTABLE, rule=uncertified_successor_rule()), window=16)
     assert rep.verdict == WindowOnly("fiber sizes bounded by 1 on window 1..16", 1)
 
 
 def test_fiber_report_observed_infinite_fiber_certifies_unbounded():
-    rep = fiber_report(make_symbolic_map(parity_rule()), window=8)
+    rep = fiber_report(IndexMap(COUNTABLE, rule=parity_rule()), window=8)
     assert rep.verdict == math.inf
 
 
 def test_fiber_report_liar_rule_integrity_error():
     with pytest.raises(IntegrityError):
-        fiber_report(make_symbolic_map(liar_rule()), window=8)
+        fiber_report(IndexMap(COUNTABLE, rule=liar_rule()), window=8)
 
 
 @pytest.mark.parametrize("rule, claim", [
@@ -283,14 +281,14 @@ def test_fiber_report_liar_rule_integrity_error():
 ])
 def test_fiber_report_refutes_each_false_certificate(rule, claim):
     with pytest.raises(IntegrityError, match=claim):
-        fiber_report(make_symbolic_map(rule), window=8)
+        fiber_report(IndexMap(COUNTABLE, rule=rule), window=8)
 
 
 def test_certificates_beyond_the_window_are_not_refuted():
     # the declared infinite fiber over 100 lies outside the window 1..8; it
     # makes the derived global bound infinite
     rule = dataclasses.replace(successor_rule(), infinite_fibers=frozenset({100}))
-    assert fiber_report(make_symbolic_map(rule), window=8).verdict == math.inf
+    assert fiber_report(IndexMap(COUNTABLE, rule=rule), window=8).verdict == math.inf
 
 
 # --- derived certificates -------------------------------------------------
@@ -347,7 +345,7 @@ def _counting(rule):
                          ids=["certified", "uncertified"])
 def test_analyze_scans_each_window_once(rule):
     counted, calls = _counting(rule)
-    m = make_symbolic_map(counted)
+    m = IndexMap(COUNTABLE, rule=counted)
     for _ in range(2):  # fiber report, classification and domain report, as `analyze` runs them
         fiber_report(m, 40)
         classify(m, 40)
@@ -355,14 +353,14 @@ def test_analyze_scans_each_window_once(rule):
     assert calls == list(range(1, 41))
     fiber_report(m, 12)
     assert len(calls) == 40  # a smaller window is a prefix of the cached scan
-    phi_surjective(m, 100)
+    classify(m, 100)
     assert calls == list(range(1, 101))  # a larger one scans the targets beyond it
     assert m.window_sizes(100) == tuple(rule.card_fn(a) for a in range(1, 101))
 
 
 def test_window_cache_keeps_refuting_beyond_it():
     rule = dataclasses.replace(successor_rule(), infinite_fibers=frozenset({100}))
-    m = make_symbolic_map(rule)
+    m = IndexMap(COUNTABLE, rule=rule)
     assert m.window_sizes(8) == (0,) + (1,) * 7
     for _ in range(2):  # a failed scan is not cached
         with pytest.raises(IntegrityError, match=r"fiber\(100\) has size 1"):
@@ -384,25 +382,27 @@ def test_table_window_sizes_and_certificates_are_exact(m, window):
 
 def test_witnesses_read_each_target_once():
     counted, calls = _counting(triangular_rule())
-    m = make_symbolic_map(counted)
+    m = IndexMap(COUNTABLE, rule=counted)
     assert len(divergence_witness(m, 100).records) == 100
     assert calls == list(range(1, 101))
     counted, calls = _counting(doubling_rule())
-    m = make_symbolic_map(counted)
+    m = IndexMap(COUNTABLE, rule=counted)
     assert witness_sequence(m, 30).indices == tuple(range(2, 61, 2))
     assert calls == list(range(1, 61))  # windows 1..30, then 31..60
     fiber_report(m, 40)
     assert len(calls) == 60  # a smaller window is a prefix of the cached scan
 
 
-@pytest.mark.parametrize("verdict", [IndexMap.window_sizes, fiber_report, phi_injective,
-                                     phi_surjective, m_set, domain_closed, domain_report],
+@pytest.mark.parametrize("verdict", [IndexMap.window_sizes, fiber_report, operator_norm,
+                                     classify, domain_report],
                          ids=lambda f: f.__name__)
 @pytest.mark.parametrize("m", [make_finite_map([2, 2, 1], 3), symbolic_map("successor")],
                          ids=["table", "rule"])
 def test_windowed_verdicts_reject_window_0(verdict, m):
-    with pytest.raises(ConstructionError, match="window must be >= 1"):
-        verdict(m, 0)
+    # and a window past the search budget, before a single size is read
+    for window in (0, SEARCH_CAP + 1):
+        with pytest.raises(ConstructionError, match=rf"must be in 1\.\.{SEARCH_CAP}, got {window}"):
+            verdict(m, window)
 
 
 def test_fiber_report_rejects_bad_window():
@@ -447,21 +447,6 @@ def test_fiber_counts_cache_is_not_part_of_identity(m):
 def test_fiber_counts_need_a_finite_domain():
     with pytest.raises(DomainError):
         symbolic_map("successor").fiber_counts
-
-
-# --- composition ----------------------------------------------------------
-
-def test_compose_finite_pointwise():
-    f = make_finite_map([2, 3, 1], 3)
-    g = make_finite_map([1, 1, 2], 3)
-    fg = compose_finite(f, g)
-    for a in (1, 2, 3):
-        assert fg.eval(a) == f.eval(g.eval(a))
-
-
-def test_compose_finite_domain_mismatch():
-    with pytest.raises(DomainError):
-        compose_finite(make_finite_map([1, 2], 2), make_finite_map([1, 2, 3], 3))
 
 
 # --- serialization --------------------------------------------------------
@@ -513,7 +498,7 @@ def test_verify_fiber_soundness_reads_each_beta_and_fiber_once():
     rule = dataclasses.replace(
         succ, eval_fn=counted("eval", succ.eval_fn), members_fn=counted("members", succ.members_fn)
     )
-    verify_fiber_soundness(make_symbolic_map(rule), window=1000)
+    verify_fiber_soundness(IndexMap(COUNTABLE, rule=rule), window=1000)
     # targets 1..1001: the window and the image of 1000
     assert calls == {"eval": 1000, "members": 1001}
 
@@ -565,4 +550,4 @@ def test_verify_fiber_soundness_catches_bad_members():
                                 (wrong_size, 100, r"fiber\(1\) has size 2"),
                                 (finite_for_infinite, 5, r"fiber\(1\) has size 1")):
         with pytest.raises(IntegrityError, match=error):
-            verify_fiber_soundness(make_symbolic_map(rule), window=window)
+            verify_fiber_soundness(IndexMap(COUNTABLE, rule=rule), window=window)
