@@ -393,9 +393,18 @@ def test_witnesses_read_each_target_once():
     assert len(calls) == 60  # a smaller window is a prefix of the cached scan
 
 
-@pytest.mark.parametrize("verdict", [IndexMap.window_sizes, fiber_report, operator_norm,
-                                     classify, domain_report],
-                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("verdict", [
+    pytest.param(IndexMap.window_sizes, id="window_sizes"),
+    pytest.param(fiber_report, id="fiber_report"),
+    pytest.param(operator_norm, id="operator_norm"),
+    pytest.param(classify, id="classify"),
+    pytest.param(domain_report, id="domain_report"),
+    # each single verdict, read from the report that now states it
+    pytest.param(lambda m, w: classify(m, w).sigma_surjective, id="phi_injective"),
+    pytest.param(lambda m, w: classify(m, w).sigma_injective, id="phi_surjective"),
+    pytest.param(lambda m, w: domain_report(m, w).closed, id="domain_closed"),
+    pytest.param(lambda m, w: domain_report(m, w).m_set, id="m_set"),
+])
 @pytest.mark.parametrize("m", [make_finite_map([2, 2, 1], 3), symbolic_map("successor")],
                          ids=["table", "rule"])
 def test_windowed_verdicts_reject_window_0(verdict, m):
