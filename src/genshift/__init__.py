@@ -5,7 +5,8 @@ total self-maps with exact fiber oracles, and finitely supported complex
 vectors, then answers every structural question about the induced operator
 (boundedness, norm, injectivity, surjectivity, isometry, natural domain,
 compactness) with certificates, cross-checked by a dense brute-force oracle
-at small sizes. The oracle, and numpy with it, is imported on first use.
+at small sizes. That oracle needs numpy, so the package leaves it out: import
+``genshift.dense_oracle`` to use it.
 """
 
 from .errors import (
@@ -21,7 +22,6 @@ from .index_domain import (
     COUNTABLE,
     DEFAULT_WINDOW,
     SEARCH_CAP,
-    FiberReport,
     IndexMap,
     IndexSet,
     SymbolicRule,
@@ -59,15 +59,3 @@ from .domain_analysis import (
 from .compact_witness import WitnessSequence, witness_sequence
 
 __version__ = "0.1.0"
-
-# The dense oracle needs numpy, so its names are resolved on first use (PEP 562).
-_DENSE_ORACLE = frozenset((
-    "EXHAUSTIVE_CAP", "DenseOperator", "MapAgreement", "StructuralReport", "check_map_agreement",
-    "exhaustive_maps", "random_tables", "spectral_norm", "structural_check", "sweep", "to_dense"))
-
-
-def __getattr__(name: str):
-    if name in _DENSE_ORACLE:
-        from . import dense_oracle
-        return getattr(dense_oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

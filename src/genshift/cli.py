@@ -110,11 +110,11 @@ def _bound_verdict_doc(v, window: int):
     return {"kind": "certified", "bound": v}
 
 
-def _fiber_report_doc(rep: index_domain.FiberReport, window: int, m_set: Rendered) -> dict:
+def _fiber_report_doc(sizes: tuple[int | float, ...], verdict, window: int, m_set: Rendered) -> dict:
     return {
-        "cardinalities": _sizes(rep.sizes),
-        "sup": rep.sup,
-        "verdict": _bound_verdict_doc(rep.verdict, window),
+        "cardinalities": _sizes(sizes),
+        "sup": max(sizes),
+        "verdict": _bound_verdict_doc(verdict, window),
         "m_set": m_set,
     }
 
@@ -181,7 +181,7 @@ def analyze(map_file, window):
     """Fiber report, operator classification and domain analysis for a map."""
     try:
         m = _load_map(map_file)
-        fibers = index_domain.fiber_report(m, window)
+        sup = index_domain.fiber_report(m, window)
         classification = gen_shift.classify(m, window)
         domain = domain_analysis.domain_report(m, window)
     except ParseError as exc:
@@ -193,7 +193,7 @@ def analyze(map_file, window):
         "schema_version": SCHEMA_VERSION,
         "map": index_domain.map_to_json(m),
         "window": window,
-        "fiber_report": _fiber_report_doc(fibers, window, m_members),
+        "fiber_report": _fiber_report_doc(m.window_sizes(window), sup, window, m_members),
         "classification": _classification_doc(classification),
         "domain": _domain_doc(domain, m, window, m_members),
     }
@@ -287,7 +287,7 @@ def oracle_check(n, exhaustive, random_count, seed):
         maps = dense_oracle.exhaustive_maps(n)
         mode = "exhaustive"
     else:
-        domain = index_domain.IndexSet.finite(n)
+        domain = index_domain.IndexSet(n)
         tables = dense_oracle.random_tables(n, random_count, np.random.default_rng(seed))
         maps = (IndexMap(domain, table=t) for t in tables)
         mode = "random"

@@ -94,7 +94,7 @@ def exhaustive_maps(n: int) -> Iterator[IndexMap]:
     """Every image table on {1..n} exactly once, in lexicographic order."""
     if n > EXHAUSTIVE_CAP:
         raise UnsupportedError(f"exhaustive enumeration capped at n = {EXHAUSTIVE_CAP}, got {n}")
-    domain = IndexSet.finite(n)  # rejects n < 2, before the first map is asked for
+    domain = IndexSet(n)  # rejects n < 2, before the first map is asked for
     return (IndexMap(domain, table=images) for images in itertools.product(range(1, n + 1), repeat=n))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, UnsupportedError
+from .errors import DomainError, IntegrityError, UnsupportedError
 from .index_domain import DEFAULT_WINDOW, SEARCH_CAP, IndexMap, Verdict, WindowOnly, fiber_report
 from .sparse_vec import SparseVector, fsum_or_inf
 
@@ -85,7 +85,7 @@ def apply_norm_sq(m: IndexMap, x: SparseVector) -> float:
         return fsum_or_inf([
             c * (v.real * v.real + v.imag * v.imag)
             for theta, v in x.entries.items()
-            if (c := counts[theta])
+            if (c := counts[theta - 1])
         ])
     card = m.rule.card_fn
     terms = []
@@ -99,12 +99,12 @@ def apply_norm_sq(m: IndexMap, x: SparseVector) -> float:
 
 
 def operator_norm(m: IndexMap, window: int = DEFAULT_WINDOW) -> float | WindowOnly:
-    """Square root of the sup of fiber sizes, the fiber report's verdict.
+    """Square root of the sup of fiber sizes, the ``fiber_report`` verdict.
 
     math.inf when the sup is proved infinite; a WindowOnly lower bound
     when it is known only on the window.
     """
-    verdict = fiber_report(m, window).verdict
+    verdict = fiber_report(m, window)
     if isinstance(verdict, WindowOnly):
         note = f"lower bound from fiber sizes on window 1..{window}"
         return WindowOnly(note, math.sqrt(verdict.value))
@@ -163,13 +163,13 @@ def _collision_pair(m: IndexMap) -> tuple[int, int] | None:
     return None
 
 
-def solve(m: IndexMap, y: SparseVector, *, accept_window_injectivity: bool = False) -> SparseVector:
+def solve(m: IndexMap, y: SparseVector) -> SparseVector:
     """Preimage under the shift: x with x[eval(beta)] = y[beta], zero elsewhere.
 
-    Requires the index map to be one-to-one; the entries of y are then merely
-    relabelled, so apply(m, solve(m, y)) == y and the norm is preserved
-    exactly. When injectivity is only window-certified the call refuses
-    unless ``accept_window_injectivity`` acknowledges the limitation.
+    Requires the index map to be proved one-to-one; the entries of y are
+    then merely relabelled, so apply(m, solve(m, y)) == y and the norm is
+    preserved exactly. Injectivity known on a window only is refused, and a
+    collision among y's support indices refutes the rule's certificate.
     """
     _check_domains(m, y)
     inj = classify(m).sigma_surjective  # sigma is onto iff the index map is one-to-one
@@ -177,18 +177,15 @@ def solve(m: IndexMap, y: SparseVector, *, accept_window_injectivity: bool = Fal
         pair = _collision_pair(m)
         detail = f": eval({pair[0]}) == eval({pair[1]})" if pair else ""
         raise UnsupportedError("index map is not one-to-one" + detail)
-    if isinstance(inj, WindowOnly) and not accept_window_injectivity:
-        raise UnsupportedError(
-            "injectivity is only window-certified; "
-            "pass accept_window_injectivity=True to proceed"
-        )
+    if isinstance(inj, WindowOnly):
+        raise UnsupportedError(f"injectivity is only window-certified: {inj.note}")
     out: dict[int, complex] = {}
     for beta, v in y.entries.items():
         alpha = m.eval(beta)
-        if alpha in out:
+        if alpha in out:  # a table's certificates are exact, so only a rule gets here
             other = next(b for b in y.entries if b != beta and m.eval(b) == alpha)
-            raise UnsupportedError(
-                f"index map is not one-to-one: eval({other}) == eval({beta})"
+            raise IntegrityError(
+                f"rule {m.rule.name!r} certifies a one-to-one map but eval({other}) == eval({beta})"
             )
         out[alpha] = v
     return SparseVector(m.domain, out)

@@ -5,16 +5,15 @@ questions about fibers, the preimage sets of single indices. A fiber size is
 an int, or math.inf for an infinite fiber. Every map carries an exact fiber
 oracle and one certificate record, ``IndexMap.certificates``: a symbolic
 rule on {1, 2, ...} declares its own (None, here only ever "not certified"),
-and a finite map reads exact ones off its fiber-count profile
-(``IndexMap.fiber_counts``, one pass over the image table). Fiber sizes are
-read in one place, ``IndexMap.window_sizes``: a table answers any window
-with all n sizes; a rule's window is scanned once and validated against
-every certificate, and the largest validated scan is cached. A rule without
-certificates can still be analysed, but only on finite windows. A fiber
-report states the sup of all sizes as every verdict is stated: a proved
-value, or a WindowOnly carrying the value the window shows. It holds the
-sizes and that verdict only; M, the finite-fiber set, is read off the same
-sizes by ``domain_analysis.domain_report``.
+and a finite map reads exact ones off its fiber sizes. Fiber sizes are read
+in one place, ``IndexMap.window_sizes``. A table answers any window with one
+cached tuple of all n sizes, ``IndexMap.fiber_counts`` (one pass over the
+image table), returned as it is. A rule's window is scanned once and
+validated against every certificate, and the largest validated scan is
+cached. A rule without certificates can still be analysed, but only on
+finite windows. ``fiber_report`` states the sup of all sizes as every
+verdict is stated: a proved value, or a WindowOnly carrying the value the
+window shows.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
@@ -42,10 +42,6 @@ class IndexSet:
         if self.size is not None and self.size < 2:
             raise ConstructionError(f"finite index set must have size >= 2, got {self.size}")
 
-    @classmethod
-    def finite(cls, n: int) -> "IndexSet":
-        return cls(n)
-
     @property
     def is_finite(self) -> bool:
         return self.size is not None
@@ -54,11 +50,6 @@ class IndexSet:
         if not isinstance(alpha, int) or isinstance(alpha, bool):
             return False
         return alpha >= 1 and (self.size is None or alpha <= self.size)
-
-    def indices(self) -> range:
-        if self.size is None:
-            raise DomainError("cannot enumerate the unbounded index set")
-        return range(1, self.size + 1)
 
 
 COUNTABLE = IndexSet()
@@ -143,52 +134,40 @@ class IndexMap:
             return self.table[alpha - 1]
         return self.rule.eval_fn(alpha)
 
-    # Caches live in __dict__, outside the fields, so ==, hash and repr ignore
-    # them; filled by hand, as cached_property locks on first use before 3.12.
+    # Caches live in __dict__, outside the fields, so ==, hash and repr ignore them.
+    # Only the rule's window scan, which grows, is filled by hand (``window_sizes``).
 
-    @property
+    @cached_property
     def fiber_counts(self) -> tuple[int, ...]:
-        """Fiber-count profile of a finite map: ``counts[a] == |fiber(a)|``, ``counts[0] == 0``."""
-        counts = self.__dict__.get("fiber_counts")
-        if counts is None:
-            if self.table is None:
-                raise DomainError("fiber counts need a finite domain")
-            tally = [0] * (self.domain.size + 1)
-            for img in self.table:
-                tally[img] += 1
-            counts = self.__dict__["fiber_counts"] = tuple(tally)
-        return counts
+        """Fiber sizes of a finite map: ``counts[a - 1] == |fiber(a)|``."""
+        if self.table is None:
+            raise DomainError("fiber counts need a finite domain")
+        tally = [0] * self.domain.size
+        for img in self.table:
+            tally[img - 1] += 1
+        return tuple(tally)
 
-    @property
+    @cached_property
     def preimages(self) -> tuple[tuple[int, ...], ...]:
-        """A table's fiber index, built once by a counting sort into one flat list cut into
-        runs: ``pre[a]`` is fiber(a) as an increasing tuple, and every empty fiber is ``()``."""
-        pre = self.__dict__.get("preimages")
-        if pre is None:
-            counts = self.fiber_counts
-            nxt = [0, *accumulate(counts[:-1])]  # the next free slot in each fiber's run
-            flat = [0] * len(self.table)
-            for beta, img in enumerate(self.table, start=1):
-                slot = nxt[img]
-                flat[slot] = beta
-                nxt[img] = slot + 1
-            flat = tuple(flat)  # nxt[a] now ends the run of fiber(a)
-            runs = [flat[end - c:end] if c else () for end, c in zip(nxt, counts)]
-            pre = self.__dict__["preimages"] = tuple(runs)
-        return pre
+        """A table's fiber index, built by a counting sort into one flat list cut into runs:
+        ``pre[a]`` is fiber(a) as an increasing tuple, and every empty fiber is ``()``."""
+        counts = self.fiber_counts
+        nxt = [0, 0, *accumulate(counts[:-1])]  # nxt[a]: the next free slot in fiber(a)'s run
+        flat = [0] * len(self.table)
+        for beta, img in enumerate(self.table, start=1):
+            slot = nxt[img]
+            flat[slot] = beta
+            nxt[img] = slot + 1
+        flat = tuple(flat)  # nxt[a] now ends the run of fiber(a)
+        return ((), *(flat[end - c:end] if c else () for end, c in zip(nxt[1:], counts)))
 
-    @property
+    @cached_property
     def certificates(self) -> Certificates:
         """What is proved about every fiber: the rule itself, or exact values for a table."""
         if self.rule is not None:
             return self.rule
-        certs = self.__dict__.get("certificates")
-        if certs is None:
-            counts = self.fiber_counts
-            certs = self.__dict__["certificates"] = Certificates(
-                m_sup=max(counts), surjective=0 not in counts[1:], infinite_fibers=frozenset()
-            )
-        return certs
+        counts = self.fiber_counts
+        return Certificates(m_sup=max(counts), surjective=0 not in counts, infinite_fibers=frozenset())
 
     def window_sizes(self, window: int) -> tuple[int | float, ...]:
         """Fiber sizes over targets 1..window (math.inf if infinite); all n for a table.
@@ -200,7 +179,7 @@ class IndexMap:
         if not 1 <= window <= SEARCH_CAP:
             raise ConstructionError(f"window must be in 1..{SEARCH_CAP}, got {window}")
         if self.table is not None:
-            return self.fiber_counts[1:]
+            return self.fiber_counts
         scanned = self.__dict__.get("_window_sizes", ())
         if window <= len(scanned):
             return scanned[:window]
@@ -226,7 +205,7 @@ class IndexMap:
     def fiber_card(self, alpha: int) -> int | float:
         self._check_index(alpha)
         if self.table is not None:
-            return self.fiber_counts[alpha]
+            return self.fiber_counts[alpha - 1]
         return self.rule.card_fn(alpha)
 
     def fiber(self, alpha: int) -> frozenset[int] | None:
@@ -245,7 +224,7 @@ def make_finite_map(images: Sequence[int], n: int) -> IndexMap:
     for pos, img in enumerate(images, start=1):
         if not isinstance(img, int) or isinstance(img, bool) or not 1 <= img <= n:
             raise ConstructionError(f"image at position {pos} is {img!r}, not in 1..{n}")
-    return IndexMap(IndexSet.finite(n), table=tuple(images))
+    return IndexMap(IndexSet(n), table=tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -422,25 +401,6 @@ class WindowOnly:
 Verdict = bool | WindowOnly
 
 
-@dataclass(frozen=True)
-class FiberReport:
-    """Fiber sizes over a window, kept as the ``window_sizes`` tuple, and the sup of all sizes.
-
-    ``verdict`` is in the vocabulary of every other verdict: the proved sup
-    (an int, or math.inf when unbounded), or a WindowOnly carrying the
-    largest size on the window. ``sup`` is computed on read, so a report
-    made for its verdict scans no sizes. M is not on the report; see
-    ``domain_analysis.domain_report``.
-    """
-
-    sizes: tuple[int | float, ...]  # sizes[a - 1] = |fiber(a)|, math.inf if infinite
-    verdict: int | float | WindowOnly
-
-    @property
-    def sup(self) -> int | float:  # max over the reported sizes, infinite dominating
-        return max(self.sizes)
-
-
 def finite_sup(sizes: tuple[int | float, ...]) -> int:
     """Largest finite size in ``sizes``; 0 when there is none."""
     return max(set(sizes) - {math.inf}, default=0)
@@ -474,13 +434,14 @@ def _check_certificates(rule: SymbolicRule, sizes: tuple[int | float, ...]) -> N
             )
 
 
-def fiber_report(m: IndexMap, window: int = DEFAULT_WINDOW) -> FiberReport:
-    """Fiber sizes over the window (the ``m.window_sizes`` tuple) and the sup verdict.
+def fiber_report(m: IndexMap, window: int = DEFAULT_WINDOW) -> int | float | WindowOnly:
+    """The sup of all fiber sizes: proved (an int, or math.inf when unbounded) or WindowOnly.
 
-    The certified sup decides the verdict, so a finite map always comes
-    back with its exact sup. Without one the verdict is WindowOnly, unless
-    an infinite fiber inside the window proves the sup infinite. Only a map
-    without a certified sup has its sizes scanned for their maximum.
+    The certified sup decides, so a finite map always comes back with its
+    exact sup. Without one the verdict is WindowOnly, carrying the largest
+    size on the window, unless an infinite fiber inside the window proves the
+    sup infinite. The window is read (and so checked against the
+    certificates) either way.
     """
     sizes = m.window_sizes(window)
     verdict = m.certificates.sup_card
@@ -488,5 +449,4 @@ def fiber_report(m: IndexMap, window: int = DEFAULT_WINDOW) -> FiberReport:
         bound = max(sizes)
         note = f"fiber sizes bounded by {bound} on window 1..{window}"
         verdict = bound if bound == math.inf else WindowOnly(note, bound)
-    return FiberReport(sizes, verdict)
-
+    return verdict

@@ -23,19 +23,21 @@ from genshift import (
     classify,
     divergence_witness,
     domain_report,
-    exhaustive_maps,
     fiber_records,
     from_entries,
     in_domain,
     norm_sq,
     operator_norm,
-    random_tables,
     solve,
+    symbolic_map,
+    witness_sequence,
+)
+from genshift.dense_oracle import (
+    exhaustive_maps,
+    random_tables,
     spectral_norm,
     structural_check,
-    symbolic_map,
     to_dense,
-    witness_sequence,
 )
 from helpers import norm, parity_rule, unit_vector
 
@@ -74,7 +76,7 @@ def test_criterion_1_norm_formula():
             worst = max(worst, err)
             count += 1
         assert count == 3125
-        dom12 = IndexSet.finite(12)
+        dom12 = IndexSet(12)
         rng12 = np.random.default_rng(42)
         for table in random_tables(12, 1000, rng12):
             m = IndexMap(dom12, table=table)
@@ -93,7 +95,7 @@ def test_criterion_2_image_norm_identity():
         checked = 0
         for _ in range(9000):
             n = int(rng.integers(2, 13))
-            m = IndexMap(IndexSet.finite(n), table=next(random_tables(n, 1, rng)))
+            m = IndexMap(IndexSet(n), table=next(random_tables(n, 1, rng)))
             x = _random_vector(rng, m.domain, n, size=int(rng.integers(1, n + 1)))
             lhs = norm_sq(apply(m, x))
             rhs = apply_norm_sq(m, x)
@@ -140,7 +142,7 @@ def test_criterion_4_solve_round_trip():
         for i in range(900):
             n = int(rng.integers(2, 13))
             table = tuple(int(v) + 1 for v in rng.permutation(n))
-            m = IndexMap(IndexSet.finite(n), table=table)
+            m = IndexMap(IndexSet(n), table=table)
             integer = i % 2 == 0
             y = _random_vector(rng, m.domain, n, size=int(rng.integers(1, n + 1)), integer=integer)
             x = solve(m, y)
@@ -180,7 +182,7 @@ def test_criterion_5_divergence_witness():
 
 def test_criterion_6_domain_theorem():
     def body():
-        dom = IndexSet.finite(6)
+        dom = IndexSet(6)
         supports = [
             frozenset(s)
             for r in range(7)
@@ -229,7 +231,7 @@ def test_criterion_7_compactness():
         rng = np.random.default_rng(7)
         for n in range(2, 8):
             for table in random_tables(n, 40, rng):
-                assert classify(IndexMap(IndexSet.finite(n), table=table)).compact is True
+                assert classify(IndexMap(IndexSet(n), table=table)).compact is True
         for name, param in BOUNDED_RULES + [("triangular", None), ("odd_collapse", None)]:
             assert classify(symbolic_map(name, param)).compact is False
         w = witness_sequence(symbolic_map("successor"), 100)
@@ -262,7 +264,7 @@ def test_criterion_8_unit_vector_images():
         rng = np.random.default_rng(8)
         for n in range(5, 9):
             for table in random_tables(n, 200, rng):
-                check(IndexMap(IndexSet.finite(n), table=table))
+                check(IndexMap(IndexSet(n), table=table))
         oc = symbolic_map("odd_collapse")
         assert apply(oc, unit_vector(COUNTABLE, 1)) == NotInL2(1)
 

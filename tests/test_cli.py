@@ -402,37 +402,34 @@ def test_import_leaves_numpy_out(module):
 
 PUBLIC_NAMES = sorted([
     "COUNTABLE", "ClassificationReport", "ConstructionError", "DEFAULT_WINDOW", "DivergenceWitness",
-    "DomainError", "DomainReport", "FiberReport", "GenShiftError", "IndexMap", "IndexSet",
+    "DomainError", "DomainReport", "GenShiftError", "IndexMap", "IndexSet",
     "IntegrityError", "NotInL2", "ParseError", "SEARCH_CAP", "SearchExhaustedError", "SparseVector",
     "SymbolicRule", "UnsupportedError", "WindowOnly", "WitnessSequence", "apply", "apply_norm_sq",
     "classify", "divergence_witness", "domain_report", "fiber_records", "fiber_report",
     "from_entries", "in_domain", "make_finite_map", "map_to_json", "norm_sq", "operator_norm",
     "parse_map", "parse_vector", "solve", "symbolic_map", "vector_to_json", "witness_sequence",
 ])
-DENSE_ORACLE_NAMES = sorted([
-    "DenseOperator", "EXHAUSTIVE_CAP", "MapAgreement", "StructuralReport", "check_map_agreement",
-    "exhaustive_maps", "random_tables", "spectral_norm", "structural_check", "sweep", "to_dense",
-])
 
 
 def test_public_surface_is_pinned():
-    # a name joins or leaves the package only by editing these lists
+    # a name joins or leaves the package only by editing this list
     import genshift
-    from genshift import dense_oracle
 
-    eager = sorted(name for name, value in vars(genshift).items()
-                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
-    assert eager == PUBLIC_NAMES
-    assert sorted(genshift._DENSE_ORACLE) == DENSE_ORACLE_NAMES
-    for name in DENSE_ORACLE_NAMES:
-        assert getattr(genshift, name) is getattr(dense_oracle, name)
+    exported = sorted(name for name, value in vars(genshift).items()
+                      if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert exported == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 39
 
 
 def test_dense_oracle_names_resolve_from_the_package():
+    # from its own module only: the package does not re-export the oracle
     import genshift
     from genshift import dense_oracle
 
-    assert genshift.check_map_agreement is dense_oracle.check_map_agreement
-    assert genshift.EXHAUSTIVE_CAP == dense_oracle.EXHAUSTIVE_CAP
+    assert genshift.dense_oracle is dense_oracle
+    assert callable(dense_oracle.check_map_agreement) and dense_oracle.EXHAUSTIVE_CAP == 7
+    for name in ("check_map_agreement", "EXHAUSTIVE_CAP"):
+        with pytest.raises(AttributeError):
+            getattr(genshift, name)
     with pytest.raises(AttributeError):
         genshift.no_such_name

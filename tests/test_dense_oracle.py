@@ -10,13 +10,15 @@ from genshift import (
     ConstructionError,
     UnsupportedError,
     apply,
+    make_finite_map,
+    symbolic_map,
+)
+from genshift.dense_oracle import (
     check_map_agreement,
     exhaustive_maps,
-    make_finite_map,
     spectral_norm,
     structural_check,
     sweep,
-    symbolic_map,
     to_dense,
 )
 from genshift import dense_oracle
@@ -57,7 +59,7 @@ def test_to_dense_refuses_past_the_dense_cap_before_allocating(monkeypatch):
 def test_matrix_rows_single_one_and_column_sums_are_fibers(m):
     A = to_dense(m).matrix
     assert (A.sum(axis=1) == 1).all()
-    for a in m.domain.indices():
+    for a in range(1, m.domain.size + 1):
         assert A[:, a - 1].sum() == m.fiber_card(a)
 
 
@@ -65,7 +67,7 @@ def test_matrix_rows_single_one_and_column_sums_are_fibers(m):
 def test_matvec_agrees_with_apply_on_basis_vectors(m):
     n = m.domain.size
     A = to_dense(m).matrix
-    for theta in m.domain.indices():
+    for theta in range(1, m.domain.size + 1):
         y = apply(m, unit_vector(m.domain, theta))
         dense = A @ np.eye(n, dtype=np.int64)[theta - 1]
         assert [y[k].real for k in range(1, n + 1)] == dense.tolist()

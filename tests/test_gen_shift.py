@@ -12,20 +12,23 @@ from genshift import (
     IndexSet,
     IntegrityError,
     NotInL2,
+    SymbolicRule,
     UnsupportedError,
     WindowOnly,
     apply,
     apply_norm_sq,
     classify,
-    exhaustive_maps,
     from_entries,
     make_finite_map,
     norm_sq,
     operator_norm,
     solve,
+    symbolic_map,
+)
+from genshift.dense_oracle import (
+    exhaustive_maps,
     spectral_norm,
     structural_check,
-    symbolic_map,
     to_dense,
 )
 from helpers import (
@@ -79,7 +82,7 @@ def test_apply_not_in_l2_reports_smallest_offender():
 
 def test_apply_domain_mismatch():
     with pytest.raises(DomainError):
-        apply(make_finite_map([1, 2], 2), unit_vector(IndexSet.finite(3), 1))
+        apply(make_finite_map([1, 2], 2), unit_vector(IndexSet(3), 1))
 
 
 @given(map_and_vector())
@@ -309,14 +312,14 @@ def test_linearity_float_scalars(mv, data):
 @given(finite_maps())
 def test_sharpness_some_basis_vector_attains_the_norm(m):
     nrm = operator_norm(m)
-    attained = max(norm(apply(m, unit_vector(m.domain, t))) for t in m.domain.indices())
+    attained = max(norm(apply(m, unit_vector(m.domain, t))) for t in range(1, m.domain.size + 1))
     assert attained == nrm
 
 
 @given(st.data())
 def test_contravariant_composition(data):
     n = data.draw(st.integers(2, 6))
-    dom = IndexSet.finite(n)
+    dom = IndexSet(n)
     t1 = data.draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
     t2 = data.draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
     m1 = make_finite_map(t1, n)
@@ -354,19 +357,34 @@ def test_solve_five_cycle_unit_vector():
 
 def test_solve_rejects_non_injective_naming_pair():
     with pytest.raises(UnsupportedError, match=r"eval\(1\) == eval\(2\)"):
-        solve(make_finite_map([3, 3, 1], 3), unit_vector(IndexSet.finite(3), 1))
+        solve(make_finite_map([3, 3, 1], 3), unit_vector(IndexSet(3), 1))
     with pytest.raises(UnsupportedError, match="eval"):
         solve(symbolic_map("clamp_pred"), unit_vector(COUNTABLE, 1))
 
 
 def test_solve_window_certified_injectivity_needs_override():
+    # injectivity seen on a window only is always refused
     m = IndexMap(COUNTABLE, rule=uncertified_successor_rule())
     y = from_entries(COUNTABLE, {4: 2j})
-    with pytest.raises(UnsupportedError, match="window"):
+    with pytest.raises(UnsupportedError, match=r"only window-certified: no fiber of size >= 2"):
         solve(m, y)
-    x = solve(m, y, accept_window_injectivity=True)
-    assert x.entries == {5: 2j}
-    assert apply(m, x) == y
+
+
+def test_solve_collision_refutes_a_false_injectivity_certificate():
+    # certified one-to-one, and honest on the window 1..64, but eval(100) == eval(101)
+    rule = SymbolicRule(
+        name="late_collision",
+        eval_fn=lambda k: 100 if k == 101 else k,
+        card_fn=lambda a: 1,
+        members_fn=lambda a: frozenset((a,)),
+        m_sup=1,
+        infinite_fibers=frozenset(),
+    )
+    m = IndexMap(COUNTABLE, rule=rule)
+    assert classify(m).sigma_surjective is True
+    assert solve(m, from_entries(COUNTABLE, {100: 1, 102: 2})).entries == {100: 1, 102: 2}
+    with pytest.raises(IntegrityError, match=r"rule 'late_collision' .* eval\(100\) == eval\(101\)"):
+        solve(m, from_entries(COUNTABLE, {100: 1, 101: 2}))
 
 
 @given(permutation_maps(), st.data())

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from genshift import (
     COUNTABLE,
+    DEFAULT_WINDOW,
     SEARCH_CAP,
     ConstructionError,
     DomainError,
@@ -57,11 +58,11 @@ def brute_fiber(images, alpha):
 def test_index_set_rejects_small_sizes():
     for n in (-1, 0, 1):
         with pytest.raises(ConstructionError):
-            IndexSet.finite(n)
+            IndexSet(n)
 
 
 def test_index_set_membership():
-    fin = IndexSet.finite(5)
+    fin = IndexSet(5)
     assert 1 in fin and 5 in fin
     assert 0 not in fin and 6 not in fin and "3" not in fin
     assert 10**9 in COUNTABLE and 0 not in COUNTABLE
@@ -136,17 +137,17 @@ def test_fibers_partition_domain(m):
     n = m.domain.size
     total = 0
     seen = set()
-    for a in m.domain.indices():
+    for a in range(1, n + 1):
         members = m.fiber(a)
         assert not (members & seen)
         seen |= members
         total += len(members)
-    assert total == n and seen == set(m.domain.indices())
+    assert total == n and seen == set(range(1, n + 1))
 
 
 @given(finite_maps())
 def test_round_trip_beta_in_fiber_of_its_image(m):
-    for beta in m.domain.indices():
+    for beta in range(1, m.domain.size + 1):
         assert beta in m.fiber(m.eval(beta))
 
 
@@ -201,9 +202,8 @@ def test_block_rule_rejects_bad_sizes():
 
 def test_fiber_report_identity():
     m = make_finite_map([1, 2, 3, 4, 5], 5)
-    rep = fiber_report(m)
-    assert rep.sup == 1
-    assert rep.verdict == 1
+    assert max(m.window_sizes(5)) == 1
+    assert fiber_report(m) == 1
     assert domain_report(m).m_set == frozenset(range(1, 6))
 
 
@@ -211,59 +211,66 @@ def test_fiber_report_clamp_table():
     images = [1] + list(range(1, 10))  # eval(1)=1, eval(k)=k-1 on {1..10}
     brute_sup = max(images.count(a) for a in range(1, 11))
     assert brute_sup == 2
-    rep = fiber_report(make_finite_map(images, 10))
-    assert rep.sup == 2
-    assert rep.verdict == 2
+    m = make_finite_map(images, 10)
+    assert max(m.window_sizes(10)) == 2
+    assert fiber_report(m) == 2
 
 
 def test_fiber_report_sum_of_cards_is_domain_size():
-    rep = fiber_report(make_finite_map([2, 2, 4, 4, 4, 1], 6))
-    assert sum(rep.sizes) == 6
+    assert sum(make_finite_map([2, 2, 4, 4, 4, 1], 6).window_sizes(6)) == 6
 
 
 @given(finite_maps())
 def test_fiber_report_sup_matches_exhaustive(m):
-    rep = fiber_report(m)
-    per_index = [m.fiber_card(a) for a in m.domain.indices()]
-    assert rep.sup == sup_card(per_index)
-    assert rep.sup == sup_card(rep.sizes)
+    per_index = [m.fiber_card(a) for a in range(1, m.domain.size + 1)]
+    assert fiber_report(m) == sup_card(per_index)
+    assert fiber_report(m) == sup_card(m.window_sizes(DEFAULT_WINDOW))
 
 
 def test_fiber_report_triangular_certified_unbounded():
-    rep = fiber_report(symbolic_map("triangular"), window=12)
-    assert rep.verdict == math.inf
-    assert rep.sizes[7 - 1] == 7
+    m = symbolic_map("triangular")
+    assert fiber_report(m, window=12) == math.inf
+    assert m.window_sizes(12)[7 - 1] == 7
 
 
 def test_fiber_report_keeps_the_size_tuple():
+    # the report is its verdict alone; the sizes it read stay cached on the map
     maps = [symbolic_map("successor"), symbolic_map("odd_collapse"), make_finite_map([2, 2, 3, 1], 4)]
     for m in maps:
-        rep = fiber_report(m, 500)
-        assert rep.sizes == m.window_sizes(500)
+        verdict = fiber_report(m, 500)
+        sizes = m.window_sizes(500)
+        assert verdict == m.certificates.sup_card
+        assert sizes == tuple(m.fiber_card(a) for a in range(1, len(sizes) + 1))
+        assert m.window_sizes(500) is sizes
+
+
+def test_table_window_sizes_are_the_cached_counts():
+    m = make_finite_map([2, 2, 3, 1, 1, 1], 6)
+    assert m.window_sizes(5) is m.window_sizes(64) is m.fiber_counts
+    assert m.fiber_counts == (3, 2, 1, 0, 0, 0)
 
 
 def test_fiber_report_certified_rules():
-    assert fiber_report(symbolic_map("successor")).verdict == 1
-    assert fiber_report(symbolic_map("clamp_pred")).verdict == 2
-    assert fiber_report(symbolic_map("block", 5)).verdict == 5
-    assert fiber_report(symbolic_map("odd_collapse")).verdict == math.inf
+    assert fiber_report(symbolic_map("successor")) == 1
+    assert fiber_report(symbolic_map("clamp_pred")) == 2
+    assert fiber_report(symbolic_map("block", 5)) == 5
+    assert fiber_report(symbolic_map("odd_collapse")) == math.inf
 
 
 def test_fiber_report_odd_collapse_m_set_omits_one():
     m = symbolic_map("odd_collapse")
-    rep = fiber_report(m, window=10)
+    assert fiber_report(m, window=10) == math.inf
     assert domain_report(m, window=10).m_set == frozenset(range(2, 11))
-    assert rep.sup == math.inf
+    assert max(m.window_sizes(10)) == math.inf
 
 
 def test_fiber_report_uncertified_rule_window_only():
-    rep = fiber_report(IndexMap(COUNTABLE, rule=uncertified_successor_rule()), window=16)
-    assert rep.verdict == WindowOnly("fiber sizes bounded by 1 on window 1..16", 1)
+    verdict = fiber_report(IndexMap(COUNTABLE, rule=uncertified_successor_rule()), window=16)
+    assert verdict == WindowOnly("fiber sizes bounded by 1 on window 1..16", 1)
 
 
 def test_fiber_report_observed_infinite_fiber_certifies_unbounded():
-    rep = fiber_report(IndexMap(COUNTABLE, rule=parity_rule()), window=8)
-    assert rep.verdict == math.inf
+    assert fiber_report(IndexMap(COUNTABLE, rule=parity_rule()), window=8) == math.inf
 
 
 def test_fiber_report_liar_rule_integrity_error():
@@ -288,7 +295,7 @@ def test_certificates_beyond_the_window_are_not_refuted():
     # the declared infinite fiber over 100 lies outside the window 1..8; it
     # makes the derived global bound infinite
     rule = dataclasses.replace(successor_rule(), infinite_fibers=frozenset({100}))
-    assert fiber_report(IndexMap(COUNTABLE, rule=rule), window=8).verdict == math.inf
+    assert fiber_report(IndexMap(COUNTABLE, rule=rule), window=8) == math.inf
 
 
 # --- derived certificates -------------------------------------------------
@@ -365,13 +372,13 @@ def test_window_cache_keeps_refuting_beyond_it():
     for _ in range(2):  # a failed scan is not cached
         with pytest.raises(IntegrityError, match=r"fiber\(100\) has size 1"):
             fiber_report(m, 200)
-    assert fiber_report(m, 8).verdict == math.inf
+    assert fiber_report(m, 8) == math.inf
 
 
 @given(finite_maps(max_n=12), st.integers(1, 100))
 def test_table_window_sizes_and_certificates_are_exact(m, window):
     tally = Counter(m.table)
-    sizes = tuple(tally[a] for a in m.domain.indices())
+    sizes = tuple(tally[a] for a in range(1, m.domain.size + 1))
     assert m.window_sizes(window) == sizes  # all n targets, whatever the window
     certs = m.certificates
     assert certs.m_sup == certs.sup_card == max(sizes)
@@ -423,10 +430,10 @@ def test_fiber_report_rejects_bad_window():
 
 def _check_profile(m):
     counts = m.fiber_counts
-    assert counts[0] == 0 and len(counts) == m.domain.size + 1
+    assert len(counts) == m.domain.size
     tally = Counter(m.table)
-    assert {a: c for a, c in enumerate(counts) if c} == dict(tally)
-    for a in m.domain.indices():
+    assert {a: c for a, c in enumerate(counts, start=1) if c} == dict(tally)
+    for a in range(1, m.domain.size + 1):
         assert m.fiber_card(a) == m.table.count(a)
 
 
@@ -438,7 +445,7 @@ def test_fiber_counts_agree_with_counter(m):
 @given(st.integers(2, 12).flatmap(
     lambda n: st.lists(st.integers(1, n), min_size=n, max_size=n).map(tuple)))
 def test_fiber_counts_on_directly_built_maps(table):
-    m = IndexMap(IndexSet.finite(len(table)), table=table)
+    m = IndexMap(IndexSet(len(table)), table=table)
     _check_profile(m)
 
 
@@ -514,7 +521,7 @@ def test_verify_fiber_soundness_reads_each_beta_and_fiber_once():
 
 @given(finite_maps())
 def test_table_preimages_are_the_fibers(m):
-    for a in m.domain.indices():
+    for a in range(1, m.domain.size + 1):
         assert m.preimages[a] == tuple(sorted(brute_fiber(m.table, a)))
         assert m.fiber(a) == frozenset(m.preimages[a])
     verify_fiber_soundness(m, window=m.domain.size)
@@ -525,10 +532,10 @@ def test_preimages_are_increasing_tuples_sharing_the_empty_one(m):
     pre = m.preimages
     assert type(pre) is tuple and len(pre) == m.domain.size + 1
     assert pre[0] == ()
-    for a, fiber in enumerate(pre):
+    assert tuple(map(len, pre[1:])) == m.window_sizes(m.domain.size)
+    for fiber in pre:
         assert type(fiber) is tuple
         assert list(fiber) == sorted(set(fiber))
-        assert len(fiber) == m.fiber_counts[a]
         if not fiber:
             assert fiber is pre[0]
 

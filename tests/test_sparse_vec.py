@@ -8,11 +8,11 @@ from genshift import (
 )
 from helpers import add, inner, norm, scale, unit_vector, vectors_on, zero
 
-DOM5 = IndexSet.finite(5)
+DOM5 = IndexSet(5)
 
 
 def test_unit_vector_entries_and_norm():
-    e2 = unit_vector(IndexSet.finite(3), 2)
+    e2 = unit_vector(IndexSet(3), 2)
     assert e2.entries == {2: 1 + 0j}
     assert norm(e2) == 1.0
     e7 = unit_vector(COUNTABLE, 7)
@@ -22,7 +22,7 @@ def test_unit_vector_entries_and_norm():
 
 def test_unit_vector_outside_domain():
     with pytest.raises(DomainError):
-        unit_vector(IndexSet.finite(3), 4)
+        unit_vector(IndexSet(3), 4)
     with pytest.raises(DomainError):
         unit_vector(COUNTABLE, 0)
 
@@ -80,7 +80,7 @@ def test_reciprocal_partial_sums_stay_below_basel_bound():
 
 def test_domain_mismatch_raised():
     x = unit_vector(DOM5, 1)
-    y = unit_vector(IndexSet.finite(6), 1)
+    y = unit_vector(IndexSet(6), 1)
     for op in (lambda: add(x, y), lambda: inner(x, y)):
         with pytest.raises(DomainError):
             op()
