@@ -1,7 +1,8 @@
 """Command line front end: JSON files in, deterministic JSON out.
 
 Exit codes are stable: 0 ok, 2 parse error, 3 integrity error, 4 image not
-square-summable, 5 witness precondition failure, 6 oracle disagreement.
+square-summable, 5 precondition failure (a witness, or a fiber past
+``SEARCH_CAP`` in ``apply``), 6 oracle disagreement.
 One float rule, ``_float``, holds everywhere: 17 significant digits so that
 reruns diff exactly, and the string "infinite" for infinities. ``_render``
 walks each document's small skeleton value by value; the arrays that grow
@@ -24,11 +25,10 @@ from .index_domain import IndexMap, WindowOnly
 
 SCHEMA_VERSION = 1
 
-EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INTEGRITY = 3
 EXIT_NOT_IN_L2 = 4
-EXIT_WITNESS = 5
+EXIT_PRECONDITION = 5
 EXIT_DISAGREEMENT = 6
 
 DEFAULT_SEED = 74
@@ -135,7 +135,7 @@ def _domain_doc(rep: domain_analysis.DomainReport, m: IndexMap, window: int, m_s
     return {
         "m_set": {
             "members": m_set,
-            "window": None if m.is_finite else window,  # a table's M covers the whole domain
+            "window": None if m.domain.is_finite else window,  # a table's M covers the whole domain
             "certified_infinite_fibers": None if infinite is None else sorted(infinite),
         },
         "closed": _verdict_doc(rep.closed),
@@ -208,9 +208,11 @@ def apply_cmd(map_file, vector_file):
     try:
         m = _load_map(map_file)
         x = sparse_vec.parse_vector(_load_json(vector_file), m.domain)
+        y = gen_shift.apply(m, x)
     except ParseError as exc:
         _fail(EXIT_PARSE, f"parse error: {exc}")
-    y = gen_shift.apply(m, x)
+    except UnsupportedError as exc:  # a fiber past SEARCH_CAP members
+        _fail(EXIT_PRECONDITION, f"precondition failed: {exc}")
     if isinstance(y, gen_shift.NotInL2):
         _fail(
             EXIT_NOT_IN_L2,
@@ -264,7 +266,7 @@ def witness(map_file, kind, count, truncation):
     except IntegrityError as exc:
         _fail(EXIT_INTEGRITY, f"integrity error: {exc}")
     except (UnsupportedError, SearchExhaustedError, ValueError) as exc:
-        _fail(EXIT_WITNESS, f"witness precondition failed: {exc}")
+        _fail(EXIT_PRECONDITION, f"witness precondition failed: {exc}")
     click.echo(_render(doc))
 
 
@@ -287,9 +289,8 @@ def oracle_check(n, exhaustive, random_count, seed):
         maps = dense_oracle.exhaustive_maps(n)
         mode = "exhaustive"
     else:
-        domain = index_domain.IndexSet(n)
         tables = dense_oracle.random_tables(n, random_count, np.random.default_rng(seed))
-        maps = (IndexMap(domain, table=t) for t in tables)
+        maps = (IndexMap(table=t) for t in tables)
         mode = "random"
     checked, max_err, bad = dense_oracle.sweep(maps)
     doc = {

@@ -23,6 +23,7 @@ from .gen_shift import classify, operator_norm
 from .index_domain import DENSE_CAP, IndexMap, IndexSet
 
 EXHAUSTIVE_CAP = 7
+NORM_TOL = 1e-9  # acceptance criterion 1: |oracle norm - fiber norm| within this bound
 
 
 @dataclass(frozen=True, eq=False)  # identity: an array has no truth value and no hash
@@ -35,10 +36,6 @@ class DenseOperator:
 
     matrix: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
     @cached_property
     def singular_values(self) -> np.ndarray:
         """Singular values of the matrix, largest first, from one SVD computed on first use."""
@@ -47,7 +44,7 @@ class DenseOperator:
 
 def to_dense(m: IndexMap) -> DenseOperator:
     """The matrix of ``m``; n above ``DENSE_CAP`` is refused before anything is allocated."""
-    if not m.is_finite:
+    if not m.domain.is_finite:
         raise UnsupportedError("dense realisation needs a finite domain")
     n = m.domain.size
     if n > DENSE_CAP:
@@ -83,7 +80,7 @@ def structural_check(op: DenseOperator) -> StructuralReport:
     it is unitary iff it has full rank and sigma_max < 5/4 (every fiber
     has exactly one element).
     """
-    n = op.n
+    n = op.matrix.shape[0]
     sv = op.singular_values
     rank = int(np.count_nonzero(sv > 0.5))
     unitary = bool(rank == n and sv[0] < 1.25)
@@ -94,8 +91,8 @@ def exhaustive_maps(n: int) -> Iterator[IndexMap]:
     """Every image table on {1..n} exactly once, in lexicographic order."""
     if n > EXHAUSTIVE_CAP:
         raise UnsupportedError(f"exhaustive enumeration capped at n = {EXHAUSTIVE_CAP}, got {n}")
-    domain = IndexSet(n)  # rejects n < 2, before the first map is asked for
-    return (IndexMap(domain, table=images) for images in itertools.product(range(1, n + 1), repeat=n))
+    IndexSet(n)  # rejects n < 2, before the first map is asked for
+    return (IndexMap(table=images) for images in itertools.product(range(1, n + 1), repeat=n))
 
 
 def random_tables(n: int, count: int, rng: np.random.Generator) -> Iterator[tuple[int, ...]]:
@@ -119,8 +116,8 @@ class MapAgreement:
         return self.norm_ok and self.classification_ok
 
 
-def check_map_agreement(m: IndexMap, tol: float = 1e-9) -> MapAgreement:
-    """Compare the fiber-based analysis of one finite map against the oracle."""
+def check_map_agreement(m: IndexMap) -> MapAgreement:
+    """Compare the fiber-based analysis of one finite map against the oracle, norms within NORM_TOL."""
     op = to_dense(m)
     oracle = spectral_norm(op)
     structural = operator_norm(m)
@@ -137,12 +134,12 @@ def check_map_agreement(m: IndexMap, tol: float = 1e-9) -> MapAgreement:
         structural_norm=structural,
         oracle_norm=oracle,
         norm_error=err,
-        norm_ok=err <= tol,
+        norm_ok=err <= NORM_TOL,
         classification_ok=cls_ok,
     )
 
 
-def sweep(maps: Iterable[IndexMap], tol: float = 1e-9) -> tuple[int, float, list[MapAgreement]]:
+def sweep(maps: Iterable[IndexMap]) -> tuple[int, float, list[MapAgreement]]:
     """Check every map against the oracle.
 
     Returns the number of maps checked, the largest norm error seen and the
@@ -152,7 +149,7 @@ def sweep(maps: Iterable[IndexMap], tol: float = 1e-9) -> tuple[int, float, list
     max_err = 0.0
     bad = []
     for m in maps:
-        res = check_map_agreement(m, tol)
+        res = check_map_agreement(m)
         checked += 1
         max_err = max(max_err, res.norm_error)
         if not res.ok:

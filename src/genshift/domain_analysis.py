@@ -33,7 +33,7 @@ def in_domain(m: IndexMap, z: SparseVector) -> bool:
     """
     if m.domain != z.domain:
         raise DomainError("map and vector domains differ")
-    if m.is_finite:
+    if m.domain.is_finite:
         return True
     return all(m.fiber_card(theta) != math.inf for theta in z.entries)
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, IntegrityError, UnsupportedError
-from .index_domain import DEFAULT_WINDOW, SEARCH_CAP, IndexMap, Verdict, WindowOnly, fiber_report
+from .index_domain import DEFAULT_WINDOW, IndexMap, Verdict, WindowOnly, describe_fiber, fiber_report
 from .sparse_vec import SparseVector, fsum_or_inf
 
 
@@ -53,17 +53,16 @@ def apply(m: IndexMap, x: SparseVector) -> SparseVector | NotInL2:
     """
     _check_domains(m, x)
     out = {}
-    if m.is_finite:
+    if m.domain.is_finite:
         pre = m.preimages
         for theta, v in x.entries.items():
             for beta in pre[theta]:
                 out[beta] = v
         return SparseVector(m.domain, out)
-    for theta in sorted(x.entries):
+    for theta, v in sorted(x.entries.items()):
         members = m.fiber(theta)
         if members is None:
             return NotInL2(theta)
-        v = x.entries[theta]
         for beta in members:
             out[beta] = v
     return SparseVector(m.domain, out)
@@ -80,7 +79,7 @@ def apply_norm_sq(m: IndexMap, x: SparseVector) -> float:
     sum passes the float range.
     """
     _check_domains(m, x)
-    if m.is_finite:
+    if m.domain.is_finite:
         counts = m.fiber_counts
         return fsum_or_inf([
             c * (v.real * v.real + v.imag * v.imag)
@@ -148,19 +147,8 @@ def classify(m: IndexMap, window: int = DEFAULT_WINDOW) -> ClassificationReport:
         sigma_injective=surj,
         sigma_surjective=inj,
         isometry=_both(inj, surj),
-        compact=m.is_finite,
+        compact=m.domain.is_finite,
     )
-
-
-def _collision_pair(m: IndexMap) -> tuple[int, int] | None:
-    seen: dict[int, int] = {}
-    hi = m.domain.size if m.is_finite else SEARCH_CAP
-    for beta in range(1, hi + 1):
-        alpha = m.eval(beta)
-        if alpha in seen:
-            return (seen[alpha], beta)
-        seen[alpha] = beta
-    return None
 
 
 def solve(m: IndexMap, y: SparseVector) -> SparseVector:
@@ -168,15 +156,16 @@ def solve(m: IndexMap, y: SparseVector) -> SparseVector:
 
     Requires the index map to be proved one-to-one; the entries of y are
     then merely relabelled, so apply(m, solve(m, y)) == y and the norm is
-    preserved exactly. Injectivity known on a window only is refused, and a
-    collision among y's support indices refutes the rule's certificate.
+    preserved exactly. A map that is not one-to-one is refused, naming the
+    first fiber with two or more members that ``IndexMap.scan`` finds.
+    Injectivity known on a window only is refused, and a collision among
+    y's support indices refutes the rule's certificate.
     """
     _check_domains(m, y)
     inj = classify(m).sigma_surjective  # sigma is onto iff the index map is one-to-one
     if inj is False:
-        pair = _collision_pair(m)
-        detail = f": eval({pair[0]}) == eval({pair[1]})" if pair else ""
-        raise UnsupportedError("index map is not one-to-one" + detail)
+        found = next((describe_fiber(a, c) for a, c in m.scan(DEFAULT_WINDOW) if c >= 2), None)
+        raise UnsupportedError("index map is not one-to-one" + (f": {found}" if found else ""))
     if isinstance(inj, WindowOnly):
         raise UnsupportedError(f"injectivity is only window-certified: {inj.note}")
     out: dict[int, complex] = {}

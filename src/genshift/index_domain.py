@@ -2,30 +2,26 @@
 
 Everything downstream (norms, classification, domain analysis) reduces to
 questions about fibers, the preimage sets of single indices. A fiber size is
-an int, or math.inf for an infinite fiber. Every map carries an exact fiber
-oracle and one certificate record, ``IndexMap.certificates``: a symbolic
-rule on {1, 2, ...} declares its own (None, here only ever "not certified"),
-and a finite map reads exact ones off its fiber sizes. Fiber sizes are read
-in one place, ``IndexMap.window_sizes``. A table answers any window with one
-cached tuple of all n sizes, ``IndexMap.fiber_counts`` (one pass over the
-image table), returned as it is. A rule's window is scanned once and
-validated against every certificate, and the largest validated scan is
-cached. A rule without certificates can still be analysed, but only on
-finite windows. ``fiber_report`` states the sup of all sizes as every
-verdict is stated: a proved value, or a WindowOnly carrying the value the
-window shows.
+an int, or math.inf for an infinite fiber. A map is built one way, from an
+image table or a symbolic rule, and carries an exact fiber oracle and one
+certificate record, ``IndexMap.certificates``: a rule declares its own (None
+only ever means "not certified"), a table reads exact ones off its fiber
+sizes. Fiber sizes are read in one place, ``IndexMap.window_sizes``, and
+searched past a window in one place, ``IndexMap.scan``. ``fiber_report``
+states the sup of all sizes as every verdict is stated: a proved value, or
+a WindowOnly carrying the value the window shows.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
-from .errors import ConstructionError, DomainError, IntegrityError, ParseError
+from .errors import ConstructionError, DomainError, IntegrityError, ParseError, UnsupportedError
 
 DEFAULT_WINDOW = 64
 SEARCH_CAP = 1 << 20  # targets any search past a window may read: the one search budget
@@ -104,25 +100,31 @@ class SymbolicRule(Certificates):
     param: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class IndexMap:
-    """A total self-map of an index set, given by image table or symbolic rule."""
+    """A total self-map: ``IndexMap(table=t)`` with eval(k) = t[k-1], or ``IndexMap(rule=r)``.
 
-    domain: IndexSet
+    A table is checked here: a tuple of n >= 2 ints (not bools) in 1..n. ``domain``
+    is derived, not passed: {1..n} for a table, COUNTABLE for a rule.
+    """
+
     table: tuple[int, ...] | None = None
     rule: SymbolicRule | None = None
+    domain: IndexSet = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if (self.table is None) == (self.rule is None):
             raise ConstructionError("exactly one of table and rule is required")
-        if self.table is not None and not self.domain.is_finite:
-            raise ConstructionError("image tables need a finite domain")
-        if self.rule is not None and self.domain.is_finite:
-            raise ConstructionError("symbolic rules live on the unbounded domain")
-
-    @property
-    def is_finite(self) -> bool:
-        return self.domain.is_finite
+        if self.rule is not None:
+            object.__setattr__(self, "domain", COUNTABLE)
+            return
+        if not isinstance(self.table, tuple):
+            raise ConstructionError(f"image table must be a tuple, got {type(self.table).__name__}")
+        n = len(self.table)
+        object.__setattr__(self, "domain", IndexSet(n))  # rejects n < 2
+        for pos, img in enumerate(self.table, start=1):
+            if not isinstance(img, int) or isinstance(img, bool) or not 1 <= img <= n:
+                raise ConstructionError(f"image at position {pos} is {img!r}, not in 1..{n}")
 
     def _check_index(self, alpha: int) -> None:
         if alpha not in self.domain:
@@ -209,22 +211,22 @@ class IndexMap:
         return self.rule.card_fn(alpha)
 
     def fiber(self, alpha: int) -> frozenset[int] | None:
-        """Exact preimage of alpha, {beta : eval(beta) == alpha}; None when it is infinite."""
+        """Exact preimage of alpha; None when infinite, UnsupportedError past SEARCH_CAP members."""
         self._check_index(alpha)
-        members = self.preimages[alpha] if self.table is not None else self.rule.members_fn(alpha)
+        if self.table is not None:
+            return frozenset(self.preimages[alpha])
+        size = self.rule.card_fn(alpha)
+        if SEARCH_CAP < size < math.inf:
+            raise UnsupportedError(f"{describe_fiber(alpha, size)}, above SEARCH_CAP = {SEARCH_CAP}")
+        members = self.rule.members_fn(alpha)
         return None if members is None else frozenset(members)
 
 
 def make_finite_map(images: Sequence[int], n: int) -> IndexMap:
-    """Total map on {1..n} with eval(k) = images[k-1]."""
-    if n < 2:
-        raise ConstructionError(f"need n >= 2, got {n}")
+    """Total map on {1..n} with eval(k) = images[k-1]; ``IndexMap`` checks the images."""
     if len(images) != n:
         raise ConstructionError(f"expected {n} images, got {len(images)}")
-    for pos, img in enumerate(images, start=1):
-        if not isinstance(img, int) or isinstance(img, bool) or not 1 <= img <= n:
-            raise ConstructionError(f"image at position {pos} is {img!r}, not in 1..{n}")
-    return IndexMap(IndexSet(n), table=tuple(images))
+    return IndexMap(table=tuple(images))
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +344,10 @@ def symbolic_map(name: str, param: int | None = None) -> IndexMap:
     if name == "block":
         if param is None:
             raise ConstructionError('rule "block" needs an integer param')
-        return IndexMap(COUNTABLE, rule=ctor(param))
+        return IndexMap(rule=ctor(param))
     if param is not None:
         raise ConstructionError(f"rule {name!r} takes no param")
-    return IndexMap(COUNTABLE, rule=ctor())
+    return IndexMap(rule=ctor())
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +408,11 @@ def finite_sup(sizes: tuple[int | float, ...]) -> int:
     return max(set(sizes) - {math.inf}, default=0)
 
 
+def describe_fiber(a: int, size: int | float) -> str:
+    """The wording every report of one fiber's size shares: ``fiber(a) has size s``."""
+    return f"fiber({a}) has size {'infinite' if size == math.inf else size}"
+
+
 def _check_certificates(rule: SymbolicRule, sizes: tuple[int | float, ...]) -> None:
     """Raise IntegrityError when a certificate contradicts a window scan.
 
@@ -417,8 +424,7 @@ def _check_certificates(rule: SymbolicRule, sizes: tuple[int | float, ...]) -> N
 
     def refute(claim: str, bad: Callable[[int, int | float], bool]) -> None:
         a, c = next((a, c) for a, c in enumerate(sizes, start=1) if bad(a, c))
-        size = "infinite" if c == math.inf else c
-        raise IntegrityError(f"rule {rule.name!r} declares {claim} but fiber({a}) has size {size}")
+        raise IntegrityError(f"rule {rule.name!r} declares {claim} but {describe_fiber(a, c)}")
 
     m_bound = rule.m_sup
     if m_bound not in (None, math.inf) and finite_sup(sizes) > m_bound:

@@ -193,7 +193,7 @@ def verify_fiber_soundness(m: IndexMap, window: int = DEFAULT_WINDOW) -> None:
     none). One pass inverts eval over the window, so each beta there is
     evaluated once and each target's fiber is read once.
     """
-    hi = min(window, m.domain.size) if m.is_finite else window
+    hi = min(window, m.domain.size) if m.domain.is_finite else window
     images = [m.eval(beta) for beta in range(1, hi + 1)]
     seen: dict[int, set[int]] = {alpha: set() for alpha in range(1, hi + 1)}
     for beta, alpha in enumerate(images, start=1):

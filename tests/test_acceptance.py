@@ -76,10 +76,9 @@ def test_criterion_1_norm_formula():
             worst = max(worst, err)
             count += 1
         assert count == 3125
-        dom12 = IndexSet(12)
         rng12 = np.random.default_rng(42)
         for table in random_tables(12, 1000, rng12):
-            m = IndexMap(dom12, table=table)
+            m = IndexMap(table=table)
             err = abs(spectral_norm(to_dense(m)) - operator_norm(m))
             worst = max(worst, err)
         elapsed = time.monotonic() - start
@@ -95,7 +94,7 @@ def test_criterion_2_image_norm_identity():
         checked = 0
         for _ in range(9000):
             n = int(rng.integers(2, 13))
-            m = IndexMap(IndexSet(n), table=next(random_tables(n, 1, rng)))
+            m = IndexMap(table=next(random_tables(n, 1, rng)))
             x = _random_vector(rng, m.domain, n, size=int(rng.integers(1, n + 1)))
             lhs = norm_sq(apply(m, x))
             rhs = apply_norm_sq(m, x)
@@ -142,7 +141,7 @@ def test_criterion_4_solve_round_trip():
         for i in range(900):
             n = int(rng.integers(2, 13))
             table = tuple(int(v) + 1 for v in rng.permutation(n))
-            m = IndexMap(IndexSet(n), table=table)
+            m = IndexMap(table=table)
             integer = i % 2 == 0
             y = _random_vector(rng, m.domain, n, size=int(rng.integers(1, n + 1)), integer=integer)
             x = solve(m, y)
@@ -213,7 +212,7 @@ def test_criterion_6_domain_theorem_infinite_fibers():
         window = 12
         cases = [
             (symbolic_map("odd_collapse"), frozenset(range(2, window + 1))),
-            (IndexMap(COUNTABLE, rule=parity_rule()), frozenset(range(3, window + 1))),
+            (IndexMap(rule=parity_rule()), frozenset(range(3, window + 1))),
         ]
         for m, expected_members in cases:
             members = domain_report(m, window).m_set
@@ -231,7 +230,7 @@ def test_criterion_7_compactness():
         rng = np.random.default_rng(7)
         for n in range(2, 8):
             for table in random_tables(n, 40, rng):
-                assert classify(IndexMap(IndexSet(n), table=table)).compact is True
+                assert classify(IndexMap(table=table)).compact is True
         for name, param in BOUNDED_RULES + [("triangular", None), ("odd_collapse", None)]:
             assert classify(symbolic_map(name, param)).compact is False
         w = witness_sequence(symbolic_map("successor"), 100)
@@ -264,7 +263,7 @@ def test_criterion_8_unit_vector_images():
         rng = np.random.default_rng(8)
         for n in range(5, 9):
             for table in random_tables(n, 200, rng):
-                check(IndexMap(IndexSet(n), table=table))
+                check(IndexMap(table=table))
         oc = symbolic_map("odd_collapse")
         assert apply(oc, unit_vector(COUNTABLE, 1)) == NotInL2(1)
 

@@ -132,6 +132,15 @@ def test_apply_odd_collapse_e1_exits_4(runner, tmp_path):
     assert "index 1" in result.output
 
 
+def test_apply_fiber_past_the_search_budget_exits_5(runner, tmp_path):
+    block = {"kind": "symbolic", "name": "block", "param": index_domain.SEARCH_CAP + 1}
+    result = runner.invoke(main, ["apply", write(tmp_path, "m.json", block),
+                                  write(tmp_path, "v.json", E1)])
+    assert result.exit_code == 5
+    assert result.output == ("precondition failed: fiber(1) has size 1048577,"
+                             " above SEARCH_CAP = 1048576\n")
+
+
 def test_apply_duplicate_vector_index_exits_2(runner, tmp_path):
     bad = [{"i": 1, "re": 1.0}, {"i": 1, "re": 2.0}]
     result = runner.invoke(main, ["apply", write(tmp_path, "m.json", IDENTITY5),
@@ -386,7 +395,7 @@ WINDOW_ONLY_ANALYSES = [
 @pytest.mark.parametrize("rule, window, expected", WINDOW_ONLY_ANALYSES,
                          ids=["succ_nocert_w1", "succ_nocert_w4", "parity_w1", "parity_w4"])
 def test_analyze_window_only_document(runner, tmp_path, monkeypatch, rule, window, expected):
-    monkeypatch.setattr(cli, "_load_map", lambda path: IndexMap(COUNTABLE, rule=rule()))
+    monkeypatch.setattr(cli, "_load_map", lambda path: IndexMap(rule=rule()))
     result = runner.invoke(main, ["analyze", write(tmp_path, "m.json", {}), "--window", str(window)])
     assert result.exit_code == 0
     assert result.output == expected

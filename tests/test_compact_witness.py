@@ -95,7 +95,7 @@ def test_witness_rejects_unbounded_maps():
     with pytest.raises(UnsupportedError):
         witness_sequence(symbolic_map("odd_collapse"), 2)
     with pytest.raises(UnsupportedError):
-        witness_sequence(IndexMap(COUNTABLE, rule=uncertified_successor_rule()), 2)
+        witness_sequence(IndexMap(rule=uncertified_successor_rule()), 2)
 
 
 def test_witness_rejects_tiny_count():
@@ -113,4 +113,4 @@ def test_witness_search_cap_exhaustion_at_the_budget():
 def test_witness_refutes_a_false_bound_certificate(rule):
     # both claim m_sup = 1, hence a finite fiber bound; fiber(1) has size 2
     with pytest.raises(IntegrityError, match=r"fiber\(1\) has size 2"):
-        witness_sequence(IndexMap(COUNTABLE, rule=rule()), 3)
+        witness_sequence(IndexMap(rule=rule()), 3)

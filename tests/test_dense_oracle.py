@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from genshift import (
     ConstructionError,
+    IndexMap,
     UnsupportedError,
     apply,
     make_finite_map,
@@ -143,6 +144,15 @@ def test_exhaustive_maps_bounds():
         exhaustive_maps(8)
 
 
+def test_malformed_table_never_reaches_the_oracle(monkeypatch):
+    # the image 0 would wrap round to the last column, and the oracle would agree
+    seen = []
+    monkeypatch.setattr(dense_oracle, "to_dense", seen.append)
+    with pytest.raises(ConstructionError, match="position 1"):
+        check_map_agreement(IndexMap(table=(0, 1)))
+    assert seen == []
+
+
 def test_unitary_iff_bijective_exhaustive_n4():
     for m in exhaustive_maps(4):
         bijective = len(set(m.table)) == 4
@@ -162,10 +172,11 @@ def test_check_map_agreement_near_tie_of_largest_fibers():
     assert res.ok, res
 
 
-def test_sweep_counts_worst_error_and_disagreements():
+def test_sweep_counts_worst_error_and_disagreements(monkeypatch):
     checked, worst, bad = sweep(exhaustive_maps(3))
     assert (checked, bad) == (27, [])
-    assert worst <= 1e-9
-    checked, worst, bad = sweep(exhaustive_maps(3), tol=-1.0)  # no error is below -1
+    assert worst <= dense_oracle.NORM_TOL == 1e-9
+    monkeypatch.setattr(dense_oracle, "NORM_TOL", -1.0)  # no error is below -1
+    checked, worst, bad = sweep(exhaustive_maps(3))
     assert checked == 27
     assert [res.table for res in bad] == [m.table for m in exhaustive_maps(3)]

@@ -59,7 +59,7 @@ def test_odd_collapse_membership():
 
 @given(vectors_on(COUNTABLE, max_index=20))
 def test_in_domain_consistent_with_apply(z):
-    for m in (symbolic_map("odd_collapse"), IndexMap(COUNTABLE, rule=parity_rule()),
+    for m in (symbolic_map("odd_collapse"), IndexMap(rule=parity_rule()),
               symbolic_map("successor")):
         assert in_domain(m, z) == (not isinstance(apply(m, z), NotInL2))
 
@@ -96,14 +96,14 @@ def test_m_set_finite_is_exact():
 
 
 def test_m_set_uncertified_rule_has_unknown_complement():
-    m = IndexMap(COUNTABLE, rule=uncertified_successor_rule())
+    m = IndexMap(rule=uncertified_successor_rule())
     assert domain_report(m, window=6).m_set == frozenset(range(1, 7))
     assert m.certificates.infinite_fibers is None
 
 
 def test_m_set_refutes_false_certificates():
     with pytest.raises(IntegrityError, match="finite-fiber bound 1"):
-        domain_report(IndexMap(COUNTABLE, rule=clamp_liar_rule()), window=8)
+        domain_report(IndexMap(rule=clamp_liar_rule()), window=8)
 
 
 # --- closedness: DomainReport.closed ----------------------------------------------
@@ -134,7 +134,7 @@ def test_domain_closed_odd_collapse_true_over_m():
 
 
 def test_domain_closed_uncertified_window_only():
-    rep = domain_report(IndexMap(COUNTABLE, rule=uncertified_successor_rule()), window=8)
+    rep = domain_report(IndexMap(rule=uncertified_successor_rule()), window=8)
     assert isinstance(rep.closed, WindowOnly)
     assert rep.closed.value == 1.0
     assert rep.closed.note == "fibers over M bounded by 1 on window 1..8"
@@ -154,7 +154,7 @@ def test_domain_report_equivalence_of_verdicts():
 def test_domain_report_clamp_liar_integrity_error():
     # without the check: closed=True and uniform_bound_on_m=1 over a fiber of size 2
     with pytest.raises(IntegrityError):
-        domain_report(IndexMap(COUNTABLE, rule=clamp_liar_rule()))
+        domain_report(IndexMap(rule=clamp_liar_rule()))
 
 
 # --- fiber_records -----------------------------------------------------------------
@@ -213,7 +213,7 @@ def test_divergence_witness_rejects_bounded_maps():
 
 def test_divergence_witness_uncertified_rule_exhausts_search():
     with pytest.raises(SearchExhaustedError):
-        divergence_witness(IndexMap(COUNTABLE, rule=uncertified_successor_rule()), 3)
+        divergence_witness(IndexMap(rule=uncertified_successor_rule()), 3)
 
 
 def test_divergence_witness_stops_at_the_search_budget():

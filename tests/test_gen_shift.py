@@ -75,7 +75,7 @@ def test_apply_constant_map_copies_everywhere():
 def test_apply_not_in_l2_reports_smallest_offender():
     oc = symbolic_map("odd_collapse")
     assert apply(oc, from_entries(COUNTABLE, {1: 1, 4: 2})) == NotInL2(1)
-    par = IndexMap(COUNTABLE, rule=parity_rule())
+    par = IndexMap(rule=parity_rule())
     assert apply(par, from_entries(COUNTABLE, {2: 1, 1: 1})) == NotInL2(1)
     assert apply(par, from_entries(COUNTABLE, {2: 1, 5: 1})) == NotInL2(2)
 
@@ -198,7 +198,7 @@ def test_operator_norm_unbounded_rules():
 
 
 def test_operator_norm_uncertified_rule_is_window_only():
-    nrm = operator_norm(IndexMap(COUNTABLE, rule=uncertified_successor_rule()), window=12)
+    nrm = operator_norm(IndexMap(rule=uncertified_successor_rule()), window=12)
     assert isinstance(nrm, WindowOnly)
     assert nrm.value == 1.0
 
@@ -242,7 +242,7 @@ def test_classify_clamp_pred():
 def test_classify_clamp_liar_integrity_error():
     # without the check, the false injectivity claim reads as sigma_surjective=True
     with pytest.raises(IntegrityError):
-        classify(IndexMap(COUNTABLE, rule=clamp_liar_rule()))
+        classify(IndexMap(rule=clamp_liar_rule()))
 
 
 def test_classify_triangular_not_into_l2():
@@ -253,7 +253,7 @@ def test_classify_triangular_not_into_l2():
 
 
 def test_classify_uncertified_rule_gives_window_verdicts():
-    rep = classify(IndexMap(COUNTABLE, rule=uncertified_successor_rule()), 16)
+    rep = classify(IndexMap(rule=uncertified_successor_rule()), 16)
     assert isinstance(rep.maps_into_l2, WindowOnly)
     assert isinstance(rep.sigma_surjective, WindowOnly)  # injectivity unprovable by window
     assert rep.sigma_injective is False                  # empty fiber over 1 refutes onto
@@ -270,7 +270,7 @@ def test_classify_window_refutes_injectivity_exactly():
         card_fn=lambda a: 2,
         members_fn=lambda a: frozenset((2 * a - 1, 2 * a)),
     )
-    rep = classify(IndexMap(COUNTABLE, rule=honest), 8)
+    rep = classify(IndexMap(rule=honest), 8)
     assert rep.sigma_surjective is False
 
 
@@ -356,15 +356,20 @@ def test_solve_five_cycle_unit_vector():
 
 
 def test_solve_rejects_non_injective_naming_pair():
-    with pytest.raises(UnsupportedError, match=r"eval\(1\) == eval\(2\)"):
+    with pytest.raises(UnsupportedError, match=r"^index map is not one-to-one: fiber\(3\) has size 2$"):
         solve(make_finite_map([3, 3, 1], 3), unit_vector(IndexSet(3), 1))
-    with pytest.raises(UnsupportedError, match="eval"):
+    with pytest.raises(UnsupportedError, match=r"^index map is not one-to-one: fiber\(1\) has size 2$"):
         solve(symbolic_map("clamp_pred"), unit_vector(COUNTABLE, 1))
+
+
+def test_solve_names_an_infinite_fiber():
+    with pytest.raises(UnsupportedError, match=r"not one-to-one: fiber\(1\) has size infinite$"):
+        solve(symbolic_map("odd_collapse"), unit_vector(COUNTABLE, 2))
 
 
 def test_solve_window_certified_injectivity_needs_override():
     # injectivity seen on a window only is always refused
-    m = IndexMap(COUNTABLE, rule=uncertified_successor_rule())
+    m = IndexMap(rule=uncertified_successor_rule())
     y = from_entries(COUNTABLE, {4: 2j})
     with pytest.raises(UnsupportedError, match=r"only window-certified: no fiber of size >= 2"):
         solve(m, y)
@@ -380,7 +385,7 @@ def test_solve_collision_refutes_a_false_injectivity_certificate():
         m_sup=1,
         infinite_fibers=frozenset(),
     )
-    m = IndexMap(COUNTABLE, rule=rule)
+    m = IndexMap(rule=rule)
     assert classify(m).sigma_surjective is True
     assert solve(m, from_entries(COUNTABLE, {100: 1, 102: 2})).entries == {100: 1, 102: 2}
     with pytest.raises(IntegrityError, match=r"rule 'late_collision' .* eval\(100\) == eval\(101\)"):

@@ -17,6 +17,7 @@ from genshift import (
     IntegrityError,
     ParseError,
     SymbolicRule,
+    UnsupportedError,
     WindowOnly,
     classify,
     divergence_witness,
@@ -109,6 +110,34 @@ def test_make_finite_map_errors_name_position():
         make_finite_map([1, 2, True], 3)
 
 
+@pytest.mark.parametrize("table, position", [((0, 1), 1), ((1, 3), 2), ((1, True), 2)])
+def test_every_table_is_checked_where_it_is_built(table, position):
+    with pytest.raises(ConstructionError, match=rf"^image at position {position} is .*, not in 1\.\.2$"):
+        IndexMap(table=table)
+
+
+def test_an_image_table_is_a_tuple():
+    with pytest.raises(ConstructionError, match="must be a tuple, got list"):
+        IndexMap(table=[1, 2])
+
+
+def test_index_map_takes_exactly_one_of_table_and_rule():
+    with pytest.raises(ConstructionError, match="exactly one"):
+        IndexMap()
+    with pytest.raises(ConstructionError, match="exactly one"):
+        IndexMap(table=(1, 2), rule=successor_rule())
+    with pytest.raises(TypeError):
+        IndexMap((1, 2))  # keyword-only
+
+
+def test_index_map_derives_its_domain():
+    m = IndexMap(table=(2, 1, 2))
+    assert m.domain == IndexSet(3) and m == make_finite_map([2, 1, 2], 3)
+    assert IndexMap(rule=successor_rule()).domain is COUNTABLE
+    assert "domain" not in repr(m)
+    assert [f.name for f in dataclasses.fields(IndexMap) if f.init] == ["table", "rule"]
+
+
 # --- fibers ---------------------------------------------------------------
 
 def test_fiber_identity():
@@ -120,6 +149,18 @@ def test_fiber_successor_over_one_is_empty():
     m = symbolic_map("successor")
     fib = m.fiber(1)
     assert len(fib) == 0 and fib == frozenset()
+
+
+def test_fiber_past_the_search_budget_is_refused_before_it_is_built():
+    members = Counter()
+    block = block_rule(SEARCH_CAP + 1)
+    rule = dataclasses.replace(block, members_fn=lambda a: members.update([a]) or block.members_fn(a))
+    with pytest.raises(UnsupportedError,
+                       match=rf"^fiber\(1\) has size {SEARCH_CAP + 1}, above SEARCH_CAP = {SEARCH_CAP}$"):
+        IndexMap(rule=rule).fiber(1)
+    assert members == {}
+    assert symbolic_map("odd_collapse").fiber(1) is None  # an infinite fiber is not refused
+    assert symbolic_map("block", 3).fiber(2) == frozenset({4, 5, 6})
 
 
 def test_fiber_outside_domain():
@@ -265,17 +306,17 @@ def test_fiber_report_odd_collapse_m_set_omits_one():
 
 
 def test_fiber_report_uncertified_rule_window_only():
-    verdict = fiber_report(IndexMap(COUNTABLE, rule=uncertified_successor_rule()), window=16)
+    verdict = fiber_report(IndexMap(rule=uncertified_successor_rule()), window=16)
     assert verdict == WindowOnly("fiber sizes bounded by 1 on window 1..16", 1)
 
 
 def test_fiber_report_observed_infinite_fiber_certifies_unbounded():
-    assert fiber_report(IndexMap(COUNTABLE, rule=parity_rule()), window=8) == math.inf
+    assert fiber_report(IndexMap(rule=parity_rule()), window=8) == math.inf
 
 
 def test_fiber_report_liar_rule_integrity_error():
     with pytest.raises(IntegrityError):
-        fiber_report(IndexMap(COUNTABLE, rule=liar_rule()), window=8)
+        fiber_report(IndexMap(rule=liar_rule()), window=8)
 
 
 @pytest.mark.parametrize("rule, claim", [
@@ -288,14 +329,14 @@ def test_fiber_report_liar_rule_integrity_error():
 ])
 def test_fiber_report_refutes_each_false_certificate(rule, claim):
     with pytest.raises(IntegrityError, match=claim):
-        fiber_report(IndexMap(COUNTABLE, rule=rule), window=8)
+        fiber_report(IndexMap(rule=rule), window=8)
 
 
 def test_certificates_beyond_the_window_are_not_refuted():
     # the declared infinite fiber over 100 lies outside the window 1..8; it
     # makes the derived global bound infinite
     rule = dataclasses.replace(successor_rule(), infinite_fibers=frozenset({100}))
-    assert fiber_report(IndexMap(COUNTABLE, rule=rule), window=8) == math.inf
+    assert fiber_report(IndexMap(rule=rule), window=8) == math.inf
 
 
 # --- derived certificates -------------------------------------------------
@@ -352,7 +393,7 @@ def _counting(rule):
                          ids=["certified", "uncertified"])
 def test_analyze_scans_each_window_once(rule):
     counted, calls = _counting(rule)
-    m = IndexMap(COUNTABLE, rule=counted)
+    m = IndexMap(rule=counted)
     for _ in range(2):  # fiber report, classification and domain report, as `analyze` runs them
         fiber_report(m, 40)
         classify(m, 40)
@@ -367,7 +408,7 @@ def test_analyze_scans_each_window_once(rule):
 
 def test_window_cache_keeps_refuting_beyond_it():
     rule = dataclasses.replace(successor_rule(), infinite_fibers=frozenset({100}))
-    m = IndexMap(COUNTABLE, rule=rule)
+    m = IndexMap(rule=rule)
     assert m.window_sizes(8) == (0,) + (1,) * 7
     for _ in range(2):  # a failed scan is not cached
         with pytest.raises(IntegrityError, match=r"fiber\(100\) has size 1"):
@@ -389,11 +430,11 @@ def test_table_window_sizes_and_certificates_are_exact(m, window):
 
 def test_witnesses_read_each_target_once():
     counted, calls = _counting(triangular_rule())
-    m = IndexMap(COUNTABLE, rule=counted)
+    m = IndexMap(rule=counted)
     assert len(divergence_witness(m, 100).records) == 100
     assert calls == list(range(1, 101))
     counted, calls = _counting(doubling_rule())
-    m = IndexMap(COUNTABLE, rule=counted)
+    m = IndexMap(rule=counted)
     assert witness_sequence(m, 30).indices == tuple(range(2, 61, 2))
     assert calls == list(range(1, 61))  # windows 1..30, then 31..60
     fiber_report(m, 40)
@@ -445,13 +486,13 @@ def test_fiber_counts_agree_with_counter(m):
 @given(st.integers(2, 12).flatmap(
     lambda n: st.lists(st.integers(1, n), min_size=n, max_size=n).map(tuple)))
 def test_fiber_counts_on_directly_built_maps(table):
-    m = IndexMap(IndexSet(len(table)), table=table)
+    m = IndexMap(table=table)
     _check_profile(m)
 
 
 @given(finite_maps())
 def test_fiber_counts_cache_is_not_part_of_identity(m):
-    fresh = IndexMap(m.domain, table=m.table)
+    fresh = IndexMap(table=m.table)
     before = (hash(m), repr(m))
     m.fiber_counts  # fill the cache on one of two equal maps
     assert "fiber_counts" in vars(m) and "fiber_counts" not in vars(fresh)
@@ -514,7 +555,7 @@ def test_verify_fiber_soundness_reads_each_beta_and_fiber_once():
     rule = dataclasses.replace(
         succ, eval_fn=counted("eval", succ.eval_fn), members_fn=counted("members", succ.members_fn)
     )
-    verify_fiber_soundness(IndexMap(COUNTABLE, rule=rule), window=1000)
+    verify_fiber_soundness(IndexMap(rule=rule), window=1000)
     # targets 1..1001: the window and the image of 1000
     assert calls == {"eval": 1000, "members": 1001}
 
@@ -542,7 +583,7 @@ def test_preimages_are_increasing_tuples_sharing_the_empty_one(m):
 
 @given(finite_maps())
 def test_preimages_cache_is_built_once_and_not_part_of_identity(m):
-    fresh = IndexMap(m.domain, table=m.table)
+    fresh = IndexMap(table=m.table)
     before = (hash(m), repr(m))
     pre = m.preimages
     assert m.preimages is pre and vars(m)["preimages"] is pre
@@ -566,4 +607,4 @@ def test_verify_fiber_soundness_catches_bad_members():
                                 (wrong_size, 100, r"fiber\(1\) has size 2"),
                                 (finite_for_infinite, 5, r"fiber\(1\) has size 1")):
         with pytest.raises(IntegrityError, match=error):
-            verify_fiber_soundness(IndexMap(COUNTABLE, rule=rule), window=window)
+            verify_fiber_soundness(IndexMap(rule=rule), window=window)
