@@ -1,8 +1,9 @@
 """Command line front end: JSON files in, deterministic JSON out.
 
-Exit codes are stable: 0 ok, 2 parse error, 3 integrity error, 4 image not
-square-summable, 5 precondition failure (a witness, or a fiber past
-``SEARCH_CAP`` in ``apply``), 6 oracle disagreement.
+Exit codes are stable: 0 ok, 2 parse error or usage, 3 integrity error, 4
+image not square-summable, 5 precondition failure (a witness, or a fiber past
+``SEARCH_CAP`` in ``apply``), 6 oracle disagreement. ``LIBRARY_EXITS`` maps each
+library error to its code and label, once around every command.
 One float rule, ``_float``, holds everywhere: 17 significant digits so that
 reruns diff exactly, and the string "infinite" for infinities. ``_render``
 walks each document's small skeleton value by value; the arrays that grow
@@ -20,15 +21,12 @@ import sys
 import click
 
 from . import compact_witness, domain_analysis, gen_shift, index_domain, sparse_vec
-from .errors import IntegrityError, ParseError, SearchExhaustedError, UnsupportedError
+from .errors import GenShiftError, IntegrityError, ParseError, SearchExhaustedError, UnsupportedError
 from .index_domain import IndexMap, WindowOnly
 
 SCHEMA_VERSION = 1
 
-EXIT_PARSE = 2
-EXIT_INTEGRITY = 3
 EXIT_NOT_IN_L2 = 4
-EXIT_PRECONDITION = 5
 EXIT_DISAGREEMENT = 6
 
 DEFAULT_SEED = 74
@@ -110,41 +108,6 @@ def _bound_verdict_doc(v, window: int):
     return {"kind": "certified", "bound": v}
 
 
-def _fiber_report_doc(sizes: tuple[int | float, ...], verdict, window: int, m_set: Rendered) -> dict:
-    return {
-        "cardinalities": _sizes(sizes),
-        "sup": max(sizes),
-        "verdict": _bound_verdict_doc(verdict, window),
-        "m_set": m_set,
-    }
-
-
-def _classification_doc(rep: gen_shift.ClassificationReport) -> dict:
-    return {
-        "maps_into_l2": _verdict_doc(rep.maps_into_l2),
-        "operator_norm": _norm_doc(rep.operator_norm),
-        "sigma_injective": _verdict_doc(rep.sigma_injective),
-        "sigma_surjective": _verdict_doc(rep.sigma_surjective),
-        "isometry": _verdict_doc(rep.isometry),
-        "compact": rep.compact,
-    }
-
-
-def _domain_doc(rep: domain_analysis.DomainReport, m: IndexMap, window: int, m_set: Rendered) -> dict:
-    infinite = m.certificates.infinite_fibers
-    return {
-        "m_set": {
-            "members": m_set,
-            "window": None if m.domain.is_finite else window,  # a table's M covers the whole domain
-            "certified_infinite_fibers": None if infinite is None else sorted(infinite),
-        },
-        "closed": _verdict_doc(rep.closed),
-        "uniform_bound_on_m": rep.uniform_bound_on_m,
-        "characterization_holds": _verdict_doc(rep.closed),
-        "unbounded_witness": None if rep.unbounded_witness is None else _ints(rep.unbounded_witness),
-    }
-
-
 # ---------------------------------------------------------------------------
 # file loading
 
@@ -168,7 +131,29 @@ def _fail(code: int, message: str):
 # ---------------------------------------------------------------------------
 # commands
 
-@click.group()
+# The library errors a command may end in, with their exit code and stderr label;
+# the first class that matches wins.
+LIBRARY_EXITS = (
+    (ParseError, 2, "parse error"),
+    (IntegrityError, 3, "integrity error"),
+    ((UnsupportedError, SearchExhaustedError), 5, "precondition failed"),
+)
+
+
+class _Commands(click.Group):
+    """Ends a library error in its table row; any other class is a bug and keeps its traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except GenShiftError as exc:
+            for cls, code, label in LIBRARY_EXITS:
+                if isinstance(exc, cls):
+                    _fail(code, f"{label}: {exc}")
+            raise
+
+
+@click.group(cls=_Commands)
 def main():
     """Analyse shift operators induced by index self-maps, over JSON files."""
 
@@ -179,23 +164,43 @@ def main():
               default=index_domain.DEFAULT_WINDOW, help="scan window for symbolic maps")
 def analyze(map_file, window):
     """Fiber report, operator classification and domain analysis for a map."""
-    try:
-        m = _load_map(map_file)
-        sup = index_domain.fiber_report(m, window)
-        classification = gen_shift.classify(m, window)
-        domain = domain_analysis.domain_report(m, window)
-    except ParseError as exc:
-        _fail(EXIT_PARSE, f"parse error: {exc}")
-    except IntegrityError as exc:
-        _fail(EXIT_INTEGRITY, f"integrity error: {exc}")
+    m = _load_map(map_file)
+    sup = index_domain.fiber_report(m, window)
+    rep = gen_shift.classify(m, window)
+    domain = domain_analysis.domain_report(m, window)
+    sizes = m.window_sizes(window)
     m_members = _ints(sorted(domain.m_set))  # M, rendered once for both m_set keys
+    infinite = m.certificates.infinite_fibers
     doc = {
         "schema_version": SCHEMA_VERSION,
         "map": index_domain.map_to_json(m),
         "window": window,
-        "fiber_report": _fiber_report_doc(m.window_sizes(window), sup, window, m_members),
-        "classification": _classification_doc(classification),
-        "domain": _domain_doc(domain, m, window, m_members),
+        "fiber_report": {
+            "cardinalities": _sizes(sizes),
+            "sup": max(sizes),
+            "verdict": _bound_verdict_doc(sup, window),
+            "m_set": m_members,
+        },
+        "classification": {
+            "maps_into_l2": _verdict_doc(rep.maps_into_l2),
+            "operator_norm": _norm_doc(rep.operator_norm),
+            "sigma_injective": _verdict_doc(rep.sigma_injective),
+            "sigma_surjective": _verdict_doc(rep.sigma_surjective),
+            "isometry": _verdict_doc(rep.isometry),
+            "compact": rep.compact,
+        },
+        "domain": {
+            "m_set": {
+                "members": m_members,
+                "window": None if m.domain.is_finite else window,  # a table's M is all of 1..n
+                "certified_infinite_fibers": None if infinite is None else sorted(infinite),
+            },
+            "closed": _verdict_doc(domain.closed),
+            "uniform_bound_on_m": domain.uniform_bound_on_m,
+            "characterization_holds": _verdict_doc(domain.closed),
+            "unbounded_witness": (None if domain.unbounded_witness is None
+                                  else _ints(domain.unbounded_witness)),
+        },
     }
     click.echo(_render(doc))
 
@@ -205,14 +210,9 @@ def analyze(map_file, window):
 @click.argument("vector_file", type=click.Path(exists=True, dir_okay=False))
 def apply_cmd(map_file, vector_file):
     """Apply the shift to a vector; prints the image in the vector file format."""
-    try:
-        m = _load_map(map_file)
-        x = sparse_vec.parse_vector(_load_json(vector_file), m.domain)
-        y = gen_shift.apply(m, x)
-    except ParseError as exc:
-        _fail(EXIT_PARSE, f"parse error: {exc}")
-    except UnsupportedError as exc:  # a fiber past SEARCH_CAP members
-        _fail(EXIT_PRECONDITION, f"precondition failed: {exc}")
+    m = _load_map(map_file)
+    x = sparse_vec.parse_vector(_load_json(vector_file), m.domain)
+    y = gen_shift.apply(m, x)
     if isinstance(y, gen_shift.NotInL2):
         _fail(
             EXIT_NOT_IN_L2,
@@ -230,43 +230,30 @@ def apply_cmd(map_file, vector_file):
               help="truncation length for the divergence witness")
 def witness(map_file, kind, count, truncation):
     """Non-compactness or norm-divergence certificate for a map."""
-    try:
-        m = _load_map(map_file)
-    except ParseError as exc:
-        _fail(EXIT_PARSE, f"parse error: {exc}")
-    try:
-        if kind == "compact":
-            w = compact_witness.witness_sequence(m, count)
-            doc = {
-                "schema_version": SCHEMA_VERSION,
-                "kind": "compact",
-                "map": index_domain.map_to_json(m),
-                "indices": _ints(w.indices),
-                "fiber_sizes": _ints(w.fiber_sizes),
-                "min_distance_sq": {
-                    "num": w.min_distance_sq.numerator,
-                    "den": w.min_distance_sq.denominator,
-                },
-                "pairwise_separation": w.pairwise_separation,
-                "vectors": _half_units(w.indices),
-            }
-        else:
-            w = domain_analysis.divergence_witness(m, truncation)
-            vector = w.vector
-            doc = {
-                "schema_version": SCHEMA_VERSION,
-                "kind": "divergence",
-                "map": index_domain.map_to_json(m),
-                "K": truncation,
-                "records": _ints(w.records),
-                "vector_norm_sq": sparse_vec.norm_sq(vector),
-                "image_norm_sq_lower_bound": w.image_norm_sq_lower_bound,
-                "vector": _vector(vector),
-            }
-    except IntegrityError as exc:
-        _fail(EXIT_INTEGRITY, f"integrity error: {exc}")
-    except (UnsupportedError, SearchExhaustedError, ValueError) as exc:
-        _fail(EXIT_PRECONDITION, f"witness precondition failed: {exc}")
+    m = _load_map(map_file)
+    doc = {"schema_version": SCHEMA_VERSION, "kind": kind, "map": index_domain.map_to_json(m)}
+    if kind == "compact":
+        w = compact_witness.witness_sequence(m, count)
+        doc |= {
+            "indices": _ints(w.indices),
+            "fiber_sizes": _ints(w.fiber_sizes),
+            "min_distance_sq": {
+                "num": w.min_distance_sq.numerator,
+                "den": w.min_distance_sq.denominator,
+            },
+            "pairwise_separation": w.pairwise_separation,
+            "vectors": _half_units(w.indices),
+        }
+    else:
+        w = domain_analysis.divergence_witness(m, truncation)
+        vector = w.vector
+        doc |= {
+            "K": truncation,
+            "records": _ints(w.records),
+            "vector_norm_sq": sparse_vec.norm_sq(vector),
+            "image_norm_sq_lower_bound": w.image_norm_sq_lower_bound,
+            "vector": _vector(vector),
+        }
     click.echo(_render(doc))
 
 

@@ -89,6 +89,7 @@ def divergence_witness(m: IndexMap, K: int) -> DivergenceWitness:
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
+    m.window_sizes(min(K, SEARCH_CAP))  # the scan's first window: refutes a false certificate
     certified = m.certificates.m_sup
     if certified is not None and certified != math.inf:
         raise UnsupportedError(f"map is certified bounded over M (fiber bound {certified})")

@@ -7,7 +7,7 @@ import types
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genshift import (
@@ -15,7 +15,7 @@ from genshift import (
     vector_to_json,
 )
 from genshift.cli import main
-from helpers import clamp_liar_rule, parity_rule, uncertified_successor_rule
+from helpers import clamp_liar_rule, liar_rule, parity_rule, uncertified_successor_rule
 
 
 @pytest.fixture
@@ -185,24 +185,30 @@ def test_witness_divergence_triangular_k16(runner, tmp_path):
 
 
 def test_witness_compact_on_finite_map_exits_5(runner, tmp_path):
-    result = runner.invoke(main, ["witness", write(tmp_path, "m.json", CONST4),
-                                  "--kind", "compact"])
-    assert result.exit_code == 5
+    path = write(tmp_path, "m.json", CONST4)
+    for kind, reason in (("compact", "finite index set"), ("divergence", "map is certified bounded")):
+        result = runner.invoke(main, ["witness", path, "--kind", kind])
+        assert result.exit_code == 5
+        assert result.output.startswith(f"precondition failed: {reason}")
 
 
 def test_witness_false_certificate_exits_3(runner, tmp_path, monkeypatch):
     monkeypatch.setitem(index_domain.BUILTIN_RULES, "clamp_liar", clamp_liar_rule)
     doc = {"kind": "symbolic", "name": "clamp_liar"}
-    result = runner.invoke(main, ["witness", write(tmp_path, "m.json", doc), "--kind", "compact"])
-    assert result.exit_code == 3
-    assert result.output == ("integrity error: rule 'clamp_liar' declares finite-fiber bound 1"
-                             " but fiber(1) has size 2\n")
+    # the lie makes the map look bounded: a divergence witness is refuted, not refused
+    for kind in ("compact", "divergence"):
+        result = runner.invoke(main, ["witness", write(tmp_path, "m.json", doc), "--kind", kind])
+        assert result.exit_code == 3
+        assert result.output == ("integrity error: rule 'clamp_liar' declares finite-fiber bound 1"
+                                 " but fiber(1) has size 2\n")
 
 
 def test_witness_divergence_on_bounded_map_exits_5(runner, tmp_path):
     result = runner.invoke(main, ["witness", write(tmp_path, "m.json", SUCCESSOR),
                                   "--kind", "divergence", "--K", "4"])
     assert result.exit_code == 5
+    assert result.output == ("precondition failed: map is certified bounded over M"
+                             " (fiber bound 1)\n")
 
 
 def test_oracle_check_exhaustive_n3(runner):
@@ -268,6 +274,103 @@ def test_oracle_check_requires_exactly_one_mode(runner):
     assert runner.invoke(
         main, ["oracle-check", "--n", "3", "--exhaustive", "--random", "5"]
     ).exit_code == 2
+
+
+# --- the exit-code contract under arbitrary input ---------------------------
+
+# small ints, and the ones past a budget or the float range
+json_ints = st.integers(-3, 3000) | st.sampled_from([2**63, 10**400, index_domain.SEARCH_CAP + 1])
+json_leaves = st.none() | st.booleans() | json_ints | st.floats() | st.text(max_size=8)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+rule_names = st.sampled_from([*index_domain.BUILTIN_RULES, "clamp_liar", "liar"])
+rule_maps = rule_names.filter(lambda name: name != "block").map(
+    lambda name: {"kind": "symbolic", "name": name})
+good_maps = st.one_of(
+    st.integers(2, 8).flatmap(lambda n: st.lists(st.integers(1, n), min_size=n, max_size=n))
+    .map(lambda images: {"kind": "finite", "images": images}),
+    rule_maps,
+    rule_maps,  # twice as likely: seven rules against one table shape
+    (st.integers(1, 64) | st.just(index_domain.SEARCH_CAP + 1))
+    .map(lambda b: {"kind": "symbolic", "name": "block", "param": b}),
+)
+bad_maps = st.one_of(
+    json_values,
+    st.lists(st.integers(1, 8) | json_leaves, max_size=8)
+    .map(lambda images: {"kind": "finite", "images": images}),
+    st.fixed_dictionaries({"kind": st.just("symbolic"), "name": rule_names | st.text(max_size=8)},
+                          optional={"param": json_leaves}),
+)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+good_vectors = st.dictionaries(
+    st.just(1) | st.integers(1, 8), st.tuples(finite_floats.filter(bool), finite_floats), max_size=4,
+).map(lambda xs: [{"i": i, "re": re, "im": im} for i, (re, im) in xs.items()])
+bad_vectors = json_values | st.lists(
+    st.fixed_dictionaries({"i": st.integers(1, 40) | json_leaves},
+                          optional={"re": st.floats() | json_leaves, "im": json_leaves}),
+    max_size=4,
+)
+
+
+def in_range(lo, hi, *rejected):
+    """Values click accepts, and the ones past its range that it rejects."""
+    return st.integers(lo, hi) | st.sampled_from([*rejected, "x"])
+
+
+def option(name, values):
+    return st.just([]) | values.map(lambda v: [name, str(v)])
+
+
+@st.composite
+def cli_requests(draw):
+    command = draw(st.sampled_from(["analyze", "apply", "witness", "oracle-check"]))
+    files = {"m.json": draw(st.one_of(good_maps, good_maps, bad_maps))}
+    args = [command, "m.json"]
+    if command == "analyze":
+        args += draw(option("--window", in_range(1, 2000, 0, index_domain.SEARCH_CAP + 1)))
+    elif command == "apply":
+        files["v.json"] = draw(st.one_of(good_vectors, good_vectors, bad_vectors))
+        args.append("v.json")
+    elif command == "witness":
+        args += ["--kind", draw(st.sampled_from(["compact", "divergence", "x"]))]
+        args += draw(option("--count", in_range(2, 64, 1, -1)))
+        args += draw(option("--K", in_range(1, 64, 0, -1)))
+    else:
+        files, args = {}, [command, "--n", draw(in_range(2, 4, 1, -1))]
+        random = option("--random", in_range(1, 64, 0, -1)).filter(bool)
+        others = st.sampled_from([["--exhaustive"], [], ["--exhaustive", "--random", "3"]])
+        args += draw(random | random | others)
+        args += draw(option("--seed", in_range(0, 2**64, -1)))
+    return files, [str(a) for a in args]
+
+
+LABELS = {2: "parse error: ", 3: "integrity error: ", 4: "image not square-summable: ",
+          5: "precondition failed: "}
+
+
+@settings(max_examples=600)
+@given(cli_requests())
+def test_every_input_ends_in_a_documented_exit_code(case):
+    files, args = case
+    runner = CliRunner()
+    with runner.isolated_filesystem(), pytest.MonkeyPatch.context() as mp:
+        mp.setitem(index_domain.BUILTIN_RULES, "clamp_liar", clamp_liar_rule)
+        mp.setitem(index_domain.BUILTIN_RULES, "liar", liar_rule)
+        for name, doc in files.items():
+            with open(name, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        result = runner.invoke(main, args)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.exit_code in (0, 2, 3, 4, 5)  # n <= 4: the oracle agrees, so never 6
+    if result.exit_code == 0:
+        json.loads(result.stdout)
+    elif not result.stderr.startswith("Usage:"):  # else click rejected an option or argument
+        assert result.stdout == ""
+        assert result.stderr.startswith(LABELS[result.exit_code])
+        assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
 
 
 def test_analyze_output_is_deterministic(runner, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from genshift import (
     symbolic_map,
     witness_sequence,
 )
+from genshift.index_domain import successor_rule
 from helpers import (
     add,
     clamp_liar_rule,
@@ -114,3 +116,10 @@ def test_witness_refutes_a_false_bound_certificate(rule):
     # both claim m_sup = 1, hence a finite fiber bound; fiber(1) has size 2
     with pytest.raises(IntegrityError, match=r"fiber\(1\) has size 2"):
         witness_sequence(IndexMap(rule=rule()), 3)
+
+
+def test_witness_refutes_a_false_infinite_fiber_certificate():
+    # the claimed infinite fiber would make the map look unbounded, so the witness would refuse
+    rule = dataclasses.replace(successor_rule(), infinite_fibers=frozenset({2}))
+    with pytest.raises(IntegrityError, match=r"over \[2\] but fiber\(2\) has size 1"):
+        witness_sequence(IndexMap(rule=rule), 3)

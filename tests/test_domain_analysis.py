@@ -33,6 +33,7 @@ from genshift.dense_oracle import (
 from helpers import (
     add,
     clamp_liar_rule,
+    liar_rule,
     parity_rule,
     scale,
     uncertified_successor_rule,
@@ -209,6 +210,12 @@ def test_divergence_witness_rejects_bounded_maps():
         divergence_witness(make_finite_map([1, 1, 1], 3), 2)
     with pytest.raises(UnsupportedError):
         divergence_witness(symbolic_map("odd_collapse"), 2)  # bounded over M
+
+
+def test_divergence_witness_refutes_a_false_bound_certificate():
+    # m_sup = 1 would make the map look bounded; the first window refutes it before any refusal
+    with pytest.raises(IntegrityError, match=r"finite-fiber bound 1 but fiber\(1\) has size 2"):
+        divergence_witness(IndexMap(rule=liar_rule()), 4)
 
 
 def test_divergence_witness_uncertified_rule_exhausts_search():
