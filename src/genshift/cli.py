@@ -5,11 +5,16 @@ image not square-summable, 5 precondition failure (a witness, or a fiber past
 ``SEARCH_CAP`` in ``apply``), 6 oracle disagreement. ``LIBRARY_EXITS`` maps each
 library error to its code and label, once around every command.
 One float rule, ``_float``, holds everywhere: 17 significant digits so that
-reruns diff exactly, and the string "infinite" for infinities. ``_render``
-walks each document's small skeleton value by value; the arrays that grow
-with the window or the witness arrive as ``Rendered`` text, each built with
-one join by a helper that knows its shape (``_ints``, ``_sizes``,
-``_vector``, ``_half_units``).
+reruns diff exactly, and the string "infinite" for infinities.
+
+Every document is streamed: ``_walk`` yields its small skeleton value by
+value, and each array that grows with the window or the witness comes from a
+helper that knows its shape (``_ints``, ``_sizes``, ``_vector``,
+``_half_units``) as pieces of at most ``PIECE`` entries. ``_echo`` writes the
+pieces straight to ``sys.stdout`` and flushes once, so no document is joined
+whole, and peak memory is bounded by the computed values, not by the text.
+stdout never goes through ``click.echo``, whose default stream cache keeps
+every redirected stream alive; stderr lines pass it ``file=sys.stderr``.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections.abc import Iterator
 
 import click
 
@@ -33,59 +39,97 @@ DEFAULT_SEED = 74
 
 
 # ---------------------------------------------------------------------------
-# JSON rendering with fixed float formatting
+# JSON rendering with fixed float formatting, written to stdout in pieces
 
-class Rendered(str):
-    """JSON text built by a shaped helper below; ``_render`` emits it verbatim."""
+PIECE = 4096  # entries per piece of an array that grows with the window or the witness
 
 
 def _float(x: float) -> str:
     return '"infinite"' if math.isinf(x) else format(x, ".17g")
 
 
-def _ints(xs) -> Rendered:
+def _pieces(open_: str, xs, body, close: str):
+    """``open_``, then ``body(part, offset)`` for each PIECE-entry slice of ``xs``
+    joined by commas, then ``close``."""
+    yield open_
+    for offset in range(0, len(xs), PIECE):
+        if offset:
+            yield ","
+        yield body(xs[offset:offset + PIECE], offset)
+    yield close
+
+
+def _ints(xs):
     """An array of ints, or of int arrays such as (index, size) records."""
-    return Rendered(json.dumps(xs, separators=(",", ":")))
+    return _pieces("[", xs, lambda part, _: json.dumps(part, separators=(",", ":"))[1:-1], "]")
 
 
-def _sizes(sizes: tuple[int | float, ...]) -> Rendered:
+def _sizes(sizes: tuple[int | float, ...]):
     """The object {"a": size of fiber(a)} over targets 1..len(sizes)."""
-    body = ",".join(f'"{a}":{c}' for a, c in enumerate(sizes, start=1))
-    return Rendered("{" + body.replace(":inf", ':"infinite"') + "}")  # math.inf formats as inf
+    def body(part, offset):
+        text = ",".join(f'"{a}":{c}' for a, c in enumerate(part, start=offset + 1))
+        return text.replace(":inf", ':"infinite"')  # math.inf formats as inf
+    return _pieces("{", sizes, body, "}")
 
 
-def _vector(x: sparse_vec.SparseVector) -> Rendered:
+def _vector(x: sparse_vec.SparseVector):
     """``vector_to_json(x)`` rendered straight from the entries."""
-    return Rendered("[" + ",".join(f'{{"i":{a},"re":{_float(v.real)},"im":{_float(v.imag)}}}'
-                                   for a, v in sorted(x.entries.items())) + "]")
+    entries = x.entries
+    def body(keys, _):
+        return ",".join(f'{{"i":{a},"re":{_float(v.real)},"im":{_float(v.imag)}}}'
+                        for a, v in zip(keys, map(entries.__getitem__, keys)))
+    return _pieces("[", sorted(entries), body, "]")  # keys only: no (index, value) tuples
 
 
-def _half_units(indices) -> Rendered:
+def _half_units(indices):
     """The vectors (1/2) e_a, one per index, as ``_vector`` renders each."""
-    return Rendered("[" + ",".join(f'[{{"i":{a},"re":0.5,"im":0}}]' for a in indices) + "]")
+    return _pieces("[", indices,
+                   lambda part, _: ",".join(f'[{{"i":{a},"re":0.5,"im":0}}]' for a in part), "]")
 
 
-def _render(doc) -> str:
-    if isinstance(doc, Rendered):
-        return doc
-    if doc is None:
-        return "null"
-    if doc is True:
-        return "true"
-    if doc is False:
-        return "false"
-    if isinstance(doc, str):
-        return json.dumps(doc)
-    if isinstance(doc, int):
-        return str(doc)
+def _walk(doc):
+    """Yield the JSON text of ``doc``: its small skeleton value by value, and
+    the pieces of a shaped array (an iterator from a helper above) as they come."""
     if isinstance(doc, float):
-        return _float(doc)
-    if isinstance(doc, dict):
-        body = ",".join(f"{json.dumps(str(k))}:{_render(v)}" for k, v in doc.items())
-        return "{" + body + "}"
-    if isinstance(doc, (list, tuple)):
-        return "[" + ",".join(_render(v) for v in doc) + "]"
-    raise TypeError(f"cannot render {type(doc).__name__}")
+        yield _float(doc)
+    elif doc is None or isinstance(doc, (str, int)):  # bool is an int: true, false
+        yield json.dumps(doc)
+    elif isinstance(doc, dict):
+        yield "{"
+        for i, (k, v) in enumerate(doc.items()):
+            yield f"{',' if i else ''}{json.dumps(str(k))}:"
+            yield from _walk(v)
+        yield "}"
+    elif isinstance(doc, (list, tuple)):
+        yield "["
+        for i, v in enumerate(doc):
+            if i:
+                yield ","
+            yield from _walk(v)
+        yield "]"
+    elif isinstance(doc, Iterator):
+        yield from doc
+    else:
+        raise TypeError(f"cannot render {type(doc).__name__}")
+
+
+def _echo(doc) -> None:
+    """Write ``doc`` and a newline to stdout piece by piece, then flush once.
+
+    Callers compute every value first, so a library error ends a command
+    before its first byte; the pieces only format values."""
+    write = sys.stdout.write
+    for piece in _walk(doc):
+        write(piece)
+    write("\n")
+    sys.stdout.flush()
+
+
+def _map_doc(m: IndexMap) -> dict:
+    doc = index_domain.map_to_json(m)
+    if m.table is not None:
+        doc["images"] = _ints(m.table)  # table-sized
+    return doc
 
 
 def _verdict_doc(v):
@@ -124,7 +168,7 @@ def _load_map(path: str) -> IndexMap:
 
 
 def _fail(code: int, message: str):
-    click.echo(message, err=True)
+    click.echo(message, file=sys.stderr)  # not err=True, whose stream cache keeps sys.stderr alive
     sys.exit(code)
 
 
@@ -169,17 +213,17 @@ def analyze(map_file, window):
     rep = gen_shift.classify(m, window)
     domain = domain_analysis.domain_report(m, window)
     sizes = m.window_sizes(window)
-    m_members = _ints(sorted(domain.m_set))  # M, rendered once for both m_set keys
+    m_members = tuple(_ints(sorted(domain.m_set)))  # M, rendered once for both m_set keys
     infinite = m.certificates.infinite_fibers
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "map": index_domain.map_to_json(m),
+        "map": _map_doc(m),
         "window": window,
         "fiber_report": {
             "cardinalities": _sizes(sizes),
             "sup": max(sizes),
             "verdict": _bound_verdict_doc(sup, window),
-            "m_set": m_members,
+            "m_set": iter(m_members),
         },
         "classification": {
             "maps_into_l2": _verdict_doc(rep.maps_into_l2),
@@ -191,7 +235,7 @@ def analyze(map_file, window):
         },
         "domain": {
             "m_set": {
-                "members": m_members,
+                "members": iter(m_members),
                 "window": None if m.domain.is_finite else window,  # a table's M is all of 1..n
                 "certified_infinite_fibers": None if infinite is None else sorted(infinite),
             },
@@ -202,7 +246,7 @@ def analyze(map_file, window):
                                   else _ints(domain.unbounded_witness)),
         },
     }
-    click.echo(_render(doc))
+    _echo(doc)
 
 
 @main.command("apply")
@@ -218,7 +262,7 @@ def apply_cmd(map_file, vector_file):
             EXIT_NOT_IN_L2,
             f"image not square-summable: support index {y.index} has an infinite fiber",
         )
-    click.echo(_vector(y))
+    _echo(_vector(y))
 
 
 @main.command()
@@ -231,7 +275,7 @@ def apply_cmd(map_file, vector_file):
 def witness(map_file, kind, count, truncation):
     """Non-compactness or norm-divergence certificate for a map."""
     m = _load_map(map_file)
-    doc = {"schema_version": SCHEMA_VERSION, "kind": kind, "map": index_domain.map_to_json(m)}
+    doc = {"schema_version": SCHEMA_VERSION, "kind": kind, "map": _map_doc(m)}
     if kind == "compact":
         w = compact_witness.witness_sequence(m, count)
         doc |= {
@@ -254,7 +298,7 @@ def witness(map_file, kind, count, truncation):
             "image_norm_sq_lower_bound": w.image_norm_sq_lower_bound,
             "vector": _vector(vector),
         }
-    click.echo(_render(doc))
+    _echo(doc)
 
 
 @main.command("oracle-check")
@@ -289,10 +333,10 @@ def oracle_check(n, exhaustive, random_count, seed):
         "disagreements": len(bad),
         "max_norm_error": max_err,
     }
-    click.echo(_render(doc))
+    _echo(doc)
     if bad:
         for res in bad[:20]:
-            click.echo(f"disagreement on image table {list(res.table)}", err=True)
+            click.echo(f"disagreement on image table {list(res.table)}", file=sys.stderr)
         sys.exit(EXIT_DISAGREEMENT)
 
 

@@ -1,13 +1,18 @@
+import contextlib
+import gc
+import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import types
+import weakref
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genshift import (
@@ -393,29 +398,50 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-07, 0.1, 
 edge_floats = st.sampled_from(EDGE_FLOATS) | st.floats()
 
 
+def joined(pieces):
+    """The text of a shaped helper's pieces, or of the walker's, cut into pieces of
+    two entries so that an empty array, one piece, a partial last piece and an
+    infinite size on a piece boundary all occur."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "PIECE", 2)
+        return "".join(pieces)
+
+
 @given(st.dictionaries(st.integers(1, 10**9), st.tuples(edge_floats, edge_floats), max_size=12))
+@example({})
+@example({1: (0.5, 0.0)})
+@example({1: (1.0, 0.0), 2: (2.0, 0.0), 3: (math.inf, 0.0)})
 def test_vector_helper_renders_like_the_generic_walker(parts):
     x = from_entries(COUNTABLE, {a: complex(re, im) for a, (re, im) in parts.items()})
-    assert cli._vector(x) == cli._render(vector_to_json(x))
+    assert joined(cli._vector(x)) == joined(cli._walk(vector_to_json(x)))
 
 
 @given(st.lists(st.integers(1, 10**12), max_size=40))
+@example([])
+@example([7])
+@example([1, 2, 3])
 def test_half_unit_vectors_render_like_the_vector_helper(indices):
     halves = [from_entries(COUNTABLE, {a: 0.5}) for a in indices]
-    assert cli._half_units(indices) == cli._render([cli._vector(x) for x in halves])
+    assert joined(cli._half_units(indices)) == joined(cli._walk([cli._vector(x) for x in halves]))
 
 
 @given(st.lists(st.just(math.inf) | st.integers(0, 10**12), max_size=40))
+@example([])
+@example([math.inf])
+@example([1, math.inf, math.inf, 4, 5])
 def test_size_map_helper_renders_like_the_generic_walker(sizes):
     sizes = tuple(sizes)
     plain = {str(a): "infinite" if c == math.inf else c for a, c in enumerate(sizes, start=1)}
-    assert cli._sizes(sizes) == cli._render(plain)
+    assert joined(cli._sizes(sizes)) == joined(cli._walk(plain))
 
 
 @given(st.lists(st.integers()) | st.lists(st.tuples(st.integers(1, 10**12), st.integers(0, 10**12))))
+@example([])
+@example([1])
+@example([(1, 1), (2, 4), (3, 9)])
 def test_int_array_helper_renders_like_the_generic_walker(xs):
-    assert cli._ints(xs) == cli._render(xs)
-    assert cli._render({"k": cli._ints(xs)}) == cli._render({"k": xs})
+    assert joined(cli._ints(xs)) == joined(cli._walk(xs))
+    assert joined(cli._walk({"k": cli._ints(xs)})) == joined(cli._walk({"k": xs}))
 
 
 @pytest.mark.parametrize("doc, args", [
@@ -424,17 +450,62 @@ def test_int_array_helper_renders_like_the_generic_walker(xs):
 ], ids=["analyze", "divergence"])
 def test_large_outputs_are_rendered_by_shape(runner, tmp_path, monkeypatch, doc, args):
     calls = 0
-    render = cli._render
+    walk = cli._walk
 
     def counting(value):
         nonlocal calls
         calls += 1
-        return render(value)
+        return walk(value)
 
-    monkeypatch.setattr(cli, "_render", counting)
+    monkeypatch.setattr(cli, "_walk", counting)
     result = runner.invoke(main, [args[0], write(tmp_path, "m.json", doc), *args[1:]])
     assert result.exit_code == 0
     assert calls < 200
+
+
+class RecordingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.write_lengths = []
+
+    def write(self, text):
+        self.write_lengths.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("doc, args, size, sha256", [
+    (TRIANGULAR, ["witness", "--kind", "divergence", "--K", "65536"], 3955784,
+     "f518233fb7d2d8f56505b6f790231e1640b5bd2b2941310a461265d0dbe25f2f"),
+    (SUCCESSOR, ["analyze", "--window", "100000"], 2167171,
+     "4df3b8d0e285ef72948cf3a1d10edbbe1e93919e20bace38d434951b04fb4988"),
+], ids=["divergence", "analyze"])
+def test_large_documents_are_written_in_bounded_pieces(tmp_path, doc, args, size, sha256):
+    # the bytes, hashed before the output was streamed, are unchanged
+    out = RecordingStdout()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exited:
+        main(args=[args[0], write(tmp_path, "m.json", doc), *args[1:]], prog_name="genshift")
+    assert exited.value.code == 0
+    text = out.getvalue()
+    assert len(text) == size and hashlib.sha256(text.encode()).hexdigest() == sha256
+    assert max(out.write_lengths) < 2**20
+
+
+def test_redirected_streams_are_not_kept_alive(tmp_path):
+    # click.echo's default stream cache would keep each captured stdout and stderr
+    rule, table = write(tmp_path, "rule.json", SUCCESSOR), write(tmp_path, "table.json", IDENTITY5)
+    streams = []
+    for args, expected in [(["analyze", rule], 0), (["witness", table, "--kind", "divergence"], 5)]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main(args=args, prog_name="genshift")
+            except SystemExit as exc:
+                code = exc.code
+        assert code == expected
+        streams += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [ref() for ref in streams] == [None] * 4
 
 
 # Every map file the CLI accepts is certified, so the window-only verdicts
