@@ -9,7 +9,7 @@ tracks the harmonic numbers, so it grows without bound.
 import argparse
 import math
 
-from genshift import SEARCH_CAP, divergence_witness, norm_sq, symbolic_map
+from genshift import SEARCH_CAP, divergence_witness, symbolic_map
 
 MAX_EXP = SEARCH_CAP.bit_length() - 1  # a witness at K = 2**MAX_EXP fits the search budget
 
@@ -28,7 +28,7 @@ def main():
         K = 2 ** exp
         w = divergence_witness(tri, K)
         harmonic = math.fsum(1.0 / k for k in range(1, K + 1))
-        print(f"{K:>10} {norm_sq(w.vector):>12.6f} "
+        print(f"{K:>10} {w.vector_norm_sq:>12.6f} "
               f"{w.image_norm_sq_lower_bound:>20.6f} {harmonic:>12.6f}")
     print(f"{'limit':>10} {math.pi ** 2 / 6:>12.6f} {'diverges':>20}")
 

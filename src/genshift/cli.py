@@ -4,13 +4,14 @@ Exit codes are stable: 0 ok, 2 parse error or usage, 3 integrity error, 4
 image not square-summable, 5 precondition failure (a witness, or a fiber past
 ``SEARCH_CAP`` in ``apply``), 6 oracle disagreement. ``LIBRARY_EXITS`` maps each
 library error to its code and label, once around every command.
-One float rule, ``_float``, holds everywhere: 17 significant digits so that
-reruns diff exactly, and the string "infinite" for infinities.
+One float rule, ``_float`` (``_format`` in the helpers), holds everywhere: 17
+significant digits so that reruns diff exactly, and "infinite" for infinities.
 
 Every document is streamed: ``_walk`` yields its small skeleton value by
 value, and each array that grows with the window or the witness comes from a
-helper that knows its shape (``_ints``, ``_sizes``, ``_vector``,
-``_half_units``) as pieces of at most ``PIECE`` entries. ``_echo`` writes the
+helper that knows its shape (``_ints``, ``_sizes``, ``_vector``, ``_half_units``,
+and ``_record_vector``, the divergence witness's vector from its records) as
+pieces of at most ``PIECE`` entries, one ``%`` format each. ``_echo`` writes the
 pieces straight to ``sys.stdout`` and flushes once, so no document is joined
 whole, and peak memory is bounded by the computed values, not by the text.
 stdout never goes through ``click.echo``, whose default stream cache keeps
@@ -23,6 +24,8 @@ import json
 import math
 import sys
 from collections.abc import Iterator
+from itertools import repeat
+from operator import attrgetter, itemgetter, truediv
 
 import click
 
@@ -64,27 +67,44 @@ def _ints(xs):
     return _pieces("[", xs, lambda part, _: json.dumps(part, separators=(",", ":"))[1:-1], "]")
 
 
+def _format(template: str, *columns) -> str:
+    """``template`` once per row of ``columns`` (a sequence, then iterables as long),
+    joined by commas: one ``%`` format over one flat tuple. As ``_float``, an
+    infinity after a colon becomes "infinite"; nan and -0 stay as ``%g`` writes them."""
+    width, rows = len(columns), len(columns[0])
+    args = [None] * (width * rows)
+    for i, column in enumerate(columns):
+        args[i::width] = column
+    text = ((template + ",") * rows)[:-1] % tuple(args)
+    return text.replace(":inf", ':"infinite"').replace(":-inf", ':"infinite"')
+
+
 def _sizes(sizes: tuple[int | float, ...]):
     """The object {"a": size of fiber(a)} over targets 1..len(sizes)."""
-    def body(part, offset):
-        text = ",".join(f'"{a}":{c}' for a, c in enumerate(part, start=offset + 1))
-        return text.replace(":inf", ':"infinite"')  # math.inf formats as inf
-    return _pieces("{", sizes, body, "}")
+    return _pieces("{", sizes, lambda part, offset: _format(
+        '"%d":%s', range(offset + 1, offset + 1 + len(part)), part), "}")
 
 
 def _vector(x: sparse_vec.SparseVector):
     """``vector_to_json(x)`` rendered straight from the entries."""
     entries = x.entries
     def body(keys, _):
-        return ",".join(f'{{"i":{a},"re":{_float(v.real)},"im":{_float(v.imag)}}}'
-                        for a, v in zip(keys, map(entries.__getitem__, keys)))
+        values = list(map(entries.__getitem__, keys))
+        return _format('{"i":%d,"re":%.17g,"im":%.17g}', keys,
+                       map(attrgetter("real"), values), map(attrgetter("imag"), values))
     return _pieces("[", sorted(entries), body, "]")  # keys only: no (index, value) tuples
+
+
+def _record_vector(records):
+    """As ``_vector`` renders a divergence witness's vector: 1/k at the k-th record's index."""
+    return _pieces("[", records, lambda part, offset: _format(
+        '{"i":%d,"re":%.17g,"im":0}', list(map(itemgetter(0), part)),
+        map(truediv, repeat(1.0), range(offset + 1, offset + 1 + len(part)))), "]")
 
 
 def _half_units(indices):
     """The vectors (1/2) e_a, one per index, as ``_vector`` renders each."""
-    return _pieces("[", indices,
-                   lambda part, _: ",".join(f'[{{"i":{a},"re":0.5,"im":0}}]' for a in part), "]")
+    return _pieces("[", indices, lambda part, _: _format('[{"i":%d,"re":0.5,"im":0}]', part), "]")
 
 
 def _walk(doc):
@@ -290,13 +310,12 @@ def witness(map_file, kind, count, truncation):
         }
     else:
         w = domain_analysis.divergence_witness(m, truncation)
-        vector = w.vector
         doc |= {
             "K": truncation,
             "records": _ints(w.records),
-            "vector_norm_sq": sparse_vec.norm_sq(vector),
+            "vector_norm_sq": w.vector_norm_sq,
             "image_norm_sq_lower_bound": w.image_norm_sq_lower_bound,
-            "vector": _vector(vector),
+            "vector": _record_vector(w.records),
         }
     _echo(doc)
 

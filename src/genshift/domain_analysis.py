@@ -78,6 +78,11 @@ class DivergenceWitness:
         entries = {alpha: complex(1.0 / k) for k, (alpha, _) in enumerate(self.records, start=1)}
         return SparseVector(COUNTABLE, entries)
 
+    @property
+    def vector_norm_sq(self) -> float:
+        """``norm_sq(self.vector)``: the same terms, summed without building the vector."""
+        return math.fsum((1.0 / k) * (1.0 / k) for k in range(1, len(self.records) + 1))
+
 
 def divergence_witness(m: IndexMap, K: int) -> DivergenceWitness:
     """Truncated divergence certificate with K harmonic terms.

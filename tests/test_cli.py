@@ -16,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genshift import (
-    COUNTABLE, IndexMap, apply, cli, from_entries, index_domain, make_finite_map, parse_vector,
-    vector_to_json,
+    COUNTABLE, DivergenceWitness, IndexMap, apply, cli, from_entries, index_domain, make_finite_map,
+    norm_sq, parse_vector, vector_to_json,
 )
 from genshift.cli import main
 from helpers import clamp_liar_rule, liar_rule, parity_rule, uncertified_successor_rule
@@ -411,9 +411,31 @@ def joined(pieces):
 @example({})
 @example({1: (0.5, 0.0)})
 @example({1: (1.0, 0.0), 2: (2.0, 0.0), 3: (math.inf, 0.0)})
+# infinities, nan and -0.0 on the second piece too (entries 3 and later under PIECE = 2)
+@example({1: (1.0, 0.0), 2: (2.0, 0.0), 3: (-math.inf, math.inf), 4: (math.inf, -0.0)})
+@example({1: (1.0, 0.0), 2: (2.0, 0.0), 3: (math.nan, -0.0), 4: (-0.0, -math.inf), 5: (math.nan, 1.0)})
 def test_vector_helper_renders_like_the_generic_walker(parts):
     x = from_entries(COUNTABLE, {a: complex(re, im) for a, (re, im) in parts.items()})
     assert joined(cli._vector(x)) == joined(cli._walk(vector_to_json(x)))
+
+
+@st.composite
+def increasing_records(draw):
+    """(index, size) records, both columns strictly increasing, as ``fiber_records`` returns them."""
+    indices = sorted(draw(st.lists(st.integers(1, 10**12), unique=True, max_size=12)))
+    sizes = draw(st.lists(st.integers(1, 10**12), unique=True,
+                          min_size=len(indices), max_size=len(indices)))
+    return tuple(zip(indices, sorted(sizes)))
+
+
+@given(increasing_records())
+@example(((5, 1),))
+@example(((1, 1), (3, 2), (6, 3)))  # a partial last piece
+@example(((10**12 - 2, 4), (10**12 - 1, 9), (10**12, 10**12)))
+def test_record_vector_renders_like_the_witness_vector(records):
+    w = DivergenceWitness(records, 0.0)
+    assert joined(cli._record_vector(records)) == joined(cli._walk(vector_to_json(w.vector)))
+    assert w.vector_norm_sq == norm_sq(w.vector)
 
 
 @given(st.lists(st.integers(1, 10**12), max_size=40))
