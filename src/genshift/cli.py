@@ -9,9 +9,10 @@ significant digits so that reruns diff exactly, and "infinite" for infinities.
 
 Every document is streamed: ``_walk`` yields its small skeleton value by
 value, and each array that grows with the window or the witness comes from a
-helper that knows its shape (``_ints``, ``_sizes``, ``_vector``, ``_half_units``,
-and ``_record_vector``, the divergence witness's vector from its records) as
-pieces of at most ``PIECE`` entries, one ``%`` format each. ``_echo`` writes the
+helper that knows its shape (``_ints``, ``_pairs`` for records kept as columns,
+``_sizes``, ``_vector``, ``_half_units``, and ``_record_vector``, the divergence
+witness's vector from its index column) as pieces of at most ``PIECE`` entries,
+one ``%`` format each, so no int array goes through ``json``. ``_echo`` writes the
 pieces straight to ``sys.stdout`` and flushes once, so no document is joined
 whole, and peak memory is bounded by the computed values, not by the text.
 stdout never goes through ``click.echo``, whose default stream cache keeps
@@ -25,7 +26,7 @@ import math
 import sys
 from collections.abc import Iterator
 from itertools import repeat
-from operator import attrgetter, itemgetter, truediv
+from operator import attrgetter, truediv
 
 import click
 
@@ -62,11 +63,6 @@ def _pieces(open_: str, xs, body, close: str):
     yield close
 
 
-def _ints(xs):
-    """An array of ints, or of int arrays such as (index, size) records."""
-    return _pieces("[", xs, lambda part, _: json.dumps(part, separators=(",", ":"))[1:-1], "]")
-
-
 def _format(template: str, *columns) -> str:
     """``template`` once per row of ``columns`` (a sequence, then iterables as long),
     joined by commas: one ``%`` format over one flat tuple. As ``_float``, an
@@ -77,6 +73,17 @@ def _format(template: str, *columns) -> str:
         args[i::width] = column
     text = ((template + ",") * rows)[:-1] % tuple(args)
     return text.replace(":inf", ':"infinite"').replace(":-inf", ':"infinite"')
+
+
+def _ints(xs):
+    """An array of ints."""
+    return _pieces("[", xs, lambda part, _: _format("%d", part), "]")
+
+
+def _pairs(firsts, seconds):
+    """The array of int pairs [firsts[i], seconds[i]], such as (index, size) records kept as columns."""
+    return _pieces("[", firsts, lambda part, offset: _format(
+        "[%d,%d]", part, seconds[offset:offset + len(part)]), "]")
 
 
 def _sizes(sizes: tuple[int | float, ...]):
@@ -95,10 +102,10 @@ def _vector(x: sparse_vec.SparseVector):
     return _pieces("[", sorted(entries), body, "]")  # keys only: no (index, value) tuples
 
 
-def _record_vector(records):
+def _record_vector(indices):
     """As ``_vector`` renders a divergence witness's vector: 1/k at the k-th record's index."""
-    return _pieces("[", records, lambda part, offset: _format(
-        '{"i":%d,"re":%.17g,"im":0}', list(map(itemgetter(0), part)),
+    return _pieces("[", indices, lambda part, offset: _format(
+        '{"i":%d,"re":%.17g,"im":0}', part,
         map(truediv, repeat(1.0), range(offset + 1, offset + 1 + len(part)))), "]")
 
 
@@ -233,7 +240,7 @@ def analyze(map_file, window):
     rep = gen_shift.classify(m, window)
     domain = domain_analysis.domain_report(m, window)
     sizes = m.window_sizes(window)
-    m_members = tuple(_ints(sorted(domain.m_set)))  # M, rendered once for both m_set keys
+    m_members = tuple(_ints(domain.m_set))  # M, rendered once for both m_set keys
     infinite = m.certificates.infinite_fibers
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -263,7 +270,7 @@ def analyze(map_file, window):
             "uniform_bound_on_m": domain.uniform_bound_on_m,
             "characterization_holds": _verdict_doc(domain.closed),
             "unbounded_witness": (None if domain.unbounded_witness is None
-                                  else _ints(domain.unbounded_witness)),
+                                  else _pairs(*domain.unbounded_witness)),
         },
     }
     _echo(doc)
@@ -312,10 +319,10 @@ def witness(map_file, kind, count, truncation):
         w = domain_analysis.divergence_witness(m, truncation)
         doc |= {
             "K": truncation,
-            "records": _ints(w.records),
+            "records": _pairs(w.indices, w.fiber_sizes),
             "vector_norm_sq": w.vector_norm_sq,
             "image_norm_sq_lower_bound": w.image_norm_sq_lower_bound,
-            "vector": _record_vector(w.records),
+            "vector": _record_vector(w.indices),
         }
     _echo(doc)
 

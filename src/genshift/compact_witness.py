@@ -57,7 +57,8 @@ def witness_sequence(m: IndexMap, count: int) -> WitnessSequence:
     if m.certificates.sup_card in (None, math.inf):
         raise UnsupportedError("witness needs a map with a certified finite fiber bound")
     # bounded fibers are finite, so this skips exactly the empty ones
-    found = list(itertools.islice(((a, c) for a, c in m.scan(count) if c), count))
+    nonempty = ((b, c) for a, sizes in m.scan(count) for b, c in enumerate(sizes, start=a) if c)
+    found = list(itertools.islice(nonempty, count))
     if len(found) < count:
         # the search budget: SEARCH_CAP targets may hold fewer than count nonempty fibers
         raise SearchExhaustedError(

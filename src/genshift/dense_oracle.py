@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import UnsupportedError
 from .gen_shift import classify, operator_norm
-from .index_domain import DENSE_CAP, IndexMap, IndexSet
+from .index_domain import DENSE_CAP, IndexMap, IndexSet, memo
 
 EXHAUSTIVE_CAP = 7
 NORM_TOL = 1e-9  # acceptance criterion 1: |oracle norm - fiber norm| within this bound
@@ -36,7 +35,7 @@ class DenseOperator:
 
     matrix: np.ndarray
 
-    @cached_property
+    @memo
     def singular_values(self) -> np.ndarray:
         """Singular values of the matrix, largest first, from one SVD computed on first use."""
         return np.linalg.svd(self.matrix.astype(np.float64), compute_uv=False)

@@ -9,7 +9,11 @@ certificates produced when fiber sizes over M grow without bound.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
+from operator import eq, mul, truediv
+from typing import Iterator
 
 from .errors import DomainError, SearchExhaustedError, UnsupportedError
 from .index_domain import (
@@ -38,25 +42,53 @@ def in_domain(m: IndexMap, z: SparseVector) -> bool:
     return all(m.fiber_card(theta) != math.inf for theta in z.entries)
 
 
-def fiber_records(m: IndexMap, count: int) -> tuple[tuple[int, int], ...]:
+def _finite_runs(m: IndexMap, sizes: tuple[int | float, ...], start: int = 1) -> list[range]:
+    """The targets start, start + 1, ... of ``sizes`` whose fiber is finite, as maximal runs.
+
+    ``sizes`` come from a window read, which has checked them against the
+    certificates, so the infinite targets are read off ``infinite_fibers``;
+    without that certificate they are found in one pass over ``sizes``.
+    """
+    stop = start + len(sizes)
+    declared = m.certificates.infinite_fibers
+    if declared is None:
+        infinite = compress(range(start, stop), map(eq, sizes, repeat(math.inf)))
+    else:
+        infinite = sorted(a for a in declared if start <= a < stop)
+    edges = (start - 1, *infinite, stop)
+    return [range(lo + 1, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo + 1]
+
+
+def fiber_records(m: IndexMap, count: int) -> tuple[array, tuple[int, ...]]:
     """Greedy record scan over the finite fibers.
 
-    Returns up to ``count`` pairs (index, fiber size), smallest index first,
-    where each fiber size strictly exceeds every earlier one. Indices with
+    Returns up to ``count`` records as two columns, smallest index first: the
+    indices as an ``array('q')`` (each is at most ``SEARCH_CAP`` or n) and
+    their fiber sizes as a tuple, since a rule's finite size has no int64
+    bound. Each size strictly exceeds every earlier one. Indices with
     infinite fibers are skipped, so all records lie in M. A symbolic map is
     scanned up to ``SEARCH_CAP`` targets, a finite one in full.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    records: list[tuple[int, int]] = []
+    indices, sizes = array("q"), []
     best = 0
-    for a, c in m.scan(count):
-        if c > best and c != math.inf:
-            records.append((a, c))
-            best = c
-            if len(records) == count:
-                break
-    return tuple(records)
+    for a, chunk in m.scan(count):
+        for run in _finite_runs(m, chunk, a):
+            for b, c in zip(run, chunk[run.start - a:run.stop - a]):
+                if c > best:
+                    indices.append(b)
+                    sizes.append(c)
+                    best = c
+        if len(sizes) >= count:
+            break
+    del indices[count:], sizes[count:]  # the last chunk may hold more records than asked for
+    return indices, tuple(sizes)
+
+
+def _reciprocals(K: int) -> Iterator[float]:
+    """1/k for k = 1..K."""
+    return map(truediv, repeat(1.0), range(1, K + 1))
 
 
 @dataclass(frozen=True)
@@ -66,22 +98,30 @@ class DivergenceWitness:
     The entry 1/k sits at the k-th record index, whose fiber size n_k is
     strictly increasing, hence n_k >= k. The image norm squared is therefore
     at least sum of n_k / k^2 >= sum of 1/k, the K-th harmonic number, while
-    the vector norm squared stays below pi^2 / 6. Only the records are
-    kept; ``vector`` is built from them on each read.
+    the vector norm squared stays below pi^2 / 6. Only the records are kept,
+    as the columns ``fiber_records`` returns; ``records`` and ``vector`` are
+    built from them on each read.
     """
 
-    records: tuple[tuple[int, int], ...]
+    indices: array
+    fiber_sizes: tuple[int, ...]
     image_norm_sq_lower_bound: float
 
     @property
+    def records(self) -> tuple[tuple[int, int], ...]:
+        """The (index, fiber size) pairs."""
+        return tuple(zip(self.indices, self.fiber_sizes))
+
+    @property
     def vector(self) -> SparseVector:
-        entries = {alpha: complex(1.0 / k) for k, (alpha, _) in enumerate(self.records, start=1)}
+        entries = dict(zip(self.indices, map(complex, _reciprocals(len(self.indices)))))
         return SparseVector(COUNTABLE, entries)
 
     @property
     def vector_norm_sq(self) -> float:
         """``norm_sq(self.vector)``: the same terms, summed without building the vector."""
-        return math.fsum((1.0 / k) * (1.0 / k) for k in range(1, len(self.records) + 1))
+        K = len(self.indices)
+        return math.fsum(map(mul, _reciprocals(K), _reciprocals(K)))
 
 
 def divergence_witness(m: IndexMap, K: int) -> DivergenceWitness:
@@ -98,13 +138,13 @@ def divergence_witness(m: IndexMap, K: int) -> DivergenceWitness:
     certified = m.certificates.m_sup
     if certified is not None and certified != math.inf:
         raise UnsupportedError(f"map is certified bounded over M (fiber bound {certified})")
-    records = fiber_records(m, K)
-    if len(records) < K:
+    indices, sizes = fiber_records(m, K)
+    if len(sizes) < K:
         raise SearchExhaustedError(
-            f"found only {len(records)} fiber-size records within {SEARCH_CAP} targets"
+            f"found only {len(sizes)} fiber-size records within {SEARCH_CAP} targets"
         )
-    terms = (size / (k * k) for k, (_, size) in enumerate(records, start=1))
-    return DivergenceWitness(records, math.fsum(terms))
+    squares = map(mul, range(1, K + 1), range(1, K + 1))
+    return DivergenceWitness(indices, sizes, math.fsum(map(truediv, sizes, squares)))
 
 
 @dataclass(frozen=True)
@@ -112,23 +152,21 @@ class DomainReport:
     """Aggregate domain analysis: M, closedness, the uniform bound over M,
     and the record witness when closedness fails.
 
-    ``m_set`` is M on the window (all of a table's indices). The domain is
-    closed exactly when it equals the vectors vanishing off M, so ``closed``
-    also answers whether that characterization holds.
+    ``m_set`` is M on the window (all of a table's indices), increasing. The
+    domain is closed exactly when it equals the vectors vanishing off M, so
+    ``closed`` also answers whether that characterization holds.
+    ``unbounded_witness`` holds the first records, as ``fiber_records`` returns them.
     """
 
-    m_set: frozenset[int]
+    m_set: tuple[int, ...]
     closed: Verdict
     uniform_bound_on_m: int | float  # math.inf when certified unbounded
-    unbounded_witness: tuple[tuple[int, int], ...] | None
+    unbounded_witness: tuple[array, tuple[int, ...]] | None
 
 
 def domain_report(m: IndexMap, window: int = DEFAULT_WINDOW) -> DomainReport:
     sizes = m.window_sizes(window)
-    if math.inf in sizes:
-        members = frozenset(a for a, c in enumerate(sizes, start=1) if c != math.inf)
-    else:
-        members = frozenset(range(1, len(sizes) + 1))
+    members = tuple(chain.from_iterable(_finite_runs(m, sizes)))
     bound = m.certificates.m_sup
     witness = None
     if bound is None:

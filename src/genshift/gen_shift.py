@@ -164,7 +164,8 @@ def solve(m: IndexMap, y: SparseVector) -> SparseVector:
     _check_domains(m, y)
     inj = classify(m).sigma_surjective  # sigma is onto iff the index map is one-to-one
     if inj is False:
-        found = next((describe_fiber(a, c) for a, c in m.scan(DEFAULT_WINDOW) if c >= 2), None)
+        found = next((describe_fiber(b, c) for a, sizes in m.scan(DEFAULT_WINDOW)
+                      for b, c in enumerate(sizes, start=a) if c >= 2), None)
         raise UnsupportedError("index map is not one-to-one" + (f": {found}" if found else ""))
     if isinstance(inj, WindowOnly):
         raise UnsupportedError(f"injectivity is only window-certified: {inj.note}")

@@ -17,15 +17,34 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ConstructionError, DomainError, IntegrityError, ParseError, UnsupportedError
 
 DEFAULT_WINDOW = 64
 SEARCH_CAP = 1 << 20  # targets any search past a window may read: the one search budget
 DENSE_CAP = 2048  # largest n the dense oracle realises; here so the CLI can bound --n without numpy
+
+
+class memo:
+    """``functools.cached_property`` without its lock, which Python 3.10 and 3.11 take
+    on every first read: the first read stores the value in the instance's ``__dict__``,
+    where every later read finds it before this descriptor. Two threads racing on a
+    first read both compute the value, which is the same, and one store wins."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -139,7 +158,7 @@ class IndexMap:
     # Caches live in __dict__, outside the fields, so ==, hash and repr ignore them.
     # Only the rule's window scan, which grows, is filled by hand (``window_sizes``).
 
-    @cached_property
+    @memo
     def fiber_counts(self) -> tuple[int, ...]:
         """Fiber sizes of a finite map: ``counts[a - 1] == |fiber(a)|``."""
         if self.table is None:
@@ -149,7 +168,7 @@ class IndexMap:
             tally[img - 1] += 1
         return tuple(tally)
 
-    @cached_property
+    @memo
     def preimages(self) -> tuple[tuple[int, ...], ...]:
         """A table's fiber index, built by a counting sort into one flat list cut into runs:
         ``pre[a]`` is fiber(a) as an increasing tuple, and every empty fiber is ``()``."""
@@ -163,7 +182,7 @@ class IndexMap:
         flat = tuple(flat)  # nxt[a] now ends the run of fiber(a)
         return ((), *(flat[end - c:end] if c else () for end, c in zip(nxt[1:], counts)))
 
-    @cached_property
+    @memo
     def certificates(self) -> Certificates:
         """What is proved about every fiber: the rule itself, or exact values for a table."""
         if self.rule is not None:
@@ -190,18 +209,20 @@ class IndexMap:
         self.__dict__["_window_sizes"] = sizes
         return sizes
 
-    def scan(self, first: int) -> Iterator[tuple[int, int | float]]:
-        """Targets 1, 2, ... with their fiber sizes, up to ``SEARCH_CAP`` (all n for a table).
+    def scan(self, first: int) -> Iterator[tuple[int, tuple[int | float, ...]]]:
+        """The fiber sizes of targets 1, 2, ..., up to ``SEARCH_CAP`` (all n for a table),
+        in chunks ``(a, sizes)``: ``sizes`` are those of targets a, a + 1, ...
 
-        Reads ``window_sizes`` over windows first, 2*first, 4*first, ..., so a
-        caller that stops early has scanned at most twice what it used.
+        The chunks are the new targets of ``window_sizes`` over windows first,
+        2*first, 4*first, ..., so a caller that stops early has scanned at most
+        twice what it used.
         """
         seen, window = 0, first
         while seen < SEARCH_CAP:
             sizes = self.window_sizes(min(window, SEARCH_CAP))
             if len(sizes) == seen:  # a table has no targets beyond n
                 return
-            yield from enumerate(sizes[seen:], start=seen + 1)
+            yield seen + 1, sizes[seen:]
             seen, window = len(sizes), 2 * window
 
     def fiber_card(self, alpha: int) -> int | float:
@@ -403,7 +424,7 @@ class WindowOnly:
 Verdict = bool | WindowOnly
 
 
-def finite_sup(sizes: tuple[int | float, ...]) -> int:
+def finite_sup(sizes: Iterable[int | float]) -> int:
     """Largest finite size in ``sizes``; 0 when there is none."""
     return max(set(sizes) - {math.inf}, default=0)
 
@@ -419,21 +440,24 @@ def _check_certificates(rule: SymbolicRule, sizes: tuple[int | float, ...]) -> N
     A window can refute a finite ``m_sup``, a claim of surjectivity, and the
     infinite-fiber set restricted to the window, never an unbounded or a
     negative certificate. A window that refutes the derived ``sup_card`` or
-    ``injective`` refutes ``m_sup`` or ``infinite_fibers``.
+    ``injective`` refutes ``m_sup`` or ``infinite_fibers``. Each claim is
+    tested on the window's distinct sizes, read in one pass.
     """
 
     def refute(claim: str, bad: Callable[[int, int | float], bool]) -> None:
         a, c = next((a, c) for a, c in enumerate(sizes, start=1) if bad(a, c))
         raise IntegrityError(f"rule {rule.name!r} declares {claim} but {describe_fiber(a, c)}")
 
+    distinct = set(sizes)
     m_bound = rule.m_sup
-    if m_bound not in (None, math.inf) and finite_sup(sizes) > m_bound:
+    if m_bound not in (None, math.inf) and finite_sup(distinct) > m_bound:
         refute(f"finite-fiber bound {m_bound}", lambda a, c: m_bound < c < math.inf)
-    if rule.surjective and 0 in sizes:
+    if rule.surjective and 0 in distinct:
         refute("the map onto", lambda a, c: c == 0)
     if rule.infinite_fibers is not None:
         declared = {a for a in rule.infinite_fibers if a <= len(sizes)}
-        if sizes.count(math.inf) != len(declared) or any(sizes[a - 1] != math.inf for a in declared):
+        infinite = sizes.count(math.inf) if math.inf in distinct else 0
+        if infinite != len(declared) or any(sizes[a - 1] != math.inf for a in declared):
             refute(
                 f"infinite fibers exactly over {sorted(rule.infinite_fibers)}",
                 lambda a, c: (c == math.inf) != (a in declared),

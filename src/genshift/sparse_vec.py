@@ -66,22 +66,27 @@ def parse_vector(doc: object, domain: IndexSet) -> SparseVector:
     if not isinstance(doc, list):
         raise ParseError("vector document must be a JSON array")
     out: dict[int, complex] = {}
+    last = math.inf if domain.size is None else domain.size
+    top = sys.float_info.max
     for entry in doc:
         if not isinstance(entry, dict):
             raise ParseError("vector entries must be objects")
         alpha = entry.get("i")
-        if not isinstance(alpha, int) or isinstance(alpha, bool):
+        # each exact-type test passes what JSON yields; the isinstance rules decide the rest
+        if type(alpha) is not int and (not isinstance(alpha, int) or isinstance(alpha, bool)):
             raise ParseError(f"entry index must be an integer, got {alpha!r}")
-        if alpha not in domain:
+        if not 1 <= alpha <= last:  # ``alpha in domain``, the type already checked
             raise ParseError(f"index {alpha} outside the map domain")
         if alpha in out:
             raise ParseError(f"duplicate index {alpha}")
         re = entry.get("re", 0.0)
         im = entry.get("im", 0.0)
         for component in (re, im):
-            if not isinstance(component, (int, float)) or isinstance(component, bool):
+            kind = type(component)
+            if kind is not float and kind is not int and (
+                    not isinstance(component, (int, float)) or isinstance(component, bool)):
                 raise ParseError(f"non-numeric component at index {alpha}")
-            if not abs(component) <= sys.float_info.max:  # exact for ints; False for NaN
+            if not -top <= component <= top:  # exact for ints; False for NaN
                 raise ParseError(f"non-finite or out-of-range component at index {alpha}")
         v = complex(re, im)
         if v != 0:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import types
 import weakref
+from array import array
 
 import pytest
 from click.testing import CliRunner
@@ -419,23 +420,40 @@ def test_vector_helper_renders_like_the_generic_walker(parts):
     assert joined(cli._vector(x)) == joined(cli._walk(vector_to_json(x)))
 
 
+def columns(*records):
+    """(index, size) records as the two columns ``fiber_records`` returns."""
+    return array("q", [a for a, _ in records]), tuple(c for _, c in records)
+
+
 @st.composite
 def increasing_records(draw):
-    """(index, size) records, both columns strictly increasing, as ``fiber_records`` returns them."""
+    """Record columns, both strictly increasing, as ``fiber_records`` returns them."""
     indices = sorted(draw(st.lists(st.integers(1, 10**12), unique=True, max_size=12)))
     sizes = draw(st.lists(st.integers(1, 10**12), unique=True,
                           min_size=len(indices), max_size=len(indices)))
-    return tuple(zip(indices, sorted(sizes)))
+    return array("q", indices), tuple(sorted(sizes))
 
 
 @given(increasing_records())
-@example(((5, 1),))
-@example(((1, 1), (3, 2), (6, 3)))  # a partial last piece
-@example(((10**12 - 2, 4), (10**12 - 1, 9), (10**12, 10**12)))
+@example(columns((5, 1)))
+@example(columns((1, 1), (3, 2), (6, 3)))  # a partial last piece
+@example(columns((10**12 - 2, 4), (10**12 - 1, 9), (10**12, 10**12)))
 def test_record_vector_renders_like_the_witness_vector(records):
-    w = DivergenceWitness(records, 0.0)
-    assert joined(cli._record_vector(records)) == joined(cli._walk(vector_to_json(w.vector)))
+    indices, sizes = records
+    w = DivergenceWitness(indices, sizes, 0.0)
+    assert joined(cli._record_vector(indices)) == joined(cli._walk(vector_to_json(w.vector)))
     assert w.vector_norm_sq == norm_sq(w.vector)
+
+
+@given(increasing_records())
+@example(columns())
+@example(columns((5, 1)))
+@example(columns((1, 1), (3, 2), (6, 3)))  # a partial last piece
+@example(columns((1, 2**63), (2, 10**30), (3, 10**40)))  # sizes past int64 on both pieces
+def test_record_helper_renders_like_the_generic_walker(records):
+    indices, sizes = records
+    pairs = list(zip(indices, sizes))
+    assert joined(cli._pairs(indices, sizes)) == joined(cli._walk(pairs))
 
 
 @given(st.lists(st.integers(1, 10**12), max_size=40))
@@ -457,10 +475,11 @@ def test_size_map_helper_renders_like_the_generic_walker(sizes):
     assert joined(cli._sizes(sizes)) == joined(cli._walk(plain))
 
 
-@given(st.lists(st.integers()) | st.lists(st.tuples(st.integers(1, 10**12), st.integers(0, 10**12))))
+@given(st.lists(st.integers()))
 @example([])
 @example([1])
-@example([(1, 1), (2, 4), (3, 9)])
+@example([-1, 0, -(2**63), -(10**30)])  # negatives, one past a piece
+@example([2**63, 2**64 + 1, 10**30])  # above int64
 def test_int_array_helper_renders_like_the_generic_walker(xs):
     assert joined(cli._ints(xs)) == joined(cli._walk(xs))
     assert joined(cli._walk({"k": cli._ints(xs)})) == joined(cli._walk({"k": xs}))

@@ -1,5 +1,6 @@
 import itertools
 import math
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from genshift import (
     IntegrityError,
     NotInL2,
     SearchExhaustedError,
+    SymbolicRule,
     UnsupportedError,
     WindowOnly,
     apply,
@@ -80,25 +82,25 @@ def test_domain_is_a_subspace(data):
 
 def test_m_set_bounded_rules_cover_everything():
     m = symbolic_map("block", 3)
-    assert domain_report(m, window=12).m_set == frozenset(range(1, 13))
+    assert domain_report(m, window=12).m_set == tuple(range(1, 13))
     assert m.certificates.infinite_fibers == frozenset()
 
 
 def test_m_set_odd_collapse_excludes_one():
     m = symbolic_map("odd_collapse")
-    assert domain_report(m, window=10).m_set == frozenset(range(2, 11))
+    assert domain_report(m, window=10).m_set == tuple(range(2, 11))
     assert m.certificates.infinite_fibers == frozenset({1})
 
 
 def test_m_set_finite_is_exact():
     m = make_finite_map([1, 1, 1, 1], 4)
-    assert domain_report(m, window=2).m_set == frozenset({1, 2, 3, 4})  # a table ignores the window
+    assert domain_report(m, window=2).m_set == (1, 2, 3, 4)  # a table ignores the window
     assert m.certificates.infinite_fibers == frozenset()
 
 
 def test_m_set_uncertified_rule_has_unknown_complement():
     m = IndexMap(rule=uncertified_successor_rule())
-    assert domain_report(m, window=6).m_set == frozenset(range(1, 7))
+    assert domain_report(m, window=6).m_set == tuple(range(1, 7))
     assert m.certificates.infinite_fibers is None
 
 
@@ -123,9 +125,9 @@ def test_domain_closed_triangular_false_with_witness():
     rep = domain_report(symbolic_map("triangular"))
     assert rep.closed is False
     assert rep.unbounded_witness is not None
-    sizes = [s for _, s in rep.unbounded_witness]
-    assert sizes == sorted(set(sizes)) and len(sizes) >= 2  # strictly increasing
-    assert all(a in rep.m_set or a > DEFAULT_WINDOW for a, _ in rep.unbounded_witness[:3])
+    indices, sizes = rep.unbounded_witness
+    assert list(sizes) == sorted(set(sizes)) and len(sizes) >= 2  # strictly increasing
+    assert all(a in rep.m_set or a > DEFAULT_WINDOW for a in indices[:3])
 
 
 def test_domain_closed_odd_collapse_true_over_m():
@@ -161,18 +163,17 @@ def test_domain_report_clamp_liar_integrity_error():
 # --- fiber_records -----------------------------------------------------------------
 
 def test_fiber_records_triangular():
-    assert fiber_records(symbolic_map("triangular"), 5) == (
-        (1, 1), (2, 2), (3, 3), (4, 4), (5, 5))
+    assert fiber_records(symbolic_map("triangular"), 5) == (array("q", [1, 2, 3, 4, 5]), (1, 2, 3, 4, 5))
 
 
 def test_fiber_records_finite_map_greedy_smallest_first():
     m = make_finite_map([1, 1, 2, 2, 2, 3], 6)
-    assert fiber_records(m, 4) == ((1, 2), (2, 3))  # only two records exist
+    assert fiber_records(m, 4) == (array("q", [1, 2]), (2, 3))  # only two records exist
 
 
 def test_fiber_records_skip_infinite_fibers():
     records = fiber_records(symbolic_map("odd_collapse"), 3)
-    assert records == ((2, 1),)  # all finite fibers are singletons
+    assert records == (array("q", [2]), (1,))  # all finite fibers are singletons
 
 
 # --- divergence_witness ---------------------------------------------------------
@@ -201,6 +202,33 @@ def test_divergence_bound_is_monotone_in_k():
     bounds = [divergence_witness(tri, K).image_norm_sq_lower_bound for K in range(1, 41)]
     assert all(b2 > b1 for b1, b2 in zip(bounds, bounds[1:]))
     assert bounds[-1] > 4.0  # exceeds a fixed level eventually
+
+
+def odd_blocks_rule() -> SymbolicRule:
+    """The k-th consecutive block of length 2k - 1 goes to k: fiber(k) = ((k-1)^2, k^2]."""
+    return SymbolicRule(
+        name="odd_blocks",
+        eval_fn=lambda j: math.isqrt(j - 1) + 1,
+        card_fn=lambda a: 2 * a - 1,
+        members_fn=lambda a: frozenset(range((a - 1) ** 2 + 1, a * a + 1)),
+        m_sup=math.inf,
+        surjective=True,
+        infinite_fibers=frozenset(),
+    )
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 1000])
+@pytest.mark.parametrize("m", [symbolic_map("triangular"), IndexMap(rule=odd_blocks_rule())],
+                         ids=["triangular", "odd_blocks"])
+def test_divergence_sums_equal_the_per_record_sums(m, K):
+    # the sums over the columns are the per-record generator sums, bit for bit
+    w = divergence_witness(m, K)
+    records = tuple(zip(w.indices, w.fiber_sizes))
+    assert w.records == records and len(records) == K
+    assert w.image_norm_sq_lower_bound == math.fsum(
+        size / (k * k) for k, (_, size) in enumerate(records, start=1))
+    assert w.vector_norm_sq == math.fsum((1.0 / k) * (1.0 / k) for k in range(1, K + 1))
+    assert w.vector_norm_sq == norm_sq(w.vector)
 
 
 def test_divergence_witness_rejects_bounded_maps():
