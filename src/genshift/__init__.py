@@ -25,7 +25,6 @@ from .index_domain import (
     IndexMap,
     IndexSet,
     SymbolicRule,
-    WindowOnly,
     fiber_report,
     make_finite_map,
     map_to_json,

@@ -32,7 +32,7 @@ import click
 
 from . import compact_witness, domain_analysis, gen_shift, index_domain, sparse_vec
 from .errors import GenShiftError, IntegrityError, ParseError, SearchExhaustedError, UnsupportedError
-from .index_domain import IndexMap, WindowOnly
+from .index_domain import IndexMap
 
 SCHEMA_VERSION = 1
 
@@ -159,26 +159,6 @@ def _map_doc(m: IndexMap) -> dict:
     return doc
 
 
-def _verdict_doc(v):
-    if isinstance(v, bool):
-        return v
-    return {"window_only": v.note}
-
-
-def _norm_doc(v):
-    if isinstance(v, WindowOnly):
-        return {"window_only": v.note, "lower_bound": v.value}
-    return float(v)
-
-
-def _bound_verdict_doc(v, window: int):
-    if isinstance(v, WindowOnly):
-        return {"kind": "window_only", "bound": v.value, "window": window}
-    if v == math.inf:
-        return {"kind": "certified_unbounded"}
-    return {"kind": "certified", "bound": v}
-
-
 # ---------------------------------------------------------------------------
 # file loading
 
@@ -241,7 +221,6 @@ def analyze(map_file, window):
     domain = domain_analysis.domain_report(m, window)
     sizes = m.window_sizes(window)
     m_members = tuple(_ints(domain.m_set))  # M, rendered once for both m_set keys
-    infinite = m.certificates.infinite_fibers
     doc = {
         "schema_version": SCHEMA_VERSION,
         "map": _map_doc(m),
@@ -249,26 +228,27 @@ def analyze(map_file, window):
         "fiber_report": {
             "cardinalities": _sizes(sizes),
             "sup": max(sizes),
-            "verdict": _bound_verdict_doc(sup, window),
+            "verdict": ({"kind": "certified_unbounded"} if sup == math.inf
+                        else {"kind": "certified", "bound": sup}),
             "m_set": iter(m_members),
         },
         "classification": {
-            "maps_into_l2": _verdict_doc(rep.maps_into_l2),
-            "operator_norm": _norm_doc(rep.operator_norm),
-            "sigma_injective": _verdict_doc(rep.sigma_injective),
-            "sigma_surjective": _verdict_doc(rep.sigma_surjective),
-            "isometry": _verdict_doc(rep.isometry),
+            "maps_into_l2": rep.maps_into_l2,
+            "operator_norm": rep.operator_norm,
+            "sigma_injective": rep.sigma_injective,
+            "sigma_surjective": rep.sigma_surjective,
+            "isometry": rep.isometry,
             "compact": rep.compact,
         },
         "domain": {
             "m_set": {
                 "members": iter(m_members),
                 "window": None if m.domain.is_finite else window,  # a table's M is all of 1..n
-                "certified_infinite_fibers": None if infinite is None else sorted(infinite),
+                "certified_infinite_fibers": sorted(m.certificates.infinite_fibers),
             },
-            "closed": _verdict_doc(domain.closed),
+            "closed": domain.closed,
             "uniform_bound_on_m": domain.uniform_bound_on_m,
-            "characterization_holds": _verdict_doc(domain.closed),
+            "characterization_holds": domain.closed,
             "unbounded_witness": (None if domain.unbounded_witness is None
                                   else _pairs(*domain.unbounded_witness)),
         },

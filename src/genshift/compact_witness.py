@@ -54,7 +54,7 @@ def witness_sequence(m: IndexMap, count: int) -> WitnessSequence:
     if count < 2:
         raise UnsupportedError(f"need at least 2 witness vectors, got {count}")
     m.window_sizes(min(count, SEARCH_CAP))  # the scan's first window: refutes a false certificate
-    if m.certificates.sup_card in (None, math.inf):
+    if m.certificates.sup_card == math.inf:
         raise UnsupportedError("witness needs a map with a certified finite fiber bound")
     # bounded fibers are finite, so this skips exactly the empty ones
     nonempty = ((b, c) for a, sizes in m.scan(count) for b, c in enumerate(sizes, start=a) if c)

@@ -11,20 +11,12 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
-from operator import eq, mul, truediv
+from itertools import chain, repeat
+from operator import mul, truediv
 from typing import Iterator
 
 from .errors import DomainError, SearchExhaustedError, UnsupportedError
-from .index_domain import (
-    COUNTABLE,
-    DEFAULT_WINDOW,
-    SEARCH_CAP,
-    IndexMap,
-    Verdict,
-    WindowOnly,
-    finite_sup,
-)
+from .index_domain import COUNTABLE, DEFAULT_WINDOW, SEARCH_CAP, IndexMap
 from .sparse_vec import SparseVector
 
 
@@ -46,15 +38,10 @@ def _finite_runs(m: IndexMap, sizes: tuple[int | float, ...], start: int = 1) ->
     """The targets start, start + 1, ... of ``sizes`` whose fiber is finite, as maximal runs.
 
     ``sizes`` come from a window read, which has checked them against the
-    certificates, so the infinite targets are read off ``infinite_fibers``;
-    without that certificate they are found in one pass over ``sizes``.
+    certificates, so the infinite targets are read off ``infinite_fibers``.
     """
     stop = start + len(sizes)
-    declared = m.certificates.infinite_fibers
-    if declared is None:
-        infinite = compress(range(start, stop), map(eq, sizes, repeat(math.inf)))
-    else:
-        infinite = sorted(a for a in declared if start <= a < stop)
+    infinite = sorted(a for a in m.certificates.infinite_fibers if start <= a < stop)
     edges = (start - 1, *infinite, stop)
     return [range(lo + 1, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo + 1]
 
@@ -107,6 +94,10 @@ class DivergenceWitness:
     fiber_sizes: tuple[int, ...]
     image_norm_sq_lower_bound: float
 
+    def __hash__(self) -> int:
+        # an array is unhashable; equal arrays hold equal values, whatever their typecodes
+        return hash((tuple(self.indices), self.fiber_sizes, self.image_norm_sq_lower_bound))
+
     @property
     def records(self) -> tuple[tuple[int, int], ...]:
         """The (index, fiber size) pairs."""
@@ -136,7 +127,7 @@ def divergence_witness(m: IndexMap, K: int) -> DivergenceWitness:
         raise ValueError(f"K must be >= 1, got {K}")
     m.window_sizes(min(K, SEARCH_CAP))  # the scan's first window: refutes a false certificate
     certified = m.certificates.m_sup
-    if certified is not None and certified != math.inf:
+    if certified != math.inf:
         raise UnsupportedError(f"map is certified bounded over M (fiber bound {certified})")
     indices, sizes = fiber_records(m, K)
     if len(sizes) < K:
@@ -159,7 +150,7 @@ class DomainReport:
     """
 
     m_set: tuple[int, ...]
-    closed: Verdict
+    closed: bool
     uniform_bound_on_m: int | float  # math.inf when certified unbounded
     unbounded_witness: tuple[array, tuple[int, ...]] | None
 
@@ -168,14 +159,8 @@ def domain_report(m: IndexMap, window: int = DEFAULT_WINDOW) -> DomainReport:
     sizes = m.window_sizes(window)
     members = tuple(chain.from_iterable(_finite_runs(m, sizes)))
     bound = m.certificates.m_sup
-    witness = None
-    if bound is None:
-        bound = finite_sup(sizes)
-        closed = WindowOnly(f"fibers over M bounded by {bound} on window 1..{window}", value=bound)
-    else:
-        closed = bound != math.inf
-        if not closed:
-            witness = fiber_records(m, 8)
+    closed = bound != math.inf
+    witness = None if closed else fiber_records(m, 8)
     return DomainReport(
         m_set=members,
         closed=closed,

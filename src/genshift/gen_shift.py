@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, IntegrityError, UnsupportedError
-from .index_domain import DEFAULT_WINDOW, IndexMap, Verdict, WindowOnly, describe_fiber, fiber_report
+from .index_domain import DEFAULT_WINDOW, IndexMap, describe_fiber, fiber_report
 from .sparse_vec import SparseVector, fsum_or_inf
 
 
@@ -29,11 +29,11 @@ class NotInL2:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    maps_into_l2: Verdict
-    operator_norm: float | WindowOnly  # math.inf when certified unbounded
-    sigma_injective: Verdict
-    sigma_surjective: Verdict
-    isometry: Verdict
+    maps_into_l2: bool
+    operator_norm: float  # math.inf when certified unbounded
+    sigma_injective: bool
+    sigma_surjective: bool
+    isometry: bool
     compact: bool
 
 
@@ -97,26 +97,10 @@ def apply_norm_sq(m: IndexMap, x: SparseVector) -> float:
     return fsum_or_inf(terms)
 
 
-def operator_norm(m: IndexMap, window: int = DEFAULT_WINDOW) -> float | WindowOnly:
-    """Square root of the sup of fiber sizes, the ``fiber_report`` verdict.
-
-    math.inf when the sup is proved infinite; a WindowOnly lower bound
-    when it is known only on the window.
-    """
-    verdict = fiber_report(m, window)
-    if isinstance(verdict, WindowOnly):
-        note = f"lower bound from fiber sizes on window 1..{window}"
-        return WindowOnly(note, math.sqrt(verdict.value))
-    return math.sqrt(verdict)
-
-
-def _both(a: Verdict, b: Verdict) -> Verdict:
-    if a is False or b is False:
-        return False
-    if a is True and b is True:
-        return True
-    notes = [v.note for v in (a, b) if isinstance(v, WindowOnly)]
-    return WindowOnly("; ".join(notes))
+def operator_norm(m: IndexMap, window: int = DEFAULT_WINDOW) -> float:
+    """Square root of the sup of fiber sizes, the ``fiber_report`` verdict;
+    math.inf when the sup is infinite."""
+    return math.sqrt(fiber_report(m, window))
 
 
 def classify(m: IndexMap, window: int = DEFAULT_WINDOW) -> ClassificationReport:
@@ -124,29 +108,17 @@ def classify(m: IndexMap, window: int = DEFAULT_WINDOW) -> ClassificationReport:
 
     Surjectivity of the operator mirrors injectivity of the index map and
     vice versa; the isometry verdict needs both; compactness holds exactly on
-    finite domains. The window only matters for uncertified symbolic rules,
-    where one scan can refute (a fiber of size >= 2, an empty fiber) but
-    never prove.
+    finite domains. Every verdict comes from the map's certificates, once the
+    window read (through ``operator_norm``) has checked them.
     """
-    sizes = m.window_sizes(window)
-    inj = m.certificates.injective
-    if inj is None:
-        inj = False if max(sizes) >= 2 else WindowOnly(f"no fiber of size >= 2 over targets 1..{window}")
-    surj = m.certificates.surjective
-    if surj is None:
-        surj = False if 0 in sizes else WindowOnly(f"all targets 1..{window} have nonempty fibers")
     nrm = operator_norm(m, window)
-    into: Verdict
-    if isinstance(nrm, WindowOnly):
-        into = WindowOnly(f"fiber bound unknown beyond window 1..{window}")
-    else:
-        into = not math.isinf(nrm)
+    inj, surj = m.certificates.injective, m.certificates.surjective
     return ClassificationReport(
-        maps_into_l2=into,
+        maps_into_l2=not math.isinf(nrm),
         operator_norm=nrm,
         sigma_injective=surj,
         sigma_surjective=inj,
-        isometry=_both(inj, surj),
+        isometry=inj and surj,
         compact=m.domain.is_finite,
     )
 
@@ -154,21 +126,17 @@ def classify(m: IndexMap, window: int = DEFAULT_WINDOW) -> ClassificationReport:
 def solve(m: IndexMap, y: SparseVector) -> SparseVector:
     """Preimage under the shift: x with x[eval(beta)] = y[beta], zero elsewhere.
 
-    Requires the index map to be proved one-to-one; the entries of y are
+    Requires the index map to be certified one-to-one; the entries of y are
     then merely relabelled, so apply(m, solve(m, y)) == y and the norm is
     preserved exactly. A map that is not one-to-one is refused, naming the
-    first fiber with two or more members that ``IndexMap.scan`` finds.
-    Injectivity known on a window only is refused, and a collision among
-    y's support indices refutes the rule's certificate.
+    first fiber with two or more members that ``IndexMap.scan`` finds, and a
+    collision among y's support indices refutes the rule's certificate.
     """
     _check_domains(m, y)
-    inj = classify(m).sigma_surjective  # sigma is onto iff the index map is one-to-one
-    if inj is False:
+    if not classify(m).sigma_surjective:  # sigma is onto iff the index map is one-to-one
         found = next((describe_fiber(b, c) for a, sizes in m.scan(DEFAULT_WINDOW)
                       for b, c in enumerate(sizes, start=a) if c >= 2), None)
         raise UnsupportedError("index map is not one-to-one" + (f": {found}" if found else ""))
-    if isinstance(inj, WindowOnly):
-        raise UnsupportedError(f"injectivity is only window-certified: {inj.note}")
     out: dict[int, complex] = {}
     for beta, v in y.entries.items():
         alpha = m.eval(beta)

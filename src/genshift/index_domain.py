@@ -4,12 +4,11 @@ Everything downstream (norms, classification, domain analysis) reduces to
 questions about fibers, the preimage sets of single indices. A fiber size is
 an int, or math.inf for an infinite fiber. A map is built one way, from an
 image table or a symbolic rule, and carries an exact fiber oracle and one
-certificate record, ``IndexMap.certificates``: a rule declares its own (None
-only ever means "not certified"), a table reads exact ones off its fiber
-sizes. Fiber sizes are read in one place, ``IndexMap.window_sizes``, and
-searched past a window in one place, ``IndexMap.scan``. ``fiber_report``
-states the sup of all sizes as every verdict is stated: a proved value, or
-a WindowOnly carrying the value the window shows.
+certificate record, ``IndexMap.certificates``: a rule declares all three of
+its own, a table reads exact ones off its fiber sizes, so every verdict is a
+plain value. Fiber sizes are read in one place, ``IndexMap.window_sizes``,
+and searched past a window in one place, ``IndexMap.scan``; a window read
+refutes a false declared certificate.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import ConstructionError, DomainError, IntegrityError, ParseError, UnsupportedError
 
@@ -72,7 +71,7 @@ COUNTABLE = IndexSet()
 
 @dataclass(frozen=True, kw_only=True)
 class Certificates:
-    """What is proved about every fiber of a map; None where nothing is.
+    """What is proved about every fiber of a map.
 
     ``m_sup`` bounds the finite fibers, ``surjective`` says no fiber is
     empty and ``infinite_fibers`` is the exact set of indices with an
@@ -82,23 +81,19 @@ class Certificates:
     and ``m_sup <= 1``. Being derived, neither can contradict the others.
     """
 
-    m_sup: int | float | None = None
-    surjective: bool | None = None
-    infinite_fibers: frozenset[int] | None = None
+    m_sup: int | float
+    surjective: bool
+    infinite_fibers: frozenset[int]
 
     @property
-    def sup_card(self) -> int | float | None:
-        """Certified sup of all fiber sizes, derived from the certificates; None if unknown."""
-        if self.infinite_fibers or self.m_sup == math.inf:
-            return math.inf
-        return None if self.infinite_fibers is None else self.m_sup
+    def sup_card(self) -> int | float:
+        """Certified sup of all fiber sizes, derived from the certificates."""
+        return math.inf if self.infinite_fibers else self.m_sup
 
     @property
-    def injective(self) -> bool | None:
-        """Certified injectivity, derived from the certificates; None if unknown."""
-        if self.infinite_fibers or (self.m_sup is not None and self.m_sup > 1):
-            return False
-        return None if self.sup_card is None else True
+    def injective(self) -> bool:
+        """Certified injectivity, derived from the certificates."""
+        return not self.infinite_fibers and self.m_sup <= 1
 
 
 @dataclass(frozen=True)
@@ -107,9 +102,9 @@ class SymbolicRule(Certificates):
 
     ``card_fn`` and ``members_fn`` must be exact: over an infinite fiber they
     return math.inf and None, otherwise its size and complete preimage set.
-    The certificates are optional keywords; when present they must be
-    truthful (``IndexMap.window_sizes`` raises IntegrityError when
-    a scanned window contradicts one).
+    The three certificates are required keywords and must be truthful
+    (``IndexMap.window_sizes`` raises IntegrityError when a scanned window
+    contradicts one).
     """
 
     name: str
@@ -413,22 +408,6 @@ def parse_map(doc: object) -> IndexMap:
 # ---------------------------------------------------------------------------
 # fiber reports
 
-@dataclass(frozen=True)
-class WindowOnly:
-    """A truth value or a sup known on a finite window only, with the number seen there if any."""
-
-    note: str
-    value: int | float | None = None
-
-
-Verdict = bool | WindowOnly
-
-
-def finite_sup(sizes: Iterable[int | float]) -> int:
-    """Largest finite size in ``sizes``; 0 when there is none."""
-    return max(set(sizes) - {math.inf}, default=0)
-
-
 def describe_fiber(a: int, size: int | float) -> str:
     """The wording every report of one fiber's size shares: ``fiber(a) has size s``."""
     return f"fiber({a}) has size {'infinite' if size == math.inf else size}"
@@ -450,33 +429,24 @@ def _check_certificates(rule: SymbolicRule, sizes: tuple[int | float, ...]) -> N
 
     distinct = set(sizes)
     m_bound = rule.m_sup
-    if m_bound not in (None, math.inf) and finite_sup(distinct) > m_bound:
+    if m_bound != math.inf and max(distinct - {math.inf}, default=0) > m_bound:
         refute(f"finite-fiber bound {m_bound}", lambda a, c: m_bound < c < math.inf)
     if rule.surjective and 0 in distinct:
         refute("the map onto", lambda a, c: c == 0)
-    if rule.infinite_fibers is not None:
-        declared = {a for a in rule.infinite_fibers if a <= len(sizes)}
-        infinite = sizes.count(math.inf) if math.inf in distinct else 0
-        if infinite != len(declared) or any(sizes[a - 1] != math.inf for a in declared):
-            refute(
-                f"infinite fibers exactly over {sorted(rule.infinite_fibers)}",
-                lambda a, c: (c == math.inf) != (a in declared),
-            )
+    declared = {a for a in rule.infinite_fibers if a <= len(sizes)}
+    infinite = sizes.count(math.inf) if math.inf in distinct else 0
+    if infinite != len(declared) or any(sizes[a - 1] != math.inf for a in declared):
+        refute(
+            f"infinite fibers exactly over {sorted(rule.infinite_fibers)}",
+            lambda a, c: (c == math.inf) != (a in declared),
+        )
 
 
-def fiber_report(m: IndexMap, window: int = DEFAULT_WINDOW) -> int | float | WindowOnly:
-    """The sup of all fiber sizes: proved (an int, or math.inf when unbounded) or WindowOnly.
+def fiber_report(m: IndexMap, window: int = DEFAULT_WINDOW) -> int | float:
+    """The certified sup of all fiber sizes: an int, or math.inf when unbounded.
 
-    The certified sup decides, so a finite map always comes back with its
-    exact sup. Without one the verdict is WindowOnly, carrying the largest
-    size on the window, unless an infinite fiber inside the window proves the
-    sup infinite. The window is read (and so checked against the
-    certificates) either way.
+    The window is read first, so a certificate it contradicts raises
+    IntegrityError instead of deciding the verdict.
     """
-    sizes = m.window_sizes(window)
-    verdict = m.certificates.sup_card
-    if verdict is None:
-        bound = max(sizes)
-        note = f"fiber sizes bounded by {bound} on window 1..{window}"
-        verdict = bound if bound == math.inf else WindowOnly(note, bound)
-    return verdict
+    m.window_sizes(window)
+    return m.certificates.sup_card

@@ -130,26 +130,19 @@ def map_and_vector(draw, min_n=2, max_n=8, values=scalars):
     return m, v
 
 
-def uncertified_successor_rule() -> SymbolicRule:
-    """The successor map stripped of every certificate."""
-    return SymbolicRule(
-        name="succ_nocert",
-        eval_fn=lambda k: k + 1,
-        card_fn=lambda a: 0 if a == 1 else 1,
-        members_fn=lambda a: frozenset() if a == 1 else frozenset((a - 1,)),
-    )
-
-
 def parity_rule() -> SymbolicRule:
     """odd -> 1, even -> 2: two infinite fibers, everything else empty.
 
-    Deliberately uncertified, so unboundedness must be observed on a window.
+    No finite fiber is nonempty, so the finite-fiber bound is 0.
     """
     return SymbolicRule(
         name="parity",
         eval_fn=lambda k: 1 if k % 2 == 1 else 2,
         card_fn=lambda a: math.inf if a in (1, 2) else 0,
         members_fn=lambda a: None if a in (1, 2) else frozenset(),
+        m_sup=0,
+        surjective=False,
+        infinite_fibers=frozenset({1, 2}),
     )
 
 

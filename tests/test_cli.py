@@ -17,11 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genshift import (
-    COUNTABLE, DivergenceWitness, IndexMap, apply, cli, from_entries, index_domain, make_finite_map,
+    COUNTABLE, DivergenceWitness, apply, cli, from_entries, index_domain, make_finite_map,
     norm_sq, parse_vector, vector_to_json,
 )
 from genshift.cli import main
-from helpers import clamp_liar_rule, liar_rule, parity_rule, uncertified_successor_rule
+from helpers import clamp_liar_rule, liar_rule
 
 
 @pytest.fixture
@@ -549,73 +549,6 @@ def test_redirected_streams_are_not_kept_alive(tmp_path):
     assert [ref() for ref in streams] == [None] * 4
 
 
-# Every map file the CLI accepts is certified, so the window-only verdicts
-# (fiber bound, norm lower bound, closedness) are pinned with rules loaded
-# in place of the file.
-WINDOW_ONLY_ANALYSES = [
-    (uncertified_successor_rule, 1,
-     ('{"schema_version":1,"map":{"kind":"symbolic","name":"succ_nocert"},"window":1,'
-      '"fiber_report":{"cardinalities":{"1":0},"sup":0,"verdict":{"kind":"window_only",'
-      '"bound":0,"window":1},"m_set":[1]},'
-      '"classification":{"maps_into_l2":{"window_only":"fiber bound unknown beyond window 1..1"},'
-      '"operator_norm":{"window_only":"lower bound from fiber sizes on window 1..1",'
-      '"lower_bound":0},"sigma_injective":false,'
-      '"sigma_surjective":{"window_only":"no fiber of size >= 2 over targets 1..1"},'
-      '"isometry":false,"compact":false},"domain":{"m_set":{"members":[1],"window":1,'
-      '"certified_infinite_fibers":null},'
-      '"closed":{"window_only":"fibers over M bounded by 0 on window 1..1"},'
-      '"uniform_bound_on_m":0,'
-      '"characterization_holds":{"window_only":"fibers over M bounded by 0 on window 1..1"},'
-      '"unbounded_witness":null}}\n')),
-    (uncertified_successor_rule, 4,
-     ('{"schema_version":1,"map":{"kind":"symbolic","name":"succ_nocert"},"window":4,'
-      '"fiber_report":{"cardinalities":{"1":0,"2":1,"3":1,"4":1},"sup":1,'
-      '"verdict":{"kind":"window_only","bound":1,"window":4},"m_set":[1,2,3,4]},'
-      '"classification":{"maps_into_l2":{"window_only":"fiber bound unknown beyond window 1..4"},'
-      '"operator_norm":{"window_only":"lower bound from fiber sizes on window 1..4",'
-      '"lower_bound":1},"sigma_injective":false,'
-      '"sigma_surjective":{"window_only":"no fiber of size >= 2 over targets 1..4"},'
-      '"isometry":false,"compact":false},"domain":{"m_set":{"members":[1,2,3,4],"window":4,'
-      '"certified_infinite_fibers":null},'
-      '"closed":{"window_only":"fibers over M bounded by 1 on window 1..4"},'
-      '"uniform_bound_on_m":1,'
-      '"characterization_holds":{"window_only":"fibers over M bounded by 1 on window 1..4"},'
-      '"unbounded_witness":null}}\n')),
-    (parity_rule, 1,
-     ('{"schema_version":1,"map":{"kind":"symbolic","name":"parity"},"window":1,'
-      '"fiber_report":{"cardinalities":{"1":"infinite"},"sup":"infinite",'
-      '"verdict":{"kind":"certified_unbounded"},"m_set":[]},'
-      '"classification":{"maps_into_l2":false,"operator_norm":"infinite",'
-      '"sigma_injective":{"window_only":"all targets 1..1 have nonempty fibers"},'
-      '"sigma_surjective":false,"isometry":false,"compact":false},'
-      '"domain":{"m_set":{"members":[],"window":1,"certified_infinite_fibers":null},'
-      '"closed":{"window_only":"fibers over M bounded by 0 on window 1..1"},'
-      '"uniform_bound_on_m":0,'
-      '"characterization_holds":{"window_only":"fibers over M bounded by 0 on window 1..1"},'
-      '"unbounded_witness":null}}\n')),
-    (parity_rule, 4,
-     ('{"schema_version":1,"map":{"kind":"symbolic","name":"parity"},"window":4,'
-      '"fiber_report":{"cardinalities":{"1":"infinite","2":"infinite","3":0,"4":0},'
-      '"sup":"infinite","verdict":{"kind":"certified_unbounded"},"m_set":[3,4]},'
-      '"classification":{"maps_into_l2":false,"operator_norm":"infinite",'
-      '"sigma_injective":false,"sigma_surjective":false,"isometry":false,"compact":false},'
-      '"domain":{"m_set":{"members":[3,4],"window":4,"certified_infinite_fibers":null},'
-      '"closed":{"window_only":"fibers over M bounded by 0 on window 1..4"},'
-      '"uniform_bound_on_m":0,'
-      '"characterization_holds":{"window_only":"fibers over M bounded by 0 on window 1..4"},'
-      '"unbounded_witness":null}}\n')),
-]
-
-
-@pytest.mark.parametrize("rule, window, expected", WINDOW_ONLY_ANALYSES,
-                         ids=["succ_nocert_w1", "succ_nocert_w4", "parity_w1", "parity_w4"])
-def test_analyze_window_only_document(runner, tmp_path, monkeypatch, rule, window, expected):
-    monkeypatch.setattr(cli, "_load_map", lambda path: IndexMap(rule=rule()))
-    result = runner.invoke(main, ["analyze", write(tmp_path, "m.json", {}), "--window", str(window)])
-    assert result.exit_code == 0
-    assert result.output == expected
-
-
 @pytest.mark.parametrize("module", ["genshift", "genshift.cli"])
 def test_import_leaves_numpy_out(module):
     src = os.path.dirname(os.path.dirname(cli.__file__))  # import this same genshift
@@ -628,7 +561,7 @@ PUBLIC_NAMES = sorted([
     "COUNTABLE", "ClassificationReport", "ConstructionError", "DEFAULT_WINDOW", "DivergenceWitness",
     "DomainError", "DomainReport", "GenShiftError", "IndexMap", "IndexSet",
     "IntegrityError", "NotInL2", "ParseError", "SEARCH_CAP", "SearchExhaustedError", "SparseVector",
-    "SymbolicRule", "UnsupportedError", "WindowOnly", "WitnessSequence", "apply", "apply_norm_sq",
+    "SymbolicRule", "UnsupportedError", "WitnessSequence", "apply", "apply_norm_sq",
     "classify", "divergence_witness", "domain_report", "fiber_records", "fiber_report",
     "from_entries", "in_domain", "make_finite_map", "map_to_json", "norm_sq", "operator_norm",
     "parse_map", "parse_vector", "solve", "symbolic_map", "vector_to_json", "witness_sequence",
@@ -642,7 +575,7 @@ def test_public_surface_is_pinned():
     exported = sorted(name for name, value in vars(genshift).items()
                       if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert exported == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 39
+    assert len(PUBLIC_NAMES) == 38
 
 
 def test_dense_oracle_names_resolve_from_the_package():

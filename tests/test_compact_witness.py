@@ -26,7 +26,6 @@ from helpers import (
     liar_rule,
     norm,
     scale,
-    uncertified_successor_rule,
     unit_vector,
 )
 
@@ -96,8 +95,6 @@ def test_witness_rejects_unbounded_maps():
         witness_sequence(symbolic_map("triangular"), 2)
     with pytest.raises(UnsupportedError):
         witness_sequence(symbolic_map("odd_collapse"), 2)
-    with pytest.raises(UnsupportedError):
-        witness_sequence(IndexMap(rule=uncertified_successor_rule()), 2)
 
 
 def test_witness_rejects_tiny_count():

@@ -14,7 +14,6 @@ from genshift import (
     NotInL2,
     SymbolicRule,
     UnsupportedError,
-    WindowOnly,
     apply,
     apply_norm_sq,
     classify,
@@ -35,12 +34,12 @@ from helpers import (
     add,
     clamp_liar_rule,
     finite_maps,
+    liar_rule,
     map_and_vector,
     norm,
     parity_rule,
     permutation_maps,
     scale,
-    uncertified_successor_rule,
     unit_vector,
     vectors_on,
 )
@@ -197,12 +196,6 @@ def test_operator_norm_unbounded_rules():
     assert operator_norm(symbolic_map("odd_collapse")) == math.inf
 
 
-def test_operator_norm_uncertified_rule_is_window_only():
-    nrm = operator_norm(IndexMap(rule=uncertified_successor_rule()), window=12)
-    assert isinstance(nrm, WindowOnly)
-    assert nrm.value == 1.0
-
-
 # --- classify ---------------------------------------------------------------
 
 def test_classify_three_cycle_is_unitary():
@@ -252,26 +245,21 @@ def test_classify_triangular_not_into_l2():
     assert rep.compact is False
 
 
-def test_classify_uncertified_rule_gives_window_verdicts():
-    rep = classify(IndexMap(rule=uncertified_successor_rule()), 16)
-    assert isinstance(rep.maps_into_l2, WindowOnly)
-    assert isinstance(rep.sigma_surjective, WindowOnly)  # injectivity unprovable by window
-    assert rep.sigma_injective is False                  # empty fiber over 1 refutes onto
-    assert rep.isometry is False
-
-
 def test_classify_window_refutes_injectivity_exactly():
-    # uncertified pairs-collapse: a size-2 fiber inside the window is a witness
-    from genshift import SymbolicRule
-
+    # pairs-collapse: the honest rule is not one-to-one; liar_rule's claim that
+    # it is (m_sup = 1) is refuted by the first size-2 fiber inside the window
     honest = SymbolicRule(
         name="pairs",
         eval_fn=lambda k: (k + 1) // 2,
         card_fn=lambda a: 2,
         members_fn=lambda a: frozenset((2 * a - 1, 2 * a)),
+        m_sup=2,
+        surjective=True,
+        infinite_fibers=frozenset(),
     )
-    rep = classify(IndexMap(rule=honest), 8)
-    assert rep.sigma_surjective is False
+    assert classify(IndexMap(rule=honest), 8).sigma_surjective is False
+    with pytest.raises(IntegrityError, match=r"finite-fiber bound 1 but fiber\(1\) has size 2"):
+        classify(IndexMap(rule=liar_rule()), 8)
 
 
 @given(permutation_maps())
@@ -367,14 +355,6 @@ def test_solve_names_an_infinite_fiber():
         solve(symbolic_map("odd_collapse"), unit_vector(COUNTABLE, 2))
 
 
-def test_solve_window_certified_injectivity_needs_override():
-    # injectivity seen on a window only is always refused
-    m = IndexMap(rule=uncertified_successor_rule())
-    y = from_entries(COUNTABLE, {4: 2j})
-    with pytest.raises(UnsupportedError, match=r"only window-certified: no fiber of size >= 2"):
-        solve(m, y)
-
-
 def test_solve_collision_refutes_a_false_injectivity_certificate():
     # certified one-to-one, and honest on the window 1..64, but eval(100) == eval(101)
     rule = SymbolicRule(
@@ -383,6 +363,7 @@ def test_solve_collision_refutes_a_false_injectivity_certificate():
         card_fn=lambda a: 1,
         members_fn=lambda a: frozenset((a,)),
         m_sup=1,
+        surjective=True,
         infinite_fibers=frozenset(),
     )
     m = IndexMap(rule=rule)

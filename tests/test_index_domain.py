@@ -18,7 +18,6 @@ from genshift import (
     ParseError,
     SymbolicRule,
     UnsupportedError,
-    WindowOnly,
     classify,
     divergence_witness,
     domain_report,
@@ -45,7 +44,6 @@ from helpers import (
     liar_rule,
     parity_rule,
     sup_card,
-    uncertified_successor_rule,
     verify_fiber_soundness,
 )
 
@@ -305,12 +303,8 @@ def test_fiber_report_odd_collapse_m_set_omits_one():
     assert max(m.window_sizes(10)) == math.inf
 
 
-def test_fiber_report_uncertified_rule_window_only():
-    verdict = fiber_report(IndexMap(rule=uncertified_successor_rule()), window=16)
-    assert verdict == WindowOnly("fiber sizes bounded by 1 on window 1..16", 1)
-
-
 def test_fiber_report_observed_infinite_fiber_certifies_unbounded():
+    # the window 1..8 shows both declared infinite fibers, so the check lets them stand
     assert fiber_report(IndexMap(rule=parity_rule()), window=8) == math.inf
 
 
@@ -341,9 +335,6 @@ def test_certificates_beyond_the_window_are_not_refuted():
 
 # --- derived certificates -------------------------------------------------
 
-succ = uncertified_successor_rule()
-
-
 @pytest.mark.parametrize("rule, sup, injective", [
     # the values every shipped rule declared before the two became derived
     (successor_rule(), 1, True),
@@ -355,25 +346,41 @@ succ = uncertified_successor_rule()
     (triangular_rule(), math.inf, False),
     (doubling_rule(), 1, True),
     (odd_collapse_rule(), math.inf, False),
-    # partial certificates
-    (succ, None, None),
-    (dataclasses.replace(succ, m_sup=1), None, None),
-    (dataclasses.replace(succ, m_sup=2), None, False),
-    (dataclasses.replace(succ, m_sup=math.inf), math.inf, False),
-    (dataclasses.replace(succ, infinite_fibers=frozenset()), None, None),
-    (dataclasses.replace(succ, infinite_fibers=frozenset({1})), math.inf, False),
+    # successor's three certificates with one of them changed
+    (dataclasses.replace(successor_rule(), m_sup=math.inf), math.inf, False),
+    (dataclasses.replace(successor_rule(), infinite_fibers=frozenset({1})), math.inf, False),
 ], ids=["successor", "clamp_pred", "block1", "block2", "block3", "block4", "triangular",
-        "doubling", "odd_collapse", "uncertified", "m_sup_1", "m_sup_2", "m_sup_infinite",
-        "no_infinite_fibers", "infinite_fiber_over_1"])
+        "doubling", "odd_collapse", "m_sup_infinite", "infinite_fiber_over_1"])
 def test_derived_sup_card_and_injective(rule, sup, injective):
     assert rule.sup_card == sup
     assert rule.injective is injective
 
 
 def test_symbolic_rule_has_three_certificate_fields():
-    fields = {f.name for f in dataclasses.fields(SymbolicRule)}
-    assert fields == {"name", "eval_fn", "card_fn", "members_fn",
-                      "m_sup", "surjective", "infinite_fibers", "param"}
+    fields = {f.name: f for f in dataclasses.fields(SymbolicRule)}
+    assert set(fields) == {"name", "eval_fn", "card_fn", "members_fn",
+                           "m_sup", "surjective", "infinite_fibers", "param"}
+    for name in ("m_sup", "surjective", "infinite_fibers"):  # required: a rule states all three
+        assert fields[name].default is dataclasses.MISSING
+        assert fields[name].default_factory is dataclasses.MISSING
+    with pytest.raises(TypeError, match="infinite_fibers"):
+        SymbolicRule(name="partial", eval_fn=int, card_fn=int, members_fn=frozenset,
+                     m_sup=1, surjective=True)
+
+
+@pytest.mark.parametrize("m", [
+    *(IndexMap(rule=ctor()) for name, ctor in BUILTIN_RULES.items() if name != "block"),
+    IndexMap(rule=block_rule(1)),
+    IndexMap(rule=block_rule(2)),
+    make_finite_map([2, 2, 1], 3),
+], ids=[*(name for name in BUILTIN_RULES if name != "block"), "block1", "block2", "table"])
+def test_every_verdict_is_a_plain_value(m):
+    rep = classify(m, 16)
+    verdicts = (rep.maps_into_l2, rep.sigma_injective, rep.sigma_surjective, rep.isometry,
+                rep.compact, domain_report(m, 16).closed)
+    assert [type(v) for v in verdicts] == [bool] * 6
+    assert type(rep.operator_norm) is float
+    assert type(operator_norm(m, 16)) is float
 
 
 # --- window scans ---------------------------------------------------------
@@ -389,8 +396,8 @@ def _counting(rule):
     return dataclasses.replace(rule, card_fn=card), calls
 
 
-@pytest.mark.parametrize("rule", [successor_rule(), uncertified_successor_rule()],
-                         ids=["certified", "uncertified"])
+@pytest.mark.parametrize("rule", [successor_rule(), triangular_rule()],
+                         ids=["certified", "unbounded"])  # triangular's domain report adds records
 def test_analyze_scans_each_window_once(rule):
     counted, calls = _counting(rule)
     m = IndexMap(rule=counted)
@@ -599,6 +606,9 @@ def test_verify_fiber_soundness_catches_bad_members():
         eval_fn=lambda k: k + 1,
         card_fn=lambda a: 1,
         members_fn=lambda a: frozenset((a,)),  # wrong: claims a maps to itself
+        m_sup=1,
+        surjective=True,
+        infinite_fibers=frozenset(),
     )
     # card_fn disagreeing with the member set: a finite size, then an infinite fiber
     wrong_size = dataclasses.replace(successor_rule(), card_fn=lambda a: 2)
