@@ -216,10 +216,10 @@ def main():
 def analyze(map_file, window):
     """Fiber report, operator classification and domain analysis for a map."""
     m = _load_map(map_file)
-    sup = index_domain.fiber_report(m, window)
-    rep = gen_shift.classify(m, window)
+    sizes = m.window_sizes(window)  # first, so a window past DEFAULT_WINDOW checks the certificates
+    sup = index_domain.fiber_report(m)
+    rep = gen_shift.classify(m)
     domain = domain_analysis.domain_report(m, window)
-    sizes = m.window_sizes(window)
     m_members = tuple(_ints(domain.m_set))  # M, rendered once for both m_set keys
     doc = {
         "schema_version": SCHEMA_VERSION,

@@ -15,7 +15,7 @@ from itertools import chain, repeat
 from operator import mul, truediv
 from typing import Iterator
 
-from .errors import DomainError, SearchExhaustedError, UnsupportedError
+from .errors import ConstructionError, DomainError, SearchExhaustedError, UnsupportedError
 from .index_domain import COUNTABLE, DEFAULT_WINDOW, SEARCH_CAP, IndexMap
 from .sparse_vec import SparseVector
 
@@ -57,7 +57,7 @@ def fiber_records(m: IndexMap, count: int) -> tuple[array, tuple[int, ...]]:
     scanned up to ``SEARCH_CAP`` targets, a finite one in full.
     """
     if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+        raise ConstructionError(f"count must be >= 1, got {count}")
     indices, sizes = array("q"), []
     best = 0
     for a, chunk in m.scan(count):
@@ -124,7 +124,7 @@ def divergence_witness(m: IndexMap, K: int) -> DivergenceWitness:
     ``SEARCH_CAP`` targets raises SearchExhaustedError.
     """
     if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+        raise ConstructionError(f"K must be >= 1, got {K}")
     m.window_sizes(min(K, SEARCH_CAP))  # the scan's first window: refutes a false certificate
     certified = m.certificates.m_sup
     if certified != math.inf:

@@ -97,21 +97,21 @@ def apply_norm_sq(m: IndexMap, x: SparseVector) -> float:
     return fsum_or_inf(terms)
 
 
-def operator_norm(m: IndexMap, window: int = DEFAULT_WINDOW) -> float:
+def operator_norm(m: IndexMap) -> float:
     """Square root of the sup of fiber sizes, the ``fiber_report`` verdict;
     math.inf when the sup is infinite."""
-    return math.sqrt(fiber_report(m, window))
+    return math.sqrt(fiber_report(m))
 
 
-def classify(m: IndexMap, window: int = DEFAULT_WINDOW) -> ClassificationReport:
+def classify(m: IndexMap) -> ClassificationReport:
     """Structural verdicts for the induced operator.
 
     Surjectivity of the operator mirrors injectivity of the index map and
     vice versa; the isometry verdict needs both; compactness holds exactly on
-    finite domains. Every verdict comes from the map's certificates, once the
-    window read (through ``operator_norm``) has checked them.
+    finite domains. Every verdict comes from ``m.certificates``, which a rule
+    passes only once a window read has checked it.
     """
-    nrm = operator_norm(m, window)
+    nrm = operator_norm(m)
     inj, surj = m.certificates.injective, m.certificates.surjective
     return ClassificationReport(
         maps_into_l2=not math.isinf(nrm),

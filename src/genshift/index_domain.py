@@ -7,8 +7,8 @@ image table or a symbolic rule, and carries an exact fiber oracle and one
 certificate record, ``IndexMap.certificates``: a rule declares all three of
 its own, a table reads exact ones off its fiber sizes, so every verdict is a
 plain value. Fiber sizes are read in one place, ``IndexMap.window_sizes``,
-and searched past a window in one place, ``IndexMap.scan``; a window read
-refutes a false declared certificate.
+and searched past a window in one place, ``IndexMap.scan``. A window read
+refutes a false declared certificate; ``certificates`` reads one first.
 """
 
 from __future__ import annotations
@@ -179,8 +179,9 @@ class IndexMap:
 
     @memo
     def certificates(self) -> Certificates:
-        """What is proved about every fiber: the rule itself, or exact values for a table."""
+        """Proved fiber facts: exact for a table; a rule, once 1..DEFAULT_WINDOW checks it."""
         if self.rule is not None:
+            self.window_sizes(DEFAULT_WINDOW)
             return self.rule
         counts = self.fiber_counts
         return Certificates(m_sup=max(counts), surjective=0 not in counts, infinite_fibers=frozenset())
@@ -188,9 +189,9 @@ class IndexMap:
     def window_sizes(self, window: int) -> tuple[int | float, ...]:
         """Fiber sizes over targets 1..window (math.inf if infinite); all n for a table.
 
-        The one check that a window is in 1..SEARCH_CAP. A rule's scan is checked
-        against its certificates, then cached if it is the largest so far: a
-        smaller window is its prefix, a larger one scans only the new targets.
+        The one check that a window is in 1..SEARCH_CAP, and of a rule's certificates:
+        a scan is checked against them, then cached if it is the largest so far (a
+        smaller window is its prefix, a larger one scans only the new targets).
         """
         if not 1 <= window <= SEARCH_CAP:
             raise ConstructionError(f"window must be in 1..{SEARCH_CAP}, got {window}")
@@ -442,11 +443,6 @@ def _check_certificates(rule: SymbolicRule, sizes: tuple[int | float, ...]) -> N
         )
 
 
-def fiber_report(m: IndexMap, window: int = DEFAULT_WINDOW) -> int | float:
-    """The certified sup of all fiber sizes: an int, or math.inf when unbounded.
-
-    The window is read first, so a certificate it contradicts raises
-    IntegrityError instead of deciding the verdict.
-    """
-    m.window_sizes(window)
+def fiber_report(m: IndexMap) -> int | float:
+    """The certified sup of all fiber sizes (math.inf when unbounded), from ``m.certificates``."""
     return m.certificates.sup_card

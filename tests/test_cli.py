@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import io
@@ -209,6 +210,27 @@ def test_witness_false_certificate_exits_3(runner, tmp_path, monkeypatch):
                                  " but fiber(1) has size 2\n")
 
 
+def _successor_with_false_infinite_fiber():
+    """successor, declaring an infinite fiber over 3, where its fiber is {2}."""
+    return dataclasses.replace(index_domain.successor_rule(), infinite_fibers=frozenset({3}))
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "MAP", "--window", "1"],
+    ["witness", "MAP", "--kind", "compact", "--count", "2"],
+], ids=["analyze_window_1", "compact_count_2"])
+def test_false_certificate_past_the_window_exits_3(runner, tmp_path, monkeypatch, args):
+    # the window 1..1 or 1..2 misses target 3; the first certificate read (1..64) reaches it
+    monkeypatch.setitem(index_domain.BUILTIN_RULES, "successor_liar",
+                        _successor_with_false_infinite_fiber)
+    path = write(tmp_path, "m.json", {"kind": "symbolic", "name": "successor_liar"})
+    result = runner.invoke(main, [path if a == "MAP" else a for a in args])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == ("integrity error: rule 'successor' declares infinite fibers exactly"
+                             " over [3] but fiber(3) has size 1\n")
+
+
 def test_witness_divergence_on_bounded_map_exits_5(runner, tmp_path):
     result = runner.invoke(main, ["witness", write(tmp_path, "m.json", SUCCESSOR),
                                   "--kind", "divergence", "--K", "4"])
@@ -224,6 +246,32 @@ def test_oracle_check_exhaustive_n3(runner):
     assert doc["maps_checked"] == 27
     assert doc["disagreements"] == 0
     assert doc["seed"] == 74
+
+
+def test_oracle_check_disagreement_exits_6(runner, monkeypatch):
+    from genshift import dense_oracle
+
+    monkeypatch.setattr(dense_oracle, "NORM_TOL", -1.0)  # no error is below -1: all 27 disagree
+    result = runner.invoke(main, ["oracle-check", "--n", "3", "--exhaustive"])
+    assert result.exit_code == 6
+    doc = json.loads(result.stdout)
+    assert doc["maps_checked"] == 27
+    assert '"disagreements":27' in result.stdout
+    lines = result.stderr.splitlines()
+    assert len(lines) == 20  # the first 20 of the 27 tables are named
+    assert lines[0] == "disagreement on image table [1, 1, 1]"
+
+
+def test_oracle_check_exhaustive_past_its_cap_exits_2(runner, monkeypatch):
+    from genshift import dense_oracle
+
+    monkeypatch.setattr(dense_oracle, "exhaustive_maps", None)  # refused before any enumeration
+    n = dense_oracle.EXHAUSTIVE_CAP + 1
+    result = runner.invoke(main, ["oracle-check", "--n", str(n), "--exhaustive"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert f"--exhaustive needs n <= {dense_oracle.EXHAUSTIVE_CAP}" in result.stderr
+    assert result.stdout == ""
 
 
 def test_oracle_check_random_with_seed(runner):

@@ -120,3 +120,11 @@ def test_witness_refutes_a_false_infinite_fiber_certificate():
     rule = dataclasses.replace(successor_rule(), infinite_fibers=frozenset({2}))
     with pytest.raises(IntegrityError, match=r"over \[2\] but fiber\(2\) has size 1"):
         witness_sequence(IndexMap(rule=rule), 3)
+
+
+def test_witness_refutes_a_false_certificate_past_its_first_window():
+    # the scan's first window 1..2 does not reach the false infinite fiber over 3;
+    # the first read of the certificates checks 1..64 and does
+    rule = dataclasses.replace(successor_rule(), infinite_fibers=frozenset({3}))
+    with pytest.raises(IntegrityError, match=r"over \[3\] but fiber\(3\) has size 1"):
+        witness_sequence(IndexMap(rule=rule), 2)

@@ -11,6 +11,7 @@ from genshift import (
     COUNTABLE,
     DEFAULT_WINDOW,
     SEARCH_CAP,
+    ConstructionError,
     IndexMap,
     IndexSet,
     IntegrityError,
@@ -160,6 +161,12 @@ def test_fiber_records_skip_infinite_fibers():
     assert records == (array("q", [2]), (1,))  # all finite fibers are singletons
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_fiber_records_rejects_bad_count(count):
+    with pytest.raises(ConstructionError, match=rf"count must be >= 1, got {count}"):
+        fiber_records(symbolic_map("triangular"), count)
+
+
 # --- divergence_witness ---------------------------------------------------------
 
 def test_divergence_witness_single_term():
@@ -246,8 +253,9 @@ def test_divergence_witness_stops_at_the_search_budget():
 
 
 def test_divergence_witness_rejects_bad_k():
-    with pytest.raises(ValueError):
-        divergence_witness(symbolic_map("triangular"), 0)
+    for K in (0, -1):  # inside the package's error taxonomy, before any scan
+        with pytest.raises(ConstructionError, match=rf"K must be >= 1, got {K}"):
+            divergence_witness(symbolic_map("triangular"), K)
 
 
 # --- characterization on a small finite domain ------------------------------------

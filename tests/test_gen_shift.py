@@ -18,6 +18,7 @@ from genshift import (
     apply_norm_sq,
     classify,
     from_entries,
+    in_domain,
     make_finite_map,
     norm_sq,
     operator_norm,
@@ -79,9 +80,11 @@ def test_apply_not_in_l2_reports_smallest_offender():
     assert apply(par, from_entries(COUNTABLE, {2: 1, 5: 1})) == NotInL2(2)
 
 
-def test_apply_domain_mismatch():
-    with pytest.raises(DomainError):
-        apply(make_finite_map([1, 2], 2), unit_vector(IndexSet(3), 1))
+@pytest.mark.parametrize("op", [apply, apply_norm_sq, solve, in_domain],
+                         ids=["apply", "apply_norm_sq", "solve", "in_domain"])
+def test_apply_domain_mismatch(op):
+    with pytest.raises(DomainError, match="map and vector domains differ"):
+        op(make_finite_map([1, 2], 2), unit_vector(IndexSet(3), 1))
 
 
 @given(map_and_vector())
@@ -257,9 +260,9 @@ def test_classify_window_refutes_injectivity_exactly():
         surjective=True,
         infinite_fibers=frozenset(),
     )
-    assert classify(IndexMap(rule=honest), 8).sigma_surjective is False
+    assert classify(IndexMap(rule=honest)).sigma_surjective is False
     with pytest.raises(IntegrityError, match=r"finite-fiber bound 1 but fiber\(1\) has size 2"):
-        classify(IndexMap(rule=liar_rule()), 8)
+        classify(IndexMap(rule=liar_rule()))
 
 
 @given(permutation_maps())

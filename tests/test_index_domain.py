@@ -268,7 +268,7 @@ def test_fiber_report_sup_matches_exhaustive(m):
 
 def test_fiber_report_triangular_certified_unbounded():
     m = symbolic_map("triangular")
-    assert fiber_report(m, window=12) == math.inf
+    assert fiber_report(m) == math.inf
     assert m.window_sizes(12)[7 - 1] == 7
 
 
@@ -276,7 +276,7 @@ def test_fiber_report_keeps_the_size_tuple():
     # the report is its verdict alone; the sizes it read stay cached on the map
     maps = [symbolic_map("successor"), symbolic_map("odd_collapse"), make_finite_map([2, 2, 3, 1], 4)]
     for m in maps:
-        verdict = fiber_report(m, 500)
+        verdict = fiber_report(m)
         sizes = m.window_sizes(500)
         assert verdict == m.certificates.sup_card
         assert sizes == tuple(m.fiber_card(a) for a in range(1, len(sizes) + 1))
@@ -298,19 +298,19 @@ def test_fiber_report_certified_rules():
 
 def test_fiber_report_odd_collapse_m_set_omits_one():
     m = symbolic_map("odd_collapse")
-    assert fiber_report(m, window=10) == math.inf
+    assert fiber_report(m) == math.inf
     assert domain_report(m, window=10).m_set == tuple(range(2, 11))
     assert max(m.window_sizes(10)) == math.inf
 
 
 def test_fiber_report_observed_infinite_fiber_certifies_unbounded():
-    # the window 1..8 shows both declared infinite fibers, so the check lets them stand
-    assert fiber_report(IndexMap(rule=parity_rule()), window=8) == math.inf
+    # the window 1..64 shows both declared infinite fibers, so the check lets them stand
+    assert fiber_report(IndexMap(rule=parity_rule())) == math.inf
 
 
 def test_fiber_report_liar_rule_integrity_error():
     with pytest.raises(IntegrityError):
-        fiber_report(IndexMap(rule=liar_rule()), window=8)
+        fiber_report(IndexMap(rule=liar_rule()))
 
 
 @pytest.mark.parametrize("rule, claim", [
@@ -323,14 +323,14 @@ def test_fiber_report_liar_rule_integrity_error():
 ])
 def test_fiber_report_refutes_each_false_certificate(rule, claim):
     with pytest.raises(IntegrityError, match=claim):
-        fiber_report(IndexMap(rule=rule), window=8)
+        fiber_report(IndexMap(rule=rule))
 
 
 def test_certificates_beyond_the_window_are_not_refuted():
-    # the declared infinite fiber over 100 lies outside the window 1..8; it
-    # makes the derived global bound infinite
+    # the declared infinite fiber over 100 lies outside the window 1..64 that a
+    # first certificate read checks; it makes the derived global bound infinite
     rule = dataclasses.replace(successor_rule(), infinite_fibers=frozenset({100}))
-    assert fiber_report(IndexMap(rule=rule), window=8) == math.inf
+    assert fiber_report(IndexMap(rule=rule)) == math.inf
 
 
 # --- derived certificates -------------------------------------------------
@@ -375,12 +375,12 @@ def test_symbolic_rule_has_three_certificate_fields():
     make_finite_map([2, 2, 1], 3),
 ], ids=[*(name for name in BUILTIN_RULES if name != "block"), "block1", "block2", "table"])
 def test_every_verdict_is_a_plain_value(m):
-    rep = classify(m, 16)
+    rep = classify(m)
     verdicts = (rep.maps_into_l2, rep.sigma_injective, rep.sigma_surjective, rep.isometry,
                 rep.compact, domain_report(m, 16).closed)
     assert [type(v) for v in verdicts] == [bool] * 6
     assert type(rep.operator_norm) is float
-    assert type(operator_norm(m, 16)) is float
+    assert type(operator_norm(m)) is float
 
 
 # --- window scans ---------------------------------------------------------
@@ -401,14 +401,15 @@ def _counting(rule):
 def test_analyze_scans_each_window_once(rule):
     counted, calls = _counting(rule)
     m = IndexMap(rule=counted)
-    for _ in range(2):  # fiber report, classification and domain report, as `analyze` runs them
-        fiber_report(m, 40)
-        classify(m, 40)
+    for _ in range(2):  # the window, fiber report, classification and domain report, as `analyze` runs them
+        m.window_sizes(40)
+        fiber_report(m)
+        classify(m)
         domain_report(m, 40)
-    assert calls == list(range(1, 41))
-    fiber_report(m, 12)
-    assert len(calls) == 40  # a smaller window is a prefix of the cached scan
-    classify(m, 100)
+    assert calls == list(range(1, 65))  # the window 1..40, then the certificates' first read of 41..64
+    m.window_sizes(12)
+    assert len(calls) == 64  # a smaller window is a prefix of the cached scan
+    m.window_sizes(100)
     assert calls == list(range(1, 101))  # a larger one scans the targets beyond it
     assert m.window_sizes(100) == tuple(rule.card_fn(a) for a in range(1, 101))
 
@@ -419,8 +420,8 @@ def test_window_cache_keeps_refuting_beyond_it():
     assert m.window_sizes(8) == (0,) + (1,) * 7
     for _ in range(2):  # a failed scan is not cached
         with pytest.raises(IntegrityError, match=r"fiber\(100\) has size 1"):
-            fiber_report(m, 200)
-    assert fiber_report(m, 8) == math.inf
+            m.window_sizes(200)
+    assert fiber_report(m) == math.inf
 
 
 @given(finite_maps(max_n=12), st.integers(1, 100))
@@ -443,20 +444,15 @@ def test_witnesses_read_each_target_once():
     counted, calls = _counting(doubling_rule())
     m = IndexMap(rule=counted)
     assert witness_sequence(m, 30).indices == tuple(range(2, 61, 2))
-    assert calls == list(range(1, 61))  # windows 1..30, then 31..60
-    fiber_report(m, 40)
-    assert len(calls) == 60  # a smaller window is a prefix of the cached scan
+    assert calls == list(range(1, 65))  # the window 1..30, then the certificates' 31..64
+    m.window_sizes(40)
+    assert len(calls) == 64  # a smaller window is a prefix of the cached scan
 
 
 @pytest.mark.parametrize("verdict", [
     pytest.param(IndexMap.window_sizes, id="window_sizes"),
-    pytest.param(fiber_report, id="fiber_report"),
-    pytest.param(operator_norm, id="operator_norm"),
-    pytest.param(classify, id="classify"),
     pytest.param(domain_report, id="domain_report"),
     # each single verdict, read from the report that now states it
-    pytest.param(lambda m, w: classify(m, w).sigma_surjective, id="phi_injective"),
-    pytest.param(lambda m, w: classify(m, w).sigma_injective, id="phi_surjective"),
     pytest.param(lambda m, w: domain_report(m, w).closed, id="domain_closed"),
     pytest.param(lambda m, w: domain_report(m, w).m_set, id="m_set"),
 ])
@@ -467,11 +463,6 @@ def test_windowed_verdicts_reject_window_0(verdict, m):
     for window in (0, SEARCH_CAP + 1):
         with pytest.raises(ConstructionError, match=rf"must be in 1\.\.{SEARCH_CAP}, got {window}"):
             verdict(m, window)
-
-
-def test_fiber_report_rejects_bad_window():
-    with pytest.raises(ConstructionError):
-        fiber_report(symbolic_map("successor"), window=0)
 
 
 # --- fiber-count profile --------------------------------------------------
