@@ -16,7 +16,7 @@ from operator import mul, truediv
 from typing import Iterator
 
 from .errors import ConstructionError, DomainError, SearchExhaustedError, UnsupportedError
-from .index_domain import COUNTABLE, DEFAULT_WINDOW, SEARCH_CAP, IndexMap
+from .index_domain import COUNTABLE, DEFAULT_WINDOW, SEARCH_CAP, IndexMap, finite_runs
 from .sparse_vec import SparseVector
 
 
@@ -34,18 +34,6 @@ def in_domain(m: IndexMap, z: SparseVector) -> bool:
     return all(m.fiber_card(theta) != math.inf for theta in z.entries)
 
 
-def _finite_runs(m: IndexMap, sizes: tuple[int | float, ...], start: int = 1) -> list[range]:
-    """The targets start, start + 1, ... of ``sizes`` whose fiber is finite, as maximal runs.
-
-    ``sizes`` come from a window read, which has checked them against the
-    certificates, so the infinite targets are read off ``infinite_fibers``.
-    """
-    stop = start + len(sizes)
-    infinite = sorted(a for a in m.certificates.infinite_fibers if start <= a < stop)
-    edges = (start - 1, *infinite, stop)
-    return [range(lo + 1, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo + 1]
-
-
 def fiber_records(m: IndexMap, count: int) -> tuple[array, tuple[int, ...]]:
     """Greedy record scan over the finite fibers.
 
@@ -61,7 +49,7 @@ def fiber_records(m: IndexMap, count: int) -> tuple[array, tuple[int, ...]]:
     indices, sizes = array("q"), []
     best = 0
     for a, chunk in m.scan(count):
-        for run in _finite_runs(m, chunk, a):
+        for run in finite_runs(m.certificates.infinite_fibers, a, a + len(chunk)):
             for b, c in zip(run, chunk[run.start - a:run.stop - a]):
                 if c > best:
                     indices.append(b)
@@ -157,7 +145,7 @@ class DomainReport:
 
 def domain_report(m: IndexMap, window: int = DEFAULT_WINDOW) -> DomainReport:
     sizes = m.window_sizes(window)
-    members = tuple(chain.from_iterable(_finite_runs(m, sizes)))
+    members = tuple(chain.from_iterable(finite_runs(m.certificates.infinite_fibers, 1, len(sizes) + 1)))
     bound = m.certificates.m_sup
     closed = bound != math.inf
     witness = None if closed else fiber_records(m, 8)

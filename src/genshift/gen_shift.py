@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, IntegrityError, UnsupportedError
-from .index_domain import DEFAULT_WINDOW, IndexMap, describe_fiber, fiber_report
+from .index_domain import DEFAULT_WINDOW, SEARCH_CAP, IndexMap, describe_fiber, fiber_report
 from .sparse_vec import SparseVector, fsum_or_inf
 
 
@@ -47,9 +47,9 @@ def apply(m: IndexMap, x: SparseVector) -> SparseVector | NotInL2:
 
     The support of the result is the union of the fibers of x's support
     indices, read on a table from its fiber index ``m.preimages``: O(support
-    + image) after the index's one-time O(n) build. An infinite fiber over a
-    support index makes the image not square-summable; NotInL2 reports the
-    smallest such index.
+    + image) after the index's one-time O(n) build. A rule's sizes are read in
+    index order before any member is built, up to an infinite fiber (NotInL2
+    names its index) or an image past SEARCH_CAP entries (UnsupportedError).
     """
     _check_domains(m, x)
     out = {}
@@ -59,11 +59,17 @@ def apply(m: IndexMap, x: SparseVector) -> SparseVector | NotInL2:
             for beta in pre[theta]:
                 out[beta] = v
         return SparseVector(m.domain, out)
-    for theta, v in sorted(x.entries.items()):
-        members = m.fiber(theta)
-        if members is None:
+    support = sorted(x.entries.items())
+    total = 0
+    for theta, _ in support:
+        if (size := m.rule.card_fn(theta)) == math.inf:
             return NotInL2(theta)
-        for beta in members:
+        if (total := total + size) > SEARCH_CAP:
+            found = (describe_fiber(theta, size) if size > SEARCH_CAP
+                     else f"the image has {total} entries or more")
+            raise UnsupportedError(f"{found}, above SEARCH_CAP = {SEARCH_CAP}")
+    for theta, v in support:
+        for beta in m.fiber(theta):
             out[beta] = v
     return SparseVector(m.domain, out)
 
@@ -133,7 +139,7 @@ def solve(m: IndexMap, y: SparseVector) -> SparseVector:
     collision among y's support indices refutes the rule's certificate.
     """
     _check_domains(m, y)
-    if not classify(m).sigma_surjective:  # sigma is onto iff the index map is one-to-one
+    if not m.certificates.injective:  # sigma is onto iff the index map is one-to-one
         found = next((describe_fiber(b, c) for a, sizes in m.scan(DEFAULT_WINDOW)
                       for b, c in enumerate(sizes, start=a) if c >= 2), None)
         raise UnsupportedError("index map is not one-to-one" + (f": {found}" if found else ""))

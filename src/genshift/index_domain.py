@@ -190,8 +190,8 @@ class IndexMap:
         """Fiber sizes over targets 1..window (math.inf if infinite); all n for a table.
 
         The one check that a window is in 1..SEARCH_CAP, and of a rule's certificates:
-        a scan is checked against them, then cached if it is the largest so far (a
-        smaller window is its prefix, a larger one scans only the new targets).
+        the targets a read adds are checked against them, then cached (a smaller
+        window is a prefix of the cache), so each size is checked once.
         """
         if not 1 <= window <= SEARCH_CAP:
             raise ConstructionError(f"window must be in 1..{SEARCH_CAP}, got {window}")
@@ -200,9 +200,9 @@ class IndexMap:
         scanned = self.__dict__.get("_window_sizes", ())
         if window <= len(scanned):
             return scanned[:window]
-        sizes = scanned + tuple(map(self.rule.card_fn, range(len(scanned) + 1, window + 1)))
-        _check_certificates(self.rule, sizes)
-        self.__dict__["_window_sizes"] = sizes
+        added = tuple(map(self.rule.card_fn, range(len(scanned) + 1, window + 1)))
+        _check_certificates(self.rule, added, len(scanned) + 1)
+        sizes = self.__dict__["_window_sizes"] = scanned + added
         return sizes
 
     def scan(self, first: int) -> Iterator[tuple[int, tuple[int | float, ...]]]:
@@ -414,33 +414,38 @@ def describe_fiber(a: int, size: int | float) -> str:
     return f"fiber({a}) has size {'infinite' if size == math.inf else size}"
 
 
-def _check_certificates(rule: SymbolicRule, sizes: tuple[int | float, ...]) -> None:
-    """Raise IntegrityError when a certificate contradicts a window scan.
+def finite_runs(infinite_fibers: frozenset[int], start: int, stop: int) -> list[range]:
+    """The targets start, ..., stop - 1 outside ``infinite_fibers``, as maximal runs: over
+    targets that ``window_sizes`` has read, exactly those with a finite fiber."""
+    infinite = sorted(a for a in infinite_fibers if start <= a < stop)
+    edges = (start - 1, *infinite, stop)
+    return [range(lo + 1, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo + 1]
+
+
+def _check_certificates(rule: SymbolicRule, sizes: tuple[int | float, ...], start: int) -> None:
+    """Raise IntegrityError when a certificate contradicts the sizes of targets start, start + 1, ...
 
     A window can refute a finite ``m_sup``, a claim of surjectivity, and the
     infinite-fiber set restricted to the window, never an unbounded or a
     negative certificate. A window that refutes the derived ``sup_card`` or
-    ``injective`` refutes ``m_sup`` or ``infinite_fibers``. Each claim is
-    tested on the window's distinct sizes, read in one pass.
+    ``injective`` refutes ``m_sup`` or ``infinite_fibers``. The latter is checked
+    first, so the ``peak`` size over its ``finite_runs`` is finite for ``m_sup``.
     """
 
     def refute(claim: str, bad: Callable[[int, int | float], bool]) -> None:
-        a, c = next((a, c) for a, c in enumerate(sizes, start=1) if bad(a, c))
+        a, c = next((a, c) for a, c in enumerate(sizes, start=start) if bad(a, c))
         raise IntegrityError(f"rule {rule.name!r} declares {claim} but {describe_fiber(a, c)}")
 
-    distinct = set(sizes)
-    m_bound = rule.m_sup
-    if m_bound != math.inf and max(distinct - {math.inf}, default=0) > m_bound:
-        refute(f"finite-fiber bound {m_bound}", lambda a, c: m_bound < c < math.inf)
-    if rule.surjective and 0 in distinct:
+    declared, stop = rule.infinite_fibers, start + len(sizes)
+    peak = max((max(sizes[r.start - start:r.stop - start])
+                for r in finite_runs(declared, start, stop)), default=0)
+    if peak == math.inf or any(sizes[a - start] != math.inf for a in declared if start <= a < stop):
+        refute(f"infinite fibers exactly over {sorted(declared)}",
+               lambda a, c: (c == math.inf) != (a in declared))
+    if peak > rule.m_sup:
+        refute(f"finite-fiber bound {rule.m_sup}", lambda a, c: rule.m_sup < c < math.inf)
+    if rule.surjective and 0 in sizes:
         refute("the map onto", lambda a, c: c == 0)
-    declared = {a for a in rule.infinite_fibers if a <= len(sizes)}
-    infinite = sizes.count(math.inf) if math.inf in distinct else 0
-    if infinite != len(declared) or any(sizes[a - 1] != math.inf for a in declared):
-        refute(
-            f"infinite fibers exactly over {sorted(rule.infinite_fibers)}",
-            lambda a, c: (c == math.inf) != (a in declared),
-        )
 
 
 def fiber_report(m: IndexMap) -> int | float:

@@ -148,6 +148,18 @@ def test_apply_fiber_past_the_search_budget_exits_5(runner, tmp_path):
                              " above SEARCH_CAP = 1048576\n")
 
 
+def test_apply_image_past_the_search_budget_exits_5(runner, tmp_path):
+    # two fibers of 2**20 members each: both within the budget, their union is not
+    block = {"kind": "symbolic", "name": "block", "param": index_domain.SEARCH_CAP}
+    vector = [{"i": 1, "re": 1.0, "im": 0.0}, {"i": 2, "re": 1.0, "im": 0.0}]
+    result = runner.invoke(main, ["apply", write(tmp_path, "m.json", block),
+                                  write(tmp_path, "v.json", vector)])
+    assert result.exit_code == 5
+    assert result.stdout == ""
+    assert result.stderr == ("precondition failed: the image has 2097152 entries or more,"
+                             " above SEARCH_CAP = 1048576\n")
+
+
 def test_apply_duplicate_vector_index_exits_2(runner, tmp_path):
     bad = [{"i": 1, "re": 1.0}, {"i": 1, "re": 2.0}]
     result = runner.invoke(main, ["apply", write(tmp_path, "m.json", IDENTITY5),

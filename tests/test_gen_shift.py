@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from genshift import (
     COUNTABLE,
+    SEARCH_CAP,
     DomainError,
     IndexMap,
     IndexSet,
@@ -78,6 +79,21 @@ def test_apply_not_in_l2_reports_smallest_offender():
     par = IndexMap(rule=parity_rule())
     assert apply(par, from_entries(COUNTABLE, {2: 1, 1: 1})) == NotInL2(1)
     assert apply(par, from_entries(COUNTABLE, {2: 1, 5: 1})) == NotInL2(2)
+
+
+def test_apply_image_past_the_search_budget_is_refused_before_any_member():
+    # every finite fiber is within the budget, two of them together are not
+    members = []
+    half = SEARCH_CAP // 2 + 1
+    rule = SymbolicRule(name="wide", eval_fn=lambda k: 1, card_fn=lambda a: math.inf if a == 3 else half,
+                        members_fn=lambda a: members.append(a) or (None if a == 3 else frozenset()),
+                        m_sup=half, surjective=True, infinite_fibers=frozenset({3}))
+    m = IndexMap(rule=rule)
+    with pytest.raises(UnsupportedError,
+                       match=rf"^the image has {2 * half} entries or more, above SEARCH_CAP = {SEARCH_CAP}$"):
+        apply(m, from_entries(COUNTABLE, {3: 1, 2: 1, 1: 1}))  # sizes are read in index order
+    assert apply(m, from_entries(COUNTABLE, {3: 1, 1: 1})) == NotInL2(3)
+    assert members == []
 
 
 @pytest.mark.parametrize("op", [apply, apply_norm_sq, solve, in_domain],

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -320,10 +321,47 @@ def test_fiber_report_liar_rule_integrity_error():
     (dataclasses.replace(clamp_pred_rule(), m_sup=1), "finite-fiber bound 1"),
     (dataclasses.replace(odd_collapse_rule(), infinite_fibers=frozenset()), "infinite fibers"),
     (dataclasses.replace(successor_rule(), infinite_fibers=frozenset({3})), "infinite fibers"),
+    # the offender lies past a declared infinite fiber, which a bound of 0 must not name
+    (dataclasses.replace(odd_collapse_rule(), m_sup=0), r"finite-fiber bound 0 but fiber\(2\) has size 1"),
 ])
 def test_fiber_report_refutes_each_false_certificate(rule, claim):
     with pytest.raises(IntegrityError, match=claim):
         fiber_report(IndexMap(rule=rule))
+
+
+SIZES = st.sampled_from([0, 1, 2, 3, math.inf])
+
+
+@given(st.data())
+def test_window_check_refutes_exactly_the_false_claims(data):
+    W = data.draw(st.integers(1, 24), label="W")
+    profile = data.draw(st.lists(SIZES, min_size=W, max_size=W), label="profile")
+    w = data.draw(st.integers(1, W), label="w")
+    m_sup, surjective = data.draw(SIZES, label="m_sup"), data.draw(st.booleans(), label="surjective")
+    flips = data.draw(st.frozensets(st.integers(1, W + 2), max_size=2), label="flips")
+    infinite = flips ^ {a for a, c in enumerate(profile, 1) if c == math.inf}  # often exact
+    rule = SymbolicRule(name="drawn", eval_fn=lambda k: 1, card_fn=lambda a: profile[a - 1],
+                        members_fn=lambda a: None, m_sup=m_sup, surjective=surjective,
+                        infinite_fibers=infinite)
+    broken = {  # each claim, checked on its own over 1..W: the targets that break it
+        f"finite-fiber bound {m_sup}": {a for a, c in enumerate(profile, 1) if m_sup < c < math.inf},
+        "the map onto": {a for a, c in enumerate(profile, 1) if surjective and c == 0},
+        f"infinite fibers exactly over {sorted(infinite)}":
+            {a for a, c in enumerate(profile, 1) if (c == math.inf) != (a in infinite)},
+    }
+    m = IndexMap(rule=rule)
+    try:
+        m.window_sizes(w)
+        assert m.window_sizes(W) == tuple(profile)
+    except IntegrityError as exc:
+        claim, a, size = re.fullmatch(r"rule 'drawn' declares (.+) but fiber\((\d+)\) has size (\S+)",
+                                      str(exc)).groups()
+        assert int(a) in broken[claim]
+        assert size == ("infinite" if profile[int(a) - 1] == math.inf else str(profile[int(a) - 1]))
+        with pytest.raises(IntegrityError):  # a failed read caches nothing
+            m.window_sizes(W)
+    else:
+        assert not any(broken.values())
 
 
 def test_certificates_beyond_the_window_are_not_refuted():
