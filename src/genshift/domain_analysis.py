@@ -31,7 +31,7 @@ def in_domain(m: IndexMap, z: SparseVector) -> bool:
         raise DomainError("map and vector domains differ")
     if m.domain.is_finite:
         return True
-    return all(m.fiber_card(theta) != math.inf for theta in z.entries)
+    return math.inf not in map(m.rule.card_fn, z.entries)
 
 
 def fiber_records(m: IndexMap, count: int) -> tuple[array, tuple[int, ...]]:

@@ -38,6 +38,8 @@ class ClassificationReport:
 
 
 def _check_domains(m: IndexMap, x: SparseVector) -> None:
+    """The one index check of a vector operation: a canonical vector stores only indices of
+    its domain, so once the domains agree the map's tables and rule functions are read unchecked."""
     if m.domain != x.domain:
         raise DomainError("map and vector domains differ")
 
@@ -49,16 +51,13 @@ def apply(m: IndexMap, x: SparseVector) -> SparseVector | NotInL2:
     indices, read on a table from its fiber index ``m.preimages``: O(support
     + image) after the index's one-time O(n) build. A rule's sizes are read in
     index order before any member is built, up to an infinite fiber (NotInL2
-    names its index) or an image past SEARCH_CAP entries (UnsupportedError).
+    names its index) or an image past SEARCH_CAP entries (UnsupportedError);
+    that running total bounds every fiber, so ``members_fn`` is then read once per index.
     """
     _check_domains(m, x)
-    out = {}
     if m.domain.is_finite:
         pre = m.preimages
-        for theta, v in x.entries.items():
-            for beta in pre[theta]:
-                out[beta] = v
-        return SparseVector(m.domain, out)
+        return SparseVector(m.domain, {beta: v for theta, v in x.entries.items() for beta in pre[theta]})
     support = sorted(x.entries.items())
     total = 0
     for theta, _ in support:
@@ -68,10 +67,8 @@ def apply(m: IndexMap, x: SparseVector) -> SparseVector | NotInL2:
             found = (describe_fiber(theta, size) if size > SEARCH_CAP
                      else f"the image has {total} entries or more")
             raise UnsupportedError(f"{found}, above SEARCH_CAP = {SEARCH_CAP}")
-    for theta, v in support:
-        for beta in m.fiber(theta):
-            out[beta] = v
-    return SparseVector(m.domain, out)
+    members = m.rule.members_fn
+    return SparseVector(m.domain, {beta: v for theta, v in support for beta in members(theta)})
 
 
 def apply_norm_sq(m: IndexMap, x: SparseVector) -> float:
@@ -87,11 +84,8 @@ def apply_norm_sq(m: IndexMap, x: SparseVector) -> float:
     _check_domains(m, x)
     if m.domain.is_finite:
         counts = m.fiber_counts
-        return fsum_or_inf([
-            c * (v.real * v.real + v.imag * v.imag)
-            for theta, v in x.entries.items()
-            if (c := counts[theta - 1])
-        ])
+        return fsum_or_inf([c * ((re := v.real) * re + (im := v.imag) * im)
+                            for theta, v in x.entries.items() if (c := counts[theta - 1])])
     card = m.rule.card_fn
     terms = []
     for theta, v in x.entries.items():
@@ -99,7 +93,7 @@ def apply_norm_sq(m: IndexMap, x: SparseVector) -> float:
         if c == math.inf:
             return math.inf
         if c:
-            terms.append(c * (v.real * v.real + v.imag * v.imag))
+            terms.append(c * ((re := v.real) * re + (im := v.imag) * im))
     return fsum_or_inf(terms)
 
 
@@ -143,10 +137,12 @@ def solve(m: IndexMap, y: SparseVector) -> SparseVector:
         found = next((describe_fiber(b, c) for a, sizes in m.scan(DEFAULT_WINDOW)
                       for b, c in enumerate(sizes, start=a) if c >= 2), None)
         raise UnsupportedError("index map is not one-to-one" + (f": {found}" if found else ""))
-    out: dict[int, complex] = {}
+    if m.table is not None:  # a table's certificates are exact: one-to-one, it never collides
+        table = m.table
+        return SparseVector(m.domain, {table[beta - 1]: v for beta, v in y.entries.items()})
+    image, out = m.rule.eval_fn, {}
     for beta, v in y.entries.items():
-        alpha = m.eval(beta)
-        if alpha in out:  # a table's certificates are exact, so only a rule gets here
+        if (alpha := image(beta)) in out:
             other = next(b for b in y.entries if b != beta and m.eval(b) == alpha)
             raise IntegrityError(
                 f"rule {m.rule.name!r} certifies a one-to-one map but eval({other}) == eval({beta})"

@@ -49,7 +49,7 @@ def fsum_or_inf(terms: list[float]) -> float:
 
 
 def norm_sq(x: SparseVector) -> float:
-    return fsum_or_inf([v.real * v.real + v.imag * v.imag for v in x.entries.values()])
+    return fsum_or_inf([(re := v.real) * re + (im := v.imag) * im for v in x.entries.values()])
 
 
 def vector_to_json(x: SparseVector) -> list[dict]:

@@ -11,6 +11,7 @@ from genshift import (
     IndexMap,
     IntegrityError,
     SearchExhaustedError,
+    SymbolicRule,
     UnsupportedError,
     apply,
     classify,
@@ -64,6 +65,18 @@ def test_witness_clamp_pred_smallest_first():
     assert w.indices == (1, 2, 3, 4)
     assert w.fiber_sizes == (2, 1, 1, 1)
     assert w.min_distance_sq == Fraction(1, 2)
+
+
+def test_witness_sums_the_two_smallest_different_sizes():
+    # 1 -> 1 and k -> k // 2 + 1: the fiber over 1 is {1}, over a >= 2 it is {2a - 2, 2a - 1}
+    rule = SymbolicRule(name="one_then_pairs", eval_fn=lambda k: 1 if k == 1 else k // 2 + 1,
+                        card_fn=lambda a: 1 if a == 1 else 2,
+                        members_fn=lambda a: frozenset({1} if a == 1 else {2 * a - 2, 2 * a - 1}),
+                        m_sup=2, surjective=True, infinite_fibers=frozenset())
+    w = witness_sequence(IndexMap(rule=rule), 2)
+    assert w.fiber_sizes == (1, 2)
+    assert w.min_distance_sq == Fraction(3, 4)
+    assert w.pairwise_separation == math.sqrt(0.75)
 
 
 def test_witness_images_attain_the_separation():

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from genshift.dense_oracle import (
     structural_check,
     to_dense,
 )
+from genshift.index_domain import block_rule, odd_collapse_rule
 from helpers import (
     add,
     clamp_liar_rule,
@@ -94,6 +97,56 @@ def test_apply_image_past_the_search_budget_is_refused_before_any_member():
         apply(m, from_entries(COUNTABLE, {3: 1, 2: 1, 1: 1}))  # sizes are read in index order
     assert apply(m, from_entries(COUNTABLE, {3: 1, 1: 1})) == NotInL2(3)
     assert members == []
+
+
+def test_a_rule_apply_reads_each_fiber_once():
+    cards, members = Counter(), Counter()
+    block = block_rule(3)
+    rule = dataclasses.replace(block, card_fn=lambda a: cards.update([a]) or 3,
+                               members_fn=lambda a: members.update([a]) or block.members_fn(a))
+    x = from_entries(COUNTABLE, {9: 1, 2: 1j, 5: 2})
+    assert apply(IndexMap(rule=rule), x) == apply(symbolic_map("block", 3), x)
+    assert cards == members == Counter({2: 1, 5: 1, 9: 1})
+
+
+def test_in_domain_reads_each_size_at_most_once_and_stops_at_an_infinite_one():
+    cards = Counter()
+    oc = odd_collapse_rule()
+    m = IndexMap(rule=dataclasses.replace(oc, card_fn=lambda a: cards.update([a]) or oc.card_fn(a)))
+    assert not in_domain(m, from_entries(COUNTABLE, {4: 1, 1: 1, 6: 1}))
+    assert cards == Counter({4: 1, 1: 1})
+    cards.clear()
+    assert in_domain(m, from_entries(COUNTABLE, {4: 1, 6: 1}))
+    assert cards == Counter({4: 1, 6: 1})
+
+
+def test_vector_paths_never_reach_the_checked_accessors(monkeypatch):
+    calls = Counter()
+    for name in ("fiber", "fiber_card", "eval"):
+        def counted(self, a, _name=name, _method=getattr(IndexMap, name)):
+            calls.update([_name])
+            return _method(self, a)
+        monkeypatch.setattr(IndexMap, name, counted)
+    table, perm = make_finite_map([2, 2, 1, 3], 4), make_finite_map([3, 1, 4, 2], 4)
+    x = from_entries(table.domain, {1: 1, 2: 2j})
+    assert apply(table, x).entries == {3: 1, 1: 2j, 2: 2j}
+    assert solve(perm, x).entries == {3: 1, 1: 2j}
+    assert apply_norm_sq(table, x) == 9.0 and in_domain(table, x)
+    for m in (symbolic_map("block", 3), symbolic_map("doubling"), symbolic_map("odd_collapse")):
+        z = from_entries(COUNTABLE, {2: 1, 4: 1j})
+        apply(m, z), apply_norm_sq(m, z), in_domain(m, z)
+    assert solve(symbolic_map("doubling"), from_entries(COUNTABLE, {2: 1})).entries == {4: 1}
+    assert calls == {}
+
+
+def test_the_search_budget_is_inclusive():
+    assert symbolic_map("block", SEARCH_CAP).fiber(1) == frozenset(range(1, SEARCH_CAP + 1))
+    e1 = unit_vector(COUNTABLE, 1)
+    with pytest.raises(UnsupportedError, match=rf"^fiber\(1\) has size {SEARCH_CAP + 1}, above"):
+        apply(symbolic_map("block", SEARCH_CAP + 1), e1)
+    y = apply(symbolic_map("block", SEARCH_CAP // 2), from_entries(COUNTABLE, {1: 1, 2: 2}))
+    assert len(y.entries) == SEARCH_CAP
+    assert y[SEARCH_CAP // 2] == 1 and y[SEARCH_CAP // 2 + 1] == y[SEARCH_CAP] == 2
 
 
 @pytest.mark.parametrize("op", [apply, apply_norm_sq, solve, in_domain],
@@ -172,6 +225,33 @@ def test_apply_norm_sq_infinite_fiber():
     tiny = from_entries(COUNTABLE, {1: 1e-200})
     assert isinstance(apply(oc, tiny), NotInL2)
     assert apply_norm_sq(oc, tiny) == math.inf
+
+
+def reference_norm_sq(terms) -> float:
+    """math.fsum of c * (re*re + im*im) over (c, v); math.inf when the partial sum overflows."""
+    try:
+        return math.fsum(c * (v.real * v.real + v.imag * v.imag) for c, v in terms)
+    except OverflowError:
+        return math.inf
+
+
+# magnitudes whose squares overflow to inf, underflow to 0 or land in the subnormals
+extreme_components = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda mant, exp: mant * 10.0 ** exp, st.floats(-9.99, 9.99),
+              st.sampled_from([-308, -200, -162, -154, -150, 0, 150, 154, 162, 200, 307])),
+)
+extreme_scalars = st.builds(complex, extreme_components, extreme_components)
+BOUNDED_RULES = [("successor", None), ("clamp_pred", None), ("block", 2), ("block", 7), ("doubling", None)]
+
+
+@given(st.one_of(finite_maps(), st.sampled_from(BOUNDED_RULES).map(lambda r: symbolic_map(*r))), st.data())
+def test_the_norms_are_the_exact_fsum_of_their_terms(m, data):
+    x = data.draw(vectors_on(m.domain, max_index=40, values=extreme_scalars))
+    sizes = Counter(m.table) if m.table is not None else {a: len(m.fiber(a)) for a in x.entries}
+    assert norm_sq(x).hex() == reference_norm_sq((1, v) for v in x.entries.values()).hex()
+    expected = reference_norm_sq((sizes[a], v) for a, v in x.entries.items() if sizes[a])
+    assert apply_norm_sq(m, x).hex() == expected.hex()
 
 
 @given(map_and_vector())
@@ -388,8 +468,9 @@ def test_solve_collision_refutes_a_false_injectivity_certificate():
     m = IndexMap(rule=rule)
     assert classify(m).sigma_surjective is True
     assert solve(m, from_entries(COUNTABLE, {100: 1, 102: 2})).entries == {100: 1, 102: 2}
-    with pytest.raises(IntegrityError, match=r"rule 'late_collision' .* eval\(100\) == eval\(101\)"):
-        solve(m, from_entries(COUNTABLE, {100: 1, 101: 2}))
+    for y in ({100: 1, 101: 2}, {5: 3, 100: 1, 101: 2}):  # 5 comes first and collides with nothing
+        with pytest.raises(IntegrityError, match=r"rule 'late_collision' .* but eval\(100\) == eval\(101\)$"):
+            solve(m, from_entries(COUNTABLE, y))
 
 
 @given(permutation_maps(), st.data())

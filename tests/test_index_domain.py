@@ -309,6 +309,11 @@ def test_fiber_report_observed_infinite_fiber_certifies_unbounded():
     assert fiber_report(IndexMap(rule=parity_rule())) == math.inf
 
 
+def test_a_first_window_wholly_inside_the_declared_infinite_fibers():
+    # no finite fiber in the window, so there is no finite peak to check against m_sup = 0
+    assert IndexMap(rule=parity_rule()).window_sizes(2) == (math.inf, math.inf)
+
+
 def test_fiber_report_liar_rule_integrity_error():
     with pytest.raises(IntegrityError):
         fiber_report(IndexMap(rule=liar_rule()))
