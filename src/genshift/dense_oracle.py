@@ -2,16 +2,19 @@
 
 An independent numerical route used to validate the fiber-based analysis.
 The matrix A has a single 1 per row, at the image column, so A^T A is the
-diagonal matrix of fiber sizes and every nonzero singular value of A is the
-square root of a positive integer. One LAPACK SVD per matrix therefore gives
-the norm (the largest singular value), the exact rank (the number of
-singular values above 1/2) and unitarity (full rank and a norm below 5/4),
-with no reference to fibers; `sweep` runs that check over many maps.
+diagonal matrix of fiber sizes and the singular values of A, largest first,
+are the square roots of the fiber sizes, largest first. One LAPACK SVD per
+matrix therefore gives, with no reference to fibers, the norm (the largest
+singular value), the whole fiber profile (every singular value, compared
+with the library's fiber counts) and the exact rank (the number of singular
+values above 1/2), which is n iff the map is bijective; `sweep` runs that
+check over many maps.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -27,7 +30,7 @@ NORM_TOL = 1e-9  # acceptance criterion 1: |oracle norm - fiber norm| within thi
 
 @dataclass(frozen=True, eq=False)  # identity: an array has no truth value and no hash
 class DenseOperator:
-    """n x n 0/1 matrix with a 1 in row a at column eval(a).
+    """n x n float64 0/1 matrix with a 1 in row a at column eval(a).
 
     Each row holds exactly one 1 (the map is total and single-valued) and
     each column sum equals the corresponding fiber cardinality.
@@ -38,7 +41,7 @@ class DenseOperator:
     @memo
     def singular_values(self) -> np.ndarray:
         """Singular values of the matrix, largest first, from one SVD computed on first use."""
-        return np.linalg.svd(self.matrix.astype(np.float64), compute_uv=False)
+        return np.linalg.svd(self.matrix, compute_uv=False)
 
 
 def to_dense(m: IndexMap) -> DenseOperator:
@@ -48,7 +51,7 @@ def to_dense(m: IndexMap) -> DenseOperator:
     n = m.domain.size
     if n > DENSE_CAP:
         raise UnsupportedError(f"dense realisation capped at n = {DENSE_CAP}, got {n}")
-    A = np.zeros((n, n), dtype=np.int64)
+    A = np.zeros((n, n))
     A[np.arange(n), np.asarray(m.table) - 1] = 1
     return DenseOperator(A)
 
@@ -58,32 +61,18 @@ def spectral_norm(op: DenseOperator) -> float:
     return float(op.singular_values[0])
 
 
-@dataclass(frozen=True)
-class StructuralReport:
-    rank: int
-    injective: bool
-    surjective: bool
-    unitary: bool
-
-
-def structural_check(op: DenseOperator) -> StructuralReport:
-    """Exact verdicts for the dense matrix, read from its singular values.
+def structural_check(op: DenseOperator) -> int:
+    """The exact rank of the matrix: the number of its singular values above 1/2.
 
     A^T A is the diagonal matrix of fiber sizes, so every singular value is
     0 or the square root of an integer >= 1. LAPACK returns each within
     p(n)*eps*||A|| <= p(n)*eps*sqrt(n) of the true value (a modest
-    polynomial p), far below 0.16 at any n a dense matrix can hold, and
-    0.16 is less than the distance from the thresholds 1/2 and 5/4 to any
-    of 0, 1 and sqrt(2). So the rank is the number of singular values above
-    1/2, a square matrix is injective iff surjective iff of full rank, and
-    it is unitary iff it has full rank and sigma_max < 5/4 (every fiber
-    has exactly one element).
+    polynomial p), far below 1/2 at any n a dense matrix can hold. So the
+    rank is the number of nonempty fibers, and it is n exactly when the map
+    is bijective: then, and only then, the operator is one-to-one, onto and
+    an isometry at once.
     """
-    n = op.matrix.shape[0]
-    sv = op.singular_values
-    rank = int(np.count_nonzero(sv > 0.5))
-    unitary = bool(rank == n and sv[0] < 1.25)
-    return StructuralReport(rank=rank, injective=rank == n, surjective=rank == n, unitary=unitary)
+    return int(np.count_nonzero(op.singular_values > 0.5))
 
 
 def exhaustive_maps(n: int) -> Iterator[IndexMap]:
@@ -116,25 +105,28 @@ class MapAgreement:
 
 
 def check_map_agreement(m: IndexMap) -> MapAgreement:
-    """Compare the fiber-based analysis of one finite map against the oracle, norms within NORM_TOL."""
+    """Compare the fiber-based analysis of one finite map against the oracle.
+
+    The norms must agree within NORM_TOL, and so must every singular value
+    and the square root of the fiber size at its place in descending order;
+    the three structural verdicts must each equal the oracle's one bit, full
+    rank.
+    """
     op = to_dense(m)
     oracle = spectral_norm(op)
     structural = operator_norm(m)
     err = abs(oracle - structural)
+    fibers = map(math.sqrt, sorted(m.fiber_counts, reverse=True))
+    spectrum_ok = all(abs(s - f) <= NORM_TOL for s, f in zip(op.singular_values.tolist(), fibers))
     rep = classify(m)
-    st = structural_check(op)
-    cls_ok = (
-        rep.sigma_injective == st.injective
-        and rep.sigma_surjective == st.surjective
-        and rep.isometry == st.unitary
-    )
+    bijective = structural_check(op) == m.domain.size
     return MapAgreement(
         table=m.table,
         structural_norm=structural,
         oracle_norm=oracle,
         norm_error=err,
-        norm_ok=err <= NORM_TOL,
-        classification_ok=cls_ok,
+        norm_ok=err <= NORM_TOL and spectrum_ok,
+        classification_ok=rep.sigma_injective == rep.sigma_surjective == rep.isometry == bijective,
     )
 
 

@@ -15,7 +15,8 @@ from itertools import chain, repeat
 from operator import mul, truediv
 from typing import Iterator
 
-from .errors import ConstructionError, DomainError, SearchExhaustedError, UnsupportedError
+from .errors import ConstructionError, SearchExhaustedError, UnsupportedError
+from .gen_shift import _check_domains
 from .index_domain import COUNTABLE, DEFAULT_WINDOW, SEARCH_CAP, IndexMap, finite_runs
 from .sparse_vec import SparseVector
 
@@ -27,8 +28,7 @@ def in_domain(m: IndexMap, z: SparseVector) -> bool:
     a finite fiber, and agrees with apply(m, z) returning a vector. Every
     fiber of a map on {1..n} is finite, so there the answer is always True.
     """
-    if m.domain != z.domain:
-        raise DomainError("map and vector domains differ")
+    _check_domains(m, z)
     if m.domain.is_finite:
         return True
     return math.inf not in map(m.rule.card_fn, z.entries)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DomainError, IntegrityError, UnsupportedError
 from .index_domain import DEFAULT_WINDOW, SEARCH_CAP, IndexMap, describe_fiber, fiber_report
@@ -79,7 +80,8 @@ def apply_norm_sq(m: IndexMap, x: SparseVector) -> float:
     math.inf, even when its |v|^2 underflows to 0 (canonical vectors store
     no zeros). So the result is math.inf when apply returns NotInL2, and
     otherwise agrees with norm_sq(apply(m, x)), math.inf included when the
-    sum passes the float range.
+    sum passes the float range. A rule's size past the float range gives its
+    exact term, rounded once, or math.inf when that term passes the range.
     """
     _check_domains(m, x)
     if m.domain.is_finite:
@@ -93,7 +95,10 @@ def apply_norm_sq(m: IndexMap, x: SparseVector) -> float:
         if c == math.inf:
             return math.inf
         if c:
-            terms.append(c * ((re := v.real) * re + (im := v.imag) * im))
+            try:
+                terms.append(c * ((re := v.real) * re + (im := v.imag) * im))
+            except OverflowError:  # int c past the float range: fsum_or_inf rounds the exact term
+                terms.append(c * (Fraction(v.real) ** 2 + Fraction(v.imag) ** 2))
     return fsum_or_inf(terms)
 
 

@@ -41,10 +41,11 @@ def from_entries(domain: IndexSet, entries) -> SparseVector:
 
 
 def fsum_or_inf(terms: list[float]) -> float:
-    """math.fsum of nonnegative terms; math.inf when their sum passes the float range."""
+    """math.fsum of nonnegative terms, each rounded once to a float first (a Fraction
+    term too); math.inf when a term or their sum passes the float range."""
     try:
         return math.fsum(terms)
-    except OverflowError:  # finite terms whose partial sum overflows
+    except OverflowError:  # a Fraction term past the range, or finite terms whose sum overflows
         return math.inf
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 from collections import Counter
 
@@ -102,29 +104,24 @@ def test_spectral_norm_deterministic():
 
 
 def test_structural_check_permutation():
-    rep = structural_check(to_dense(make_finite_map([2, 3, 1], 3)))
-    assert rep.rank == 3 and rep.injective and rep.surjective and rep.unitary
+    assert structural_check(to_dense(make_finite_map([2, 3, 1], 3))) == 3
 
 
 def test_structural_check_constant_map():
-    rep = structural_check(to_dense(make_finite_map([1, 1, 1, 1], 4)))
-    assert rep.rank == 1
-    assert not rep.injective and not rep.surjective and not rep.unitary
+    assert structural_check(to_dense(make_finite_map([1, 1, 1, 1], 4))) == 1
 
 
 def test_structural_check_rank_two_example():
-    rep = structural_check(to_dense(make_finite_map([1, 1, 3], 3)))
-    assert rep.rank == 2 and not rep.injective
+    assert structural_check(to_dense(make_finite_map([1, 1, 3], 3))) == 2
 
 
 @given(finite_maps())
 def test_integer_rank_matches_float_oracle(m):
     op = to_dense(m)
-    rep = structural_check(op)
+    rank = structural_check(op)
     image_size = len(set(m.table))
-    assert rep.rank == np.linalg.matrix_rank(op.matrix.astype(np.float64))
-    assert rep.rank == image_size
-    assert rep.unitary == (image_size == m.domain.size)
+    assert rank == np.linalg.matrix_rank(op.matrix.astype(np.float64))
+    assert rank == image_size
     assert abs(spectral_norm(op) - math.sqrt(max(Counter(m.table).values()))) <= 1e-12
 
 
@@ -156,7 +153,7 @@ def test_malformed_table_never_reaches_the_oracle(monkeypatch):
 def test_unitary_iff_bijective_exhaustive_n4():
     for m in exhaustive_maps(4):
         bijective = len(set(m.table)) == 4
-        assert structural_check(to_dense(m)).unitary == bijective
+        assert (structural_check(to_dense(m)) == 4) == bijective
 
 
 def test_check_map_agreement_smoke():
@@ -180,3 +177,47 @@ def test_sweep_counts_worst_error_and_disagreements(monkeypatch):
     checked, worst, bad = sweep(exhaustive_maps(3))
     assert checked == 27
     assert [res.table for res in bad] == [m.table for m in exhaustive_maps(3)]
+
+
+# --- the oracle catches a wrong library answer --------------------------------
+
+def test_the_spectrum_catches_fiber_counts_with_the_right_top_count_and_zeros():
+    m = IndexMap(table=(1, 1, 1, 2, 2, 4))  # fiber sizes (3, 2, 0, 1, 0, 0)
+    m.__dict__["fiber_counts"] = (3, 1, 0, 1, 0, 0)  # the same largest count and the same zeros
+    res = check_map_agreement(m)
+    assert res.norm_error <= dense_oracle.NORM_TOL and res.classification_ok  # norm and rank agree
+    assert not res.norm_ok and not res.ok  # sqrt(2) against the singular value 1
+
+
+VERDICTS = ("sigma_injective", "sigma_surjective", "isometry")
+
+
+@pytest.mark.parametrize("flip", [(v,) for v in VERDICTS] + [VERDICTS], ids=[*VERDICTS, "all_three"])
+def test_a_flipped_verdict_is_caught(monkeypatch, flip):
+    true_classify = dense_oracle.classify
+
+    def flipped(m):
+        rep = true_classify(m)
+        return dataclasses.replace(rep, **{v: not getattr(rep, v) for v in flip})
+
+    maps = [make_finite_map(images, 3) for images in ([2, 3, 1], [1, 1, 3])]  # bijective, not
+    assert all(check_map_agreement(m).ok for m in maps)
+    monkeypatch.setattr(dense_oracle, "classify", flipped)
+    for m in maps:
+        res = check_map_agreement(m)
+        assert res.norm_ok and not res.classification_ok and not res.ok
+
+
+def test_a_wrong_top_singular_value_is_caught(monkeypatch):
+    m = make_finite_map([1, 1, 2], 3)  # singular values sqrt(2), 1, 0
+    assert check_map_agreement(m).ok
+    monkeypatch.setattr(dense_oracle, "spectral_norm", lambda op: float(op.singular_values[1]))
+    res = check_map_agreement(m)
+    assert res.oracle_norm == pytest.approx(1.0) and res.structural_norm == math.sqrt(2)
+    assert not res.norm_ok and not res.ok
+
+
+def test_every_table_up_to_n5_agrees_with_the_oracle():
+    checked, worst, bad = sweep(itertools.chain.from_iterable(exhaustive_maps(n) for n in range(2, 6)))
+    assert (checked, bad) == (4 + 27 + 256 + 3125, [])
+    assert worst <= dense_oracle.NORM_TOL
