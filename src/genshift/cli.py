@@ -10,11 +10,14 @@ significant digits so that reruns diff exactly, and "infinite" for infinities.
 Every document is streamed: ``_walk`` yields its small skeleton value by
 value, and each array that grows with the window or the witness comes from a
 helper that knows its shape (``_ints``, ``_pairs`` for records kept as columns,
-``_sizes``, ``_vector``, ``_half_units``, and ``_record_vector``, the divergence
+``_window``, ``_vector``, ``_half_units``, and ``_record_vector``, the divergence
 witness's vector from its index column) as pieces of at most ``PIECE`` entries,
-one ``%`` format each, so no int array goes through ``json``. ``_echo`` writes the
-pieces straight to ``sys.stdout`` and flushes once, so no document is joined
-whole, and peak memory is bounded by the computed values, not by the text.
+one ``%`` format each, so no int array goes through ``json``. Each window
+target's digits are formatted once: ``_window`` makes one piece of keys both the
+template of the ``{index: size}`` map and a piece of M, read from the runs
+``DomainReport.m_runs``, so ``analyze`` never builds M's tuple of ints. ``_echo``
+writes the pieces straight to ``sys.stdout`` and flushes once, so no document is
+joined whole, and peak memory is bounded by the computed values, not by the text.
 stdout never goes through ``click.echo``, whose default stream cache keeps
 every redirected stream alive; stderr lines pass it ``file=sys.stderr``.
 """
@@ -25,7 +28,7 @@ import json
 import math
 import sys
 from collections.abc import Iterator
-from itertools import repeat
+from itertools import chain, repeat
 from operator import attrgetter, truediv
 
 import click
@@ -55,11 +58,17 @@ def _float(x: float) -> str:
 def _pieces(open_: str, xs, body, close: str):
     """``open_``, then ``body(part, offset)`` for each PIECE-entry slice of ``xs``
     joined by commas, then ``close``."""
+    yield from _joined(open_, (body(xs[offset:offset + PIECE], offset)
+                               for offset in range(0, len(xs), PIECE)), close)
+
+
+def _joined(open_: str, parts, close: str):
+    """``open_``, then ``parts`` joined by commas, then ``close``."""
     yield open_
-    for offset in range(0, len(xs), PIECE):
-        if offset:
+    for i, part in enumerate(parts):
+        if i:
             yield ","
-        yield body(xs[offset:offset + PIECE], offset)
+        yield part
     yield close
 
 
@@ -71,7 +80,11 @@ def _format(template: str, *columns) -> str:
     args = [None] * (width * rows)
     for i, column in enumerate(columns):
         args[i::width] = column
-    text = ((template + ",") * rows)[:-1] % tuple(args)
+    return _infinite(((template + ",") * rows)[:-1] % tuple(args))
+
+
+def _infinite(text: str) -> str:
+    """As ``_float``: an infinity after a colon becomes "infinite"."""
     return text.replace(":inf", ':"infinite"').replace(":-inf", ':"infinite"')
 
 
@@ -86,10 +99,27 @@ def _pairs(firsts, seconds):
         "[%d,%d]", part, seconds[offset:offset + len(part)]), "]")
 
 
-def _sizes(sizes: tuple[int | float, ...]):
-    """The object {"a": size of fiber(a)} over targets 1..len(sizes)."""
-    return _pieces("{", sizes, lambda part, offset: _format(
-        '"%d":%s', range(offset + 1, offset + 1 + len(part)), part), "}")
+def _window(sizes: tuple[int | float, ...], runs):
+    """The object {"a": size of fiber(a)} over targets 1..len(sizes), as pieces, and
+    the pieces of the members of ``runs`` (increasing ranges of those targets), as
+    a list for ``_joined`` to write as often as needed.
+
+    Each piece of targets formats its keys once. That text is M's piece when one
+    run covers the piece, and, quoted, the template that one ``%`` fills with its sizes."""
+    starts = range(1, len(sizes) + 1, PIECE)
+    keys, members = [], []
+    for lo in starts:
+        hi = min(lo + starts.step, len(sizes) + 1)
+        keys.append(_format("%d", range(lo, hi)))
+        inside = [range(max(r.start, lo), min(r.stop, hi))
+                  for r in runs if r.start < hi and lo < r.stop]
+        if inside:  # a piece without a declared infinite target is one run
+            members.append(keys[-1] if inside == [range(lo, hi)]
+                           else _format("%d", [*chain(*inside)]))
+    cardinalities = (_infinite(('"' + text.replace(",", '":%s,"') + '":%s')  # '"1":%s,"2":%s'
+                               % sizes[lo - 1:lo - 1 + starts.step])
+                     for lo, text in zip(starts, keys))
+    return _joined("{", cardinalities, "}"), members
 
 
 def _vector(x: sparse_vec.SparseVector):
@@ -220,17 +250,17 @@ def analyze(map_file, window):
     sup = index_domain.fiber_report(m)
     rep = gen_shift.classify(m)
     domain = domain_analysis.domain_report(m, window)
-    m_members = tuple(_ints(domain.m_set))  # M, rendered once for both m_set keys
+    cardinalities, members = _window(sizes, domain.m_runs)  # M's pieces serve both m_set keys
     doc = {
         "schema_version": SCHEMA_VERSION,
         "map": _map_doc(m),
         "window": window,
         "fiber_report": {
-            "cardinalities": _sizes(sizes),
+            "cardinalities": cardinalities,
             "sup": max(sizes),
             "verdict": ({"kind": "certified_unbounded"} if sup == math.inf
                         else {"kind": "certified", "bound": sup}),
-            "m_set": iter(m_members),
+            "m_set": _joined("[", members, "]"),
         },
         "classification": {
             "maps_into_l2": rep.maps_into_l2,
@@ -242,7 +272,7 @@ def analyze(map_file, window):
         },
         "domain": {
             "m_set": {
-                "members": iter(m_members),
+                "members": _joined("[", members, "]"),
                 "window": None if m.domain.is_finite else window,  # a table's M is all of 1..n
                 "certified_infinite_fibers": sorted(m.certificates.infinite_fibers),
             },

@@ -131,26 +131,30 @@ class DomainReport:
     """Aggregate domain analysis: M, closedness, the uniform bound over M,
     and the record witness when closedness fails.
 
-    ``m_set`` is M on the window (all of a table's indices), increasing. The
+    ``m_runs`` is M on the window (all of a table's indices), as the maximal
+    runs ``finite_runs`` gives; ``m_set`` reads its members, increasing. The
     domain is closed exactly when it equals the vectors vanishing off M, so
     ``closed`` also answers whether that characterization holds.
     ``unbounded_witness`` holds the first records, as ``fiber_records`` returns them.
     """
 
-    m_set: tuple[int, ...]
+    m_runs: tuple[range, ...]
     closed: bool
     uniform_bound_on_m: int | float  # math.inf when certified unbounded
     unbounded_witness: tuple[array, tuple[int, ...]] | None
 
+    @property
+    def m_set(self) -> tuple[int, ...]:
+        return tuple(chain.from_iterable(self.m_runs))
+
 
 def domain_report(m: IndexMap, window: int = DEFAULT_WINDOW) -> DomainReport:
     sizes = m.window_sizes(window)
-    members = tuple(chain.from_iterable(finite_runs(m.certificates.infinite_fibers, 1, len(sizes) + 1)))
     bound = m.certificates.m_sup
     closed = bound != math.inf
     witness = None if closed else fiber_records(m, 8)
     return DomainReport(
-        m_set=members,
+        m_runs=tuple(finite_runs(m.certificates.infinite_fibers, 1, len(sizes) + 1)),
         closed=closed,
         uniform_bound_on_m=bound,
         unbounded_witness=witness,

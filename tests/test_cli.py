@@ -11,6 +11,7 @@ import sys
 import types
 import weakref
 from array import array
+from itertools import chain
 
 import pytest
 from click.testing import CliRunner
@@ -22,6 +23,8 @@ from genshift import (
     norm_sq, parse_vector, vector_to_json,
 )
 from genshift.cli import main
+from genshift.domain_analysis import DomainReport
+from genshift.index_domain import finite_runs
 from helpers import clamp_liar_rule, liar_rule
 
 
@@ -525,14 +528,23 @@ def test_half_unit_vectors_render_like_the_vector_helper(indices):
     assert joined(cli._half_units(indices)) == joined(cli._walk([cli._vector(x) for x in halves]))
 
 
+@pytest.mark.parametrize("piece", [1, 2, 3])
 @given(st.lists(st.just(math.inf) | st.integers(0, 10**12), max_size=40))
 @example([])
 @example([math.inf])
-@example([1, math.inf, math.inf, 4, 5])
-def test_size_map_helper_renders_like_the_generic_walker(sizes):
+@example([math.inf, math.inf, math.inf, 4])  # wholly infinite pieces
+@example([1, math.inf, math.inf, 4, 5, math.inf, 7])  # infinities at piece edges, a one-entry last piece
+def test_window_helper_renders_like_the_generic_walker(piece, sizes):
+    # infinities at random targets, and M as the finite runs around them
     sizes = tuple(sizes)
+    runs = finite_runs(frozenset(a for a, c in enumerate(sizes, start=1) if c == math.inf),
+                       1, len(sizes) + 1)
     plain = {str(a): "infinite" if c == math.inf else c for a, c in enumerate(sizes, start=1)}
-    assert joined(cli._sizes(sizes)) == joined(cli._walk(plain))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "PIECE", piece)
+        cardinalities, members = cli._window(sizes, runs)
+        assert "".join(cardinalities) == "".join(cli._walk(plain))
+        assert "".join(cli._joined("[", members, "]")) == "".join(cli._walk(list(chain(*runs))))
 
 
 @given(st.lists(st.integers()))
@@ -564,6 +576,21 @@ def test_large_outputs_are_rendered_by_shape(runner, tmp_path, monkeypatch, doc,
     assert calls < 200
 
 
+@pytest.mark.parametrize("doc", [ODD_COLLAPSE, IDENTITY5], ids=["odd_collapse", "table"])
+def test_analyze_renders_m_from_its_runs(runner, tmp_path, monkeypatch, doc):
+    # the same bytes when DomainReport.m_set, the members as one tuple, cannot be read
+    args = ["analyze", write(tmp_path, "m.json", doc), "--window", "10000"]
+    before = runner.invoke(main, args)
+
+    def unread(report):
+        raise AssertionError("analyze read DomainReport.m_set")
+
+    monkeypatch.setattr(DomainReport, "m_set", property(unread))
+    after = runner.invoke(main, args)
+    assert before.exit_code == after.exit_code == 0
+    assert after.output == before.output
+
+
 class RecordingStdout(io.StringIO):
     def __init__(self):
         super().__init__()
@@ -579,7 +606,10 @@ class RecordingStdout(io.StringIO):
      "f518233fb7d2d8f56505b6f790231e1640b5bd2b2941310a461265d0dbe25f2f"),
     (SUCCESSOR, ["analyze", "--window", "100000"], 2167171,
      "4df3b8d0e285ef72948cf3a1d10edbbe1e93919e20bace38d434951b04fb4988"),
-], ids=["divergence", "analyze"])
+    # the whole window: M's 2**20 - 1 members are written twice, never joined
+    (ODD_COLLAPSE, ["analyze", "--window", "1048576"], 26027332,
+     "80bdc1a6524250f2936c033b601c00b127acfc45556465de475aa2d57822c195"),
+], ids=["divergence", "analyze", "analyze_whole_window"])
 def test_large_documents_are_written_in_bounded_pieces(tmp_path, doc, args, size, sha256):
     # the bytes, hashed before the output was streamed, are unchanged
     out = RecordingStdout()

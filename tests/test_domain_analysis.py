@@ -32,6 +32,7 @@ from genshift import (
 from genshift.dense_oracle import (
     exhaustive_maps,
 )
+from genshift.index_domain import finite_runs
 from helpers import (
     add,
     clamp_liar_rule,
@@ -95,6 +96,19 @@ def test_m_set_finite_is_exact():
     m = make_finite_map([1, 1, 1, 1], 4)
     assert domain_report(m, window=2).m_set == (1, 2, 3, 4)  # a table ignores the window
     assert m.certificates.infinite_fibers == frozenset()
+
+
+@pytest.mark.parametrize("m, window, members", [
+    (symbolic_map("odd_collapse"), 1, ()),  # M is empty
+    (symbolic_map("odd_collapse"), 5000, tuple(range(2, 5001))),
+    (symbolic_map("block", 3), 12, tuple(range(1, 13))),
+    (make_finite_map([1, 1, 1, 1], 4), 2, (1, 2, 3, 4)),
+], ids=["odd_collapse_w1", "odd_collapse_w5000", "block", "table"])
+def test_m_is_kept_as_the_finite_runs(m, window, members):
+    rep = domain_report(m, window)
+    stop = len(m.window_sizes(window)) + 1
+    assert rep.m_runs == tuple(finite_runs(m.certificates.infinite_fibers, 1, stop))
+    assert rep.m_set == tuple(itertools.chain(*rep.m_runs)) == members
 
 
 def test_m_set_refutes_false_certificates():
