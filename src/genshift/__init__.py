@@ -14,6 +14,7 @@ from .errors import (
     DomainError,
     GenShiftError,
     IntegrityError,
+    NotInL2,
     ParseError,
     SearchExhaustedError,
     UnsupportedError,
@@ -40,7 +41,6 @@ from .sparse_vec import (
 )
 from .gen_shift import (
     ClassificationReport,
-    NotInL2,
     apply,
     apply_norm_sq,
     classify,

@@ -1,9 +1,10 @@
 """Command line front end: JSON files in, deterministic JSON out.
 
 Exit codes are stable: 0 ok, 2 parse error or usage, 3 integrity error, 4
-image not square-summable, 5 precondition failure (a witness, or a fiber past
-``SEARCH_CAP`` in ``apply``), 6 oracle disagreement. ``LIBRARY_EXITS`` maps each
-library error to its code and label, once around every command.
+image not square-summable, 5 precondition failure (a witness, or a rule's
+``apply`` image past ``SEARCH_CAP``), 6 oracle disagreement. ``LIBRARY_EXITS``
+maps each library refusal, codes 2 to 5, to its code and label, once around
+every command; a disagreement is a result, reported after stdout.
 One float rule, ``_float`` (``_format`` in the helpers), holds everywhere: 17
 significant digits so that reruns diff exactly, and "infinite" for infinities.
 
@@ -34,12 +35,12 @@ from operator import attrgetter, truediv
 import click
 
 from . import compact_witness, domain_analysis, gen_shift, index_domain, sparse_vec
-from .errors import GenShiftError, IntegrityError, ParseError, SearchExhaustedError, UnsupportedError
+from .errors import (GenShiftError, IntegrityError, NotInL2, ParseError, SearchExhaustedError,
+                     UnsupportedError)
 from .index_domain import IndexMap
 
 SCHEMA_VERSION = 1
 
-EXIT_NOT_IN_L2 = 4
 EXIT_DISAGREEMENT = 6
 
 DEFAULT_SEED = 74
@@ -204,19 +205,15 @@ def _load_map(path: str) -> IndexMap:
     return index_domain.parse_map(_load_json(path))
 
 
-def _fail(code: int, message: str):
-    click.echo(message, file=sys.stderr)  # not err=True, whose stream cache keeps sys.stderr alive
-    sys.exit(code)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
-# The library errors a command may end in, with their exit code and stderr label;
+# Every library refusal a command may end in, with its exit code and stderr label;
 # the first class that matches wins.
 LIBRARY_EXITS = (
     (ParseError, 2, "parse error"),
     (IntegrityError, 3, "integrity error"),
+    (NotInL2, 4, "image not square-summable"),
     ((UnsupportedError, SearchExhaustedError), 5, "precondition failed"),
 )
 
@@ -230,7 +227,8 @@ class _Commands(click.Group):
         except GenShiftError as exc:
             for cls, code, label in LIBRARY_EXITS:
                 if isinstance(exc, cls):
-                    _fail(code, f"{label}: {exc}")
+                    click.echo(f"{label}: {exc}", file=sys.stderr)
+                    sys.exit(code)
             raise
 
 
@@ -293,13 +291,7 @@ def apply_cmd(map_file, vector_file):
     """Apply the shift to a vector; prints the image in the vector file format."""
     m = _load_map(map_file)
     x = sparse_vec.parse_vector(_load_json(vector_file), m.domain)
-    y = gen_shift.apply(m, x)
-    if isinstance(y, gen_shift.NotInL2):
-        _fail(
-            EXIT_NOT_IN_L2,
-            f"image not square-summable: support index {y.index} has an infinite fiber",
-        )
-    _echo(_vector(y))
+    _echo(_vector(gen_shift.apply(m, x)))
 
 
 @main.command()

@@ -58,7 +58,7 @@ def witness_sequence(m: IndexMap, count: int) -> WitnessSequence:
         raise UnsupportedError("witness needs a map with a certified finite fiber bound")
     # bounded fibers are finite, so this skips exactly the empty ones
     nonempty = ((b, c) for a, sizes in m.scan(count) for b, c in enumerate(sizes, start=a) if c)
-    found = list(itertools.islice(nonempty, count))
+    found = list(itertools.islice(nonempty, min(count, SEARCH_CAP)))  # at most one per target
     if len(found) < count:
         # the search budget: SEARCH_CAP targets may hold fewer than count nonempty fibers
         raise SearchExhaustedError(

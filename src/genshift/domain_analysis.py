@@ -25,7 +25,7 @@ def in_domain(m: IndexMap, z: SparseVector) -> bool:
     """Whether the image of z is square-summable.
 
     For finitely supported z this holds exactly when every support index has
-    a finite fiber, and agrees with apply(m, z) returning a vector. Every
+    a finite fiber: exactly when apply(m, z) does not raise NotInL2. Every
     fiber of a map on {1..n} is finite, so there the answer is always True.
     """
     _check_domains(m, z)

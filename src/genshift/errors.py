@@ -27,3 +27,14 @@ class UnsupportedError(GenShiftError, RuntimeError):
 
 class SearchExhaustedError(GenShiftError, RuntimeError):
     """A windowed search hit its cap before finding what it needed."""
+
+
+class NotInL2(GenShiftError, ValueError):
+    """The image repeats the entry at support index ``index`` infinitely often."""
+
+    def __init__(self, index: int):
+        super().__init__(index)  # args == (index,), so a copy or a pickle rebuilds it
+        self.index = index
+
+    def __str__(self) -> str:
+        return f"support index {self.index} has an infinite fiber"

@@ -16,16 +16,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, IntegrityError, UnsupportedError
+from .errors import DomainError, IntegrityError, NotInL2, UnsupportedError
 from .index_domain import DEFAULT_WINDOW, SEARCH_CAP, IndexMap, describe_fiber, fiber_report
 from .sparse_vec import SparseVector, fsum_or_inf
-
-
-@dataclass(frozen=True)
-class NotInL2:
-    """Escape value: the image repeats the entry at ``index`` infinitely often."""
-
-    index: int
 
 
 @dataclass(frozen=True)
@@ -45,15 +38,15 @@ def _check_domains(m: IndexMap, x: SparseVector) -> None:
         raise DomainError("map and vector domains differ")
 
 
-def apply(m: IndexMap, x: SparseVector) -> SparseVector | NotInL2:
+def apply(m: IndexMap, x: SparseVector) -> SparseVector:
     """Image vector beta -> x[eval(beta)].
 
     The support of the result is the union of the fibers of x's support
     indices, read on a table from its fiber index ``m.preimages``: O(support
     + image) after the index's one-time O(n) build. A rule's sizes are read in
-    index order before any member is built, up to an infinite fiber (NotInL2
-    names its index) or an image past SEARCH_CAP entries (UnsupportedError);
-    that running total bounds every fiber, so ``members_fn`` is then read once per index.
+    index order before any member is built: an infinite fiber raises NotInL2,
+    naming its index, and an image past SEARCH_CAP entries UnsupportedError.
+    That running total bounds every fiber, so ``members_fn`` is then read once per index.
     """
     _check_domains(m, x)
     if m.domain.is_finite:
@@ -63,7 +56,7 @@ def apply(m: IndexMap, x: SparseVector) -> SparseVector | NotInL2:
     total = 0
     for theta, _ in support:
         if (size := m.rule.card_fn(theta)) == math.inf:
-            return NotInL2(theta)
+            raise NotInL2(theta)
         if (total := total + size) > SEARCH_CAP:
             found = (describe_fiber(theta, size) if size > SEARCH_CAP
                      else f"the image has {total} entries or more")
@@ -78,7 +71,7 @@ def apply_norm_sq(m: IndexMap, x: SparseVector) -> float:
     Two rules settle 0 * inf: an entry on an empty fiber adds 0, even when
     its |v|^2 overflows to inf, and an entry on an infinite fiber gives
     math.inf, even when its |v|^2 underflows to 0 (canonical vectors store
-    no zeros). So the result is math.inf when apply returns NotInL2, and
+    no zeros). So the result is math.inf when apply raises NotInL2, and
     otherwise agrees with norm_sq(apply(m, x)), math.inf included when the
     sum passes the float range. A rule's size past the float range gives its
     exact term, rounded once, or math.inf when that term passes the range.

@@ -139,7 +139,8 @@ def test_apply_odd_collapse_e1_exits_4(runner, tmp_path):
     result = runner.invoke(main, ["apply", write(tmp_path, "m.json", ODD_COLLAPSE),
                                   write(tmp_path, "v.json", E1)])
     assert result.exit_code == 4
-    assert "index 1" in result.output
+    assert result.stdout == ""
+    assert result.stderr == "image not square-summable: support index 1 has an infinite fiber\n"
 
 
 def test_apply_fiber_past_the_search_budget_exits_5(runner, tmp_path):
@@ -252,6 +253,20 @@ def test_witness_divergence_on_bounded_map_exits_5(runner, tmp_path):
     assert result.exit_code == 5
     assert result.output == ("precondition failed: map is certified bounded over M"
                              " (fiber bound 1)\n")
+
+
+@pytest.mark.parametrize("m, args, message", [
+    (SUCCESSOR, ["--kind", "compact", "--count", "9223372036854775808"],
+     "only 1048575 nonempty fibers within 1048576 targets; need 9223372036854775808"),
+    (TRIANGULAR, ["--kind", "divergence", "--K", "9223372036854775808"],
+     "found only 1048576 fiber-size records within 1048576 targets"),
+], ids=["compact", "divergence"])
+def test_witness_size_past_sys_maxsize_exits_5(runner, tmp_path, m, args, message):
+    # 2**63 passes click's IntRange; the search budget refuses it after at most SEARCH_CAP targets
+    result = runner.invoke(main, ["witness", write(tmp_path, "m.json", m), *args])
+    assert result.exit_code == 5
+    assert result.stdout == ""
+    assert result.stderr == f"precondition failed: {message}\n"
 
 
 def test_oracle_check_exhaustive_n3(runner):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,14 @@ def test_witness_search_cap_exhaustion_at_the_budget():
     # doubling's nonempty fibers are the even targets: half of the searched ones
     with pytest.raises(SearchExhaustedError):
         witness_sequence(symbolic_map("doubling"), SEARCH_CAP // 2 + 1)
+
+
+def test_witness_count_past_sys_maxsize_exhausts_the_search_budget():
+    # successor's nonempty fibers are targets 2, 3, ...: one short of the SEARCH_CAP searched
+    count = sys.maxsize + 1
+    with pytest.raises(SearchExhaustedError,
+                       match=rf"^only {SEARCH_CAP - 1} nonempty fibers within {SEARCH_CAP} targets; need {count}$"):
+        witness_sequence(symbolic_map("successor"), count)
 
 
 @pytest.mark.parametrize("rule", [clamp_liar_rule, liar_rule])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 from collections import Counter
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from genshift import (
     COUNTABLE,
     SEARCH_CAP,
     DomainError,
+    GenShiftError,
     IndexMap,
     IndexSet,
     IntegrityError,
@@ -77,12 +79,27 @@ def test_apply_constant_map_copies_everywhere():
     assert norm(y) == 2.0
 
 
+def refused_index(m, x) -> int:
+    """The index that the NotInL2 raised by ``apply(m, x)`` names."""
+    with pytest.raises(NotInL2) as refused:
+        apply(m, x)
+    return refused.value.index
+
+
 def test_apply_not_in_l2_reports_smallest_offender():
     oc = symbolic_map("odd_collapse")
-    assert apply(oc, from_entries(COUNTABLE, {1: 1, 4: 2})) == NotInL2(1)
+    assert refused_index(oc, from_entries(COUNTABLE, {1: 1, 4: 2})) == 1
     par = IndexMap(rule=parity_rule())
-    assert apply(par, from_entries(COUNTABLE, {2: 1, 1: 1})) == NotInL2(1)
-    assert apply(par, from_entries(COUNTABLE, {2: 1, 5: 1})) == NotInL2(2)
+    assert refused_index(par, from_entries(COUNTABLE, {2: 1, 1: 1})) == 1
+    assert refused_index(par, from_entries(COUNTABLE, {2: 1, 5: 1})) == 2
+
+
+def test_not_in_l2_is_a_library_error_naming_its_index():
+    exc = NotInL2(7)
+    assert isinstance(exc, GenShiftError)
+    assert exc.index == 7
+    assert str(exc) == "support index 7 has an infinite fiber"
+    assert pickle.loads(pickle.dumps(exc)).index == 7
 
 
 def test_apply_image_past_the_search_budget_is_refused_before_any_member():
@@ -96,7 +113,7 @@ def test_apply_image_past_the_search_budget_is_refused_before_any_member():
     with pytest.raises(UnsupportedError,
                        match=rf"^the image has {2 * half} entries or more, above SEARCH_CAP = {SEARCH_CAP}$"):
         apply(m, from_entries(COUNTABLE, {3: 1, 2: 1, 1: 1}))  # sizes are read in index order
-    assert apply(m, from_entries(COUNTABLE, {3: 1, 1: 1})) == NotInL2(3)
+    assert refused_index(m, from_entries(COUNTABLE, {3: 1, 1: 1})) == 3
     assert members == []
 
 
@@ -235,7 +252,7 @@ def test_apply_norm_sq_infinite_fiber():
     assert apply_norm_sq(oc, unit_vector(COUNTABLE, 2)) == 1.0
     # |x_1|^2 underflows to 0, yet x_1 != 0 sits on an infinite fiber: inf * 0 = inf
     tiny = from_entries(COUNTABLE, {1: 1e-200})
-    assert isinstance(apply(oc, tiny), NotInL2)
+    assert refused_index(oc, tiny) == 1
     assert apply_norm_sq(oc, tiny) == math.inf
 
 
