@@ -3,22 +3,22 @@
 Exit codes are stable: 0 ok, 2 parse error or usage, 3 integrity error, 4
 image not square-summable, 5 precondition failure (a witness, or a rule's
 ``apply`` image past ``SEARCH_CAP``), 6 oracle disagreement. ``LIBRARY_EXITS``
-maps each library refusal, codes 2 to 5, to its code and label, once around
-every command; a disagreement is a result, reported after stdout.
+maps each library refusal class, one per code from 2 to 5, to its code and label,
+once around every command; a disagreement is a result, reported after stdout.
 One float rule, ``_float`` (``_format`` in the helpers), holds everywhere: 17
 significant digits so that reruns diff exactly, and "infinite" for infinities.
 
 Every document is streamed: ``_walk`` yields its small skeleton value by
 value, and each array that grows with the window or the witness comes from a
-helper that knows its shape (``_ints``, ``_pairs`` for records kept as columns,
-``_window``, ``_vector``, ``_half_units``, and ``_record_vector``, the divergence
-witness's vector from its index column) as pieces of at most ``PIECE`` entries,
-one ``%`` format each, so no int array goes through ``json``. Each window
-target's digits are formatted once: ``_window`` makes one piece of keys both the
-template of the ``{index: size}`` map and a piece of M, read from the runs
-``DomainReport.m_runs``, so ``analyze`` never builds M's tuple of ints. ``_echo``
-writes the pieces straight to ``sys.stdout`` and flushes once, so no document is
-joined whole, and peak memory is bounded by the computed values, not by the text.
+helper that knows its shape (``_rows`` for stored columns, ``_window``, ``_vector``
+and ``_record_vector``, the divergence witness's vector from its index column)
+as pieces of at most ``PIECE`` entries, one ``%`` format each, so no int array
+goes through ``json``. Each window target's digits are formatted once: ``_window``
+makes one piece of keys both the template of the ``{index: size}`` map and a
+piece of M, read from the runs ``DomainReport.m_runs``, so ``analyze`` never
+builds M's tuple of ints. ``_echo`` writes the pieces straight to ``sys.stdout``
+and flushes once, so no document is joined whole, and peak memory is bounded by
+the computed values, not by the text.
 stdout never goes through ``click.echo``, whose default stream cache keeps
 every redirected stream alive; stderr lines pass it ``file=sys.stderr``.
 """
@@ -35,8 +35,7 @@ from operator import attrgetter, truediv
 import click
 
 from . import compact_witness, domain_analysis, gen_shift, index_domain, sparse_vec
-from .errors import (GenShiftError, IntegrityError, NotInL2, ParseError, SearchExhaustedError,
-                     UnsupportedError)
+from .errors import GenShiftError, IntegrityError, NotInL2, ParseError, UnsupportedError
 from .index_domain import IndexMap
 
 SCHEMA_VERSION = 1
@@ -89,15 +88,11 @@ def _infinite(text: str) -> str:
     return text.replace(":inf", ':"infinite"').replace(":-inf", ':"infinite"')
 
 
-def _ints(xs):
-    """An array of ints."""
-    return _pieces("[", xs, lambda part, _: _format("%d", part), "]")
-
-
-def _pairs(firsts, seconds):
-    """The array of int pairs [firsts[i], seconds[i]], such as (index, size) records kept as columns."""
-    return _pieces("[", firsts, lambda part, offset: _format(
-        "[%d,%d]", part, seconds[offset:offset + len(part)]), "]")
+def _rows(template: str, first, *rest):
+    """The array of ``template`` filled from row i of the stored columns ``first``, *``rest``:
+    ``"%d"`` for an int array, ``"[%d,%d]"`` for (index, size) records kept as columns."""
+    return _pieces("[", first, lambda part, offset: _format(
+        template, part, *(column[offset:offset + len(part)] for column in rest)), "]")
 
 
 def _window(sizes: tuple[int | float, ...], runs):
@@ -138,11 +133,6 @@ def _record_vector(indices):
     return _pieces("[", indices, lambda part, offset: _format(
         '{"i":%d,"re":%.17g,"im":0}', part,
         map(truediv, repeat(1.0), range(offset + 1, offset + 1 + len(part)))), "]")
-
-
-def _half_units(indices):
-    """The vectors (1/2) e_a, one per index, as ``_vector`` renders each."""
-    return _pieces("[", indices, lambda part, _: _format('[{"i":%d,"re":0.5,"im":0}]', part), "]")
 
 
 def _walk(doc):
@@ -186,7 +176,7 @@ def _echo(doc) -> None:
 def _map_doc(m: IndexMap) -> dict:
     doc = index_domain.map_to_json(m)
     if m.table is not None:
-        doc["images"] = _ints(m.table)  # table-sized
+        doc["images"] = _rows("%d", m.table)  # table-sized
     return doc
 
 
@@ -208,13 +198,13 @@ def _load_map(path: str) -> IndexMap:
 # ---------------------------------------------------------------------------
 # commands
 
-# Every library refusal a command may end in, with its exit code and stderr label;
-# the first class that matches wins.
+# Every library refusal a command may end in, one class per row, with its exit code and
+# stderr label; a budget refusal (SearchExhaustedError) is an UnsupportedError.
 LIBRARY_EXITS = (
     (ParseError, 2, "parse error"),
     (IntegrityError, 3, "integrity error"),
     (NotInL2, 4, "image not square-summable"),
-    ((UnsupportedError, SearchExhaustedError), 5, "precondition failed"),
+    (UnsupportedError, 5, "precondition failed"),
 )
 
 
@@ -278,7 +268,7 @@ def analyze(map_file, window):
             "uniform_bound_on_m": domain.uniform_bound_on_m,
             "characterization_holds": domain.closed,
             "unbounded_witness": (None if domain.unbounded_witness is None
-                                  else _pairs(*domain.unbounded_witness)),
+                                  else _rows("[%d,%d]", *domain.unbounded_witness)),
         },
     }
     _echo(doc)
@@ -308,20 +298,20 @@ def witness(map_file, kind, count, truncation):
     if kind == "compact":
         w = compact_witness.witness_sequence(m, count)
         doc |= {
-            "indices": _ints(w.indices),
-            "fiber_sizes": _ints(w.fiber_sizes),
+            "indices": _rows("%d", w.indices),
+            "fiber_sizes": _rows("%d", w.fiber_sizes),
             "min_distance_sq": {
                 "num": w.min_distance_sq.numerator,
                 "den": w.min_distance_sq.denominator,
             },
             "pairwise_separation": w.pairwise_separation,
-            "vectors": _half_units(w.indices),
+            "vectors": _rows('[{"i":%d,"re":0.5,"im":0}]', w.indices),  # (1/2) e_a, as _vector writes it
         }
     else:
         w = domain_analysis.divergence_witness(m, truncation)
         doc |= {
             "K": truncation,
-            "records": _pairs(w.indices, w.fiber_sizes),
+            "records": _rows("[%d,%d]", w.indices, w.fiber_sizes),
             "vector_norm_sq": w.vector_norm_sq,
             "image_norm_sq_lower_bound": w.image_norm_sq_lower_bound,
             "vector": _record_vector(w.indices),

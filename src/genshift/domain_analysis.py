@@ -18,7 +18,7 @@ from typing import Iterator
 from .errors import ConstructionError, SearchExhaustedError, UnsupportedError
 from .gen_shift import _check_domains
 from .index_domain import COUNTABLE, DEFAULT_WINDOW, SEARCH_CAP, IndexMap, finite_runs
-from .sparse_vec import SparseVector
+from .sparse_vec import SparseVector, fsum_or_inf
 
 
 def in_domain(m: IndexMap, z: SparseVector) -> bool:
@@ -73,9 +73,10 @@ class DivergenceWitness:
     The entry 1/k sits at the k-th record index, whose fiber size n_k is
     strictly increasing, hence n_k >= k. The image norm squared is therefore
     at least sum of n_k / k^2 >= sum of 1/k, the K-th harmonic number, while
-    the vector norm squared stays below pi^2 / 6. Only the records are kept,
-    as the columns ``fiber_records`` returns; ``records`` and ``vector`` are
-    built from them on each read.
+    the vector norm squared stays below pi^2 / 6. The bound is math.inf when a
+    term n_k / k^2 or their sum passes the float range. Only the records are
+    kept, as the columns ``fiber_records`` returns; ``records`` and ``vector``
+    are built from them on each read.
     """
 
     indices: array
@@ -123,7 +124,7 @@ def divergence_witness(m: IndexMap, K: int) -> DivergenceWitness:
             f"found only {len(sizes)} fiber-size records within {SEARCH_CAP} targets"
         )
     squares = map(mul, range(1, K + 1), range(1, K + 1))
-    return DivergenceWitness(indices, sizes, math.fsum(map(truediv, sizes, squares)))
+    return DivergenceWitness(indices, sizes, fsum_or_inf(map(truediv, sizes, squares)))
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ class UnsupportedError(GenShiftError, RuntimeError):
     """Operation precondition not met for this map."""
 
 
-class SearchExhaustedError(GenShiftError, RuntimeError):
-    """A windowed search hit its cap before finding what it needed."""
+class SearchExhaustedError(UnsupportedError):
+    """A windowed search hit its cap first: a budget refusal, so an UnsupportedError."""
 
 
 class NotInL2(GenShiftError, ValueError):

@@ -113,6 +113,10 @@ class SymbolicRule(Certificates):
     members_fn: Callable[[int], frozenset[int] | None]
     param: int | None = None
 
+    def __post_init__(self):
+        if math.inf > self.m_sup > sys.float_info.max:  # exact for ints; the norm must be a float
+            raise ConstructionError(f"rule {self.name!r} declares finite-fiber bound past the float range")
+
 
 @dataclass(frozen=True, kw_only=True)
 class IndexMap:
@@ -280,8 +284,6 @@ def block_rule(b: int) -> SymbolicRule:
     """Compress consecutive blocks of length b: every fiber has size exactly b."""
     if not isinstance(b, int) or isinstance(b, bool) or b < 1:
         raise ConstructionError(f"block size must be an integer >= 1, got {b!r}")
-    if b > sys.float_info.max:  # exact for ints; the norm sqrt(b) must be a float
-        raise ConstructionError(f"block size {b} exceeds the float range")
     return SymbolicRule(
         name="block",
         eval_fn=lambda k: (k - 1) // b + 1,
@@ -380,29 +382,27 @@ def map_to_json(m: IndexMap) -> dict:
 
 
 def parse_map(doc: object) -> IndexMap:
-    """Parse the map file format (the inverse of map_to_json)."""
+    """Parse the map file format (the inverse of map_to_json); a constructor's
+    ConstructionError becomes a ParseError with the same text."""
     if not isinstance(doc, dict):
         raise ParseError("map document must be a JSON object")
     kind = doc.get("kind")
-    if kind == "finite":
-        images = doc.get("images")
-        if not isinstance(images, list):
-            raise ParseError('finite map needs an "images" array')
-        try:
+    try:
+        if kind == "finite":
+            images = doc.get("images")
+            if not isinstance(images, list):
+                raise ParseError('finite map needs an "images" array')
             return make_finite_map(images, len(images))
-        except ConstructionError as exc:
-            raise ParseError(str(exc)) from exc
-    if kind == "symbolic":
-        name = doc.get("name")
-        if not isinstance(name, str):
-            raise ParseError('symbolic map needs a "name" string')
-        param = doc.get("param")
-        if param is not None and (not isinstance(param, int) or isinstance(param, bool)):
-            raise ParseError('"param" must be an integer')
-        try:
+        if kind == "symbolic":
+            name = doc.get("name")
+            if not isinstance(name, str):
+                raise ParseError('symbolic map needs a "name" string')
+            param = doc.get("param")
+            if param is not None and (not isinstance(param, int) or isinstance(param, bool)):
+                raise ParseError('"param" must be an integer')
             return symbolic_map(name, param)
-        except ConstructionError as exc:
-            raise ParseError(str(exc)) from exc
+    except ConstructionError as exc:
+        raise ParseError(str(exc)) from exc
     raise ParseError(f'map "kind" must be "finite" or "symbolic", got {kind!r}')
 
 

@@ -40,12 +40,12 @@ def from_entries(domain: IndexSet, entries) -> SparseVector:
     return SparseVector(domain, out)
 
 
-def fsum_or_inf(terms: list[float]) -> float:
+def fsum_or_inf(terms) -> float:
     """math.fsum of nonnegative terms, each rounded once to a float first (a Fraction
-    term too); math.inf when a term or their sum passes the float range."""
+    term too); math.inf when a term, its lazy computation, or their sum passes the float range."""
     try:
         return math.fsum(terms)
-    except OverflowError:  # a Fraction term past the range, or finite terms whose sum overflows
+    except OverflowError:  # a term past the range (a Fraction, an int quotient), or a sum that overflows
         return math.inf
 
 

@@ -19,8 +19,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genshift import (
-    COUNTABLE, DivergenceWitness, apply, cli, from_entries, index_domain, make_finite_map,
-    norm_sq, parse_vector, vector_to_json,
+    COUNTABLE, DivergenceWitness, IntegrityError, NotInL2, ParseError, SearchExhaustedError,
+    UnsupportedError, apply, cli, from_entries, index_domain, make_finite_map, norm_sq,
+    parse_vector, vector_to_json,
 )
 from genshift.cli import main
 from genshift.domain_analysis import DomainReport
@@ -86,7 +87,7 @@ def test_analyze_malformed_file_exits_2(runner, tmp_path):
     for args in (["analyze", str(path)], ["witness", str(path), "--kind", "compact"]):
         result = runner.invoke(main, args)
         assert result.exit_code == 2
-        assert result.output.startswith("parse error: block size")
+        assert result.output.startswith("parse error: rule 'block' declares finite-fiber bound")
     path.write_text(json.dumps({"kind": "symbolic", "name": "block", "param": 10**300}))
     result = runner.invoke(main, ["analyze", str(path)])
     assert result.exit_code == 0
@@ -437,6 +438,10 @@ LABELS = {2: "parse error: ", 3: "integrity error: ", 4: "image not square-summa
 
 @settings(max_examples=600)
 @given(cli_requests())
+@example(({"m.json": {"kind": "finite", "images": [1, 7]}}, ["analyze", "m.json"]))  # exit 2
+@example(({"m.json": {"kind": "symbolic", "name": "liar"}}, ["analyze", "m.json"]))  # exit 3
+@example(({"m.json": ODD_COLLAPSE, "v.json": E1}, ["apply", "m.json", "v.json"]))  # exit 4
+@example(({"m.json": IDENTITY5}, ["witness", "m.json", "--kind", "compact"]))  # exit 5
 def test_every_input_ends_in_a_documented_exit_code(case):
     files, args = case
     runner = CliRunner()
@@ -455,6 +460,13 @@ def test_every_input_ends_in_a_documented_exit_code(case):
         assert result.stdout == ""
         assert result.stderr.startswith(LABELS[result.exit_code])
         assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+
+
+def test_each_exit_row_names_one_class():
+    # a budget refusal is an UnsupportedError, so it ends in row 5 with every other precondition
+    rows = [(cls, code) for cls, code, _ in cli.LIBRARY_EXITS]
+    assert rows == [(ParseError, 2), (IntegrityError, 3), (NotInL2, 4), (UnsupportedError, 5)]
+    assert issubclass(SearchExhaustedError, UnsupportedError)
 
 
 def test_analyze_output_is_deterministic(runner, tmp_path):
@@ -531,7 +543,7 @@ def test_record_vector_renders_like_the_witness_vector(records):
 def test_record_helper_renders_like_the_generic_walker(records):
     indices, sizes = records
     pairs = list(zip(indices, sizes))
-    assert joined(cli._pairs(indices, sizes)) == joined(cli._walk(pairs))
+    assert joined(cli._rows("[%d,%d]", indices, sizes)) == joined(cli._walk(pairs))
 
 
 @given(st.lists(st.integers(1, 10**12), max_size=40))
@@ -540,7 +552,8 @@ def test_record_helper_renders_like_the_generic_walker(records):
 @example([1, 2, 3])
 def test_half_unit_vectors_render_like_the_vector_helper(indices):
     halves = [from_entries(COUNTABLE, {a: 0.5}) for a in indices]
-    assert joined(cli._half_units(indices)) == joined(cli._walk([cli._vector(x) for x in halves]))
+    halves_text = cli._rows('[{"i":%d,"re":0.5,"im":0}]', indices)
+    assert joined(halves_text) == joined(cli._walk([cli._vector(x) for x in halves]))
 
 
 @pytest.mark.parametrize("piece", [1, 2, 3])
@@ -568,8 +581,8 @@ def test_window_helper_renders_like_the_generic_walker(piece, sizes):
 @example([-1, 0, -(2**63), -(10**30)])  # negatives, one past a piece
 @example([2**63, 2**64 + 1, 10**30])  # above int64
 def test_int_array_helper_renders_like_the_generic_walker(xs):
-    assert joined(cli._ints(xs)) == joined(cli._walk(xs))
-    assert joined(cli._walk({"k": cli._ints(xs)})) == joined(cli._walk({"k": xs}))
+    assert joined(cli._rows("%d", xs)) == joined(cli._walk(xs))
+    assert joined(cli._walk({"k": cli._rows("%d", xs)})) == joined(cli._walk({"k": xs}))
 
 
 @pytest.mark.parametrize("doc, args", [

@@ -20,6 +20,7 @@ from genshift import (
     SymbolicRule,
     UnsupportedError,
     apply,
+    apply_norm_sq,
     divergence_witness,
     domain_report,
     fiber_records,
@@ -239,6 +240,30 @@ def test_divergence_sums_equal_the_per_record_sums(m, K):
         size / (k * k) for k, (_, size) in enumerate(records, start=1))
     assert w.vector_norm_sq == math.fsum((1.0 / k) * (1.0 / k) for k in range(1, K + 1))
     assert w.vector_norm_sq == norm_sq(w.vector)
+
+
+def towers_rule() -> SymbolicRule:
+    """The a-th consecutive block of length 10**(400a) goes to a: every fiber finite, none a float."""
+    def below(a):  # the indices that map below a
+        return sum(10 ** (400 * j) for j in range(1, a))
+    return SymbolicRule(
+        name="towers",
+        eval_fn=lambda k: next(a for a in itertools.count(1) if k <= below(a + 1)),
+        card_fn=lambda a: 10 ** (400 * a),
+        members_fn=lambda a: frozenset(range(below(a) + 1, below(a + 1) + 1)),
+        m_sup=math.inf,
+        surjective=True,
+        infinite_fibers=frozenset(),
+    )
+
+
+def test_divergence_bound_past_the_float_range_is_infinite():
+    # each term n_k / k^2 passes the float range: the bound is math.inf, as apply_norm_sq gives
+    m = IndexMap(rule=towers_rule())
+    w = divergence_witness(m, 2)
+    assert w.image_norm_sq_lower_bound == math.inf == apply_norm_sq(m, w.vector)
+    assert w.records == ((1, 10**400), (2, 10**800))
+    assert w.vector_norm_sq == 1.25
 
 
 def test_divergence_witness_hashes_by_value():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -236,6 +237,20 @@ def test_block_rule_rejects_bad_sizes():
         symbolic_map("successor", 3)  # unexpected param
     with pytest.raises(ConstructionError):
         symbolic_map("no_such_rule")
+
+
+def test_a_finite_bound_past_the_float_range_is_refused_by_any_rule():
+    # the norm sqrt(m_sup) must be a float; block's own parameter is one such bound among many
+    def wide_block(b):
+        return SymbolicRule(name="wide_block", eval_fn=lambda k: (k - 1) // b + 1, card_fn=lambda a: b,
+                            members_fn=lambda a: frozenset(range(b * (a - 1) + 1, b * a + 1)),
+                            m_sup=b, surjective=True, infinite_fibers=frozenset())
+
+    with pytest.raises(ConstructionError,
+                       match=r"^rule 'wide_block' declares finite-fiber bound past the float range$"):
+        wide_block(10**400)
+    for b in (10**300, int(sys.float_info.max)):
+        assert operator_norm(IndexMap(rule=wide_block(b))) == math.sqrt(b)
 
 
 # --- fiber_report ---------------------------------------------------------
