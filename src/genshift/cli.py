@@ -10,15 +10,15 @@ significant digits so that reruns diff exactly, and "infinite" for infinities.
 
 Every document is streamed: ``_walk`` yields its small skeleton value by
 value, and each array that grows with the window or the witness comes from a
-helper that knows its shape (``_rows`` for stored columns, ``_window``, ``_vector``
-and ``_record_vector``, the divergence witness's vector from its index column)
-as pieces of at most ``PIECE`` entries, one ``%`` format each, so no int array
-goes through ``json``. Each window target's digits are formatted once: ``_window``
-makes one piece of keys both the template of the ``{index: size}`` map and a
-piece of M, read from the runs ``DomainReport.m_runs``, so ``analyze`` never
-builds M's tuple of ints. ``_echo`` writes the pieces straight to ``sys.stdout``
-and flushes once, so no document is joined whole, and peak memory is bounded by
-the computed values, not by the text.
+helper that knows its shape (``_rows`` for columns, stored or computed, and
+``_window``) as pieces of at most ``PIECE`` entries, one ``%`` format each, so
+no int array goes through ``json``. Each window target's digits are formatted
+once: ``_window`` makes one piece of keys both the template of the
+``{index: size}`` map and a piece of M, read from the runs
+``DomainReport.m_runs``, so ``analyze`` never builds M's tuple of ints.
+``_echo`` writes the pieces straight to ``sys.stdout`` and flushes once, so no
+document is joined whole, and peak memory is bounded by the computed values,
+not by the text.
 stdout never goes through ``click.echo``, whose default stream cache keeps
 every redirected stream alive; stderr lines pass it ``file=sys.stderr``.
 """
@@ -29,8 +29,8 @@ import json
 import math
 import sys
 from collections.abc import Iterator
-from itertools import chain, repeat
-from operator import attrgetter, truediv
+from itertools import chain, islice
+from operator import attrgetter
 
 import click
 
@@ -53,13 +53,6 @@ PIECE = 4096  # entries per piece of an array that grows with the window or the 
 
 def _float(x: float) -> str:
     return '"infinite"' if math.isinf(x) else format(x, ".17g")
-
-
-def _pieces(open_: str, xs, body, close: str):
-    """``open_``, then ``body(part, offset)`` for each PIECE-entry slice of ``xs``
-    joined by commas, then ``close``."""
-    yield from _joined(open_, (body(xs[offset:offset + PIECE], offset)
-                               for offset in range(0, len(xs), PIECE)), close)
 
 
 def _joined(open_: str, parts, close: str):
@@ -89,10 +82,13 @@ def _infinite(text: str) -> str:
 
 
 def _rows(template: str, first, *rest):
-    """The array of ``template`` filled from row i of the stored columns ``first``, *``rest``:
+    """The array of ``template`` filled from row i of the columns ``first`` (a sequence, cut
+    into pieces of PIECE rows), *``rest`` (iterables, stored or computed, read in step):
     ``"%d"`` for an int array, ``"[%d,%d]"`` for (index, size) records kept as columns."""
-    return _pieces("[", first, lambda part, offset: _format(
-        template, part, *(column[offset:offset + len(part)] for column in rest)), "]")
+    rest = [iter(column) for column in rest]
+    parts = (first[offset:offset + PIECE] for offset in range(0, len(first), PIECE))
+    yield from _joined("[", (_format(template, part, *(islice(c, len(part)) for c in rest))
+                             for part in parts), "]")
 
 
 def _window(sizes: tuple[int | float, ...], runs):
@@ -120,19 +116,10 @@ def _window(sizes: tuple[int | float, ...], runs):
 
 def _vector(x: sparse_vec.SparseVector):
     """``vector_to_json(x)`` rendered straight from the entries."""
-    entries = x.entries
-    def body(keys, _):
-        values = list(map(entries.__getitem__, keys))
-        return _format('{"i":%d,"re":%.17g,"im":%.17g}', keys,
-                       map(attrgetter("real"), values), map(attrgetter("imag"), values))
-    return _pieces("[", sorted(entries), body, "]")  # keys only: no (index, value) tuples
-
-
-def _record_vector(indices):
-    """As ``_vector`` renders a divergence witness's vector: 1/k at the k-th record's index."""
-    return _pieces("[", indices, lambda part, offset: _format(
-        '{"i":%d,"re":%.17g,"im":0}', part,
-        map(truediv, repeat(1.0), range(offset + 1, offset + 1 + len(part)))), "]")
+    keys, value = sorted(x.entries), x.entries.__getitem__  # keys only: no (index, value) tuples
+    return _rows('{"i":%d,"re":%.17g,"im":%.17g}', keys,
+                 map(attrgetter("real"), map(value, keys)),
+                 map(attrgetter("imag"), map(value, keys)))
 
 
 def _walk(doc):
@@ -314,7 +301,7 @@ def witness(map_file, kind, count, truncation):
             "records": _rows("[%d,%d]", w.indices, w.fiber_sizes),
             "vector_norm_sq": w.vector_norm_sq,
             "image_norm_sq_lower_bound": w.image_norm_sq_lower_bound,
-            "vector": _record_vector(w.indices),
+            "vector": _rows('{"i":%d,"re":%.17g,"im":0}', w.indices, w.weights),
         }
     _echo(doc)
 

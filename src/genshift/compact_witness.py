@@ -57,14 +57,14 @@ def witness_sequence(m: IndexMap, count: int) -> WitnessSequence:
     if m.certificates.sup_card == math.inf:
         raise UnsupportedError("witness needs a map with a certified finite fiber bound")
     # bounded fibers are finite, so this skips exactly the empty ones
-    nonempty = ((b, c) for a, sizes in m.scan(count) for b, c in enumerate(sizes, start=a) if c)
-    found = list(itertools.islice(nonempty, min(count, SEARCH_CAP)))  # at most one per target
-    if len(found) < count:
+    nonempty = (b for a, sizes in m.scan(count) for b, c in enumerate(sizes, start=a) if c)
+    indices = tuple(itertools.islice(nonempty, min(count, SEARCH_CAP)))  # at most one per target
+    if len(indices) < count:
         # the search budget: SEARCH_CAP targets may hold fewer than count nonempty fibers
         raise SearchExhaustedError(
-            f"only {len(found)} nonempty fibers within {SEARCH_CAP} targets; need {count}"
+            f"only {len(indices)} nonempty fibers within {SEARCH_CAP} targets; need {count}"
         )
-    indices, sizes = zip(*found)
+    sizes = tuple(filter(None, m.window_sizes(indices[-1])))  # scanned and checked: the cache
     smallest_two = sorted(sizes)[:2]
     min_sq = Fraction(smallest_two[0] + smallest_two[1], 4)
     return WitnessSequence(

@@ -61,11 +61,6 @@ def fiber_records(m: IndexMap, count: int) -> tuple[array, tuple[int, ...]]:
     return indices, tuple(sizes)
 
 
-def _reciprocals(K: int) -> Iterator[float]:
-    """1/k for k = 1..K."""
-    return map(truediv, repeat(1.0), range(1, K + 1))
-
-
 @dataclass(frozen=True)
 class DivergenceWitness:
     """A square-summable vector whose image norm admits a divergent bound.
@@ -75,8 +70,8 @@ class DivergenceWitness:
     at least sum of n_k / k^2 >= sum of 1/k, the K-th harmonic number, while
     the vector norm squared stays below pi^2 / 6. The bound is math.inf when a
     term n_k / k^2 or their sum passes the float range. Only the records are
-    kept, as the columns ``fiber_records`` returns; ``records`` and ``vector``
-    are built from them on each read.
+    kept, as the columns ``fiber_records`` returns; ``weights`` is where 1/k
+    lives, and it, ``records`` and ``vector`` are built on each read.
     """
 
     indices: array
@@ -93,15 +88,18 @@ class DivergenceWitness:
         return tuple(zip(self.indices, self.fiber_sizes))
 
     @property
+    def weights(self) -> Iterator[float]:
+        """The vector's entries in index order, 1/k for k = 1..K: a fresh iterator each read."""
+        return map(truediv, repeat(1.0), range(1, len(self.indices) + 1))
+
+    @property
     def vector(self) -> SparseVector:
-        entries = dict(zip(self.indices, map(complex, _reciprocals(len(self.indices)))))
-        return SparseVector(COUNTABLE, entries)
+        return SparseVector(COUNTABLE, dict(zip(self.indices, map(complex, self.weights))))
 
     @property
     def vector_norm_sq(self) -> float:
         """``norm_sq(self.vector)``: the same terms, summed without building the vector."""
-        K = len(self.indices)
-        return math.fsum(map(mul, _reciprocals(K), _reciprocals(K)))
+        return math.fsum(map(mul, self.weights, self.weights))
 
 
 def divergence_witness(m: IndexMap, K: int) -> DivergenceWitness:

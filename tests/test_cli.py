@@ -531,7 +531,8 @@ def increasing_records(draw):
 def test_record_vector_renders_like_the_witness_vector(records):
     indices, sizes = records
     w = DivergenceWitness(indices, sizes, 0.0)
-    assert joined(cli._record_vector(indices)) == joined(cli._walk(vector_to_json(w.vector)))
+    vector_text = cli._rows('{"i":%d,"re":%.17g,"im":0}', indices, w.weights)
+    assert joined(vector_text) == joined(cli._walk(vector_to_json(w.vector)))
     assert w.vector_norm_sq == norm_sq(w.vector)
 
 

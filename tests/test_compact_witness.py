@@ -54,6 +54,14 @@ def test_witness_successor_three_vectors():
     assert all(norm(v) == 0.5 for v in w.vectors)
 
 
+def test_witness_reads_sizes_past_the_first_scan_chunk():
+    # the scan's first chunk is targets 1..100, holding 50 of doubling's even targets
+    w = witness_sequence(symbolic_map("doubling"), 100)
+    assert w.indices == tuple(range(2, 201, 2))
+    assert w.fiber_sizes == (1,) * 100
+    assert w.min_distance_sq == Fraction(1, 2)
+
+
 def test_witness_block2_distance_one():
     w = witness_sequence(symbolic_map("block", 2), 2)
     assert w.fiber_sizes == (2, 2)

@@ -206,6 +206,8 @@ def test_divergence_witness_vector_entries_are_reciprocals():
     w = divergence_witness(symbolic_map("triangular"), 6)
     assert w.vector.entries[3] == complex(1.0 / 3)
     assert w.vector.entries[6] == complex(1.0 / 6)
+    assert list(w.weights) == [1.0 / k for k in range(1, 7)]
+    assert list(w.weights) == [1.0 / k for k in range(1, 7)]  # a fresh iterator on each read
 
 
 def test_divergence_bound_is_monotone_in_k():
