@@ -382,8 +382,9 @@ def map_to_json(m: IndexMap) -> dict:
 
 
 def parse_map(doc: object) -> IndexMap:
-    """Parse the map file format (the inverse of map_to_json); a constructor's
-    ConstructionError becomes a ParseError with the same text."""
+    """Parse the map file format (the inverse of map_to_json); the constructors are the
+    one check of ``name`` and ``param``, and their ConstructionError becomes a ParseError
+    with the same text."""
     if not isinstance(doc, dict):
         raise ParseError("map document must be a JSON object")
     kind = doc.get("kind")
@@ -397,10 +398,7 @@ def parse_map(doc: object) -> IndexMap:
             name = doc.get("name")
             if not isinstance(name, str):
                 raise ParseError('symbolic map needs a "name" string')
-            param = doc.get("param")
-            if param is not None and (not isinstance(param, int) or isinstance(param, bool)):
-                raise ParseError('"param" must be an integer')
-            return symbolic_map(name, param)
+            return symbolic_map(name, doc.get("param"))
     except ConstructionError as exc:
         raise ParseError(str(exc)) from exc
     raise ParseError(f'map "kind" must be "finite" or "symbolic", got {kind!r}')

@@ -581,18 +581,27 @@ def test_map_json_round_trip_symbolic(name, param):
     assert again.rule.name == name and again.rule.param == param
 
 
-@pytest.mark.parametrize("doc", [
-    42,
-    {"kind": "nonsense"},
-    {"kind": "finite"},
-    {"kind": "finite", "images": [1, 9]},
-    {"kind": "finite", "images": [1]},
-    {"kind": "symbolic"},
-    {"kind": "symbolic", "name": "block", "param": "wide"},
-    {"kind": "symbolic", "name": "unknown"},
-])
-def test_parse_map_rejects_malformed(doc):
-    with pytest.raises(ParseError):
+MALFORMED_MAPS = [
+    (42, "map document must be a JSON object"),
+    ({"kind": "nonsense"}, "map \"kind\" must be \"finite\" or \"symbolic\", got 'nonsense'"),
+    ({"kind": "finite"}, 'finite map needs an "images" array'),
+    ({"kind": "finite", "images": [1, 9]}, "image at position 2 is 9, not in 1..2"),
+    ({"kind": "finite", "images": [1]}, "finite index set must have size >= 2, got 1"),
+    ({"kind": "symbolic"}, 'symbolic map needs a "name" string'),
+    ({"kind": "symbolic", "name": "block", "param": "wide"}, "block size must be an integer >= 1, got 'wide'"),
+    ({"kind": "symbolic", "name": "unknown"}, "unknown symbolic rule 'unknown'"),
+    ({"kind": "symbolic", "name": "block", "param": True}, "block size must be an integer >= 1, got True"),
+    ({"kind": "symbolic", "name": "block", "param": 2.5}, "block size must be an integer >= 1, got 2.5"),
+    ({"kind": "symbolic", "name": "successor", "param": "x"}, "rule 'successor' takes no param"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc,message", MALFORMED_MAPS, ids=["42"] + [f"doc{i}" for i in range(1, len(MALFORMED_MAPS))]
+)
+def test_parse_map_rejects_malformed(doc, message):
+    # the constructors are the one check of name and param; parse_map keeps their text
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         parse_map(doc)
 
 
