@@ -222,7 +222,7 @@ def analyze(map_file, window):
     """Fiber report, operator classification and domain analysis for a map."""
     m = _load_map(map_file)
     sizes = m.window_sizes(window)  # first, so a window past DEFAULT_WINDOW checks the certificates
-    sup = index_domain.fiber_report(m)
+    cert = m.certificates
     rep = gen_shift.classify(m)
     domain = domain_analysis.domain_report(m, window)
     cardinalities, members = _window(sizes, domain.m_runs)  # M's pieces serve both m_set keys
@@ -233,8 +233,8 @@ def analyze(map_file, window):
         "fiber_report": {
             "cardinalities": cardinalities,
             "sup": max(sizes),
-            "verdict": ({"kind": "certified_unbounded"} if sup == math.inf
-                        else {"kind": "certified", "bound": sup}),
+            "verdict": ({"kind": "certified_unbounded"} if cert.sup_card == math.inf
+                        else {"kind": "certified", "bound": cert.sup_card}),
             "m_set": _joined("[", members, "]"),
         },
         "classification": {
@@ -249,11 +249,11 @@ def analyze(map_file, window):
             "m_set": {
                 "members": _joined("[", members, "]"),
                 "window": None if m.domain.is_finite else window,  # a table's M is all of 1..n
-                "certified_infinite_fibers": sorted(m.certificates.infinite_fibers),
+                "certified_infinite_fibers": sorted(cert.infinite_fibers),
             },
-            "closed": domain.closed,
-            "uniform_bound_on_m": domain.uniform_bound_on_m,
-            "characterization_holds": domain.closed,
+            "closed": cert.closed,
+            "uniform_bound_on_m": cert.m_sup,
+            "characterization_holds": cert.closed,
             "unbounded_witness": (None if domain.unbounded_witness is None
                                   else _rows("[%d,%d]", *domain.unbounded_witness)),
         },
@@ -317,22 +317,15 @@ def oracle_check(n, exhaustive, random_count, seed):
     """Agreement sweep between the fiber analysis and the dense oracle."""
     if exhaustive == (random_count is not None):
         raise click.UsageError("pass exactly one of --exhaustive or --random R")
-    import numpy as np  # only this command needs numpy, so the others start without it
-    from . import dense_oracle
-    if exhaustive:
-        if n > dense_oracle.EXHAUSTIVE_CAP:
-            raise click.UsageError(f"--exhaustive needs n <= {dense_oracle.EXHAUSTIVE_CAP}")
-        maps = dense_oracle.exhaustive_maps(n)
-        mode = "exhaustive"
-    else:
-        tables = dense_oracle.random_tables(n, random_count, np.random.default_rng(seed))
-        maps = (IndexMap(table=t) for t in tables)
-        mode = "random"
-    checked, max_err, bad = dense_oracle.sweep(maps)
+    if exhaustive and n > index_domain.EXHAUSTIVE_CAP:
+        raise click.UsageError(f"--exhaustive needs n <= {index_domain.EXHAUSTIVE_CAP}")
+    from . import dense_oracle  # only this command needs numpy, so the others start without it
+    checked, max_err, bad = dense_oracle.sweep(dense_oracle.exhaustive_maps(n) if exhaustive
+                                               else dense_oracle.random_maps(n, random_count, seed))
     doc = {
         "schema_version": SCHEMA_VERSION,
         "n": n,
-        "mode": mode,
+        "mode": "exhaustive" if exhaustive else "random",
         "seed": seed,
         "maps_checked": checked,
         "disagreements": len(bad),

@@ -22,9 +22,8 @@ import numpy as np
 
 from .errors import UnsupportedError
 from .gen_shift import classify, operator_norm
-from .index_domain import DENSE_CAP, IndexMap, IndexSet, memo
+from .index_domain import DENSE_CAP, EXHAUSTIVE_CAP, IndexMap, IndexSet, memo
 
-EXHAUSTIVE_CAP = 7
 NORM_TOL = 1e-9  # acceptance criterion 1: |oracle norm - fiber norm| within this bound
 
 
@@ -83,9 +82,12 @@ def exhaustive_maps(n: int) -> Iterator[IndexMap]:
     return (IndexMap(table=images) for images in itertools.product(range(1, n + 1), repeat=n))
 
 
-def random_tables(n: int, count: int, rng: np.random.Generator) -> Iterator[tuple[int, ...]]:
+def random_maps(n: int, count: int, seed: int | np.random.Generator) -> Iterator[IndexMap]:
+    """``count`` uniformly random maps on {1..n}, drawn from ``np.random.default_rng(seed)``,
+    which returns a ``Generator`` seed as it is, so a caller may go on drawing from its own."""
+    rng = np.random.default_rng(seed)
     for _ in range(count):
-        yield tuple(int(v) for v in rng.integers(1, n + 1, size=n))
+        yield IndexMap(table=tuple(int(v) for v in rng.integers(1, n + 1, size=n)))
 
 
 @dataclass(frozen=True)

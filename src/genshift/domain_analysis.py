@@ -1,9 +1,10 @@
 """The natural domain of the shift: vectors whose image stays square-summable.
 
 For finitely supported z, membership is exactly "every support index has a
-finite fiber", so the finite-fiber index set M carries all the structure:
-membership, closedness of the domain as a subspace, and the divergence
-certificates produced when fiber sizes over M grow without bound.
+finite fiber", so the finite-fiber index set M carries the structure:
+membership, and the divergence certificates produced when fiber sizes over M
+grow without bound. Closedness of the domain as a subspace is the one derived
+fact ``m.certificates.closed``, a finite bound over M; this module reads it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from operator import mul, truediv
 from typing import Iterator
 
@@ -71,7 +72,7 @@ class DivergenceWitness:
     the vector norm squared stays below pi^2 / 6. The bound is math.inf when a
     term n_k / k^2 or their sum passes the float range. Only the records are
     kept, as the columns ``fiber_records`` returns; ``weights`` is where 1/k
-    lives, and it, ``records`` and ``vector`` are built on each read.
+    lives, and it and ``vector`` are built on each read.
     """
 
     indices: array
@@ -81,11 +82,6 @@ class DivergenceWitness:
     def __hash__(self) -> int:
         # an array is unhashable; equal arrays hold equal values, whatever their typecodes
         return hash((tuple(self.indices), self.fiber_sizes, self.image_norm_sq_lower_bound))
-
-    @property
-    def records(self) -> tuple[tuple[int, int], ...]:
-        """The (index, fiber size) pairs."""
-        return tuple(zip(self.indices, self.fiber_sizes))
 
     @property
     def weights(self) -> Iterator[float]:
@@ -113,9 +109,8 @@ def divergence_witness(m: IndexMap, K: int) -> DivergenceWitness:
     if K < 1:
         raise ConstructionError(f"K must be >= 1, got {K}")
     m.window_sizes(min(K, SEARCH_CAP))  # the scan's first window: refutes a false certificate
-    certified = m.certificates.m_sup
-    if certified != math.inf:
-        raise UnsupportedError(f"map is certified bounded over M (fiber bound {certified})")
+    if m.certificates.closed:
+        raise UnsupportedError(f"map is certified bounded over M (fiber bound {m.certificates.m_sup})")
     indices, sizes = fiber_records(m, K)
     if len(sizes) < K:
         raise SearchExhaustedError(
@@ -127,34 +122,23 @@ def divergence_witness(m: IndexMap, K: int) -> DivergenceWitness:
 
 @dataclass(frozen=True)
 class DomainReport:
-    """Aggregate domain analysis: M, closedness, the uniform bound over M,
-    and the record witness when closedness fails.
+    """What the domain analysis computes beyond ``m.certificates``: M and, when
+    the domain is not closed, the record witness.
 
     ``m_runs`` is M on the window (all of a table's indices), as the maximal
-    runs ``finite_runs`` gives; ``m_set`` reads its members, increasing. The
-    domain is closed exactly when it equals the vectors vanishing off M, so
-    ``closed`` also answers whether that characterization holds.
-    ``unbounded_witness`` holds the first records, as ``fiber_records`` returns them.
+    runs ``finite_runs`` gives. ``unbounded_witness`` holds the first records,
+    as ``fiber_records`` returns them, exactly when ``m.certificates.closed``
+    is False; closedness itself, and the bound over M, stay on the certificates.
     """
 
     m_runs: tuple[range, ...]
-    closed: bool
-    uniform_bound_on_m: int | float  # math.inf when certified unbounded
     unbounded_witness: tuple[array, tuple[int, ...]] | None
-
-    @property
-    def m_set(self) -> tuple[int, ...]:
-        return tuple(chain.from_iterable(self.m_runs))
 
 
 def domain_report(m: IndexMap, window: int = DEFAULT_WINDOW) -> DomainReport:
     sizes = m.window_sizes(window)
-    bound = m.certificates.m_sup
-    closed = bound != math.inf
-    witness = None if closed else fiber_records(m, 8)
+    cert = m.certificates
     return DomainReport(
-        m_runs=tuple(finite_runs(m.certificates.infinite_fibers, 1, len(sizes) + 1)),
-        closed=closed,
-        uniform_bound_on_m=bound,
-        unbounded_witness=witness,
+        m_runs=tuple(finite_runs(cert.infinite_fibers, 1, len(sizes) + 1)),
+        unbounded_witness=None if cert.closed else fiber_records(m, 8),
     )

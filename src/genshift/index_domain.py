@@ -24,6 +24,7 @@ from .errors import ConstructionError, DomainError, IntegrityError, ParseError, 
 DEFAULT_WINDOW = 64
 SEARCH_CAP = 1 << 20  # targets any search past a window may read: the one search budget
 DENSE_CAP = 2048  # largest n the dense oracle realises; here so the CLI can bound --n without numpy
+EXHAUSTIVE_CAP = 7  # largest n whose n^n tables the dense oracle enumerates; here for the same reason
 
 
 class memo:
@@ -78,7 +79,8 @@ class Certificates:
     infinite fiber. The global bound ``sup_card`` is infinite when some
     fiber or ``m_sup`` is, and ``m_sup`` when no fiber is. ``injective`` is
     False when some fiber is infinite or ``m_sup > 1``, True when none is
-    and ``m_sup <= 1``. Being derived, neither can contradict the others.
+    and ``m_sup <= 1``. The natural domain is ``closed`` exactly when
+    ``m_sup`` is finite. Being derived, none can contradict the others.
     """
 
     m_sup: int | float
@@ -94,6 +96,11 @@ class Certificates:
     def injective(self) -> bool:
         """Certified injectivity, derived from the certificates."""
         return not self.infinite_fibers and self.m_sup <= 1
+
+    @property
+    def closed(self) -> bool:
+        """Whether the natural domain is closed: the finite fibers are uniformly bounded."""
+        return self.m_sup != math.inf
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from genshift import (
 )
 from genshift.dense_oracle import (
     exhaustive_maps,
-    random_tables,
+    random_maps,
     spectral_norm,
     structural_check,
     to_dense,
@@ -78,8 +78,7 @@ def test_criterion_1_norm_formula():
             count += 1
         assert count == 3125
         rng12 = np.random.default_rng(42)
-        for table in random_tables(12, 1000, rng12):
-            m = IndexMap(table=table)
+        for m in random_maps(12, 1000, rng12):
             err = abs(spectral_norm(to_dense(m)) - operator_norm(m))
             worst = max(worst, err)
         elapsed = time.monotonic() - start
@@ -95,7 +94,7 @@ def test_criterion_2_image_norm_identity():
         checked = 0
         for _ in range(9000):
             n = int(rng.integers(2, 13))
-            m = IndexMap(table=next(random_tables(n, 1, rng)))
+            m = next(random_maps(n, 1, rng))
             x = _random_vector(rng, m.domain, n, size=int(rng.integers(1, n + 1)))
             lhs = norm_sq(apply(m, x))
             rhs = apply_norm_sq(m, x)
@@ -171,7 +170,7 @@ def test_criterion_5_divergence_witness():
             w = divergence_witness(tri, K)
             assert norm_sq(w.vector) < basel + 1e-9
             # exact integer certification: record sizes grow at least linearly
-            assert all(size >= k for k, (_, size) in enumerate(w.records, start=1))
+            assert all(size >= k for k, size in enumerate(w.fiber_sizes, start=1))
             harmonic = math.fsum(1.0 / k for k in range(1, K + 1))
             assert w.image_norm_sq_lower_bound >= harmonic
             assert w.image_norm_sq_lower_bound > previous
@@ -190,17 +189,19 @@ def test_criterion_6_domain_theorem():
         ]
         vectors = [(s, from_entries(dom, {i: 1.0 for i in s})) for s in supports]
         for m in exhaustive_maps(6):
-            members = domain_report(m).m_set
+            members = set(itertools.chain(*domain_report(m).m_runs))
             for support, z in vectors:
                 assert in_domain(m, z) == support.issubset(members)
         tri = symbolic_map("triangular")
-        assert domain_report(tri).closed is False
+        assert domain_report(tri).unbounded_witness is not None
+        assert tri.certificates.closed is False
         _, sizes = fiber_records(tri, 10)
         assert all(b > a for a, b in zip(sizes, sizes[1:]))  # strictly increasing
         block3 = symbolic_map("block", 3)
         rep = domain_report(block3)
-        assert rep.closed is True
-        assert rep.uniform_bound_on_m == 3
+        assert rep.unbounded_witness is None
+        assert block3.certificates.closed is True
+        assert block3.certificates.m_sup == 3
 
     _run(6, "natural domain characterization", body)
 
@@ -215,7 +216,7 @@ def test_criterion_6_domain_theorem_infinite_fibers():
             (IndexMap(rule=parity_rule()), tuple(range(3, window + 1))),
         ]
         for m, expected_members in cases:
-            members = domain_report(m, window).m_set
+            members = tuple(itertools.chain(*domain_report(m, window).m_runs))
             assert members == expected_members  # closed-form finite-fiber set
             for r in range(4):
                 for support in itertools.combinations(range(1, window + 1), r):
@@ -229,8 +230,8 @@ def test_criterion_7_compactness():
     def body():
         rng = np.random.default_rng(7)
         for n in range(2, 8):
-            for table in random_tables(n, 40, rng):
-                assert classify(IndexMap(table=table)).compact is True
+            for m in random_maps(n, 40, rng):
+                assert classify(m).compact is True
         for name, param in BOUNDED_RULES + [("triangular", None), ("odd_collapse", None)]:
             assert classify(symbolic_map(name, param)).compact is False
         w = witness_sequence(symbolic_map("successor"), 100)
@@ -262,8 +263,8 @@ def test_criterion_8_unit_vector_images():
                 check(m)
         rng = np.random.default_rng(8)
         for n in range(5, 9):
-            for table in random_tables(n, 200, rng):
-                check(IndexMap(table=table))
+            for m in random_maps(n, 200, rng):
+                check(m)
         oc = symbolic_map("odd_collapse")
         with pytest.raises(NotInL2) as refused:
             apply(oc, unit_vector(COUNTABLE, 1))

@@ -24,7 +24,7 @@ from genshift import (
     parse_vector, vector_to_json,
 )
 from genshift.cli import main
-from genshift.domain_analysis import DomainReport
+from genshift.domain_analysis import DomainReport, domain_report
 from genshift.index_domain import finite_runs
 from helpers import clamp_liar_rule, liar_rule
 
@@ -606,18 +606,16 @@ def test_large_outputs_are_rendered_by_shape(runner, tmp_path, monkeypatch, doc,
 
 
 @pytest.mark.parametrize("doc", [ODD_COLLAPSE, IDENTITY5], ids=["odd_collapse", "table"])
-def test_analyze_renders_m_from_its_runs(runner, tmp_path, monkeypatch, doc):
-    # the same bytes when DomainReport.m_set, the members as one tuple, cannot be read
+def test_analyze_renders_m_from_its_runs(runner, tmp_path, doc):
+    # M's runs are all the report keeps of M: both m_set keys print their members, the same bytes each run
+    assert [f.name for f in dataclasses.fields(DomainReport)] == ["m_runs", "unbounded_witness"]
     args = ["analyze", write(tmp_path, "m.json", doc), "--window", "10000"]
-    before = runner.invoke(main, args)
-
-    def unread(report):
-        raise AssertionError("analyze read DomainReport.m_set")
-
-    monkeypatch.setattr(DomainReport, "m_set", property(unread))
-    after = runner.invoke(main, args)
+    before, after = runner.invoke(main, args), runner.invoke(main, args)
     assert before.exit_code == after.exit_code == 0
     assert after.output == before.output
+    out = json.loads(after.output)
+    members = [*chain(*domain_report(index_domain.parse_map(doc), 10000).m_runs)]
+    assert out["fiber_report"]["m_set"] == out["domain"]["m_set"]["members"] == members
 
 
 class RecordingStdout(io.StringIO):
@@ -674,6 +672,20 @@ def test_import_leaves_numpy_out(module):
     code = f"import sys, {module}; sys.exit('numpy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_oracle_check_past_the_exhaustive_cap_leaves_numpy_out():
+    # the cap is index_domain's constant, checked before the oracle, and numpy with it, is imported
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    n = index_domain.EXHAUSTIVE_CAP + 1
+    code = ("import sys\nfrom genshift.cli import main\n"
+            f"try:\n    main(['oracle-check', '--n', '{n}', '--exhaustive'])\n"
+            "except SystemExit as exc:\n    print(exc.code, 'numpy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            timeout=60)
+    assert result.stdout == "2 False\n"
+    assert result.stderr.endswith(f"Error: --exhaustive needs n <= {index_domain.EXHAUSTIVE_CAP}\n")
 
 
 PUBLIC_NAMES = sorted([

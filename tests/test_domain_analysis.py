@@ -84,23 +84,23 @@ def test_domain_is_a_subspace(data):
     assert in_domain(oc, combo)
 
 
-# --- M: DomainReport.m_set, with the certified complement on the map ------------
+# --- M: DomainReport.m_runs, with the certified complement on the map -----------
 
 def test_m_set_bounded_rules_cover_everything():
     m = symbolic_map("block", 3)
-    assert domain_report(m, window=12).m_set == tuple(range(1, 13))
+    assert tuple(itertools.chain(*domain_report(m, window=12).m_runs)) == tuple(range(1, 13))
     assert m.certificates.infinite_fibers == frozenset()
 
 
 def test_m_set_odd_collapse_excludes_one():
     m = symbolic_map("odd_collapse")
-    assert domain_report(m, window=10).m_set == tuple(range(2, 11))
+    assert tuple(itertools.chain(*domain_report(m, window=10).m_runs)) == tuple(range(2, 11))
     assert m.certificates.infinite_fibers == frozenset({1})
 
 
 def test_m_set_finite_is_exact():
     m = make_finite_map([1, 1, 1, 1], 4)
-    assert domain_report(m, window=2).m_set == (1, 2, 3, 4)  # a table ignores the window
+    assert tuple(itertools.chain(*domain_report(m, window=2).m_runs)) == (1, 2, 3, 4)  # a table ignores the window
     assert m.certificates.infinite_fibers == frozenset()
 
 
@@ -114,7 +114,7 @@ def test_m_is_kept_as_the_finite_runs(m, window, members):
     rep = domain_report(m, window)
     stop = len(m.window_sizes(window)) + 1
     assert rep.m_runs == tuple(finite_runs(m.certificates.infinite_fibers, 1, stop))
-    assert rep.m_set == tuple(itertools.chain(*rep.m_runs)) == members
+    assert tuple(itertools.chain(*rep.m_runs)) == members
 
 
 def test_m_set_refutes_false_certificates():
@@ -122,45 +122,57 @@ def test_m_set_refutes_false_certificates():
         domain_report(IndexMap(rule=clamp_liar_rule()), window=8)
 
 
-# --- closedness: DomainReport.closed ----------------------------------------------
+# --- closedness: Certificates.closed ----------------------------------------------
 
 def test_domain_closed_finite_always_true():
-    assert domain_report(make_finite_map([2, 2, 2], 3)).closed is True
+    m = make_finite_map([2, 2, 2], 3)
+    assert m.certificates.closed is True
+    assert domain_report(m).unbounded_witness is None
 
 
 def test_domain_closed_block_rule():
-    rep = domain_report(symbolic_map("block", 3))
-    assert rep.closed is True
-    assert rep.uniform_bound_on_m == 3
+    m = symbolic_map("block", 3)
+    assert domain_report(m).unbounded_witness is None
+    assert m.certificates.closed is True
+    assert m.certificates.m_sup == 3
 
 
 def test_domain_closed_triangular_false_with_witness():
-    rep = domain_report(symbolic_map("triangular"))
-    assert rep.closed is False
+    m = symbolic_map("triangular")
+    rep = domain_report(m)
+    assert m.certificates.closed is False
     assert rep.unbounded_witness is not None
     indices, sizes = rep.unbounded_witness
     assert list(sizes) == sorted(set(sizes)) and len(sizes) >= 2  # strictly increasing
-    assert all(a in rep.m_set or a > DEFAULT_WINDOW for a in indices[:3])
+    members = set(itertools.chain(*rep.m_runs))
+    assert all(a in members or a > DEFAULT_WINDOW for a in indices[:3])
 
 
 def test_domain_closed_odd_collapse_true_over_m():
-    rep = domain_report(symbolic_map("odd_collapse"))
-    assert rep.closed is True
-    assert rep.uniform_bound_on_m == 1
+    m = symbolic_map("odd_collapse")
+    assert domain_report(m).unbounded_witness is None
+    assert m.certificates.closed is True
+    assert m.certificates.m_sup == 1
 
 
 def test_domain_report_equivalence_of_verdicts():
     for m in (symbolic_map("block", 4), symbolic_map("triangular"),
               symbolic_map("odd_collapse"), make_finite_map([1, 1, 2], 3)):
         rep = domain_report(m)
-        if rep.closed is True:
-            assert rep.uniform_bound_on_m != math.inf
-        if rep.closed is False:
-            assert rep.uniform_bound_on_m == math.inf
+        if m.certificates.closed is True:
+            assert m.certificates.m_sup != math.inf and rep.unbounded_witness is None
+        if m.certificates.closed is False:
+            assert m.certificates.m_sup == math.inf and rep.unbounded_witness is not None
+
+
+def test_certificates_closed_clamp_liar_integrity_error():
+    # closedness is read off the checked record: the first window refutes the false m_sup = 1
+    with pytest.raises(IntegrityError, match=r"finite-fiber bound 1 but fiber\(1\) has size 2"):
+        IndexMap(rule=clamp_liar_rule()).certificates.closed
 
 
 def test_domain_report_clamp_liar_integrity_error():
-    # without the check: closed=True and uniform_bound_on_m=1 over a fiber of size 2
+    # without the check: closed=True and m_sup=1 over a fiber of size 2
     with pytest.raises(IntegrityError):
         domain_report(IndexMap(rule=clamp_liar_rule()))
 
@@ -197,7 +209,7 @@ def test_divergence_witness_single_term():
 
 def test_divergence_witness_k4_exact_partial_sums():
     w = divergence_witness(symbolic_map("triangular"), 4)
-    assert w.records == ((1, 1), (2, 2), (3, 3), (4, 4))
+    assert tuple(zip(w.indices, w.fiber_sizes)) == ((1, 1), (2, 2), (3, 3), (4, 4))
     assert norm_sq(w.vector) == float(Fraction(1) + Fraction(1, 4) + Fraction(1, 9) + Fraction(1, 16))
     assert w.image_norm_sq_lower_bound == float(Fraction(25, 12))  # H_4
 
@@ -237,7 +249,7 @@ def test_divergence_sums_equal_the_per_record_sums(m, K):
     # the sums over the columns are the per-record generator sums, bit for bit
     w = divergence_witness(m, K)
     records = tuple(zip(w.indices, w.fiber_sizes))
-    assert w.records == records and len(records) == K
+    assert len(records) == K
     assert w.image_norm_sq_lower_bound == math.fsum(
         size / (k * k) for k, (_, size) in enumerate(records, start=1))
     assert w.vector_norm_sq == math.fsum((1.0 / k) * (1.0 / k) for k in range(1, K + 1))
@@ -264,7 +276,7 @@ def test_divergence_bound_past_the_float_range_is_infinite():
     m = IndexMap(rule=towers_rule())
     w = divergence_witness(m, 2)
     assert w.image_norm_sq_lower_bound == math.inf == apply_norm_sq(m, w.vector)
-    assert w.records == ((1, 10**400), (2, 10**800))
+    assert tuple(zip(w.indices, w.fiber_sizes)) == ((1, 10**400), (2, 10**800))
     assert w.vector_norm_sq == 1.25
 
 
@@ -311,6 +323,6 @@ def test_characterization_exhaustive_on_finite_4():
     supports = [frozenset(s) for r in range(5) for s in itertools.combinations(range(1, 5), r)]
     vectors = [(s, from_entries(dom, {i: 1.0 for i in s})) for s in supports]
     for m in exhaustive_maps(4):
-        members = domain_report(m).m_set
+        members = set(itertools.chain(*domain_report(m).m_runs))
         for support, z in vectors:
             assert in_domain(m, z) == support.issubset(members)

@@ -3,6 +3,7 @@ import math
 import re
 import sys
 from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import given
@@ -259,7 +260,7 @@ def test_fiber_report_identity():
     m = make_finite_map([1, 2, 3, 4, 5], 5)
     assert max(m.window_sizes(5)) == 1
     assert fiber_report(m) == 1
-    assert domain_report(m).m_set == tuple(range(1, 6))
+    assert tuple(chain(*domain_report(m).m_runs)) == tuple(range(1, 6))
 
 
 def test_fiber_report_clamp_table():
@@ -315,7 +316,7 @@ def test_fiber_report_certified_rules():
 def test_fiber_report_odd_collapse_m_set_omits_one():
     m = symbolic_map("odd_collapse")
     assert fiber_report(m) == math.inf
-    assert domain_report(m, window=10).m_set == tuple(range(2, 11))
+    assert tuple(chain(*domain_report(m, window=10).m_runs)) == tuple(range(2, 11))
     assert max(m.window_sizes(10)) == math.inf
 
 
@@ -434,9 +435,11 @@ def test_symbolic_rule_has_three_certificate_fields():
 ], ids=[*(name for name in BUILTIN_RULES if name != "block"), "block1", "block2", "table"])
 def test_every_verdict_is_a_plain_value(m):
     rep = classify(m)
+    closed = m.certificates.closed
     verdicts = (rep.maps_into_l2, rep.sigma_injective, rep.sigma_surjective, rep.isometry,
-                rep.compact, domain_report(m, 16).closed)
+                rep.compact, closed)
     assert [type(v) for v in verdicts] == [bool] * 6
+    assert (domain_report(m, 16).unbounded_witness is None) is closed
     assert type(rep.operator_norm) is float
     assert type(operator_norm(m)) is float
 
@@ -497,7 +500,7 @@ def test_table_window_sizes_and_certificates_are_exact(m, window):
 def test_witnesses_read_each_target_once():
     counted, calls = _counting(triangular_rule())
     m = IndexMap(rule=counted)
-    assert len(divergence_witness(m, 100).records) == 100
+    assert len(divergence_witness(m, 100).fiber_sizes) == 100
     assert calls == list(range(1, 101))
     counted, calls = _counting(doubling_rule())
     m = IndexMap(rule=counted)
@@ -510,9 +513,9 @@ def test_witnesses_read_each_target_once():
 @pytest.mark.parametrize("verdict", [
     pytest.param(IndexMap.window_sizes, id="window_sizes"),
     pytest.param(domain_report, id="domain_report"),
-    # each single verdict, read from the report that now states it
-    pytest.param(lambda m, w: domain_report(m, w).closed, id="domain_closed"),
-    pytest.param(lambda m, w: domain_report(m, w).m_set, id="m_set"),
+    # each field of the report: the witness that refutes closedness, and M
+    pytest.param(lambda m, w: domain_report(m, w).unbounded_witness, id="domain_closed"),
+    pytest.param(lambda m, w: domain_report(m, w).m_runs, id="m_set"),
 ])
 @pytest.mark.parametrize("m", [make_finite_map([2, 2, 1], 3), symbolic_map("successor")],
                          ids=["table", "rule"])
