@@ -26,8 +26,6 @@ from .index_domain import (
     IndexMap,
     IndexSet,
     SymbolicRule,
-    fiber_report,
-    make_finite_map,
     map_to_json,
     parse_map,
     symbolic_map,
@@ -44,7 +42,6 @@ from .gen_shift import (
     apply,
     apply_norm_sq,
     classify,
-    operator_norm,
     solve,
 )
 from .domain_analysis import (

@@ -5,8 +5,8 @@ image not square-summable, 5 precondition failure (a witness, or a rule's
 ``apply`` image past ``SEARCH_CAP``), 6 oracle disagreement. ``LIBRARY_EXITS``
 maps each library refusal class, one per code from 2 to 5, to its code and label,
 once around every command; a disagreement is a result, reported after stdout.
-One float rule, ``_float`` (``_format`` in the helpers), holds everywhere: 17
-significant digits so that reruns diff exactly, and "infinite" for infinities.
+One float rule, ``_float`` (``_infinite`` on the pieces of ``_window`` and ``_vector``),
+holds everywhere: 17 significant digits so that reruns diff exactly, "infinite" for inf.
 
 Every document is streamed: ``_walk`` yields its small skeleton value by
 value, and each array that grows with the window or the witness comes from a
@@ -67,17 +67,17 @@ def _joined(open_: str, parts, close: str):
 
 def _format(template: str, *columns) -> str:
     """``template`` once per row of ``columns`` (a sequence, then iterables as long),
-    joined by commas: one ``%`` format over one flat tuple. As ``_float``, an
-    infinity after a colon becomes "infinite"; nan and -0 stay as ``%g`` writes them."""
+    joined by commas: one ``%`` format over one flat tuple, and nothing more. A ``%d``
+    refuses an infinity, so only a caller whose template writes floats applies ``_infinite``."""
     width, rows = len(columns), len(columns[0])
     args = [None] * (width * rows)
     for i, column in enumerate(columns):
         args[i::width] = column
-    return _infinite(((template + ",") * rows)[:-1] % tuple(args))
+    return ((template + ",") * rows)[:-1] % tuple(args)
 
 
 def _infinite(text: str) -> str:
-    """As ``_float``: an infinity after a colon becomes "infinite"."""
+    """As ``_float``: an infinity after a colon becomes "infinite"; nan and -0 stay as is."""
     return text.replace(":inf", ':"infinite"').replace(":-inf", ':"infinite"')
 
 
@@ -117,9 +117,9 @@ def _window(sizes: tuple[int | float, ...], runs):
 def _vector(x: sparse_vec.SparseVector):
     """``vector_to_json(x)`` rendered straight from the entries."""
     keys, value = sorted(x.entries), x.entries.__getitem__  # keys only: no (index, value) tuples
-    return _rows('{"i":%d,"re":%.17g,"im":%.17g}', keys,
-                 map(attrgetter("real"), map(value, keys)),
-                 map(attrgetter("imag"), map(value, keys)))
+    return map(_infinite, _rows('{"i":%d,"re":%.17g,"im":%.17g}', keys,
+                                map(attrgetter("real"), map(value, keys)),
+                                map(attrgetter("imag"), map(value, keys))))
 
 
 def _walk(doc):
@@ -312,7 +312,7 @@ def witness(map_file, kind, count, truncation):
 @click.option("--random", "random_count", type=click.IntRange(min=1), default=None,
               help="check this many random image tables instead")
 @click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED, show_default=True,
-              envvar="GENSHIFT_SEED", show_envvar=True, help="seed for --random tables")
+              help="seed for --random tables")
 def oracle_check(n, exhaustive, random_count, seed):
     """Agreement sweep between the fiber analysis and the dense oracle."""
     if exhaustive == (random_count is not None):

@@ -109,9 +109,10 @@ class SymbolicRule(Certificates):
 
     ``card_fn`` and ``members_fn`` must be exact: over an infinite fiber they
     return math.inf and None, otherwise its size and complete preimage set.
-    The three certificates are required keywords and must be truthful
-    (``IndexMap.window_sizes`` raises IntegrityError when a scanned window
-    contradicts one).
+    The three certificates are required keywords, checked here for form (an int
+    ``m_sup`` >= 0 or math.inf, a bool, a frozenset of ints >= 1) and for truth by
+    ``IndexMap.window_sizes``, which raises IntegrityError when a scanned window
+    contradicts one.
     """
 
     name: str
@@ -121,6 +122,19 @@ class SymbolicRule(Certificates):
     param: int | None = None
 
     def __post_init__(self):
+        def count(x: object) -> bool:
+            return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+        def refuse(key: str, what: str) -> None:
+            raise ConstructionError(f"rule {self.name!r} declares {key} {getattr(self, key)!r}, not {what}")
+
+        if not (count(self.m_sup) or self.m_sup == math.inf):  # nan, a float, a bool fail
+            refuse("m_sup", "an int >= 0 or math.inf")
+        if not isinstance(self.surjective, bool):
+            refuse("surjective", "a bool")
+        if not (isinstance(self.infinite_fibers, frozenset)
+                and all(count(a) and a >= 1 for a in self.infinite_fibers)):
+            refuse("infinite_fibers", "a frozenset of ints >= 1")
         if math.inf > self.m_sup > sys.float_info.max:  # exact for ints; the norm must be a float
             raise ConstructionError(f"rule {self.name!r} declares finite-fiber bound past the float range")
 
@@ -251,7 +265,7 @@ class IndexMap:
 
 
 def make_finite_map(images: Sequence[int], n: int) -> IndexMap:
-    """Total map on {1..n} with eval(k) = images[k-1]; ``IndexMap`` checks the images."""
+    """``IndexMap(table=tuple(images))`` on {1..n}; unexported, kept for perfbench to time."""
     if len(images) != n:
         raise ConstructionError(f"expected {n} images, got {len(images)}")
     return IndexMap(table=tuple(images))
@@ -400,7 +414,7 @@ def parse_map(doc: object) -> IndexMap:
             images = doc.get("images")
             if not isinstance(images, list):
                 raise ParseError('finite map needs an "images" array')
-            return make_finite_map(images, len(images))
+            return IndexMap(table=tuple(images))
         if kind == "symbolic":
             name = doc.get("name")
             if not isinstance(name, str):

@@ -13,9 +13,9 @@ from genshift import (
     SparseVector,
     SymbolicRule,
     from_entries,
-    make_finite_map,
     norm_sq,
 )
+from genshift.index_domain import make_finite_map
 
 
 def sup_card(cards) -> int | float:

@@ -28,7 +28,6 @@ from genshift import (
     from_entries,
     in_domain,
     norm_sq,
-    operator_norm,
     solve,
     symbolic_map,
     witness_sequence,
@@ -40,6 +39,7 @@ from genshift.dense_oracle import (
     structural_check,
     to_dense,
 )
+from genshift.gen_shift import operator_norm
 from helpers import norm, parity_rule, unit_vector
 
 BOUNDED_RULES = [("successor", None), ("clamp_pred", None), ("block", 2),

@@ -20,13 +20,13 @@ from hypothesis import strategies as st
 
 from genshift import (
     COUNTABLE, DivergenceWitness, IntegrityError, NotInL2, ParseError, SearchExhaustedError,
-    UnsupportedError, apply, cli, from_entries, index_domain, make_finite_map, norm_sq,
-    parse_vector, vector_to_json,
+    UnsupportedError, apply, cli, from_entries, index_domain, norm_sq, parse_vector, vector_to_json,
 )
 from genshift.cli import main
 from genshift.domain_analysis import DomainReport, domain_report
-from genshift.index_domain import finite_runs
+from genshift.index_domain import finite_runs, make_finite_map
 from helpers import clamp_liar_rule, liar_rule
+from test_cli_golden import GOLDEN
 
 
 @pytest.fixture
@@ -312,15 +312,17 @@ def test_oracle_check_random_with_seed(runner):
     assert doc["maps_checked"] == 25 and doc["seed"] == 42
 
 
-def test_oracle_check_seed_env_fallback(runner, monkeypatch):
-    monkeypatch.setenv("GENSHIFT_SEED", "99")
+@pytest.mark.parametrize("env", ["99", "seven"])
+def test_oracle_check_ignores_the_environment(runner, monkeypatch, env):
+    # the seed is --seed only: no environment variable, GENSHIFT_SEED included, moves it
+    monkeypatch.setenv("GENSHIFT_SEED", env)
+    result = runner.invoke(main, ["oracle-check", "--n", "4", "--exhaustive"])
+    digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+    assert (digest, result.exit_code) == GOLDEN["oracle-check --n 4 --exhaustive"]
     result = runner.invoke(main, ["oracle-check", "--n", "4", "--random", "5"])
-    assert result.exit_code == 0
-    assert json.loads(result.output)["seed"] == 99
-    monkeypatch.setenv("GENSHIFT_SEED", "")  # empty means unset: the default seed
-    result = runner.invoke(main, ["oracle-check", "--n", "4", "--random", "5"])
-    assert result.exit_code == 0
-    assert json.loads(result.output)["seed"] == 74
+    assert result.exit_code == 0 and '"seed":74' in result.stdout
+    result = runner.invoke(main, ["oracle-check", "--help"])
+    assert result.exit_code == 0 and "GENSHIFT_SEED" not in result.output
 
 
 @pytest.mark.parametrize("mode", [["--exhaustive"], ["--random", "5"]])
@@ -328,16 +330,6 @@ def test_oracle_check_negative_seed_exits_2(runner, mode):
     result = runner.invoke(main, ["oracle-check", "--n", "4", *mode, "--seed", "-1"])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
-
-
-@pytest.mark.parametrize("mode", [["--exhaustive"], ["--random", "5"]])
-@pytest.mark.parametrize("env", ["-5", "seven"])
-def test_oracle_check_bad_seed_env_exits_2(runner, monkeypatch, mode, env):
-    monkeypatch.setenv("GENSHIFT_SEED", env)
-    result = runner.invoke(main, ["oracle-check", "--n", "4", *mode])
-    assert result.exit_code == 2
-    assert isinstance(result.exception, SystemExit)
-    assert "GENSHIFT_SEED" in result.output
 
 
 @pytest.mark.parametrize("args", [
@@ -508,6 +500,11 @@ def joined(pieces):
 def test_vector_helper_renders_like_the_generic_walker(parts):
     x = from_entries(COUNTABLE, {a: complex(re, im) for a, (re, im) in parts.items()})
     assert joined(cli._vector(x)) == joined(cli._walk(vector_to_json(x)))
+
+
+def test_format_only_fills_the_template():
+    # the "infinite" rule is applied by the helpers whose templates write floats
+    assert cli._format('"a":%s', [math.inf]) == '"a":inf'
 
 
 def columns(*records):
@@ -693,8 +690,8 @@ PUBLIC_NAMES = sorted([
     "DomainError", "DomainReport", "GenShiftError", "IndexMap", "IndexSet",
     "IntegrityError", "NotInL2", "ParseError", "SEARCH_CAP", "SearchExhaustedError", "SparseVector",
     "SymbolicRule", "UnsupportedError", "WitnessSequence", "apply", "apply_norm_sq",
-    "classify", "divergence_witness", "domain_report", "fiber_records", "fiber_report",
-    "from_entries", "in_domain", "make_finite_map", "map_to_json", "norm_sq", "operator_norm",
+    "classify", "divergence_witness", "domain_report", "fiber_records",
+    "from_entries", "in_domain", "map_to_json", "norm_sq",
     "parse_map", "parse_vector", "solve", "symbolic_map", "vector_to_json", "witness_sequence",
 ])
 
@@ -706,7 +703,7 @@ def test_public_surface_is_pinned():
     exported = sorted(name for name, value in vars(genshift).items()
                       if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert exported == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 38
+    assert len(PUBLIC_NAMES) == 35
 
 
 def test_dense_oracle_names_resolve_from_the_package():
@@ -721,3 +718,17 @@ def test_dense_oracle_names_resolve_from_the_package():
             getattr(genshift, name)
     with pytest.raises(AttributeError):
         genshift.no_such_name
+
+
+def test_alias_names_resolve_from_their_modules_only():
+    # one package name per question: m.certificates.sup_card, classify(m).operator_norm,
+    # IndexMap(table=...); the aliases stay in their modules, where the benchmark wraps them
+    import genshift
+    from genshift import gen_shift
+
+    for module, name in ((index_domain, "fiber_report"), (gen_shift, "operator_norm"),
+                         (index_domain, "make_finite_map")):
+        assert callable(getattr(module, name))
+        with pytest.raises(AttributeError):
+            getattr(genshift, name)
+    assert gen_shift.fiber_report is index_domain.fiber_report

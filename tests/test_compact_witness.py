@@ -16,11 +16,10 @@ from genshift import (
     UnsupportedError,
     apply,
     classify,
-    make_finite_map,
     symbolic_map,
     witness_sequence,
 )
-from genshift.index_domain import successor_rule
+from genshift.index_domain import make_finite_map, successor_rule
 from helpers import (
     add,
     clamp_liar_rule,

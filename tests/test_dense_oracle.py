@@ -13,7 +13,6 @@ from genshift import (
     IndexMap,
     UnsupportedError,
     apply,
-    make_finite_map,
     symbolic_map,
 )
 from genshift.dense_oracle import (
@@ -25,6 +24,7 @@ from genshift.dense_oracle import (
     to_dense,
 )
 from genshift import dense_oracle
+from genshift.index_domain import make_finite_map
 from helpers import finite_maps, unit_vector
 
 

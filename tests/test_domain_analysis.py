@@ -26,14 +26,13 @@ from genshift import (
     fiber_records,
     from_entries,
     in_domain,
-    make_finite_map,
     norm_sq,
     symbolic_map,
 )
 from genshift.dense_oracle import (
     exhaustive_maps,
 )
-from genshift.index_domain import finite_runs
+from genshift.index_domain import finite_runs, make_finite_map
 from helpers import (
     add,
     clamp_liar_rule,

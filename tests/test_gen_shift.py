@@ -25,9 +25,7 @@ from genshift import (
     classify,
     from_entries,
     in_domain,
-    make_finite_map,
     norm_sq,
-    operator_norm,
     solve,
     symbolic_map,
 )
@@ -37,7 +35,8 @@ from genshift.dense_oracle import (
     structural_check,
     to_dense,
 )
-from genshift.index_domain import block_rule, odd_collapse_rule
+from genshift.gen_shift import operator_norm
+from genshift.index_domain import block_rule, make_finite_map, odd_collapse_rule
 from helpers import (
     add,
     clamp_liar_rule,

@@ -24,19 +24,19 @@ from genshift import (
     classify,
     divergence_witness,
     domain_report,
-    fiber_report,
-    make_finite_map,
     map_to_json,
-    operator_norm,
     parse_map,
     symbolic_map,
     witness_sequence,
 )
+from genshift.gen_shift import operator_norm
 from genshift.index_domain import (
     BUILTIN_RULES,
     block_rule,
     clamp_pred_rule,
     doubling_rule,
+    fiber_report,
+    make_finite_map,
     odd_collapse_rule,
     successor_rule,
     triangular_rule,
@@ -252,6 +252,29 @@ def test_a_finite_bound_past_the_float_range_is_refused_by_any_rule():
         wide_block(10**400)
     for b in (10**300, int(sys.float_info.max)):
         assert operator_norm(IndexMap(rule=wide_block(b))) == math.sqrt(b)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("m_sup", math.nan),  # once read as bounded, with norm nan
+    ("m_sup", True),  # once the norm 1.0
+    ("m_sup", 1.5),  # once the norm sqrt(1.5): fiber sizes are ints
+    ("m_sup", -1),
+    ("m_sup", -math.inf),
+    ("surjective", 1),
+    ("surjective", None),
+    ("infinite_fibers", frozenset({0})),  # once an infinite norm no window could refute
+    ("infinite_fibers", frozenset({-3})),
+    ("infinite_fibers", frozenset({2.5})),  # once a bare TypeError from finite_runs
+    ("infinite_fibers", frozenset({True})),
+    ("infinite_fibers", {1}),
+    ("infinite_fibers", (1,)),
+])
+def test_a_malformed_certificate_is_refused_when_the_rule_is_built(key, value):
+    fields = {"m_sup": 1, "surjective": True, "infinite_fibers": frozenset({1}), key: value}
+    with pytest.raises(ConstructionError, match=rf"^rule 'odd' declares {key} "):
+        SymbolicRule(name="odd", eval_fn=lambda k: 1 if k % 2 else k // 2 + 1,
+                     card_fn=lambda a: math.inf if a == 1 else 1,
+                     members_fn=lambda a: None if a == 1 else frozenset((2 * (a - 1),)), **fields)
 
 
 # --- fiber_report ---------------------------------------------------------
