@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,11 +27,11 @@ class WitnessSequence:
     Distinct indices have disjoint fibers, so the image distance between
     items i and j is exactly sqrt(c_i + c_j) / 2 with c the fiber sizes.
     Nonempty fibers make that at least sqrt(2)/2; the minimum over all pairs
-    is computed in exact rationals before taking the root. Only the indices
-    are kept; ``vectors`` is built from them on each read.
+    is computed in exact rationals before taking the root. The indices are an
+    ``array('q')``, as ``fiber_records`` returns; ``vectors`` is built on each read.
     """
 
-    indices: tuple[int, ...]
+    indices: array
     fiber_sizes: tuple[int, ...]
     min_distance_sq: Fraction
     pairwise_separation: float
@@ -58,7 +59,7 @@ def witness_sequence(m: IndexMap, count: int) -> WitnessSequence:
         raise UnsupportedError("witness needs a map with a certified finite fiber bound")
     # bounded fibers are finite, so this skips exactly the empty ones
     nonempty = (b for a, sizes in m.scan(count) for b, c in enumerate(sizes, start=a) if c)
-    indices = tuple(itertools.islice(nonempty, min(count, SEARCH_CAP)))  # at most one per target
+    indices = array("q", itertools.islice(nonempty, min(count, SEARCH_CAP)))  # at most one per target
     if len(indices) < count:
         # the search budget: SEARCH_CAP targets may hold fewer than count nonempty fibers
         raise SearchExhaustedError(

@@ -79,10 +79,6 @@ class DivergenceWitness:
     fiber_sizes: tuple[int, ...]
     image_norm_sq_lower_bound: float
 
-    def __hash__(self) -> int:
-        # an array is unhashable; equal arrays hold equal values, whatever their typecodes
-        return hash((tuple(self.indices), self.fiber_sizes, self.image_norm_sq_lower_bound))
-
     @property
     def weights(self) -> Iterator[float]:
         """The vector's entries in index order, 1/k for k = 1..K: a fresh iterator each read."""

@@ -8,13 +8,15 @@ certificate record, ``IndexMap.certificates``: a rule declares all three of
 its own, a table reads exact ones off its fiber sizes, so every verdict is a
 plain value. Fiber sizes are read in one place, ``IndexMap.window_sizes``,
 and searched past a window in one place, ``IndexMap.scan``. A window read
-refutes a false declared certificate; ``certificates`` reads one first.
+refutes a false declared certificate; ``certificates`` reads one first and
+tallies a rule's images of it against its sizes.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Iterator, Sequence
@@ -204,9 +206,10 @@ class IndexMap:
 
     @memo
     def certificates(self) -> Certificates:
-        """Proved fiber facts: exact for a table; a rule, once 1..DEFAULT_WINDOW checks it."""
+        """Proved fiber facts: exact for a table; a rule's, once 1..DEFAULT_WINDOW checks them
+        and ``eval_fn`` sends no more of 1..DEFAULT_WINDOW to a target there than its fiber holds."""
         if self.rule is not None:
-            self.window_sizes(DEFAULT_WINDOW)
+            _check_images(self.rule, self.window_sizes(DEFAULT_WINDOW))
             return self.rule
         counts = self.fiber_counts
         return Certificates(m_sup=max(counts), surjective=0 not in counts, infinite_fibers=frozenset())
@@ -403,26 +406,30 @@ def map_to_json(m: IndexMap) -> dict:
 
 
 def parse_map(doc: object) -> IndexMap:
-    """Parse the map file format (the inverse of map_to_json); the constructors are the
-    one check of ``name`` and ``param``, and their ConstructionError becomes a ParseError
-    with the same text."""
+    """Parse the map file format (the inverse of map_to_json), which has no other key; the
+    constructors are the one check of ``name`` and ``param``, and their ConstructionError
+    becomes a ParseError with the same text."""
     if not isinstance(doc, dict):
         raise ParseError("map document must be a JSON object")
     kind = doc.get("kind")
+    if kind not in ("finite", "symbolic"):
+        raise ParseError(f'map "kind" must be "finite" or "symbolic", got {kind!r}')
+    keys = ("kind", "images") if kind == "finite" else ("kind", "name", "param")
+    unknown = [key for key in doc if key not in keys]
+    if unknown:
+        raise ParseError(f"{kind} map has no key {unknown[0]!r}")
     try:
         if kind == "finite":
             images = doc.get("images")
             if not isinstance(images, list):
                 raise ParseError('finite map needs an "images" array')
             return IndexMap(table=tuple(images))
-        if kind == "symbolic":
-            name = doc.get("name")
-            if not isinstance(name, str):
-                raise ParseError('symbolic map needs a "name" string')
-            return symbolic_map(name, doc.get("param"))
+        name = doc.get("name")
+        if not isinstance(name, str):
+            raise ParseError('symbolic map needs a "name" string')
+        return symbolic_map(name, doc.get("param"))
     except ConstructionError as exc:
         raise ParseError(str(exc)) from exc
-    raise ParseError(f'map "kind" must be "finite" or "symbolic", got {kind!r}')
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +472,20 @@ def _check_certificates(rule: SymbolicRule, sizes: tuple[int | float, ...], star
         refute(f"finite-fiber bound {rule.m_sup}", lambda a, c: rule.m_sup < c < math.inf)
     if rule.surjective and 0 in sizes:
         refute("the map onto", lambda a, c: c == 0)
+
+
+def _check_images(rule: SymbolicRule, sizes: tuple[int | float, ...]) -> None:
+    """Raise IntegrityError when ``eval_fn`` sends one of 1..len(sizes) outside the index set, or
+    more of them to a target there than its fiber holds (the rest of a fiber may lie past them)."""
+    hits = Counter()
+    for beta in range(1, len(sizes) + 1):
+        if (img := rule.eval_fn(beta)) not in COUNTABLE:
+            raise IntegrityError(f"rule {rule.name!r} maps {beta} to {img!r}, not an int >= 1")
+        hits[img] += 1
+    for a, c in enumerate(sizes, start=1):
+        if hits[a] > c:
+            raise IntegrityError(f"rule {rule.name!r} maps {hits[a]} of 1..{len(sizes)} to {a}"
+                                 f" but {describe_fiber(a, c)}")
 
 
 def fiber_report(m: IndexMap) -> int | float:

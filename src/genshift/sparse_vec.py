@@ -58,7 +58,7 @@ def vector_to_json(x: SparseVector) -> list[dict]:
 
 
 def parse_vector(doc: object, domain: IndexSet) -> SparseVector:
-    """Parse the vector file format: a JSON array of {"i", "re", "im"} objects.
+    """Parse the vector file format: a JSON array of {"i", "re", "im"} objects, no other key.
 
     Exact-zero entries are dropped on the way in, so parsing the output of
     vector_to_json reproduces the original vector entry for entry. NaN,
@@ -78,6 +78,9 @@ def parse_vector(doc: object, domain: IndexSet) -> SparseVector:
             raise ParseError(f"entry index must be an integer, got {alpha!r}")
         if not 1 <= alpha <= last:  # ``alpha in domain``, the type already checked
             raise ParseError(f"index {alpha} outside the map domain")
+        if len(entry) != 1 + ("re" in entry) + ("im" in entry):  # two lookups: no set per entry
+            unknown = next(key for key in entry if key not in ("i", "re", "im"))
+            raise ParseError(f"vector entry at index {alpha} has no key {unknown!r}")
         if alpha in out:
             raise ParseError(f"duplicate index {alpha}")
         re = entry.get("re", 0.0)

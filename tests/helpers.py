@@ -177,6 +177,22 @@ def clamp_liar_rule() -> SymbolicRule:
     )
 
 
+def consistent_liar_rule() -> SymbolicRule:
+    """clamp_pred's ``eval_fn`` with the fibers of a bijection: card_fn, members_fn and the
+    certificates agree with one another, and only ``eval_fn`` (1 and 2 both map to 1) refutes
+    them. Were it read as declared, ``classify`` would report an isometry of norm 1, not sqrt(2).
+    """
+    return SymbolicRule(
+        name="consistent_liar",
+        eval_fn=lambda k: 1 if k == 1 else k - 1,
+        card_fn=lambda a: 1,
+        members_fn=lambda a: frozenset((a + 1,)),
+        m_sup=1,
+        surjective=True,
+        infinite_fibers=frozenset(),
+    )
+
+
 def verify_fiber_soundness(m: IndexMap, window: int = DEFAULT_WINDOW) -> None:
     """Spot-check eval/fiber consistency on a window; raises IntegrityError.
 

@@ -25,7 +25,7 @@ from genshift import (
 from genshift.cli import main
 from genshift.domain_analysis import DomainReport, domain_report
 from genshift.index_domain import finite_runs, make_finite_map
-from helpers import clamp_liar_rule, liar_rule
+from helpers import clamp_liar_rule, consistent_liar_rule, liar_rule
 from test_cli_golden import GOLDEN
 
 
@@ -118,6 +118,32 @@ def test_analyze_false_certificate_exits_3(runner, tmp_path, monkeypatch):
     result = runner.invoke(main, ["analyze", write(tmp_path, "m.json", doc)])
     assert result.exit_code == 3
     assert result.output.startswith("integrity error: rule 'clamp_liar' declares")
+
+
+@pytest.mark.parametrize("map_doc, vector, key", [
+    ({"kind": "finite", "images": [2, 1]}, [{"i": 1, "re": 1.0, "img": 2.0}], "img"),
+    ({"kind": "finite", "images": [2, 1], "image": [1, 1]}, None, "image"),
+    ({"kind": "symbolic", "name": "successor", "parm": 3}, None, "parm"),
+], ids=["vector_entry", "finite_map", "symbolic_map"])
+def test_a_key_the_format_does_not_define_exits_2(runner, tmp_path, map_doc, vector, key):
+    # once read as absent: the vector as e_1, the map without its typo
+    args = [write(tmp_path, "m.json", map_doc)]
+    args = ["analyze", *args] if vector is None else ["apply", *args, write(tmp_path, "v.json", vector)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("parse error: ") and result.stderr.count("\n") == 1
+    assert repr(key) in result.stderr
+
+
+def test_analyze_consistent_liar_exits_3(runner, tmp_path, monkeypatch):
+    # its certificates agree with card_fn; only its images of 1..64 refute them
+    monkeypatch.setitem(index_domain.BUILTIN_RULES, "consistent_liar", consistent_liar_rule)
+    doc = {"kind": "symbolic", "name": "consistent_liar"}
+    result = runner.invoke(main, ["analyze", write(tmp_path, "m.json", doc)])
+    assert result.exit_code == 3
+    assert result.output == ("integrity error: rule 'consistent_liar' maps 2 of 1..64 to 1"
+                             " but fiber(1) has size 1\n")
 
 
 def test_apply_identity_round_trip(runner, tmp_path):
@@ -363,7 +389,7 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=12,
 )
-rule_names = st.sampled_from([*index_domain.BUILTIN_RULES, "clamp_liar", "liar"])
+rule_names = st.sampled_from([*index_domain.BUILTIN_RULES, "clamp_liar", "consistent_liar", "liar"])
 rule_maps = rule_names.filter(lambda name: name != "block").map(
     lambda name: {"kind": "symbolic", "name": name})
 good_maps = st.one_of(
@@ -432,6 +458,7 @@ LABELS = {2: "parse error: ", 3: "integrity error: ", 4: "image not square-summa
 @given(cli_requests())
 @example(({"m.json": {"kind": "finite", "images": [1, 7]}}, ["analyze", "m.json"]))  # exit 2
 @example(({"m.json": {"kind": "symbolic", "name": "liar"}}, ["analyze", "m.json"]))  # exit 3
+@example(({"m.json": {"kind": "symbolic", "name": "consistent_liar"}}, ["analyze", "m.json"]))  # exit 3
 @example(({"m.json": ODD_COLLAPSE, "v.json": E1}, ["apply", "m.json", "v.json"]))  # exit 4
 @example(({"m.json": IDENTITY5}, ["witness", "m.json", "--kind", "compact"]))  # exit 5
 def test_every_input_ends_in_a_documented_exit_code(case):
@@ -440,6 +467,7 @@ def test_every_input_ends_in_a_documented_exit_code(case):
     with runner.isolated_filesystem(), pytest.MonkeyPatch.context() as mp:
         mp.setitem(index_domain.BUILTIN_RULES, "clamp_liar", clamp_liar_rule)
         mp.setitem(index_domain.BUILTIN_RULES, "liar", liar_rule)
+        mp.setitem(index_domain.BUILTIN_RULES, "consistent_liar", consistent_liar_rule)
         for name, doc in files.items():
             with open(name, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)

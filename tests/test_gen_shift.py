@@ -40,6 +40,7 @@ from genshift.index_domain import block_rule, make_finite_map, odd_collapse_rule
 from helpers import (
     add,
     clamp_liar_rule,
+    consistent_liar_rule,
     finite_maps,
     liar_rule,
     map_and_vector,
@@ -362,6 +363,23 @@ def test_classify_clamp_liar_integrity_error():
     # without the check, the false injectivity claim reads as sigma_surjective=True
     with pytest.raises(IntegrityError):
         classify(IndexMap(rule=clamp_liar_rule()))
+
+
+def test_classify_consistent_liar_integrity_error():
+    # card_fn, members_fn and the certificates agree, so only the images of 1..64 refute them
+    with pytest.raises(IntegrityError,
+                       match=r"^rule 'consistent_liar' maps 2 of 1\.\.64 to 1 but fiber\(1\) has size 1$"):
+        classify(IndexMap(rule=consistent_liar_rule()))
+
+
+@pytest.mark.parametrize("image, shown", [(0, "0"), (1.0, "1.0"), (True, "True")])
+def test_classify_refutes_an_image_outside_the_index_set(image, shown):
+    # the identity's fibers and certificates, with eval(1) replaced by ``image``
+    rule = SymbolicRule(name="stray", eval_fn=lambda k: image if k == 1 else k, card_fn=lambda a: 1,
+                        members_fn=lambda a: frozenset((a,)), m_sup=1, surjective=True,
+                        infinite_fibers=frozenset())
+    with pytest.raises(IntegrityError, match=rf"^rule 'stray' maps 1 to {shown}, not an int >= 1$"):
+        classify(IndexMap(rule=rule))
 
 
 def test_classify_triangular_not_into_l2():
