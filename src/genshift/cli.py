@@ -13,8 +13,8 @@ value, and each array that grows with the window or the witness comes from a
 helper that knows its shape (``_rows`` for columns, stored or computed, and
 ``_window``) as pieces of at most ``PIECE`` entries, one ``%`` format each, so
 no int array goes through ``json``. Each window target's digits are formatted
-once: ``_window`` makes one piece of keys both the template of the
-``{index: size}`` map and a piece of M, read from the runs
+once: ``_window`` makes one piece of keys the template of the
+``{index: size}`` map and cuts M's piece from it, by the runs
 ``DomainReport.m_runs``, so ``analyze`` never builds M's tuple of ints.
 ``_echo`` writes the pieces straight to ``sys.stdout`` and flushes once, so no
 document is joined whole, and peak memory is bounded by the computed values,
@@ -29,7 +29,7 @@ import json
 import math
 import sys
 from collections.abc import Iterator
-from itertools import chain, islice
+from itertools import islice
 from operator import attrgetter
 
 import click
@@ -91,23 +91,34 @@ def _rows(template: str, first, *rest):
                              for part in parts), "]")
 
 
+def _offset(a: int) -> int:
+    """The length of the text "1,2,...,a-1,": the digits and commas of the targets before a."""
+    width, power = a - 1, 1
+    while power < a:
+        width += a - power  # the targets power..a-1 each have a digit at this place
+        power *= 10
+    return width
+
+
 def _window(sizes: tuple[int | float, ...], runs):
     """The object {"a": size of fiber(a)} over targets 1..len(sizes), as pieces, and
     the pieces of the members of ``runs`` (increasing ranges of those targets), as
     a list for ``_joined`` to write as often as needed.
 
-    Each piece of targets formats its keys once. That text is M's piece when one
-    run covers the piece, and, quoted, the template that one ``%`` fills with its sizes."""
+    Each piece of targets formats its keys once. M's piece is cut from that text
+    (all of it when one run covers the piece), and, quoted, it is the template that
+    one ``%`` fills with its sizes."""
     starts = range(1, len(sizes) + 1, PIECE)
     keys, members = [], []
     for lo in starts:
         hi = min(lo + starts.step, len(sizes) + 1)
-        keys.append(_format("%d", range(lo, hi)))
+        text, base = _format("%d", range(lo, hi)), _offset(lo)
+        keys.append(text)
         inside = [range(max(r.start, lo), min(r.stop, hi))
                   for r in runs if r.start < hi and lo < r.stop]
-        if inside:  # a piece without a declared infinite target is one run
-            members.append(keys[-1] if inside == [range(lo, hi)]
-                           else _format("%d", [*chain(*inside)]))
+        if inside:
+            members.append(",".join(text[_offset(r.start) - base:_offset(r.stop) - base - 1]
+                                    for r in inside))
     cardinalities = (_infinite(('"' + text.replace(",", '":%s,"') + '":%s')  # '"1":%s,"2":%s'
                                % sizes[lo - 1:lo - 1 + starts.step])
                      for lo, text in zip(starts, keys))

@@ -45,9 +45,9 @@ class DenseOperator:
 
 def to_dense(m: IndexMap) -> DenseOperator:
     """The matrix of ``m``; n above ``DENSE_CAP`` is refused before anything is allocated."""
-    if not m.domain.is_finite:
+    if m.table is None:
         raise UnsupportedError("dense realisation needs a finite domain")
-    n = m.domain.size
+    n = len(m.table)
     if n > DENSE_CAP:
         raise UnsupportedError(f"dense realisation capped at n = {DENSE_CAP}, got {n}")
     A = np.zeros((n, n))
@@ -121,7 +121,7 @@ def check_map_agreement(m: IndexMap) -> MapAgreement:
     fibers = map(math.sqrt, sorted(m.fiber_counts, reverse=True))
     spectrum_ok = all(abs(s - f) <= NORM_TOL for s, f in zip(op.singular_values.tolist(), fibers))
     rep = classify(m)
-    bijective = structural_check(op) == m.domain.size
+    bijective = structural_check(op) == len(m.table)
     return MapAgreement(
         table=m.table,
         structural_norm=structural,

@@ -32,6 +32,7 @@ def in_domain(m: IndexMap, z: SparseVector) -> bool:
     _check_domains(m, z)
     if m.domain.is_finite:
         return True
+    m.certificates  # as in apply: a rule is read only once its certificates are checked
     return math.inf not in map(m.rule.card_fn, z.entries)
 
 

@@ -47,11 +47,14 @@ def apply(m: IndexMap, x: SparseVector) -> SparseVector:
     index order before any member is built: an infinite fiber raises NotInL2,
     naming its index, and an image past SEARCH_CAP entries UnsupportedError.
     That running total bounds every fiber, so ``members_fn`` is then read once per index.
+    A rule is read only once ``m.certificates`` has checked it, which raises
+    IntegrityError on a rule whose ``eval_fn`` contradicts its fibers.
     """
     _check_domains(m, x)
     if m.domain.is_finite:
         pre = m.preimages
         return SparseVector(m.domain, {beta: v for theta, v in x.entries.items() for beta in pre[theta]})
+    m.certificates  # a rule's first read checks its images of 1..DEFAULT_WINDOW against its fibers
     support = sorted(x.entries.items())
     total = 0
     for theta, _ in support:
@@ -81,6 +84,7 @@ def apply_norm_sq(m: IndexMap, x: SparseVector) -> float:
         counts = m.fiber_counts
         return fsum_or_inf([c * ((re := v.real) * re + (im := v.imag) * im)
                             for theta, v in x.entries.items() if (c := counts[theta - 1])])
+    m.certificates  # as in apply
     card = m.rule.card_fn
     terms = []
     for theta, v in x.entries.items():
@@ -117,7 +121,7 @@ def classify(m: IndexMap) -> ClassificationReport:
         sigma_injective=surj,
         sigma_surjective=inj,
         isometry=inj and surj,
-        compact=m.domain.is_finite,
+        compact=m.table is not None,
     )
 
 

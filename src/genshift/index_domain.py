@@ -3,13 +3,14 @@
 Everything downstream (norms, classification, domain analysis) reduces to
 questions about fibers, the preimage sets of single indices. A fiber size is
 an int, or math.inf for an infinite fiber. A map is built one way, from an
-image table or a symbolic rule, and carries an exact fiber oracle and one
-certificate record, ``IndexMap.certificates``: a rule declares all three of
-its own, a table reads exact ones off its fiber sizes, so every verdict is a
-plain value. Fiber sizes are read in one place, ``IndexMap.window_sizes``,
-and searched past a window in one place, ``IndexMap.scan``. A window read
-refutes a false declared certificate; ``certificates`` reads one first and
-tallies a rule's images of it against its sizes.
+image table or a symbolic rule, and stores only that; its domain, exact fiber
+oracle and one certificate record, ``IndexMap.certificates``, are derived on
+first read: a rule declares all three certificates of its own, a table reads
+exact ones off its fiber sizes, so every verdict is a plain value. Fiber
+sizes are read in one place, ``IndexMap.window_sizes``, and searched past a
+window in one place, ``IndexMap.scan``. A window read refutes a false
+declared certificate; ``certificates`` reads one first and tallies a rule's
+images of it against its sizes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
@@ -145,27 +146,30 @@ class SymbolicRule(Certificates):
 class IndexMap:
     """A total self-map: ``IndexMap(table=t)`` with eval(k) = t[k-1], or ``IndexMap(rule=r)``.
 
-    A table is checked here: a tuple of n >= 2 ints (not bools) in 1..n. ``domain``
-    is derived, not passed: {1..n} for a table, COUNTABLE for a rule.
+    A table is checked here: a tuple of n >= 2 ints (not bools) in 1..n. A table map
+    stores only its table; ``domain`` is derived on first read: {1..n} for a table,
+    COUNTABLE for a rule.
     """
 
     table: tuple[int, ...] | None = None
     rule: SymbolicRule | None = None
-    domain: IndexSet = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if (self.table is None) == (self.rule is None):
             raise ConstructionError("exactly one of table and rule is required")
         if self.rule is not None:
-            object.__setattr__(self, "domain", COUNTABLE)
             return
-        if not isinstance(self.table, tuple):
-            raise ConstructionError(f"image table must be a tuple, got {type(self.table).__name__}")
-        n = len(self.table)
-        object.__setattr__(self, "domain", IndexSet(n))  # rejects n < 2
-        for pos, img in enumerate(self.table, start=1):
-            if not isinstance(img, int) or isinstance(img, bool) or not 1 <= img <= n:
-                raise ConstructionError(f"image at position {pos} is {img!r}, not in 1..{n}")
+        table = self.table
+        if not isinstance(table, tuple):
+            raise ConstructionError(f"image table must be a tuple, got {type(table).__name__}")
+        n = len(table)
+        if n < 2:
+            raise ConstructionError(f"finite index set must have size >= 2, got {n}")
+        # one pass of builtins; the walk only names the first offender (or passes an int subclass)
+        if set(map(type, table)) != {int} or min(table) < 1 or max(table) > n:
+            for pos, img in enumerate(table, start=1):
+                if not isinstance(img, int) or isinstance(img, bool) or not 1 <= img <= n:
+                    raise ConstructionError(f"image at position {pos} is {img!r}, not in 1..{n}")
 
     def _check_index(self, alpha: int) -> None:
         if alpha not in self.domain:
@@ -181,11 +185,16 @@ class IndexMap:
     # Only the rule's window scan, which grows, is filled by hand (``window_sizes``).
 
     @memo
+    def domain(self) -> IndexSet:
+        """{1..n} for a table of n entries, COUNTABLE for a rule."""
+        return COUNTABLE if self.table is None else IndexSet(len(self.table))
+
+    @memo
     def fiber_counts(self) -> tuple[int, ...]:
         """Fiber sizes of a finite map: ``counts[a - 1] == |fiber(a)|``."""
         if self.table is None:
             raise DomainError("fiber counts need a finite domain")
-        tally = [0] * self.domain.size
+        tally = [0] * len(self.table)
         for img in self.table:
             tally[img - 1] += 1
         return tuple(tally)

@@ -146,6 +146,16 @@ def test_analyze_consistent_liar_exits_3(runner, tmp_path, monkeypatch):
                              " but fiber(1) has size 1\n")
 
 
+def test_apply_consistent_liar_exits_3(runner, tmp_path, monkeypatch):
+    monkeypatch.setitem(index_domain.BUILTIN_RULES, "consistent_liar", consistent_liar_rule)
+    doc = {"kind": "symbolic", "name": "consistent_liar"}
+    result = runner.invoke(main, ["apply", write(tmp_path, "m.json", doc), write(tmp_path, "v.json", E1)])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.output == ("integrity error: rule 'consistent_liar' maps 2 of 1..64 to 1"
+                             " but fiber(1) has size 1\n")
+
+
 def test_apply_identity_round_trip(runner, tmp_path):
     result = runner.invoke(main, ["apply", write(tmp_path, "m.json", IDENTITY5),
                                   write(tmp_path, "v.json", E1)])

@@ -13,6 +13,7 @@ from genshift import (
     IndexMap,
     UnsupportedError,
     apply,
+    classify,
     symbolic_map,
 )
 from genshift.dense_oracle import (
@@ -26,6 +27,16 @@ from genshift.dense_oracle import (
 from genshift import dense_oracle
 from genshift.index_domain import make_finite_map
 from helpers import finite_maps, unit_vector
+
+
+def test_the_oracle_builds_no_index_set_for_a_table_map():
+    m = IndexMap(table=(2, 2, 1, 4))
+    assert check_map_agreement(m).ok
+    classify(m)
+    assert "domain" not in vars(m)
+    maps = list(exhaustive_maps(3))
+    assert sweep(maps)[0] == 27
+    assert not any("domain" in vars(m) for m in maps)
 
 
 def test_to_dense_identity():

@@ -36,7 +36,7 @@ from genshift.dense_oracle import (
     to_dense,
 )
 from genshift.gen_shift import operator_norm
-from genshift.index_domain import block_rule, make_finite_map, odd_collapse_rule
+from genshift.index_domain import DEFAULT_WINDOW, block_rule, make_finite_map, odd_collapse_rule
 from helpers import (
     add,
     clamp_liar_rule,
@@ -124,7 +124,9 @@ def test_a_rule_apply_reads_each_fiber_once():
                                members_fn=lambda a: members.update([a]) or block.members_fn(a))
     x = from_entries(COUNTABLE, {9: 1, 2: 1j, 5: 2})
     assert apply(IndexMap(rule=rule), x) == apply(symbolic_map("block", 3), x)
-    assert cards == members == Counter({2: 1, 5: 1, 9: 1})
+    assert members == Counter({2: 1, 5: 1, 9: 1})
+    # the one check of the certificates reads 1..DEFAULT_WINDOW once, then apply each support index once
+    assert cards == Counter(range(1, DEFAULT_WINDOW + 1)) + members
 
 
 def test_in_domain_reads_each_size_at_most_once_and_stops_at_an_infinite_one():
@@ -132,7 +134,8 @@ def test_in_domain_reads_each_size_at_most_once_and_stops_at_an_infinite_one():
     oc = odd_collapse_rule()
     m = IndexMap(rule=dataclasses.replace(oc, card_fn=lambda a: cards.update([a]) or oc.card_fn(a)))
     assert not in_domain(m, from_entries(COUNTABLE, {4: 1, 1: 1, 6: 1}))
-    assert cards == Counter({4: 1, 1: 1})
+    # the one check of the certificates reads 1..DEFAULT_WINDOW once, then in_domain 4 and 1
+    assert cards == Counter(range(1, DEFAULT_WINDOW + 1)) + Counter({4: 1, 1: 1})
     cards.clear()
     assert in_domain(m, from_entries(COUNTABLE, {4: 1, 6: 1}))
     assert cards == Counter({4: 1, 6: 1})
@@ -370,6 +373,14 @@ def test_classify_consistent_liar_integrity_error():
     with pytest.raises(IntegrityError,
                        match=r"^rule 'consistent_liar' maps 2 of 1\.\.64 to 1 but fiber\(1\) has size 1$"):
         classify(IndexMap(rule=consistent_liar_rule()))
+
+
+@pytest.mark.parametrize("op", [apply, apply_norm_sq, in_domain])
+def test_vector_operations_refute_the_consistent_liar(op):
+    # read as declared, e_1 goes to e_2 (norm 1, in the domain); the shift gives e_1 + e_2
+    with pytest.raises(IntegrityError,
+                       match=r"^rule 'consistent_liar' maps 2 of 1\.\.64 to 1 but fiber\(1\) has size 1$"):
+        op(IndexMap(rule=consistent_liar_rule()), from_entries(COUNTABLE, {1: 1}))
 
 
 @pytest.mark.parametrize("image, shown", [(0, "0"), (1.0, "1.0"), (True, "True")])

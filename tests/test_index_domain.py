@@ -139,6 +139,48 @@ def test_index_map_derives_its_domain():
     assert [f.name for f in dataclasses.fields(IndexMap) if f.init] == ["table", "rule"]
 
 
+def test_a_table_map_stores_only_its_table():
+    m = IndexMap(table=(2, 1, 2))
+    assert "domain" not in vars(m)
+    assert m.domain == IndexSet(3)
+    assert vars(m)["domain"] is m.domain  # built once, on its first read
+
+
+@pytest.mark.parametrize("table", [(), (1,), (0,), (True,)])
+def test_a_table_of_fewer_than_two_entries_is_refused_before_its_entries(table):
+    with pytest.raises(ConstructionError, match=rf"^finite index set must have size >= 2, got {len(table)}$"):
+        IndexMap(table=table)
+
+
+class Index(int):
+    """An int subclass other than bool, which a table may hold."""
+
+
+@st.composite
+def mixed_tables(draw):
+    """Tables of n entries in 1..n, up to two of them replaced by an int out of range, a bool,
+    a float or an ``Index`` in or out of range."""
+    n = draw(st.integers(2, 8))
+    table = draw(st.lists(st.integers(1, n), min_size=n, max_size=n))
+    odd = st.sampled_from([0, -1, n + 1, True, False, 1.0, float(n)]) | st.integers(-1, n + 1).map(Index)
+    for pos in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        table[pos] = draw(odd)
+    return tuple(table)
+
+
+@given(mixed_tables())
+def test_the_table_check_accepts_exactly_what_the_per_entry_rule_accepts(table):
+    n = len(table)
+    offender = next(((pos, img) for pos, img in enumerate(table, start=1)
+                     if not isinstance(img, int) or isinstance(img, bool) or not 1 <= img <= n), None)
+    if offender is None:
+        assert IndexMap(table=table).table is table
+    else:
+        with pytest.raises(ConstructionError) as exc:
+            IndexMap(table=table)
+        assert str(exc.value) == f"image at position {offender[0]} is {offender[1]!r}, not in 1..{n}"
+
+
 # --- fibers ---------------------------------------------------------------
 
 def test_fiber_identity():
