@@ -19,6 +19,8 @@ def main():
     parser.add_argument("--max-exp", type=int, default=16,
                         help=f"largest K is 2**max_exp, at most 2**{MAX_EXP}")
     args = parser.parse_args()
+    if args.max_exp < 0:
+        parser.error(f"--max-exp must be at least 0, got {args.max_exp}")
     if args.max_exp > MAX_EXP:
         parser.error(f"--max-exp must be at most {MAX_EXP}: the search budget is {SEARCH_CAP} targets")
 

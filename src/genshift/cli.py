@@ -12,8 +12,9 @@ Every document is streamed: ``_walk`` yields its small skeleton value by
 value, and each array that grows with the window or the witness comes from a
 helper that knows its shape (``_rows`` for columns, stored or computed, and
 ``_window``) as pieces of at most ``PIECE`` entries, one ``%`` format each, so
-no int array goes through ``json``. Each window target's digits are formatted
-once: ``_window`` makes one piece of keys the template of the
+no int array goes through ``json``. A window's keys are cut by ``_offset`` from
+blocks of 1000 targets' digits, one ``replace`` per block (``_targets``), not
+formatted per target: ``_window`` makes one piece of keys the template of the
 ``{index: size}`` map and cuts M's piece from it, by the runs
 ``DomainReport.m_runs``, so ``analyze`` never builds M's tuple of ints.
 ``_echo`` writes the pieces straight to ``sys.stdout`` and flushes once, so no
@@ -100,19 +101,33 @@ def _offset(a: int) -> int:
     return width
 
 
+_HEAD = _format("%d", range(1, 1000))  # the targets 1..999
+_BLOCK = _format("@%03d", range(1000))  # "@000,...,@999": block c with c for @
+
+
+def _targets(lo: int, hi: int) -> str:
+    """``",".join(map(str, range(lo, hi)))`` for 1 <= lo < hi: the blocks of 1000 targets
+    that cover them, one ``replace`` each, joined and cut by ``_offset``."""
+    start = lo - lo % 1000
+    text = ",".join([_BLOCK.replace("@", str(c)) if c else _HEAD
+                     for c in range(start // 1000, (hi - 1) // 1000 + 1)])
+    base = _offset(max(start, 1))
+    return text[_offset(lo) - base:_offset(hi) - base - 1]
+
+
 def _window(sizes: tuple[int | float, ...], runs):
     """The object {"a": size of fiber(a)} over targets 1..len(sizes), as pieces, and
     the pieces of the members of ``runs`` (increasing ranges of those targets), as
     a list for ``_joined`` to write as often as needed.
 
-    Each piece of targets formats its keys once. M's piece is cut from that text
-    (all of it when one run covers the piece), and, quoted, it is the template that
-    one ``%`` fills with its sizes."""
+    Each piece cuts its keys once from 1000-target digit blocks (``_targets``). M's piece
+    is cut from that text by ``_offset`` (all of it when one run covers the piece), and,
+    quoted, the text is the template that one ``%`` fills with its sizes."""
     starts = range(1, len(sizes) + 1, PIECE)
     keys, members = [], []
     for lo in starts:
         hi = min(lo + starts.step, len(sizes) + 1)
-        text, base = _format("%d", range(lo, hi)), _offset(lo)
+        text, base = _targets(lo, hi), _offset(lo)
         keys.append(text)
         inside = [range(max(r.start, lo), min(r.stop, hi))
                   for r in runs if r.start < hi and lo < r.stop]

@@ -592,15 +592,9 @@ def test_half_unit_vectors_render_like_the_vector_helper(indices):
     assert joined(halves_text) == joined(cli._walk([cli._vector(x) for x in halves]))
 
 
-@pytest.mark.parametrize("piece", [1, 2, 3])
-@given(st.lists(st.just(math.inf) | st.integers(0, 10**12), max_size=40))
-@example([])
-@example([math.inf])
-@example([math.inf, math.inf, math.inf, 4])  # wholly infinite pieces
-@example([1, math.inf, math.inf, 4, 5, math.inf, 7])  # infinities at piece edges, a one-entry last piece
-def test_window_helper_renders_like_the_generic_walker(piece, sizes):
-    # infinities at random targets, and M as the finite runs around them
-    sizes = tuple(sizes)
+def assert_window_renders_like_the_generic_walker(piece, sizes):
+    """``_window`` at ``PIECE`` = piece against ``_walk`` of the plain dict, with M as
+    the finite runs around the infinite sizes."""
     runs = finite_runs(frozenset(a for a, c in enumerate(sizes, start=1) if c == math.inf),
                        1, len(sizes) + 1)
     plain = {str(a): "infinite" if c == math.inf else c for a, c in enumerate(sizes, start=1)}
@@ -609,6 +603,59 @@ def test_window_helper_renders_like_the_generic_walker(piece, sizes):
         cardinalities, members = cli._window(sizes, runs)
         assert "".join(cardinalities) == "".join(cli._walk(plain))
         assert "".join(cli._joined("[", members, "]")) == "".join(cli._walk(list(chain(*runs))))
+
+
+@pytest.mark.parametrize("piece", [1, 2, 3])
+@given(st.lists(st.just(math.inf) | st.integers(0, 10**12), max_size=40))
+@example([])
+@example([math.inf])
+@example([math.inf, math.inf, math.inf, 4])  # wholly infinite pieces
+@example([1, math.inf, math.inf, 4, 5, math.inf, 7])  # infinities at piece edges, a one-entry last piece
+def test_window_helper_renders_like_the_generic_walker(piece, sizes):
+    # infinities at random targets
+    assert_window_renders_like_the_generic_walker(piece, tuple(sizes))
+
+
+@pytest.mark.parametrize("piece", [999, 1000, 4096])
+@pytest.mark.parametrize("window", [2500, 9000])
+def test_window_helper_renders_like_the_generic_walker_across_blocks(piece, window):
+    # pieces that cross the 1000-target key blocks, infinities on block and piece edges
+    infinite = {999, 1000, 1001, 4096, 4097}
+    sizes = tuple(math.inf if a in infinite else a % 7 * a for a in range(1, window + 1))
+    assert_window_renders_like_the_generic_walker(piece, sizes)
+
+
+@st.composite
+def target_spans(draw):
+    """(lo, hi) with 1 <= lo < hi <= SEARCH_CAP + 1, at most a few thousand targets apart."""
+    lo = draw(st.integers(1, index_domain.SEARCH_CAP))
+    return lo, draw(st.integers(lo + 1, min(lo + 5000, index_domain.SEARCH_CAP + 1)))
+
+
+@given(target_spans())
+@example((1, 2))
+@example((1, 1000))
+@example((1, 1001))
+@example((999, 1000))
+@example((999, 1001))
+@example((1000, 1001))
+@example((1999, 6095))  # a whole piece over six blocks
+@example((9999, 10001))
+@example((10000, 10002))
+@example((999999, 10**6 + 2))
+@example((10**6, 10**6 + 1))
+@example((index_domain.SEARCH_CAP - 4095, index_domain.SEARCH_CAP + 1))
+@example((index_domain.SEARCH_CAP, index_domain.SEARCH_CAP + 1))
+def test_target_text_is_the_joined_targets(span):
+    lo, hi = span
+    assert cli._targets(lo, hi) == ",".join(map(str, range(lo, hi)))
+
+
+@pytest.mark.parametrize("a", [1, 2, 999, 1000, 1001, 9999, 10000, 10001, 999999, 10**6,
+                               10**6 + 1, index_domain.SEARCH_CAP, index_domain.SEARCH_CAP + 1])
+def test_offset_is_the_length_of_the_targets_before(a):
+    # _targets and _window cut their text at these offsets
+    assert cli._offset(a) == len(",".join(map(str, range(1, a)))) + (a > 1)
 
 
 @given(st.lists(st.integers()))
