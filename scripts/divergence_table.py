@@ -26,7 +26,7 @@ def main():
 
     tri = symbolic_map("triangular")
     print(f"{'K':>10} {'|x|^2':>12} {'bound on |image|^2':>20} {'H_K':>12}")
-    for exp in range(0, args.max_exp + 1, 2):
+    for exp in range(args.max_exp + 1):
         K = 2 ** exp
         w = divergence_witness(tri, K)
         harmonic = math.fsum(1.0 / k for k in range(1, K + 1))

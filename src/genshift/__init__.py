@@ -16,7 +16,6 @@ from .errors import (
     IntegrityError,
     NotInL2,
     ParseError,
-    SearchExhaustedError,
     UnsupportedError,
 )
 from .index_domain import (

@@ -212,7 +212,7 @@ def _load_map(path: str) -> IndexMap:
 # commands
 
 # Every library refusal a command may end in, one class per row, with its exit code and
-# stderr label; a budget refusal (SearchExhaustedError) is an UnsupportedError.
+# stderr label; a budget refusal is an UnsupportedError.
 LIBRARY_EXITS = (
     (ParseError, 2, "parse error"),
     (IntegrityError, 3, "integrity error"),
@@ -274,7 +274,7 @@ def analyze(map_file, window):
         "domain": {
             "m_set": {
                 "members": _joined("[", members, "]"),
-                "window": None if m.domain.is_finite else window,  # a table's M is all of 1..n
+                "window": None if m.table is not None else window,  # a table's M is all of 1..n
                 "certified_infinite_fibers": sorted(cert.infinite_fibers),
             },
             "closed": cert.closed,

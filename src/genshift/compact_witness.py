@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SearchExhaustedError, UnsupportedError
+from .errors import UnsupportedError
 from .index_domain import COUNTABLE, SEARCH_CAP, IndexMap
 from .sparse_vec import SparseVector
 
@@ -50,7 +50,7 @@ def witness_sequence(m: IndexMap, count: int) -> WitnessSequence:
     with a certified finite fiber bound (for unbounded maps the operator
     does not even act within the square-summable family).
     """
-    if m.domain.is_finite:
+    if m.table is not None:
         raise UnsupportedError("finite index set: the operator is compact, no witness exists")
     if count < 2:
         raise UnsupportedError(f"need at least 2 witness vectors, got {count}")
@@ -62,7 +62,7 @@ def witness_sequence(m: IndexMap, count: int) -> WitnessSequence:
     indices = array("q", itertools.islice(nonempty, min(count, SEARCH_CAP)))  # at most one per target
     if len(indices) < count:
         # the search budget: SEARCH_CAP targets may hold fewer than count nonempty fibers
-        raise SearchExhaustedError(
+        raise UnsupportedError(
             f"only {len(indices)} nonempty fibers within {SEARCH_CAP} targets; need {count}"
         )
     sizes = tuple(filter(None, m.window_sizes(indices[-1])))  # scanned and checked: the cache

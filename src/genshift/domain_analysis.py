@@ -16,7 +16,7 @@ from itertools import repeat
 from operator import mul, truediv
 from typing import Iterator
 
-from .errors import ConstructionError, SearchExhaustedError, UnsupportedError
+from .errors import ConstructionError, UnsupportedError
 from .gen_shift import _check_domains
 from .index_domain import COUNTABLE, DEFAULT_WINDOW, SEARCH_CAP, IndexMap, finite_runs
 from .sparse_vec import SparseVector, fsum_or_inf
@@ -30,9 +30,8 @@ def in_domain(m: IndexMap, z: SparseVector) -> bool:
     fiber of a map on {1..n} is finite, so there the answer is always True.
     """
     _check_domains(m, z)
-    if m.domain.is_finite:
+    if m.table is not None:
         return True
-    m.certificates  # as in apply: a rule is read only once its certificates are checked
     return math.inf not in map(m.rule.card_fn, z.entries)
 
 
@@ -100,8 +99,8 @@ def divergence_witness(m: IndexMap, K: int) -> DivergenceWitness:
 
     Requires fibers over M to be unbounded; maps certified bounded (every
     finite-domain map, and symbolic rules with a finite certified bound over
-    M) are rejected. A search that finds fewer than K records within
-    ``SEARCH_CAP`` targets raises SearchExhaustedError.
+    M) are rejected, and so is a search that finds fewer than K records within
+    ``SEARCH_CAP`` targets.
     """
     if K < 1:
         raise ConstructionError(f"K must be >= 1, got {K}")
@@ -110,9 +109,7 @@ def divergence_witness(m: IndexMap, K: int) -> DivergenceWitness:
         raise UnsupportedError(f"map is certified bounded over M (fiber bound {m.certificates.m_sup})")
     indices, sizes = fiber_records(m, K)
     if len(sizes) < K:
-        raise SearchExhaustedError(
-            f"found only {len(sizes)} fiber-size records within {SEARCH_CAP} targets"
-        )
+        raise UnsupportedError(f"found only {len(sizes)} fiber-size records within {SEARCH_CAP} targets")
     squares = map(mul, range(1, K + 1), range(1, K + 1))
     return DivergenceWitness(indices, sizes, fsum_or_inf(map(truediv, sizes, squares)))
 

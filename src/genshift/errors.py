@@ -22,11 +22,7 @@ class IntegrityError(GenShiftError, RuntimeError):
 
 
 class UnsupportedError(GenShiftError, RuntimeError):
-    """Operation precondition not met for this map."""
-
-
-class SearchExhaustedError(UnsupportedError):
-    """A windowed search hit its cap first: a budget refusal, so an UnsupportedError."""
+    """Operation precondition not met for this map; a search that hits its budget is one."""
 
 
 class NotInL2(GenShiftError, ValueError):

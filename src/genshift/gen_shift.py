@@ -32,10 +32,14 @@ class ClassificationReport:
 
 
 def _check_domains(m: IndexMap, x: SparseVector) -> None:
-    """The one index check of a vector operation: a canonical vector stores only indices of
-    its domain, so once the domains agree the map's tables and rule functions are read unchecked."""
+    """The one check of a vector operation: a canonical vector stores only indices of its
+    domain, so once the domains agree the map's tables and rule functions are read unchecked.
+    A rule is read only once ``m.certificates`` has checked it, which raises IntegrityError on
+    a rule whose ``eval_fn`` contradicts its fibers; a table's certificates are exact."""
     if m.domain != x.domain:
         raise DomainError("map and vector domains differ")
+    if m.table is None:
+        m.certificates
 
 
 def apply(m: IndexMap, x: SparseVector) -> SparseVector:
@@ -47,14 +51,12 @@ def apply(m: IndexMap, x: SparseVector) -> SparseVector:
     index order before any member is built: an infinite fiber raises NotInL2,
     naming its index, and an image past SEARCH_CAP entries UnsupportedError.
     That running total bounds every fiber, so ``members_fn`` is then read once per index.
-    A rule is read only once ``m.certificates`` has checked it, which raises
-    IntegrityError on a rule whose ``eval_fn`` contradicts its fibers.
+    Domains and a rule's certificates are checked first, by ``_check_domains``.
     """
     _check_domains(m, x)
-    if m.domain.is_finite:
+    if m.table is not None:
         pre = m.preimages
         return SparseVector(m.domain, {beta: v for theta, v in x.entries.items() for beta in pre[theta]})
-    m.certificates  # a rule's first read checks its images of 1..DEFAULT_WINDOW against its fibers
     support = sorted(x.entries.items())
     total = 0
     for theta, _ in support:
@@ -80,11 +82,10 @@ def apply_norm_sq(m: IndexMap, x: SparseVector) -> float:
     exact term, rounded once, or math.inf when that term passes the range.
     """
     _check_domains(m, x)
-    if m.domain.is_finite:
+    if m.table is not None:
         counts = m.fiber_counts
         return fsum_or_inf([c * ((re := v.real) * re + (im := v.imag) * im)
                             for theta, v in x.entries.items() if (c := counts[theta - 1])])
-    m.certificates  # as in apply
     card = m.rule.card_fn
     terms = []
     for theta, v in x.entries.items():

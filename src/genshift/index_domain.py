@@ -60,10 +60,6 @@ class IndexSet:
         if self.size is not None and self.size < 2:
             raise ConstructionError(f"finite index set must have size >= 2, got {self.size}")
 
-    @property
-    def is_finite(self) -> bool:
-        return self.size is not None
-
     def __contains__(self, alpha: object) -> bool:
         if not isinstance(alpha, int) or isinstance(alpha, bool):
             return False

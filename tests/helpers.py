@@ -118,7 +118,7 @@ def permutation_maps(draw, min_n=2, max_n=8):
 
 @st.composite
 def vectors_on(draw, domain, max_index=None, max_support=8, values=scalars):
-    hi = domain.size if domain.is_finite else (max_index or 64)
+    hi = domain.size if domain.size is not None else (max_index or 64)
     entries = draw(st.dictionaries(st.integers(1, hi), values, max_size=max_support))
     return from_entries(domain, entries)
 
@@ -202,7 +202,7 @@ def verify_fiber_soundness(m: IndexMap, window: int = DEFAULT_WINDOW) -> None:
     none). One pass inverts eval over the window, so each beta there is
     evaluated once and each target's fiber is read once.
     """
-    hi = min(window, m.domain.size) if m.domain.is_finite else window
+    hi = min(window, m.domain.size) if m.table is not None else window
     images = [m.eval(beta) for beta in range(1, hi + 1)]
     seen: dict[int, set[int]] = {alpha: set() for alpha in range(1, hi + 1)}
     for beta, alpha in enumerate(images, start=1):

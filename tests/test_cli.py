@@ -19,8 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genshift import (
-    COUNTABLE, DivergenceWitness, IntegrityError, NotInL2, ParseError, SearchExhaustedError,
-    UnsupportedError, apply, cli, from_entries, index_domain, norm_sq, parse_vector, vector_to_json,
+    COUNTABLE, DivergenceWitness, IntegrityError, NotInL2, ParseError, UnsupportedError, apply,
+    cli, from_entries, index_domain, norm_sq, parse_vector, vector_to_json,
 )
 from genshift.cli import main
 from genshift.domain_analysis import DomainReport, domain_report
@@ -496,7 +496,6 @@ def test_each_exit_row_names_one_class():
     # a budget refusal is an UnsupportedError, so it ends in row 5 with every other precondition
     rows = [(cls, code) for cls, code, _ in cli.LIBRARY_EXITS]
     assert rows == [(ParseError, 2), (IntegrityError, 3), (NotInL2, 4), (UnsupportedError, 5)]
-    assert issubclass(SearchExhaustedError, UnsupportedError)
 
 
 def test_analyze_output_is_deterministic(runner, tmp_path):
@@ -773,7 +772,7 @@ def test_oracle_check_past_the_exhaustive_cap_leaves_numpy_out():
 PUBLIC_NAMES = sorted([
     "COUNTABLE", "ClassificationReport", "ConstructionError", "DEFAULT_WINDOW", "DivergenceWitness",
     "DomainError", "DomainReport", "GenShiftError", "IndexMap", "IndexSet",
-    "IntegrityError", "NotInL2", "ParseError", "SEARCH_CAP", "SearchExhaustedError", "SparseVector",
+    "IntegrityError", "NotInL2", "ParseError", "SEARCH_CAP", "SparseVector",
     "SymbolicRule", "UnsupportedError", "WitnessSequence", "apply", "apply_norm_sq",
     "classify", "divergence_witness", "domain_report", "fiber_records",
     "from_entries", "in_domain", "map_to_json", "norm_sq",
@@ -788,7 +787,7 @@ def test_public_surface_is_pinned():
     exported = sorted(name for name, value in vars(genshift).items()
                       if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert exported == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 35
+    assert len(PUBLIC_NAMES) == 34
 
 
 def test_dense_oracle_names_resolve_from_the_package():

@@ -11,11 +11,11 @@ from genshift import (
     SEARCH_CAP,
     IndexMap,
     IntegrityError,
-    SearchExhaustedError,
     SymbolicRule,
     UnsupportedError,
     apply,
     classify,
+    domain_report,
     symbolic_map,
     witness_sequence,
 )
@@ -36,6 +36,16 @@ SQRT2_OVER_2 = math.sqrt(2) / 2
 @given(finite_maps())
 def test_finite_maps_are_compact(m):
     assert classify(m).compact is True
+
+
+def test_the_kind_of_a_table_map_is_read_off_its_table():
+    # a table answers "finite?" itself, so no verdict on it builds an IndexSet
+    m = IndexMap(table=(2, 2, 1, 4))
+    with pytest.raises(UnsupportedError, match="^finite index set: the operator is compact"):
+        witness_sequence(m, 2)
+    assert classify(m).compact is True
+    assert domain_report(m).unbounded_witness is None
+    assert "domain" not in vars(m)
 
 
 def test_countable_rules_are_not_compact():
@@ -126,14 +136,16 @@ def test_witness_rejects_tiny_count():
 
 def test_witness_search_cap_exhaustion_at_the_budget():
     # doubling's nonempty fibers are the even targets: half of the searched ones
-    with pytest.raises(SearchExhaustedError):
-        witness_sequence(symbolic_map("doubling"), SEARCH_CAP // 2 + 1)
+    count = SEARCH_CAP // 2 + 1
+    with pytest.raises(UnsupportedError,
+                       match=rf"^only {SEARCH_CAP // 2} nonempty fibers within {SEARCH_CAP} targets; need {count}$"):
+        witness_sequence(symbolic_map("doubling"), count)
 
 
 def test_witness_count_past_sys_maxsize_exhausts_the_search_budget():
     # successor's nonempty fibers are targets 2, 3, ...: one short of the SEARCH_CAP searched
     count = sys.maxsize + 1
-    with pytest.raises(SearchExhaustedError,
+    with pytest.raises(UnsupportedError,
                        match=rf"^only {SEARCH_CAP - 1} nonempty fibers within {SEARCH_CAP} targets; need {count}$"):
         witness_sequence(symbolic_map("successor"), count)
 

@@ -175,6 +175,9 @@ def test_the_search_budget_is_inclusive():
 def test_apply_domain_mismatch(op):
     with pytest.raises(DomainError, match="map and vector domains differ"):
         op(make_finite_map([1, 2], 2), unit_vector(IndexSet(3), 1))
+    # the domains are checked before a rule's certificates, so a liar is refused as a mismatch
+    with pytest.raises(DomainError, match="map and vector domains differ"):
+        op(IndexMap(rule=consistent_liar_rule()), unit_vector(IndexSet(3), 1))
 
 
 @given(map_and_vector())
@@ -375,12 +378,20 @@ def test_classify_consistent_liar_integrity_error():
         classify(IndexMap(rule=consistent_liar_rule()))
 
 
-@pytest.mark.parametrize("op", [apply, apply_norm_sq, in_domain])
+@pytest.mark.parametrize("op", [apply, apply_norm_sq, in_domain, solve])
 def test_vector_operations_refute_the_consistent_liar(op):
     # read as declared, e_1 goes to e_2 (norm 1, in the domain); the shift gives e_1 + e_2
     with pytest.raises(IntegrityError,
                        match=r"^rule 'consistent_liar' maps 2 of 1\.\.64 to 1 but fiber\(1\) has size 1$"):
         op(IndexMap(rule=consistent_liar_rule()), from_entries(COUNTABLE, {1: 1}))
+
+
+@pytest.mark.parametrize("op", [apply, apply_norm_sq, in_domain])
+def test_vector_operations_build_no_certificates_for_a_table(op):
+    # a table's certificates are exact, so the one check of a vector operation reads none
+    m = IndexMap(table=(2, 2, 1, 4))
+    op(m, from_entries(m.domain, {1: 1, 2: 2j}))
+    assert "certificates" not in vars(m)
 
 
 @pytest.mark.parametrize("image, shown", [(0, "0"), (1.0, "1.0"), (True, "True")])

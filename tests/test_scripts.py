@@ -29,3 +29,10 @@ def test_divergence_table_at_max_exp_0_prints_the_k_1_row():
     assert result.returncode == 0 and result.stderr == ""
     header, row, limit = result.stdout.splitlines()
     assert header.split()[0] == "K" and row.split()[0] == "1" and limit.split()[0] == "limit"
+
+
+def test_divergence_table_prints_a_row_for_every_power_up_to_max_exp():
+    result = divergence_table("--max-exp", "3")
+    assert result.returncode == 0 and result.stderr == ""
+    lines = result.stdout.splitlines()
+    assert [line.split()[0] for line in lines[1:-1]] == ["1", "2", "4", "8"]
