@@ -9,6 +9,7 @@ subsequence.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from array import array
@@ -26,15 +27,22 @@ class WitnessSequence:
 
     Distinct indices have disjoint fibers, so the image distance between
     items i and j is exactly sqrt(c_i + c_j) / 2 with c the fiber sizes.
-    Nonempty fibers make that at least sqrt(2)/2; the minimum over all pairs
-    is computed in exact rationals before taking the root. The indices are an
-    ``array('q')``, as ``fiber_records`` returns; ``vectors`` is built on each read.
+    Nonempty fibers make that at least sqrt(2)/2. Only the columns the search
+    finds are stored, as ``fiber_records`` returns them; the exact minimum over
+    all pairs, its root and ``vectors`` are derived from them on each read.
     """
 
     indices: array
     fiber_sizes: tuple[int, ...]
-    min_distance_sq: Fraction
-    pairwise_separation: float
+
+    @property
+    def min_distance_sq(self) -> Fraction:
+        a, b = heapq.nsmallest(2, self.fiber_sizes)  # the two smallest sizes, without a full sort
+        return Fraction(a + b, 4)
+
+    @property
+    def pairwise_separation(self) -> float:
+        return math.sqrt(self.min_distance_sq)
 
     @property
     def vectors(self) -> tuple[SparseVector, ...]:
@@ -60,17 +68,8 @@ def witness_sequence(m: IndexMap, count: int) -> WitnessSequence:
     # bounded fibers are finite, so this skips exactly the empty ones
     nonempty = (b for a, sizes in m.scan(count) for b, c in enumerate(sizes, start=a) if c)
     indices = array("q", itertools.islice(nonempty, min(count, SEARCH_CAP)))  # at most one per target
-    if len(indices) < count:
-        # the search budget: SEARCH_CAP targets may hold fewer than count nonempty fibers
-        raise UnsupportedError(
-            f"only {len(indices)} nonempty fibers within {SEARCH_CAP} targets; need {count}"
-        )
+    if len(indices) < count:  # the search budget: SEARCH_CAP targets may hold fewer nonempty fibers
+        raise UnsupportedError(f"only {len(indices)} nonempty fibers within {SEARCH_CAP} targets; "
+                               f"need {count}")
     sizes = tuple(filter(None, m.window_sizes(indices[-1])))  # scanned and checked: the cache
-    smallest_two = sorted(sizes)[:2]
-    min_sq = Fraction(smallest_two[0] + smallest_two[1], 4)
-    return WitnessSequence(
-        indices=indices,
-        fiber_sizes=sizes,
-        min_distance_sq=min_sq,
-        pairwise_separation=math.sqrt(min_sq),
-    )
+    return WitnessSequence(indices, sizes)

@@ -69,15 +69,19 @@ class DivergenceWitness:
     The entry 1/k sits at the k-th record index, whose fiber size n_k is
     strictly increasing, hence n_k >= k. The image norm squared is therefore
     at least sum of n_k / k^2 >= sum of 1/k, the K-th harmonic number, while
-    the vector norm squared stays below pi^2 / 6. The bound is math.inf when a
-    term n_k / k^2 or their sum passes the float range. Only the records are
-    kept, as the columns ``fiber_records`` returns; ``weights`` is where 1/k
-    lives, and it and ``vector`` are built on each read.
+    the vector norm squared stays below pi^2 / 6. Only the records are kept,
+    as the columns ``fiber_records`` returns; ``weights`` is where 1/k lives,
+    and every number and ``vector`` are derived from them on each read.
     """
 
     indices: array
     fiber_sizes: tuple[int, ...]
-    image_norm_sq_lower_bound: float
+
+    @property
+    def image_norm_sq_lower_bound(self) -> float:
+        """The sum of n_k / k^2: math.inf when a term or the sum passes the float range."""
+        k = range(1, len(self.indices) + 1)
+        return fsum_or_inf(map(truediv, self.fiber_sizes, map(mul, k, k)))
 
     @property
     def weights(self) -> Iterator[float]:
@@ -110,8 +114,7 @@ def divergence_witness(m: IndexMap, K: int) -> DivergenceWitness:
     indices, sizes = fiber_records(m, K)
     if len(sizes) < K:
         raise UnsupportedError(f"found only {len(sizes)} fiber-size records within {SEARCH_CAP} targets")
-    squares = map(mul, range(1, K + 1), range(1, K + 1))
-    return DivergenceWitness(indices, sizes, fsum_or_inf(map(truediv, sizes, squares)))
+    return DivergenceWitness(indices, sizes)
 
 
 @dataclass(frozen=True)

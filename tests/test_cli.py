@@ -564,10 +564,12 @@ def increasing_records(draw):
 @example(columns((10**12 - 2, 4), (10**12 - 1, 9), (10**12, 10**12)))
 def test_record_vector_renders_like_the_witness_vector(records):
     indices, sizes = records
-    w = DivergenceWitness(indices, sizes, 0.0)
+    w = DivergenceWitness(indices, sizes)
     vector_text = cli._rows('{"i":%d,"re":%.17g,"im":0}', indices, w.weights)
     assert joined(vector_text) == joined(cli._walk(vector_to_json(w.vector)))
     assert w.vector_norm_sq == norm_sq(w.vector)
+    # the bound is derived from the records alone: sum of n_k / k^2
+    assert w.image_norm_sq_lower_bound == math.fsum(n / (k * k) for k, n in enumerate(sizes, start=1))
 
 
 @given(increasing_records())

@@ -1,10 +1,13 @@
 import dataclasses
+import itertools
 import math
 import sys
+from array import array
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from genshift import (
     COUNTABLE,
@@ -13,6 +16,7 @@ from genshift import (
     IntegrityError,
     SymbolicRule,
     UnsupportedError,
+    WitnessSequence,
     apply,
     classify,
     domain_report,
@@ -96,6 +100,16 @@ def test_witness_sums_the_two_smallest_different_sizes():
     assert w.fiber_sizes == (1, 2)
     assert w.min_distance_sq == Fraction(3, 4)
     assert w.pairwise_separation == math.sqrt(0.75)
+
+
+@given(st.lists(st.integers(1, 10**30), min_size=2, max_size=40))
+@example([3, 1, 2, 1])  # the two smallest are equal and not adjacent
+@example([10**30, 2**63, 1])  # sizes past int64 and past the float range's exact integers
+def test_separation_is_the_minimum_over_all_pairs(sizes):
+    w = WitnessSequence(array("q", range(1, len(sizes) + 1)), tuple(sizes))
+    brute = min(Fraction(a + b, 4) for a, b in itertools.combinations(sizes, 2))
+    assert w.min_distance_sq == brute
+    assert w.pairwise_separation == math.sqrt(brute)
 
 
 def test_witness_images_attain_the_separation():

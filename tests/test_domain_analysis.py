@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from array import array
@@ -12,12 +13,14 @@ from genshift import (
     DEFAULT_WINDOW,
     SEARCH_CAP,
     ConstructionError,
+    DivergenceWitness,
     IndexMap,
     IndexSet,
     IntegrityError,
     NotInL2,
     SymbolicRule,
     UnsupportedError,
+    WitnessSequence,
     apply,
     apply_norm_sq,
     divergence_witness,
@@ -287,6 +290,10 @@ def test_witnesses_are_equal_by_value_and_unhashable():
     assert w1 != divergence_witness(symbolic_map("triangular"), 4)
     c1, c2 = (witness_sequence(symbolic_map("successor"), 3) for _ in range(2))
     assert c1 == c2 and c1 != witness_sequence(symbolic_map("successor"), 4)
+    # a witness is its two columns: rebuilt from them, it equals what the search returned
+    for w, cls in ((w1, DivergenceWitness), (c1, WitnessSequence)):
+        assert [f.name for f in dataclasses.fields(cls)] == ["indices", "fiber_sizes"]
+        assert cls(array("q", w.indices), tuple(w.fiber_sizes)) == w
     # an index column is an array, so no record that holds one has a hash, DomainReport included
     for record in (w1, c1, domain_report(symbolic_map("triangular"))):
         with pytest.raises(TypeError, match="unhashable type: 'array.array'"):
