@@ -45,7 +45,6 @@ from .gen_shift import (
 )
 from .domain_analysis import (
     DivergenceWitness,
-    DomainReport,
     divergence_witness,
     domain_report,
     fiber_records,

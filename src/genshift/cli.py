@@ -15,8 +15,8 @@ helper that knows its shape (``_rows`` for columns, stored or computed, and
 no int array goes through ``json``. A window's keys are cut by ``_offset`` from
 blocks of 1000 targets' digits, one ``replace`` per block (``_targets``), not
 formatted per target: ``_window`` makes one piece of keys the template of the
-``{index: size}`` map and cuts M's piece from it, by the runs
-``DomainReport.m_runs``, so ``analyze`` never builds M's tuple of ints.
+``{index: size}`` map and cuts M's piece from it, by the runs ``finite_runs`` gives
+between the certificate's infinite fibers, so ``analyze`` never builds M's tuple of ints.
 ``_echo`` writes the pieces straight to ``sys.stdout`` and flushes once, so no
 document is joined whole, and peak memory is bounded by the computed values,
 not by the text.
@@ -250,8 +250,9 @@ def analyze(map_file, window):
     sizes = m.window_sizes(window)  # first, so a window past DEFAULT_WINDOW checks the certificates
     cert = m.certificates
     rep = gen_shift.classify(m)
-    domain = domain_analysis.domain_report(m, window)
-    cardinalities, members = _window(sizes, domain.m_runs)  # M's pieces serve both m_set keys
+    unbounded = domain_analysis.domain_report(m)
+    m_runs = index_domain.finite_runs(cert.infinite_fibers, 1, len(sizes) + 1)  # M on the window
+    cardinalities, members = _window(sizes, m_runs)  # M's pieces serve both m_set keys
     doc = {
         "schema_version": SCHEMA_VERSION,
         "map": _map_doc(m),
@@ -280,8 +281,7 @@ def analyze(map_file, window):
             "closed": cert.closed,
             "uniform_bound_on_m": cert.m_sup,
             "characterization_holds": cert.closed,
-            "unbounded_witness": (None if domain.unbounded_witness is None
-                                  else _rows("[%d,%d]", *domain.unbounded_witness)),
+            "unbounded_witness": None if unbounded is None else _rows("[%d,%d]", *unbounded),
         },
     }
     _echo(doc)

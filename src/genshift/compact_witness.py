@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnsupportedError
-from .index_domain import COUNTABLE, SEARCH_CAP, IndexMap
+from .index_domain import COUNTABLE, SEARCH_CAP, IndexMap, memo
 from .sparse_vec import SparseVector
 
 
@@ -29,13 +29,14 @@ class WitnessSequence:
     items i and j is exactly sqrt(c_i + c_j) / 2 with c the fiber sizes.
     Nonempty fibers make that at least sqrt(2)/2. Only the columns the search
     finds are stored, as ``fiber_records`` returns them; the exact minimum over
-    all pairs, its root and ``vectors`` are derived from them on each read.
+    all pairs is derived from them on its first read and kept (the sizes are a
+    tuple, so it cannot go stale), and its root and ``vectors`` on each read.
     """
 
     indices: array
     fiber_sizes: tuple[int, ...]
 
-    @property
+    @memo
     def min_distance_sq(self) -> Fraction:
         a, b = heapq.nsmallest(2, self.fiber_sizes)  # the two smallest sizes, without a full sort
         return Fraction(a + b, 4)

@@ -1,10 +1,10 @@
 """The natural domain of the shift: vectors whose image stays square-summable.
 
 For finitely supported z, membership is exactly "every support index has a
-finite fiber", so the finite-fiber index set M carries the structure:
-membership, and the divergence certificates produced when fiber sizes over M
-grow without bound. Closedness of the domain as a subspace is the one derived
-fact ``m.certificates.closed``, a finite bound over M; this module reads it.
+finite fiber", so the finite-fiber index set M carries the structure: it is the
+complement of ``m.certificates.infinite_fibers``, and closedness of the domain is
+the one derived fact ``m.certificates.closed``, a finite bound over M. This module
+reads both, and builds the record witnesses when fiber sizes over M are unbounded.
 """
 
 from __future__ import annotations
@@ -18,16 +18,16 @@ from typing import Iterator
 
 from .errors import ConstructionError, UnsupportedError
 from .gen_shift import _check_domains
-from .index_domain import COUNTABLE, DEFAULT_WINDOW, SEARCH_CAP, IndexMap, finite_runs
+from .index_domain import COUNTABLE, SEARCH_CAP, IndexMap, finite_runs
 from .sparse_vec import SparseVector, fsum_or_inf
 
 
 def in_domain(m: IndexMap, z: SparseVector) -> bool:
     """Whether the image of z is square-summable.
 
-    For finitely supported z this holds exactly when every support index has
-    a finite fiber: exactly when apply(m, z) does not raise NotInL2. Every
-    fiber of a map on {1..n} is finite, so there the answer is always True.
+    For finitely supported z this holds exactly when every support index has a
+    finite fiber (always on {1..n}): exactly when apply(m, z) does not raise
+    NotInL2. A rule's ``card_fn`` is trusted, as in ``apply_norm_sq``.
     """
     _check_domains(m, z)
     if m.table is not None:
@@ -117,25 +117,7 @@ def divergence_witness(m: IndexMap, K: int) -> DivergenceWitness:
     return DivergenceWitness(indices, sizes)
 
 
-@dataclass(frozen=True)
-class DomainReport:
-    """What the domain analysis computes beyond ``m.certificates``: M and, when
-    the domain is not closed, the record witness.
-
-    ``m_runs`` is M on the window (all of a table's indices), as the maximal
-    runs ``finite_runs`` gives. ``unbounded_witness`` holds the first records,
-    as ``fiber_records`` returns them, exactly when ``m.certificates.closed``
-    is False; closedness itself, and the bound over M, stay on the certificates.
-    """
-
-    m_runs: tuple[range, ...]
-    unbounded_witness: tuple[array, tuple[int, ...]] | None
-
-
-def domain_report(m: IndexMap, window: int = DEFAULT_WINDOW) -> DomainReport:
-    sizes = m.window_sizes(window)
-    cert = m.certificates
-    return DomainReport(
-        m_runs=tuple(finite_runs(cert.infinite_fibers, 1, len(sizes) + 1)),
-        unbounded_witness=None if cert.closed else fiber_records(m, 8),
-    )
+def domain_report(m: IndexMap) -> tuple[array, tuple[int, ...]] | None:
+    """The witness that the domain is not closed: None when ``m.certificates.closed``,
+    else the first eight records, as ``fiber_records`` returns them."""
+    return None if m.certificates.closed else fiber_records(m, 8)

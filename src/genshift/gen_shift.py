@@ -50,7 +50,8 @@ def apply(m: IndexMap, x: SparseVector) -> SparseVector:
     + image) after the index's one-time O(n) build. A rule's sizes are read in
     index order before any member is built: an infinite fiber raises NotInL2,
     naming its index, and an image past SEARCH_CAP entries UnsupportedError.
-    That running total bounds every fiber, so ``members_fn`` is then read once per index.
+    That running total bounds every fiber, so ``members_fn`` is then read once per index,
+    and trusted: no member is checked against ``eval_fn``.
     Domains and a rule's certificates are checked first, by ``_check_domains``.
     """
     _check_domains(m, x)
@@ -80,6 +81,7 @@ def apply_norm_sq(m: IndexMap, x: SparseVector) -> float:
     otherwise agrees with norm_sq(apply(m, x)), math.inf included when the
     sum passes the float range. A rule's size past the float range gives its
     exact term, rounded once, or math.inf when that term passes the range.
+    A rule's ``card_fn`` is trusted: the certificates tally ``eval_fn`` over 1..64 only.
     """
     _check_domains(m, x)
     if m.table is not None:

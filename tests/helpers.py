@@ -1,6 +1,7 @@
 """Shared strategies, reference functions, vector algebra and hand-rolled test rules."""
 
 import math
+from itertools import chain
 
 from hypothesis import strategies as st
 
@@ -15,7 +16,7 @@ from genshift import (
     from_entries,
     norm_sq,
 )
-from genshift.index_domain import make_finite_map
+from genshift.index_domain import finite_runs, make_finite_map
 
 
 def sup_card(cards) -> int | float:
@@ -26,6 +27,13 @@ def sup_card(cards) -> int | float:
             return math.inf
         best = max(best, c)
     return best
+
+
+def m_members(m: IndexMap, window: int = DEFAULT_WINDOW) -> tuple[int, ...]:
+    """M on the window as ``analyze`` takes it: the window's sizes first, then the
+    targets ``finite_runs`` keeps outside the certified infinite fibers, in order."""
+    stop = len(m.window_sizes(window)) + 1
+    return tuple(chain(*finite_runs(m.certificates.infinite_fibers, 1, stop)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,11 @@ from hypothesis import strategies as st
 
 from genshift import (
     COUNTABLE, DivergenceWitness, IntegrityError, NotInL2, ParseError, UnsupportedError, apply,
-    cli, from_entries, index_domain, norm_sq, parse_vector, vector_to_json,
+    cli, compact_witness, from_entries, index_domain, norm_sq, parse_vector, vector_to_json,
 )
 from genshift.cli import main
-from genshift.domain_analysis import DomainReport, domain_report
 from genshift.index_domain import finite_runs, make_finite_map
-from helpers import clamp_liar_rule, consistent_liar_rule, liar_rule
+from helpers import clamp_liar_rule, consistent_liar_rule, liar_rule, m_members
 from test_cli_golden import GOLDEN
 
 
@@ -231,6 +230,22 @@ def test_witness_compact_successor(runner, tmp_path):
     assert doc["min_distance_sq"] == {"num": 1, "den": 2}
     assert doc["pairwise_separation"] == math.sqrt(0.5)
     assert len(doc["vectors"]) == 3
+
+
+def test_witness_compact_finds_its_separation_in_one_pass(runner, tmp_path, monkeypatch):
+    # min_distance_sq is kept on first read, so its two reads and the root's share one pass
+    calls, nsmallest = [], compact_witness.heapq.nsmallest
+
+    def counting(*args):
+        calls.append(args)
+        return nsmallest(*args)
+
+    monkeypatch.setattr(compact_witness.heapq, "nsmallest", counting)
+    result = runner.invoke(main, ["witness", write(tmp_path, "m.json", SUCCESSOR),
+                                  "--kind", "compact", "--count", "1000"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["min_distance_sq"] == {"num": 1, "den": 2}
+    assert len(calls) == 1
 
 
 def test_witness_divergence_triangular_k16(runner, tmp_path):
@@ -690,14 +705,13 @@ def test_large_outputs_are_rendered_by_shape(runner, tmp_path, monkeypatch, doc,
 
 @pytest.mark.parametrize("doc", [ODD_COLLAPSE, IDENTITY5], ids=["odd_collapse", "table"])
 def test_analyze_renders_m_from_its_runs(runner, tmp_path, doc):
-    # M's runs are all the report keeps of M: both m_set keys print their members, the same bytes each run
-    assert [f.name for f in dataclasses.fields(DomainReport)] == ["m_runs", "unbounded_witness"]
+    # M is rendered from its runs alone: both m_set keys print its members, the same bytes each run
     args = ["analyze", write(tmp_path, "m.json", doc), "--window", "10000"]
     before, after = runner.invoke(main, args), runner.invoke(main, args)
     assert before.exit_code == after.exit_code == 0
     assert after.output == before.output
     out = json.loads(after.output)
-    members = [*chain(*domain_report(index_domain.parse_map(doc), 10000).m_runs)]
+    members = [*m_members(index_domain.parse_map(doc), 10000)]
     assert out["fiber_report"]["m_set"] == out["domain"]["m_set"]["members"] == members
 
 
@@ -773,7 +787,7 @@ def test_oracle_check_past_the_exhaustive_cap_leaves_numpy_out():
 
 PUBLIC_NAMES = sorted([
     "COUNTABLE", "ClassificationReport", "ConstructionError", "DEFAULT_WINDOW", "DivergenceWitness",
-    "DomainError", "DomainReport", "GenShiftError", "IndexMap", "IndexSet",
+    "DomainError", "GenShiftError", "IndexMap", "IndexSet",
     "IntegrityError", "NotInL2", "ParseError", "SEARCH_CAP", "SparseVector",
     "SymbolicRule", "UnsupportedError", "WitnessSequence", "apply", "apply_norm_sq",
     "classify", "divergence_witness", "domain_report", "fiber_records",
@@ -789,7 +803,7 @@ def test_public_surface_is_pinned():
     exported = sorted(name for name, value in vars(genshift).items()
                       if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert exported == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 34
+    assert len(PUBLIC_NAMES) == 33
 
 
 def test_dense_oracle_names_resolve_from_the_package():

@@ -48,7 +48,7 @@ def test_the_kind_of_a_table_map_is_read_off_its_table():
     with pytest.raises(UnsupportedError, match="^finite index set: the operator is compact"):
         witness_sequence(m, 2)
     assert classify(m).compact is True
-    assert domain_report(m).unbounded_witness is None
+    assert domain_report(m) is None
     assert "domain" not in vars(m)
 
 

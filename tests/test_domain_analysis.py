@@ -40,6 +40,7 @@ from helpers import (
     add,
     clamp_liar_rule,
     liar_rule,
+    m_members,
     parity_rule,
     scale,
     unit_vector,
@@ -86,23 +87,23 @@ def test_domain_is_a_subspace(data):
     assert in_domain(oc, combo)
 
 
-# --- M: DomainReport.m_runs, with the certified complement on the map -----------
+# --- M: the finite runs off the certified infinite fibers, on the window -----------
 
 def test_m_set_bounded_rules_cover_everything():
     m = symbolic_map("block", 3)
-    assert tuple(itertools.chain(*domain_report(m, window=12).m_runs)) == tuple(range(1, 13))
+    assert m_members(m, 12) == tuple(range(1, 13))
     assert m.certificates.infinite_fibers == frozenset()
 
 
 def test_m_set_odd_collapse_excludes_one():
     m = symbolic_map("odd_collapse")
-    assert tuple(itertools.chain(*domain_report(m, window=10).m_runs)) == tuple(range(2, 11))
+    assert m_members(m, 10) == tuple(range(2, 11))
     assert m.certificates.infinite_fibers == frozenset({1})
 
 
 def test_m_set_finite_is_exact():
     m = make_finite_map([1, 1, 1, 1], 4)
-    assert tuple(itertools.chain(*domain_report(m, window=2).m_runs)) == (1, 2, 3, 4)  # a table ignores the window
+    assert m_members(m, 2) == (1, 2, 3, 4)  # a table ignores the window
     assert m.certificates.infinite_fibers == frozenset()
 
 
@@ -113,15 +114,17 @@ def test_m_set_finite_is_exact():
     (make_finite_map([1, 1, 1, 1], 4), 2, (1, 2, 3, 4)),
 ], ids=["odd_collapse_w1", "odd_collapse_w5000", "block", "table"])
 def test_m_is_kept_as_the_finite_runs(m, window, members):
-    rep = domain_report(m, window)
-    stop = len(m.window_sizes(window)) + 1
-    assert rep.m_runs == tuple(finite_runs(m.certificates.infinite_fibers, 1, stop))
-    assert tuple(itertools.chain(*rep.m_runs)) == members
+    # as `analyze` takes M: the window first, then the maximal runs between the certified infinite fibers
+    sizes = m.window_sizes(window)
+    runs = finite_runs(m.certificates.infinite_fibers, 1, len(sizes) + 1)
+    assert tuple(itertools.chain(*runs)) == members
+    assert members == tuple(a for a, c in enumerate(sizes, start=1) if c != math.inf)  # brute force
+    assert all(r.stop < s.start for r, s in zip(runs, runs[1:]))  # maximal: no two runs touch
 
 
 def test_m_set_refutes_false_certificates():
     with pytest.raises(IntegrityError, match="finite-fiber bound 1"):
-        domain_report(IndexMap(rule=clamp_liar_rule()), window=8)
+        IndexMap(rule=clamp_liar_rule()).window_sizes(8)
 
 
 # --- closedness: Certificates.closed ----------------------------------------------
@@ -129,30 +132,30 @@ def test_m_set_refutes_false_certificates():
 def test_domain_closed_finite_always_true():
     m = make_finite_map([2, 2, 2], 3)
     assert m.certificates.closed is True
-    assert domain_report(m).unbounded_witness is None
+    assert domain_report(m) is None
 
 
 def test_domain_closed_block_rule():
     m = symbolic_map("block", 3)
-    assert domain_report(m).unbounded_witness is None
+    assert domain_report(m) is None
     assert m.certificates.closed is True
     assert m.certificates.m_sup == 3
 
 
 def test_domain_closed_triangular_false_with_witness():
     m = symbolic_map("triangular")
-    rep = domain_report(m)
+    witness = domain_report(m)
     assert m.certificates.closed is False
-    assert rep.unbounded_witness is not None
-    indices, sizes = rep.unbounded_witness
+    assert witness is not None
+    indices, sizes = witness
     assert list(sizes) == sorted(set(sizes)) and len(sizes) >= 2  # strictly increasing
-    members = set(itertools.chain(*rep.m_runs))
+    members = set(m_members(m))
     assert all(a in members or a > DEFAULT_WINDOW for a in indices[:3])
 
 
 def test_domain_closed_odd_collapse_true_over_m():
     m = symbolic_map("odd_collapse")
-    assert domain_report(m).unbounded_witness is None
+    assert domain_report(m) is None
     assert m.certificates.closed is True
     assert m.certificates.m_sup == 1
 
@@ -160,11 +163,24 @@ def test_domain_closed_odd_collapse_true_over_m():
 def test_domain_report_equivalence_of_verdicts():
     for m in (symbolic_map("block", 4), symbolic_map("triangular"),
               symbolic_map("odd_collapse"), make_finite_map([1, 1, 2], 3)):
-        rep = domain_report(m)
+        witness = domain_report(m)
         if m.certificates.closed is True:
-            assert m.certificates.m_sup != math.inf and rep.unbounded_witness is None
+            assert m.certificates.m_sup != math.inf and witness is None
         if m.certificates.closed is False:
-            assert m.certificates.m_sup == math.inf and rep.unbounded_witness is not None
+            assert m.certificates.m_sup == math.inf and witness is not None
+
+
+@pytest.mark.parametrize("m", [
+    symbolic_map("successor"), symbolic_map("clamp_pred"), symbolic_map("block", 3),
+    symbolic_map("triangular"), symbolic_map("doubling"), symbolic_map("odd_collapse"),
+    IndexMap(rule=parity_rule()), make_finite_map([1, 1, 2], 3),
+], ids=["successor", "clamp_pred", "block", "triangular", "doubling", "odd_collapse", "parity",
+        "table"])
+def test_domain_report_is_the_first_eight_records_exactly_when_not_closed(m):
+    witness = domain_report(m)
+    assert (witness is None) is m.certificates.closed
+    if witness is not None:
+        assert witness == fiber_records(m, 8)
 
 
 def test_certificates_closed_clamp_liar_integrity_error():
@@ -294,7 +310,7 @@ def test_witnesses_are_equal_by_value_and_unhashable():
     for w, cls in ((w1, DivergenceWitness), (c1, WitnessSequence)):
         assert [f.name for f in dataclasses.fields(cls)] == ["indices", "fiber_sizes"]
         assert cls(array("q", w.indices), tuple(w.fiber_sizes)) == w
-    # an index column is an array, so no record that holds one has a hash, DomainReport included
+    # an index column is an array, so no record that holds one has a hash, domain_report's included
     for record in (w1, c1, domain_report(symbolic_map("triangular"))):
         with pytest.raises(TypeError, match="unhashable type: 'array.array'"):
             hash(record)
@@ -335,6 +351,6 @@ def test_characterization_exhaustive_on_finite_4():
     supports = [frozenset(s) for r in range(5) for s in itertools.combinations(range(1, 5), r)]
     vectors = [(s, from_entries(dom, {i: 1.0 for i in s})) for s in supports]
     for m in exhaustive_maps(4):
-        members = set(itertools.chain(*domain_report(m).m_runs))
+        members = set(m_members(m))
         for support, z in vectors:
             assert in_domain(m, z) == support.issubset(members)

@@ -2,8 +2,8 @@ import dataclasses
 import math
 import re
 import sys
+from array import array
 from collections import Counter
-from itertools import chain
 
 import pytest
 from hypothesis import given
@@ -45,6 +45,7 @@ from helpers import (
     clamp_liar_rule,
     finite_maps,
     liar_rule,
+    m_members,
     parity_rule,
     sup_card,
     verify_fiber_soundness,
@@ -325,7 +326,7 @@ def test_fiber_report_identity():
     m = make_finite_map([1, 2, 3, 4, 5], 5)
     assert max(m.window_sizes(5)) == 1
     assert fiber_report(m) == 1
-    assert tuple(chain(*domain_report(m).m_runs)) == tuple(range(1, 6))
+    assert m_members(m) == tuple(range(1, 6))
 
 
 def test_fiber_report_clamp_table():
@@ -381,7 +382,7 @@ def test_fiber_report_certified_rules():
 def test_fiber_report_odd_collapse_m_set_omits_one():
     m = symbolic_map("odd_collapse")
     assert fiber_report(m) == math.inf
-    assert tuple(chain(*domain_report(m, window=10).m_runs)) == tuple(range(2, 11))
+    assert m_members(m, 10) == tuple(range(2, 11))
     assert max(m.window_sizes(10)) == math.inf
 
 
@@ -504,7 +505,7 @@ def test_every_verdict_is_a_plain_value(m):
     verdicts = (rep.maps_into_l2, rep.sigma_injective, rep.sigma_surjective, rep.isometry,
                 rep.compact, closed)
     assert [type(v) for v in verdicts] == [bool] * 6
-    assert (domain_report(m, 16).unbounded_witness is None) is closed
+    assert (domain_report(m) is None) is closed
     assert type(rep.operator_norm) is float
     assert type(operator_norm(m)) is float
 
@@ -531,13 +532,22 @@ def test_analyze_scans_each_window_once(rule):
         m.window_sizes(40)
         fiber_report(m)
         classify(m)
-        domain_report(m, 40)
+        domain_report(m)
     assert calls == list(range(1, 65))  # the window 1..40, then the certificates' first read of 41..64
     m.window_sizes(12)
     assert len(calls) == 64  # a smaller window is a prefix of the cached scan
     m.window_sizes(100)
     assert calls == list(range(1, 101))  # a larger one scans the targets beyond it
     assert m.window_sizes(100) == tuple(rule.card_fn(a) for a in range(1, 101))
+
+
+def test_domain_report_reads_no_target_past_the_certificates():
+    # the eight records lie inside the 64 targets the certificate read took
+    counted, calls = _counting(triangular_rule())
+    m = IndexMap(rule=counted)
+    assert domain_report(m) == (array("q", range(1, 9)), tuple(range(1, 9)))
+    assert calls == list(range(1, DEFAULT_WINDOW + 1))
+    assert len(vars(m)["_window_sizes"]) == DEFAULT_WINDOW == 64
 
 
 def test_window_cache_keeps_refuting_beyond_it():
@@ -577,10 +587,10 @@ def test_witnesses_read_each_target_once():
 
 @pytest.mark.parametrize("verdict", [
     pytest.param(IndexMap.window_sizes, id="window_sizes"),
-    pytest.param(domain_report, id="domain_report"),
-    # each field of the report: the witness that refutes closedness, and M
-    pytest.param(lambda m, w: domain_report(m, w).unbounded_witness, id="domain_closed"),
-    pytest.param(lambda m, w: domain_report(m, w).m_runs, id="m_set"),
+    # the domain verdicts as `analyze` reads them, after its window: the witness
+    # that refutes closedness, and M
+    pytest.param(lambda m, w: (m.window_sizes(w), domain_report(m)), id="domain_closed"),
+    pytest.param(m_members, id="m_set"),
 ])
 @pytest.mark.parametrize("m", [make_finite_map([2, 2, 1], 3), symbolic_map("successor")],
                          ids=["table", "rule"])
