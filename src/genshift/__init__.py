@@ -10,8 +10,6 @@ at small sizes. That oracle needs numpy, so the package leaves it out: import
 """
 
 from .errors import (
-    ConstructionError,
-    DomainError,
     GenShiftError,
     IntegrityError,
     NotInL2,
@@ -37,7 +35,6 @@ from .sparse_vec import (
     vector_to_json,
 )
 from .gen_shift import (
-    ClassificationReport,
     apply,
     apply_norm_sq,
     classify,
@@ -46,7 +43,6 @@ from .gen_shift import (
 from .domain_analysis import (
     DivergenceWitness,
     divergence_witness,
-    domain_report,
     fiber_records,
     in_domain,
 )

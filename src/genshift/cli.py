@@ -26,6 +26,7 @@ every redirected stream alive; stderr lines pass it ``file=sys.stderr``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
@@ -187,10 +188,9 @@ def _echo(doc) -> None:
 
 
 def _map_doc(m: IndexMap) -> dict:
-    doc = index_domain.map_to_json(m)
-    if m.table is not None:
-        doc["images"] = _rows("%d", m.table)  # table-sized
-    return doc
+    if m.table is not None:  # map_to_json's document, its table as pieces rather than a list copy
+        return {"kind": "finite", "images": _rows("%d", m.table)}
+    return index_domain.map_to_json(m)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +249,6 @@ def analyze(map_file, window):
     m = _load_map(map_file)
     sizes = m.window_sizes(window)  # first, so a window past DEFAULT_WINDOW checks the certificates
     cert = m.certificates
-    rep = gen_shift.classify(m)
     unbounded = domain_analysis.domain_report(m)
     m_runs = index_domain.finite_runs(cert.infinite_fibers, 1, len(sizes) + 1)  # M on the window
     cardinalities, members = _window(sizes, m_runs)  # M's pieces serve both m_set keys
@@ -264,14 +263,7 @@ def analyze(map_file, window):
                         else {"kind": "certified", "bound": cert.sup_card}),
             "m_set": _joined("[", members, "]"),
         },
-        "classification": {
-            "maps_into_l2": rep.maps_into_l2,
-            "operator_norm": rep.operator_norm,
-            "sigma_injective": rep.sigma_injective,
-            "sigma_surjective": rep.sigma_surjective,
-            "isometry": rep.isometry,
-            "compact": rep.compact,
-        },
+        "classification": dataclasses.asdict(gen_shift.classify(m)),
         "domain": {
             "m_set": {
                 "members": _joined("[", members, "]"),

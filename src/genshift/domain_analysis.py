@@ -16,7 +16,7 @@ from itertools import repeat
 from operator import mul, truediv
 from typing import Iterator
 
-from .errors import ConstructionError, UnsupportedError
+from .errors import ParseError, UnsupportedError
 from .gen_shift import _check_domains
 from .index_domain import COUNTABLE, SEARCH_CAP, IndexMap, finite_runs
 from .sparse_vec import SparseVector, fsum_or_inf
@@ -46,7 +46,7 @@ def fiber_records(m: IndexMap, count: int) -> tuple[array, tuple[int, ...]]:
     scanned up to ``SEARCH_CAP`` targets, a finite one in full.
     """
     if count < 1:
-        raise ConstructionError(f"count must be >= 1, got {count}")
+        raise ParseError(f"count must be >= 1, got {count}")
     indices, sizes = array("q"), []
     best = 0
     for a, chunk in m.scan(count):
@@ -107,7 +107,7 @@ def divergence_witness(m: IndexMap, K: int) -> DivergenceWitness:
     ``SEARCH_CAP`` targets.
     """
     if K < 1:
-        raise ConstructionError(f"K must be >= 1, got {K}")
+        raise ParseError(f"K must be >= 1, got {K}")
     m.window_sizes(min(K, SEARCH_CAP))  # the scan's first window: refutes a false certificate
     if m.certificates.closed:
         raise UnsupportedError(f"map is certified bounded over M (fiber bound {m.certificates.m_sup})")

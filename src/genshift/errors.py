@@ -1,20 +1,13 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package: one class per CLI exit code from 2 to 5."""
 
 
 class GenShiftError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ConstructionError(GenShiftError, ValueError):
-    """Invalid construction input: bad image table, bad size, bad rule param."""
-
-
-class DomainError(GenShiftError, ValueError):
-    """Index outside an index set, or two objects with mismatched domains."""
-
-
 class ParseError(GenShiftError, ValueError):
-    """Malformed map or vector document."""
+    """A malformed map or vector document, or an argument outside its range: a bad image
+    table, size, rule, window or count, an index outside a domain, or mismatched domains."""
 
 
 class IntegrityError(GenShiftError, RuntimeError):

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, IntegrityError, NotInL2, UnsupportedError
+from .errors import IntegrityError, NotInL2, ParseError, UnsupportedError
 from .index_domain import DEFAULT_WINDOW, SEARCH_CAP, IndexMap, describe_fiber, fiber_report
 from .sparse_vec import SparseVector, fsum_or_inf
 
@@ -33,11 +33,12 @@ class ClassificationReport:
 
 def _check_domains(m: IndexMap, x: SparseVector) -> None:
     """The one check of a vector operation: a canonical vector stores only indices of its
-    domain, so once the domains agree the map's tables and rule functions are read unchecked.
+    domain, so once the domains agree (else ParseError) the map's tables and rule functions
+    are read unchecked.
     A rule is read only once ``m.certificates`` has checked it, which raises IntegrityError on
     a rule whose ``eval_fn`` contradicts its fibers; a table's certificates are exact."""
     if m.domain != x.domain:
-        raise DomainError("map and vector domains differ")
+        raise ParseError("map and vector domains differ")
     if m.table is None:
         m.certificates
 

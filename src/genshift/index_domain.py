@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
-from .errors import ConstructionError, DomainError, IntegrityError, ParseError, UnsupportedError
+from .errors import IntegrityError, ParseError, UnsupportedError
 
 DEFAULT_WINDOW = 64
 SEARCH_CAP = 1 << 20  # targets any search past a window may read: the one search budget
@@ -58,7 +58,7 @@ class IndexSet:
 
     def __post_init__(self):
         if self.size is not None and self.size < 2:
-            raise ConstructionError(f"finite index set must have size >= 2, got {self.size}")
+            raise ParseError(f"finite index set must have size >= 2, got {self.size}")
 
     def __contains__(self, alpha: object) -> bool:
         if not isinstance(alpha, int) or isinstance(alpha, bool):
@@ -125,7 +125,7 @@ class SymbolicRule(Certificates):
             return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
         def refuse(key: str, what: str) -> None:
-            raise ConstructionError(f"rule {self.name!r} declares {key} {getattr(self, key)!r}, not {what}")
+            raise ParseError(f"rule {self.name!r} declares {key} {getattr(self, key)!r}, not {what}")
 
         if not (count(self.m_sup) or self.m_sup == math.inf):  # nan, a float, a bool fail
             refuse("m_sup", "an int >= 0 or math.inf")
@@ -135,7 +135,7 @@ class SymbolicRule(Certificates):
                 and all(count(a) and a >= 1 for a in self.infinite_fibers)):
             refuse("infinite_fibers", "a frozenset of ints >= 1")
         if math.inf > self.m_sup > sys.float_info.max:  # exact for ints; the norm must be a float
-            raise ConstructionError(f"rule {self.name!r} declares finite-fiber bound past the float range")
+            raise ParseError(f"rule {self.name!r} declares finite-fiber bound past the float range")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -152,24 +152,24 @@ class IndexMap:
 
     def __post_init__(self):
         if (self.table is None) == (self.rule is None):
-            raise ConstructionError("exactly one of table and rule is required")
+            raise ParseError("exactly one of table and rule is required")
         if self.rule is not None:
             return
         table = self.table
         if not isinstance(table, tuple):
-            raise ConstructionError(f"image table must be a tuple, got {type(table).__name__}")
+            raise ParseError(f"image table must be a tuple, got {type(table).__name__}")
         n = len(table)
         if n < 2:
-            raise ConstructionError(f"finite index set must have size >= 2, got {n}")
+            raise ParseError(f"finite index set must have size >= 2, got {n}")
         # one pass of builtins; the walk only names the first offender (or passes an int subclass)
         if set(map(type, table)) != {int} or min(table) < 1 or max(table) > n:
             for pos, img in enumerate(table, start=1):
                 if not isinstance(img, int) or isinstance(img, bool) or not 1 <= img <= n:
-                    raise ConstructionError(f"image at position {pos} is {img!r}, not in 1..{n}")
+                    raise ParseError(f"image at position {pos} is {img!r}, not in 1..{n}")
 
     def _check_index(self, alpha: int) -> None:
         if alpha not in self.domain:
-            raise DomainError(f"index {alpha!r} outside the domain")
+            raise ParseError(f"index {alpha!r} outside the domain")
 
     def eval(self, alpha: int) -> int:
         self._check_index(alpha)
@@ -189,7 +189,7 @@ class IndexMap:
     def fiber_counts(self) -> tuple[int, ...]:
         """Fiber sizes of a finite map: ``counts[a - 1] == |fiber(a)|``."""
         if self.table is None:
-            raise DomainError("fiber counts need a finite domain")
+            raise UnsupportedError("fiber counts need a finite domain")
         tally = [0] * len(self.table)
         for img in self.table:
             tally[img - 1] += 1
@@ -227,7 +227,7 @@ class IndexMap:
         window is a prefix of the cache), so each size is checked once.
         """
         if not 1 <= window <= SEARCH_CAP:
-            raise ConstructionError(f"window must be in 1..{SEARCH_CAP}, got {window}")
+            raise ParseError(f"window must be in 1..{SEARCH_CAP}, got {window}")
         if self.table is not None:
             return self.fiber_counts
         scanned = self.__dict__.get("_window_sizes", ())
@@ -275,7 +275,7 @@ class IndexMap:
 def make_finite_map(images: Sequence[int], n: int) -> IndexMap:
     """``IndexMap(table=tuple(images))`` on {1..n}; unexported, kept for perfbench to time."""
     if len(images) != n:
-        raise ConstructionError(f"expected {n} images, got {len(images)}")
+        raise ParseError(f"expected {n} images, got {len(images)}")
     return IndexMap(table=tuple(images))
 
 
@@ -312,7 +312,7 @@ def clamp_pred_rule() -> SymbolicRule:
 def block_rule(b: int) -> SymbolicRule:
     """Compress consecutive blocks of length b: every fiber has size exactly b."""
     if not isinstance(b, int) or isinstance(b, bool) or b < 1:
-        raise ConstructionError(f"block size must be an integer >= 1, got {b!r}")
+        raise ParseError(f"block size must be an integer >= 1, got {b!r}")
     return SymbolicRule(
         name="block",
         eval_fn=lambda k: (k - 1) // b + 1,
@@ -388,13 +388,13 @@ def symbolic_map(name: str, param: int | None = None) -> IndexMap:
     try:
         ctor = BUILTIN_RULES[name]
     except KeyError:
-        raise ConstructionError(f"unknown symbolic rule {name!r}") from None
+        raise ParseError(f"unknown symbolic rule {name!r}") from None
     if name == "block":
         if param is None:
-            raise ConstructionError('rule "block" needs an integer param')
+            raise ParseError('rule "block" needs an integer param')
         return IndexMap(rule=ctor(param))
     if param is not None:
-        raise ConstructionError(f"rule {name!r} takes no param")
+        raise ParseError(f"rule {name!r} takes no param")
     return IndexMap(rule=ctor())
 
 
@@ -412,8 +412,7 @@ def map_to_json(m: IndexMap) -> dict:
 
 def parse_map(doc: object) -> IndexMap:
     """Parse the map file format (the inverse of map_to_json), which has no other key; the
-    constructors are the one check of ``name`` and ``param``, and their ConstructionError
-    becomes a ParseError with the same text."""
+    constructors are the one check of the images, ``name`` and ``param``, and raise ParseError."""
     if not isinstance(doc, dict):
         raise ParseError("map document must be a JSON object")
     kind = doc.get("kind")
@@ -423,18 +422,15 @@ def parse_map(doc: object) -> IndexMap:
     unknown = [key for key in doc if key not in keys]
     if unknown:
         raise ParseError(f"{kind} map has no key {unknown[0]!r}")
-    try:
-        if kind == "finite":
-            images = doc.get("images")
-            if not isinstance(images, list):
-                raise ParseError('finite map needs an "images" array')
-            return IndexMap(table=tuple(images))
-        name = doc.get("name")
-        if not isinstance(name, str):
-            raise ParseError('symbolic map needs a "name" string')
-        return symbolic_map(name, doc.get("param"))
-    except ConstructionError as exc:
-        raise ParseError(str(exc)) from exc
+    if kind == "finite":
+        images = doc.get("images")
+        if not isinstance(images, list):
+            raise ParseError('finite map needs an "images" array')
+        return IndexMap(table=tuple(images))
+    name = doc.get("name")
+    if not isinstance(name, str):
+        raise ParseError('symbolic map needs a "name" string')
+    return symbolic_map(name, doc.get("param"))
 
 
 # ---------------------------------------------------------------------------

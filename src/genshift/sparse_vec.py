@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .errors import DomainError, ParseError
+from .errors import ParseError
 from .index_domain import IndexSet
 
 
@@ -33,7 +33,7 @@ def from_entries(domain: IndexSet, entries) -> SparseVector:
     out: dict[int, complex] = {}
     for alpha, value in dict(entries).items():
         if alpha not in domain:
-            raise DomainError(f"index {alpha!r} outside the domain")
+            raise ParseError(f"index {alpha!r} outside the domain")
         v = complex(value)
         if v != 0:
             out[alpha] = v

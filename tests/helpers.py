@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from genshift import (
     DEFAULT_WINDOW,
-    DomainError,
     IndexMap,
     IndexSet,
     IntegrityError,
+    ParseError,
     SparseVector,
     SymbolicRule,
     from_entries,
@@ -47,13 +47,13 @@ def zero(domain: IndexSet) -> SparseVector:
 def unit_vector(domain: IndexSet, theta: int) -> SparseVector:
     """The standard basis vector with a single 1 at theta."""
     if theta not in domain:
-        raise DomainError(f"index {theta!r} outside the domain")
+        raise ParseError(f"index {theta!r} outside the domain")
     return SparseVector(domain, {theta: 1 + 0j})
 
 
 def _same_domain(x: SparseVector, y: SparseVector) -> None:
     if x.domain != y.domain:
-        raise DomainError("vector domains differ")
+        raise ParseError("vector domains differ")
 
 
 def add(x: SparseVector, y: SparseVector) -> SparseVector:

@@ -23,7 +23,6 @@ from genshift import (
     apply_norm_sq,
     classify,
     divergence_witness,
-    domain_report,
     fiber_records,
     from_entries,
     in_domain,
@@ -32,6 +31,7 @@ from genshift import (
     symbolic_map,
     witness_sequence,
 )
+from genshift.domain_analysis import domain_report
 from genshift.dense_oracle import (
     exhaustive_maps,
     random_maps,

@@ -513,6 +513,16 @@ def test_each_exit_row_names_one_class():
     assert rows == [(ParseError, 2), (IntegrityError, 3), (NotInL2, 4), (UnsupportedError, 5)]
 
 
+def test_every_library_error_class_has_an_exit_row():
+    # a class without a row would end a command in a traceback, not an exit code
+    from genshift import errors
+
+    defined = {value for value in vars(errors).values()
+               if isinstance(value, type) and issubclass(value, errors.GenShiftError)
+               and value is not errors.GenShiftError}
+    assert defined == {cls for cls, _, _ in cli.LIBRARY_EXITS}
+
+
 def test_analyze_output_is_deterministic(runner, tmp_path):
     path = write(tmp_path, "m.json", TRIANGULAR)
     first = runner.invoke(main, ["analyze", path])
@@ -786,11 +796,10 @@ def test_oracle_check_past_the_exhaustive_cap_leaves_numpy_out():
 
 
 PUBLIC_NAMES = sorted([
-    "COUNTABLE", "ClassificationReport", "ConstructionError", "DEFAULT_WINDOW", "DivergenceWitness",
-    "DomainError", "GenShiftError", "IndexMap", "IndexSet",
+    "COUNTABLE", "DEFAULT_WINDOW", "DivergenceWitness", "GenShiftError", "IndexMap", "IndexSet",
     "IntegrityError", "NotInL2", "ParseError", "SEARCH_CAP", "SparseVector",
     "SymbolicRule", "UnsupportedError", "WitnessSequence", "apply", "apply_norm_sq",
-    "classify", "divergence_witness", "domain_report", "fiber_records",
+    "classify", "divergence_witness", "fiber_records",
     "from_entries", "in_domain", "map_to_json", "norm_sq",
     "parse_map", "parse_vector", "solve", "symbolic_map", "vector_to_json", "witness_sequence",
 ])
@@ -803,7 +812,7 @@ def test_public_surface_is_pinned():
     exported = sorted(name for name, value in vars(genshift).items()
                       if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert exported == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 33
+    assert len(PUBLIC_NAMES) == 29
 
 
 def test_dense_oracle_names_resolve_from_the_package():

@@ -19,10 +19,10 @@ from genshift import (
     WitnessSequence,
     apply,
     classify,
-    domain_report,
     symbolic_map,
     witness_sequence,
 )
+from genshift.domain_analysis import domain_report
 from genshift.index_domain import make_finite_map, successor_rule
 from helpers import (
     add,

@@ -9,8 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from genshift import (
-    ConstructionError,
     IndexMap,
+    ParseError,
     UnsupportedError,
     apply,
     classify,
@@ -146,7 +146,7 @@ def test_exhaustive_maps_counts():
 
 
 def test_exhaustive_maps_bounds():
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ParseError):
         exhaustive_maps(1)  # index sets smaller than 2 are rejected
     with pytest.raises(UnsupportedError):
         exhaustive_maps(8)
@@ -156,7 +156,7 @@ def test_malformed_table_never_reaches_the_oracle(monkeypatch):
     # the image 0 would wrap round to the last column, and the oracle would agree
     seen = []
     monkeypatch.setattr(dense_oracle, "to_dense", seen.append)
-    with pytest.raises(ConstructionError, match="position 1"):
+    with pytest.raises(ParseError, match="position 1"):
         check_map_agreement(IndexMap(table=(0, 1)))
     assert seen == []
 

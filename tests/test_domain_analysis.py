@@ -12,19 +12,18 @@ from genshift import (
     COUNTABLE,
     DEFAULT_WINDOW,
     SEARCH_CAP,
-    ConstructionError,
     DivergenceWitness,
     IndexMap,
     IndexSet,
     IntegrityError,
     NotInL2,
+    ParseError,
     SymbolicRule,
     UnsupportedError,
     WitnessSequence,
     apply,
     apply_norm_sq,
     divergence_witness,
-    domain_report,
     fiber_records,
     from_entries,
     in_domain,
@@ -32,6 +31,7 @@ from genshift import (
     symbolic_map,
     witness_sequence,
 )
+from genshift.domain_analysis import domain_report
 from genshift.dense_oracle import (
     exhaustive_maps,
 )
@@ -213,7 +213,7 @@ def test_fiber_records_skip_infinite_fibers():
 
 @pytest.mark.parametrize("count", [0, -1])
 def test_fiber_records_rejects_bad_count(count):
-    with pytest.raises(ConstructionError, match=rf"count must be >= 1, got {count}"):
+    with pytest.raises(ParseError, match=rf"count must be >= 1, got {count}"):
         fiber_records(symbolic_map("triangular"), count)
 
 
@@ -340,7 +340,7 @@ def test_divergence_witness_stops_at_the_search_budget():
 
 def test_divergence_witness_rejects_bad_k():
     for K in (0, -1):  # inside the package's error taxonomy, before any scan
-        with pytest.raises(ConstructionError, match=rf"K must be >= 1, got {K}"):
+        with pytest.raises(ParseError, match=rf"K must be >= 1, got {K}"):
             divergence_witness(symbolic_map("triangular"), K)
 
 

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from genshift import (
     COUNTABLE,
     SEARCH_CAP,
-    DomainError,
     GenShiftError,
     IndexMap,
     IndexSet,
     IntegrityError,
     NotInL2,
+    ParseError,
     SymbolicRule,
     UnsupportedError,
     apply,
@@ -173,10 +173,10 @@ def test_the_search_budget_is_inclusive():
 @pytest.mark.parametrize("op", [apply, apply_norm_sq, solve, in_domain],
                          ids=["apply", "apply_norm_sq", "solve", "in_domain"])
 def test_apply_domain_mismatch(op):
-    with pytest.raises(DomainError, match="map and vector domains differ"):
+    with pytest.raises(ParseError, match="map and vector domains differ"):
         op(make_finite_map([1, 2], 2), unit_vector(IndexSet(3), 1))
     # the domains are checked before a rule's certificates, so a liar is refused as a mismatch
-    with pytest.raises(DomainError, match="map and vector domains differ"):
+    with pytest.raises(ParseError, match="map and vector domains differ"):
         op(IndexMap(rule=consistent_liar_rule()), unit_vector(IndexSet(3), 1))
 
 

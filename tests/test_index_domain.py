@@ -13,8 +13,6 @@ from genshift import (
     COUNTABLE,
     DEFAULT_WINDOW,
     SEARCH_CAP,
-    ConstructionError,
-    DomainError,
     IndexMap,
     IndexSet,
     IntegrityError,
@@ -23,12 +21,12 @@ from genshift import (
     UnsupportedError,
     classify,
     divergence_witness,
-    domain_report,
     map_to_json,
     parse_map,
     symbolic_map,
     witness_sequence,
 )
+from genshift.domain_analysis import domain_report
 from genshift.gen_shift import operator_norm
 from genshift.index_domain import (
     BUILTIN_RULES,
@@ -60,7 +58,7 @@ def brute_fiber(images, alpha):
 
 def test_index_set_rejects_small_sizes():
     for n in (-1, 0, 1):
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ParseError):
             IndexSet(n)
 
 
@@ -100,33 +98,33 @@ def test_make_finite_map_constant_fiber():
 
 
 def test_make_finite_map_errors_name_position():
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ParseError):
         make_finite_map([1], 1)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ParseError):
         make_finite_map([1, 2, 3], 4)
-    with pytest.raises(ConstructionError, match="position 2"):
+    with pytest.raises(ParseError, match="position 2"):
         make_finite_map([1, 5, 3], 3)
-    with pytest.raises(ConstructionError, match="position 1"):
+    with pytest.raises(ParseError, match="position 1"):
         make_finite_map([0, 2, 3], 3)
-    with pytest.raises(ConstructionError, match="position 3"):
+    with pytest.raises(ParseError, match="position 3"):
         make_finite_map([1, 2, True], 3)
 
 
 @pytest.mark.parametrize("table, position", [((0, 1), 1), ((1, 3), 2), ((1, True), 2)])
 def test_every_table_is_checked_where_it_is_built(table, position):
-    with pytest.raises(ConstructionError, match=rf"^image at position {position} is .*, not in 1\.\.2$"):
+    with pytest.raises(ParseError, match=rf"^image at position {position} is .*, not in 1\.\.2$"):
         IndexMap(table=table)
 
 
 def test_an_image_table_is_a_tuple():
-    with pytest.raises(ConstructionError, match="must be a tuple, got list"):
+    with pytest.raises(ParseError, match="must be a tuple, got list"):
         IndexMap(table=[1, 2])
 
 
 def test_index_map_takes_exactly_one_of_table_and_rule():
-    with pytest.raises(ConstructionError, match="exactly one"):
+    with pytest.raises(ParseError, match="exactly one"):
         IndexMap()
-    with pytest.raises(ConstructionError, match="exactly one"):
+    with pytest.raises(ParseError, match="exactly one"):
         IndexMap(table=(1, 2), rule=successor_rule())
     with pytest.raises(TypeError):
         IndexMap((1, 2))  # keyword-only
@@ -149,7 +147,7 @@ def test_a_table_map_stores_only_its_table():
 
 @pytest.mark.parametrize("table", [(), (1,), (0,), (True,)])
 def test_a_table_of_fewer_than_two_entries_is_refused_before_its_entries(table):
-    with pytest.raises(ConstructionError, match=rf"^finite index set must have size >= 2, got {len(table)}$"):
+    with pytest.raises(ParseError, match=rf"^finite index set must have size >= 2, got {len(table)}$"):
         IndexMap(table=table)
 
 
@@ -177,7 +175,7 @@ def test_the_table_check_accepts_exactly_what_the_per_entry_rule_accepts(table):
     if offender is None:
         assert IndexMap(table=table).table is table
     else:
-        with pytest.raises(ConstructionError) as exc:
+        with pytest.raises(ParseError) as exc:
             IndexMap(table=table)
         assert str(exc.value) == f"image at position {offender[0]} is {offender[1]!r}, not in 1..{n}"
 
@@ -209,11 +207,11 @@ def test_fiber_past_the_search_budget_is_refused_before_it_is_built():
 
 def test_fiber_outside_domain():
     m = make_finite_map([1, 2], 2)
-    with pytest.raises(DomainError):
+    with pytest.raises(ParseError):
         m.fiber(3)
-    with pytest.raises(DomainError):
+    with pytest.raises(ParseError):
         symbolic_map("successor").fiber(0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ParseError):
         m.eval(0)
 
 
@@ -270,16 +268,16 @@ def test_triangular_fiber_sizes_grow_linearly():
 
 
 def test_block_rule_rejects_bad_sizes():
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ParseError):
         block_rule(0)
-    with pytest.raises(ConstructionError, match="float range"):
+    with pytest.raises(ParseError, match="float range"):
         block_rule(10**400)
     assert block_rule(10**300).m_sup == 10**300
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ParseError):
         symbolic_map("block")  # missing param
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ParseError):
         symbolic_map("successor", 3)  # unexpected param
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ParseError):
         symbolic_map("no_such_rule")
 
 
@@ -290,7 +288,7 @@ def test_a_finite_bound_past_the_float_range_is_refused_by_any_rule():
                             members_fn=lambda a: frozenset(range(b * (a - 1) + 1, b * a + 1)),
                             m_sup=b, surjective=True, infinite_fibers=frozenset())
 
-    with pytest.raises(ConstructionError,
+    with pytest.raises(ParseError,
                        match=r"^rule 'wide_block' declares finite-fiber bound past the float range$"):
         wide_block(10**400)
     for b in (10**300, int(sys.float_info.max)):
@@ -314,7 +312,7 @@ def test_a_finite_bound_past_the_float_range_is_refused_by_any_rule():
 ])
 def test_a_malformed_certificate_is_refused_when_the_rule_is_built(key, value):
     fields = {"m_sup": 1, "surjective": True, "infinite_fibers": frozenset({1}), key: value}
-    with pytest.raises(ConstructionError, match=rf"^rule 'odd' declares {key} "):
+    with pytest.raises(ParseError, match=rf"^rule 'odd' declares {key} "):
         SymbolicRule(name="odd", eval_fn=lambda k: 1 if k % 2 else k // 2 + 1,
                      card_fn=lambda a: math.inf if a == 1 else 1,
                      members_fn=lambda a: None if a == 1 else frozenset((2 * (a - 1),)), **fields)
@@ -597,7 +595,7 @@ def test_witnesses_read_each_target_once():
 def test_windowed_verdicts_reject_window_0(verdict, m):
     # and a window past the search budget, before a single size is read
     for window in (0, SEARCH_CAP + 1):
-        with pytest.raises(ConstructionError, match=rf"must be in 1\.\.{SEARCH_CAP}, got {window}"):
+        with pytest.raises(ParseError, match=rf"must be in 1\.\.{SEARCH_CAP}, got {window}"):
             verdict(m, window)
 
 
@@ -636,7 +634,7 @@ def test_fiber_counts_cache_is_not_part_of_identity(m):
 
 
 def test_fiber_counts_need_a_finite_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(UnsupportedError):
         symbolic_map("successor").fiber_counts
 
 
