@@ -16,7 +16,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnsupportedError
+from .errors import ParseError, UnsupportedError
 from .index_domain import COUNTABLE, SEARCH_CAP, IndexMap, memo
 from .sparse_vec import SparseVector
 
@@ -62,7 +62,7 @@ def witness_sequence(m: IndexMap, count: int) -> WitnessSequence:
     if m.table is not None:
         raise UnsupportedError("finite index set: the operator is compact, no witness exists")
     if count < 2:
-        raise UnsupportedError(f"need at least 2 witness vectors, got {count}")
+        raise ParseError(f"need at least 2 witness vectors, got {count}")
     m.window_sizes(min(count, SEARCH_CAP))  # the scan's first window: refutes a false certificate
     if m.certificates.sup_card == math.inf:
         raise UnsupportedError("witness needs a map with a certified finite fiber bound")

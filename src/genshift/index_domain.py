@@ -10,7 +10,10 @@ exact ones off its fiber sizes, so every verdict is a plain value. Fiber
 sizes are read in one place, ``IndexMap.window_sizes``, and searched past a
 window in one place, ``IndexMap.scan``. A window read refutes a false
 declared certificate; ``certificates`` reads one first and tallies a rule's
-images of it against its sizes.
+images of it against its sizes. A fourth, optional certificate, ``period``,
+says a rule's sizes repeat from some target on: the read of 1..DEFAULT_WINDOW
+checks that, and a window past it is tiled from the repeating block with no
+``card_fn`` call, so no ``card_fn`` past DEFAULT_WINDOW is checked.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, cycle, islice
 from typing import Callable, Iterator, Sequence
 
 from .errors import IntegrityError, ParseError, UnsupportedError
@@ -111,7 +114,10 @@ class SymbolicRule(Certificates):
     The three certificates are required keywords, checked here for form (an int
     ``m_sup`` >= 0 or math.inf, a bool, a frozenset of ints >= 1) and for truth by
     ``IndexMap.window_sizes``, which raises IntegrityError when a scanned window
-    contradicts one.
+    contradicts one. The optional ``period=(start, length)`` declares that the
+    size of every target a >= start + length is the size of a - length; its form
+    is start, length >= 1 with start + length <= DEFAULT_WINDOW, so the read of
+    1..DEFAULT_WINDOW checks at least one repetition.
     """
 
     name: str
@@ -119,6 +125,7 @@ class SymbolicRule(Certificates):
     card_fn: Callable[[int], int | float]
     members_fn: Callable[[int], frozenset[int] | None]
     param: int | None = None
+    period: tuple[int, int] | None = None
 
     def __post_init__(self):
         def count(x: object) -> bool:
@@ -134,6 +141,10 @@ class SymbolicRule(Certificates):
         if not (isinstance(self.infinite_fibers, frozenset)
                 and all(count(a) and a >= 1 for a in self.infinite_fibers)):
             refuse("infinite_fibers", "a frozenset of ints >= 1")
+        if self.period is not None and not (
+                isinstance(self.period, tuple) and len(self.period) == 2
+                and all(count(x) and x >= 1 for x in self.period) and sum(self.period) <= DEFAULT_WINDOW):
+            refuse("period", f"None or two ints start, length >= 1 with start + length <= {DEFAULT_WINDOW}")
         if math.inf > self.m_sup > sys.float_info.max:  # exact for ints; the norm must be a float
             raise ParseError(f"rule {self.name!r} declares finite-fiber bound past the float range")
 
@@ -224,7 +235,10 @@ class IndexMap:
 
         The one check that a window is in 1..SEARCH_CAP, and of a rule's certificates:
         the targets a read adds are checked against them, then cached (a smaller
-        window is a prefix of the cache), so each size is checked once.
+        window is a prefix of the cache), so each size is checked once. A rule with
+        a ``period`` has 1..DEFAULT_WINDOW read by ``card_fn`` and checked to repeat;
+        targets past DEFAULT_WINDOW are tiled from its block, never read, so a
+        ``card_fn`` that breaks the period only there is not refuted.
         """
         if not 1 <= window <= SEARCH_CAP:
             raise ParseError(f"window must be in 1..{SEARCH_CAP}, got {window}")
@@ -233,9 +247,23 @@ class IndexMap:
         scanned = self.__dict__.get("_window_sizes", ())
         if window <= len(scanned):
             return scanned[:window]
-        added = tuple(map(self.rule.card_fn, range(len(scanned) + 1, window + 1)))
-        _check_certificates(self.rule, added, len(scanned) + 1)
-        sizes = self.__dict__["_window_sizes"] = scanned + added
+        rule, lo = self.rule, len(scanned) + 1
+        read = window if rule.period is None else min(window, max(lo - 1, DEFAULT_WINDOW))
+        added = tuple(map(rule.card_fn, range(lo, read + 1)))
+        if rule.period is not None:
+            start, length = rule.period
+            known = scanned + added  # no copy when nothing is added, at most DEFAULT_WINDOW targets else
+            for a in range(max(lo, start + length), len(known) + 1):  # each repetition read here
+                if known[a - 1] != known[a - 1 - length]:
+                    raise IntegrityError(f"rule {rule.name!r} declares period {rule.period} but "
+                                         f"{describe_fiber(a, known[a - 1])} and "
+                                         f"{describe_fiber(a - length, known[a - 1 - length])}")
+            if window > read:  # a copy in C of the checked block of targets start..start + length - 1
+                offset = (read + 1 - start) % length
+                tiles = islice(cycle(known[start - 1:start - 1 + length]), offset, offset + window - read)
+                added = tuple(chain(added, tiles))
+        _check_certificates(rule, added, lo)
+        sizes = self.__dict__["_window_sizes"] = scanned + added  # no copy on a first read
         return sizes
 
     def scan(self, first: int) -> Iterator[tuple[int, tuple[int | float, ...]]]:
@@ -293,6 +321,7 @@ def successor_rule() -> SymbolicRule:
         m_sup=1,
         surjective=False,
         infinite_fibers=frozenset(),
+        period=(2, 1),
     )
 
 
@@ -306,6 +335,7 @@ def clamp_pred_rule() -> SymbolicRule:
         m_sup=2,
         surjective=True,
         infinite_fibers=frozenset(),
+        period=(2, 1),
     )
 
 
@@ -322,6 +352,7 @@ def block_rule(b: int) -> SymbolicRule:
         surjective=True,
         infinite_fibers=frozenset(),
         param=b,
+        period=(1, 1),
     )
 
 
@@ -353,6 +384,7 @@ def doubling_rule() -> SymbolicRule:
         m_sup=1,
         surjective=False,
         infinite_fibers=frozenset(),
+        period=(1, 2),
     )
 
 
@@ -370,6 +402,7 @@ def odd_collapse_rule() -> SymbolicRule:
         m_sup=1,
         surjective=True,
         infinite_fibers=frozenset((1,)),
+        period=(2, 1),
     )
 
 

@@ -14,6 +14,7 @@ from genshift import (
     SEARCH_CAP,
     IndexMap,
     IntegrityError,
+    ParseError,
     SymbolicRule,
     UnsupportedError,
     WitnessSequence,
@@ -144,8 +145,9 @@ def test_witness_rejects_unbounded_maps():
 
 
 def test_witness_rejects_tiny_count():
-    with pytest.raises(UnsupportedError):
-        witness_sequence(symbolic_map("successor"), 1)
+    for count in (1, 0, -1):  # an argument outside its range, as fiber_records' count
+        with pytest.raises(ParseError, match=rf"^need at least 2 witness vectors, got {count}$"):
+            witness_sequence(symbolic_map("successor"), count)
 
 
 def test_witness_search_cap_exhaustion_at_the_budget():

@@ -6,7 +6,7 @@ from array import array
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from genshift import (
@@ -456,6 +456,42 @@ def test_certificates_beyond_the_window_are_not_refuted():
     assert fiber_report(IndexMap(rule=rule)) == math.inf
 
 
+def test_a_periodic_rules_window_past_the_certificates_is_its_period():
+    # block(2) declares period (1, 1): past 1..64 its window is tiled, so a card_fn
+    # that breaks the period only at 100 is never called there, and never refuted
+    rule = dataclasses.replace(block_rule(2), card_fn=lambda a: 3 if a == 100 else 2)
+    m = IndexMap(rule=rule)
+    assert m.window_sizes(1000) == (2,) * 1000
+    assert fiber_report(m) == 2
+
+
+def test_a_period_broken_inside_the_certificates_read_is_refuted():
+    # ROADMAP item 22's Gap 2: every size is within m_sup and nonzero, and the members
+    # 79 and 80 of fiber(40) lie past the tally of eval_fn over 1..64
+    rule = dataclasses.replace(block_rule(2), card_fn=lambda a: 1 if a == 40 else 2)
+    m = IndexMap(rule=rule)
+    for _ in range(2):  # a failed read caches nothing
+        with pytest.raises(IntegrityError, match=r"^rule 'block' declares period \(1, 1\) but "
+                                                 r"fiber\(40\) has size 1 and fiber\(39\) has size 2$"):
+            fiber_report(m)
+    assert m.window_sizes(39) == (2,) * 39
+
+
+@pytest.mark.parametrize("period", [
+    (0, 1), (1, 0), (-1, 2), (32, 33), (64, 1), (1, 64), (2,), (1, 2, 3), [2, 1], (1.0, 1),
+    (True, 1), (1, math.inf), "21", 3,
+])
+def test_a_period_outside_its_form_is_refused(period):
+    with pytest.raises(ParseError, match=r"declares period .* not None or two ints start, length >= 1"
+                                         r" with start \+ length <= 64$"):
+        dataclasses.replace(successor_rule(), period=period)
+
+
+@pytest.mark.parametrize("period", [None, (1, 1), (2, 1), (63, 1), (1, 63), (32, 32)])
+def test_a_period_in_its_form_is_accepted(period):
+    assert dataclasses.replace(block_rule(1), period=period).period == period
+
+
 # --- derived certificates -------------------------------------------------
 
 @pytest.mark.parametrize("rule, sup, injective", [
@@ -482,10 +518,11 @@ def test_derived_sup_card_and_injective(rule, sup, injective):
 def test_symbolic_rule_has_three_certificate_fields():
     fields = {f.name: f for f in dataclasses.fields(SymbolicRule)}
     assert set(fields) == {"name", "eval_fn", "card_fn", "members_fn",
-                           "m_sup", "surjective", "infinite_fibers", "param"}
+                           "m_sup", "surjective", "infinite_fibers", "param", "period"}
     for name in ("m_sup", "surjective", "infinite_fibers"):  # required: a rule states all three
         assert fields[name].default is dataclasses.MISSING
         assert fields[name].default_factory is dataclasses.MISSING
+    assert fields["period"].default is None  # the fourth is optional
     with pytest.raises(TypeError, match="infinite_fibers"):
         SymbolicRule(name="partial", eval_fn=int, card_fn=int, members_fn=frozenset,
                      m_sup=1, surjective=True)
@@ -535,7 +572,10 @@ def test_analyze_scans_each_window_once(rule):
     m.window_sizes(12)
     assert len(calls) == 64  # a smaller window is a prefix of the cached scan
     m.window_sizes(100)
-    assert calls == list(range(1, 101))  # a larger one scans the targets beyond it
+    if rule.period is None:
+        assert calls == list(range(1, 101))  # a larger one scans the targets beyond it
+    else:
+        assert calls == list(range(1, 65))  # a larger one tiles the period past the certificates' read
     assert m.window_sizes(100) == tuple(rule.card_fn(a) for a in range(1, 101))
 
 
@@ -556,6 +596,28 @@ def test_window_cache_keeps_refuting_beyond_it():
         with pytest.raises(IntegrityError, match=r"fiber\(100\) has size 1"):
             m.window_sizes(200)
     assert fiber_report(m) == math.inf
+
+
+@pytest.mark.parametrize("rule", [
+    *(ctor() for name, ctor in BUILTIN_RULES.items() if name != "block"),
+    block_rule(1), block_rule(2), block_rule(3),
+], ids=[*(name for name in BUILTIN_RULES if name != "block"), "block1", "block2", "block3"])
+@example(windows=[30, 64, 100, 1000])  # tiles from targets 65 and 101 once the cache is past 64
+@given(windows=st.lists(st.integers(1, 5000), min_size=1, max_size=6))
+def test_the_window_cache_is_card_fn_over_every_window(rule, windows):
+    m = IndexMap(rule=rule)
+    for w in windows:
+        sizes = m.window_sizes(w)
+        assert len(sizes) == w
+        assert vars(m)["_window_sizes"][:w] == sizes
+        assert sizes == tuple(map(rule.card_fn, range(1, w + 1)))
+
+
+def test_a_periodic_window_at_the_search_cap_is_card_fn():
+    rule = doubling_rule()  # a period of length 2: the tile's offset alternates
+    m = IndexMap(rule=rule)
+    assert m.window_sizes(SEARCH_CAP - 1) == tuple(map(rule.card_fn, range(1, SEARCH_CAP)))
+    assert m.window_sizes(SEARCH_CAP) == tuple(map(rule.card_fn, range(1, SEARCH_CAP + 1)))
 
 
 @given(finite_maps(max_n=12), st.integers(1, 100))
