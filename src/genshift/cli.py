@@ -17,6 +17,9 @@ blocks of 1000 targets' digits, one ``replace`` per block (``_targets``), not
 formatted per target: ``_window`` makes one piece of keys the template of the
 ``{index: size}`` map and cuts M's piece from it, by the runs ``finite_runs`` gives
 between the certificate's infinite fibers, so ``analyze`` never builds M's tuple of ints.
+A piece of the map whose targets all have one size, as every piece past
+DEFAULT_WINDOW of a rule whose period has length 1 does, is one ``replace`` of that
+size into its keys (``_keyed``), not a ``%`` conversion per target.
 ``_echo`` writes the pieces straight to ``sys.stdout`` and flushes once, so no
 document is joined whole, and peak memory is bounded by the computed values,
 not by the text.
@@ -121,13 +124,17 @@ def _window(sizes: tuple[int | float, ...], runs):
     the pieces of the members of ``runs`` (increasing ranges of those targets), as
     a list for ``_joined`` to write as often as needed.
 
-    Each piece cuts its keys once from 1000-target digit blocks (``_targets``). M's piece
-    is cut from that text by ``_offset`` (all of it when one run covers the piece), and,
-    quoted, the text is the template that one ``%`` fills with its sizes."""
-    starts = range(1, len(sizes) + 1, PIECE)
+    Pieces start at 1, at DEFAULT_WINDOW + 1 (where a periodic rule's window turns
+    from read to tiled), then every PIECE targets. Each piece cuts its keys once from
+    1000-target digit blocks (``_targets``). M's piece is cut from that text by
+    ``_offset`` (all of it when one run covers the piece), and, quoted, the text is
+    the template of the piece's sizes: one ``replace`` of the size when the piece has
+    one size throughout, else one ``%`` of them all."""
+    n, head = len(sizes), index_domain.DEFAULT_WINDOW
+    starts = [*range(1, min(n, head) + 1, PIECE), *range(head + 1, n + 1, PIECE)]
+    spans = list(zip(starts, [*starts[1:], n + 1]))
     keys, members = [], []
-    for lo in starts:
-        hi = min(lo + starts.step, len(sizes) + 1)
+    for lo, hi in spans:
         text, base = _targets(lo, hi), _offset(lo)
         keys.append(text)
         inside = [range(max(r.start, lo), min(r.stop, hi))
@@ -135,10 +142,17 @@ def _window(sizes: tuple[int | float, ...], runs):
         if inside:
             members.append(",".join(text[_offset(r.start) - base:_offset(r.stop) - base - 1]
                                     for r in inside))
-    cardinalities = (_infinite(('"' + text.replace(",", '":%s,"') + '":%s')  # '"1":%s,"2":%s'
-                               % sizes[lo - 1:lo - 1 + starts.step])
-                     for lo, text in zip(starts, keys))
-    return _joined("{", cardinalities, "}"), members
+    return _joined("{", map(_keyed, keys, (sizes[lo - 1:hi - 1] for lo, hi in spans)), "}"), members
+
+
+def _keyed(text: str, sizes: tuple[int | float, ...]) -> str:
+    """'"1":s1,"2":s2,...' from the keys' ``text`` "1,2,...": a piece of one size, found
+    by its first and last sizes and then a count, is one ``replace`` of that size."""
+    first = sizes[0]
+    if first == sizes[-1] and sizes.count(first) == len(sizes):
+        size = '":' + ('"infinite"' if first == math.inf else str(first))
+        return '"' + text.replace(",", size + ',"') + size
+    return _infinite(('"' + text.replace(",", '":%s,"') + '":%s') % sizes)  # '"1":%s,"2":%s'
 
 
 def _vector(x: sparse_vec.SparseVector):

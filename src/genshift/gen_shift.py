@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import IntegrityError, NotInL2, ParseError, UnsupportedError
 from .index_domain import DEFAULT_WINDOW, SEARCH_CAP, IndexMap, describe_fiber, fiber_report
@@ -48,28 +49,35 @@ def apply(m: IndexMap, x: SparseVector) -> SparseVector:
 
     The support of the result is the union of the fibers of x's support
     indices, read on a table from its fiber index ``m.preimages``: O(support
-    + image) after the index's one-time O(n) build. A rule's sizes are read in
-    index order before any member is built: an infinite fiber raises NotInL2,
-    naming its index, and an image past SEARCH_CAP entries UnsupportedError.
-    That running total bounds every fiber, so ``members_fn`` is then read once per index,
-    and trusted: no member is checked against ``eval_fn``.
+    + image) after the index's one-time O(n) build. A rule's sizes are all read
+    before any member is built; the first index, in index order, whose running
+    total passes SEARCH_CAP is refused: NotInL2 when its fiber is infinite, else
+    UnsupportedError. That total bounds every fiber, so ``members_fn`` is then read
+    once per index; a fiber it lists with more or fewer members than its size
+    raises IntegrityError, naming the first such index. The members themselves are
+    trusted: none is checked against ``eval_fn``.
     Domains and a rule's certificates are checked first, by ``_check_domains``.
     """
     _check_domains(m, x)
     if m.table is not None:
         pre = m.preimages
         return SparseVector(m.domain, {beta: v for theta, v in x.entries.items() for beta in pre[theta]})
-    support = sorted(x.entries.items())
-    total = 0
-    for theta, _ in support:
-        if (size := m.rule.card_fn(theta)) == math.inf:
-            raise NotInL2(theta)
-        if (total := total + size) > SEARCH_CAP:
-            found = (describe_fiber(theta, size) if size > SEARCH_CAP
-                     else f"the image has {total} entries or more")
-            raise UnsupportedError(f"{found}, above SEARCH_CAP = {SEARCH_CAP}")
-    members = m.rule.members_fn
-    return SparseVector(m.domain, {beta: v for theta, v in support for beta in members(theta)})
+    thetas = sorted(x.entries)
+    sizes = list(map(m.rule.card_fn, thetas))
+    if math.inf in sizes or sum(sizes) > SEARCH_CAP:  # no float sum: inf + 10**400 overflows
+        i, total = next((i, t) for i, t in enumerate(accumulate(sizes)) if t > SEARCH_CAP)
+        if sizes[i] == math.inf:
+            raise NotInL2(thetas[i])
+        found = (describe_fiber(thetas[i], sizes[i]) if sizes[i] > SEARCH_CAP
+                 else f"the image has {total} entries or more")
+        raise UnsupportedError(f"{found}, above SEARCH_CAP = {SEARCH_CAP}")
+    fibers = list(map(m.rule.members_fn, thetas))
+    if list(map(len, fibers)) != sizes:
+        theta, size, fiber = next(t for t in zip(thetas, sizes, fibers) if len(t[2]) != t[1])
+        raise IntegrityError(f"rule {m.rule.name!r} has len(members_fn({theta})) == {len(fiber)}"
+                             f" but {describe_fiber(theta, size)}")
+    values = map(x.entries.__getitem__, thetas)
+    return SparseVector(m.domain, {beta: v for v, fiber in zip(values, fibers) for beta in fiber})
 
 
 def apply_norm_sq(m: IndexMap, x: SparseVector) -> float:

@@ -13,7 +13,9 @@ declared certificate; ``certificates`` reads one first and tallies a rule's
 images of it against its sizes. A fourth, optional certificate, ``period``,
 says a rule's sizes repeat from some target on: the read of 1..DEFAULT_WINDOW
 checks that, and a window past it is tiled from the repeating block with no
-``card_fn`` call, so no ``card_fn`` past DEFAULT_WINDOW is checked.
+``card_fn`` call, so no ``card_fn`` past DEFAULT_WINDOW is checked. A tiled size
+copies a checked one, so a tiled window costs a copy in C and a check of the
+period's length plus the declared infinite fibers, not one per target.
 """
 
 from __future__ import annotations
@@ -238,7 +240,10 @@ class IndexMap:
         window is a prefix of the cache), so each size is checked once. A rule with
         a ``period`` has 1..DEFAULT_WINDOW read by ``card_fn`` and checked to repeat;
         targets past DEFAULT_WINDOW are tiled from its block, never read, so a
-        ``card_fn`` that breaks the period only there is not refuted.
+        ``card_fn`` that breaks the period only there is not refuted. A tiled size
+        copies a checked one, so only the tiled targets that can break the
+        infinite-fiber claim are checked (``_tile_offender``), and a read refutes
+        what a check of every tiled target would, with the same message.
         """
         if not 1 <= window <= SEARCH_CAP:
             raise ParseError(f"window must be in 1..{SEARCH_CAP}, got {window}")
@@ -249,7 +254,8 @@ class IndexMap:
             return scanned[:window]
         rule, lo = self.rule, len(scanned) + 1
         read = window if rule.period is None else min(window, max(lo - 1, DEFAULT_WINDOW))
-        added = tuple(map(rule.card_fn, range(lo, read + 1)))
+        head = added = tuple(map(rule.card_fn, range(lo, read + 1)))
+        tiled = None  # the first tiled target that breaks a certificate, if one does
         if rule.period is not None:
             start, length = rule.period
             known = scanned + added  # no copy when nothing is added, at most DEFAULT_WINDOW targets else
@@ -259,10 +265,11 @@ class IndexMap:
                                          f"{describe_fiber(a, known[a - 1])} and "
                                          f"{describe_fiber(a - length, known[a - 1 - length])}")
             if window > read:  # a copy in C of the checked block of targets start..start + length - 1
+                block = known[start - 1:start - 1 + length]
                 offset = (read + 1 - start) % length
-                tiles = islice(cycle(known[start - 1:start - 1 + length]), offset, offset + window - read)
-                added = tuple(chain(added, tiles))
-        _check_certificates(rule, added, lo)
+                added = tuple(chain(head, islice(cycle(block), offset, offset + window - read)))
+                tiled = _tile_offender(rule.infinite_fibers, block, start, read + 1, window + 1)
+        _check_certificates(rule, head, lo, tiled)
         sizes = self.__dict__["_window_sizes"] = scanned + added  # no copy on a first read
         return sizes
 
@@ -482,7 +489,26 @@ def finite_runs(infinite_fibers: frozenset[int], start: int, stop: int) -> list[
     return [range(lo + 1, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo + 1]
 
 
-def _check_certificates(rule: SymbolicRule, sizes: tuple[int | float, ...], start: int) -> None:
+def _tile_offender(declared: frozenset[int], block: tuple[int | float, ...], start: int,
+                   lo: int, hi: int) -> tuple[int, int | float] | None:
+    """The first target a in lo..hi - 1 whose tiled size ``block[(a - start) % len(block)]``
+    contradicts ``declared`` as (a, size), or None: a declared target with a finite size,
+    or the first copy of an infinite block size that is not declared. O(len(block) +
+    len(declared)), since the walk over each infinite size's copies steps only over declared ones."""
+    length = len(block)
+    found = [(a, c) for a in declared if lo <= a < hi and (c := block[(a - start) % length]) != math.inf]
+    for i, c in enumerate(block):
+        if c == math.inf:
+            a = lo + (start + i - lo) % length  # the first copy of block[i] from lo on
+            while a in declared:
+                a += length
+            if a < hi:
+                found.append((a, c))
+    return min(found, default=None)
+
+
+def _check_certificates(rule: SymbolicRule, sizes: tuple[int | float, ...], start: int,
+                        tiled: tuple[int, int | float] | None = None) -> None:
     """Raise IntegrityError when a certificate contradicts the sizes of targets start, start + 1, ...
 
     A window can refute a finite ``m_sup``, a claim of surjectivity, and the
@@ -490,16 +516,19 @@ def _check_certificates(rule: SymbolicRule, sizes: tuple[int | float, ...], star
     negative certificate. A window that refutes the derived ``sup_card`` or
     ``injective`` refutes ``m_sup`` or ``infinite_fibers``. The latter is checked
     first, so the ``peak`` size over its ``finite_runs`` is finite for ``m_sup``.
+    ``tiled`` is ``_tile_offender`` of a periodic window's targets past ``sizes``: their
+    sizes copy checked ones, so only the infinite-fiber claim can fail there, after ``sizes``.
     """
 
     def refute(claim: str, bad: Callable[[int, int | float], bool]) -> None:
-        a, c = next((a, c) for a, c in enumerate(sizes, start=start) if bad(a, c))
+        a, c = next(((a, c) for a, c in enumerate(sizes, start=start) if bad(a, c)), tiled)
         raise IntegrityError(f"rule {rule.name!r} declares {claim} but {describe_fiber(a, c)}")
 
     declared, stop = rule.infinite_fibers, start + len(sizes)
     peak = max((max(sizes[r.start - start:r.stop - start])
                 for r in finite_runs(declared, start, stop)), default=0)
-    if peak == math.inf or any(sizes[a - start] != math.inf for a in declared if start <= a < stop):
+    if (tiled or peak == math.inf
+            or any(sizes[a - start] != math.inf for a in declared if start <= a < stop)):
         refute(f"infinite fibers exactly over {sorted(declared)}",
                lambda a, c: (c == math.inf) != (a in declared))
     if peak > rule.m_sup:

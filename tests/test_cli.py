@@ -631,15 +631,20 @@ def assert_window_renders_like_the_generic_walker(piece, sizes):
         assert "".join(cli._joined("[", members, "]")) == "".join(cli._walk(list(chain(*runs))))
 
 
-@pytest.mark.parametrize("piece", [1, 2, 3])
-@given(st.lists(st.just(math.inf) | st.integers(0, 10**12), max_size=40))
+@pytest.mark.parametrize("piece", [1, 2, 3, 100])
+@given(st.lists(st.tuples(st.just(math.inf) | st.integers(0, 3) | st.integers(0, 10**12),
+                          st.integers(1, 60)), max_size=6))
 @example([])
-@example([math.inf])
-@example([math.inf, math.inf, math.inf, 4])  # wholly infinite pieces
-@example([1, math.inf, math.inf, 4, 5, math.inf, 7])  # infinities at piece edges, a one-entry last piece
-def test_window_helper_renders_like_the_generic_walker(piece, sizes):
-    # infinities at random targets
-    assert_window_renders_like_the_generic_walker(piece, tuple(sizes))
+@example([(math.inf, 1)])
+@example([(math.inf, 3), (4, 1)])  # wholly infinite pieces
+@example([(1, 1), (math.inf, 2), (4, 1), (5, 1), (math.inf, 1), (7, 1)])  # infinities at piece edges
+@example([(math.inf, 300)])  # all infinite
+@example([(7, 65)])  # one size across the edge at DEFAULT_WINDOW + 1
+@example([(0, 1), (1, 299)])  # one odd head size before a constant tail
+def test_window_helper_renders_like_the_generic_walker(piece, runs):
+    # runs of one size, infinities and zeros included, across the piece edges
+    sizes = tuple(c for c, count in runs for _ in range(count))
+    assert_window_renders_like_the_generic_walker(piece, sizes)
 
 
 @pytest.mark.parametrize("piece", [999, 1000, 4096])

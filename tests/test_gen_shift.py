@@ -92,6 +92,11 @@ def test_apply_not_in_l2_reports_smallest_offender():
     par = IndexMap(rule=parity_rule())
     assert refused_index(par, from_entries(COUNTABLE, {2: 1, 1: 1})) == 1
     assert refused_index(par, from_entries(COUNTABLE, {2: 1, 5: 1})) == 2
+    # an infinite fiber before a size past the float range: no float sum of the two is formed
+    huge = IndexMap(rule=SymbolicRule(name="huge", eval_fn=lambda k: 1,
+                                      card_fn=lambda a: math.inf if a == 1 else a, members_fn=lambda a: None,
+                                      m_sup=math.inf, surjective=True, infinite_fibers=frozenset({1})))
+    assert refused_index(huge, from_entries(COUNTABLE, {10**400: 1, 1: 1})) == 1
 
 
 def test_not_in_l2_is_a_library_error_naming_its_index():
@@ -115,6 +120,23 @@ def test_apply_image_past_the_search_budget_is_refused_before_any_member():
         apply(m, from_entries(COUNTABLE, {3: 1, 2: 1, 1: 1}))  # sizes are read in index order
     assert refused_index(m, from_entries(COUNTABLE, {3: 1, 1: 1})) == 3
     assert members == []
+
+
+@pytest.mark.parametrize("members_fn, theta, listed, size", [
+    # ROADMAP item 22's Gap 1: the true fiber(10) = {19, 20} loses 19; read as listed, e_10 goes to e_20
+    (lambda a: frozenset({20}) if a == 10 else frozenset(range(2 * a - 1, 2 * a + 1)), 10, 1, 2),
+    # one extra member, 1, past the fiber(7) = {13, 14} of block(2)
+    (lambda a: frozenset({1, 13, 14}) if a == 7 else frozenset(range(2 * a - 1, 2 * a + 1)), 7, 3, 2),
+], ids=["dropped_member", "extra_member"])
+def test_a_rule_apply_refutes_members_fn_of_the_wrong_length(members_fn, theta, listed, size):
+    m = IndexMap(rule=dataclasses.replace(block_rule(2), members_fn=members_fn))
+    message = (rf"^rule 'block' has len\(members_fn\({theta}\)\) == {listed}"
+               rf" but fiber\({theta}\) has size {size}$")
+    for entries in ({theta: 1}, {3: 1, theta: 2j, 40: 1}):  # the fiber named among honest ones
+        with pytest.raises(IntegrityError, match=message):
+            apply(m, from_entries(COUNTABLE, entries))
+    honest = from_entries(COUNTABLE, {3: 1, 40: 1})
+    assert apply(m, honest) == apply(symbolic_map("block", 2), honest)
 
 
 def test_a_rule_apply_reads_each_fiber_once():

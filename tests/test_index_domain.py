@@ -449,6 +449,73 @@ def test_window_check_refutes_exactly_the_false_claims(data):
         assert not any(broken.values())
 
 
+def read_every_target(rule, cached, w):
+    """What a read of window w that checks every target it adds gives a periodic rule whose
+    earlier reads kept ``cached``: the sizes of 1..w, or the message of its IntegrityError.
+    It reads 1..DEFAULT_WINDOW by ``card_fn`` and checks the period there, tiles past it, then
+    checks each claim in turn over every added target, naming the first that breaks it."""
+    if w <= len(cached):
+        return cached[:w]
+    (start, length), lo = rule.period, len(cached) + 1
+    read = min(w, max(lo - 1, DEFAULT_WINDOW))
+    sizes = cached + tuple(map(rule.card_fn, range(lo, read + 1)))
+
+    def fiber(a):
+        return f"fiber({a}) has size {'infinite' if sizes[a - 1] == math.inf else sizes[a - 1]}"
+
+    for a in range(max(lo, start + length), read + 1):
+        if sizes[a - 1] != sizes[a - 1 - length]:
+            return f"rule 'drawn' declares period {rule.period} but {fiber(a)} and {fiber(a - length)}"
+    sizes += tuple(sizes[start - 1 + (a - start) % length] for a in range(read + 1, w + 1))
+    declared, m_sup = rule.infinite_fibers, rule.m_sup
+    for claim, bad in ((f"infinite fibers exactly over {sorted(declared)}",
+                        lambda a, c: (c == math.inf) != (a in declared)),
+                       (f"finite-fiber bound {m_sup}", lambda a, c: m_sup < c < math.inf),
+                       ("the map onto", lambda a, c: rule.surjective and c == 0)):
+        for a in range(lo, w + 1):
+            if bad(a, sizes[a - 1]):
+                return f"rule 'drawn' declares {claim} but {fiber(a)}"
+    return sizes
+
+
+@given(prefix=st.lists(SIZES, max_size=19), block=st.lists(SIZES, min_size=1, max_size=6),
+       lie=st.none() | st.tuples(st.integers(1, DEFAULT_WINDOW), SIZES),
+       m_sup=SIZES, surjective=st.booleans(), declared_to=st.integers(0, 400),
+       flips=st.frozensets(st.integers(1, 400), max_size=3),
+       windows=st.lists(st.integers(1, 350), min_size=1, max_size=5))
+# a head that breaks m_sup and a tile that breaks the declared infinite fibers: the latter is named
+@example(prefix=[], block=[1], lie=None, m_sup=0, surjective=False, declared_to=0,
+         flips=frozenset({100}), windows=[200, 64, 200])
+# infinite fibers in the block, declared up to 100: the first copy past it is named
+@example(prefix=[0], block=[math.inf, 1, 0], lie=None, m_sup=1, surjective=True, declared_to=100,
+         flips=frozenset({90}), windows=[64, 80, 350])
+@example(prefix=[2, 0], block=[math.inf, 1], lie=None, m_sup=2, surjective=False, declared_to=400,
+         flips=frozenset(), windows=[10, 350])  # every infinite fiber declared: nothing to refute
+def test_a_tiled_window_refutes_as_a_check_of_every_target_would(
+        prefix, block, lie, m_sup, surjective, declared_to, flips, windows):
+    start, length = len(prefix) + 1, len(block)
+
+    def card(a):
+        if lie is not None and a == lie[0]:
+            return lie[1]
+        return prefix[a - 1] if a < start else block[(a - start) % length]
+
+    infinite = flips ^ {a for a in range(1, declared_to + 1) if card(a) == math.inf}
+    rule = SymbolicRule(name="drawn", eval_fn=lambda k: 1, card_fn=card, members_fn=lambda a: None,
+                        m_sup=m_sup, surjective=surjective, infinite_fibers=frozenset(infinite),
+                        period=(start, length))
+    m, cached = IndexMap(rule=rule), ()
+    for w in windows:
+        expected = read_every_target(rule, cached, w)
+        if isinstance(expected, str):
+            with pytest.raises(IntegrityError) as refused:
+                m.window_sizes(w)
+            assert str(refused.value) == expected
+        else:
+            assert m.window_sizes(w) == expected
+            cached = max(cached, expected, key=len)
+
+
 def test_certificates_beyond_the_window_are_not_refuted():
     # the declared infinite fiber over 100 lies outside the window 1..64 that a
     # first certificate read checks; it makes the derived global bound infinite
