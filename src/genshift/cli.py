@@ -9,7 +9,8 @@ One float rule, ``_float`` (``_infinite`` on the pieces of ``_window`` and ``_ve
 holds everywhere: 17 significant digits so that reruns diff exactly, "infinite" for inf.
 
 Every document is streamed: ``_walk`` yields its small skeleton value by
-value, and each array that grows with the window or the witness comes from a
+value, each scalar as ``json.dumps`` writes it but without its call, and each
+array that grows with the window or the witness comes from a
 helper that knows its shape (``_rows`` for columns, stored or computed, and
 ``_window``) as pieces of at most ``PIECE`` entries, one ``%`` format each, so
 no int array goes through ``json``. A window's keys are cut by ``_offset`` from
@@ -35,6 +36,7 @@ import math
 import sys
 from collections.abc import Iterator
 from itertools import islice
+from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 
 import click
@@ -163,17 +165,26 @@ def _vector(x: sparse_vec.SparseVector):
                                 map(attrgetter("imag"), map(value, keys))))
 
 
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
 def _walk(doc):
     """Yield the JSON text of ``doc``: its small skeleton value by value, and
-    the pieces of a shaped array (an iterator from a helper above) as they come."""
+    the pieces of a shaped array (an iterator from a helper above) as they come.
+    A scalar is written as ``json.dumps`` writes it, without its call: an int by
+    ``int.__repr__``, a string or key by ``_quote``, the function it calls for a str."""
     if isinstance(doc, float):
         yield _float(doc)
-    elif doc is None or isinstance(doc, (str, int)):  # bool is an int: true, false
-        yield json.dumps(doc)
+    elif doc is None or doc is True or doc is False:
+        yield _LITERALS[doc]
+    elif isinstance(doc, int):
+        yield int.__repr__(doc)
+    elif isinstance(doc, str):
+        yield _quote(doc)
     elif isinstance(doc, dict):
         yield "{"
         for i, (k, v) in enumerate(doc.items()):
-            yield f"{',' if i else ''}{json.dumps(str(k))}:"
+            yield f"{',' if i else ''}{_quote(str(k))}:"
             yield from _walk(v)
         yield "}"
     elif isinstance(doc, (list, tuple)):
@@ -272,7 +283,7 @@ def analyze(map_file, window):
         "window": window,
         "fiber_report": {
             "cardinalities": cardinalities,
-            "sup": max(sizes),
+            "sup": m.window_sup(sizes),
             "verdict": ({"kind": "certified_unbounded"} if cert.sup_card == math.inf
                         else {"kind": "certified", "bound": cert.sup_card}),
             "m_set": _joined("[", members, "]"),

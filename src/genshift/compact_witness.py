@@ -67,7 +67,8 @@ def witness_sequence(m: IndexMap, count: int) -> WitnessSequence:
     if m.certificates.sup_card == math.inf:
         raise UnsupportedError("witness needs a map with a certified finite fiber bound")
     # bounded fibers are finite, so this skips exactly the empty ones
-    nonempty = (b for a, sizes in m.scan(count) for b, c in enumerate(sizes, start=a) if c)
+    nonempty = itertools.chain.from_iterable(itertools.compress(range(a, a + len(sizes)), sizes)
+                                             for a, sizes in m.scan(count))
     indices = array("q", itertools.islice(nonempty, min(count, SEARCH_CAP)))  # at most one per target
     if len(indices) < count:  # the search budget: SEARCH_CAP targets may hold fewer nonempty fibers
         raise UnsupportedError(f"only {len(indices)} nonempty fibers within {SEARCH_CAP} targets; "

@@ -14,8 +14,9 @@ images of it against its sizes. A fourth, optional certificate, ``period``,
 says a rule's sizes repeat from some target on: the read of 1..DEFAULT_WINDOW
 checks that, and a window past it is tiled from the repeating block with no
 ``card_fn`` call, so no ``card_fn`` past DEFAULT_WINDOW is checked. A tiled size
-copies a checked one, so a tiled window costs a copy in C and a check of the
-period's length plus the declared infinite fibers, not one per target.
+copies a checked one, so a tiled window costs a tuple repetition of the block and a
+check of the period's length plus the declared infinite fibers, not one per target,
+and its largest size is the largest of the read of 1..DEFAULT_WINDOW (``window_sup``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, cycle, islice
+from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 from .errors import IntegrityError, ParseError, UnsupportedError
@@ -264,14 +265,22 @@ class IndexMap:
                     raise IntegrityError(f"rule {rule.name!r} declares period {rule.period} but "
                                          f"{describe_fiber(a, known[a - 1])} and "
                                          f"{describe_fiber(a - length, known[a - 1 - length])}")
-            if window > read:  # a copy in C of the checked block of targets start..start + length - 1
-                block = known[start - 1:start - 1 + length]
+            if window > read:  # repetitions of the checked block of targets start..start + length - 1
+                block, n = known[start - 1:start - 1 + length], window - read
                 offset = (read + 1 - start) % length
-                added = tuple(chain(head, islice(cycle(block), offset, offset + window - read)))
+                added = head + (block * ((offset + n - 1) // length + 1))[offset:offset + n]
                 tiled = _tile_offender(rule.infinite_fibers, block, start, read + 1, window + 1)
         _check_certificates(rule, head, lo, tiled)
         sizes = self.__dict__["_window_sizes"] = scanned + added  # no copy on a first read
         return sizes
+
+    def window_sup(self, sizes: tuple[int | float, ...]) -> int | float:
+        """The largest of ``sizes``, a read of ``window_sizes``. A rule with a ``period`` takes
+        it over the first min(len(sizes), DEFAULT_WINDOW) sizes alone: every size past them
+        copies a size of the block, which lies in 1..DEFAULT_WINDOW - 1."""
+        if self.rule is not None and self.rule.period is not None:
+            sizes = sizes[:DEFAULT_WINDOW]
+        return max(sizes)
 
     def scan(self, first: int) -> Iterator[tuple[int, tuple[int | float, ...]]]:
         """The fiber sizes of targets 1, 2, ..., up to ``SEARCH_CAP`` (all n for a table),

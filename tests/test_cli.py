@@ -656,6 +656,51 @@ def test_window_helper_renders_like_the_generic_walker_across_blocks(piece, wind
     assert_window_renders_like_the_generic_walker(piece, sizes)
 
 
+class Count(int):
+    def __repr__(self):
+        return f"Count({int(self)})"
+
+
+SCALARS = (st.none() | st.booleans() | st.integers() | st.sampled_from([0, -1, 10**30, -(10**30)])
+           | st.integers().map(Count) | st.text())
+KEYS = st.text() | st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f", "\u2028é😀", "a\tb\nc\rd\be\f"])
+
+
+@given(SCALARS | KEYS, KEYS | st.integers())
+@example(None, "")
+@example(True, '"')
+@example(False, "\\")
+@example(0, "\x00")
+@example(-1, "é")
+@example(10**30, "😀")
+@example(Count(7), 0)
+@example('say "hi"\\n\x01 ∞', -(10**30))
+def test_scalars_and_keys_render_like_json_dumps(value, key):
+    # the walker writes scalars and keys without json.dumps, and must write what it writes
+    def dumps(doc):
+        return json.dumps(doc, separators=(",", ":"))
+
+    assert "".join(cli._walk(value)) == dumps(value)
+    assert "".join(cli._walk({key: value})) == dumps({key: value})
+    assert "".join(cli._walk([value, {key: [value]}])) == dumps([value, {key: [value]}])
+
+
+RULE_DOCS = [{"kind": "symbolic", "name": name} for name in index_domain.BUILTIN_RULES if name != "block"]
+RULE_DOCS += [{"kind": "symbolic", "name": "block", "param": b} for b in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("window", [1, 63, 64, 65, 66, 1000, 5000])
+@pytest.mark.parametrize("doc", RULE_DOCS, ids=lambda doc: f"{doc['name']}{doc.get('param', '')}")
+def test_analyze_sup_is_the_largest_cardinality(runner, tmp_path, doc, window):
+    # a periodic rule's sup is read off the targets up to DEFAULT_WINDOW alone
+    result = runner.invoke(main, ["analyze", write(tmp_path, "m.json", doc), "--window", str(window)])
+    assert result.exit_code == 0
+    report = json.loads(result.output)["fiber_report"]
+    sizes = [math.inf if c == "infinite" else c for c in report["cardinalities"].values()]
+    assert len(sizes) == window
+    assert report["sup"] == ("infinite" if max(sizes) == math.inf else max(sizes))
+
+
 @st.composite
 def target_spans(draw):
     """(lo, hi) with 1 <= lo < hi <= SEARCH_CAP + 1, at most a few thousand targets apart."""

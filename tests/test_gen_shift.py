@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -416,14 +417,51 @@ def test_vector_operations_build_no_certificates_for_a_table(op):
     assert "certificates" not in vars(m)
 
 
-@pytest.mark.parametrize("image, shown", [(0, "0"), (1.0, "1.0"), (True, "True")])
-def test_classify_refutes_an_image_outside_the_index_set(image, shown):
-    # the identity's fibers and certificates, with eval(1) replaced by ``image``
-    rule = SymbolicRule(name="stray", eval_fn=lambda k: image if k == 1 else k, card_fn=lambda a: 1,
+class Index(int):
+    def __repr__(self):
+        return f"Index({int(self)})"
+
+
+def stray_rule(images: dict) -> SymbolicRule:
+    """The identity's fibers and certificates, with eval(k) replaced by ``images[k]``."""
+    return SymbolicRule(name="stray", eval_fn=lambda k: images.get(k, k), card_fn=lambda a: 1,
                         members_fn=lambda a: frozenset((a,)), m_sup=1, surjective=True,
                         infinite_fibers=frozenset())
-    with pytest.raises(IntegrityError, match=rf"^rule 'stray' maps 1 to {shown}, not an int >= 1$"):
+
+
+# an unhashable image is refused by the image check, before the tally would raise TypeError
+@pytest.mark.parametrize("image, shown", [(0, "0"), (-1, "-1"), (1.0, "1.0"), (True, "True"),
+                                          (Index(0), "Index(0)"), ([1], "[1]")])
+def test_classify_refutes_an_image_outside_the_index_set(image, shown):
+    with pytest.raises(IntegrityError, match=rf"^rule 'stray' maps 1 to {re.escape(shown)}, not an int >= 1$"):
+        classify(IndexMap(rule=stray_rule({1: image})))
+
+
+@pytest.mark.parametrize("images, shown", [({5: 0, 9: [1]}, "5 to 0"), ({5: [1], 9: 0}, "5 to [1]"),
+                                           ({9: True, 64: 1.5}, "9 to True")])
+def test_the_image_check_names_the_first_offender(images, shown):
+    with pytest.raises(IntegrityError, match=rf"^rule 'stray' maps {re.escape(shown)}, not an int >= 1$"):
+        classify(IndexMap(rule=stray_rule(images)))
+
+
+def test_the_image_check_stops_at_the_first_offender():
+    # eval_fn is not called past a stray image, so a later failure of its own never shows
+    def eval_fn(k):
+        if k > 5:
+            raise ZeroDivisionError(k)
+        return 0 if k == 5 else k
+
+    rule = dataclasses.replace(stray_rule({}), eval_fn=eval_fn)
+    with pytest.raises(IntegrityError, match=r"^rule 'stray' maps 5 to 0, not an int >= 1$"):
         classify(IndexMap(rule=rule))
+
+
+def test_an_int_subclass_image_is_tallied_as_its_int():
+    # Index(k) is an int >= 1, so it is no stray image; it counts against fiber(k)
+    assert classify(IndexMap(rule=stray_rule({k: Index(k) for k in range(1, 65)}))).isometry
+    with pytest.raises(IntegrityError,
+                       match=r"^rule 'stray' maps 2 of 1\.\.64 to 3 but fiber\(3\) has size 1$"):
+        classify(IndexMap(rule=stray_rule({7: Index(3)})))
 
 
 def test_classify_triangular_not_into_l2():

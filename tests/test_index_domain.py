@@ -478,21 +478,19 @@ def read_every_target(rule, cached, w):
     return sizes
 
 
-@given(prefix=st.lists(SIZES, max_size=19), block=st.lists(SIZES, min_size=1, max_size=6),
-       lie=st.none() | st.tuples(st.integers(1, DEFAULT_WINDOW), SIZES),
-       m_sup=SIZES, surjective=st.booleans(), declared_to=st.integers(0, 400),
-       flips=st.frozensets(st.integers(1, 400), max_size=3),
-       windows=st.lists(st.integers(1, 350), min_size=1, max_size=5))
-# a head that breaks m_sup and a tile that breaks the declared infinite fibers: the latter is named
-@example(prefix=[], block=[1], lie=None, m_sup=0, surjective=False, declared_to=0,
-         flips=frozenset({100}), windows=[200, 64, 200])
-# infinite fibers in the block, declared up to 100: the first copy past it is named
-@example(prefix=[0], block=[math.inf, 1, 0], lie=None, m_sup=1, surjective=True, declared_to=100,
-         flips=frozenset({90}), windows=[64, 80, 350])
-@example(prefix=[2, 0], block=[math.inf, 1], lie=None, m_sup=2, surjective=False, declared_to=400,
-         flips=frozenset(), windows=[10, 350])  # every infinite fiber declared: nothing to refute
-def test_a_tiled_window_refutes_as_a_check_of_every_target_would(
-        prefix, block, lie, m_sup, surjective, declared_to, flips, windows):
+PERIODIC_RULES = dict(  # drawn_periodic_rule's arguments
+    prefix=st.lists(SIZES, max_size=19), block=st.lists(SIZES, min_size=1, max_size=6),
+    lie=st.none() | st.tuples(st.integers(1, DEFAULT_WINDOW), SIZES),
+    m_sup=SIZES, surjective=st.booleans(), declared_to=st.integers(0, 400),
+    flips=st.frozensets(st.integers(1, 400), max_size=3),
+)
+WINDOW_SEQUENCES = st.lists(st.integers(1, 350), min_size=1, max_size=5)
+
+
+def drawn_periodic_rule(prefix, block, lie, m_sup, surjective, declared_to, flips):
+    """A rule with period (len(prefix) + 1, len(block)): ``prefix``, then ``block`` repeated,
+    except that ``card_fn`` gives ``lie`` = (a, size) at a; its infinite fibers are those
+    up to ``declared_to``, with the targets in ``flips`` added or taken away."""
     start, length = len(prefix) + 1, len(block)
 
     def card(a):
@@ -501,9 +499,22 @@ def test_a_tiled_window_refutes_as_a_check_of_every_target_would(
         return prefix[a - 1] if a < start else block[(a - start) % length]
 
     infinite = flips ^ {a for a in range(1, declared_to + 1) if card(a) == math.inf}
-    rule = SymbolicRule(name="drawn", eval_fn=lambda k: 1, card_fn=card, members_fn=lambda a: None,
+    return SymbolicRule(name="drawn", eval_fn=lambda k: 1, card_fn=card, members_fn=lambda a: None,
                         m_sup=m_sup, surjective=surjective, infinite_fibers=frozenset(infinite),
                         period=(start, length))
+
+
+@given(**PERIODIC_RULES, windows=WINDOW_SEQUENCES)
+# a head that breaks m_sup and a tile that breaks the declared infinite fibers: the latter is named
+@example(prefix=[], block=[1], lie=None, m_sup=0, surjective=False, declared_to=0,
+         flips=frozenset({100}), windows=[200, 64, 200])
+# infinite fibers in the block, declared up to 100: the first copy past it is named
+@example(prefix=[0], block=[math.inf, 1, 0], lie=None, m_sup=1, surjective=True, declared_to=100,
+         flips=frozenset({90}), windows=[64, 80, 350])
+@example(prefix=[2, 0], block=[math.inf, 1], lie=None, m_sup=2, surjective=False, declared_to=400,
+         flips=frozenset(), windows=[10, 350])  # every infinite fiber declared: nothing to refute
+def test_a_tiled_window_refutes_as_a_check_of_every_target_would(windows, **drawn):
+    rule = drawn_periodic_rule(**drawn)
     m, cached = IndexMap(rule=rule), ()
     for w in windows:
         expected = read_every_target(rule, cached, w)
@@ -514,6 +525,24 @@ def test_a_tiled_window_refutes_as_a_check_of_every_target_would(
         else:
             assert m.window_sizes(w) == expected
             cached = max(cached, expected, key=len)
+
+
+@given(**PERIODIC_RULES, windows=WINDOW_SEQUENCES)
+@example(prefix=[3, 0], block=[1, 0], lie=None, m_sup=3, surjective=False, declared_to=0,
+         flips=frozenset(), windows=[1, 63, 64, 65, 66, 1000, 5000])  # the largest in the prefix
+@example(prefix=[0, 1], block=[1, 2, 0], lie=None, m_sup=2, surjective=False, declared_to=0,
+         flips=frozenset(), windows=[2, 3, 64, 65, 1000])  # the largest in the block only
+@example(prefix=[1], block=[2, math.inf], lie=None, m_sup=2, surjective=True, declared_to=400,
+         flips=frozenset(), windows=[1, 2, 3, 66, 350])  # an infinite size in the block
+def test_a_periodic_windows_sup_is_the_sup_of_its_first_sizes(windows, **drawn):
+    # every size past DEFAULT_WINDOW copies one of the block, so window_sup reads no further
+    m = IndexMap(rule=drawn_periodic_rule(**drawn))
+    for w in windows:
+        try:
+            sizes = m.window_sizes(w)
+        except IntegrityError:
+            continue
+        assert m.window_sup(sizes) == max(sizes)
 
 
 def test_certificates_beyond_the_window_are_not_refuted():
