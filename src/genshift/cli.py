@@ -21,15 +21,14 @@ between the certificate's infinite fibers, so ``analyze`` never builds M's tuple
 A piece of the map whose targets all have one size, as every piece past
 DEFAULT_WINDOW of a rule whose period has length 1 does, is one ``replace`` of that
 size into its keys (``_keyed``), not a ``%`` conversion per target.
-``_echo`` writes the pieces straight to ``sys.stdout`` and flushes once, so no
-document is joined whole, and peak memory is bounded by the computed values,
-not by the text.
-stdout never goes through ``click.echo``, whose default stream cache keeps
-every redirected stream alive; stderr lines pass it ``file=sys.stderr``.
+``_echo`` writes the pieces straight to ``sys.stdout`` and flushes once, so no document is
+joined whole and peak memory is bounded by the computed values, not by the text. The
+front end is one ``argparse`` parser, built at import; ``main`` ends in ``SystemExit``.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import math
@@ -39,16 +38,12 @@ from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 
-import click
-
 from . import compact_witness, domain_analysis, gen_shift, index_domain, sparse_vec
 from .errors import GenShiftError, IntegrityError, NotInL2, ParseError, UnsupportedError
-from .index_domain import IndexMap
+from .index_domain import DEFAULT_WINDOW, DENSE_CAP, SEARCH_CAP, IndexMap
 
 SCHEMA_VERSION = 1
-
 EXIT_DISAGREEMENT = 6
-
 DEFAULT_SEED = 74
 
 
@@ -132,7 +127,7 @@ def _window(sizes: tuple[int | float, ...], runs):
     ``_offset`` (all of it when one run covers the piece), and, quoted, the text is
     the template of the piece's sizes: one ``replace`` of the size when the piece has
     one size throughout, else one ``%`` of them all."""
-    n, head = len(sizes), index_domain.DEFAULT_WINDOW
+    n, head = len(sizes), DEFAULT_WINDOW
     starts = [*range(1, min(n, head) + 1, PIECE), *range(head + 1, n + 1, PIECE)]
     spans = list(zip(starts, [*starts[1:], n + 1]))
     keys, members = [], []
@@ -205,10 +200,8 @@ def _echo(doc) -> None:
 
     Callers compute every value first, so a library error ends a command
     before its first byte; the pieces only format values."""
-    write = sys.stdout.write
-    for piece in _walk(doc):
-        write(piece)
-    write("\n")
+    sys.stdout.writelines(_walk(doc))
+    sys.stdout.write("\n")
     sys.stdout.flush()
 
 
@@ -219,7 +212,7 @@ def _map_doc(m: IndexMap) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# file loading
+# commands, and the file loading they share
 
 def _load_json(path: str):
     try:
@@ -228,13 +221,6 @@ def _load_json(path: str):
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON, UTF-8 or int
         raise ParseError(f"{path}: {exc}") from exc
 
-
-def _load_map(path: str) -> IndexMap:
-    return index_domain.parse_map(_load_json(path))
-
-
-# ---------------------------------------------------------------------------
-# commands
 
 # Every library refusal a command may end in, one class per row, with its exit code and
 # stderr label; a budget refusal is an UnsupportedError.
@@ -246,32 +232,9 @@ LIBRARY_EXITS = (
 )
 
 
-class _Commands(click.Group):
-    """Ends a library error in its table row; any other class is a bug and keeps its traceback."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except GenShiftError as exc:
-            for cls, code, label in LIBRARY_EXITS:
-                if isinstance(exc, cls):
-                    click.echo(f"{label}: {exc}", file=sys.stderr)
-                    sys.exit(code)
-            raise
-
-
-@click.group(cls=_Commands)
-def main():
-    """Analyse shift operators induced by index self-maps, over JSON files."""
-
-
-@main.command()
-@click.argument("map_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--window", type=click.IntRange(1, index_domain.SEARCH_CAP), show_default=True,
-              default=index_domain.DEFAULT_WINDOW, help="scan window for symbolic maps")
 def analyze(map_file, window):
     """Fiber report, operator classification and domain analysis for a map."""
-    m = _load_map(map_file)
+    m = index_domain.parse_map(_load_json(map_file))
     sizes = m.window_sizes(window)  # first, so a window past DEFAULT_WINDOW checks the certificates
     cert = m.certificates
     unbounded = domain_analysis.domain_report(m)
@@ -304,26 +267,16 @@ def analyze(map_file, window):
     _echo(doc)
 
 
-@main.command("apply")
-@click.argument("map_file", type=click.Path(exists=True, dir_okay=False))
-@click.argument("vector_file", type=click.Path(exists=True, dir_okay=False))
 def apply_cmd(map_file, vector_file):
     """Apply the shift to a vector; prints the image in the vector file format."""
-    m = _load_map(map_file)
+    m = index_domain.parse_map(_load_json(map_file))
     x = sparse_vec.parse_vector(_load_json(vector_file), m.domain)
     _echo(_vector(gen_shift.apply(m, x)))
 
 
-@main.command()
-@click.argument("map_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--kind", type=click.Choice(["compact", "divergence"]), required=True)
-@click.option("--count", type=click.IntRange(min=2), default=3, show_default=True,
-              help="number of vectors for the compact witness")
-@click.option("--K", "truncation", type=click.IntRange(min=1), default=16, show_default=True,
-              help="truncation length for the divergence witness")
 def witness(map_file, kind, count, truncation):
     """Non-compactness or norm-divergence certificate for a map."""
-    m = _load_map(map_file)
+    m = index_domain.parse_map(_load_json(map_file))
     doc = {"schema_version": SCHEMA_VERSION, "kind": kind, "map": _map_doc(m)}
     if kind == "compact":
         w = compact_witness.witness_sequence(m, count)
@@ -349,19 +302,12 @@ def witness(map_file, kind, count, truncation):
     _echo(doc)
 
 
-@main.command("oracle-check")
-@click.option("--n", "n", type=click.IntRange(2, index_domain.DENSE_CAP), required=True)
-@click.option("--exhaustive", "exhaustive", is_flag=True, help="sweep all n^n image tables")
-@click.option("--random", "random_count", type=click.IntRange(min=1), default=None,
-              help="check this many random image tables instead")
-@click.option("--seed", type=click.IntRange(min=0), default=DEFAULT_SEED, show_default=True,
-              help="seed for --random tables")
 def oracle_check(n, exhaustive, random_count, seed):
     """Agreement sweep between the fiber analysis and the dense oracle."""
     if exhaustive == (random_count is not None):
-        raise click.UsageError("pass exactly one of --exhaustive or --random R")
+        _ORACLE.error("pass exactly one of --exhaustive or --random R")
     if exhaustive and n > index_domain.EXHAUSTIVE_CAP:
-        raise click.UsageError(f"--exhaustive needs n <= {index_domain.EXHAUSTIVE_CAP}")
+        _ORACLE.error(f"--exhaustive needs n <= {index_domain.EXHAUSTIVE_CAP}")
     from . import dense_oracle  # only this command needs numpy, so the others start without it
     checked, max_err, bad = dense_oracle.sweep(dense_oracle.exhaustive_maps(n) if exhaustive
                                                else dense_oracle.random_maps(n, random_count, seed))
@@ -377,8 +323,61 @@ def oracle_check(n, exhaustive, random_count, seed):
     _echo(doc)
     if bad:
         for res in bad[:20]:
-            click.echo(f"disagreement on image table {list(res.table)}", file=sys.stderr)
-        sys.exit(EXIT_DISAGREEMENT)
+            print(f"disagreement on image table {list(res.table)}", file=sys.stderr)
+        raise SystemExit(EXIT_DISAGREEMENT)
+
+
+# ---------------------------------------------------------------------------
+# the parser, built once at import
+
+def _bounded(lo: int, hi: float = math.inf):
+    """An int option's ``type``, refusing a value outside lo..hi: "0 is not in the range x>=1"."""
+    def integer(text: str) -> int:
+        value = int(text)  # a ValueError reads "invalid integer value: 'x'"
+        if not lo <= value <= hi:
+            span = f"{lo}<=x<={hi}" if hi < math.inf else f"x>={lo}"
+            raise argparse.ArgumentTypeError(f"{value} is not in the range {span}")
+        return value
+    return integer
+
+
+_PARSER = argparse.ArgumentParser(prog="genshift", allow_abbrev=False, description=(
+    "Analyse shift operators induced by index self-maps, over JSON files."))
+_COMMANDS = _PARSER.add_subparsers(dest="command", required=True)
+_RUNS = {"analyze": analyze, "apply": apply_cmd, "witness": witness, "oracle-check": oracle_check}
+_ANALYZE, _APPLY, _WITNESS, _ORACLE = (
+    _COMMANDS.add_parser(name, help=run.__doc__, description=run.__doc__, allow_abbrev=False)
+    for name, run in _RUNS.items())
+for _sub in (_ANALYZE, _APPLY, _WITNESS):
+    _sub.add_argument("map_file")
+_APPLY.add_argument("vector_file")
+_ANALYZE.add_argument("--window", type=_bounded(1, SEARCH_CAP), default=DEFAULT_WINDOW,
+                      help="scan window for symbolic maps (default: %(default)s)")
+_WITNESS.add_argument("--kind", choices=["compact", "divergence"], required=True)
+_WITNESS.add_argument("--count", type=_bounded(2), default=3,
+                      help="number of vectors for the compact witness (default: %(default)s)")
+_WITNESS.add_argument("--K", dest="truncation", metavar="K", type=_bounded(1), default=16,
+                      help="truncation length for the divergence witness (default: %(default)s)")
+_ORACLE.add_argument("--n", type=_bounded(2, DENSE_CAP), required=True)
+_ORACLE.add_argument("--exhaustive", action="store_true", help="sweep all n^n image tables")
+_ORACLE.add_argument("--random", dest="random_count", metavar="R", type=_bounded(1),
+                     help="check this many random image tables instead")
+_ORACLE.add_argument("--seed", type=_bounded(0), default=DEFAULT_SEED,
+                     help="seed for --random tables (default: %(default)s)")
+
+
+def main(args=None, prog_name=None):
+    """Run one command (``prog_name`` is unused) and end in ``SystemExit``, 0 on success."""
+    options = vars(_PARSER.parse_args(args))
+    try:
+        _RUNS[options.pop("command")](**options)
+    except GenShiftError as exc:
+        for cls, code, label in LIBRARY_EXITS:
+            if isinstance(exc, cls):
+                print(f"{label}: {exc}", file=sys.stderr)
+                raise SystemExit(code) from None
+        raise  # a class without a row is a bug, and keeps its traceback
+    raise SystemExit(0)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,10 @@
-"""Shared strategies, reference functions, vector algebra and hand-rolled test rules."""
+"""Shared strategies, reference functions, vector algebra, hand-rolled test rules and the
+in-process CLI harness."""
 
+import contextlib
+import io
 import math
+import types
 from itertools import chain
 
 from hypothesis import strategies as st
@@ -16,7 +20,27 @@ from genshift import (
     from_entries,
     norm_sq,
 )
+from genshift.cli import main
 from genshift.index_domain import finite_runs, make_finite_map
+
+
+def invoke(args):
+    """Run ``genshift ARGS`` in this process: its ``exit_code``, ``stdout`` (and its UTF-8
+    ``stdout_bytes``), ``stderr``, ``output`` (stdout then stderr) and ``exception`` (the
+    ``SystemExit``, or None on exit 0). ``main`` must end in ``SystemExit``; any other
+    exception is re-raised, so a traceback fails the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(args=list(args), prog_name="genshift")
+        except SystemExit as exc:
+            exited = exc
+        else:
+            raise AssertionError(f"main({args!r}) returned without SystemExit")
+    stdout, stderr = out.getvalue(), err.getvalue()
+    return types.SimpleNamespace(
+        exit_code=exited.code, stdout=stdout, stdout_bytes=stdout.encode(), stderr=stderr,
+        output=stdout + stderr, exception=exited if exited.code else None)
 
 
 def sup_card(cards) -> int | float:

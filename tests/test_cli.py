@@ -6,15 +6,16 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import types
 import weakref
 from array import array
 from itertools import chain
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,13 +25,8 @@ from genshift import (
 )
 from genshift.cli import main
 from genshift.index_domain import finite_runs, make_finite_map
-from helpers import clamp_liar_rule, consistent_liar_rule, liar_rule, m_members
+from helpers import clamp_liar_rule, consistent_liar_rule, invoke, liar_rule, m_members
 from test_cli_golden import GOLDEN
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def write(tmp_path, name, doc):
@@ -47,8 +43,8 @@ ODD_COLLAPSE = {"kind": "symbolic", "name": "odd_collapse"}
 E1 = [{"i": 1, "re": 1.0, "im": 0.0}]
 
 
-def test_analyze_identity(runner, tmp_path):
-    result = runner.invoke(main, ["analyze", write(tmp_path, "m.json", IDENTITY5)])
+def test_analyze_identity(tmp_path):
+    result = invoke(["analyze", write(tmp_path, "m.json", IDENTITY5)])
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["schema_version"] == 1
@@ -57,8 +53,8 @@ def test_analyze_identity(runner, tmp_path):
     assert doc["fiber_report"]["verdict"] == {"kind": "certified", "bound": 1}
 
 
-def test_analyze_triangular(runner, tmp_path):
-    result = runner.invoke(main, ["analyze", write(tmp_path, "m.json", TRIANGULAR), "--window", "8"])
+def test_analyze_triangular(tmp_path):
+    result = invoke(["analyze", write(tmp_path, "m.json", TRIANGULAR), "--window", "8"])
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["fiber_report"]["verdict"] == {"kind": "certified_unbounded"}
@@ -68,27 +64,27 @@ def test_analyze_triangular(runner, tmp_path):
     assert doc["domain"]["unbounded_witness"][:3] == [[1, 1], [2, 2], [3, 3]]
 
 
-def test_analyze_constant_norm_two(runner, tmp_path):
-    result = runner.invoke(main, ["analyze", write(tmp_path, "m.json", CONST4)])
+def test_analyze_constant_norm_two(tmp_path):
+    result = invoke(["analyze", write(tmp_path, "m.json", CONST4)])
     assert result.exit_code == 0
     assert json.loads(result.output)["classification"]["operator_norm"] == 2
 
 
-def test_analyze_malformed_file_exits_2(runner, tmp_path):
+def test_analyze_malformed_file_exits_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
-    result = runner.invoke(main, ["analyze", str(path)])
+    result = invoke(["analyze", str(path)])
     assert result.exit_code == 2
     path.write_text(json.dumps({"kind": "finite", "images": [1, 7]}))
-    assert runner.invoke(main, ["analyze", str(path)]).exit_code == 2
+    assert invoke(["analyze", str(path)]).exit_code == 2
     # a block size beyond the float range has no float norm sqrt(b)
     path.write_text(json.dumps({"kind": "symbolic", "name": "block", "param": 10**400}))
     for args in (["analyze", str(path)], ["witness", str(path), "--kind", "compact"]):
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 2
         assert result.output.startswith("parse error: rule 'block' declares finite-fiber bound")
     path.write_text(json.dumps({"kind": "symbolic", "name": "block", "param": 10**300}))
-    result = runner.invoke(main, ["analyze", str(path)])
+    result = invoke(["analyze", str(path)])
     assert result.exit_code == 0
     assert json.loads(result.output)["classification"]["operator_norm"] == 1e150
 
@@ -99,22 +95,22 @@ def test_analyze_malformed_file_exits_2(runner, tmp_path):
     b"[" * 100_000,
 ], ids=["not_utf8", "int_5000_digits", "nested_100000"])
 @pytest.mark.parametrize("command", ["analyze", "apply"])
-def test_undecodable_or_overlong_file_exits_2(runner, tmp_path, command, content):
+def test_undecodable_or_overlong_file_exits_2(tmp_path, command, content):
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
     if command == "analyze":
         args = ["analyze", str(bad)]
     else:
         args = ["apply", write(tmp_path, "m.json", IDENTITY5), str(bad)]
-    result = runner.invoke(main, args)
+    result = invoke(args)
     assert result.exit_code == 2
     assert result.output.startswith("parse error: ")
 
 
-def test_analyze_false_certificate_exits_3(runner, tmp_path, monkeypatch):
+def test_analyze_false_certificate_exits_3(tmp_path, monkeypatch):
     monkeypatch.setitem(index_domain.BUILTIN_RULES, "clamp_liar", clamp_liar_rule)
     doc = {"kind": "symbolic", "name": "clamp_liar"}
-    result = runner.invoke(main, ["analyze", write(tmp_path, "m.json", doc)])
+    result = invoke(["analyze", write(tmp_path, "m.json", doc)])
     assert result.exit_code == 3
     assert result.output.startswith("integrity error: rule 'clamp_liar' declares")
 
@@ -124,39 +120,39 @@ def test_analyze_false_certificate_exits_3(runner, tmp_path, monkeypatch):
     ({"kind": "finite", "images": [2, 1], "image": [1, 1]}, None, "image"),
     ({"kind": "symbolic", "name": "successor", "parm": 3}, None, "parm"),
 ], ids=["vector_entry", "finite_map", "symbolic_map"])
-def test_a_key_the_format_does_not_define_exits_2(runner, tmp_path, map_doc, vector, key):
+def test_a_key_the_format_does_not_define_exits_2(tmp_path, map_doc, vector, key):
     # once read as absent: the vector as e_1, the map without its typo
     args = [write(tmp_path, "m.json", map_doc)]
     args = ["analyze", *args] if vector is None else ["apply", *args, write(tmp_path, "v.json", vector)]
-    result = runner.invoke(main, args)
+    result = invoke(args)
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.startswith("parse error: ") and result.stderr.count("\n") == 1
     assert repr(key) in result.stderr
 
 
-def test_analyze_consistent_liar_exits_3(runner, tmp_path, monkeypatch):
+def test_analyze_consistent_liar_exits_3(tmp_path, monkeypatch):
     # its certificates agree with card_fn; only its images of 1..64 refute them
     monkeypatch.setitem(index_domain.BUILTIN_RULES, "consistent_liar", consistent_liar_rule)
     doc = {"kind": "symbolic", "name": "consistent_liar"}
-    result = runner.invoke(main, ["analyze", write(tmp_path, "m.json", doc)])
+    result = invoke(["analyze", write(tmp_path, "m.json", doc)])
     assert result.exit_code == 3
     assert result.output == ("integrity error: rule 'consistent_liar' maps 2 of 1..64 to 1"
                              " but fiber(1) has size 1\n")
 
 
-def test_apply_consistent_liar_exits_3(runner, tmp_path, monkeypatch):
+def test_apply_consistent_liar_exits_3(tmp_path, monkeypatch):
     monkeypatch.setitem(index_domain.BUILTIN_RULES, "consistent_liar", consistent_liar_rule)
     doc = {"kind": "symbolic", "name": "consistent_liar"}
-    result = runner.invoke(main, ["apply", write(tmp_path, "m.json", doc), write(tmp_path, "v.json", E1)])
+    result = invoke(["apply", write(tmp_path, "m.json", doc), write(tmp_path, "v.json", E1)])
     assert result.exit_code == 3
     assert result.stdout == ""
     assert result.output == ("integrity error: rule 'consistent_liar' maps 2 of 1..64 to 1"
                              " but fiber(1) has size 1\n")
 
 
-def test_apply_identity_round_trip(runner, tmp_path):
-    result = runner.invoke(main, ["apply", write(tmp_path, "m.json", IDENTITY5),
+def test_apply_identity_round_trip(tmp_path):
+    result = invoke(["apply", write(tmp_path, "m.json", IDENTITY5),
                                   write(tmp_path, "v.json", E1)])
     assert result.exit_code == 0
     m = make_finite_map([1, 2, 3, 4, 5], 5)
@@ -164,35 +160,35 @@ def test_apply_identity_round_trip(runner, tmp_path):
     assert reparsed == apply(m, parse_vector(E1, m.domain))
 
 
-def test_apply_successor_empties_e1(runner, tmp_path):
-    result = runner.invoke(main, ["apply", write(tmp_path, "m.json", SUCCESSOR),
+def test_apply_successor_empties_e1(tmp_path):
+    result = invoke(["apply", write(tmp_path, "m.json", SUCCESSOR),
                                   write(tmp_path, "v.json", E1)])
     assert result.exit_code == 0
     assert json.loads(result.output) == []
 
 
-def test_apply_odd_collapse_e1_exits_4(runner, tmp_path):
-    result = runner.invoke(main, ["apply", write(tmp_path, "m.json", ODD_COLLAPSE),
+def test_apply_odd_collapse_e1_exits_4(tmp_path):
+    result = invoke(["apply", write(tmp_path, "m.json", ODD_COLLAPSE),
                                   write(tmp_path, "v.json", E1)])
     assert result.exit_code == 4
     assert result.stdout == ""
     assert result.stderr == "image not square-summable: support index 1 has an infinite fiber\n"
 
 
-def test_apply_fiber_past_the_search_budget_exits_5(runner, tmp_path):
+def test_apply_fiber_past_the_search_budget_exits_5(tmp_path):
     block = {"kind": "symbolic", "name": "block", "param": index_domain.SEARCH_CAP + 1}
-    result = runner.invoke(main, ["apply", write(tmp_path, "m.json", block),
+    result = invoke(["apply", write(tmp_path, "m.json", block),
                                   write(tmp_path, "v.json", E1)])
     assert result.exit_code == 5
     assert result.output == ("precondition failed: fiber(1) has size 1048577,"
                              " above SEARCH_CAP = 1048576\n")
 
 
-def test_apply_image_past_the_search_budget_exits_5(runner, tmp_path):
+def test_apply_image_past_the_search_budget_exits_5(tmp_path):
     # two fibers of 2**20 members each: both within the budget, their union is not
     block = {"kind": "symbolic", "name": "block", "param": index_domain.SEARCH_CAP}
     vector = [{"i": 1, "re": 1.0, "im": 0.0}, {"i": 2, "re": 1.0, "im": 0.0}]
-    result = runner.invoke(main, ["apply", write(tmp_path, "m.json", block),
+    result = invoke(["apply", write(tmp_path, "m.json", block),
                                   write(tmp_path, "v.json", vector)])
     assert result.exit_code == 5
     assert result.stdout == ""
@@ -200,9 +196,9 @@ def test_apply_image_past_the_search_budget_exits_5(runner, tmp_path):
                              " above SEARCH_CAP = 1048576\n")
 
 
-def test_apply_duplicate_vector_index_exits_2(runner, tmp_path):
+def test_apply_duplicate_vector_index_exits_2(tmp_path):
     bad = [{"i": 1, "re": 1.0}, {"i": 1, "re": 2.0}]
-    result = runner.invoke(main, ["apply", write(tmp_path, "m.json", IDENTITY5),
+    result = invoke(["apply", write(tmp_path, "m.json", IDENTITY5),
                                   write(tmp_path, "v.json", bad)])
     assert result.exit_code == 2
 
@@ -213,16 +209,16 @@ def test_apply_duplicate_vector_index_exits_2(runner, tmp_path):
     '[{"i": 1, "re": 1e400}]',
     '[{"i": 1, "re": ' + "9" * 400 + "}]",
 ], ids=["nan", "infinity", "float_overflow", "int_400_digits"])
-def test_apply_non_finite_entry_exits_2(runner, tmp_path, text):
+def test_apply_non_finite_entry_exits_2(tmp_path, text):
     vec = tmp_path / "v.json"
     vec.write_text(text)
-    result = runner.invoke(main, ["apply", write(tmp_path, "m.json", IDENTITY5), str(vec)])
+    result = invoke(["apply", write(tmp_path, "m.json", IDENTITY5), str(vec)])
     assert result.exit_code == 2
     assert result.output == "parse error: non-finite or out-of-range component at index 1\n"
 
 
-def test_witness_compact_successor(runner, tmp_path):
-    result = runner.invoke(main, ["witness", write(tmp_path, "m.json", SUCCESSOR),
+def test_witness_compact_successor(tmp_path):
+    result = invoke(["witness", write(tmp_path, "m.json", SUCCESSOR),
                                   "--kind", "compact", "--count", "3"])
     assert result.exit_code == 0
     doc = json.loads(result.output)
@@ -232,7 +228,7 @@ def test_witness_compact_successor(runner, tmp_path):
     assert len(doc["vectors"]) == 3
 
 
-def test_witness_compact_finds_its_separation_in_one_pass(runner, tmp_path, monkeypatch):
+def test_witness_compact_finds_its_separation_in_one_pass(tmp_path, monkeypatch):
     # min_distance_sq is kept on first read, so its two reads and the root's share one pass
     calls, nsmallest = [], compact_witness.heapq.nsmallest
 
@@ -241,15 +237,15 @@ def test_witness_compact_finds_its_separation_in_one_pass(runner, tmp_path, monk
         return nsmallest(*args)
 
     monkeypatch.setattr(compact_witness.heapq, "nsmallest", counting)
-    result = runner.invoke(main, ["witness", write(tmp_path, "m.json", SUCCESSOR),
+    result = invoke(["witness", write(tmp_path, "m.json", SUCCESSOR),
                                   "--kind", "compact", "--count", "1000"])
     assert result.exit_code == 0
     assert json.loads(result.output)["min_distance_sq"] == {"num": 1, "den": 2}
     assert len(calls) == 1
 
 
-def test_witness_divergence_triangular_k16(runner, tmp_path):
-    result = runner.invoke(main, ["witness", write(tmp_path, "m.json", TRIANGULAR),
+def test_witness_divergence_triangular_k16(tmp_path):
+    result = invoke(["witness", write(tmp_path, "m.json", TRIANGULAR),
                                   "--kind", "divergence", "--K", "16"])
     assert result.exit_code == 0
     doc = json.loads(result.output)
@@ -259,20 +255,20 @@ def test_witness_divergence_triangular_k16(runner, tmp_path):
     assert doc["vector_norm_sq"] < math.pi ** 2 / 6
 
 
-def test_witness_compact_on_finite_map_exits_5(runner, tmp_path):
+def test_witness_compact_on_finite_map_exits_5(tmp_path):
     path = write(tmp_path, "m.json", CONST4)
     for kind, reason in (("compact", "finite index set"), ("divergence", "map is certified bounded")):
-        result = runner.invoke(main, ["witness", path, "--kind", kind])
+        result = invoke(["witness", path, "--kind", kind])
         assert result.exit_code == 5
         assert result.output.startswith(f"precondition failed: {reason}")
 
 
-def test_witness_false_certificate_exits_3(runner, tmp_path, monkeypatch):
+def test_witness_false_certificate_exits_3(tmp_path, monkeypatch):
     monkeypatch.setitem(index_domain.BUILTIN_RULES, "clamp_liar", clamp_liar_rule)
     doc = {"kind": "symbolic", "name": "clamp_liar"}
     # the lie makes the map look bounded: a divergence witness is refuted, not refused
     for kind in ("compact", "divergence"):
-        result = runner.invoke(main, ["witness", write(tmp_path, "m.json", doc), "--kind", kind])
+        result = invoke(["witness", write(tmp_path, "m.json", doc), "--kind", kind])
         assert result.exit_code == 3
         assert result.output == ("integrity error: rule 'clamp_liar' declares finite-fiber bound 1"
                                  " but fiber(1) has size 2\n")
@@ -287,20 +283,20 @@ def _successor_with_false_infinite_fiber():
     ["analyze", "MAP", "--window", "1"],
     ["witness", "MAP", "--kind", "compact", "--count", "2"],
 ], ids=["analyze_window_1", "compact_count_2"])
-def test_false_certificate_past_the_window_exits_3(runner, tmp_path, monkeypatch, args):
+def test_false_certificate_past_the_window_exits_3(tmp_path, monkeypatch, args):
     # the window 1..1 or 1..2 misses target 3; the first certificate read (1..64) reaches it
     monkeypatch.setitem(index_domain.BUILTIN_RULES, "successor_liar",
                         _successor_with_false_infinite_fiber)
     path = write(tmp_path, "m.json", {"kind": "symbolic", "name": "successor_liar"})
-    result = runner.invoke(main, [path if a == "MAP" else a for a in args])
+    result = invoke([path if a == "MAP" else a for a in args])
     assert result.exit_code == 3
     assert result.stdout == ""
     assert result.stderr == ("integrity error: rule 'successor' declares infinite fibers exactly"
                              " over [3] but fiber(3) has size 1\n")
 
 
-def test_witness_divergence_on_bounded_map_exits_5(runner, tmp_path):
-    result = runner.invoke(main, ["witness", write(tmp_path, "m.json", SUCCESSOR),
+def test_witness_divergence_on_bounded_map_exits_5(tmp_path):
+    result = invoke(["witness", write(tmp_path, "m.json", SUCCESSOR),
                                   "--kind", "divergence", "--K", "4"])
     assert result.exit_code == 5
     assert result.output == ("precondition failed: map is certified bounded over M"
@@ -313,16 +309,17 @@ def test_witness_divergence_on_bounded_map_exits_5(runner, tmp_path):
     (TRIANGULAR, ["--kind", "divergence", "--K", "9223372036854775808"],
      "found only 1048576 fiber-size records within 1048576 targets"),
 ], ids=["compact", "divergence"])
-def test_witness_size_past_sys_maxsize_exits_5(runner, tmp_path, m, args, message):
-    # 2**63 passes click's IntRange; the search budget refuses it after at most SEARCH_CAP targets
-    result = runner.invoke(main, ["witness", write(tmp_path, "m.json", m), *args])
+def test_witness_size_past_sys_maxsize_exits_5(tmp_path, m, args, message):
+    # 2**63 passes the option's converter, which has no upper bound; the search budget refuses
+    # it after at most SEARCH_CAP targets
+    result = invoke(["witness", write(tmp_path, "m.json", m), *args])
     assert result.exit_code == 5
     assert result.stdout == ""
     assert result.stderr == f"precondition failed: {message}\n"
 
 
-def test_oracle_check_exhaustive_n3(runner):
-    result = runner.invoke(main, ["oracle-check", "--n", "3", "--exhaustive"])
+def test_oracle_check_exhaustive_n3():
+    result = invoke(["oracle-check", "--n", "3", "--exhaustive"])
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["maps_checked"] == 27
@@ -330,11 +327,11 @@ def test_oracle_check_exhaustive_n3(runner):
     assert doc["seed"] == 74
 
 
-def test_oracle_check_disagreement_exits_6(runner, monkeypatch):
+def test_oracle_check_disagreement_exits_6(monkeypatch):
     from genshift import dense_oracle
 
     monkeypatch.setattr(dense_oracle, "NORM_TOL", -1.0)  # no error is below -1: all 27 disagree
-    result = runner.invoke(main, ["oracle-check", "--n", "3", "--exhaustive"])
+    result = invoke(["oracle-check", "--n", "3", "--exhaustive"])
     assert result.exit_code == 6
     doc = json.loads(result.stdout)
     assert doc["maps_checked"] == 27
@@ -344,41 +341,41 @@ def test_oracle_check_disagreement_exits_6(runner, monkeypatch):
     assert lines[0] == "disagreement on image table [1, 1, 1]"
 
 
-def test_oracle_check_exhaustive_past_its_cap_exits_2(runner, monkeypatch):
+def test_oracle_check_exhaustive_past_its_cap_exits_2(monkeypatch):
     from genshift import dense_oracle
 
     monkeypatch.setattr(dense_oracle, "exhaustive_maps", None)  # refused before any enumeration
     n = dense_oracle.EXHAUSTIVE_CAP + 1
-    result = runner.invoke(main, ["oracle-check", "--n", str(n), "--exhaustive"])
+    result = invoke(["oracle-check", "--n", str(n), "--exhaustive"])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert f"--exhaustive needs n <= {dense_oracle.EXHAUSTIVE_CAP}" in result.stderr
     assert result.stdout == ""
 
 
-def test_oracle_check_random_with_seed(runner):
-    result = runner.invoke(main, ["oracle-check", "--n", "6", "--random", "25", "--seed", "42"])
+def test_oracle_check_random_with_seed():
+    result = invoke(["oracle-check", "--n", "6", "--random", "25", "--seed", "42"])
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["maps_checked"] == 25 and doc["seed"] == 42
 
 
 @pytest.mark.parametrize("env", ["99", "seven"])
-def test_oracle_check_ignores_the_environment(runner, monkeypatch, env):
+def test_oracle_check_ignores_the_environment(monkeypatch, env):
     # the seed is --seed only: no environment variable, GENSHIFT_SEED included, moves it
     monkeypatch.setenv("GENSHIFT_SEED", env)
-    result = runner.invoke(main, ["oracle-check", "--n", "4", "--exhaustive"])
+    result = invoke(["oracle-check", "--n", "4", "--exhaustive"])
     digest = hashlib.sha256(result.stdout_bytes).hexdigest()
     assert (digest, result.exit_code) == GOLDEN["oracle-check --n 4 --exhaustive"]
-    result = runner.invoke(main, ["oracle-check", "--n", "4", "--random", "5"])
+    result = invoke(["oracle-check", "--n", "4", "--random", "5"])
     assert result.exit_code == 0 and '"seed":74' in result.stdout
-    result = runner.invoke(main, ["oracle-check", "--help"])
+    result = invoke(["oracle-check", "--help"])
     assert result.exit_code == 0 and "GENSHIFT_SEED" not in result.output
 
 
 @pytest.mark.parametrize("mode", [["--exhaustive"], ["--random", "5"]])
-def test_oracle_check_negative_seed_exits_2(runner, mode):
-    result = runner.invoke(main, ["oracle-check", "--n", "4", *mode, "--seed", "-1"])
+def test_oracle_check_negative_seed_exits_2(mode):
+    result = invoke(["oracle-check", "--n", "4", *mode, "--seed", "-1"])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
 
@@ -387,21 +384,69 @@ def test_oracle_check_negative_seed_exits_2(runner, mode):
     ["analyze", "MAP", "--window", str(index_domain.SEARCH_CAP + 1)],
     ["oracle-check", "--n", str(index_domain.DENSE_CAP + 1), "--random", "1"],
 ], ids=["window", "dense_n"])
-def test_options_past_their_budget_exit_2(runner, tmp_path, monkeypatch, args):
-    # click rejects the value before the command runs: no window is scanned, no table drawn
+def test_options_past_their_budget_exit_2(tmp_path, monkeypatch, args):
+    # the option's converter rejects the value before the command runs: no window is scanned,
+    # no table drawn
     monkeypatch.setattr(index_domain.IndexMap, "window_sizes", None)
     args = [write(tmp_path, "m.json", SUCCESSOR) if a == "MAP" else a for a in args]
-    result = runner.invoke(main, args)
+    result = invoke(args)
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "is not in the range" in result.output
 
 
-def test_oracle_check_requires_exactly_one_mode(runner):
-    assert runner.invoke(main, ["oracle-check", "--n", "3"]).exit_code == 2
-    assert runner.invoke(
-        main, ["oracle-check", "--n", "3", "--exhaustive", "--random", "5"]
-    ).exit_code == 2
+def test_oracle_check_requires_exactly_one_mode():
+    assert invoke(["oracle-check", "--n", "3"]).exit_code == 2
+    assert invoke(["oracle-check", "--n", "3", "--exhaustive", "--random", "5"]).exit_code == 2
+
+
+@pytest.mark.parametrize("args, unrecognized", [
+    (["analyze", "MAP", "--win", "10"], "--win 10"),
+    (["oracle-check", "--n", "3", "--exh"], "--exh"),
+    (["oracle-check", "--n", "3", "--rand", "3"], "--rand 3"),
+], ids=["window", "exhaustive", "random"])
+def test_abbreviated_options_exit_2(tmp_path, args, unrecognized):
+    # an option is named in full: a prefix is refused, not completed
+    result = invoke([write(tmp_path, "m.json", SUCCESSOR) if a == "MAP" else a for a in args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: genshift")
+    last = result.stderr.splitlines()[-1]  # the top parser reports them, or the command's
+    assert re.fullmatch(rf"genshift( {args[0]})?: error: unrecognized arguments: {unrecognized}",
+                        last)
+
+
+@pytest.mark.parametrize("position", ["map", "vector"])
+@pytest.mark.parametrize("absent", ["missing", "directory"])
+def test_a_missing_file_or_a_directory_exits_2(tmp_path, position, absent):
+    # the file is opened by the command, so it ends in a parse error, not a usage error
+    path = str(tmp_path / "absent.json") if absent == "missing" else str(tmp_path)
+    map_file = path if position == "map" else write(tmp_path, "m.json", IDENTITY5)
+    vector_file = path if position == "vector" else write(tmp_path, "v.json", E1)
+    result = invoke(["apply", map_file, vector_file])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"parse error: {path}: ")
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+
+
+@pytest.mark.parametrize("command, options", [
+    ("analyze", {"--window WINDOW": "64"}),
+    ("apply", {}),
+    ("witness", {"--kind": None, "--count COUNT": "3", "--K K": "16"}),
+    ("oracle-check",
+     {"--n N": None, "--exhaustive": None, "--random R": None, "--seed SEED": "74"}),
+])
+def test_help_names_every_option_and_its_default(command, options):
+    result = invoke([command, "--help"])
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    usage, _, listed = " ".join(result.stdout.split()).partition(" options: ")  # unwrapped
+    assert usage.startswith(f"usage: genshift {command} [-h]")
+    for option, default in options.items():
+        assert option in usage and option in listed
+        if default is not None:
+            assert re.search(re.escape(option) + r" [^()]*\(default: " + default + r"\)", listed)
 
 
 # --- the exit-code contract under arbitrary input ---------------------------
@@ -444,7 +489,7 @@ bad_vectors = json_values | st.lists(
 
 
 def in_range(lo, hi, *rejected):
-    """Values click accepts, and the ones past its range that it rejects."""
+    """Values an option accepts, and the ones past its range that it rejects."""
     return st.integers(lo, hi) | st.sampled_from([*rejected, "x"])
 
 
@@ -488,20 +533,24 @@ LABELS = {2: "parse error: ", 3: "integrity error: ", 4: "image not square-summa
 @example(({"m.json": IDENTITY5}, ["witness", "m.json", "--kind", "compact"]))  # exit 5
 def test_every_input_ends_in_a_documented_exit_code(case):
     files, args = case
-    runner = CliRunner()
-    with runner.isolated_filesystem(), pytest.MonkeyPatch.context() as mp:
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)  # os.chdir, undone before the directory is removed
         mp.setitem(index_domain.BUILTIN_RULES, "clamp_liar", clamp_liar_rule)
         mp.setitem(index_domain.BUILTIN_RULES, "liar", liar_rule)
         mp.setitem(index_domain.BUILTIN_RULES, "consistent_liar", consistent_liar_rule)
         for name, doc in files.items():
             with open(name, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
-        result = runner.invoke(main, args)
+        result = invoke(args)
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert result.exit_code in (0, 2, 3, 4, 5)  # n <= 4: the oracle agrees, so never 6
     if result.exit_code == 0:
         json.loads(result.stdout)
-    elif not result.stderr.startswith("Usage:"):  # else click rejected an option or argument
+    elif result.stderr.startswith("usage: genshift"):  # argparse rejected an option or argument
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.splitlines()[-1].startswith(f"genshift {args[0]}: error: ")
+    else:
         assert result.stdout == ""
         assert result.stderr.startswith(LABELS[result.exit_code])
         assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
@@ -523,16 +572,16 @@ def test_every_library_error_class_has_an_exit_row():
     assert defined == {cls for cls, _, _ in cli.LIBRARY_EXITS}
 
 
-def test_analyze_output_is_deterministic(runner, tmp_path):
+def test_analyze_output_is_deterministic(tmp_path):
     path = write(tmp_path, "m.json", TRIANGULAR)
-    first = runner.invoke(main, ["analyze", path])
-    second = runner.invoke(main, ["analyze", path])
+    first = invoke(["analyze", path])
+    second = invoke(["analyze", path])
     assert first.output == second.output
 
 
-def test_floats_are_rendered_with_17_digits(runner, tmp_path):
+def test_floats_are_rendered_with_17_digits(tmp_path):
     m = {"kind": "finite", "images": [1, 1, 2]}  # norm sqrt(2)
-    result = runner.invoke(main, ["analyze", write(tmp_path, "m.json", m)])
+    result = invoke(["analyze", write(tmp_path, "m.json", m)])
     assert "1.4142135623730951" in result.output
 
 
@@ -691,9 +740,9 @@ RULE_DOCS += [{"kind": "symbolic", "name": "block", "param": b} for b in (1, 2, 
 
 @pytest.mark.parametrize("window", [1, 63, 64, 65, 66, 1000, 5000])
 @pytest.mark.parametrize("doc", RULE_DOCS, ids=lambda doc: f"{doc['name']}{doc.get('param', '')}")
-def test_analyze_sup_is_the_largest_cardinality(runner, tmp_path, doc, window):
+def test_analyze_sup_is_the_largest_cardinality(tmp_path, doc, window):
     # a periodic rule's sup is read off the targets up to DEFAULT_WINDOW alone
-    result = runner.invoke(main, ["analyze", write(tmp_path, "m.json", doc), "--window", str(window)])
+    result = invoke(["analyze", write(tmp_path, "m.json", doc), "--window", str(window)])
     assert result.exit_code == 0
     report = json.loads(result.output)["fiber_report"]
     sizes = [math.inf if c == "infinite" else c for c in report["cardinalities"].values()]
@@ -748,7 +797,7 @@ def test_int_array_helper_renders_like_the_generic_walker(xs):
     (SUCCESSOR, ["analyze", "--window", "10000"]),
     (TRIANGULAR, ["witness", "--kind", "divergence", "--K", "4096"]),
 ], ids=["analyze", "divergence"])
-def test_large_outputs_are_rendered_by_shape(runner, tmp_path, monkeypatch, doc, args):
+def test_large_outputs_are_rendered_by_shape(tmp_path, monkeypatch, doc, args):
     calls = 0
     walk = cli._walk
 
@@ -758,16 +807,16 @@ def test_large_outputs_are_rendered_by_shape(runner, tmp_path, monkeypatch, doc,
         return walk(value)
 
     monkeypatch.setattr(cli, "_walk", counting)
-    result = runner.invoke(main, [args[0], write(tmp_path, "m.json", doc), *args[1:]])
+    result = invoke([args[0], write(tmp_path, "m.json", doc), *args[1:]])
     assert result.exit_code == 0
     assert calls < 200
 
 
 @pytest.mark.parametrize("doc", [ODD_COLLAPSE, IDENTITY5], ids=["odd_collapse", "table"])
-def test_analyze_renders_m_from_its_runs(runner, tmp_path, doc):
+def test_analyze_renders_m_from_its_runs(tmp_path, doc):
     # M is rendered from its runs alone: both m_set keys print its members, the same bytes each run
     args = ["analyze", write(tmp_path, "m.json", doc), "--window", "10000"]
-    before, after = runner.invoke(main, args), runner.invoke(main, args)
+    before, after = invoke(args), invoke(args)
     assert before.exit_code == after.exit_code == 0
     assert after.output == before.output
     out = json.loads(after.output)
@@ -806,7 +855,8 @@ def test_large_documents_are_written_in_bounded_pieces(tmp_path, doc, args, size
 
 
 def test_redirected_streams_are_not_kept_alive(tmp_path):
-    # click.echo's default stream cache would keep each captured stdout and stderr
+    # output goes to the sys.stdout and sys.stderr of the call, and nothing keeps a reference
+    # to a captured stream once the call has returned
     rule, table = write(tmp_path, "rule.json", SUCCESSOR), write(tmp_path, "table.json", IDENTITY5)
     streams = []
     for args, expected in [(["analyze", rule], 0), (["witness", table, "--kind", "divergence"], 5)]:
@@ -831,6 +881,14 @@ def test_import_leaves_numpy_out(module):
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
+def test_cli_import_leaves_click_out():
+    # the front end is the standard library's argparse: importing it loads no third-party module
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, genshift.cli; sys.exit(bool({'numpy', 'click'} & sys.modules.keys()))"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
 def test_oracle_check_past_the_exhaustive_cap_leaves_numpy_out():
     # the cap is index_domain's constant, checked before the oracle, and numpy with it, is imported
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -842,7 +900,8 @@ def test_oracle_check_past_the_exhaustive_cap_leaves_numpy_out():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                             timeout=60)
     assert result.stdout == "2 False\n"
-    assert result.stderr.endswith(f"Error: --exhaustive needs n <= {index_domain.EXHAUSTIVE_CAP}\n")
+    assert result.stderr.endswith(
+        f"\ngenshift oracle-check: error: --exhaustive needs n <= {index_domain.EXHAUSTIVE_CAP}\n")
 
 
 PUBLIC_NAMES = sorted([

@@ -11,9 +11,8 @@ import json
 import sys
 
 import pytest
-from click.testing import CliRunner
 
-from genshift.cli import main
+from helpers import invoke
 
 RULES = {
     "successor": {"kind": "symbolic", "name": "successor"},
@@ -105,7 +104,7 @@ def run(command, tmp_path):
             path.write_text(json.dumps(FILES[word]))
             word = str(path)
         args.append(word)
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     return hashlib.sha256(result.stdout_bytes).hexdigest(), result.exit_code
 
 
