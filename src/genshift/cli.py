@@ -368,7 +368,10 @@ _ORACLE.add_argument("--seed", type=_bounded(0), default=DEFAULT_SEED,
 
 def main(args=None, prog_name=None):
     """Run one command (``prog_name`` is unused) and end in ``SystemExit``, 0 on success."""
-    options = vars(_PARSER.parse_args(args))
+    options, unknown = _PARSER.parse_known_args(args)
+    if unknown:  # the command's parser refuses them, so its usage line names its options
+        _COMMANDS.choices[options.command].error(f"unrecognized arguments: {' '.join(unknown)}")
+    options = vars(options)
     try:
         _RUNS[options.pop("command")](**options)
     except GenShiftError as exc:

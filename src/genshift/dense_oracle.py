@@ -3,13 +3,14 @@
 An independent numerical route used to validate the fiber-based analysis.
 The matrix A has a single 1 per row, at the image column, so A^T A is the
 diagonal matrix of fiber sizes and the singular values of A, largest first,
-are the square roots of the fiber sizes, largest first. One LAPACK SVD per
-matrix therefore gives, with no reference to fibers, the norm (the largest
-singular value), the whole fiber profile (every singular value, compared
-with the library's fiber counts) and the exact rank (the number of singular
-values above 1/2), which is n iff the map is bijective; `sweep` runs that
-check over many maps.
-"""
+are the square roots of the fiber sizes, largest first. One LAPACK SVD of
+the matrix therefore gives, with no reference to fibers, the norm (the
+largest singular value), the whole fiber profile (every singular value,
+compared with the library's fiber counts) and the exact rank (the number of
+singular values above 1/2), which is n iff the map is bijective.
+``check_map_agreement`` checks one map; ``sweep`` checks many, stacking
+consecutive tables of one n into chunks of at most ``CHUNK_ENTRIES`` = 2^16
+matrix entries, each chunk's spectra from one SVD call."""
 
 from __future__ import annotations
 
@@ -22,42 +23,53 @@ import numpy as np
 
 from .errors import UnsupportedError
 from .gen_shift import classify, operator_norm
-from .index_domain import DENSE_CAP, EXHAUSTIVE_CAP, IndexMap, IndexSet, memo
+from .index_domain import DENSE_CAP, EXHAUSTIVE_CAP, IndexMap, IndexSet
 
 NORM_TOL = 1e-9  # acceptance criterion 1: |oracle norm - fiber norm| within this bound
+CHUNK_ENTRIES = 1 << 16  # matrix entries in one stack of same-n tables, one SVD call in `sweep`
 
 
 @dataclass(frozen=True, eq=False)  # identity: an array has no truth value and no hash
 class DenseOperator:
-    """n x n float64 0/1 matrix with a 1 in row a at column eval(a).
+    """n x n float64 0/1 matrix with a 1 in row a at column eval(a), and its singular values.
 
     Each row holds exactly one 1 (the map is total and single-valued) and
     each column sum equals the corresponding fiber cardinality.
     """
 
     matrix: np.ndarray
-
-    @memo
-    def singular_values(self) -> np.ndarray:
-        """Singular values of the matrix, largest first, from one SVD computed on first use."""
-        return np.linalg.svd(self.matrix, compute_uv=False)
+    singular_values: list[float]  # largest first, from the LAPACK SVD that built the operator
 
 
-def to_dense(m: IndexMap) -> DenseOperator:
-    """The matrix of ``m``; n above ``DENSE_CAP`` is refused before anything is allocated."""
+def _dense_size(m: IndexMap) -> int:
+    """n of a table map; a rule, or n above ``DENSE_CAP``, is refused before anything is allocated."""
     if m.table is None:
         raise UnsupportedError("dense realisation needs a finite domain")
     n = len(m.table)
     if n > DENSE_CAP:
         raise UnsupportedError(f"dense realisation capped at n = {DENSE_CAP}, got {n}")
-    A = np.zeros((n, n))
-    A[np.arange(n), np.asarray(m.table) - 1] = 1
-    return DenseOperator(A)
+    return n
+
+
+def _realise(images: Iterable[int], k: int, n: int) -> Iterator[DenseOperator]:
+    """The operators of k tables of n entries each, given one after another as ``images``:
+    one stack of k matrices, and one SVD call for all their spectra."""
+    stack = np.zeros((k, n, n))
+    ones = np.fromiter(images, np.intp, k * n)
+    ones += np.arange(-1, stack.size - 1, n)  # stacked row r holds its 1 at r * n + image - 1
+    stack.reshape(-1)[ones] = 1
+    return map(DenseOperator, stack, np.linalg.svd(stack, compute_uv=False).tolist())
+
+
+def to_dense(m: IndexMap) -> DenseOperator:
+    """The matrix of ``m`` and its spectrum; n above ``DENSE_CAP`` is refused before allocating."""
+    n = _dense_size(m)
+    return next(_realise(m.table, 1, n))
 
 
 def spectral_norm(op: DenseOperator) -> float:
     """Largest singular value of the matrix, i.e. its operator 2-norm."""
-    return float(op.singular_values[0])
+    return op.singular_values[0]
 
 
 def structural_check(op: DenseOperator) -> int:
@@ -71,7 +83,7 @@ def structural_check(op: DenseOperator) -> int:
     is bijective: then, and only then, the operator is one-to-one, onto and
     an isometry at once.
     """
-    return int(np.count_nonzero(op.singular_values > 0.5))
+    return len([s for s in op.singular_values if s > 0.5])
 
 
 def exhaustive_maps(n: int) -> Iterator[IndexMap]:
@@ -110,41 +122,47 @@ def check_map_agreement(m: IndexMap) -> MapAgreement:
     """Compare the fiber-based analysis of one finite map against the oracle.
 
     The norms must agree within NORM_TOL, and so must every singular value
-    and the square root of the fiber size at its place in descending order;
-    the three structural verdicts must each equal the oracle's one bit, full
-    rank.
+    and the square root of the fiber size at its place in descending order,
+    with as many fiber sizes as singular values; the three structural
+    verdicts must each equal the oracle's one bit, full rank.
     """
-    op = to_dense(m)
+    return MapAgreement(*_compare(m, to_dense(m)))
+
+
+def _compare(m: IndexMap, op: DenseOperator) -> tuple:
+    """The fields of the ``MapAgreement`` of ``m`` with its operator, in order:
+    the one comparison behind ``check_map_agreement`` and ``sweep``."""
     oracle = spectral_norm(op)
     structural = operator_norm(m)
     err = abs(oracle - structural)
-    fibers = map(math.sqrt, sorted(m.fiber_counts, reverse=True))
-    spectrum_ok = all(abs(s - f) <= NORM_TOL for s, f in zip(op.singular_values.tolist(), fibers))
+    spectrum, counts = op.singular_values, sorted(m.fiber_counts, reverse=True)
+    spectrum_ok = len(spectrum) == len(counts) and all(
+        abs(s - math.sqrt(c)) <= NORM_TOL for s, c in zip(spectrum, counts))
     rep = classify(m)
     bijective = structural_check(op) == len(m.table)
-    return MapAgreement(
-        table=m.table,
-        structural_norm=structural,
-        oracle_norm=oracle,
-        norm_error=err,
-        norm_ok=err <= NORM_TOL and spectrum_ok,
-        classification_ok=rep.sigma_injective == rep.sigma_surjective == rep.isometry == bijective,
-    )
+    return (m.table, structural, oracle, err, err <= NORM_TOL and spectrum_ok,
+            rep.sigma_injective == rep.sigma_surjective == rep.isometry == bijective)
 
 
 def sweep(maps: Iterable[IndexMap]) -> tuple[int, float, list[MapAgreement]]:
     """Check every map against the oracle.
 
-    Returns the number of maps checked, the largest norm error seen and the
-    agreements that failed, in the order of ``maps``.
+    Consecutive maps with the same n are realised in chunks of at most
+    ``CHUNK_ENTRIES`` matrix entries (one map once n * n exceeds it), each
+    chunk's spectra from one stacked SVD call. Returns the number of maps
+    checked, the largest norm error seen and the agreements that failed, in
+    the order of ``maps``; only those are built as ``MapAgreement``s.
     """
     checked = 0
     max_err = 0.0
     bad = []
-    for m in maps:
-        res = check_map_agreement(m)
-        checked += 1
-        max_err = max(max_err, res.norm_error)
-        if not res.ok:
-            bad.append(res)
+    for n, run in itertools.groupby(maps, key=_dense_size):
+        while chunk := list(itertools.islice(run, max(1, CHUNK_ENTRIES // (n * n)))):
+            images = itertools.chain.from_iterable(m.table for m in chunk)
+            for m, op in zip(chunk, _realise(images, len(chunk), n)):
+                table, structural, oracle, err, norm_ok, classification_ok = fields = _compare(m, op)
+                checked += 1
+                max_err = max(max_err, err)
+                if not (norm_ok and classification_ok):
+                    bad.append(MapAgreement(*fields))
     return checked, max_err, bad

@@ -410,10 +410,9 @@ def test_abbreviated_options_exit_2(tmp_path, args, unrecognized):
     result = invoke([write(tmp_path, "m.json", SUCCESSOR) if a == "MAP" else a for a in args])
     assert result.exit_code == 2
     assert result.stdout == ""
-    assert result.stderr.startswith("usage: genshift")
-    last = result.stderr.splitlines()[-1]  # the top parser reports them, or the command's
-    assert re.fullmatch(rf"genshift( {args[0]})?: error: unrecognized arguments: {unrecognized}",
-                        last)
+    assert result.stderr.startswith(f"usage: genshift {args[0]} ")  # the command's options
+    last = result.stderr.splitlines()[-1]  # the command's parser reports them, not the top one
+    assert last == f"genshift {args[0]}: error: unrecognized arguments: {unrecognized}"
 
 
 @pytest.mark.parametrize("position", ["map", "vector"])

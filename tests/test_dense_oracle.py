@@ -192,12 +192,56 @@ def test_sweep_counts_worst_error_and_disagreements(monkeypatch):
 
 # --- the oracle catches a wrong library answer --------------------------------
 
-def test_the_spectrum_catches_fiber_counts_with_the_right_top_count_and_zeros():
+def wrong_second_fiber_count():
     m = IndexMap(table=(1, 1, 1, 2, 2, 4))  # fiber sizes (3, 2, 0, 1, 0, 0)
     m.__dict__["fiber_counts"] = (3, 1, 0, 1, 0, 0)  # the same largest count and the same zeros
-    res = check_map_agreement(m)
+    return m
+
+
+def truncated_fiber_counts():
+    m = IndexMap(table=(1, 1, 1, 2, 2, 4))
+    m.__dict__["fiber_counts"] = (3, 2, 0, 1)  # the trailing empty fibers dropped
+    return m
+
+
+def test_the_spectrum_catches_fiber_counts_with_the_right_top_count_and_zeros():
+    res = check_map_agreement(wrong_second_fiber_count())
     assert res.norm_error <= dense_oracle.NORM_TOL and res.classification_ok  # norm and rank agree
     assert not res.norm_ok and not res.ok  # sqrt(2) against the singular value 1
+
+
+def test_the_spectrum_catches_fiber_counts_shorter_than_the_spectrum():
+    # every count there is matches a singular value: only the count of counts is wrong
+    res = check_map_agreement(truncated_fiber_counts())
+    assert res.norm_error <= dense_oracle.NORM_TOL and res.classification_ok
+    assert not res.norm_ok and not res.ok
+    assert sweep([truncated_fiber_counts()])[2] == [res]
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The shape of the array passed to each ``np.linalg.svd`` call, in order."""
+    shapes, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: shapes.append(a.shape) or svd(a, **kw))
+    return shapes
+
+
+def test_a_chunked_sweep_returns_what_one_map_at_a_time_does(monkeypatch, svd_calls):
+    maps = [*exhaustive_maps(5), wrong_second_fiber_count(), truncated_fiber_counts()]
+    monkeypatch.setattr(dense_oracle, "NORM_TOL", -1.0)  # every result is returned
+    checked, worst, bad = sweep(maps)
+    # 3,125 tables on {1..5} cross a chunk boundary; the two on {1..6} are a chunk of their own
+    chunk5 = dense_oracle.CHUNK_ENTRIES // 25
+    assert svd_calls == [(chunk5, 5, 5), (3125 - chunk5, 5, 5), (2, 6, 6)]
+    assert checked == len(maps) == len(bad)
+    assert bad == [check_map_agreement(m) for m in maps]  # each field, bit for bit
+    assert worst == max(res.norm_error for res in bad)
+    assert [res.norm_ok for res in bad[-2:]] == [False, False]
+
+
+def test_past_the_chunk_bound_each_map_is_its_own_chunk(svd_calls):
+    assert sweep(dense_oracle.random_maps(256, 2, 0))[::2] == (2, [])
+    assert svd_calls == [(1, 256, 256)] * 2
 
 
 VERDICTS = ("sigma_injective", "sigma_surjective", "isometry")
