@@ -11,12 +11,12 @@ sizes are read in one place, ``IndexMap.window_sizes``, and searched past a
 window in one place, ``IndexMap.scan``. A window read refutes a false
 declared certificate; ``certificates`` reads one first and tallies a rule's
 images of it against its sizes. A fourth, optional certificate, ``period``,
-says a rule's sizes repeat from some target on: the read of 1..DEFAULT_WINDOW
-checks that, and a window past it is tiled from the repeating block with no
-``card_fn`` call, so no ``card_fn`` past DEFAULT_WINDOW is checked. A tiled size
-copies a checked one, so a tiled window costs a tuple repetition of the block and a
-check of the period's length plus the declared infinite fibers, not one per target,
-and its largest size is the largest of the read of 1..DEFAULT_WINDOW (``window_sup``).
+says a rule's sizes repeat from some target on, past every declared infinite
+fiber: the read of 1..DEFAULT_WINDOW checks that, and a window past it is tiled
+from the repeating block with no ``card_fn`` call, so no ``card_fn`` past
+DEFAULT_WINDOW is checked. A tiled size copies a checked, finite, undeclared one,
+so a tiled window costs a tuple repetition of the block and no check, and its
+largest size is the largest of the read of 1..DEFAULT_WINDOW (``window_sup``).
 """
 
 from __future__ import annotations
@@ -63,6 +63,8 @@ class IndexSet:
     size: int | None = None
 
     def __post_init__(self):
+        if self.size is not None and (not isinstance(self.size, int) or isinstance(self.size, bool)):
+            raise ParseError(f"finite index set size must be an int, got {self.size!r}")
         if self.size is not None and self.size < 2:
             raise ParseError(f"finite index set must have size >= 2, got {self.size}")
 
@@ -120,7 +122,8 @@ class SymbolicRule(Certificates):
     contradicts one. The optional ``period=(start, length)`` declares that the
     size of every target a >= start + length is the size of a - length; its form
     is start, length >= 1 with start + length <= DEFAULT_WINDOW, so the read of
-    1..DEFAULT_WINDOW checks at least one repetition.
+    1..DEFAULT_WINDOW checks at least one repetition, and start past every declared
+    infinite fiber: a finite ``infinite_fibers`` cannot name every copy of an infinite block size.
     """
 
     name: str
@@ -148,6 +151,8 @@ class SymbolicRule(Certificates):
                 isinstance(self.period, tuple) and len(self.period) == 2
                 and all(count(x) and x >= 1 for x in self.period) and sum(self.period) <= DEFAULT_WINDOW):
             refuse("period", f"None or two ints start, length >= 1 with start + length <= {DEFAULT_WINDOW}")
+        if self.period is not None and max(self.infinite_fibers, default=0) >= self.period[0]:
+            refuse("period", "a start past every declared infinite fiber")
         if math.inf > self.m_sup > sys.float_info.max:  # exact for ints; the norm must be a float
             raise ParseError(f"rule {self.name!r} declares finite-fiber bound past the float range")
 
@@ -242,9 +247,9 @@ class IndexMap:
         a ``period`` has 1..DEFAULT_WINDOW read by ``card_fn`` and checked to repeat;
         targets past DEFAULT_WINDOW are tiled from its block, never read, so a
         ``card_fn`` that breaks the period only there is not refuted. A tiled size
-        copies a checked one, so only the tiled targets that can break the
-        infinite-fiber claim are checked (``_tile_offender``), and a read refutes
-        what a check of every tiled target would, with the same message.
+        copies a block size that the read of 1..DEFAULT_WINDOW has checked, and the
+        block starts past every declared infinite fiber, so a tiled target is finite,
+        within ``m_sup``, nonzero for a surjective rule and undeclared: it needs no check.
         """
         if not 1 <= window <= SEARCH_CAP:
             raise ParseError(f"window must be in 1..{SEARCH_CAP}, got {window}")
@@ -256,7 +261,6 @@ class IndexMap:
         rule, lo = self.rule, len(scanned) + 1
         read = window if rule.period is None else min(window, max(lo - 1, DEFAULT_WINDOW))
         head = added = tuple(map(rule.card_fn, range(lo, read + 1)))
-        tiled = None  # the first tiled target that breaks a certificate, if one does
         if rule.period is not None:
             start, length = rule.period
             known = scanned + added  # no copy when nothing is added, at most DEFAULT_WINDOW targets else
@@ -269,8 +273,7 @@ class IndexMap:
                 block, n = known[start - 1:start - 1 + length], window - read
                 offset = (read + 1 - start) % length
                 added = head + (block * ((offset + n - 1) // length + 1))[offset:offset + n]
-                tiled = _tile_offender(rule.infinite_fibers, block, start, read + 1, window + 1)
-        _check_certificates(rule, head, lo, tiled)
+        _check_certificates(rule, head, lo)
         sizes = self.__dict__["_window_sizes"] = scanned + added  # no copy on a first read
         return sizes
 
@@ -498,26 +501,7 @@ def finite_runs(infinite_fibers: frozenset[int], start: int, stop: int) -> list[
     return [range(lo + 1, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo + 1]
 
 
-def _tile_offender(declared: frozenset[int], block: tuple[int | float, ...], start: int,
-                   lo: int, hi: int) -> tuple[int, int | float] | None:
-    """The first target a in lo..hi - 1 whose tiled size ``block[(a - start) % len(block)]``
-    contradicts ``declared`` as (a, size), or None: a declared target with a finite size,
-    or the first copy of an infinite block size that is not declared. O(len(block) +
-    len(declared)), since the walk over each infinite size's copies steps only over declared ones."""
-    length = len(block)
-    found = [(a, c) for a in declared if lo <= a < hi and (c := block[(a - start) % length]) != math.inf]
-    for i, c in enumerate(block):
-        if c == math.inf:
-            a = lo + (start + i - lo) % length  # the first copy of block[i] from lo on
-            while a in declared:
-                a += length
-            if a < hi:
-                found.append((a, c))
-    return min(found, default=None)
-
-
-def _check_certificates(rule: SymbolicRule, sizes: tuple[int | float, ...], start: int,
-                        tiled: tuple[int, int | float] | None = None) -> None:
+def _check_certificates(rule: SymbolicRule, sizes: tuple[int | float, ...], start: int) -> None:
     """Raise IntegrityError when a certificate contradicts the sizes of targets start, start + 1, ...
 
     A window can refute a finite ``m_sup``, a claim of surjectivity, and the
@@ -525,19 +509,18 @@ def _check_certificates(rule: SymbolicRule, sizes: tuple[int | float, ...], star
     negative certificate. A window that refutes the derived ``sup_card`` or
     ``injective`` refutes ``m_sup`` or ``infinite_fibers``. The latter is checked
     first, so the ``peak`` size over its ``finite_runs`` is finite for ``m_sup``.
-    ``tiled`` is ``_tile_offender`` of a periodic window's targets past ``sizes``: their
-    sizes copy checked ones, so only the infinite-fiber claim can fail there, after ``sizes``.
+    A periodic window's tiled targets past ``sizes`` need no check: their block was
+    checked here, and lies past every declared infinite fiber (``SymbolicRule``).
     """
 
     def refute(claim: str, bad: Callable[[int, int | float], bool]) -> None:
-        a, c = next(((a, c) for a, c in enumerate(sizes, start=start) if bad(a, c)), tiled)
+        a, c = next((a, c) for a, c in enumerate(sizes, start=start) if bad(a, c))
         raise IntegrityError(f"rule {rule.name!r} declares {claim} but {describe_fiber(a, c)}")
 
     declared, stop = rule.infinite_fibers, start + len(sizes)
     peak = max((max(sizes[r.start - start:r.stop - start])
                 for r in finite_runs(declared, start, stop)), default=0)
-    if (tiled or peak == math.inf
-            or any(sizes[a - start] != math.inf for a in declared if start <= a < stop)):
+    if peak == math.inf or any(sizes[a - start] != math.inf for a in declared if start <= a < stop):
         refute(f"infinite fibers exactly over {sorted(declared)}",
                lambda a, c: (c == math.inf) != (a in declared))
     if peak > rule.m_sup:

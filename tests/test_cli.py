@@ -275,8 +275,8 @@ def test_witness_false_certificate_exits_3(tmp_path, monkeypatch):
 
 
 def _successor_with_false_infinite_fiber():
-    """successor, declaring an infinite fiber over 3, where its fiber is {2}."""
-    return dataclasses.replace(index_domain.successor_rule(), infinite_fibers=frozenset({3}))
+    """successor without its period, declaring an infinite fiber over 3, where its fiber is {2}."""
+    return dataclasses.replace(index_domain.successor_rule(), infinite_fibers=frozenset({3}), period=None)
 
 
 @pytest.mark.parametrize("args", [

@@ -58,7 +58,10 @@ def brute_fiber(images, alpha):
 
 def test_index_set_rejects_small_sizes():
     for n in (-1, 0, 1):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=rf"^finite index set must have size >= 2, got {n}$"):
+            IndexSet(n)
+    for n in ("4", 2.5, 4.0, True, [4]):  # not an int: a ParseError, never a bare TypeError
+        with pytest.raises(ParseError, match=r"^finite index set size must be an int, got "):
             IndexSet(n)
 
 
@@ -405,7 +408,7 @@ def test_fiber_report_liar_rule_integrity_error():
     (dataclasses.replace(successor_rule(), surjective=True), "onto"),
     (dataclasses.replace(clamp_pred_rule(), m_sup=1), "finite-fiber bound 1"),
     (dataclasses.replace(odd_collapse_rule(), infinite_fibers=frozenset()), "infinite fibers"),
-    (dataclasses.replace(successor_rule(), infinite_fibers=frozenset({3})), "infinite fibers"),
+    (dataclasses.replace(successor_rule(), infinite_fibers=frozenset({3}), period=None), "infinite fibers"),
     # the offender lies past a declared infinite fiber, which a bound of 0 must not name
     (dataclasses.replace(odd_collapse_rule(), m_sup=0), r"finite-fiber bound 0 but fiber\(2\) has size 1"),
 ])
@@ -487,10 +490,14 @@ PERIODIC_RULES = dict(  # drawn_periodic_rule's arguments
 WINDOW_SEQUENCES = st.lists(st.integers(1, 350), min_size=1, max_size=5)
 
 
+PERIOD_PAST_DECLARED = r"^rule '\w+' declares period \(\d+, \d+\), not a start past every declared infinite fiber$"
+
+
 def drawn_periodic_rule(prefix, block, lie, m_sup, surjective, declared_to, flips):
     """A rule with period (len(prefix) + 1, len(block)): ``prefix``, then ``block`` repeated,
     except that ``card_fn`` gives ``lie`` = (a, size) at a; its infinite fibers are those
-    up to ``declared_to``, with the targets in ``flips`` added or taken away."""
+    up to ``declared_to``, with the targets in ``flips`` added or taken away. None when one
+    of them is at or past the period's start, once that declaration is refused."""
     start, length = len(prefix) + 1, len(block)
 
     def card(a):
@@ -498,23 +505,38 @@ def drawn_periodic_rule(prefix, block, lie, m_sup, surjective, declared_to, flip
             return lie[1]
         return prefix[a - 1] if a < start else block[(a - start) % length]
 
-    infinite = flips ^ {a for a in range(1, declared_to + 1) if card(a) == math.inf}
-    return SymbolicRule(name="drawn", eval_fn=lambda k: 1, card_fn=card, members_fn=lambda a: None,
-                        m_sup=m_sup, surjective=surjective, infinite_fibers=frozenset(infinite),
-                        period=(start, length))
+    infinite = frozenset(flips ^ {a for a in range(1, declared_to + 1) if card(a) == math.inf})
+    drawn = dict(name="drawn", eval_fn=lambda k: 1, card_fn=card, members_fn=lambda a: None,
+                 m_sup=m_sup, surjective=surjective, infinite_fibers=infinite, period=(start, length))
+    if max(infinite, default=0) >= start:
+        with pytest.raises(ParseError, match=PERIOD_PAST_DECLARED):
+            SymbolicRule(**drawn)
+        return None
+    return SymbolicRule(**drawn)
 
 
 @given(**PERIODIC_RULES, windows=WINDOW_SEQUENCES)
-# a head that breaks m_sup and a tile that breaks the declared infinite fibers: the latter is named
+# a fiber declared infinite past the start, in the tiled range: refused when built
 @example(prefix=[], block=[1], lie=None, m_sup=0, surjective=False, declared_to=0,
          flips=frozenset({100}), windows=[200, 64, 200])
-# infinite fibers in the block, declared up to 100: the first copy past it is named
+# infinite fibers in the block, declared up to 100 or 400: refused when built
 @example(prefix=[0], block=[math.inf, 1, 0], lie=None, m_sup=1, surjective=True, declared_to=100,
          flips=frozenset({90}), windows=[64, 80, 350])
 @example(prefix=[2, 0], block=[math.inf, 1], lie=None, m_sup=2, surjective=False, declared_to=400,
-         flips=frozenset(), windows=[10, 350])  # every infinite fiber declared: nothing to refute
+         flips=frozenset(), windows=[10, 350])
+# an infinite fiber declared before the start: true, so a tiled window refutes nothing
+@example(prefix=[math.inf, 2], block=[1, 0], lie=None, m_sup=2, surjective=False, declared_to=1,
+         flips=frozenset(), windows=[10, 350])
+# an infinite fiber declared before the start, over a finite fiber: the read names it
+@example(prefix=[1, 2], block=[1], lie=None, m_sup=2, surjective=True, declared_to=0,
+         flips=frozenset({2}), windows=[1, 350])
+# an undeclared infinite size in the block: the read of 1..64 names its first copy
+@example(prefix=[0], block=[1, math.inf], lie=None, m_sup=1, surjective=False, declared_to=0,
+         flips=frozenset(), windows=[2, 64, 350])
 def test_a_tiled_window_refutes_as_a_check_of_every_target_would(windows, **drawn):
     rule = drawn_periodic_rule(**drawn)
+    if rule is None:
+        return
     m, cached = IndexMap(rule=rule), ()
     for w in windows:
         expected = read_every_target(rule, cached, w)
@@ -533,10 +555,15 @@ def test_a_tiled_window_refutes_as_a_check_of_every_target_would(windows, **draw
 @example(prefix=[0, 1], block=[1, 2, 0], lie=None, m_sup=2, surjective=False, declared_to=0,
          flips=frozenset(), windows=[2, 3, 64, 65, 1000])  # the largest in the block only
 @example(prefix=[1], block=[2, math.inf], lie=None, m_sup=2, surjective=True, declared_to=400,
-         flips=frozenset(), windows=[1, 2, 3, 66, 350])  # an infinite size in the block
+         flips=frozenset(), windows=[1, 2, 3, 66, 350])  # an infinite size in the block: refused
+@example(prefix=[math.inf, 1], block=[2, 0], lie=None, m_sup=2, surjective=False, declared_to=1,
+         flips=frozenset(), windows=[1, 2, 3, 66, 350])  # an infinite size before the block
 def test_a_periodic_windows_sup_is_the_sup_of_its_first_sizes(windows, **drawn):
     # every size past DEFAULT_WINDOW copies one of the block, so window_sup reads no further
-    m = IndexMap(rule=drawn_periodic_rule(**drawn))
+    rule = drawn_periodic_rule(**drawn)
+    if rule is None:
+        return
+    m = IndexMap(rule=rule)
     for w in windows:
         try:
             sizes = m.window_sizes(w)
@@ -548,7 +575,7 @@ def test_a_periodic_windows_sup_is_the_sup_of_its_first_sizes(windows, **drawn):
 def test_certificates_beyond_the_window_are_not_refuted():
     # the declared infinite fiber over 100 lies outside the window 1..64 that a
     # first certificate read checks; it makes the derived global bound infinite
-    rule = dataclasses.replace(successor_rule(), infinite_fibers=frozenset({100}))
+    rule = dataclasses.replace(successor_rule(), infinite_fibers=frozenset({100}), period=None)
     assert fiber_report(IndexMap(rule=rule)) == math.inf
 
 
@@ -581,6 +608,21 @@ def test_a_period_outside_its_form_is_refused(period):
     with pytest.raises(ParseError, match=r"declares period .* not None or two ints start, length >= 1"
                                          r" with start \+ length <= 64$"):
         dataclasses.replace(successor_rule(), period=period)
+
+
+@pytest.mark.parametrize("rule", [
+    # sizes 2, 0, then inf, 1 repeating, with every infinite copy up to 400 declared: a finite
+    # set that no window short of the first undeclared copy, at 401, refutes
+    lambda: SymbolicRule(name="drawn", eval_fn=lambda k: 1,
+                         card_fn=lambda a: (2, 0)[a - 1] if a < 3 else (math.inf, 1)[(a - 3) % 2],
+                         members_fn=lambda a: None, m_sup=2, surjective=False,
+                         infinite_fibers=frozenset(range(3, 401, 2)), period=(3, 2)),
+    lambda: dataclasses.replace(successor_rule(), infinite_fibers=frozenset({2})),  # at the start
+    lambda: dataclasses.replace(successor_rule(), infinite_fibers=frozenset({100})),  # past 1..64
+], ids=["an_infinite_block_size", "successor_2", "successor_100"])
+def test_a_period_that_would_repeat_a_declared_infinite_fiber_is_refused(rule):
+    with pytest.raises(ParseError, match=PERIOD_PAST_DECLARED):
+        rule()
 
 
 @pytest.mark.parametrize("period", [None, (1, 1), (2, 1), (63, 1), (1, 63), (32, 32)])
@@ -685,7 +727,7 @@ def test_domain_report_reads_no_target_past_the_certificates():
 
 
 def test_window_cache_keeps_refuting_beyond_it():
-    rule = dataclasses.replace(successor_rule(), infinite_fibers=frozenset({100}))
+    rule = dataclasses.replace(successor_rule(), infinite_fibers=frozenset({100}), period=None)
     m = IndexMap(rule=rule)
     assert m.window_sizes(8) == (0,) + (1,) * 7
     for _ in range(2):  # a failed scan is not cached
