@@ -27,12 +27,10 @@ def in_domain(m: IndexMap, z: SparseVector) -> bool:
 
     For finitely supported z this holds exactly when every support index has a
     finite fiber (always on {1..n}): exactly when apply(m, z) does not raise
-    NotInL2. A rule's ``card_fn`` is trusted, as in ``apply_norm_sq``.
+    NotInL2. A rule's sizes are ``m.sizes_at``'s, read until the first infinite one.
     """
     _check_domains(m, z)
-    if m.table is not None:
-        return True
-    return math.inf not in map(m.rule.card_fn, z.entries)
+    return m.table is not None or math.inf not in m.sizes_at(z.entries)
 
 
 def fiber_records(m: IndexMap, count: int) -> tuple[array, tuple[int, ...]]:

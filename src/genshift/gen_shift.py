@@ -15,10 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
-from .errors import IntegrityError, NotInL2, ParseError, UnsupportedError
-from .index_domain import DEFAULT_WINDOW, SEARCH_CAP, IndexMap, describe_fiber, fiber_report
+from .errors import IntegrityError, ParseError, UnsupportedError
+from .index_domain import DEFAULT_WINDOW, IndexMap, describe_fiber, fiber_report
 from .sparse_vec import SparseVector, fsum_or_inf
 
 
@@ -33,15 +32,11 @@ class ClassificationReport:
 
 
 def _check_domains(m: IndexMap, x: SparseVector) -> None:
-    """The one check of a vector operation: a canonical vector stores only indices of its
-    domain, so once the domains agree (else ParseError) the map's tables and rule functions
-    are read unchecked.
-    A rule is read only once ``m.certificates`` has checked it, which raises IntegrityError on
-    a rule whose ``eval_fn`` contradicts its fibers; a table's certificates are exact."""
+    """The one check of a vector operation's domains: a canonical vector stores only indices of its
+    domain, so once they agree (else ParseError) a table is read unchecked per index, and a rule
+    through ``m.sizes_at``, ``members_at`` or ``certificates``, which check its certificates first."""
     if m.domain != x.domain:
         raise ParseError("map and vector domains differ")
-    if m.table is None:
-        m.certificates
 
 
 def apply(m: IndexMap, x: SparseVector) -> SparseVector:
@@ -49,33 +44,17 @@ def apply(m: IndexMap, x: SparseVector) -> SparseVector:
 
     The support of the result is the union of the fibers of x's support
     indices, read on a table from its fiber index ``m.preimages``: O(support
-    + image) after the index's one-time O(n) build. A rule's sizes are all read
-    before any member is built; the first index, in index order, whose running
-    total passes SEARCH_CAP is refused: NotInL2 when its fiber is infinite, else
-    UnsupportedError. That total bounds every fiber, so ``members_fn`` is then read
-    once per index; a fiber it lists with more or fewer members than its size
-    raises IntegrityError, naming the first such index. The members themselves are
-    trusted: none is checked against ``eval_fn``.
-    Domains and a rule's certificates are checked first, by ``_check_domains``.
+    + image) after the index's one-time O(n) build, and on a rule by
+    ``m.members_at`` in index order, which refuses an image past SEARCH_CAP
+    before any member is built and a ``members_fn`` that lists the wrong number
+    of members. The domains are checked first, by ``_check_domains``.
     """
     _check_domains(m, x)
     if m.table is not None:
         pre = m.preimages
         return SparseVector(m.domain, {beta: v for theta, v in x.entries.items() for beta in pre[theta]})
     thetas = sorted(x.entries)
-    sizes = list(map(m.rule.card_fn, thetas))
-    if math.inf in sizes or sum(sizes) > SEARCH_CAP:  # no float sum: inf + 10**400 overflows
-        i, total = next((i, t) for i, t in enumerate(accumulate(sizes)) if t > SEARCH_CAP)
-        if sizes[i] == math.inf:
-            raise NotInL2(thetas[i])
-        found = (describe_fiber(thetas[i], sizes[i]) if sizes[i] > SEARCH_CAP
-                 else f"the image has {total} entries or more")
-        raise UnsupportedError(f"{found}, above SEARCH_CAP = {SEARCH_CAP}")
-    fibers = list(map(m.rule.members_fn, thetas))
-    if list(map(len, fibers)) != sizes:
-        theta, size, fiber = next(t for t in zip(thetas, sizes, fibers) if len(t[2]) != t[1])
-        raise IntegrityError(f"rule {m.rule.name!r} has len(members_fn({theta})) == {len(fiber)}"
-                             f" but {describe_fiber(theta, size)}")
+    fibers = m.members_at(thetas)
     values = map(x.entries.__getitem__, thetas)
     return SparseVector(m.domain, {beta: v for v, fiber in zip(values, fibers) for beta in fiber})
 
@@ -90,17 +69,15 @@ def apply_norm_sq(m: IndexMap, x: SparseVector) -> float:
     otherwise agrees with norm_sq(apply(m, x)), math.inf included when the
     sum passes the float range. A rule's size past the float range gives its
     exact term, rounded once, or math.inf when that term passes the range.
-    A rule's ``card_fn`` is trusted: the certificates tally ``eval_fn`` over 1..64 only.
+    A rule's sizes are ``m.sizes_at``'s, the sizes every other reader of the rule gets.
     """
     _check_domains(m, x)
     if m.table is not None:
         counts = m.fiber_counts
         return fsum_or_inf([c * ((re := v.real) * re + (im := v.imag) * im)
                             for theta, v in x.entries.items() if (c := counts[theta - 1])])
-    card = m.rule.card_fn
     terms = []
-    for theta, v in x.entries.items():
-        c = card(theta)
+    for v, c in zip(x.entries.values(), m.sizes_at(x.entries)):
         if c == math.inf:
             return math.inf
         if c:

@@ -6,17 +6,16 @@ an int, or math.inf for an infinite fiber. A map is built one way, from an
 image table or a symbolic rule, and stores only that; its domain, exact fiber
 oracle and one certificate record, ``IndexMap.certificates``, are derived on
 first read: a rule declares all three certificates of its own, a table reads
-exact ones off its fiber sizes, so every verdict is a plain value. Fiber
-sizes are read in one place, ``IndexMap.window_sizes``, and searched past a
-window in one place, ``IndexMap.scan``. A window read refutes a false
-declared certificate; ``certificates`` reads one first and tallies a rule's
-images of it against its sizes. A fourth, optional certificate, ``period``,
-says a rule's sizes repeat from some target on, past every declared infinite
-fiber: the read of 1..DEFAULT_WINDOW checks that, and a window past it is tiled
-from the repeating block with no ``card_fn`` call, so no ``card_fn`` past
-DEFAULT_WINDOW is checked. A tiled size copies a checked, finite, undeclared one,
-so a tiled window costs a tuple repetition of the block and no check, and its
-largest size is the largest of the read of 1..DEFAULT_WINDOW (``window_sup``).
+exact ones off its fiber sizes, so every verdict is a plain value. Fiber sizes
+are read in one place, ``IndexMap``: a window by ``window_sizes``, a search past it
+by ``scan``, a rule's given targets by ``sizes_at`` and ``members_at``. A window read
+refutes a false declared certificate; ``certificates`` reads one first and tallies
+a rule's images of it against its sizes, and every other read of a rule reads
+``certificates`` first. A fourth, optional certificate, ``period``, says a rule's
+sizes repeat from some target on, past every declared infinite fiber: the read of
+1..DEFAULT_WINDOW checks that, and every size past it is the repeating block's, with
+no ``card_fn`` call. A tiled window costs a tuple repetition of the block and no
+check, and its largest size is that of the read of 1..DEFAULT_WINDOW (``window_sup``).
 """
 
 from __future__ import annotations
@@ -26,9 +25,9 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import IntegrityError, ParseError, UnsupportedError
+from .errors import IntegrityError, NotInL2, ParseError, UnsupportedError
 
 DEFAULT_WINDOW = 64
 SEARCH_CAP = 1 << 20  # targets any search past a window may read: the one search budget
@@ -245,11 +244,8 @@ class IndexMap:
         the targets a read adds are checked against them, then cached (a smaller
         window is a prefix of the cache), so each size is checked once. A rule with
         a ``period`` has 1..DEFAULT_WINDOW read by ``card_fn`` and checked to repeat;
-        targets past DEFAULT_WINDOW are tiled from its block, never read, so a
-        ``card_fn`` that breaks the period only there is not refuted. A tiled size
-        copies a block size that the read of 1..DEFAULT_WINDOW has checked, and the
-        block starts past every declared infinite fiber, so a tiled target is finite,
-        within ``m_sup``, nonzero for a surjective rule and undeclared: it needs no check.
+        targets past DEFAULT_WINDOW are tiled from its block, as ``sizes_at`` reads them,
+        and need no check: the block is checked and past every declared infinite fiber.
         """
         if not 1 <= window <= SEARCH_CAP:
             raise ParseError(f"window must be in 1..{SEARCH_CAP}, got {window}")
@@ -301,22 +297,50 @@ class IndexMap:
             yield seen + 1, sizes[seen:]
             seen, window = len(sizes), 2 * window
 
+    def sizes_at(self, targets: Iterable[int]) -> Iterator[int | float]:
+        """A rule's fiber sizes over ``targets`` (ints >= 1), read lazily once ``certificates``
+        has checked the rule: by ``card_fn``, or, for a rule with a ``period``, off the checked
+        read of 1..DEFAULT_WINDOW, past the period's start from its block."""
+        self.certificates  # checks the rule, and leaves its read of 1..DEFAULT_WINDOW cached
+        if self.rule.period is None:
+            return map(self.rule.card_fn, targets)
+        head, (start, length) = self.window_sizes(DEFAULT_WINDOW), self.rule.period
+        return (head[a - 1] if a < start else head[start - 1 + (a - start) % length] for a in targets)
+
+    def members_at(self, targets: Sequence[int]) -> list[frozenset[int]]:
+        """A rule's fibers over ``targets``, all sizes read first: the first target whose running
+        total passes SEARCH_CAP raises NotInL2 if infinite, else UnsupportedError. ``members_fn``
+        is then read once per target, and IntegrityError names the first fiber of the wrong length."""
+        sizes = list(self.sizes_at(targets))
+        if math.inf in sizes or sum(sizes) > SEARCH_CAP:  # no float sum: inf + 10**400 overflows
+            i, total = next((i, t) for i, t in enumerate(accumulate(sizes)) if t > SEARCH_CAP)
+            if sizes[i] == math.inf:
+                raise NotInL2(targets[i])
+            found = (describe_fiber(targets[i], sizes[i]) if sizes[i] > SEARCH_CAP
+                     else f"the image has {total} entries or more")
+            raise UnsupportedError(f"{found}, above SEARCH_CAP = {SEARCH_CAP}")
+        fibers = list(map(self.rule.members_fn, targets))
+        if list(map(len, fibers)) != sizes:
+            theta, size, fiber = next(t for t in zip(targets, sizes, fibers) if len(t[2]) != t[1])
+            raise IntegrityError(f"rule {self.rule.name!r} has len(members_fn({theta})) == {len(fiber)}"
+                                 f" but {describe_fiber(theta, size)}")
+        return fibers
+
     def fiber_card(self, alpha: int) -> int | float:
         self._check_index(alpha)
         if self.table is not None:
             return self.fiber_counts[alpha - 1]
-        return self.rule.card_fn(alpha)
+        return next(self.sizes_at((alpha,)))
 
     def fiber(self, alpha: int) -> frozenset[int] | None:
-        """Exact preimage of alpha; None when infinite, UnsupportedError past SEARCH_CAP members."""
+        """Exact preimage of alpha; None when infinite. A rule's is ``members_at``'s, with its refusals."""
         self._check_index(alpha)
         if self.table is not None:
             return frozenset(self.preimages[alpha])
-        size = self.rule.card_fn(alpha)
-        if SEARCH_CAP < size < math.inf:
-            raise UnsupportedError(f"{describe_fiber(alpha, size)}, above SEARCH_CAP = {SEARCH_CAP}")
-        members = self.rule.members_fn(alpha)
-        return None if members is None else frozenset(members)
+        try:
+            return frozenset(self.members_at((alpha,))[0])
+        except NotInL2:  # an infinite fiber
+            return None
 
 
 def make_finite_map(images: Sequence[int], n: int) -> IndexMap:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from genshift import (
@@ -37,7 +37,15 @@ from genshift.dense_oracle import (
     to_dense,
 )
 from genshift.gen_shift import operator_norm
-from genshift.index_domain import DEFAULT_WINDOW, block_rule, make_finite_map, odd_collapse_rule
+from genshift.index_domain import (
+    DEFAULT_WINDOW,
+    block_rule,
+    clamp_pred_rule,
+    doubling_rule,
+    make_finite_map,
+    odd_collapse_rule,
+    successor_rule,
+)
 from helpers import (
     add,
     clamp_liar_rule,
@@ -136,32 +144,75 @@ def test_a_rule_apply_refutes_members_fn_of_the_wrong_length(members_fn, theta, 
     for entries in ({theta: 1}, {3: 1, theta: 2j, 40: 1}):  # the fiber named among honest ones
         with pytest.raises(IntegrityError, match=message):
             apply(m, from_entries(COUNTABLE, entries))
+    with pytest.raises(IntegrityError, match=message):  # fiber reads the members as apply does
+        m.fiber(theta)
     honest = from_entries(COUNTABLE, {3: 1, 40: 1})
     assert apply(m, honest) == apply(symbolic_map("block", 2), honest)
 
 
+PERIODIC_SHIPPED = {"successor": successor_rule, "clamp_pred": clamp_pred_rule, "doubling": doubling_rule,
+                    "odd_collapse": odd_collapse_rule, **{f"block{b}": (lambda b=b: block_rule(b)) for b in range(1, 6)}}
+
+
+def outcome(op, m):
+    """``("value", op(m))``, or ``("error", type, text)`` for the library error op raises."""
+    try:
+        return "value", op(m)
+    except GenShiftError as exc:
+        return "error", type(exc), str(exc)
+
+
+@given(name=st.sampled_from(sorted(PERIODIC_SHIPPED)), t=st.integers(1, 1 << 12), off=st.sampled_from([-1, 1, 2]))
+@example(name="successor", t=1, off=1)  # the one lie still let through
+@example(name="block2", t=40, off=-1)  # breaks the period inside 1..64
+@example(name="block2", t=100, off=-1)  # past 1..64: no reader calls card_fn(100)
+@example(name="clamp_pred", t=1, off=-1)  # fiber(1) = {1, 2}: refuted by the tally of eval_fn
+def test_a_size_lie_on_a_periodic_rule_gives_the_honest_answer_or_is_refuted(name, t, off):
+    # ROADMAP item 22's size lies: card_fn(t) off by off on a shipped periodic rule. Every reader
+    # returns the honest rule's answer or raises IntegrityError, but for one class: successor's
+    # card_fn(1) = 1 is within m_sup, the rule is not onto, no eval_fn image of 1..64 is 1, and 1
+    # lies before the period, so every check passes it and fiber_card and apply_norm_sq read it
+    honest = PERIODIC_SHIPPED[name]()
+    liar = dataclasses.replace(honest, card_fn=lambda a: honest.card_fn(a) + (off if a == t else 0))
+    e_t = from_entries(COUNTABLE, {t: 1})
+    ops = {"classify": classify, "apply": lambda m: apply(m, e_t), "apply_norm_sq": lambda m: apply_norm_sq(m, e_t),
+           "in_domain": lambda m: in_domain(m, e_t), "fiber_card": lambda m: m.fiber_card(t)}
+    wrong = set()
+    for op_name, op in ops.items():
+        got = outcome(op, IndexMap(rule=liar))
+        if got[:2] != ("error", IntegrityError) and got != outcome(op, IndexMap(rule=honest)):
+            wrong.add(op_name)
+    assert wrong == ({"fiber_card", "apply_norm_sq"} if (name, t, off) == ("successor", 1, 1) else set())
+
+
 def test_a_rule_apply_reads_each_fiber_once():
-    cards, members = Counter(), Counter()
     block = block_rule(3)
-    rule = dataclasses.replace(block, card_fn=lambda a: cards.update([a]) or 3,
-                               members_fn=lambda a: members.update([a]) or block.members_fn(a))
-    x = from_entries(COUNTABLE, {9: 1, 2: 1j, 5: 2})
-    assert apply(IndexMap(rule=rule), x) == apply(symbolic_map("block", 3), x)
-    assert members == Counter({2: 1, 5: 1, 9: 1})
-    # the one check of the certificates reads 1..DEFAULT_WINDOW once, then apply each support index once
-    assert cards == Counter(range(1, DEFAULT_WINDOW + 1)) + members
+    for period in (block.period, None):  # block(3) and a copy without its period
+        cards, members = Counter(), Counter()
+        rule = dataclasses.replace(block, card_fn=lambda a: cards.update([a]) or 3, period=period,
+                                   members_fn=lambda a: members.update([a]) or block.members_fn(a))
+        x = from_entries(COUNTABLE, {9: 1, 2: 1j, 5: 2})
+        assert apply(IndexMap(rule=rule), x) == apply(symbolic_map("block", 3), x)
+        assert members == Counter({2: 1, 5: 1, 9: 1})
+        # the one check of the certificates reads 1..DEFAULT_WINDOW once; a periodic rule's sizes
+        # come from that read, and a rule without a period has each support index read once more
+        assert cards == Counter(range(1, DEFAULT_WINDOW + 1)) + (members if period is None else Counter())
 
 
 def test_in_domain_reads_each_size_at_most_once_and_stops_at_an_infinite_one():
-    cards = Counter()
     oc = odd_collapse_rule()
-    m = IndexMap(rule=dataclasses.replace(oc, card_fn=lambda a: cards.update([a]) or oc.card_fn(a)))
-    assert not in_domain(m, from_entries(COUNTABLE, {4: 1, 1: 1, 6: 1}))
-    # the one check of the certificates reads 1..DEFAULT_WINDOW once, then in_domain 4 and 1
-    assert cards == Counter(range(1, DEFAULT_WINDOW + 1)) + Counter({4: 1, 1: 1})
-    cards.clear()
-    assert in_domain(m, from_entries(COUNTABLE, {4: 1, 6: 1}))
-    assert cards == Counter({4: 1, 6: 1})
+    for period in (oc.period, None):  # odd_collapse and a copy without its period
+        cards = Counter()
+        m = IndexMap(rule=dataclasses.replace(oc, card_fn=lambda a: cards.update([a]) or oc.card_fn(a),
+                                              period=period))
+        assert not in_domain(m, from_entries(COUNTABLE, {4: 1, 1: 1, 6: 1}))
+        # the one check of the certificates reads 1..DEFAULT_WINDOW once; then a periodic rule's
+        # sizes come from that read, and without a period in_domain reads 4 and 1 and stops
+        read = Counter() if period else Counter({4: 1, 1: 1})
+        assert cards == Counter(range(1, DEFAULT_WINDOW + 1)) + read
+        cards.clear()
+        assert in_domain(m, from_entries(COUNTABLE, {4: 1, 6: 1}))
+        assert cards == (Counter() if period else Counter({4: 1, 6: 1}))
 
 
 def test_vector_paths_never_reach_the_checked_accessors(monkeypatch):

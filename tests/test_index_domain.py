@@ -19,8 +19,12 @@ from genshift import (
     ParseError,
     SymbolicRule,
     UnsupportedError,
+    apply,
+    apply_norm_sq,
     classify,
     divergence_witness,
+    from_entries,
+    in_domain,
     map_to_json,
     parse_map,
     symbolic_map,
@@ -588,6 +592,18 @@ def test_a_periodic_rules_window_past_the_certificates_is_its_period():
     assert fiber_report(m) == 2
 
 
+def test_a_periodic_rules_size_past_the_certificates_is_its_blocks_for_every_reader():
+    # ROADMAP item 22's Gap 2: every reader takes fiber(100) of block(2) from the checked block,
+    # so a card_fn(100) = 1 that no check refutes is never read, and all of them agree
+    m = IndexMap(rule=dataclasses.replace(block_rule(2), card_fn=lambda a: 1 if a == 100 else 2))
+    e100 = from_entries(COUNTABLE, {100: 1})
+    assert m.window_sizes(100)[-1] == m.fiber_card(100) == 2
+    assert apply_norm_sq(m, e100) == 2.0
+    assert apply(m, e100).entries == {199: 1, 200: 1}
+    assert m.fiber(100) == frozenset({199, 200})
+    assert in_domain(m, e100)
+
+
 def test_a_period_broken_inside_the_certificates_read_is_refuted():
     # ROADMAP item 22's Gap 2: every size is within m_sup and nonzero, and the members
     # 79 and 80 of fiber(40) lie past the tally of eval_fn over 1..64
@@ -896,7 +912,10 @@ def test_verify_fiber_soundness_reads_each_beta_and_fiber_once():
     rule = dataclasses.replace(
         succ, eval_fn=counted("eval", succ.eval_fn), members_fn=counted("members", succ.members_fn)
     )
-    verify_fiber_soundness(IndexMap(rule=rule), window=1000)
+    m = IndexMap(rule=rule)
+    m.certificates  # the rule's check, which tallies eval_fn over 1..DEFAULT_WINDOW
+    calls.clear()
+    verify_fiber_soundness(m, window=1000)
     # targets 1..1001: the window and the image of 1000
     assert calls == {"eval": 1000, "members": 1001}
 
