@@ -29,7 +29,6 @@ front end is one ``argparse`` parser, built at import; ``main`` ends in ``System
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -251,7 +250,7 @@ def analyze(map_file, window):
                         else {"kind": "certified", "bound": cert.sup_card}),
             "m_set": _joined("[", members, "]"),
         },
-        "classification": dataclasses.asdict(gen_shift.classify(m)),
+        "classification": vars(gen_shift.classify(m)),
         "domain": {
             "m_set": {
                 "members": _joined("[", members, "]"),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import IntegrityError, ParseError, UnsupportedError
-from .index_domain import DEFAULT_WINDOW, IndexMap, describe_fiber, fiber_report
+from .index_domain import DEFAULT_WINDOW, IndexMap, _image, describe_fiber, fiber_report
 from .sparse_vec import SparseVector, fsum_or_inf
 
 
@@ -34,7 +34,8 @@ class ClassificationReport:
 def _check_domains(m: IndexMap, x: SparseVector) -> None:
     """The one check of a vector operation's domains: a canonical vector stores only indices of its
     domain, so once they agree (else ParseError) a table is read unchecked per index, and a rule
-    through ``m.sizes_at``, ``members_at`` or ``certificates``, which check its certificates first."""
+    through ``m.sizes_at``, ``members_at`` or ``certificates``, which check its certificates first,
+    and its images through ``_image``, which checks each one it reads."""
     if m.domain != x.domain:
         raise ParseError("map and vector domains differ")
 
@@ -120,8 +121,9 @@ def solve(m: IndexMap, y: SparseVector) -> SparseVector:
     Requires the index map to be certified one-to-one; the entries of y are
     then merely relabelled, so apply(m, solve(m, y)) == y and the norm is
     preserved exactly. A map that is not one-to-one is refused, naming the
-    first fiber with two or more members that ``IndexMap.scan`` finds, and a
-    collision among y's support indices refutes the rule's certificate.
+    first fiber with two or more members that ``IndexMap.scan`` finds. A rule's
+    images are read through ``_image``, which refuses one outside the index set,
+    and a collision among y's support indices refutes the rule's certificate.
     """
     _check_domains(m, y)
     if not m.certificates.injective:  # sigma is onto iff the index map is one-to-one
@@ -131,12 +133,12 @@ def solve(m: IndexMap, y: SparseVector) -> SparseVector:
     if m.table is not None:  # a table's certificates are exact: one-to-one, it never collides
         table = m.table
         return SparseVector(m.domain, {table[beta - 1]: v for beta, v in y.entries.items()})
-    image, out = m.rule.eval_fn, {}
+    rule, out = m.rule, {}
     for beta, v in y.entries.items():
-        if (alpha := image(beta)) in out:
-            other = next(b for b in y.entries if b != beta and m.eval(b) == alpha)
+        if (alpha := _image(rule, beta)) in out:
+            other = next(b for b in y.entries if b != beta and _image(rule, b) == alpha)
             raise IntegrityError(
-                f"rule {m.rule.name!r} certifies a one-to-one map but eval({other}) == eval({beta})"
+                f"rule {rule.name!r} certifies a one-to-one map but eval({other}) == eval({beta})"
             )
         out[alpha] = v
     return SparseVector(m.domain, out)

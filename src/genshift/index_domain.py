@@ -11,11 +11,14 @@ are read in one place, ``IndexMap``: a window by ``window_sizes``, a search past
 by ``scan``, a rule's given targets by ``sizes_at`` and ``members_at``. A window read
 refutes a false declared certificate; ``certificates`` reads one first and tallies
 a rule's images of it against its sizes, and every other read of a rule reads
-``certificates`` first. A fourth, optional certificate, ``period``, says a rule's
-sizes repeat from some target on, past every declared infinite fiber: the read of
-1..DEFAULT_WINDOW checks that, and every size past it is the repeating block's, with
-no ``card_fn`` call. A tiled window costs a tuple repetition of the block and no
-check, and its largest size is that of the read of 1..DEFAULT_WINDOW (``window_sup``).
+``certificates`` first. A rule's images are read in one place, ``_image``, which
+refuses one outside the index set, and each size that ``sizes_at`` reads by
+``card_fn`` is checked against the certificates as a one-target window. A fourth,
+optional certificate, ``period``, says a rule's sizes repeat from some target on,
+past every declared infinite fiber: the read of 1..DEFAULT_WINDOW checks that, and
+every size past it is the repeating block's, with no ``card_fn`` call. A tiled
+window costs a tuple repetition of the block and no check, and its largest size
+is that of the read of 1..DEFAULT_WINDOW (``window_sup``).
 """
 
 from __future__ import annotations
@@ -190,10 +193,11 @@ class IndexMap:
             raise ParseError(f"index {alpha!r} outside the domain")
 
     def eval(self, alpha: int) -> int:
+        """alpha's image: a table's entry, or a rule's through ``_image``, which checks it."""
         self._check_index(alpha)
         if self.table is not None:
             return self.table[alpha - 1]
-        return self.rule.eval_fn(alpha)
+        return _image(self.rule, alpha)
 
     # Caches live in __dict__, outside the fields, so ==, hash and repr ignore them.
     # Only the rule's window scan, which grows, is filled by hand (``window_sizes``).
@@ -299,11 +303,15 @@ class IndexMap:
 
     def sizes_at(self, targets: Iterable[int]) -> Iterator[int | float]:
         """A rule's fiber sizes over ``targets`` (ints >= 1), read lazily once ``certificates``
-        has checked the rule: by ``card_fn``, or, for a rule with a ``period``, off the checked
-        read of 1..DEFAULT_WINDOW, past the period's start from its block."""
+        has checked the rule: by ``card_fn``, each size checked against the certificates as a
+        one-target window, or, for a rule with a ``period``, off the checked read of
+        1..DEFAULT_WINDOW, past the period's start from its block."""
         self.certificates  # checks the rule, and leaves its read of 1..DEFAULT_WINDOW cached
         if self.rule.period is None:
-            return map(self.rule.card_fn, targets)
+            def checked(a: int) -> int | float:
+                _check_certificates(self.rule, (c := self.rule.card_fn(a),), a)
+                return c
+            return map(checked, targets)
         head, (start, length) = self.window_sizes(DEFAULT_WINDOW), self.rule.period
         return (head[a - 1] if a < start else head[start - 1 + (a - start) % length] for a in targets)
 
@@ -553,14 +561,17 @@ def _check_certificates(rule: SymbolicRule, sizes: tuple[int | float, ...], star
         refute("the map onto", lambda a, c: c == 0)
 
 
+def _image(rule: SymbolicRule, beta: int) -> int:
+    """``rule.eval_fn(beta)``, the one read of a rule's images: IntegrityError unless an int >= 1."""
+    if (img := rule.eval_fn(beta)) not in COUNTABLE:
+        raise IntegrityError(f"rule {rule.name!r} maps {beta} to {img!r}, not an int >= 1")
+    return img
+
+
 def _check_images(rule: SymbolicRule, sizes: tuple[int | float, ...]) -> None:
     """Raise IntegrityError when ``eval_fn`` sends one of 1..len(sizes) outside the index set, or
     more of them to a target there than its fiber holds (the rest of a fiber may lie past them)."""
-    hits = Counter()
-    for beta in range(1, len(sizes) + 1):
-        if (img := rule.eval_fn(beta)) not in COUNTABLE:
-            raise IntegrityError(f"rule {rule.name!r} maps {beta} to {img!r}, not an int >= 1")
-        hits[img] += 1
+    hits = Counter(_image(rule, beta) for beta in range(1, len(sizes) + 1))
     for a, c in enumerate(sizes, start=1):
         if hits[a] > c:
             raise IntegrityError(f"rule {rule.name!r} maps {hits[a]} of 1..{len(sizes)} to {a}"

@@ -507,6 +507,19 @@ def test_the_image_check_stops_at_the_first_offender():
         classify(IndexMap(rule=rule))
 
 
+@pytest.mark.parametrize("image", [0, -3, "x", 2.0])
+@pytest.mark.parametrize("ctor", [successor_rule, doubling_rule], ids=["successor", "doubling"])
+def test_solve_and_eval_refute_an_image_past_the_tally_outside_the_index_set(ctor, image):
+    # 1000 lies past the tally of 1..64, so only the read of its image can refute it
+    honest = ctor()
+    m = IndexMap(rule=dataclasses.replace(honest, eval_fn=lambda k: image if k == 1000 else honest.eval_fn(k)))
+    message = rf"^rule '{honest.name}' maps 1000 to {re.escape(repr(image))}, not an int >= 1$"
+    with pytest.raises(IntegrityError, match=message):
+        solve(m, from_entries(COUNTABLE, {1000: 1}))
+    with pytest.raises(IntegrityError, match=message):
+        m.eval(1000)
+
+
 def test_an_int_subclass_image_is_tallied_as_its_int():
     # Index(k) is an int >= 1, so it is no stray image; it counts against fiber(k)
     assert classify(IndexMap(rule=stray_rule({k: Index(k) for k in range(1, 65)}))).isometry

@@ -604,6 +604,23 @@ def test_a_periodic_rules_size_past_the_certificates_is_its_blocks_for_every_rea
     assert in_domain(m, e100)
 
 
+@pytest.mark.parametrize("rule, message", [
+    (dataclasses.replace(successor_rule(), period=None,
+                         card_fn=lambda a: 5 if a == 1000 else successor_rule().card_fn(a),
+                         members_fn=lambda a: frozenset(range(1, 6)) if a == 1000 else successor_rule().members_fn(a)),
+     r"^rule 'successor' declares finite-fiber bound 1 but fiber\(1000\) has size 5$"),
+    (dataclasses.replace(triangular_rule(), card_fn=lambda a: math.inf if a == 1000 else a),
+     r"^rule 'triangular' declares infinite fibers exactly over \[\] but fiber\(1000\) has size infinite$"),
+], ids=["successor_bound", "triangular_infinite"])
+def test_a_size_past_the_certificates_of_a_rule_without_a_period_is_checked_by_every_reader(rule, message):
+    # no window read reaches target 1000, so each reader checks the size that card_fn gives there
+    m, e1000 = IndexMap(rule=rule), from_entries(COUNTABLE, {1000: 1})
+    for op in (lambda: m.fiber_card(1000), lambda: m.fiber(1000), lambda: apply(m, e1000),
+               lambda: apply_norm_sq(m, e1000), lambda: in_domain(m, e1000)):
+        with pytest.raises(IntegrityError, match=message):
+            op()
+
+
 def test_a_period_broken_inside_the_certificates_read_is_refuted():
     # ROADMAP item 22's Gap 2: every size is within m_sup and nonzero, and the members
     # 79 and 80 of fiber(40) lie past the tally of eval_fn over 1..64
