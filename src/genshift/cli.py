@@ -250,7 +250,7 @@ def analyze(map_file, window):
                         else {"kind": "certified", "bound": cert.sup_card}),
             "m_set": _joined("[", members, "]"),
         },
-        "classification": vars(gen_shift.classify(m)),
+        "classification": gen_shift.classify(m)._asdict(),
         "domain": {
             "m_set": {
                 "members": _joined("[", members, "]"),

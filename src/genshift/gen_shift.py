@@ -13,16 +13,16 @@ iff the index map is onto, and an isometry iff the index map is bijective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import IntegrityError, ParseError, UnsupportedError
-from .index_domain import DEFAULT_WINDOW, IndexMap, _image, describe_fiber, fiber_report
+from .index_domain import DEFAULT_WINDOW, SEARCH_CAP, IndexMap, _image, describe_fiber, fiber_report
 from .sparse_vec import SparseVector, fsum_or_inf
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
+    """The verdicts of ``classify``: an immutable record; ``_asdict()`` names them in this order."""
     maps_into_l2: bool
     operator_norm: float  # math.inf when certified unbounded
     sigma_injective: bool
@@ -103,16 +103,9 @@ def classify(m: IndexMap) -> ClassificationReport:
     finite domains. Every verdict comes from ``m.certificates``, which a rule
     passes only once a window read has checked it.
     """
-    nrm = operator_norm(m)
-    inj, surj = m.certificates.injective, m.certificates.surjective
-    return ClassificationReport(
-        maps_into_l2=not math.isinf(nrm),
-        operator_norm=nrm,
-        sigma_injective=surj,
-        sigma_surjective=inj,
-        isometry=inj and surj,
-        compact=m.table is not None,
-    )
+    nrm, cert = operator_norm(m), m.certificates
+    inj, surj = cert.injective, cert.surjective
+    return ClassificationReport(not math.isinf(nrm), nrm, surj, inj, inj and surj, m.table is not None)
 
 
 def solve(m: IndexMap, y: SparseVector) -> SparseVector:
@@ -122,8 +115,10 @@ def solve(m: IndexMap, y: SparseVector) -> SparseVector:
     then merely relabelled, so apply(m, solve(m, y)) == y and the norm is
     preserved exactly. A map that is not one-to-one is refused, naming the
     first fiber with two or more members that ``IndexMap.scan`` finds. A rule's
-    images are read through ``_image``, which refuses one outside the index set,
-    and a collision among y's support indices refutes the rule's certificate.
+    images are read through ``_image``, which refuses one outside the index set;
+    a collision among y's support indices refutes the rule's certificate, and so
+    does a beta outside the fiber of its image, read by ``m.members_at`` in runs of
+    SEARCH_CAP images, so that y may have any number of entries.
     """
     _check_domains(m, y)
     if not m.certificates.injective:  # sigma is onto iff the index map is one-to-one
@@ -141,4 +136,11 @@ def solve(m: IndexMap, y: SparseVector) -> SparseVector:
                 f"rule {rule.name!r} certifies a one-to-one map but eval({other}) == eval({beta})"
             )
         out[alpha] = v
+    betas, images = list(y.entries), list(out)  # out is in y's order
+    for i in range(0, len(images), SEARCH_CAP):  # one member a fiber: SEARCH_CAP a members_at read
+        chunk = images[i:i + SEARCH_CAP]
+        for beta, alpha, fiber in zip(betas[i:i + SEARCH_CAP], chunk, m.members_at(chunk)):
+            if beta not in fiber:
+                raise IntegrityError(f"rule {rule.name!r} maps {beta} to {alpha} but fiber({alpha}) is "
+                                     f"{sorted(fiber)}")
     return SparseVector(m.domain, out)

@@ -27,6 +27,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -239,7 +240,7 @@ class IndexMap:
             _check_images(self.rule, self.window_sizes(DEFAULT_WINDOW))
             return self.rule
         counts = self.fiber_counts
-        return Certificates(m_sup=max(counts), surjective=0 not in counts, infinite_fibers=frozenset())
+        return _table_certificates(max(counts), 0 not in counts)
 
     def window_sizes(self, window: int) -> tuple[int | float, ...]:
         """Fiber sizes over targets 1..window (math.inf if infinite); all n for a table.
@@ -302,17 +303,20 @@ class IndexMap:
             seen, window = len(sizes), 2 * window
 
     def sizes_at(self, targets: Iterable[int]) -> Iterator[int | float]:
-        """A rule's fiber sizes over ``targets`` (ints >= 1), read lazily once ``certificates``
-        has checked the rule: by ``card_fn``, each size checked against the certificates as a
-        one-target window, or, for a rule with a ``period``, off the checked read of
-        1..DEFAULT_WINDOW, past the period's start from its block."""
-        self.certificates  # checks the rule, and leaves its read of 1..DEFAULT_WINDOW cached
-        if self.rule.period is None:
+        """A rule's fiber sizes over ``targets`` (ints >= 1), read lazily once ``certificates`` has
+        checked the rule: by ``card_fn``, each checked as a one-target window unless an int in
+        int(surjective)..m_sup off a declared infinite fiber, which no certificate refutes; or, with
+        a ``period``, off the checked read of 1..DEFAULT_WINDOW, past the period's start from its block."""
+        rule, _ = self.rule, self.certificates  # checks the rule, and caches its read of 1..DEFAULT_WINDOW
+        if rule.period is None:
+            card, lo, hi, infinite = rule.card_fn, int(rule.surjective), rule.m_sup, rule.infinite_fibers
+
             def checked(a: int) -> int | float:
-                _check_certificates(self.rule, (c := self.rule.card_fn(a),), a)
+                if type(c := card(a)) is not int or not lo <= c <= hi or a in infinite:
+                    _check_certificates(rule, (c,), a)
                 return c
             return map(checked, targets)
-        head, (start, length) = self.window_sizes(DEFAULT_WINDOW), self.rule.period
+        head, (start, length) = self.window_sizes(DEFAULT_WINDOW), rule.period
         return (head[a - 1] if a < start else head[start - 1 + (a - start) % length] for a in targets)
 
     def members_at(self, targets: Sequence[int]) -> list[frozenset[int]]:
@@ -576,6 +580,11 @@ def _check_images(rule: SymbolicRule, sizes: tuple[int | float, ...]) -> None:
         if hits[a] > c:
             raise IntegrityError(f"rule {rule.name!r} maps {hits[a]} of 1..{len(sizes)} to {a}"
                                  f" but {describe_fiber(a, c)}")
+
+
+@lru_cache(maxsize=256)  # immutable, so every table with one (m_sup, surjective) shares one record
+def _table_certificates(m_sup: int, surjective: bool) -> Certificates:
+    return Certificates(m_sup=m_sup, surjective=surjective, infinite_fibers=frozenset())
 
 
 def fiber_report(m: IndexMap) -> int | float:

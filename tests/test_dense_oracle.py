@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -218,6 +217,25 @@ def test_the_spectrum_catches_fiber_counts_shorter_than_the_spectrum():
     assert sweep([truncated_fiber_counts()])[2] == [res]
 
 
+@pytest.mark.parametrize("bad, tol", [(math.nan, 1e-9), (math.nan, 1), (3.0, 1)])
+@pytest.mark.parametrize("place", [0, 1, 2])
+def test_a_nan_or_far_singular_value_fails_the_spectrum_test(monkeypatch, place, bad, tol):
+    # an int tolerance too: 3.0 is more than 1 from sqrt(2), 1 and 0 alike
+    m = make_finite_map([1, 1, 2], 3)  # singular values sqrt(2), 1, 0
+    true_to_dense = dense_oracle.to_dense
+
+    def with_bad(m):
+        op = true_to_dense(m)
+        op.singular_values[place] = bad
+        return op
+
+    monkeypatch.setattr(dense_oracle, "NORM_TOL", tol)
+    monkeypatch.setattr(dense_oracle, "to_dense", with_bad)
+    res = check_map_agreement(m)
+    assert not res.norm_ok and not res.ok
+    assert (res.norm_error == 0.0) is (place > 0)  # past the top, only the spectrum test sees it
+
+
 @pytest.fixture
 def svd_calls(monkeypatch):
     """The shape of the array passed to each ``np.linalg.svd`` call, in order."""
@@ -239,6 +257,12 @@ def test_a_chunked_sweep_returns_what_one_map_at_a_time_does(monkeypatch, svd_ca
     assert [res.norm_ok for res in bad[-2:]] == [False, False]
 
 
+def test_check_map_agreement_makes_one_svd_call_per_map(svd_calls):
+    for images in ([2, 3, 1], [1, 1, 3, 3], [1] * 12):
+        assert check_map_agreement(make_finite_map(images, len(images))).ok
+    assert svd_calls == [(1, 3, 3), (1, 4, 4), (1, 12, 12)]
+
+
 def test_past_the_chunk_bound_each_map_is_its_own_chunk(svd_calls):
     assert sweep(dense_oracle.random_maps(256, 2, 0))[::2] == (2, [])
     assert svd_calls == [(1, 256, 256)] * 2
@@ -253,7 +277,7 @@ def test_a_flipped_verdict_is_caught(monkeypatch, flip):
 
     def flipped(m):
         rep = true_classify(m)
-        return dataclasses.replace(rep, **{v: not getattr(rep, v) for v in flip})
+        return rep._replace(**{v: not getattr(rep, v) for v in flip})
 
     maps = [make_finite_map(images, 3) for images in ([2, 3, 1], [1, 1, 3])]  # bijective, not
     assert all(check_map_agreement(m).ok for m in maps)
@@ -276,3 +300,32 @@ def test_every_table_up_to_n5_agrees_with_the_oracle():
     checked, worst, bad = sweep(itertools.chain.from_iterable(exhaustive_maps(n) for n in range(2, 6)))
     assert (checked, bad) == (4 + 27 + 256 + 3125, [])
     assert worst <= dense_oracle.NORM_TOL
+
+
+# --- the records are immutable, so tables may share one certificate record ----
+
+def test_tables_with_one_profile_share_their_certificates_and_keep_their_fiber_counts():
+    m, other = IndexMap(table=(2, 2, 1, 4)), IndexMap(table=(3, 1, 3, 2))  # m_sup 2, not onto
+    assert m.certificates is other.certificates
+    assert (m.certificates.m_sup, m.certificates.surjective) == (2, False)
+    assert m.fiber_counts == (1, 2, 0, 1) and other.fiber_counts == (1, 1, 2, 0)
+    assert IndexMap(table=(1, 1, 1, 2)).certificates is not m.certificates  # m_sup 3
+    assert IndexMap(table=(2, 1, 4, 3)).certificates.surjective  # m_sup 1, onto
+
+
+def test_no_field_of_a_record_can_be_assigned():
+    m = IndexMap(table=(2, 2, 1, 4))
+    rep, res, cert = classify(m), check_map_agreement(m), m.certificates
+    for record, field in ((rep, "isometry"), (res, "norm_ok"), (cert, "m_sup"), (cert, "surjective")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, True)
+    assert (rep.isometry, res.norm_ok, cert.m_sup, cert.surjective) == (False, True, 2, False)
+
+
+def test_the_records_are_positional_and_hashable():
+    m = IndexMap(table=(2, 2, 1, 4))
+    rep, res = classify(m), check_map_agreement(m)
+    assert type(rep)(*rep) == rep and hash(type(rep)(*rep)) == hash(rep)
+    assert list(rep._asdict()) == ["maps_into_l2", "operator_norm", "sigma_injective",
+                                   "sigma_surjective", "isometry", "compact"]
+    assert type(res)(*res) == res and res.ok and res[0] == m.table

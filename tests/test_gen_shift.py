@@ -36,6 +36,7 @@ from genshift.dense_oracle import (
     structural_check,
     to_dense,
 )
+from genshift import gen_shift, index_domain
 from genshift.gen_shift import operator_norm
 from genshift.index_domain import (
     DEFAULT_WINDOW,
@@ -662,6 +663,32 @@ def test_solve_collision_refutes_a_false_injectivity_certificate():
     for y in ({100: 1, 101: 2}, {5: 3, 100: 1, 101: 2}):  # 5 comes first and collides with nothing
         with pytest.raises(IntegrityError, match=r"rule 'late_collision' .* but eval\(100\) == eval\(101\)$"):
             solve(m, from_entries(COUNTABLE, y))
+
+
+@pytest.mark.parametrize("ctor, image, fiber", [(successor_rule, 5, "[4]"), (doubling_rule, 6, "[3]"),
+                                                 (doubling_rule, 5, "[]")])
+def test_solve_refutes_an_int_image_past_the_tally_outside_its_fiber(ctor, image, fiber):
+    # 1000 lies past the tally of 1..64 and its image is an int >= 1 that collides with nothing in y,
+    # so only the fiber of that image, which does not hold 1000, can refute it
+    honest = ctor()
+    m = IndexMap(rule=dataclasses.replace(honest, eval_fn=lambda k: image if k == 1000 else honest.eval_fn(k)))
+    for y in ({1000: 1}, {7: 2, 1000: 1}):
+        with pytest.raises(IntegrityError, match=rf"^rule '{honest.name}' maps 1000 to {image} "
+                                                 rf"but fiber\({image}\) is {re.escape(fiber)}$"):
+            solve(m, from_entries(COUNTABLE, y))
+    y = from_entries(COUNTABLE, {7: 2})
+    assert solve(m, y) == solve(IndexMap(rule=honest), y)  # the honest entries are unchanged
+
+
+def test_solve_reads_the_fibers_of_more_images_than_search_cap_in_runs(monkeypatch):
+    # one-to-one, each fiber has one member, so a run of SEARCH_CAP images is within the budget
+    monkeypatch.setattr(index_domain, "SEARCH_CAP", 64)
+    monkeypatch.setattr(gen_shift, "SEARCH_CAP", 64)
+    m, y = IndexMap(rule=successor_rule()), from_entries(COUNTABLE, {b: b for b in range(1, 151)})
+    assert solve(m, y) == from_entries(COUNTABLE, {b + 1: b for b in range(1, 151)})
+    lie = IndexMap(rule=dataclasses.replace(successor_rule(), eval_fn=lambda k: 500 if k == 140 else k + 1))
+    with pytest.raises(IntegrityError, match=r"^rule 'successor' maps 140 to 500 but fiber\(500\) is \[499\]$"):
+        solve(lie, y)  # in the third run
 
 
 @given(permutation_maps(), st.data())

@@ -621,6 +621,33 @@ def test_a_size_past_the_certificates_of_a_rule_without_a_period_is_checked_by_e
             op()
 
 
+@pytest.mark.parametrize("rule, target, message", [
+    (dataclasses.replace(triangular_rule(), card_fn=lambda a: 0 if a == 1000 else a), 1000,
+     r"^rule 'triangular' declares the map onto but fiber\(1000\) has size 0$"),
+    (dataclasses.replace(successor_rule(), period=None, card_fn=lambda a: 2 if a == 1000 else int(a > 1)), 1000,
+     r"^rule 'successor' declares finite-fiber bound 1 but fiber\(1000\) has size 2$"),
+    (dataclasses.replace(successor_rule(), infinite_fibers=frozenset({100}), period=None), 100,
+     r"^rule 'successor' declares infinite fibers exactly over \[100\] but fiber\(100\) has size 1$"),
+], ids=["below_onto", "above_m_sup", "declared_infinite"])
+def test_the_one_target_check_refutes_a_size_just_outside_what_the_certificates_allow(rule, target, message):
+    # each size is an int next to int(surjective)..m_sup, or an allowed int at a declared infinite fiber
+    m, x = IndexMap(rule=rule), from_entries(COUNTABLE, {target: 1})
+    for op in (lambda: m.fiber_card(target), lambda: apply_norm_sq(m, x), lambda: in_domain(m, x)):
+        with pytest.raises(IntegrityError, match=message):
+            op()
+
+
+@pytest.mark.parametrize("rule", [
+    successor_rule(), block_rule(3), doubling_rule(), odd_collapse_rule(),
+    dataclasses.replace(doubling_rule(), period=(3, 2)), dataclasses.replace(doubling_rule(), period=(5, 4)),
+    dataclasses.replace(successor_rule(), period=(3, 3)),
+], ids=["successor", "block3", "doubling", "odd_collapse", "doubling_3_2", "doubling_5_4", "successor_3_3"])
+@given(targets=st.lists(st.integers(1, 10 ** 4), max_size=40))
+def test_a_periodic_rules_sizes_at_targets_in_any_order_are_its_card_fn(rule, targets):
+    # before the start from the head, past it by the residue; targets come unsorted and repeated
+    assert list(IndexMap(rule=rule).sizes_at(targets)) == list(map(rule.card_fn, targets))
+
+
 def test_a_period_broken_inside_the_certificates_read_is_refuted():
     # ROADMAP item 22's Gap 2: every size is within m_sup and nonzero, and the members
     # 79 and 80 of fiber(40) lie past the tally of eval_fn over 1..64
