@@ -19,7 +19,7 @@ formatted per target: ``_window`` makes one piece of keys the template of the
 ``{index: size}`` map and cuts M's piece from it, by the runs ``finite_runs`` gives
 between the certificate's infinite fibers, so ``analyze`` never builds M's tuple of ints.
 A piece of the map whose targets all have one size, as every piece past
-DEFAULT_WINDOW of a rule whose period has length 1 does, is one ``replace`` of that
+DEFAULT_WINDOW of a rule whose ``sizes`` block has length 1 does, is one ``replace`` of that
 size into its keys (``_keyed``), not a ``%`` conversion per target.
 ``_echo`` writes the pieces straight to ``sys.stdout`` and flushes once, so no document is
 joined whole and peak memory is bounded by the computed values, not by the text. The
@@ -120,8 +120,8 @@ def _window(sizes: tuple[int | float, ...], runs):
     the pieces of the members of ``runs`` (increasing ranges of those targets), as
     a list for ``_joined`` to write as often as needed.
 
-    Pieces start at 1, at DEFAULT_WINDOW + 1 (where a periodic rule's window turns
-    from read to tiled), then every PIECE targets. Each piece cuts its keys once from
+    Pieces start at 1, at DEFAULT_WINDOW + 1 (past which a periodic rule's window
+    holds only copies of its block), then every PIECE targets. Each piece cuts its keys once from
     1000-target digit blocks (``_targets``). M's piece is cut from that text by
     ``_offset`` (all of it when one run covers the piece), and, quoted, the text is
     the template of the piece's sizes: one ``replace`` of the size when the piece has

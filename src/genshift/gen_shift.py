@@ -115,10 +115,12 @@ def solve(m: IndexMap, y: SparseVector) -> SparseVector:
     then merely relabelled, so apply(m, solve(m, y)) == y and the norm is
     preserved exactly. A map that is not one-to-one is refused, naming the
     first fiber with two or more members that ``IndexMap.scan`` finds. A rule's
-    images are read through ``_image``, which refuses one outside the index set;
-    a collision among y's support indices refutes the rule's certificate, and so
-    does a beta outside the fiber of its image, read by ``m.members_at`` in runs of
-    SEARCH_CAP images, so that y may have any number of entries.
+    images are read once through ``_image``, which refuses one outside the index
+    set, and a beta outside the fiber of its image refutes the rule's certificate.
+    The fibers are read by ``m.members_at`` in runs of SEARCH_CAP images, so that y
+    may have any number of entries. A certified one-to-one rule's fiber holds at most
+    one member, so two betas with one image cannot both lie in it: that refutes a
+    collision too.
     """
     _check_domains(m, y)
     if not m.certificates.injective:  # sigma is onto iff the index map is one-to-one
@@ -128,19 +130,12 @@ def solve(m: IndexMap, y: SparseVector) -> SparseVector:
     if m.table is not None:  # a table's certificates are exact: one-to-one, it never collides
         table = m.table
         return SparseVector(m.domain, {table[beta - 1]: v for beta, v in y.entries.items()})
-    rule, out = m.rule, {}
-    for beta, v in y.entries.items():
-        if (alpha := _image(rule, beta)) in out:
-            other = next(b for b in y.entries if b != beta and _image(rule, b) == alpha)
-            raise IntegrityError(
-                f"rule {rule.name!r} certifies a one-to-one map but eval({other}) == eval({beta})"
-            )
-        out[alpha] = v
-    betas, images = list(y.entries), list(out)  # out is in y's order
+    rule, betas = m.rule, list(y.entries)
+    images = [_image(rule, beta) for beta in betas]
     for i in range(0, len(images), SEARCH_CAP):  # one member a fiber: SEARCH_CAP a members_at read
         chunk = images[i:i + SEARCH_CAP]
         for beta, alpha, fiber in zip(betas[i:i + SEARCH_CAP], chunk, m.members_at(chunk)):
             if beta not in fiber:
                 raise IntegrityError(f"rule {rule.name!r} maps {beta} to {alpha} but fiber({alpha}) is "
                                      f"{sorted(fiber)}")
-    return SparseVector(m.domain, out)
+    return SparseVector(m.domain, dict(zip(images, y.entries.values())))

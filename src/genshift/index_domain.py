@@ -5,20 +5,20 @@ questions about fibers, the preimage sets of single indices. A fiber size is
 an int, or math.inf for an infinite fiber. A map is built one way, from an
 image table or a symbolic rule, and stores only that; its domain, exact fiber
 oracle and one certificate record, ``IndexMap.certificates``, are derived on
-first read: a rule declares all three certificates of its own, a table reads
-exact ones off its fiber sizes, so every verdict is a plain value. Fiber sizes
-are read in one place, ``IndexMap``: a window by ``window_sizes``, a search past it
-by ``scan``, a rule's given targets by ``sizes_at`` and ``members_at``. A window read
-refutes a false declared certificate; ``certificates`` reads one first and tallies
-a rule's images of it against its sizes, and every other read of a rule reads
-``certificates`` first. A rule's images are read in one place, ``_image``, which
-refuses one outside the index set, and each size that ``sizes_at`` reads by
-``card_fn`` is checked against the certificates as a one-target window. A fourth,
-optional certificate, ``period``, says a rule's sizes repeat from some target on,
-past every declared infinite fiber: the read of 1..DEFAULT_WINDOW checks that, and
-every size past it is the repeating block's, with no ``card_fn`` call. A tiled
-window costs a tuple repetition of the block and no check, and its largest size
-is that of the read of 1..DEFAULT_WINDOW (``window_sup``).
+first read: a table reads exact ones off its fiber sizes, and a rule's come from
+the rule, so every verdict is a plain value. A periodic rule states its sizes
+once, as ``sizes=(head, block)``, and its certificates are derived from them;
+any other rule reads its sizes by ``card_fn`` and declares its certificates.
+Fiber sizes are read in one place, ``IndexMap``: a window by ``window_sizes``, a
+search past it by ``scan``, a rule's given targets by ``sizes_at`` and
+``members_at``. A window read refutes a false declared certificate;
+``certificates`` reads one first and tallies a rule's images of it against its
+sizes, and every other read of a rule reads ``certificates`` first. A rule's
+images are read in one place, ``_image``, which refuses one outside the index
+set, and each size that ``sizes_at`` reads by ``card_fn`` is checked against the
+certificates as a one-target window. A window of a rule with ``sizes`` is a tuple
+repetition of the block with the head prepended, and its largest size is that of
+the read of 1..DEFAULT_WINDOW (``window_sup``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
@@ -113,28 +113,34 @@ class Certificates:
         return self.m_sup != math.inf
 
 
-@dataclass(frozen=True)
-class SymbolicRule(Certificates):
+@dataclass(frozen=True, kw_only=True)
+class SymbolicRule:
     """A self-map of the positive integers with closed-form fiber structure.
 
-    ``card_fn`` and ``members_fn`` must be exact: over an infinite fiber they
-    return math.inf and None, otherwise its size and complete preimage set.
-    The three certificates are required keywords, checked here for form (an int
-    ``m_sup`` >= 0 or math.inf, a bool, a frozenset of ints >= 1) and for truth by
+    ``members_fn`` must be exact: None over an infinite fiber, else its complete
+    preimage set. A rule states its fiber sizes in exactly one of two ways. A
+    periodic rule gives ``sizes=(head, block)``: target a has size ``head[a - 1]``
+    while a <= len(head), and ``block`` repeats after that; the head holds ints >= 0
+    or math.inf, the block one or more ints >= 0, and both together at most
+    DEFAULT_WINDOW - 1 sizes, so the read of 1..DEFAULT_WINDOW holds a whole block.
+    Its three certificates are derived from them, never declared. Any other rule
+    gives ``card_fn``, exact like ``members_fn`` (math.inf over an infinite fiber),
+    and declares ``m_sup``, ``surjective`` and ``infinite_fibers``, checked here for
+    form (an int >= 0 or math.inf, a bool, a frozenset of ints >= 1) and for truth by
     ``IndexMap.window_sizes``, which raises IntegrityError when a scanned window
-    contradicts one. The optional ``period=(start, length)`` declares that the
-    size of every target a >= start + length is the size of a - length; its form
-    is start, length >= 1 with start + length <= DEFAULT_WINDOW, so the read of
-    1..DEFAULT_WINDOW checks at least one repetition, and start past every declared
-    infinite fiber: a finite ``infinite_fibers`` cannot name every copy of an infinite block size.
+    contradicts one. ``certificates`` is the record of the three, either way.
     """
 
     name: str
     eval_fn: Callable[[int], int]
-    card_fn: Callable[[int], int | float]
     members_fn: Callable[[int], frozenset[int] | None]
+    sizes: tuple[tuple[int | float, ...], tuple[int, ...]] | None = None
+    card_fn: Callable[[int], int | float] | None = None
+    m_sup: int | float | None = None
+    surjective: bool | None = None
+    infinite_fibers: frozenset[int] | None = None
     param: int | None = None
-    period: tuple[int, int] | None = None
+    certificates: Certificates = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         def count(x: object) -> bool:
@@ -143,21 +149,33 @@ class SymbolicRule(Certificates):
         def refuse(key: str, what: str) -> None:
             raise ParseError(f"rule {self.name!r} declares {key} {getattr(self, key)!r}, not {what}")
 
-        if not (count(self.m_sup) or self.m_sup == math.inf):  # nan, a float, a bool fail
-            refuse("m_sup", "an int >= 0 or math.inf")
-        if not isinstance(self.surjective, bool):
-            refuse("surjective", "a bool")
-        if not (isinstance(self.infinite_fibers, frozenset)
-                and all(count(a) and a >= 1 for a in self.infinite_fibers)):
-            refuse("infinite_fibers", "a frozenset of ints >= 1")
-        if self.period is not None and not (
-                isinstance(self.period, tuple) and len(self.period) == 2
-                and all(count(x) and x >= 1 for x in self.period) and sum(self.period) <= DEFAULT_WINDOW):
-            refuse("period", f"None or two ints start, length >= 1 with start + length <= {DEFAULT_WINDOW}")
-        if self.period is not None and max(self.infinite_fibers, default=0) >= self.period[0]:
-            refuse("period", "a start past every declared infinite fiber")
-        if math.inf > self.m_sup > sys.float_info.max:  # exact for ints; the norm must be a float
+        if (self.sizes is None) == (self.card_fn is None):
+            raise ParseError(f"rule {self.name!r} needs exactly one of sizes and card_fn")
+        if self.sizes is not None:
+            for key in ("m_sup", "surjective", "infinite_fibers"):
+                if getattr(self, key) is not None:
+                    refuse(key, "None: a rule with sizes derives its certificates")
+            sizes = self.sizes
+            if not (isinstance(sizes, tuple) and len(sizes) == 2 and all(isinstance(part, tuple) for part in sizes)
+                    and all(count(c) or c == math.inf for c in sizes[0])
+                    and 0 < len(sizes[1]) < DEFAULT_WINDOW - len(sizes[0]) and all(map(count, sizes[1]))):
+                refuse("sizes", f"a head of ints >= 0 or math.inf and a block of one or more ints >= 0,"
+                                f" {DEFAULT_WINDOW - 1} sizes at most")
+            head, every = sizes[0], sizes[0] + sizes[1]
+            cert = Certificates(m_sup=max((c for c in every if c != math.inf), default=0), surjective=0 not in every,
+                                infinite_fibers=frozenset(a for a, c in enumerate(head, start=1) if c == math.inf))
+        else:
+            if not (count(self.m_sup) or self.m_sup == math.inf):  # nan, a float, a bool fail
+                refuse("m_sup", "an int >= 0 or math.inf")
+            if not isinstance(self.surjective, bool):
+                refuse("surjective", "a bool")
+            if not (isinstance(self.infinite_fibers, frozenset)
+                    and all(count(a) and a >= 1 for a in self.infinite_fibers)):
+                refuse("infinite_fibers", "a frozenset of ints >= 1")
+            cert = Certificates(m_sup=self.m_sup, surjective=self.surjective, infinite_fibers=self.infinite_fibers)
+        if math.inf > cert.m_sup > sys.float_info.max:  # exact for ints; the norm must be a float
             raise ParseError(f"rule {self.name!r} declares finite-fiber bound past the float range")
+        object.__setattr__(self, "certificates", cert)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -238,19 +256,19 @@ class IndexMap:
         and ``eval_fn`` sends no more of 1..DEFAULT_WINDOW to a target there than its fiber holds."""
         if self.rule is not None:
             _check_images(self.rule, self.window_sizes(DEFAULT_WINDOW))
-            return self.rule
+            return self.rule.certificates
         counts = self.fiber_counts
         return _table_certificates(max(counts), 0 not in counts)
 
     def window_sizes(self, window: int) -> tuple[int | float, ...]:
         """Fiber sizes over targets 1..window (math.inf if infinite); all n for a table.
 
-        The one check that a window is in 1..SEARCH_CAP, and of a rule's certificates:
-        the targets a read adds are checked against them, then cached (a smaller
-        window is a prefix of the cache), so each size is checked once. A rule with
-        a ``period`` has 1..DEFAULT_WINDOW read by ``card_fn`` and checked to repeat;
-        targets past DEFAULT_WINDOW are tiled from its block, as ``sizes_at`` reads them,
-        and need no check: the block is checked and past every declared infinite fiber.
+        The one check that a window is in 1..SEARCH_CAP, and of a declared rule's
+        certificates: the targets a ``card_fn`` read adds are checked against them, then
+        cached (a smaller window is a prefix of the cache), so each size is checked once.
+        A rule with ``sizes`` has its window tiled from them, a tuple repetition of the
+        block with the head prepended, and cached; its certificates are derived from
+        the same sizes, so nothing is read by ``card_fn`` and nothing needs a check.
         """
         if not 1 <= window <= SEARCH_CAP:
             raise ParseError(f"window must be in 1..{SEARCH_CAP}, got {window}")
@@ -260,29 +278,22 @@ class IndexMap:
         if window <= len(scanned):
             return scanned[:window]
         rule, lo = self.rule, len(scanned) + 1
-        read = window if rule.period is None else min(window, max(lo - 1, DEFAULT_WINDOW))
-        head = added = tuple(map(rule.card_fn, range(lo, read + 1)))
-        if rule.period is not None:
-            start, length = rule.period
-            known = scanned + added  # no copy when nothing is added, at most DEFAULT_WINDOW targets else
-            for a in range(max(lo, start + length), len(known) + 1):  # each repetition read here
-                if known[a - 1] != known[a - 1 - length]:
-                    raise IntegrityError(f"rule {rule.name!r} declares period {rule.period} but "
-                                         f"{describe_fiber(a, known[a - 1])} and "
-                                         f"{describe_fiber(a - length, known[a - 1 - length])}")
-            if window > read:  # repetitions of the checked block of targets start..start + length - 1
-                block, n = known[start - 1:start - 1 + length], window - read
-                offset = (read + 1 - start) % length
-                added = head + (block * ((offset + n - 1) // length + 1))[offset:offset + n]
-        _check_certificates(rule, head, lo)
+        if rule.sizes is None:
+            added = tuple(map(rule.card_fn, range(lo, window + 1)))
+            _check_certificates(rule, added, lo)
+        else:  # the added targets of the head, then those of the block, sliced once from its repetition
+            head, block = rule.sizes
+            skip = max(lo - 1 - len(head), 0)  # the block's targets already cached
+            n, offset = window - len(head) - skip, skip % len(block)
+            added = head[lo - 1:window] + (block * ((offset + n - 1) // len(block) + 1))[offset:offset + n]
         sizes = self.__dict__["_window_sizes"] = scanned + added  # no copy on a first read
         return sizes
 
     def window_sup(self, sizes: tuple[int | float, ...]) -> int | float:
-        """The largest of ``sizes``, a read of ``window_sizes``. A rule with a ``period`` takes
-        it over the first min(len(sizes), DEFAULT_WINDOW) sizes alone: every size past them
-        copies a size of the block, which lies in 1..DEFAULT_WINDOW - 1."""
-        if self.rule is not None and self.rule.period is not None:
+        """The largest of ``sizes``, a read of ``window_sizes``. A rule with ``sizes`` takes it
+        over the first min(len(sizes), DEFAULT_WINDOW) sizes alone: those hold its head and a
+        whole block, so every size past them copies one of them."""
+        if self.rule is not None and self.rule.sizes is not None:
             sizes = sizes[:DEFAULT_WINDOW]
         return max(sizes)
 
@@ -304,11 +315,11 @@ class IndexMap:
 
     def sizes_at(self, targets: Iterable[int]) -> Iterator[int | float]:
         """A rule's fiber sizes over ``targets`` (ints >= 1), read lazily once ``certificates`` has
-        checked the rule: by ``card_fn``, each checked as a one-target window unless an int in
-        int(surjective)..m_sup off a declared infinite fiber, which no certificate refutes; or, with
-        a ``period``, off the checked read of 1..DEFAULT_WINDOW, past the period's start from its block."""
-        rule, _ = self.rule, self.certificates  # checks the rule, and caches its read of 1..DEFAULT_WINDOW
-        if rule.period is None:
+        checked the rule: off its ``sizes``, past the head from the block; or by ``card_fn``, each
+        checked as a one-target window unless an int in int(surjective)..m_sup off a declared
+        infinite fiber, which no certificate refutes."""
+        rule, _ = self.rule, self.certificates  # checks the rule
+        if rule.sizes is None:
             card, lo, hi, infinite = rule.card_fn, int(rule.surjective), rule.m_sup, rule.infinite_fibers
 
             def checked(a: int) -> int | float:
@@ -316,8 +327,9 @@ class IndexMap:
                     _check_certificates(rule, (c,), a)
                 return c
             return map(checked, targets)
-        head, (start, length) = self.window_sizes(DEFAULT_WINDOW), rule.period
-        return (head[a - 1] if a < start else head[start - 1 + (a - start) % length] for a in targets)
+        head, block = rule.sizes
+        start, length = len(head), len(block)
+        return (head[a - 1] if a <= start else block[(a - 1 - start) % length] for a in targets)
 
     def members_at(self, targets: Sequence[int]) -> list[frozenset[int]]:
         """A rule's fibers over ``targets``, all sizes read first: the first target whose running
@@ -371,12 +383,8 @@ def successor_rule() -> SymbolicRule:
     return SymbolicRule(
         name="successor",
         eval_fn=lambda k: k + 1,
-        card_fn=lambda a: 0 if a == 1 else 1,
         members_fn=lambda a: frozenset() if a == 1 else frozenset((a - 1,)),
-        m_sup=1,
-        surjective=False,
-        infinite_fibers=frozenset(),
-        period=(2, 1),
+        sizes=((0,), (1,)),
     )
 
 
@@ -385,12 +393,8 @@ def clamp_pred_rule() -> SymbolicRule:
     return SymbolicRule(
         name="clamp_pred",
         eval_fn=lambda k: 1 if k == 1 else k - 1,
-        card_fn=lambda a: 2 if a == 1 else 1,
         members_fn=lambda a: frozenset((1, 2)) if a == 1 else frozenset((a + 1,)),
-        m_sup=2,
-        surjective=True,
-        infinite_fibers=frozenset(),
-        period=(2, 1),
+        sizes=((2,), (1,)),
     )
 
 
@@ -401,13 +405,9 @@ def block_rule(b: int) -> SymbolicRule:
     return SymbolicRule(
         name="block",
         eval_fn=lambda k: (k - 1) // b + 1,
-        card_fn=lambda a: b,
         members_fn=lambda a: frozenset(range(b * (a - 1) + 1, b * a + 1)),
-        m_sup=b,
-        surjective=True,
-        infinite_fibers=frozenset(),
+        sizes=((), (b,)),
         param=b,
-        period=(1, 1),
     )
 
 
@@ -434,12 +434,8 @@ def doubling_rule() -> SymbolicRule:
     return SymbolicRule(
         name="doubling",
         eval_fn=lambda k: 2 * k,
-        card_fn=lambda a: 1 if a % 2 == 0 else 0,
         members_fn=lambda a: frozenset((a // 2,)) if a % 2 == 0 else frozenset(),
-        m_sup=1,
-        surjective=False,
-        infinite_fibers=frozenset(),
-        period=(1, 2),
+        sizes=((), (0, 1)),
     )
 
 
@@ -452,12 +448,8 @@ def odd_collapse_rule() -> SymbolicRule:
     return SymbolicRule(
         name="odd_collapse",
         eval_fn=lambda k: 1 if k % 2 == 1 else k // 2 + 1,
-        card_fn=lambda a: math.inf if a == 1 else 1,
         members_fn=lambda a: None if a == 1 else frozenset((2 * (a - 1),)),
-        m_sup=1,
-        surjective=True,
-        infinite_fibers=frozenset((1,)),
-        period=(2, 1),
+        sizes=((math.inf,), (1,)),
     )
 
 
@@ -538,15 +530,14 @@ def finite_runs(infinite_fibers: frozenset[int], start: int, stop: int) -> list[
 
 
 def _check_certificates(rule: SymbolicRule, sizes: tuple[int | float, ...], start: int) -> None:
-    """Raise IntegrityError when a certificate contradicts the sizes of targets start, start + 1, ...
+    """Raise IntegrityError when a declared certificate contradicts the ``card_fn`` sizes of targets
+    start, start + 1, ... (a rule with ``sizes`` declares none).
 
     A window can refute a finite ``m_sup``, a claim of surjectivity, and the
     infinite-fiber set restricted to the window, never an unbounded or a
     negative certificate. A window that refutes the derived ``sup_card`` or
     ``injective`` refutes ``m_sup`` or ``infinite_fibers``. The latter is checked
     first, so the ``peak`` size over its ``finite_runs`` is finite for ``m_sup``.
-    A periodic window's tiled targets past ``sizes`` need no check: their block was
-    checked here, and lies past every declared infinite fiber (``SymbolicRule``).
     """
 
     def refute(claim: str, bad: Callable[[int, int | float], bool]) -> None:

@@ -2,6 +2,7 @@
 in-process CLI harness."""
 
 import contextlib
+import dataclasses
 import io
 import math
 import types
@@ -160,6 +161,23 @@ def map_and_vector(draw, min_n=2, max_n=8, values=scalars):
     m = draw(finite_maps(min_n, max_n))
     v = draw(vectors_on(m.domain, values=values))
     return m, v
+
+
+def sizes_card(sizes):
+    """The size function that ``sizes=(head, block)`` states: ``head[a - 1]`` while a <= len(head),
+    then ``block`` repeated; written apart from ``IndexMap`` so that tests can compare with it."""
+    head, block = sizes
+    return lambda a: head[a - 1] if a <= len(head) else block[(a - len(head) - 1) % len(block)]
+
+
+def declared_form(rule: SymbolicRule, **changes) -> SymbolicRule:
+    """A rule with ``sizes`` restated in the declared form: ``sizes_card`` as its ``card_fn``
+    and its derived certificates declared, then ``changes`` applied. A liar test changes one
+    certificate or the ``card_fn``, which the form with ``sizes`` cannot state apart."""
+    cert = rule.certificates
+    fields = dict(sizes=None, card_fn=sizes_card(rule.sizes), m_sup=cert.m_sup,
+                  surjective=cert.surjective, infinite_fibers=cert.infinite_fibers)
+    return dataclasses.replace(rule, **{**fields, **changes})
 
 
 def parity_rule() -> SymbolicRule:

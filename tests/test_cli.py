@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import gc
 import hashlib
 import io
@@ -25,7 +24,7 @@ from genshift import (
 )
 from genshift.cli import main
 from genshift.index_domain import finite_runs, make_finite_map
-from helpers import clamp_liar_rule, consistent_liar_rule, invoke, liar_rule, m_members
+from helpers import clamp_liar_rule, consistent_liar_rule, declared_form, invoke, liar_rule, m_members
 from test_cli_golden import GOLDEN
 
 
@@ -275,8 +274,8 @@ def test_witness_false_certificate_exits_3(tmp_path, monkeypatch):
 
 
 def _successor_with_false_infinite_fiber():
-    """successor without its period, declaring an infinite fiber over 3, where its fiber is {2}."""
-    return dataclasses.replace(index_domain.successor_rule(), infinite_fibers=frozenset({3}), period=None)
+    """successor in the declared form, declaring an infinite fiber over 3, where its fiber is {2}."""
+    return declared_form(index_domain.successor_rule(), infinite_fibers=frozenset({3}))
 
 
 @pytest.mark.parametrize("args", [

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import sys
@@ -28,6 +27,7 @@ from genshift.index_domain import make_finite_map, successor_rule
 from helpers import (
     add,
     clamp_liar_rule,
+    declared_form,
     finite_maps,
     liar_rule,
     norm,
@@ -175,7 +175,7 @@ def test_witness_refutes_a_false_bound_certificate(rule):
 
 def test_witness_refutes_a_false_infinite_fiber_certificate():
     # the claimed infinite fiber would make the map look unbounded, so the witness would refuse
-    rule = dataclasses.replace(successor_rule(), infinite_fibers=frozenset({2}), period=None)
+    rule = declared_form(successor_rule(), infinite_fibers=frozenset({2}))
     with pytest.raises(IntegrityError, match=r"over \[2\] but fiber\(2\) has size 1"):
         witness_sequence(IndexMap(rule=rule), 3)
 
@@ -183,6 +183,6 @@ def test_witness_refutes_a_false_infinite_fiber_certificate():
 def test_witness_refutes_a_false_certificate_past_its_first_window():
     # the scan's first window 1..2 does not reach the false infinite fiber over 3;
     # the first read of the certificates checks 1..64 and does
-    rule = dataclasses.replace(successor_rule(), infinite_fibers=frozenset({3}), period=None)
+    rule = declared_form(successor_rule(), infinite_fibers=frozenset({3}))
     with pytest.raises(IntegrityError, match=r"over \[3\] but fiber\(3\) has size 1"):
         witness_sequence(IndexMap(rule=rule), 2)

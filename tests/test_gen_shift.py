@@ -51,6 +51,7 @@ from helpers import (
     add,
     clamp_liar_rule,
     consistent_liar_rule,
+    declared_form,
     finite_maps,
     liar_rule,
     map_and_vector,
@@ -58,6 +59,7 @@ from helpers import (
     parity_rule,
     permutation_maps,
     scale,
+    sizes_card,
     unit_vector,
     vectors_on,
 )
@@ -163,57 +165,81 @@ def outcome(op, m):
         return "error", type(exc), str(exc)
 
 
-@given(name=st.sampled_from(sorted(PERIODIC_SHIPPED)), t=st.integers(1, 1 << 12), off=st.sampled_from([-1, 1, 2]))
-@example(name="successor", t=1, off=1)  # the one lie still let through
-@example(name="block2", t=40, off=-1)  # breaks the period inside 1..64
-@example(name="block2", t=100, off=-1)  # past 1..64: no reader calls card_fn(100)
-@example(name="clamp_pred", t=1, off=-1)  # fiber(1) = {1, 2}: refuted by the tally of eval_fn
-def test_a_size_lie_on_a_periodic_rule_gives_the_honest_answer_or_is_refuted(name, t, off):
-    # ROADMAP item 22's size lies: card_fn(t) off by off on a shipped periodic rule. Every reader
-    # returns the honest rule's answer or raises IntegrityError, but for one class: successor's
-    # card_fn(1) = 1 is within m_sup, the rule is not onto, no eval_fn image of 1..64 is 1, and 1
-    # lies before the period, so every check passes it and fiber_card and apply_norm_sq read it
+def classify_reads(sizes):
+    """What ``classify`` reads off a rule's sizes: the sup of all of them, onto-ness, one-to-one-ness."""
+    finite = max((c for c in sizes if c != math.inf), default=0)
+    return (math.inf if math.inf in sizes else finite), 0 not in sizes, math.inf not in sizes and finite <= 1
+
+
+@given(name=st.sampled_from(sorted(PERIODIC_SHIPPED)), k=st.integers(0, 62), r=st.integers(0, 1 << 12),
+       off=st.sampled_from([-1, 1, 2]))
+@example(name="successor", k=0, r=0, off=1)  # fiber(1) is empty: apply refutes, the other three read 1
+@example(name="clamp_pred", k=1, r=0, off=1)  # block 1 -> 2 keeps m_sup 2, so classify is right
+@example(name="odd_collapse", k=0, r=99, off=2)  # an infinite fiber keeps classify right
+@example(name="block2", k=0, r=99, off=-1)  # past 1..64, refuted by the tally of 1..64
+@example(name="doubling", k=0, r=0, off=-1)  # a size of -1, refused by the form check
+def test_a_size_lie_on_a_periodic_rule_gives_the_honest_answer_or_is_refuted(name, k, r, off):
+    # ROADMAP item 22's size lies: one finite head or block entry of a shipped periodic rule's
+    # sizes off by off, read at the target t that the entry states (the r-th copy of a block entry).
+    # At -1 the form check refuses a negative entry and the tally of eval_fn over 1..64 refutes
+    # every other lie: each fiber of a drawn head and block has all its members inside 1..64.
+    # At +1 and +2 apply refutes by member count, while fiber_card and apply_norm_sq read the lie,
+    # and so does classify wherever the lie moves what it reads
     honest = PERIODIC_SHIPPED[name]()
-    liar = dataclasses.replace(honest, card_fn=lambda a: honest.card_fn(a) + (off if a == t else 0))
+    head, block = honest.sizes
+    sizes = list(head + block)
+    i = [j for j, c in enumerate(sizes) if c != math.inf][k % sum(c != math.inf for c in sizes)]
+    t = i + 1 + (r * len(block) if i >= len(head) else 0)
+    sizes[i] += off
+    lied = (tuple(sizes[:len(head)]), tuple(sizes[len(head):]))
+    if sizes[i] < 0:
+        with pytest.raises(ParseError, match=rf"^rule '{honest.name}' declares sizes "):
+            dataclasses.replace(honest, sizes=lied)
+        return
+    liar = dataclasses.replace(honest, sizes=lied)
     e_t = from_entries(COUNTABLE, {t: 1})
     ops = {"classify": classify, "apply": lambda m: apply(m, e_t), "apply_norm_sq": lambda m: apply_norm_sq(m, e_t),
            "in_domain": lambda m: in_domain(m, e_t), "fiber_card": lambda m: m.fiber_card(t)}
-    wrong = set()
+    refuted, wrong = set(), set()
     for op_name, op in ops.items():
         got = outcome(op, IndexMap(rule=liar))
-        if got[:2] != ("error", IntegrityError) and got != outcome(op, IndexMap(rule=honest)):
+        if got[:2] == ("error", IntegrityError):
+            refuted.add(op_name)
+        elif got != outcome(op, IndexMap(rule=honest)):
             wrong.add(op_name)
-    assert wrong == ({"fiber_card", "apply_norm_sq"} if (name, t, off) == ("successor", 1, 1) else set())
+    if off == -1:
+        assert (refuted, wrong) == (set(ops), set())
+    else:
+        moved = classify_reads(sizes) != classify_reads(head + block)
+        assert (refuted, wrong) == ({"apply"}, {"fiber_card", "apply_norm_sq"} | ({"classify"} if moved else set()))
 
 
 def test_a_rule_apply_reads_each_fiber_once():
     block = block_rule(3)
-    for period in (block.period, None):  # block(3) and a copy without its period
+    for declared in (False, True):  # block(3), and its declared form with a card_fn that counts
         cards, members = Counter(), Counter()
-        rule = dataclasses.replace(block, card_fn=lambda a: cards.update([a]) or 3, period=period,
-                                   members_fn=lambda a: members.update([a]) or block.members_fn(a))
+        rule = dataclasses.replace(block, members_fn=lambda a: members.update([a]) or block.members_fn(a))
+        if declared:
+            rule = declared_form(rule, card_fn=lambda a: cards.update([a]) or 3)
         x = from_entries(COUNTABLE, {9: 1, 2: 1j, 5: 2})
         assert apply(IndexMap(rule=rule), x) == apply(symbolic_map("block", 3), x)
         assert members == Counter({2: 1, 5: 1, 9: 1})
-        # the one check of the certificates reads 1..DEFAULT_WINDOW once; a periodic rule's sizes
-        # come from that read, and a rule without a period has each support index read once more
-        assert cards == Counter(range(1, DEFAULT_WINDOW + 1)) + (members if period is None else Counter())
+        # a rule with sizes has no card_fn; the declared form's one check of the certificates
+        # reads 1..DEFAULT_WINDOW once, and each support index once more
+        assert cards == (Counter(range(1, DEFAULT_WINDOW + 1)) + members if declared else Counter())
 
 
 def test_in_domain_reads_each_size_at_most_once_and_stops_at_an_infinite_one():
     oc = odd_collapse_rule()
-    for period in (oc.period, None):  # odd_collapse and a copy without its period
-        cards = Counter()
-        m = IndexMap(rule=dataclasses.replace(oc, card_fn=lambda a: cards.update([a]) or oc.card_fn(a),
-                                              period=period))
-        assert not in_domain(m, from_entries(COUNTABLE, {4: 1, 1: 1, 6: 1}))
-        # the one check of the certificates reads 1..DEFAULT_WINDOW once; then a periodic rule's
-        # sizes come from that read, and without a period in_domain reads 4 and 1 and stops
-        read = Counter() if period else Counter({4: 1, 1: 1})
-        assert cards == Counter(range(1, DEFAULT_WINDOW + 1)) + read
-        cards.clear()
-        assert in_domain(m, from_entries(COUNTABLE, {4: 1, 6: 1}))
-        assert cards == (Counter() if period else Counter({4: 1, 6: 1}))
+    cards = Counter()
+    m = IndexMap(rule=declared_form(oc, card_fn=lambda a: cards.update([a]) or sizes_card(oc.sizes)(a)))
+    assert not in_domain(m, from_entries(COUNTABLE, {4: 1, 1: 1, 6: 1}))
+    # the one check of the certificates reads 1..DEFAULT_WINDOW once; then in_domain reads 4 and 1 and stops
+    assert cards == Counter(range(1, DEFAULT_WINDOW + 1)) + Counter({4: 1, 1: 1})
+    cards.clear()
+    assert in_domain(m, from_entries(COUNTABLE, {4: 1, 6: 1}))
+    assert cards == Counter({4: 1, 6: 1})
+    assert in_domain(IndexMap(rule=oc), from_entries(COUNTABLE, {4: 1, 6: 1}))  # the same, read off sizes
 
 
 def test_vector_paths_never_reach_the_checked_accessors(monkeypatch):
@@ -660,8 +686,10 @@ def test_solve_collision_refutes_a_false_injectivity_certificate():
     m = IndexMap(rule=rule)
     assert classify(m).sigma_surjective is True
     assert solve(m, from_entries(COUNTABLE, {100: 1, 102: 2})).entries == {100: 1, 102: 2}
+    # fiber(100) holds one member, so 101 is outside it
+    message = r"^rule 'late_collision' maps 101 to 100 but fiber\(100\) is \[100\]$"
     for y in ({100: 1, 101: 2}, {5: 3, 100: 1, 101: 2}):  # 5 comes first and collides with nothing
-        with pytest.raises(IntegrityError, match=r"rule 'late_collision' .* but eval\(100\) == eval\(101\)$"):
+        with pytest.raises(IntegrityError, match=message):
             solve(m, from_entries(COUNTABLE, y))
 
 

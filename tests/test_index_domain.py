@@ -34,6 +34,7 @@ from genshift.domain_analysis import domain_report
 from genshift.gen_shift import operator_norm
 from genshift.index_domain import (
     BUILTIN_RULES,
+    Certificates,
     block_rule,
     clamp_pred_rule,
     doubling_rule,
@@ -45,10 +46,12 @@ from genshift.index_domain import (
 )
 from helpers import (
     clamp_liar_rule,
+    declared_form,
     finite_maps,
     liar_rule,
     m_members,
     parity_rule,
+    sizes_card,
     sup_card,
     verify_fiber_soundness,
 )
@@ -241,15 +244,38 @@ def test_round_trip_beta_in_fiber_of_its_image(m):
         assert beta in m.fiber(m.eval(beta))
 
 
+REACH = {  # the largest preimage of a target a: eval_fn is nondecreasing on every shipped rule but
+    # odd_collapse, whose odd indices all go to 1, so the preimages of targets lo..hi > 1 lie in
+    # reach(lo - 1) + 1..reach(hi), and those of 1..hi in 1..reach(hi) but for an infinite fiber
+    "successor": lambda a: a - 1, "clamp_pred": lambda a: a + 1, "block": lambda a, b: b * a,
+    "triangular": lambda a: a * (a + 1) // 2, "doubling": lambda a: a // 2,
+    "odd_collapse": lambda a: 2 * (a - 1),
+}
+
+
+def brute_sizes(m, reach, lo, hi):
+    """The sizes of targets lo..hi counted from ``eval_fn`` alone, over betas that hold every
+    finite fiber's members, and a little past them: a target hit past them has an infinite
+    fiber (odd_collapse's fiber(1) takes every odd beta)."""
+    betas = range(max(1, reach(lo - 1) - 2), reach(hi) + 3)
+    hits, past = Counter(map(m.rule.eval_fn, betas)), set(map(m.rule.eval_fn, range(betas.stop, betas.stop + 8)))
+    return tuple(math.inf if a in past else hits[a] for a in range(lo, hi + 1))
+
+
 @pytest.mark.parametrize("name,param", [
-    ("successor", None), ("clamp_pred", None), ("block", 3),
+    ("successor", None), ("clamp_pred", None), ("block", 1), ("block", 2), ("block", 3), ("block", 7),
     ("triangular", None), ("doubling", None), ("odd_collapse", None),
 ])
 def test_builtin_rules_fiber_soundness(name, param):
+    # the one guard of every shipped rule's sizes against its eval_fn past the tally of 1..64
     m = symbolic_map(name, param)
     verify_fiber_soundness(m, window=80)
     # a size is an int, or math.inf for an infinite fiber; never None or a float count
-    assert all(type(c) is int or c == math.inf for c in map(m.rule.card_fn, range(1, 1001)))
+    assert all(type(c) is int or c == math.inf for c in m.window_sizes(1000))
+    reach = REACH[name] if param is None else (lambda a: REACH["block"](a, param))
+    assert m.window_sizes(600) == brute_sizes(m, reach, 1, 600)
+    assert tuple(m.sizes_at(range(500, 541))) == brute_sizes(m, reach, 500, 540)
+    assert tuple(m.sizes_at([1 << 20])) == brute_sizes(m, reach, 1 << 20, 1 << 20)
     # independent brute-force cross-check on a window that covers all members
     for alpha in range(1, 41):
         members = m.fiber(alpha)
@@ -279,7 +305,7 @@ def test_block_rule_rejects_bad_sizes():
         block_rule(0)
     with pytest.raises(ParseError, match="float range"):
         block_rule(10**400)
-    assert block_rule(10**300).m_sup == 10**300
+    assert block_rule(10**300).certificates.m_sup == 10**300
     with pytest.raises(ParseError):
         symbolic_map("block")  # missing param
     with pytest.raises(ParseError):
@@ -409,12 +435,12 @@ def test_fiber_report_liar_rule_integrity_error():
 @pytest.mark.parametrize("rule, claim", [
     (clamp_liar_rule(), r"fiber\(1\) has size 2"),
     (dataclasses.replace(triangular_rule(), m_sup=3), r"fiber\(4\) has size 4"),
-    (dataclasses.replace(successor_rule(), surjective=True), "onto"),
-    (dataclasses.replace(clamp_pred_rule(), m_sup=1), "finite-fiber bound 1"),
-    (dataclasses.replace(odd_collapse_rule(), infinite_fibers=frozenset()), "infinite fibers"),
-    (dataclasses.replace(successor_rule(), infinite_fibers=frozenset({3}), period=None), "infinite fibers"),
+    (declared_form(successor_rule(), surjective=True), "onto"),
+    (declared_form(clamp_pred_rule(), m_sup=1), "finite-fiber bound 1"),
+    (declared_form(odd_collapse_rule(), infinite_fibers=frozenset()), "infinite fibers"),
+    (declared_form(successor_rule(), infinite_fibers=frozenset({3})), "infinite fibers"),
     # the offender lies past a declared infinite fiber, which a bound of 0 must not name
-    (dataclasses.replace(odd_collapse_rule(), m_sup=0), r"finite-fiber bound 0 but fiber\(2\) has size 1"),
+    (declared_form(odd_collapse_rule(), m_sup=0), r"finite-fiber bound 0 but fiber\(2\) has size 1"),
 ])
 def test_fiber_report_refutes_each_false_certificate(rule, claim):
     with pytest.raises(IntegrityError, match=claim):
@@ -456,146 +482,59 @@ def test_window_check_refutes_exactly_the_false_claims(data):
         assert not any(broken.values())
 
 
-def read_every_target(rule, cached, w):
-    """What a read of window w that checks every target it adds gives a periodic rule whose
-    earlier reads kept ``cached``: the sizes of 1..w, or the message of its IntegrityError.
-    It reads 1..DEFAULT_WINDOW by ``card_fn`` and checks the period there, tiles past it, then
-    checks each claim in turn over every added target, naming the first that breaks it."""
-    if w <= len(cached):
-        return cached[:w]
-    (start, length), lo = rule.period, len(cached) + 1
-    read = min(w, max(lo - 1, DEFAULT_WINDOW))
-    sizes = cached + tuple(map(rule.card_fn, range(lo, read + 1)))
-
-    def fiber(a):
-        return f"fiber({a}) has size {'infinite' if sizes[a - 1] == math.inf else sizes[a - 1]}"
-
-    for a in range(max(lo, start + length), read + 1):
-        if sizes[a - 1] != sizes[a - 1 - length]:
-            return f"rule 'drawn' declares period {rule.period} but {fiber(a)} and {fiber(a - length)}"
-    sizes += tuple(sizes[start - 1 + (a - start) % length] for a in range(read + 1, w + 1))
-    declared, m_sup = rule.infinite_fibers, rule.m_sup
-    for claim, bad in ((f"infinite fibers exactly over {sorted(declared)}",
-                        lambda a, c: (c == math.inf) != (a in declared)),
-                       (f"finite-fiber bound {m_sup}", lambda a, c: m_sup < c < math.inf),
-                       ("the map onto", lambda a, c: rule.surjective and c == 0)):
-        for a in range(lo, w + 1):
-            if bad(a, sizes[a - 1]):
-                return f"rule 'drawn' declares {claim} but {fiber(a)}"
-    return sizes
-
-
-PERIODIC_RULES = dict(  # drawn_periodic_rule's arguments
-    prefix=st.lists(SIZES, max_size=19), block=st.lists(SIZES, min_size=1, max_size=6),
-    lie=st.none() | st.tuples(st.integers(1, DEFAULT_WINDOW), SIZES),
-    m_sup=SIZES, surjective=st.booleans(), declared_to=st.integers(0, 400),
-    flips=st.frozensets(st.integers(1, 400), max_size=3),
-)
+DRAWN_SIZES = dict(head=st.lists(SIZES, max_size=19),  # sizes=(head, block) in form, both drawn
+                   block=st.lists(st.sampled_from([0, 1, 2, 3]), min_size=1, max_size=6))
 WINDOW_SEQUENCES = st.lists(st.integers(1, 350), min_size=1, max_size=5)
 
 
-PERIOD_PAST_DECLARED = r"^rule '\w+' declares period \(\d+, \d+\), not a start past every declared infinite fiber$"
+def drawn_rule(head, block):
+    """A rule with ``sizes=(head, block)``; its eval_fn and members_fn are never read here."""
+    return SymbolicRule(name="drawn", eval_fn=lambda k: 1, members_fn=lambda a: None, sizes=(tuple(head), tuple(block)))
 
 
-def drawn_periodic_rule(prefix, block, lie, m_sup, surjective, declared_to, flips):
-    """A rule with period (len(prefix) + 1, len(block)): ``prefix``, then ``block`` repeated,
-    except that ``card_fn`` gives ``lie`` = (a, size) at a; its infinite fibers are those
-    up to ``declared_to``, with the targets in ``flips`` added or taken away. None when one
-    of them is at or past the period's start, once that declaration is refused."""
-    start, length = len(prefix) + 1, len(block)
-
-    def card(a):
-        if lie is not None and a == lie[0]:
-            return lie[1]
-        return prefix[a - 1] if a < start else block[(a - start) % length]
-
-    infinite = frozenset(flips ^ {a for a in range(1, declared_to + 1) if card(a) == math.inf})
-    drawn = dict(name="drawn", eval_fn=lambda k: 1, card_fn=card, members_fn=lambda a: None,
-                 m_sup=m_sup, surjective=surjective, infinite_fibers=infinite, period=(start, length))
-    if max(infinite, default=0) >= start:
-        with pytest.raises(ParseError, match=PERIOD_PAST_DECLARED):
-            SymbolicRule(**drawn)
-        return None
-    return SymbolicRule(**drawn)
-
-
-@given(**PERIODIC_RULES, windows=WINDOW_SEQUENCES)
-# a fiber declared infinite past the start, in the tiled range: refused when built
-@example(prefix=[], block=[1], lie=None, m_sup=0, surjective=False, declared_to=0,
-         flips=frozenset({100}), windows=[200, 64, 200])
-# infinite fibers in the block, declared up to 100 or 400: refused when built
-@example(prefix=[0], block=[math.inf, 1, 0], lie=None, m_sup=1, surjective=True, declared_to=100,
-         flips=frozenset({90}), windows=[64, 80, 350])
-@example(prefix=[2, 0], block=[math.inf, 1], lie=None, m_sup=2, surjective=False, declared_to=400,
-         flips=frozenset(), windows=[10, 350])
-# an infinite fiber declared before the start: true, so a tiled window refutes nothing
-@example(prefix=[math.inf, 2], block=[1, 0], lie=None, m_sup=2, surjective=False, declared_to=1,
-         flips=frozenset(), windows=[10, 350])
-# an infinite fiber declared before the start, over a finite fiber: the read names it
-@example(prefix=[1, 2], block=[1], lie=None, m_sup=2, surjective=True, declared_to=0,
-         flips=frozenset({2}), windows=[1, 350])
-# an undeclared infinite size in the block: the read of 1..64 names its first copy
-@example(prefix=[0], block=[1, math.inf], lie=None, m_sup=1, surjective=False, declared_to=0,
-         flips=frozenset(), windows=[2, 64, 350])
-def test_a_tiled_window_refutes_as_a_check_of_every_target_would(windows, **drawn):
-    rule = drawn_periodic_rule(**drawn)
-    if rule is None:
-        return
-    m, cached = IndexMap(rule=rule), ()
-    for w in windows:
-        expected = read_every_target(rule, cached, w)
-        if isinstance(expected, str):
-            with pytest.raises(IntegrityError) as refused:
-                m.window_sizes(w)
-            assert str(refused.value) == expected
-        else:
-            assert m.window_sizes(w) == expected
-            cached = max(cached, expected, key=len)
-
-
-@given(**PERIODIC_RULES, windows=WINDOW_SEQUENCES)
-@example(prefix=[3, 0], block=[1, 0], lie=None, m_sup=3, surjective=False, declared_to=0,
-         flips=frozenset(), windows=[1, 63, 64, 65, 66, 1000, 5000])  # the largest in the prefix
-@example(prefix=[0, 1], block=[1, 2, 0], lie=None, m_sup=2, surjective=False, declared_to=0,
-         flips=frozenset(), windows=[2, 3, 64, 65, 1000])  # the largest in the block only
-@example(prefix=[1], block=[2, math.inf], lie=None, m_sup=2, surjective=True, declared_to=400,
-         flips=frozenset(), windows=[1, 2, 3, 66, 350])  # an infinite size in the block: refused
-@example(prefix=[math.inf, 1], block=[2, 0], lie=None, m_sup=2, surjective=False, declared_to=1,
-         flips=frozenset(), windows=[1, 2, 3, 66, 350])  # an infinite size before the block
-def test_a_periodic_windows_sup_is_the_sup_of_its_first_sizes(windows, **drawn):
+@given(**DRAWN_SIZES, windows=WINDOW_SEQUENCES)
+@example(head=[], block=[1], windows=[30, 64, 100, 1000])  # past 64 through the cache
+@example(head=[3, 0], block=[1, 0], windows=[1, 63, 64, 65, 66, 1000, 5000])  # the largest in the head
+@example(head=[0, 1], block=[1, 2, 0], windows=[2, 3, 64, 65, 1000])  # the largest in the block only
+@example(head=[math.inf, 1], block=[2, 0], windows=[1, 2, 3, 66, 350])  # an infinite size in the head
+@example(head=[1] * 19, block=[0, 1, 2, 3, 2, 1], windows=[10, 19, 20, 25, 26, 350])  # the block starts at 20
+def test_a_drawn_rules_windows_are_its_sizes_and_their_sup_is_that_of_the_first(head, block, windows):
+    # every window, grown or read again through the cache, is the head and then the block repeated;
     # every size past DEFAULT_WINDOW copies one of the block, so window_sup reads no further
-    rule = drawn_periodic_rule(**drawn)
-    if rule is None:
-        return
-    m = IndexMap(rule=rule)
+    rule = drawn_rule(head, block)
+    m, card = IndexMap(rule=rule), sizes_card(rule.sizes)
     for w in windows:
-        try:
-            sizes = m.window_sizes(w)
-        except IntegrityError:
-            continue
+        sizes = m.window_sizes(w)
+        assert sizes == tuple(map(card, range(1, w + 1)))
+        assert vars(m)["_window_sizes"][:w] == sizes
         assert m.window_sup(sizes) == max(sizes)
+
+
+@given(**DRAWN_SIZES)
+@example(head=[], block=[0])  # no finite fiber is nonempty: m_sup is 0
+@example(head=[math.inf, 0], block=[0])  # an infinite fiber and no finite one nonempty
+@example(head=[math.inf, 2, math.inf], block=[1])  # two infinite fibers before a finite bound of 2
+def test_a_drawn_rules_certificates_are_exact_and_pass_the_declared_check(head, block):
+    # the certificates are those of every size up to 350, so the declared form's checks of
+    # 1..350 never refute them, and they are no looser than those sizes show
+    rule = drawn_rule(head, block)
+    sizes = IndexMap(rule=declared_form(rule)).window_sizes(350)
+    assert rule.certificates == Certificates(
+        m_sup=max((c for c in sizes if c != math.inf), default=0), surjective=0 not in sizes,
+        infinite_fibers=frozenset(a for a, c in enumerate(sizes, start=1) if c == math.inf))
 
 
 def test_certificates_beyond_the_window_are_not_refuted():
     # the declared infinite fiber over 100 lies outside the window 1..64 that a
     # first certificate read checks; it makes the derived global bound infinite
-    rule = dataclasses.replace(successor_rule(), infinite_fibers=frozenset({100}), period=None)
+    rule = declared_form(successor_rule(), infinite_fibers=frozenset({100}))
     assert fiber_report(IndexMap(rule=rule)) == math.inf
 
 
-def test_a_periodic_rules_window_past_the_certificates_is_its_period():
-    # block(2) declares period (1, 1): past 1..64 its window is tiled, so a card_fn
-    # that breaks the period only at 100 is never called there, and never refuted
-    rule = dataclasses.replace(block_rule(2), card_fn=lambda a: 3 if a == 100 else 2)
-    m = IndexMap(rule=rule)
-    assert m.window_sizes(1000) == (2,) * 1000
-    assert fiber_report(m) == 2
-
-
 def test_a_periodic_rules_size_past_the_certificates_is_its_blocks_for_every_reader():
-    # ROADMAP item 22's Gap 2: every reader takes fiber(100) of block(2) from the checked block,
-    # so a card_fn(100) = 1 that no check refutes is never read, and all of them agree
-    m = IndexMap(rule=dataclasses.replace(block_rule(2), card_fn=lambda a: 1 if a == 100 else 2))
+    # ROADMAP item 22's Gap 2: every reader takes fiber(100) of block(2) from its one statement
+    # of sizes, so all of them agree
+    m = symbolic_map("block", 2)
     e100 = from_entries(COUNTABLE, {100: 1})
     assert m.window_sizes(100)[-1] == m.fiber_card(100) == 2
     assert apply_norm_sq(m, e100) == 2.0
@@ -605,9 +544,8 @@ def test_a_periodic_rules_size_past_the_certificates_is_its_blocks_for_every_rea
 
 
 @pytest.mark.parametrize("rule, message", [
-    (dataclasses.replace(successor_rule(), period=None,
-                         card_fn=lambda a: 5 if a == 1000 else successor_rule().card_fn(a),
-                         members_fn=lambda a: frozenset(range(1, 6)) if a == 1000 else successor_rule().members_fn(a)),
+    (declared_form(successor_rule(), card_fn=lambda a: 5 if a == 1000 else int(a > 1),
+                   members_fn=lambda a: frozenset(range(1, 6)) if a == 1000 else successor_rule().members_fn(a)),
      r"^rule 'successor' declares finite-fiber bound 1 but fiber\(1000\) has size 5$"),
     (dataclasses.replace(triangular_rule(), card_fn=lambda a: math.inf if a == 1000 else a),
      r"^rule 'triangular' declares infinite fibers exactly over \[\] but fiber\(1000\) has size infinite$"),
@@ -624,9 +562,9 @@ def test_a_size_past_the_certificates_of_a_rule_without_a_period_is_checked_by_e
 @pytest.mark.parametrize("rule, target, message", [
     (dataclasses.replace(triangular_rule(), card_fn=lambda a: 0 if a == 1000 else a), 1000,
      r"^rule 'triangular' declares the map onto but fiber\(1000\) has size 0$"),
-    (dataclasses.replace(successor_rule(), period=None, card_fn=lambda a: 2 if a == 1000 else int(a > 1)), 1000,
+    (declared_form(successor_rule(), card_fn=lambda a: 2 if a == 1000 else int(a > 1)), 1000,
      r"^rule 'successor' declares finite-fiber bound 1 but fiber\(1000\) has size 2$"),
-    (dataclasses.replace(successor_rule(), infinite_fibers=frozenset({100}), period=None), 100,
+    (declared_form(successor_rule(), infinite_fibers=frozenset({100})), 100,
      r"^rule 'successor' declares infinite fibers exactly over \[100\] but fiber\(100\) has size 1$"),
 ], ids=["below_onto", "above_m_sup", "declared_infinite"])
 def test_the_one_target_check_refutes_a_size_just_outside_what_the_certificates_allow(rule, target, message):
@@ -637,57 +575,49 @@ def test_the_one_target_check_refutes_a_size_just_outside_what_the_certificates_
             op()
 
 
-@pytest.mark.parametrize("rule", [
-    successor_rule(), block_rule(3), doubling_rule(), odd_collapse_rule(),
-    dataclasses.replace(doubling_rule(), period=(3, 2)), dataclasses.replace(doubling_rule(), period=(5, 4)),
-    dataclasses.replace(successor_rule(), period=(3, 3)),
-], ids=["successor", "block3", "doubling", "odd_collapse", "doubling_3_2", "doubling_5_4", "successor_3_3"])
+@pytest.mark.parametrize("rule, shipped", [
+    (successor_rule(), successor_rule()), (block_rule(3), block_rule(3)), (doubling_rule(), doubling_rule()),
+    (odd_collapse_rule(), odd_collapse_rule()),
+    # the same sizes stated with a longer head or block
+    (dataclasses.replace(doubling_rule(), sizes=((0, 1), (0, 1))), doubling_rule()),
+    (dataclasses.replace(doubling_rule(), sizes=((0, 1, 0, 1), (0, 1, 0, 1))), doubling_rule()),
+    (dataclasses.replace(successor_rule(), sizes=((0, 1), (1, 1, 1))), successor_rule()),
+], ids=["successor", "block3", "doubling", "odd_collapse", "doubling_2_2", "doubling_4_4", "successor_2_3"])
 @given(targets=st.lists(st.integers(1, 10 ** 4), max_size=40))
-def test_a_periodic_rules_sizes_at_targets_in_any_order_are_its_card_fn(rule, targets):
-    # before the start from the head, past it by the residue; targets come unsorted and repeated
-    assert list(IndexMap(rule=rule).sizes_at(targets)) == list(map(rule.card_fn, targets))
+def test_a_periodic_rules_sizes_at_targets_in_any_order_are_its_sizes(rule, shipped, targets):
+    # in the head from it, past it by the residue; targets come unsorted and repeated
+    assert list(IndexMap(rule=rule).sizes_at(targets)) == list(map(sizes_card(shipped.sizes), targets))
 
 
-def test_a_period_broken_inside_the_certificates_read_is_refuted():
-    # ROADMAP item 22's Gap 2: every size is within m_sup and nonzero, and the members
-    # 79 and 80 of fiber(40) lie past the tally of eval_fn over 1..64
-    rule = dataclasses.replace(block_rule(2), card_fn=lambda a: 1 if a == 40 else 2)
-    m = IndexMap(rule=rule)
-    for _ in range(2):  # a failed read caches nothing
-        with pytest.raises(IntegrityError, match=r"^rule 'block' declares period \(1, 1\) but "
-                                                 r"fiber\(40\) has size 1 and fiber\(39\) has size 2$"):
-            fiber_report(m)
-    assert m.window_sizes(39) == (2,) * 39
-
-
-@pytest.mark.parametrize("period", [
-    (0, 1), (1, 0), (-1, 2), (32, 33), (64, 1), (1, 64), (2,), (1, 2, 3), [2, 1], (1.0, 1),
-    (True, 1), (1, math.inf), "21", 3,
+@pytest.mark.parametrize("sizes", [
+    ((), ()), ((-1,), (1,)), ((), (-1,)), ((), (math.inf,)), ((1, math.inf), (0, math.inf)), ((1.0,), (1,)),
+    ((), (1.5,)), ((True,), (1,)), ((), (False,)), ((math.nan,), (1,)), ((-math.inf,), (1,)),
+    ((0,) * 32, (1,) * 32), ((), (1,) * 64), ([0], (1,)), ((0,), [1]), ((), (1,), ()), ((1,),), (1, 1), "21",
 ])
-def test_a_period_outside_its_form_is_refused(period):
-    with pytest.raises(ParseError, match=r"declares period .* not None or two ints start, length >= 1"
-                                         r" with start \+ length <= 64$"):
-        dataclasses.replace(successor_rule(), period=period)
+def test_sizes_outside_their_form_are_refused(sizes):
+    with pytest.raises(ParseError, match=r"^rule 'successor' declares sizes .*, not a head of ints >= 0 or"
+                                         r" math.inf and a block of one or more ints >= 0, 63 sizes at most$"):
+        dataclasses.replace(successor_rule(), sizes=sizes)
 
 
-@pytest.mark.parametrize("rule", [
-    # sizes 2, 0, then inf, 1 repeating, with every infinite copy up to 400 declared: a finite
-    # set that no window short of the first undeclared copy, at 401, refutes
-    lambda: SymbolicRule(name="drawn", eval_fn=lambda k: 1,
-                         card_fn=lambda a: (2, 0)[a - 1] if a < 3 else (math.inf, 1)[(a - 3) % 2],
-                         members_fn=lambda a: None, m_sup=2, surjective=False,
-                         infinite_fibers=frozenset(range(3, 401, 2)), period=(3, 2)),
-    lambda: dataclasses.replace(successor_rule(), infinite_fibers=frozenset({2})),  # at the start
-    lambda: dataclasses.replace(successor_rule(), infinite_fibers=frozenset({100})),  # past 1..64
-], ids=["an_infinite_block_size", "successor_2", "successor_100"])
-def test_a_period_that_would_repeat_a_declared_infinite_fiber_is_refused(rule):
-    with pytest.raises(ParseError, match=PERIOD_PAST_DECLARED):
-        rule()
+@pytest.mark.parametrize("sizes", [
+    ((), (1,)), ((math.inf,) * 62, (0,)), ((), (1,) * 63), ((0,) * 31, (2,) * 32), ((math.inf, 0, 5), (0, 10 ** 300)),
+])
+def test_sizes_in_their_form_are_accepted(sizes):
+    assert dataclasses.replace(successor_rule(), sizes=sizes).sizes == sizes
 
 
-@pytest.mark.parametrize("period", [None, (1, 1), (2, 1), (63, 1), (1, 63), (32, 32)])
-def test_a_period_in_its_form_is_accepted(period):
-    assert dataclasses.replace(block_rule(1), period=period).period == period
+@pytest.mark.parametrize("changes, message", [
+    (dict(card_fn=lambda a: 1), "needs exactly one of sizes and card_fn"),
+    (dict(sizes=None), "needs exactly one of sizes and card_fn"),
+    (dict(m_sup=1), "declares m_sup 1, not None: a rule with sizes derives its certificates"),
+    (dict(surjective=False), "declares surjective False, not None: a rule with sizes derives its certificates"),
+    (dict(infinite_fibers=frozenset()), "declares infinite_fibers frozenset(), not None: a rule with sizes"
+                                        " derives its certificates"),
+])
+def test_a_rule_states_its_sizes_one_way(changes, message):
+    with pytest.raises(ParseError, match=f"^rule 'successor' {re.escape(message)}$"):
+        dataclasses.replace(successor_rule(), **changes)
 
 
 # --- derived certificates -------------------------------------------------
@@ -704,26 +634,27 @@ def test_a_period_in_its_form_is_accepted(period):
     (doubling_rule(), 1, True),
     (odd_collapse_rule(), math.inf, False),
     # successor's three certificates with one of them changed
-    (dataclasses.replace(successor_rule(), m_sup=math.inf), math.inf, False),
-    (dataclasses.replace(successor_rule(), infinite_fibers=frozenset({1})), math.inf, False),
+    (declared_form(successor_rule(), m_sup=math.inf), math.inf, False),
+    (declared_form(successor_rule(), infinite_fibers=frozenset({1})), math.inf, False),
 ], ids=["successor", "clamp_pred", "block1", "block2", "block3", "block4", "triangular",
         "doubling", "odd_collapse", "m_sup_infinite", "infinite_fiber_over_1"])
 def test_derived_sup_card_and_injective(rule, sup, injective):
-    assert rule.sup_card == sup
-    assert rule.injective is injective
+    assert rule.certificates.sup_card == sup
+    assert rule.certificates.injective is injective
 
 
 def test_symbolic_rule_has_three_certificate_fields():
     fields = {f.name: f for f in dataclasses.fields(SymbolicRule)}
-    assert set(fields) == {"name", "eval_fn", "card_fn", "members_fn",
-                           "m_sup", "surjective", "infinite_fibers", "param", "period"}
-    for name in ("m_sup", "surjective", "infinite_fibers"):  # required: a rule states all three
-        assert fields[name].default is dataclasses.MISSING
-        assert fields[name].default_factory is dataclasses.MISSING
-    assert fields["period"].default is None  # the fourth is optional
-    with pytest.raises(TypeError, match="infinite_fibers"):
+    assert set(fields) == {"name", "eval_fn", "members_fn", "sizes", "card_fn",
+                           "m_sup", "surjective", "infinite_fibers", "param", "certificates"}
+    for name in ("sizes", "card_fn", "m_sup", "surjective", "infinite_fibers"):  # one way of two
+        assert fields[name].default is None
+    assert not fields["certificates"].init and not fields["certificates"].compare  # derived, never given
+    with pytest.raises(ParseError, match=r"^rule 'partial' declares infinite_fibers None, not a frozenset"):
         SymbolicRule(name="partial", eval_fn=int, card_fn=int, members_fn=frozenset,
-                     m_sup=1, surjective=True)
+                     m_sup=1, surjective=True)  # a rule with card_fn states all three
+    for rule in (successor_rule(), triangular_rule()):  # never None, derived or declared
+        assert None not in (rule.certificates.m_sup, rule.certificates.surjective, rule.certificates.infinite_fibers)
 
 
 @pytest.mark.parametrize("m", [
@@ -756,7 +687,7 @@ def _counting(rule):
     return dataclasses.replace(rule, card_fn=card), calls
 
 
-@pytest.mark.parametrize("rule", [successor_rule(), triangular_rule()],
+@pytest.mark.parametrize("rule", [declared_form(successor_rule()), triangular_rule()],
                          ids=["certified", "unbounded"])  # triangular's domain report adds records
 def test_analyze_scans_each_window_once(rule):
     counted, calls = _counting(rule)
@@ -770,10 +701,7 @@ def test_analyze_scans_each_window_once(rule):
     m.window_sizes(12)
     assert len(calls) == 64  # a smaller window is a prefix of the cached scan
     m.window_sizes(100)
-    if rule.period is None:
-        assert calls == list(range(1, 101))  # a larger one scans the targets beyond it
-    else:
-        assert calls == list(range(1, 65))  # a larger one tiles the period past the certificates' read
+    assert calls == list(range(1, 101))  # a larger one scans the targets beyond it
     assert m.window_sizes(100) == tuple(rule.card_fn(a) for a in range(1, 101))
 
 
@@ -787,7 +715,7 @@ def test_domain_report_reads_no_target_past_the_certificates():
 
 
 def test_window_cache_keeps_refuting_beyond_it():
-    rule = dataclasses.replace(successor_rule(), infinite_fibers=frozenset({100}), period=None)
+    rule = declared_form(successor_rule(), infinite_fibers=frozenset({100}))
     m = IndexMap(rule=rule)
     assert m.window_sizes(8) == (0,) + (1,) * 7
     for _ in range(2):  # a failed scan is not cached
@@ -802,20 +730,24 @@ def test_window_cache_keeps_refuting_beyond_it():
 ], ids=[*(name for name in BUILTIN_RULES if name != "block"), "block1", "block2", "block3"])
 @example(windows=[30, 64, 100, 1000])  # tiles from targets 65 and 101 once the cache is past 64
 @given(windows=st.lists(st.integers(1, 5000), min_size=1, max_size=6))
-def test_the_window_cache_is_card_fn_over_every_window(rule, windows):
-    m = IndexMap(rule=rule)
+def test_the_window_cache_is_the_rules_sizes_over_every_window(rule, windows):
+    m, card = IndexMap(rule=rule), rule.card_fn or sizes_card(rule.sizes)
     for w in windows:
         sizes = m.window_sizes(w)
         assert len(sizes) == w
         assert vars(m)["_window_sizes"][:w] == sizes
-        assert sizes == tuple(map(rule.card_fn, range(1, w + 1)))
+        assert sizes == tuple(map(card, range(1, w + 1)))
 
 
-def test_a_periodic_window_at_the_search_cap_is_card_fn():
-    rule = doubling_rule()  # a period of length 2: the tile's offset alternates
-    m = IndexMap(rule=rule)
-    assert m.window_sizes(SEARCH_CAP - 1) == tuple(map(rule.card_fn, range(1, SEARCH_CAP)))
-    assert m.window_sizes(SEARCH_CAP) == tuple(map(rule.card_fn, range(1, SEARCH_CAP + 1)))
+def test_a_periodic_window_at_the_search_cap_is_its_sizes():
+    rule = clamp_pred_rule()  # a head, and a window that grows past it
+    card, m = sizes_card(rule.sizes), IndexMap(rule=rule)
+    assert m.window_sizes(SEARCH_CAP - 1) == tuple(map(card, range(1, SEARCH_CAP)))
+    assert m.window_sizes(SEARCH_CAP) == tuple(map(card, range(1, SEARCH_CAP + 1)))
+    rule = doubling_rule()  # a block of length 2: the tile's offset alternates
+    card, m = sizes_card(rule.sizes), IndexMap(rule=rule)
+    assert m.window_sizes(SEARCH_CAP - 1) == tuple(map(card, range(1, SEARCH_CAP)))
+    assert m.window_sizes(SEARCH_CAP) == tuple(map(card, range(1, SEARCH_CAP + 1)))
 
 
 @given(finite_maps(max_n=12), st.integers(1, 100))
@@ -835,7 +767,7 @@ def test_witnesses_read_each_target_once():
     m = IndexMap(rule=counted)
     assert len(divergence_witness(m, 100).fiber_sizes) == 100
     assert calls == list(range(1, 101))
-    counted, calls = _counting(doubling_rule())
+    counted, calls = _counting(declared_form(doubling_rule()))
     m = IndexMap(rule=counted)
     assert tuple(witness_sequence(m, 30).indices) == tuple(range(2, 61, 2))
     assert calls == list(range(1, 65))  # the window 1..30, then the certificates' 31..64
@@ -1007,9 +939,9 @@ def test_verify_fiber_soundness_catches_bad_members():
         surjective=True,
         infinite_fibers=frozenset(),
     )
-    # card_fn disagreeing with the member set: a finite size, then an infinite fiber
-    wrong_size = dataclasses.replace(successor_rule(), card_fn=lambda a: 2)
-    finite_for_infinite = dataclasses.replace(odd_collapse_rule(), card_fn=lambda a: 1)
+    # sizes disagreeing with the member set: a finite size, then an infinite fiber
+    wrong_size = dataclasses.replace(successor_rule(), sizes=((2,), (2,)))
+    finite_for_infinite = dataclasses.replace(odd_collapse_rule(), sizes=((1,), (1,)))
     for rule, window, error in ((broken, 5, "contains"),
                                 (wrong_size, 100, r"fiber\(1\) has size 2"),
                                 (finite_for_infinite, 5, r"fiber\(1\) has size 1")):
