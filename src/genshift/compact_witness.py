@@ -54,8 +54,8 @@ def witness_sequence(m: IndexMap, count: int) -> WitnessSequence:
     """Non-compactness certificate on the unbounded index set.
 
     Collects the ``count`` smallest indices with nonempty fibers, reading
-    fiber sizes through ``IndexMap.scan`` (so every window read is checked
-    against the certificates) up to ``SEARCH_CAP`` targets. Requires a map
+    fiber sizes through ``IndexMap.scan`` up to ``SEARCH_CAP`` targets, once
+    ``m.certificates`` has checked the rule. Requires a map
     with a certified finite fiber bound (for unbounded maps the operator
     does not even act within the square-summable family).
     """
@@ -63,7 +63,6 @@ def witness_sequence(m: IndexMap, count: int) -> WitnessSequence:
         raise UnsupportedError("finite index set: the operator is compact, no witness exists")
     if count < 2:
         raise ParseError(f"need at least 2 witness vectors, got {count}")
-    m.window_sizes(min(count, SEARCH_CAP))  # the scan's first window: refutes a false certificate
     if m.certificates.sup_card == math.inf:
         raise UnsupportedError("witness needs a map with a certified finite fiber bound")
     # bounded fibers are finite, so this skips exactly the empty ones
@@ -73,5 +72,5 @@ def witness_sequence(m: IndexMap, count: int) -> WitnessSequence:
     if len(indices) < count:  # the search budget: SEARCH_CAP targets may hold fewer nonempty fibers
         raise UnsupportedError(f"only {len(indices)} nonempty fibers within {SEARCH_CAP} targets; "
                                f"need {count}")
-    sizes = tuple(filter(None, m.window_sizes(indices[-1])))  # scanned and checked: the cache
+    sizes = tuple(filter(None, m.window_sizes(indices[-1])))  # scanned: the cache
     return WitnessSequence(indices, sizes)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import repeat, tee
 from operator import mul, truediv
 from typing import Iterator
 
@@ -93,7 +93,7 @@ class DivergenceWitness:
     @property
     def vector_norm_sq(self) -> float:
         """``norm_sq(self.vector)``: the same terms, summed without building the vector."""
-        return math.fsum(map(mul, self.weights, self.weights))
+        return math.fsum(map(mul, *tee(self.weights)))  # each 1/k computed once
 
 
 def divergence_witness(m: IndexMap, K: int) -> DivergenceWitness:
@@ -106,7 +106,6 @@ def divergence_witness(m: IndexMap, K: int) -> DivergenceWitness:
     """
     if K < 1:
         raise ParseError(f"K must be >= 1, got {K}")
-    m.window_sizes(min(K, SEARCH_CAP))  # the scan's first window: refutes a false certificate
     if m.certificates.closed:
         raise UnsupportedError(f"map is certified bounded over M (fiber bound {m.certificates.m_sup})")
     indices, sizes = fiber_records(m, K)

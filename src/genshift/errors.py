@@ -11,7 +11,7 @@ class ParseError(GenShiftError, ValueError):
 
 
 class IntegrityError(GenShiftError, RuntimeError):
-    """A symbolic rule contradicts its own declared certificate."""
+    """A symbolic rule contradicts itself: its images, stated sizes and members disagree."""
 
 
 class UnsupportedError(GenShiftError, RuntimeError):

@@ -6,19 +6,16 @@ an int, or math.inf for an infinite fiber. A map is built one way, from an
 image table or a symbolic rule, and stores only that; its domain, exact fiber
 oracle and one certificate record, ``IndexMap.certificates``, are derived on
 first read: a table reads exact ones off its fiber sizes, and a rule's come from
-the rule, so every verdict is a plain value. A periodic rule states its sizes
-once, as ``sizes=(head, block)``, and its certificates are derived from them;
-any other rule reads its sizes by ``card_fn`` and declares its certificates.
+the rule, so every verdict is a plain value. A rule states its sizes once, as
+``sizes=(head, block, step)``, and its certificates are derived from them.
 Fiber sizes are read in one place, ``IndexMap``: a window by ``window_sizes``, a
 search past it by ``scan``, a rule's given targets by ``sizes_at`` and
-``members_at``. A window read refutes a false declared certificate;
-``certificates`` reads one first and tallies a rule's images of it against its
-sizes, and every other read of a rule reads ``certificates`` first. A rule's
-images are read in one place, ``_image``, which refuses one outside the index
-set, and each size that ``sizes_at`` reads by ``card_fn`` is checked against the
-certificates as a one-target window. A window of a rule with ``sizes`` is a tuple
-repetition of the block with the head prepended, and its largest size is that of
-the read of 1..DEFAULT_WINDOW (``window_sup``).
+``members_at``. ``certificates`` tallies a rule's images of 1..DEFAULT_WINDOW
+against its sizes, and every other read of a rule reads ``certificates`` first. A
+rule's images are read in one place, ``_image``, which refuses one outside the
+index set. A rule's window is tiled from its sizes: the head, then the block
+repeated with each row ``step`` above the last (one ``range`` per residue), and its
+largest size is that of its first and last DEFAULT_WINDOW targets (``window_sup``).
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import IntegrityError, NotInL2, ParseError, UnsupportedError
@@ -118,27 +115,20 @@ class SymbolicRule:
     """A self-map of the positive integers with closed-form fiber structure.
 
     ``members_fn`` must be exact: None over an infinite fiber, else its complete
-    preimage set. A rule states its fiber sizes in exactly one of two ways. A
-    periodic rule gives ``sizes=(head, block)``: target a has size ``head[a - 1]``
-    while a <= len(head), and ``block`` repeats after that; the head holds ints >= 0
-    or math.inf, the block one or more ints >= 0, and both together at most
-    DEFAULT_WINDOW - 1 sizes, so the read of 1..DEFAULT_WINDOW holds a whole block.
-    Its three certificates are derived from them, never declared. Any other rule
-    gives ``card_fn``, exact like ``members_fn`` (math.inf over an infinite fiber),
-    and declares ``m_sup``, ``surjective`` and ``infinite_fibers``, checked here for
-    form (an int >= 0 or math.inf, a bool, a frozenset of ints >= 1) and for truth by
-    ``IndexMap.window_sizes``, which raises IntegrityError when a scanned window
-    contradicts one. ``certificates`` is the record of the three, either way.
+    preimage set. A rule states its fiber sizes once, as ``sizes=(head, block, step)``:
+    target a has size ``head[a - 1]`` while a <= len(head), and past the head
+    ``block[r] + step * q``, where ``q, r = divmod(a - 1 - len(head), len(block))``, so
+    a step of 0 repeats the block. The head holds ints >= 0 or math.inf, the block one
+    or more ints >= 0, both together at most DEFAULT_WINDOW - 1 sizes, so the read of
+    1..DEFAULT_WINDOW holds a whole block, and the step is an int >= 0. ``certificates``
+    is derived from them, never declared: ``m_sup`` is math.inf when the step is not 0,
+    else the largest finite size.
     """
 
     name: str
     eval_fn: Callable[[int], int]
     members_fn: Callable[[int], frozenset[int] | None]
-    sizes: tuple[tuple[int | float, ...], tuple[int, ...]] | None = None
-    card_fn: Callable[[int], int | float] | None = None
-    m_sup: int | float | None = None
-    surjective: bool | None = None
-    infinite_fibers: frozenset[int] | None = None
+    sizes: tuple[tuple[int | float, ...], tuple[int, ...], int]
     param: int | None = None
     certificates: Certificates = field(init=False, repr=False, compare=False)
 
@@ -146,33 +136,18 @@ class SymbolicRule:
         def count(x: object) -> bool:
             return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
-        def refuse(key: str, what: str) -> None:
-            raise ParseError(f"rule {self.name!r} declares {key} {getattr(self, key)!r}, not {what}")
-
-        if (self.sizes is None) == (self.card_fn is None):
-            raise ParseError(f"rule {self.name!r} needs exactly one of sizes and card_fn")
-        if self.sizes is not None:
-            for key in ("m_sup", "surjective", "infinite_fibers"):
-                if getattr(self, key) is not None:
-                    refuse(key, "None: a rule with sizes derives its certificates")
-            sizes = self.sizes
-            if not (isinstance(sizes, tuple) and len(sizes) == 2 and all(isinstance(part, tuple) for part in sizes)
-                    and all(count(c) or c == math.inf for c in sizes[0])
-                    and 0 < len(sizes[1]) < DEFAULT_WINDOW - len(sizes[0]) and all(map(count, sizes[1]))):
-                refuse("sizes", f"a head of ints >= 0 or math.inf and a block of one or more ints >= 0,"
-                                f" {DEFAULT_WINDOW - 1} sizes at most")
-            head, every = sizes[0], sizes[0] + sizes[1]
-            cert = Certificates(m_sup=max((c for c in every if c != math.inf), default=0), surjective=0 not in every,
-                                infinite_fibers=frozenset(a for a, c in enumerate(head, start=1) if c == math.inf))
-        else:
-            if not (count(self.m_sup) or self.m_sup == math.inf):  # nan, a float, a bool fail
-                refuse("m_sup", "an int >= 0 or math.inf")
-            if not isinstance(self.surjective, bool):
-                refuse("surjective", "a bool")
-            if not (isinstance(self.infinite_fibers, frozenset)
-                    and all(count(a) and a >= 1 for a in self.infinite_fibers)):
-                refuse("infinite_fibers", "a frozenset of ints >= 1")
-            cert = Certificates(m_sup=self.m_sup, surjective=self.surjective, infinite_fibers=self.infinite_fibers)
+        sizes = self.sizes
+        if not (isinstance(sizes, tuple) and len(sizes) == 3 and all(isinstance(part, tuple) for part in sizes[:2])
+                and all(count(c) or c == math.inf for c in sizes[0])
+                and 0 < len(sizes[1]) < DEFAULT_WINDOW - len(sizes[0]) and all(map(count, sizes[1]))
+                and count(sizes[2])):
+            raise ParseError(f"rule {self.name!r} declares sizes {sizes!r}, not a head of ints >= 0 or math.inf and a"
+                             f" block of one or more ints >= 0, {DEFAULT_WINDOW - 1} sizes at most, and a step >= 0")
+        head, block, step = sizes
+        every = head + block
+        cert = Certificates(m_sup=math.inf if step else max((c for c in every if c != math.inf), default=0),
+                            surjective=0 not in every,
+                            infinite_fibers=frozenset(a for a, c in enumerate(head, start=1) if c == math.inf))
         if math.inf > cert.m_sup > sys.float_info.max:  # exact for ints; the norm must be a float
             raise ParseError(f"rule {self.name!r} declares finite-fiber bound past the float range")
         object.__setattr__(self, "certificates", cert)
@@ -252,8 +227,8 @@ class IndexMap:
 
     @memo
     def certificates(self) -> Certificates:
-        """Proved fiber facts: exact for a table; a rule's, once 1..DEFAULT_WINDOW checks them
-        and ``eval_fn`` sends no more of 1..DEFAULT_WINDOW to a target there than its fiber holds."""
+        """Proved fiber facts: exact for a table; a rule's, derived from its sizes, once ``eval_fn``
+        sends no more of 1..DEFAULT_WINDOW to a target there than its stated fiber holds."""
         if self.rule is not None:
             _check_images(self.rule, self.window_sizes(DEFAULT_WINDOW))
             return self.rule.certificates
@@ -263,12 +238,10 @@ class IndexMap:
     def window_sizes(self, window: int) -> tuple[int | float, ...]:
         """Fiber sizes over targets 1..window (math.inf if infinite); all n for a table.
 
-        The one check that a window is in 1..SEARCH_CAP, and of a declared rule's
-        certificates: the targets a ``card_fn`` read adds are checked against them, then
-        cached (a smaller window is a prefix of the cache), so each size is checked once.
-        A rule with ``sizes`` has its window tiled from them, a tuple repetition of the
-        block with the head prepended, and cached; its certificates are derived from
-        the same sizes, so nothing is read by ``card_fn`` and nothing needs a check.
+        The one check that a window is in 1..SEARCH_CAP. A rule's window is tiled from its
+        ``sizes`` and cached (a smaller window is a prefix of the cache): the targets it adds
+        are those of the head, then a slice of the block's rows that they touch. A step of 0
+        repeats the block; any other step fills each residue of it from one ``range``.
         """
         if not 1 <= window <= SEARCH_CAP:
             raise ParseError(f"window must be in 1..{SEARCH_CAP}, got {window}")
@@ -277,24 +250,25 @@ class IndexMap:
         scanned = self.__dict__.get("_window_sizes", ())
         if window <= len(scanned):
             return scanned[:window]
-        rule, lo = self.rule, len(scanned) + 1
-        if rule.sizes is None:
-            added = tuple(map(rule.card_fn, range(lo, window + 1)))
-            _check_certificates(rule, added, lo)
-        else:  # the added targets of the head, then those of the block, sliced once from its repetition
-            head, block = rule.sizes
-            skip = max(lo - 1 - len(head), 0)  # the block's targets already cached
-            n, offset = window - len(head) - skip, skip % len(block)
-            added = head[lo - 1:window] + (block * ((offset + n - 1) // len(block) + 1))[offset:offset + n]
-        sizes = self.__dict__["_window_sizes"] = scanned + added  # no copy on a first read
+        head, block, step = self.rule.sizes
+        length, skip = len(block), max(len(scanned) - len(head), 0)  # the block's targets already cached
+        n, (q, offset) = window - len(head) - skip, divmod(skip, length)
+        rows = (offset + n - 1) // length + 1  # rows q, q + 1, ... of the block hold the added targets
+        if not step:
+            tiled = block * rows
+        else:  # one range per residue, interleaved; the one range of a block of one size, as it is
+            ranges = [range(c + step * q, c + step * (q + rows), step) for c in block]
+            tiled = ranges[0] if length == 1 else tuple(chain.from_iterable(zip(*ranges)))
+        sizes = scanned + head[len(scanned):window] + tuple(tiled[offset:offset + n])  # no copy on a first read
+        self.__dict__["_window_sizes"] = sizes
         return sizes
 
     def window_sup(self, sizes: tuple[int | float, ...]) -> int | float:
-        """The largest of ``sizes``, a read of ``window_sizes``. A rule with ``sizes`` takes it
-        over the first min(len(sizes), DEFAULT_WINDOW) sizes alone: those hold its head and a
-        whole block, so every size past them copies one of them."""
-        if self.rule is not None and self.rule.sizes is not None:
-            sizes = sizes[:DEFAULT_WINDOW]
+        """The largest of ``sizes``, a read of ``window_sizes``. A rule's is taken over its first and
+        last DEFAULT_WINDOW sizes alone: the first hold its head, and the last a whole block, each
+        size of which is the latest, so the largest, of its residue (the step is >= 0)."""
+        if self.rule is not None:
+            sizes = sizes[:DEFAULT_WINDOW] + sizes[-DEFAULT_WINDOW:]
         return max(sizes)
 
     def scan(self, first: int) -> Iterator[tuple[int, tuple[int | float, ...]]]:
@@ -314,27 +288,18 @@ class IndexMap:
             seen, window = len(sizes), 2 * window
 
     def sizes_at(self, targets: Iterable[int]) -> Iterator[int | float]:
-        """A rule's fiber sizes over ``targets`` (ints >= 1), read lazily once ``certificates`` has
-        checked the rule: off its ``sizes``, past the head from the block; or by ``card_fn``, each
-        checked as a one-target window unless an int in int(surjective)..m_sup off a declared
-        infinite fiber, which no certificate refutes."""
-        rule, _ = self.rule, self.certificates  # checks the rule
-        if rule.sizes is None:
-            card, lo, hi, infinite = rule.card_fn, int(rule.surjective), rule.m_sup, rule.infinite_fibers
-
-            def checked(a: int) -> int | float:
-                if type(c := card(a)) is not int or not lo <= c <= hi or a in infinite:
-                    _check_certificates(rule, (c,), a)
-                return c
-            return map(checked, targets)
-        head, block = rule.sizes
+        """A rule's fiber sizes over ``targets`` (ints >= 1), read lazily off its ``sizes`` once
+        ``certificates`` has checked the rule: in the head from it, past it from the block."""
+        (head, block, step), _ = self.rule.sizes, self.certificates  # checks the rule
         start, length = len(head), len(block)
-        return (head[a - 1] if a <= start else block[(a - 1 - start) % length] for a in targets)
+        return (head[a - 1] if a <= start else block[(t := a - 1 - start) % length] + step * (t // length)
+                for a in targets)
 
     def members_at(self, targets: Sequence[int]) -> list[frozenset[int]]:
         """A rule's fibers over ``targets``, all sizes read first: the first target whose running
         total passes SEARCH_CAP raises NotInL2 if infinite, else UnsupportedError. ``members_fn``
-        is then read once per target, and IntegrityError names the first fiber of the wrong length."""
+        is then read once per target, and IntegrityError names the first fiber that it lists with
+        the wrong number of members, or as None."""
         sizes = list(self.sizes_at(targets))
         if math.inf in sizes or sum(sizes) > SEARCH_CAP:  # no float sum: inf + 10**400 overflows
             i, total = next((i, t) for i, t in enumerate(accumulate(sizes)) if t > SEARCH_CAP)
@@ -344,10 +309,14 @@ class IndexMap:
                      else f"the image has {total} entries or more")
             raise UnsupportedError(f"{found}, above SEARCH_CAP = {SEARCH_CAP}")
         fibers = list(map(self.rule.members_fn, targets))
-        if list(map(len, fibers)) != sizes:
-            theta, size, fiber = next(t for t in zip(targets, sizes, fibers) if len(t[2]) != t[1])
-            raise IntegrityError(f"rule {self.rule.name!r} has len(members_fn({theta})) == {len(fiber)}"
-                                 f" but {describe_fiber(theta, size)}")
+        try:
+            listed = list(map(len, fibers))
+        except TypeError:  # a None over a finite fiber
+            listed = None
+        if listed != sizes:
+            theta, size, fiber = next(t for t in zip(targets, sizes, fibers) if t[2] is None or len(t[2]) != t[1])
+            shown = f"members_fn({theta}) == None" if fiber is None else f"len(members_fn({theta})) == {len(fiber)}"
+            raise IntegrityError(f"rule {self.rule.name!r} has {shown} but {describe_fiber(theta, size)}")
         return fibers
 
     def fiber_card(self, alpha: int) -> int | float:
@@ -384,7 +353,7 @@ def successor_rule() -> SymbolicRule:
         name="successor",
         eval_fn=lambda k: k + 1,
         members_fn=lambda a: frozenset() if a == 1 else frozenset((a - 1,)),
-        sizes=((0,), (1,)),
+        sizes=((0,), (1,), 0),
     )
 
 
@@ -394,7 +363,7 @@ def clamp_pred_rule() -> SymbolicRule:
         name="clamp_pred",
         eval_fn=lambda k: 1 if k == 1 else k - 1,
         members_fn=lambda a: frozenset((1, 2)) if a == 1 else frozenset((a + 1,)),
-        sizes=((2,), (1,)),
+        sizes=((2,), (1,), 0),
     )
 
 
@@ -406,7 +375,7 @@ def block_rule(b: int) -> SymbolicRule:
         name="block",
         eval_fn=lambda k: (k - 1) // b + 1,
         members_fn=lambda a: frozenset(range(b * (a - 1) + 1, b * a + 1)),
-        sizes=((), (b,)),
+        sizes=((), (b,), 0),
         param=b,
     )
 
@@ -421,11 +390,8 @@ def triangular_rule() -> SymbolicRule:
     return SymbolicRule(
         name="triangular",
         eval_fn=lambda j: (1 + math.isqrt(8 * j - 7)) // 2,
-        card_fn=lambda a: a,
         members_fn=lambda a: frozenset(range(a * (a - 1) // 2 + 1, a * (a + 1) // 2 + 1)),
-        m_sup=math.inf,
-        surjective=True,
-        infinite_fibers=frozenset(),
+        sizes=((), (1,), 1),
     )
 
 
@@ -435,7 +401,7 @@ def doubling_rule() -> SymbolicRule:
         name="doubling",
         eval_fn=lambda k: 2 * k,
         members_fn=lambda a: frozenset((a // 2,)) if a % 2 == 0 else frozenset(),
-        sizes=((), (0, 1)),
+        sizes=((), (0, 1), 0),
     )
 
 
@@ -449,7 +415,7 @@ def odd_collapse_rule() -> SymbolicRule:
         name="odd_collapse",
         eval_fn=lambda k: 1 if k % 2 == 1 else k // 2 + 1,
         members_fn=lambda a: None if a == 1 else frozenset((2 * (a - 1),)),
-        sizes=((math.inf,), (1,)),
+        sizes=((math.inf,), (1,), 0),
     )
 
 
@@ -527,33 +493,6 @@ def finite_runs(infinite_fibers: frozenset[int], start: int, stop: int) -> list[
     infinite = sorted(a for a in infinite_fibers if start <= a < stop)
     edges = (start - 1, *infinite, stop)
     return [range(lo + 1, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo + 1]
-
-
-def _check_certificates(rule: SymbolicRule, sizes: tuple[int | float, ...], start: int) -> None:
-    """Raise IntegrityError when a declared certificate contradicts the ``card_fn`` sizes of targets
-    start, start + 1, ... (a rule with ``sizes`` declares none).
-
-    A window can refute a finite ``m_sup``, a claim of surjectivity, and the
-    infinite-fiber set restricted to the window, never an unbounded or a
-    negative certificate. A window that refutes the derived ``sup_card`` or
-    ``injective`` refutes ``m_sup`` or ``infinite_fibers``. The latter is checked
-    first, so the ``peak`` size over its ``finite_runs`` is finite for ``m_sup``.
-    """
-
-    def refute(claim: str, bad: Callable[[int, int | float], bool]) -> None:
-        a, c = next((a, c) for a, c in enumerate(sizes, start=start) if bad(a, c))
-        raise IntegrityError(f"rule {rule.name!r} declares {claim} but {describe_fiber(a, c)}")
-
-    declared, stop = rule.infinite_fibers, start + len(sizes)
-    peak = max((max(sizes[r.start - start:r.stop - start])
-                for r in finite_runs(declared, start, stop)), default=0)
-    if peak == math.inf or any(sizes[a - start] != math.inf for a in declared if start <= a < stop):
-        refute(f"infinite fibers exactly over {sorted(declared)}",
-               lambda a, c: (c == math.inf) != (a in declared))
-    if peak > rule.m_sup:
-        refute(f"finite-fiber bound {rule.m_sup}", lambda a, c: rule.m_sup < c < math.inf)
-    if rule.surjective and 0 in sizes:
-        refute("the map onto", lambda a, c: c == 0)
 
 
 def _image(rule: SymbolicRule, beta: int) -> int:

@@ -164,20 +164,27 @@ def map_and_vector(draw, min_n=2, max_n=8, values=scalars):
 
 
 def sizes_card(sizes):
-    """The size function that ``sizes=(head, block)`` states: ``head[a - 1]`` while a <= len(head),
-    then ``block`` repeated; written apart from ``IndexMap`` so that tests can compare with it."""
-    head, block = sizes
-    return lambda a: head[a - 1] if a <= len(head) else block[(a - len(head) - 1) % len(block)]
+    """The size function that ``sizes=(head, block, step)`` states: ``head[a - 1]`` while
+    a <= len(head), then ``block[r] + step * q`` with ``q, r = divmod(a - 1 - len(head), len(block))``;
+    written apart from ``IndexMap`` so that tests can compare with it."""
+    head, block, step = sizes
+
+    def card(a):
+        if a <= len(head):
+            return head[a - 1]
+        q, r = divmod(a - 1 - len(head), len(block))
+        return block[r] + step * q
+    return card
 
 
-def declared_form(rule: SymbolicRule, **changes) -> SymbolicRule:
-    """A rule with ``sizes`` restated in the declared form: ``sizes_card`` as its ``card_fn``
-    and its derived certificates declared, then ``changes`` applied. A liar test changes one
-    certificate or the ``card_fn``, which the form with ``sizes`` cannot state apart."""
-    cert = rule.certificates
-    fields = dict(sizes=None, card_fn=sizes_card(rule.sizes), m_sup=cert.m_sup,
-                  surjective=cert.surjective, infinite_fibers=cert.infinite_fibers)
-    return dataclasses.replace(rule, **{**fields, **changes})
+def with_head(rule: SymbolicRule, stated: dict) -> SymbolicRule:
+    """``rule`` with the sizes ``stated`` ({target: size}) in its head, grown to the largest target;
+    every other target keeps the rule's own size, so the block is the rule's, moved to the new
+    start. A liar test states one fiber's size apart from its members and images."""
+    card, (head, block, step) = sizes_card(rule.sizes), rule.sizes
+    stop = max(len(head), *stated)
+    return dataclasses.replace(rule, sizes=(tuple(stated.get(a, card(a)) for a in range(1, stop + 1)),
+                                            tuple(map(card, range(stop + 1, stop + 1 + len(block)))), step))
 
 
 def parity_rule() -> SymbolicRule:
@@ -188,58 +195,47 @@ def parity_rule() -> SymbolicRule:
     return SymbolicRule(
         name="parity",
         eval_fn=lambda k: 1 if k % 2 == 1 else 2,
-        card_fn=lambda a: math.inf if a in (1, 2) else 0,
         members_fn=lambda a: None if a in (1, 2) else frozenset(),
-        m_sup=0,
-        surjective=False,
-        infinite_fibers=frozenset({1, 2}),
+        sizes=((math.inf, math.inf), (0,), 0),
     )
 
 
 def liar_rule() -> SymbolicRule:
-    """Pairs-collapse map eval(k) = ceil(k/2) with a false bound certificate."""
+    """Pairs-collapse map eval(k) = ceil(k/2), its fibers of size 2 stated as size 1, so that
+    its derived bound ``m_sup = 1`` is false; the tally of 1..64 refutes it at fiber(1)."""
     return SymbolicRule(
         name="liar",
         eval_fn=lambda k: (k + 1) // 2,
-        card_fn=lambda a: 2,
         members_fn=lambda a: frozenset((2 * a - 1, 2 * a)),
-        m_sup=1,
-        surjective=True,
-        infinite_fibers=frozenset(),
+        sizes=((), (1,), 0),
     )
 
 
 def clamp_liar_rule() -> SymbolicRule:
-    """clamp_pred's formulas with a false finite-fiber bound certificate.
+    """clamp_pred's formulas with fiber(1) = {1, 2} stated as size 1.
 
-    Its surjectivity and infinite-fiber certificates are true; the lie
-    ``m_sup = 1`` (the fiber over 1 is {1, 2}) also makes the derived
-    ``sup_card`` 1 and ``injective`` True, both false.
+    Its derived surjectivity and infinite-fiber certificates are true; the
+    derived ``m_sup = 1`` also makes ``sup_card`` 1 and ``injective`` True, both
+    false. The tally of 1..64 refutes it at fiber(1).
     """
     return SymbolicRule(
         name="clamp_liar",
         eval_fn=lambda k: 1 if k == 1 else k - 1,
-        card_fn=lambda a: 2 if a == 1 else 1,
         members_fn=lambda a: frozenset((1, 2)) if a == 1 else frozenset((a + 1,)),
-        m_sup=1,
-        surjective=True,
-        infinite_fibers=frozenset(),
+        sizes=((1,), (1,), 0),
     )
 
 
 def consistent_liar_rule() -> SymbolicRule:
-    """clamp_pred's ``eval_fn`` with the fibers of a bijection: card_fn, members_fn and the
+    """clamp_pred's ``eval_fn`` with the fibers of a bijection: sizes, members_fn and the derived
     certificates agree with one another, and only ``eval_fn`` (1 and 2 both map to 1) refutes
-    them. Were it read as declared, ``classify`` would report an isometry of norm 1, not sqrt(2).
+    them. Were it read as stated, ``classify`` would report an isometry of norm 1, not sqrt(2).
     """
     return SymbolicRule(
         name="consistent_liar",
         eval_fn=lambda k: 1 if k == 1 else k - 1,
-        card_fn=lambda a: 1,
         members_fn=lambda a: frozenset((a + 1,)),
-        m_sup=1,
-        surjective=True,
-        infinite_fibers=frozenset(),
+        sizes=((), (1,), 0),
     )
 
 

@@ -24,7 +24,7 @@ from genshift import (
 )
 from genshift.cli import main
 from genshift.index_domain import finite_runs, make_finite_map
-from helpers import clamp_liar_rule, consistent_liar_rule, declared_form, invoke, liar_rule, m_members
+from helpers import clamp_liar_rule, consistent_liar_rule, invoke, liar_rule, m_members, with_head
 from test_cli_golden import GOLDEN
 
 
@@ -111,7 +111,7 @@ def test_analyze_false_certificate_exits_3(tmp_path, monkeypatch):
     doc = {"kind": "symbolic", "name": "clamp_liar"}
     result = invoke(["analyze", write(tmp_path, "m.json", doc)])
     assert result.exit_code == 3
-    assert result.output.startswith("integrity error: rule 'clamp_liar' declares")
+    assert result.output == "integrity error: rule 'clamp_liar' maps 2 of 1..64 to 1 but fiber(1) has size 1\n"
 
 
 @pytest.mark.parametrize("map_doc, vector, key", [
@@ -131,7 +131,7 @@ def test_a_key_the_format_does_not_define_exits_2(tmp_path, map_doc, vector, key
 
 
 def test_analyze_consistent_liar_exits_3(tmp_path, monkeypatch):
-    # its certificates agree with card_fn; only its images of 1..64 refute them
+    # its certificates agree with its sizes; only its images of 1..64 refute them
     monkeypatch.setitem(index_domain.BUILTIN_RULES, "consistent_liar", consistent_liar_rule)
     doc = {"kind": "symbolic", "name": "consistent_liar"}
     result = invoke(["analyze", write(tmp_path, "m.json", doc)])
@@ -269,13 +269,12 @@ def test_witness_false_certificate_exits_3(tmp_path, monkeypatch):
     for kind in ("compact", "divergence"):
         result = invoke(["witness", write(tmp_path, "m.json", doc), "--kind", kind])
         assert result.exit_code == 3
-        assert result.output == ("integrity error: rule 'clamp_liar' declares finite-fiber bound 1"
-                                 " but fiber(1) has size 2\n")
+        assert result.output == "integrity error: rule 'clamp_liar' maps 2 of 1..64 to 1 but fiber(1) has size 1\n"
 
 
-def _successor_with_false_infinite_fiber():
-    """successor in the declared form, declaring an infinite fiber over 3, where its fiber is {2}."""
-    return declared_form(index_domain.successor_rule(), infinite_fibers=frozenset({3}))
+def _successor_with_an_empty_fiber_over_3():
+    """successor with fiber(3) = {2} stated empty."""
+    return with_head(index_domain.successor_rule(), {3: 0})
 
 
 @pytest.mark.parametrize("args", [
@@ -285,13 +284,12 @@ def _successor_with_false_infinite_fiber():
 def test_false_certificate_past_the_window_exits_3(tmp_path, monkeypatch, args):
     # the window 1..1 or 1..2 misses target 3; the first certificate read (1..64) reaches it
     monkeypatch.setitem(index_domain.BUILTIN_RULES, "successor_liar",
-                        _successor_with_false_infinite_fiber)
+                        _successor_with_an_empty_fiber_over_3)
     path = write(tmp_path, "m.json", {"kind": "symbolic", "name": "successor_liar"})
     result = invoke([path if a == "MAP" else a for a in args])
     assert result.exit_code == 3
     assert result.stdout == ""
-    assert result.stderr == ("integrity error: rule 'successor' declares infinite fibers exactly"
-                             " over [3] but fiber(3) has size 1\n")
+    assert result.stderr == "integrity error: rule 'successor' maps 1 of 1..64 to 3 but fiber(3) has size 0\n"
 
 
 def test_witness_divergence_on_bounded_map_exits_5(tmp_path):
@@ -739,7 +737,7 @@ RULE_DOCS += [{"kind": "symbolic", "name": "block", "param": b} for b in (1, 2, 
 @pytest.mark.parametrize("window", [1, 63, 64, 65, 66, 1000, 5000])
 @pytest.mark.parametrize("doc", RULE_DOCS, ids=lambda doc: f"{doc['name']}{doc.get('param', '')}")
 def test_analyze_sup_is_the_largest_cardinality(tmp_path, doc, window):
-    # a periodic rule's sup is read off the targets up to DEFAULT_WINDOW alone
+    # a rule's sup is read off its first and last DEFAULT_WINDOW targets alone
     result = invoke(["analyze", write(tmp_path, "m.json", doc), "--window", str(window)])
     assert result.exit_code == 0
     report = json.loads(result.output)["fiber_report"]

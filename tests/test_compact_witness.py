@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import sys
@@ -23,16 +24,16 @@ from genshift import (
     witness_sequence,
 )
 from genshift.domain_analysis import domain_report
-from genshift.index_domain import make_finite_map, successor_rule
+from genshift.index_domain import make_finite_map, successor_rule, triangular_rule
 from helpers import (
     add,
     clamp_liar_rule,
-    declared_form,
     finite_maps,
     liar_rule,
     norm,
     scale,
     unit_vector,
+    with_head,
 )
 
 SQRT2_OVER_2 = math.sqrt(2) / 2
@@ -94,9 +95,8 @@ def test_witness_clamp_pred_smallest_first():
 def test_witness_sums_the_two_smallest_different_sizes():
     # 1 -> 1 and k -> k // 2 + 1: the fiber over 1 is {1}, over a >= 2 it is {2a - 2, 2a - 1}
     rule = SymbolicRule(name="one_then_pairs", eval_fn=lambda k: 1 if k == 1 else k // 2 + 1,
-                        card_fn=lambda a: 1 if a == 1 else 2,
                         members_fn=lambda a: frozenset({1} if a == 1 else {2 * a - 2, 2 * a - 1}),
-                        m_sup=2, surjective=True, infinite_fibers=frozenset())
+                        sizes=((1,), (2,), 0))
     w = witness_sequence(IndexMap(rule=rule), 2)
     assert w.fiber_sizes == (1, 2)
     assert w.min_distance_sq == Fraction(3, 4)
@@ -168,21 +168,22 @@ def test_witness_count_past_sys_maxsize_exhausts_the_search_budget():
 
 @pytest.mark.parametrize("rule", [clamp_liar_rule, liar_rule])
 def test_witness_refutes_a_false_bound_certificate(rule):
-    # both claim m_sup = 1, hence a finite fiber bound; fiber(1) has size 2
-    with pytest.raises(IntegrityError, match=r"fiber\(1\) has size 2"):
+    # both state fiber(1), of two members, as size 1, so m_sup = 1, a finite fiber bound
+    with pytest.raises(IntegrityError, match=r"maps 2 of 1\.\.64 to 1 but fiber\(1\) has size 1$"):
         witness_sequence(IndexMap(rule=rule()), 3)
 
 
-def test_witness_refutes_a_false_infinite_fiber_certificate():
-    # the claimed infinite fiber would make the map look unbounded, so the witness would refuse
-    rule = declared_form(successor_rule(), infinite_fibers=frozenset({2}))
-    with pytest.raises(IntegrityError, match=r"over \[2\] but fiber\(2\) has size 1"):
+def test_witness_refutes_an_unbounded_map_stated_bounded():
+    # triangular with its sizes stated 1, 2, 3, 3, ...: bounded by 3, so the witness would build one;
+    # fiber(4) has four members in 1..64, and the first read of the certificates refutes it
+    rule = dataclasses.replace(triangular_rule(), sizes=((1, 2), (3,), 0))
+    with pytest.raises(IntegrityError, match=r"^rule 'triangular' maps 4 of 1\.\.64 to 4 but fiber\(4\) has size 3$"):
         witness_sequence(IndexMap(rule=rule), 3)
 
 
 def test_witness_refutes_a_false_certificate_past_its_first_window():
-    # the scan's first window 1..2 does not reach the false infinite fiber over 3;
-    # the first read of the certificates checks 1..64 and does
-    rule = declared_form(successor_rule(), infinite_fibers=frozenset({3}))
-    with pytest.raises(IntegrityError, match=r"over \[3\] but fiber\(3\) has size 1"):
+    # the scan's first window 1..2 does not reach the fiber over 3, stated empty (so not onto);
+    # the first read of the certificates tallies 1..64 and does
+    rule = with_head(successor_rule(), {3: 0})
+    with pytest.raises(IntegrityError, match=r"^rule 'successor' maps 1 of 1\.\.64 to 3 but fiber\(3\) has size 0$"):
         witness_sequence(IndexMap(rule=rule), 2)

@@ -123,8 +123,9 @@ def test_m_is_kept_as_the_finite_runs(m, window, members):
 
 
 def test_m_set_refutes_false_certificates():
-    with pytest.raises(IntegrityError, match="finite-fiber bound 1"):
-        IndexMap(rule=clamp_liar_rule()).window_sizes(8)
+    # M on the window is read off the certificates, whose read refutes fiber(1) = {1, 2} stated as size 1
+    with pytest.raises(IntegrityError, match=r"maps 2 of 1\.\.64 to 1 but fiber\(1\) has size 1$"):
+        m_members(IndexMap(rule=clamp_liar_rule()), 8)
 
 
 # --- closedness: Certificates.closed ----------------------------------------------
@@ -185,7 +186,7 @@ def test_domain_report_is_the_first_eight_records_exactly_when_not_closed(m):
 
 def test_certificates_closed_clamp_liar_integrity_error():
     # closedness is read off the checked record: the first window refutes the false m_sup = 1
-    with pytest.raises(IntegrityError, match=r"finite-fiber bound 1 but fiber\(1\) has size 2"):
+    with pytest.raises(IntegrityError, match=r"maps 2 of 1\.\.64 to 1 but fiber\(1\) has size 1$"):
         IndexMap(rule=clamp_liar_rule()).certificates.closed
 
 
@@ -252,15 +253,12 @@ def odd_blocks_rule() -> SymbolicRule:
     return SymbolicRule(
         name="odd_blocks",
         eval_fn=lambda j: math.isqrt(j - 1) + 1,
-        card_fn=lambda a: 2 * a - 1,
         members_fn=lambda a: frozenset(range((a - 1) ** 2 + 1, a * a + 1)),
-        m_sup=math.inf,
-        surjective=True,
-        infinite_fibers=frozenset(),
+        sizes=((), (1,), 2),
     )
 
 
-@pytest.mark.parametrize("K", [1, 2, 3, 1000])
+@pytest.mark.parametrize("K", [1, 2, 3, 1000, 1 << 16])
 @pytest.mark.parametrize("m", [symbolic_map("triangular"), IndexMap(rule=odd_blocks_rule())],
                          ids=["triangular", "odd_blocks"])
 def test_divergence_sums_equal_the_per_record_sums(m, K):
@@ -275,17 +273,17 @@ def test_divergence_sums_equal_the_per_record_sums(m, K):
 
 
 def towers_rule() -> SymbolicRule:
-    """The a-th consecutive block of length 10**(400a) goes to a: every fiber finite, none a float."""
+    """Triangular stretched by u = 10**400: the a-th consecutive block of length a * u goes to a, so
+    every fiber is finite and none a float."""
+    u = 10 ** 400
+
     def below(a):  # the indices that map below a
-        return sum(10 ** (400 * j) for j in range(1, a))
+        return u * a * (a - 1) // 2
     return SymbolicRule(
         name="towers",
         eval_fn=lambda k: next(a for a in itertools.count(1) if k <= below(a + 1)),
-        card_fn=lambda a: 10 ** (400 * a),
         members_fn=lambda a: frozenset(range(below(a) + 1, below(a + 1) + 1)),
-        m_sup=math.inf,
-        surjective=True,
-        infinite_fibers=frozenset(),
+        sizes=((), (u,), u),
     )
 
 
@@ -294,7 +292,7 @@ def test_divergence_bound_past_the_float_range_is_infinite():
     m = IndexMap(rule=towers_rule())
     w = divergence_witness(m, 2)
     assert w.image_norm_sq_lower_bound == math.inf == apply_norm_sq(m, w.vector)
-    assert tuple(zip(w.indices, w.fiber_sizes)) == ((1, 10**400), (2, 10**800))
+    assert tuple(zip(w.indices, w.fiber_sizes)) == ((1, 10**400), (2, 2 * 10**400))
     assert w.vector_norm_sq == 1.25
 
 
@@ -327,7 +325,7 @@ def test_divergence_witness_rejects_bounded_maps():
 
 def test_divergence_witness_refutes_a_false_bound_certificate():
     # m_sup = 1 would make the map look bounded; the first window refutes it before any refusal
-    with pytest.raises(IntegrityError, match=r"finite-fiber bound 1 but fiber\(1\) has size 2"):
+    with pytest.raises(IntegrityError, match=r"maps 2 of 1\.\.64 to 1 but fiber\(1\) has size 1$"):
         divergence_witness(IndexMap(rule=liar_rule()), 4)
 
 

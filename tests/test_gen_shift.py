@@ -39,19 +39,18 @@ from genshift.dense_oracle import (
 from genshift import gen_shift, index_domain
 from genshift.gen_shift import operator_norm
 from genshift.index_domain import (
-    DEFAULT_WINDOW,
     block_rule,
     clamp_pred_rule,
     doubling_rule,
     make_finite_map,
     odd_collapse_rule,
     successor_rule,
+    triangular_rule,
 )
 from helpers import (
     add,
     clamp_liar_rule,
     consistent_liar_rule,
-    declared_form,
     finite_maps,
     liar_rule,
     map_and_vector,
@@ -62,6 +61,7 @@ from helpers import (
     sizes_card,
     unit_vector,
     vectors_on,
+    with_head,
 )
 
 
@@ -105,9 +105,8 @@ def test_apply_not_in_l2_reports_smallest_offender():
     assert refused_index(par, from_entries(COUNTABLE, {2: 1, 1: 1})) == 1
     assert refused_index(par, from_entries(COUNTABLE, {2: 1, 5: 1})) == 2
     # an infinite fiber before a size past the float range: no float sum of the two is formed
-    huge = IndexMap(rule=SymbolicRule(name="huge", eval_fn=lambda k: 1,
-                                      card_fn=lambda a: math.inf if a == 1 else a, members_fn=lambda a: None,
-                                      m_sup=math.inf, surjective=True, infinite_fibers=frozenset({1})))
+    huge = IndexMap(rule=SymbolicRule(name="huge", eval_fn=lambda k: 1, members_fn=lambda a: None,
+                                      sizes=((math.inf,), (2,), 1)))  # fiber(a) has size a past 1
     assert refused_index(huge, from_entries(COUNTABLE, {10**400: 1, 1: 1})) == 1
 
 
@@ -123,9 +122,9 @@ def test_apply_image_past_the_search_budget_is_refused_before_any_member():
     # every finite fiber is within the budget, two of them together are not
     members = []
     half = SEARCH_CAP // 2 + 1
-    rule = SymbolicRule(name="wide", eval_fn=lambda k: 1, card_fn=lambda a: math.inf if a == 3 else half,
+    rule = SymbolicRule(name="wide", eval_fn=lambda k: 1,
                         members_fn=lambda a: members.append(a) or (None if a == 3 else frozenset()),
-                        m_sup=half, surjective=True, infinite_fibers=frozenset({3}))
+                        sizes=((half, half, math.inf), (half,), 0))
     m = IndexMap(rule=rule)
     with pytest.raises(UnsupportedError,
                        match=rf"^the image has {2 * half} entries or more, above SEARCH_CAP = {SEARCH_CAP}$"):
@@ -154,7 +153,8 @@ def test_a_rule_apply_refutes_members_fn_of_the_wrong_length(members_fn, theta, 
 
 
 PERIODIC_SHIPPED = {"successor": successor_rule, "clamp_pred": clamp_pred_rule, "doubling": doubling_rule,
-                    "odd_collapse": odd_collapse_rule, **{f"block{b}": (lambda b=b: block_rule(b)) for b in range(1, 6)}}
+                    "odd_collapse": odd_collapse_rule, "triangular": triangular_rule,
+                    **{f"block{b}": (lambda b=b: block_rule(b)) for b in range(1, 6)}}
 
 
 def outcome(op, m):
@@ -165,9 +165,10 @@ def outcome(op, m):
         return "error", type(exc), str(exc)
 
 
-def classify_reads(sizes):
-    """What ``classify`` reads off a rule's sizes: the sup of all of them, onto-ness, one-to-one-ness."""
-    finite = max((c for c in sizes if c != math.inf), default=0)
+def classify_reads(sizes, step):
+    """What ``classify`` reads off a rule's head and block and its step: the sup of all sizes,
+    onto-ness, one-to-one-ness."""
+    finite = math.inf if step else max((c for c in sizes if c != math.inf), default=0)
     return (math.inf if math.inf in sizes else finite), 0 not in sizes, math.inf not in sizes and finite <= 1
 
 
@@ -178,20 +179,21 @@ def classify_reads(sizes):
 @example(name="odd_collapse", k=0, r=99, off=2)  # an infinite fiber keeps classify right
 @example(name="block2", k=0, r=99, off=-1)  # past 1..64, refuted by the tally of 1..64
 @example(name="doubling", k=0, r=0, off=-1)  # a size of -1, refused by the form check
+@example(name="triangular", k=0, r=999, off=1)  # every size one too large: classify reads m_sup = inf either way
 def test_a_size_lie_on_a_periodic_rule_gives_the_honest_answer_or_is_refuted(name, k, r, off):
-    # ROADMAP item 22's size lies: one finite head or block entry of a shipped periodic rule's
-    # sizes off by off, read at the target t that the entry states (the r-th copy of a block entry).
+    # ROADMAP item 22's size lies: one finite head or block entry of a shipped rule's sizes off
+    # by off, read at the target t that the entry states (the r-th row of a block entry).
     # At -1 the form check refuses a negative entry and the tally of eval_fn over 1..64 refutes
     # every other lie: each fiber of a drawn head and block has all its members inside 1..64.
     # At +1 and +2 apply refutes by member count, while fiber_card and apply_norm_sq read the lie,
     # and so does classify wherever the lie moves what it reads
     honest = PERIODIC_SHIPPED[name]()
-    head, block = honest.sizes
+    head, block, step = honest.sizes
     sizes = list(head + block)
     i = [j for j, c in enumerate(sizes) if c != math.inf][k % sum(c != math.inf for c in sizes)]
     t = i + 1 + (r * len(block) if i >= len(head) else 0)
     sizes[i] += off
-    lied = (tuple(sizes[:len(head)]), tuple(sizes[len(head):]))
+    lied = (tuple(sizes[:len(head)]), tuple(sizes[len(head):]), step)
     if sizes[i] < 0:
         with pytest.raises(ParseError, match=rf"^rule '{honest.name}' declares sizes "):
             dataclasses.replace(honest, sizes=lied)
@@ -210,36 +212,40 @@ def test_a_size_lie_on_a_periodic_rule_gives_the_honest_answer_or_is_refuted(nam
     if off == -1:
         assert (refuted, wrong) == (set(ops), set())
     else:
-        moved = classify_reads(sizes) != classify_reads(head + block)
+        moved = classify_reads(sizes, step) != classify_reads(head + block, step)
         assert (refuted, wrong) == ({"apply"}, {"fiber_card", "apply_norm_sq"} | ({"classify"} if moved else set()))
 
 
 def test_a_rule_apply_reads_each_fiber_once():
     block = block_rule(3)
-    for declared in (False, True):  # block(3), and its declared form with a card_fn that counts
-        cards, members = Counter(), Counter()
-        rule = dataclasses.replace(block, members_fn=lambda a: members.update([a]) or block.members_fn(a))
-        if declared:
-            rule = declared_form(rule, card_fn=lambda a: cards.update([a]) or 3)
-        x = from_entries(COUNTABLE, {9: 1, 2: 1j, 5: 2})
-        assert apply(IndexMap(rule=rule), x) == apply(symbolic_map("block", 3), x)
-        assert members == Counter({2: 1, 5: 1, 9: 1})
-        # a rule with sizes has no card_fn; the declared form's one check of the certificates
-        # reads 1..DEFAULT_WINDOW once, and each support index once more
-        assert cards == (Counter(range(1, DEFAULT_WINDOW + 1)) + members if declared else Counter())
+    members = Counter()
+    rule = dataclasses.replace(block, members_fn=lambda a: members.update([a]) or block.members_fn(a))
+    x = from_entries(COUNTABLE, {9: 1, 2: 1j, 5: 2})
+    assert apply(IndexMap(rule=rule), x) == apply(symbolic_map("block", 3), x)
+    assert members == Counter({2: 1, 5: 1, 9: 1})
 
 
-def test_in_domain_reads_each_size_at_most_once_and_stops_at_an_infinite_one():
-    oc = odd_collapse_rule()
-    cards = Counter()
-    m = IndexMap(rule=declared_form(oc, card_fn=lambda a: cards.update([a]) or sizes_card(oc.sizes)(a)))
+@pytest.mark.parametrize("rule", [odd_collapse_rule(), with_head(triangular_rule(), {1: math.inf})],
+                         ids=["odd_collapse", "stepped"])
+def test_in_domain_reads_each_size_at_most_once_and_stops_at_an_infinite_one(rule, monkeypatch):
+    # in_domain pulls the support's targets through sizes_at one at a time, with a step or without
+    pulled, sizes_at = [], IndexMap.sizes_at
+
+    def recorded(self, targets):
+        def each():
+            for t in targets:
+                pulled.append(t)
+                yield t
+        return sizes_at(self, each())
+
+    monkeypatch.setattr(IndexMap, "sizes_at", recorded)
+    m = IndexMap(rule=rule)
     assert not in_domain(m, from_entries(COUNTABLE, {4: 1, 1: 1, 6: 1}))
-    # the one check of the certificates reads 1..DEFAULT_WINDOW once; then in_domain reads 4 and 1 and stops
-    assert cards == Counter(range(1, DEFAULT_WINDOW + 1)) + Counter({4: 1, 1: 1})
-    cards.clear()
+    assert pulled == [4, 1]
+    pulled.clear()
     assert in_domain(m, from_entries(COUNTABLE, {4: 1, 6: 1}))
-    assert cards == Counter({4: 1, 6: 1})
-    assert in_domain(IndexMap(rule=oc), from_entries(COUNTABLE, {4: 1, 6: 1}))  # the same, read off sizes
+    assert pulled == [4, 6]
+    assert list(m.sizes_at([4, 6])) == list(map(sizes_card(rule.sizes), (4, 6)))
 
 
 def test_vector_paths_never_reach_the_checked_accessors(monkeypatch):
@@ -473,7 +479,7 @@ def test_classify_clamp_liar_integrity_error():
 
 
 def test_classify_consistent_liar_integrity_error():
-    # card_fn, members_fn and the certificates agree, so only the images of 1..64 refute them
+    # its sizes, members_fn and derived certificates agree, so only the images of 1..64 refute them
     with pytest.raises(IntegrityError,
                        match=r"^rule 'consistent_liar' maps 2 of 1\.\.64 to 1 but fiber\(1\) has size 1$"):
         classify(IndexMap(rule=consistent_liar_rule()))
@@ -481,7 +487,7 @@ def test_classify_consistent_liar_integrity_error():
 
 @pytest.mark.parametrize("op", [apply, apply_norm_sq, in_domain, solve])
 def test_vector_operations_refute_the_consistent_liar(op):
-    # read as declared, e_1 goes to e_2 (norm 1, in the domain); the shift gives e_1 + e_2
+    # read as stated, e_1 goes to e_2 (norm 1, in the domain); the shift gives e_1 + e_2
     with pytest.raises(IntegrityError,
                        match=r"^rule 'consistent_liar' maps 2 of 1\.\.64 to 1 but fiber\(1\) has size 1$"):
         op(IndexMap(rule=consistent_liar_rule()), from_entries(COUNTABLE, {1: 1}))
@@ -501,10 +507,9 @@ class Index(int):
 
 
 def stray_rule(images: dict) -> SymbolicRule:
-    """The identity's fibers and certificates, with eval(k) replaced by ``images[k]``."""
-    return SymbolicRule(name="stray", eval_fn=lambda k: images.get(k, k), card_fn=lambda a: 1,
-                        members_fn=lambda a: frozenset((a,)), m_sup=1, surjective=True,
-                        infinite_fibers=frozenset())
+    """The identity's fibers and sizes, with eval(k) replaced by ``images[k]``."""
+    return SymbolicRule(name="stray", eval_fn=lambda k: images.get(k, k),
+                        members_fn=lambda a: frozenset((a,)), sizes=((), (1,), 0))
 
 
 # an unhashable image is refused by the image check, before the tally would raise TypeError
@@ -564,18 +569,15 @@ def test_classify_triangular_not_into_l2():
 
 def test_classify_window_refutes_injectivity_exactly():
     # pairs-collapse: the honest rule is not one-to-one; liar_rule's claim that
-    # it is (m_sup = 1) is refuted by the first size-2 fiber inside the window
+    # it is (sizes of 1, so m_sup = 1) is refuted by the first size-2 fiber inside the window
     honest = SymbolicRule(
         name="pairs",
         eval_fn=lambda k: (k + 1) // 2,
-        card_fn=lambda a: 2,
         members_fn=lambda a: frozenset((2 * a - 1, 2 * a)),
-        m_sup=2,
-        surjective=True,
-        infinite_fibers=frozenset(),
+        sizes=((), (2,), 0),
     )
     assert classify(IndexMap(rule=honest)).sigma_surjective is False
-    with pytest.raises(IntegrityError, match=r"finite-fiber bound 1 but fiber\(1\) has size 2"):
+    with pytest.raises(IntegrityError, match=r"^rule 'liar' maps 2 of 1\.\.64 to 1 but fiber\(1\) has size 1$"):
         classify(IndexMap(rule=liar_rule()))
 
 
@@ -677,11 +679,8 @@ def test_solve_collision_refutes_a_false_injectivity_certificate():
     rule = SymbolicRule(
         name="late_collision",
         eval_fn=lambda k: 100 if k == 101 else k,
-        card_fn=lambda a: 1,
         members_fn=lambda a: frozenset((a,)),
-        m_sup=1,
-        surjective=True,
-        infinite_fibers=frozenset(),
+        sizes=((), (1,), 0),
     )
     m = IndexMap(rule=rule)
     assert classify(m).sigma_surjective is True
